@@ -7,6 +7,10 @@ cargo test -q --workspace
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark is a workspace of its own (benchmark/Cargo.toml); run its
+# unit tests too so its metric, statistics and comparison code stay green.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Differential/metamorphic cross-checks: a pinned seed for reproducible
 # CI, plus a seed derived from the commit hash so the randomized surface
 # grows with history while any failure stays replayable via its artefact.

@@ -154,13 +154,18 @@ mod tests {
 
     #[test]
     fn stage_and_gauge_registries_are_stable_and_sorted() {
-        let a = stage("test.lib.alpha");
-        let b = stage("test.lib.alpha");
+        // A prefix of its own: other tests in this process register
+        // `test.lib.*` stages concurrently.
+        let a = stage("test.lib.sorted.alpha");
+        let b = stage("test.lib.sorted.alpha");
         assert!(std::ptr::eq(a, b), "same name → same stage");
-        stage("test.lib.beta");
-        let names: Vec<&str> =
-            stages().into_iter().map(|(n, _)| n).filter(|n| n.starts_with("test.lib.")).collect();
-        assert_eq!(names, vec!["test.lib.alpha", "test.lib.beta"]);
+        stage("test.lib.sorted.beta");
+        let names: Vec<&str> = stages()
+            .into_iter()
+            .map(|(n, _)| n)
+            .filter(|n| n.starts_with("test.lib.sorted."))
+            .collect();
+        assert_eq!(names, vec!["test.lib.sorted.alpha", "test.lib.sorted.beta"]);
 
         gauge_set("test.lib.gauge", 41);
         gauge_set("test.lib.gauge", 7);

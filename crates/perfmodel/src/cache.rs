@@ -15,6 +15,12 @@
 //! the `repro bench` artefact's source) and mirrored to `rvhpc-trace` as
 //! `perfmodel.estimate_cache.{hit,miss,eviction}` when tracing is enabled.
 //!
+//! Under the map sits the optional [`persist`] store. Its content-hash key
+//! (the `Debug` text of the full descriptor and canonical config, salted
+//! and hashed) costs several times the estimate, so a miss derives it only
+//! when the store is enabled; with the store off a miss costs the estimate
+//! plus one map insert.
+//!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
 //! that perturbs a descriptor in place — the metamorphic verify oracles —
@@ -241,10 +247,13 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     }
     // Persistent layer: a disk warm-start is a hit (it serves the exact
     // bits a miss would recompute) and also populates the in-memory map so
-    // later lookups never touch the store lock twice.
-    let disk_key =
-        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg));
-    if let Some(est) = persist::lookup(disk_key) {
+    // later lookups never touch the store lock twice. The content-hash key
+    // costs several times the estimate itself, so it is derived only when
+    // the store is on; when it is off a miss is just the estimate.
+    let disk_key = persist::enabled().then(|| {
+        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg))
+    });
+    if let Some(est) = disk_key.and_then(persist::lookup) {
         HITS.fetch_add(1, Ordering::Relaxed);
         rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
         rvhpc_trace::counter!("perfmodel.estimate_cache.disk_hit", 1);
@@ -260,7 +269,9 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
     let est = estimate_averaged(machine, kernel, cfg);
-    persist::record(disk_key, est);
+    if let Some(disk_key) = disk_key {
+        persist::record(disk_key, est);
+    }
     let (evicted, resident) = {
         let mut c = locked();
         let evicted = c.insert(capacity(), key, est);
@@ -532,6 +543,86 @@ mod tests {
         let before = stats();
         let _ = estimate_cached(&m, KernelName::STREAM_TRIAD, &cfg);
         assert_eq!(stats().since(&before).misses, 1);
+
+        persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh, empty store directory unique to this process and test.
+    fn store_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rvhpc-estcache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The key column of every record in a flushed store file.
+    fn stored_keys(dir: &std::path::Path) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join(persist::FILE_NAME)).expect("store file");
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some(persist::SCHEMA));
+        lines.map(|l| l.split_whitespace().next().expect("key column").to_string()).collect()
+    }
+
+    #[test]
+    fn store_on_miss_records_the_content_hash_key() {
+        // Pins the on-disk key: deriving it only when the store is on must
+        // not change what it is derived from.
+        let _l = isolated();
+        let dir = store_dir("keypin");
+        persist::set_cache_dir(Some(dir.clone()));
+        let m = sg();
+        let cfg = RunConfig::sg2042_best(Precision::Fp64, 32);
+        let kernel = KernelName::STREAM_COPY;
+        let before = stats();
+        let _ = estimate_cached(&m, kernel, &cfg);
+        assert_eq!(stats().since(&before).misses, 1);
+        persist::flush();
+        let expected = persist::key_hash(
+            &format!("{m:?}"),
+            kernel.label(),
+            &format!("{:?}", CanonicalConfig::new(&m, &cfg)),
+        );
+        assert_eq!(stored_keys(&dir), vec![format!("{expected:016x}")]);
+        persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn only_store_on_misses_are_recorded() {
+        let _l = isolated();
+        let m = sg();
+        let cfg = |threads| RunConfig::sg2042_best(Precision::Fp32, threads);
+        let off = [1, 2, 4];
+        let on = [8, 16];
+        for t in off {
+            let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(t));
+        }
+        let dir = store_dir("toggle");
+        persist::set_cache_dir(Some(dir.clone()));
+        let before = stats();
+        for t in on {
+            let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(t));
+        }
+        assert_eq!(stats().since(&before).misses, on.len() as u64);
+        persist::flush();
+        assert_eq!(stored_keys(&dir).len(), on.len(), "store-off misses were not recorded");
+
+        // A new process: empty memory, store reloaded from disk.
+        clear();
+        persist::set_cache_dir(Some(dir.clone()));
+        assert_eq!(persist::loaded_entries(), on.len());
+        let before = stats();
+        for t in on {
+            let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(t));
+        }
+        let delta = stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (on.len() as u64, 0), "{delta:?}");
+        let before = stats();
+        for t in off {
+            let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(t));
+        }
+        let delta = stats().since(&before);
+        assert_eq!((delta.hits, delta.misses), (0, off.len() as u64), "{delta:?}");
 
         persist::set_cache_dir(None);
         let _ = std::fs::remove_dir_all(&dir);

@@ -6,6 +6,12 @@
 //! later process warm-starts from the file, so cross-process hit rates for
 //! repeated sweeps (`repro bench`, serve restarts, CI) approach 100%.
 //!
+//! Whether the store is enabled is mirrored into an atomic that
+//! [`set_cache_dir`] and the lazy environment resolution keep in sync, so
+//! the cache asks it without taking the store lock. The content-hash key
+//! below is derived only when the store is enabled: a store-off miss never
+//! formats the descriptor or touches this module's lock.
+//!
 //! # File format (`rvhpc-estcache-v1`)
 //!
 //! A plain text file, `estimates.v1`, one record per line:
@@ -39,6 +45,7 @@
 use crate::estimate::TimeEstimate;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// First line of a valid store file.
@@ -83,6 +90,16 @@ struct Store {
     loaded: usize,
 }
 
+/// [`ENABLED`] states. `UNRESOLVED` until the first [`ensure_ready`] or
+/// [`set_cache_dir`]; after that it mirrors `Store::dir.is_some()`.
+const UNRESOLVED: u8 = 0;
+const OFF: u8 = 1;
+const ON: u8 = 2;
+
+/// Lock-free copy of "is the store enabled", kept in sync under the store
+/// lock, so the cache's miss path can skip key derivation without taking it.
+static ENABLED: AtomicU8 = AtomicU8::new(UNRESOLVED);
+
 fn store() -> &'static Mutex<Store> {
     static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(Store::default()))
@@ -106,6 +123,23 @@ fn ensure_ready(s: &mut Store) {
                 reload(s);
             }
         }
+        publish_enabled(s);
+    }
+}
+
+/// Mirror the resolved directory into [`ENABLED`]; call under the lock
+/// after every change to `Store::dir`.
+fn publish_enabled(s: &Store) {
+    ENABLED.store(if s.dir.is_some() { ON } else { OFF }, Ordering::Release);
+}
+
+/// Whether the store is enabled: one atomic load once resolved. The first
+/// call resolves `RVHPC_CACHE_DIR` (and loads the file) through
+/// [`ensure_ready`].
+pub(crate) fn enabled() -> bool {
+    match ENABLED.load(Ordering::Acquire) {
+        UNRESOLVED => cache_dir().is_some(),
+        state => state == ON,
     }
 }
 
@@ -194,6 +228,7 @@ pub fn set_cache_dir(dir: Option<PathBuf>) {
     s.env_checked = true; // explicit choice wins; never consult the env again
     s.dir = dir;
     reload(&mut s);
+    publish_enabled(&s);
 }
 
 /// The directory currently backing the store, if enabled.
