@@ -91,13 +91,19 @@ awk "BEGIN { exit !($RATE2 >= 0.99) }"
 awk "BEGIN { exit !($WALL2 < $WALL1) }"
 rm -rf "$EST_DIR" "$WARM1" "$WARM2"
 
-# Serving smoke: start the server on an ephemeral port, drive it with a
-# seeded loadgen (which exits non-zero on any protocol error, dropped
-# reply, failed bit-identity check, or malformed-request mishandling),
-# then request a drain and require the server process to exit cleanly.
+# Serving smoke: one server on an ephemeral port with room for 1024
+# connections. A seeded closed-loop loadgen (which exits non-zero on any
+# protocol error, dropped reply, failed bit-identity check, or
+# malformed-request mishandling) runs first, then the open-loop engine
+# over 256 concurrent connections (non-zero on any protocol error or
+# bit-identity failure); then a drain that must end the server process
+# cleanly. The differential harness (lockstep op mix, replies
+# bit-identical to the in-process model) runs in `cargo test` above with
+# the workspace's pinned RVHPC_SEED honoured when set; rerun it here
+# under the CI-pinned seed so the exact schedule is reproducible.
 SERVE_PORT_FILE="$(mktemp)"
 cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
-    --port-file "$SERVE_PORT_FILE" &
+    --max-conns 1024 --port-file "$SERVE_PORT_FILE" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     test -s "$SERVE_PORT_FILE" && break
@@ -107,33 +113,13 @@ SERVE_ADDR="$(cat "$SERVE_PORT_FILE")"
 cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
     --clients 4 --requests 200 --seed 42 --probe-bad --json SERVE_SMOKE.json
 cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
+    --open-loop --connections 256 --rps 300 --requests 4 --seed 2042
+cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$SERVE_PID"
 rm -f "$SERVE_PORT_FILE"
-
-# Reactor smoke: the same protocol served by the epoll event loop. One
-# reactor server on an ephemeral port, driven by the open-loop engine
-# over 256 concurrent connections (exit is non-zero on any protocol
-# error or bit-identity failure), then a drain that must complete
-# cleanly. The differential harness (threaded vs reactor, lockstep op
-# mix, bit-identical replies) runs in `cargo test` above with the
-# workspace's pinned RVHPC_SEED honoured when set; rerun it here under
-# the CI-pinned seed so the exact schedule is reproducible.
-REACTOR_PORT_FILE="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
-    --reactor --max-conns 1024 --port-file "$REACTOR_PORT_FILE" &
-REACTOR_PID=$!
-for _ in $(seq 1 100); do
-    test -s "$REACTOR_PORT_FILE" && break
-    sleep 0.1
-done
-REACTOR_ADDR="$(cat "$REACTOR_PORT_FILE")"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$REACTOR_ADDR" \
-    --open-loop --connections 256 --rps 300 --requests 4 --seed 2042 --shutdown
-wait "$REACTOR_PID"
-rm -f "$REACTOR_PORT_FILE"
 RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
-    --test serve_reactor_differential
+    --test serve_differential
 
 # Observability smoke: a server with SLO tail-sampling and an on-disk
 # metrics-snapshot ring, driven by an SLO-gated loadgen that polls (and

@@ -26,12 +26,12 @@
 //! repro serve [--addr A] [--queue-cap N] [--batch-max N]
 //!             [--batch-window-us U] [--port-file <path>]
 //!             [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]
-//!             [--reactor] [--max-conns N] [--idle-timeout-ms MS]
+//!             [--max-conns N] [--idle-timeout-ms MS]
 //!             [--max-outbox-kb N] [--max-fuel N]
 //!                            # serve estimate/explain/suite/lint queries
-//!                            # over line-delimited JSON on TCP; drains on
-//!                            # a `shutdown` request or SIGTERM; --reactor
-//!                            # switches to the epoll event loop (Linux)
+//!                            # over line-delimited JSON on TCP from one
+//!                            # epoll event loop (Linux); drains on a
+//!                            # `shutdown` request or SIGTERM
 //! repro loadgen --addr A [--clients N] [--requests M] [--rps R]
 //!               [--duration S] [--seed N] [--json <path>]
 //!               [--probe-bad] [--shutdown] [--slo-ms MS]
@@ -125,7 +125,7 @@ file)\n  \
   serve [--addr <ip:port>] [--queue-cap N] [--batch-max N]\n        \
 [--batch-window-us U] [--port-file <path>]\n        \
 [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]\n          \
-[--reactor] [--max-conns N] [--idle-timeout-ms MS] [--max-outbox-kb N]\n          \
+[--max-conns N] [--idle-timeout-ms MS] [--max-outbox-kb N]\n          \
 [--max-fuel N]\n                          \
 serve estimate/explain/suite/submit_kernel/\n                          \
 submit_machine/lint_machine queries over\n                          \
@@ -134,9 +134,9 @@ admission, batched execution on the shared thread\n                          \
 pool, and graceful drain on `shutdown` or SIGTERM;\n                          \
 --slo-ms tail-samples slow requests, --metrics-file\n                          \
 keeps a bounded on-disk metrics-snapshot ring;\n                          \
---reactor serves all connections from one epoll\n                          \
-event loop (Linux) with --max-conns admission,\n                          \
-idle disconnects, and bounded write buffering;\n                          \
+all connections share one epoll event loop\n                          \
+(Linux) with --max-conns admission, idle\n                          \
+disconnects, and bounded write buffering;\n                          \
 --max-fuel caps the interpreter fuel any admitted\n                          \
 kernel may be granted\n  \
   loadgen --addr <ip:port> [--clients N] [--requests M] [--rps R]\n          \
@@ -973,7 +973,7 @@ fn serve(args: &[String]) -> ! {
     const SERVE_USAGE: &str = "usage: repro serve [--addr <ip:port>] [--queue-cap N] \
                                [--batch-max N] [--batch-window-us U] [--port-file <path>] \
                                [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS] \
-                               [--reactor] [--max-conns N] [--idle-timeout-ms MS] \
+                               [--max-conns N] [--idle-timeout-ms MS] \
                                [--max-outbox-kb N] [--max-fuel N]";
     let mut config = ServeConfig::default();
     let mut port_file: Option<String> = None;
@@ -1015,7 +1015,6 @@ fn serve(args: &[String]) -> ! {
                 let ms = parse_pos("--scrape-every-ms", value("--scrape-every-ms"));
                 config.scrape_every = std::time::Duration::from_millis(ms as u64);
             }
-            "--reactor" => config.reactor = true,
             "--max-conns" => config.max_conns = parse_pos("--max-conns", value("--max-conns")),
             "--idle-timeout-ms" => {
                 // Unlike the other knobs, 0 is meaningful: it disables
@@ -1052,7 +1051,7 @@ fn serve(args: &[String]) -> ! {
     let (slo_ms, scrape_every) = (config.slo_ms, config.scrape_every);
     let (queue_cap, batch_max, batch_window) =
         (config.queue_capacity, config.batch_max, config.batch_window);
-    let (reactor, max_conns) = (config.reactor, config.max_conns);
+    let max_conns = config.max_conns;
     let max_fuel = config.max_fuel;
     let metrics_file = config.metrics_file.clone();
     let server = Server::start(config).unwrap_or_else(|e| {
@@ -1072,7 +1071,6 @@ fn serve(args: &[String]) -> ! {
         ("slo_ms", Json::Num(slo_ms)),
         ("metrics_file", metrics_file.as_deref().map_or(Json::Null, Json::str)),
         ("scrape_every_ms", Json::Num(scrape_every.as_millis() as f64)),
-        ("reactor", Json::Bool(reactor)),
         ("max_conns", Json::Num(max_conns as f64)),
         ("max_fuel", Json::Num(max_fuel as f64)),
         ("pid", Json::Num(std::process::id() as f64)),

@@ -53,7 +53,6 @@ fn help_documents_serving_flags_and_exit_codes() {
         "--slo-ms",
         "--metrics-file",
         "--scrape-every-ms",
-        "--reactor",
         "--max-conns",
         "--idle-timeout-ms",
         "--max-outbox-kb",
@@ -61,6 +60,7 @@ fn help_documents_serving_flags_and_exit_codes() {
     ] {
         assert!(text.contains(flag), "help must mention serve flag `{flag}`:\n{text}");
     }
+    assert!(!text.contains("--reactor"), "help must not mention a removed flag:\n{text}");
     // The admission pipeline's knobs.
     for flag in ["--asm", "--env", "--report", "--estimate"] {
         assert!(text.contains(flag), "help must mention submission flag `{flag}`:\n{text}");
@@ -108,6 +108,13 @@ fn unknown_command_and_flag_exit_2_with_usage() {
         let err = String::from_utf8(out.stderr).expect("utf8");
         assert!(err.contains("unknown"), "{sub}: {err}");
     }
+
+    // `--reactor` is not a serve flag: a stale invocation must fail
+    // loudly rather than run with the flag ignored.
+    let out = repro().args(["serve", "--reactor"]).output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "serve --reactor");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("unknown serve argument `--reactor`"), "{err}");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Incremental zero-copy line framing for the reactor's read path.
 //!
-//! The threaded server reads with `BufRead::read_line` and then trims
-//! trailing `\r`/`\n`; the reactor receives arbitrary chunks from
-//! nonblocking reads and must reassemble the *same* line stream. This
-//! module owns that reassembly so it can be fuzzed against the one-shot
-//! path in isolation (see the quickprop test in this file).
+//! The reactor receives arbitrary chunks from nonblocking reads and must
+//! reassemble the line stream a one-shot split of the whole byte stream
+//! would give. This module owns that reassembly so it can be fuzzed
+//! against the one-shot split in isolation (see the quickprop test in
+//! this file).
 //!
-//! Semantics mirrored from the threaded path exactly:
+//! Semantics:
 //!
 //! * A line is everything up to (not including) a `\n`; trailing `\r`
 //!   bytes are trimmed after the split, so `"x\r\r\n"` frames as `"x"`.
@@ -17,8 +17,8 @@
 //! * Bytes of an oversized line beyond `limit + 1` are discarded on
 //!   arrival rather than buffered, so a hostile client streaming an
 //!   unbounded no-newline blob costs O(limit) memory, not O(stream).
-//! * Lines that trim to empty are *not* reported — the threaded loop
-//!   skips them without replying.
+//! * Lines that trim to empty are *not* reported — the server skips
+//!   them without replying.
 //!
 //! Zero-copy: completed lines are handed out as `&[u8]` slices into the
 //! internal buffer; nothing is copied out per line. The buffer compacts
@@ -110,8 +110,8 @@ impl FrameBuf {
         let trimmed_total = self.cur_total - self.cur_trailing_cr;
         let kept = self.buf.len() - self.partial_start;
         if trimmed_total == 0 {
-            // Blank line (possibly just CRs): skip silently, like the
-            // threaded read loop does.
+            // Blank line (possibly just CRs): skip silently; a keep-alive
+            // newline deserves no reply.
             self.buf.truncate(self.partial_start);
         } else if trimmed_total > self.max_line {
             // Oversized: drop whatever bytes we kept.
@@ -159,9 +159,8 @@ impl FrameBuf {
     }
 
     /// Close the stream: frame any pending partial line as if a final
-    /// `\n` arrived. Mirrors the threaded reader, where `read_line`
-    /// returns (and the loop processes) an unterminated final line
-    /// before seeing EOF.
+    /// `\n` arrived, so a client that half-closes after an unterminated
+    /// final request still gets its answer.
     pub(crate) fn finish_eof(&mut self) {
         if self.cur_total > 0 {
             self.finish_line();
@@ -188,8 +187,8 @@ mod tests {
         out
     }
 
-    /// The one-shot oracle: what the threaded `read_line` + trim loop
-    /// would produce for the full byte stream.
+    /// The one-shot oracle: what splitting the full byte stream on `\n`
+    /// and trimming each line produces.
     fn oneshot(stream: &[u8], max_line: usize) -> Vec<Result<String, ()>> {
         let mut out = Vec::new();
         for line in stream.split(|&b| b == b'\n') {
@@ -326,12 +325,9 @@ mod tests {
                 stream.extend(std::iter::repeat_n(b'q', len));
             }
             let expect = {
-                // The oracle ignores an unterminated tail, as read_line
-                // with EOF-before-newline does after trimming... except
-                // threaded mode *does* process a final unterminated line
-                // at EOF. The reactor closes on EOF with a partial the
-                // same way, so frame-level equivalence is over complete
-                // lines only; the tail is asserted unframed below.
+                // Without EOF an unterminated tail is never framed (only
+                // `finish_eof` frames it), so frame-level equivalence is
+                // over complete lines only; the oracle ignores the tail.
                 let upto = match stream.iter().rposition(|&b| b == b'\n') {
                     Some(p) => &stream[..p + 1],
                     None => &stream[..0],

@@ -5,10 +5,11 @@
 //! not a one-shot CLI. This crate is that serving layer, shaped like a
 //! miniature inference stack:
 //!
-//! * **Transport** — a zero-dependency TCP server (`std::net`) speaking
-//!   line-delimited JSON (the workspace's own [`rvhpc_trace::json::Json`]);
-//!   one request per line, one response per line, correlated by an echoed
-//!   `id` field ([`protocol`]).
+//! * **Transport** — a zero-dependency TCP server speaking line-delimited
+//!   JSON (the workspace's own [`rvhpc_trace::json::Json`]); one request
+//!   per line, one response per line, correlated by an echoed `id` field
+//!   ([`protocol`]). Every connection lives on one epoll event loop, so
+//!   serving is Linux-only (see [`server`] for the thread shape).
 //! * **Admission control** — a bounded queue in front of the model. When it
 //!   is full the server answers immediately with an `overloaded` error and
 //!   a `retry_after_ms` hint instead of queueing unboundedly or dropping

@@ -1,9 +1,9 @@
 //! The epoll reactor: every connection on one nonblocking event loop.
 //!
-//! Enabled by [`crate::ServeConfig::reactor`] (`repro serve --reactor`).
-//! Thread-per-connection serving caps out at a few hundred concurrent
-//! clients on this machine class; the reactor multiplexes thousands of
-//! sockets over a single thread using the audited [`crate::epoll`] shim:
+//! This is the server's only transport (Linux only). A thread per
+//! connection caps out at a few hundred concurrent clients on this
+//! machine class; the reactor multiplexes thousands of sockets over a
+//! single thread using the audited [`crate::epoll`] shim:
 //!
 //! ```text
 //!              ┌────────────── epoll_wait ──────────────┐
@@ -11,17 +11,17 @@
 //!  sockets ────┤ read → FrameBuf → handle_line          │──▶ admission
 //!  eventfd ◀───┤ batcher replies via Hub::post          │    queue /
 //!              │ write → bounded per-conn outbox        │    batcher
-//!              └────────────────────────────────────────┘   (unchanged)
+//!              └────────────────────────────────────────┘
 //! ```
 //!
-//! Everything behind the transport is the *same code* as threaded mode:
-//! [`crate::server::handle_line`] does parsing, direct ops, admission and
-//! stats; the batcher, deadline cancellation, SIGTERM drain and obs stage
-//! instrumentation are untouched. The only difference is the reply sink —
-//! a [`Hub`] mailbox plus eventfd wakeup instead of a blocking socket
-//! write — which is what makes the batcher immune to slow clients. The
-//! differential harness (`tests/serve_reactor_differential.rs`) holds the
-//! two modes bit-identical over the full op mix.
+//! The reactor only moves bytes: [`crate::server::handle_line`] does
+//! parsing, direct ops, admission and stats, and the batcher, deadline
+//! cancellation, SIGTERM drain and obs stage instrumentation live in
+//! [`crate::server`]. Replies reach a connection through a [`Hub`]
+//! mailbox plus an eventfd wakeup rather than a blocking socket write,
+//! which is what makes the batcher immune to slow clients. The
+//! differential harness (`tests/serve_differential.rs`) holds every reply
+//! bit-identical to the in-process model over the full op mix.
 //!
 //! Slow clients: replies buffer in a per-connection outbox flushed as the
 //! socket accepts them (`EPOLLOUT`); a connection whose backlog exceeds
@@ -54,7 +54,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
 /// The cross-thread reply mailbox: the batcher (or any thread holding a
-/// reactor-mode [`ConnWriter`]) posts `(connection token, line)` pairs
+/// [`ConnWriter`]) posts `(connection token, line)` pairs
 /// and signals the eventfd; the reactor drains the mailbox into per-conn
 /// outboxes on its next wakeup. Posting never blocks on socket I/O.
 pub(crate) struct Hub {
@@ -92,9 +92,11 @@ impl Hub {
 }
 
 /// A line longer than the protocol limit, used to replay an oversized
-/// frame through `handle_line` so the reply, the `bad_requests` counter
-/// and the obs stages match the threaded path bit for bit (the oversize
-/// error message does not include the offending length, only the limit).
+/// frame through `handle_line`: the framer discards the frame's bytes as
+/// they arrive, so the limit check in `parse_request` has to see a stand-in
+/// to produce the `bad_request` reply, the `bad_requests` count and the obs
+/// stages (the oversize error message names only the limit, never the
+/// offending length, so any over-limit line yields the same reply).
 fn oversized_line() -> &'static str {
     static LINE: OnceLock<String> = OnceLock::new();
     LINE.get_or_init(|| "x".repeat(MAX_LINE_BYTES + 1))
@@ -159,7 +161,7 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
         }
         if shared.draining() {
             // Stop accepting: closing the listener refuses new connects,
-            // matching the threaded listener loop's exit-on-drain.
+            // so late clients learn of the drain at connect time.
             if let Some(l) = listener.take() {
                 let _ = ep.delete(l.as_raw_fd());
             }
@@ -168,7 +170,6 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
                 drain_flush(&ep, &mut events, &mut conns);
                 for (_, conn) in conns.drain() {
                     let _ = ep.delete(conn.stream.as_raw_fd());
-                    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
                 }
                 return Ok(());
             }
@@ -269,7 +270,6 @@ fn accept_new(
         }
         shared.stats.connections.fetch_add(1, Ordering::Relaxed);
         rvhpc_trace::counter!("serve.connections", 1);
-        shared.active_conns.fetch_add(1, Ordering::SeqCst);
         conns.insert(
             token,
             Conn {
@@ -277,7 +277,7 @@ fn accept_new(
                 frame: FrameBuf::new(MAX_LINE_BYTES),
                 out: Vec::new(),
                 out_cursor: 0,
-                writer: Arc::new(ConnWriter::reactor(token, Arc::clone(hub))),
+                writer: Arc::new(ConnWriter::new(token, Arc::clone(hub))),
                 last_activity: Instant::now(),
                 interest,
                 read_closed: false,
@@ -288,8 +288,8 @@ fn accept_new(
 }
 
 /// Drain the socket's receive buffer through the framer and handle every
-/// completed line. EOF frames any pending partial line first, exactly as
-/// the threaded reader's final `read_line` does.
+/// completed line. EOF frames any pending partial line first: a client
+/// that half-closes after an unterminated request still gets its answer.
 fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
     let mut buf = [0u8; 16 * 1024];
     loop {
@@ -323,8 +323,9 @@ fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
             Frame::Line(bytes) => match std::str::from_utf8(bytes) {
                 Ok(line) => handle_line(shared, writer, line),
                 Err(_) => {
-                    // The threaded reader's `read_line` fails on invalid
-                    // UTF-8 and closes the connection; mirror that.
+                    // The protocol is UTF-8 JSON, and a client sending other
+                    // bytes has lost framing sync: nothing after this point
+                    // can be trusted to be a request, so close.
                     *fatal = true;
                     break;
                 }
@@ -334,8 +335,8 @@ fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
 }
 
 /// Move mailbox replies into per-conn outboxes and flush. Replies for
-/// already-closed connections are dropped, as a threaded writer's failed
-/// `write_all` would be. Returns the tokens it touched so the caller can
+/// already-closed connections are dropped: the client that asked is gone,
+/// and nobody else may read them. Returns the tokens it touched so the caller can
 /// limit its sweep to them.
 fn deliver_outbox(
     shared: &Arc<Shared>,
@@ -461,7 +462,6 @@ fn sweep(
     for token in closing {
         if let Some(conn) = conns.remove(&token) {
             let _ = ep.delete(conn.stream.as_raw_fd());
-            shared.active_conns.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }

@@ -1,18 +1,19 @@
-//! The server: listener, per-connection readers, admission queue, batcher.
+//! The server: the epoll reactor, admission queue, batcher.
 //!
 //! Thread shape (all plain `std::thread`, no async runtime):
 //!
 //! ```text
-//! listener ──accept──▶ reader (one per connection)
-//!                        │  direct ops (explain/suite/lint/stats/ping)
-//!                        │  answered inline on the reader thread
-//!                        └─ estimate/sleep ──try_send──▶ bounded queue
-//!                                                          │
-//!                                    batcher ◀─────────────┘
-//!                                    coalesce ≤ batch_max within window,
-//!                                    dedupe, fan out via global_team
-//!                                    work-stealing onto estimate_cached,
-//!                                    write each reply to its connection
+//! reactor (one thread, every connection; see `reactor`)
+//!   │  accept, read, frame lines
+//!   │  direct ops (explain/suite/lint/stats/ping)
+//!   │  answered inline on the event loop
+//!   └─ estimate/sleep ──try_send──▶ bounded queue
+//!                                      │
+//!                batcher ◀─────────────┘
+//!                coalesce ≤ batch_max within window,
+//!                dedupe, fan out via global_team
+//!                work-stealing onto estimate_cached,
+//!                post each reply to the reactor's mailbox
 //! ```
 //!
 //! Backpressure is explicit: `try_send` on the bounded queue either admits
@@ -25,7 +26,6 @@
 use crate::protocol::{
     error_response, estimate_json, ok_response, parse_request, ErrorKind, Request,
 };
-use crate::signal;
 use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{machine, MachineId};
@@ -34,8 +34,7 @@ use rvhpc_perfmodel::{cache, estimate_cached, explain, RunConfig};
 use rvhpc_threads::global_team;
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -65,21 +64,16 @@ pub struct ServeConfig {
     pub metrics_file: Option<String>,
     /// Self-scrape period for [`ServeConfig::metrics_file`].
     pub scrape_every: Duration,
-    /// Serve connections from the single-threaded epoll reactor instead
-    /// of one reader thread per connection (Linux only). Responses are
-    /// bit-identical between the two modes; only the transport changes.
-    pub reactor: bool,
     /// Connection cap: accepts beyond this many concurrently open
     /// connections are answered with a one-line `overloaded` error and
-    /// closed (reactor mode; the threaded mode's cap is the OS thread
-    /// limit).
+    /// closed.
     pub max_conns: usize,
-    /// Reactor mode: connections with no inbound traffic for this long
-    /// (and nothing in flight) are closed. `Duration::ZERO` disables.
+    /// Connections with no inbound traffic for this long (and nothing in
+    /// flight) are closed. `Duration::ZERO` disables.
     pub idle_timeout: Duration,
-    /// Reactor mode: a connection whose buffered unsent replies exceed
-    /// this many bytes (a slow or stalled reader) is dropped so one
-    /// client can never balloon server memory or block the event loop.
+    /// A connection whose buffered unsent replies exceed this many bytes
+    /// (a slow or stalled reader) is dropped so one client can never
+    /// balloon server memory or block the event loop.
     pub max_outbox_bytes: usize,
     /// Interpreter fuel ceiling for submitted kernels: a submission whose
     /// inferred step bound needs more fuel than this is rejected at
@@ -102,7 +96,6 @@ impl Default for ServeConfig {
             slo_ms: 100.0,
             metrics_file: None,
             scrape_every: Duration::from_secs(1),
-            reactor: false,
             max_conns: 4096,
             idle_timeout: Duration::ZERO,
             max_outbox_bytes: 256 * 1024,
@@ -140,13 +133,12 @@ pub struct ServerStats {
     pub max_batch: AtomicU64,
     /// Current admission-queue depth.
     pub queue_depth: AtomicUsize,
-    /// Connections refused at accept because `max_conns` was reached
-    /// (reactor mode; always present so `stats` keeps one shape).
+    /// Connections refused at accept because `max_conns` was reached.
     pub rejected_conn_cap: AtomicU64,
-    /// Connections closed by the idle timeout (reactor mode).
+    /// Connections closed by the idle timeout.
     pub idle_disconnects: AtomicU64,
     /// Connections dropped because buffered replies exceeded
-    /// `max_outbox_bytes` (reactor mode).
+    /// `max_outbox_bytes`.
     pub dropped_slow: AtomicU64,
     /// Kernel submissions admitted through the lint gate.
     pub submitted_kernels: AtomicU64,
@@ -225,56 +217,37 @@ fn num(v: u64) -> Json {
     Json::Num(v as f64)
 }
 
-/// One connection's reply sink. In threaded mode replies from the reader
-/// and the batcher are serialised through a mutex and written directly;
-/// in reactor mode they are posted to the reactor's outbox (a mutex push
-/// plus an eventfd wakeup), so the batcher never blocks on a slow
-/// client's socket.
-pub(crate) enum ReplySink {
-    /// Direct blocking writes to a per-connection stream clone.
-    Stream(Mutex<TcpStream>),
-    /// Hand the line to the reactor thread, which owns the socket.
-    #[cfg(target_os = "linux")]
-    Reactor {
-        /// The reactor's token for the destination connection.
-        conn: u64,
-        /// The reactor's cross-thread reply mailbox.
-        hub: Arc<crate::reactor::Hub>,
-    },
-}
-
-/// One connection's write half, shared by the reader/reactor and the
-/// batcher via `Arc` (an outstanding [`WorkItem`] holds a clone, which
-/// the reactor also uses to detect in-flight work on a connection).
+/// One connection's write half: the reactor's token for the connection
+/// and the reactor's cross-thread reply mailbox. The reactor and the
+/// batcher share it via `Arc`; an outstanding [`WorkItem`] holds a clone,
+/// which the reactor uses to detect in-flight work on a connection.
+/// Sending is a mutex push plus an eventfd wakeup, so the batcher never
+/// blocks on a slow client's socket.
+#[cfg(target_os = "linux")]
 pub(crate) struct ConnWriter {
-    sink: ReplySink,
+    conn: u64,
+    hub: Arc<crate::reactor::Hub>,
 }
 
+#[cfg(target_os = "linux")]
 impl ConnWriter {
-    pub(crate) fn stream(stream: TcpStream) -> ConnWriter {
-        ConnWriter { sink: ReplySink::Stream(Mutex::new(stream)) }
-    }
-
-    #[cfg(target_os = "linux")]
-    pub(crate) fn reactor(conn: u64, hub: Arc<crate::reactor::Hub>) -> ConnWriter {
-        ConnWriter { sink: ReplySink::Reactor { conn, hub } }
+    pub(crate) fn new(conn: u64, hub: Arc<crate::reactor::Hub>) -> ConnWriter {
+        ConnWriter { conn, hub }
     }
 
     pub(crate) fn send_line(&self, line: &str) {
-        match &self.sink {
-            ReplySink::Stream(stream) => {
-                let mut guard = match stream.lock() {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-                // A failed write means the client went away; the reader
-                // will see EOF and close the connection, so the error
-                // needs no handling.
-                let _ = guard.write_all(line.as_bytes()).and_then(|()| guard.write_all(b"\n"));
-            }
-            #[cfg(target_os = "linux")]
-            ReplySink::Reactor { conn, hub } => hub.post(*conn, line),
-        }
+        self.hub.post(self.conn, line);
+    }
+}
+
+/// Without epoll there is no transport, so no connection can exist.
+#[cfg(not(target_os = "linux"))]
+pub(crate) enum ConnWriter {}
+
+#[cfg(not(target_os = "linux"))]
+impl ConnWriter {
+    pub(crate) fn send_line(&self, _line: &str) {
+        match *self {}
     }
 }
 
@@ -432,7 +405,6 @@ pub(crate) struct Shared {
     cache_at_start: cache::CacheStats,
     draining: AtomicBool,
     pub(crate) batcher_done: AtomicBool,
-    pub(crate) active_conns: AtomicUsize,
     kernels: Registry<crate::submit::KernelArtifact>,
     machines: Registry<rvhpc_machines::Machine>,
     queue_tx: SyncSender<WorkItem>,
@@ -464,13 +436,15 @@ impl Shared {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    listener: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
+    batcher: JoinHandle<()>,
     scraper: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind and start serving. Returns once the listener is accepting.
+    /// The transport is the epoll reactor, so on other targets this
+    /// returns [`std::io::ErrorKind::Unsupported`].
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
         assert!(config.batch_max >= 1, "batch_max must be >= 1");
@@ -497,12 +471,12 @@ impl Server {
             cache_at_start: cache::stats(),
             draining: AtomicBool::new(false),
             batcher_done: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(0),
             kernels: Registry::default(),
             machines: Registry::default(),
             queue_tx,
         });
 
+        let reactor = spawn_reactor(&shared, listener)?;
         let scraper = shared.config.metrics_file.clone().map(|path| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -517,30 +491,7 @@ impl Server {
                 .spawn(move || batcher_loop(&shared, &queue_rx))
                 .expect("spawn batcher")
         };
-        let accepter = if shared.config.reactor {
-            #[cfg(target_os = "linux")]
-            {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("rvhpc-serve-reactor".to_string())
-                    .spawn(move || crate::reactor::reactor_loop(&shared, listener))
-                    .expect("spawn reactor")
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "--reactor requires Linux (epoll)",
-                ));
-            }
-        } else {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rvhpc-serve-listener".to_string())
-                .spawn(move || listener_loop(&shared, &listener))
-                .expect("spawn listener")
-        };
-        Ok(Server { local_addr, shared, listener: Some(accepter), batcher: Some(batcher), scraper })
+        Ok(Server { local_addr, shared, reactor, batcher, scraper })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
@@ -561,58 +512,30 @@ impl Server {
     /// Wait for the drain to complete: listener stopped, queue empty,
     /// batcher exited, every connection closed. Blocks until a drain is
     /// initiated (by a `shutdown` request, [`Server::shutdown`] or
-    /// SIGTERM) and then finishes it.
-    pub fn join(mut self) {
-        if let Some(h) = self.listener.take() {
+    /// SIGTERM) and then finishes it. The reactor thread owns every
+    /// socket and closes them all before it exits, so joining it is
+    /// joining every connection.
+    pub fn join(self) {
+        let _ = self.reactor.join();
+        let _ = self.batcher.join();
+        if let Some(h) = self.scraper {
             let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scraper.take() {
-            let _ = h.join();
-        }
-        // Readers exit on their next poll tick once the batcher is done;
-        // bound the wait so a wedged client cannot hold the process.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while self.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
         }
     }
 }
 
-fn listener_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    loop {
-        if signal::sigterm_received() {
-            shared.begin_drain();
-        }
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-                rvhpc_trace::counter!("serve.connections", 1);
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("rvhpc-serve-conn".to_string())
-                    .spawn(move || {
-                        connection_loop(&conn_shared, stream);
-                        conn_shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    // Could not spawn a reader: undo the count; the
-                    // connection drops, which the client sees as a refusal.
-                    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
+#[cfg(target_os = "linux")]
+fn spawn_reactor(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
+    let shared = Arc::clone(shared);
+    Ok(std::thread::Builder::new()
+        .name("rvhpc-serve-reactor".to_string())
+        .spawn(move || crate::reactor::reactor_loop(&shared, listener))
+        .expect("spawn reactor"))
+}
+
+#[cfg(not(target_os = "linux"))]
+fn spawn_reactor(_: &Arc<Shared>, _: TcpListener) -> std::io::Result<JoinHandle<()>> {
+    Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "serving requires Linux (epoll)"))
 }
 
 /// Refresh the point-in-time gauges a metrics render should not see
@@ -646,41 +569,6 @@ fn scraper_loop(shared: &Arc<Shared>, path: &str) {
     }
 }
 
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    // Short read timeouts turn the blocking reader into a poll loop that
-    // notices drains; a timeout leaves any partial line in `buf`, so slow
-    // writers are still read correctly across ticks.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let _ = stream.set_nodelay(true);
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(ConnWriter::stream(w)),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
-    loop {
-        match reader.read_line(&mut buf) {
-            Ok(0) => return, // client closed
-            Ok(_) => {
-                let line = std::mem::take(&mut buf);
-                let line = line.trim_end_matches(['\r', '\n']);
-                if line.is_empty() {
-                    continue;
-                }
-                handle_line(shared, &writer, line);
-            }
-            Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
-                // Poll tick. Once the drain has fully flushed the queue
-                // there is nothing left to deliver on this connection.
-                if shared.draining() && shared.batcher_done.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
     let received = Instant::now();
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -711,7 +599,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
         _ => {}
     }
 
-    // ---- direct path: computed and answered on the reader thread. The
+    // ---- direct path: computed and answered on the event loop. The
     // arms produce the reply line; the common tail below records the
     // admission (parse) / compute / write-back split and the SLO count.
     let parsed_at = Instant::now();

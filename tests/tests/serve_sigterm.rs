@@ -1,9 +1,9 @@
-//! SIGTERM drain for the reactor server, in its own integration-test
+//! SIGTERM drain for the server, in its own integration-test
 //! binary: the SIGTERM flag is process-wide, so this test must not share a
 //! process with other serving tests (cargo gives every file under `tests/`
 //! its own process, which is exactly the isolation needed).
 //!
-//! Contract under test: on SIGTERM the reactor stops accepting, every
+//! Contract under test: on SIGTERM the server stops accepting, every
 //! *admitted* request is still answered, late arrivals get
 //! `shutting_down`, and the process-facing `Server::join` returns.
 
@@ -16,20 +16,19 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 #[test]
-fn sigterm_drains_the_reactor_answering_all_admitted_work() {
+fn sigterm_drains_the_server_answering_all_admitted_work() {
     rvhpc_serve::signal::install_sigterm_hook();
 
     // One-request batches behind a queue big enough for the whole backlog,
     // so a 400ms sleep plug guarantees admitted-but-unexecuted work exists
     // at the moment the signal lands.
     let server = Server::start(ServeConfig {
-        reactor: true,
         queue_capacity: 32,
         batch_max: 1,
         batch_window: Duration::from_micros(100),
         ..ServeConfig::default()
     })
-    .expect("reactor server binds");
+    .expect("server binds");
     let addr = server.local_addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -47,7 +46,7 @@ fn sigterm_drains_the_reactor_answering_all_admitted_work() {
         stream.write_all(req.as_bytes()).expect("write");
         stream.write_all(b"\n").expect("newline");
     }
-    // Give the reactor time to admit the backlog, then deliver SIGTERM to
+    // Give the server time to admit the backlog, then deliver SIGTERM to
     // ourselves exactly like a supervisor would.
     std::thread::sleep(Duration::from_millis(150));
     let status = std::process::Command::new("kill")
