@@ -6,7 +6,7 @@ use crate::suite::times_faster;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{estimate_averaged, Precision, RunConfig, Toolchain};
+use rvhpc_perfmodel::{Precision, RowEnv, RunConfig, Toolchain};
 
 /// The Polybench kernels the paper plots in Figure 3.
 pub const FIG3_KERNELS: [KernelName; 12] = [
@@ -49,12 +49,15 @@ fn cfg(toolchain: Toolchain, mode: VectorMode) -> RunConfig {
 /// Regenerate Figure 3's data.
 pub fn run() -> Vec<Fig3Point> {
     let m = machine(MachineId::Sg2042);
+    let gcc_row = RowEnv::new(&m, &cfg(Toolchain::XuanTieGcc, VectorMode::Vls));
+    let vla_row = RowEnv::new(&m, &cfg(Toolchain::ClangRvv, VectorMode::Vla));
+    let vls_row = RowEnv::new(&m, &cfg(Toolchain::ClangRvv, VectorMode::Vls));
     FIG3_KERNELS
         .into_iter()
         .map(|kernel| {
-            let gcc = estimate_averaged(&m, kernel, &cfg(Toolchain::XuanTieGcc, VectorMode::Vls));
-            let vla = estimate_averaged(&m, kernel, &cfg(Toolchain::ClangRvv, VectorMode::Vla));
-            let vls = estimate_averaged(&m, kernel, &cfg(Toolchain::ClangRvv, VectorMode::Vls));
+            let gcc = gcc_row.estimate_averaged(kernel);
+            let vla = vla_row.estimate_averaged(kernel);
+            let vls = vls_row.estimate_averaged(kernel);
             Fig3Point {
                 kernel,
                 clang_vla: times_faster(gcc.seconds, vla.seconds),

@@ -2,7 +2,7 @@
 
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::Machine;
-use rvhpc_perfmodel::{estimate_cached, RunConfig, TimeEstimate};
+use rvhpc_perfmodel::{estimate_cached_in, RowEnv, RunConfig, TimeEstimate};
 use rvhpc_threads::global_team;
 use std::sync::Mutex;
 
@@ -25,20 +25,23 @@ pub struct KernelTime {
 /// work-stealing handout (per-kernel estimate cost is irregular; see
 /// [`rvhpc_threads::worksteal`]). Estimates go through the cross-sweep
 /// cache ([`rvhpc_perfmodel::cache`]), so repeated configurations are
-/// computed once per process. Results come back in `KernelName::ALL` order
-/// and are bit-identical to a serial single-lane run: the estimator is
-/// pure, each kernel writes its own slot, and neither the handout order nor
-/// the cache state can change a value.
+/// computed once per process, and all 64 share one [`RowEnv`], so the
+/// thread placement is resolved at most once per row, and not at all when
+/// every kernel hits the cache. Results come back in `KernelName::ALL`
+/// order and are bit-identical to a serial single-lane run: the estimator
+/// is pure, each kernel writes its own slot, and neither the handout order
+/// nor the cache state can change a value.
 pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
     let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
     let total = KernelName::ALL.len();
+    let row = RowEnv::new(machine, cfg);
     let slots: Vec<Mutex<Option<KernelTime>>> = (0..total).map(|_| Mutex::new(None)).collect();
     global_team().parallel_for_worksteal(0..total, |i| {
         let kernel = KernelName::ALL[i];
         let time = KernelTime {
             kernel,
             class: kernel.class(),
-            estimate: estimate_cached(machine, kernel, cfg),
+            estimate: estimate_cached_in(&row, kernel),
         };
         *slots[i].lock().expect("slot poisoned") = Some(time);
     });

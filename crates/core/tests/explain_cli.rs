@@ -99,7 +99,8 @@ fn cli_verify_passes_clean() {
         repro().args(["verify", "--seed", "42", "--cases", "5"]).output().expect("repro runs");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(text.matches("PASS").count(), 7, "{text}");
+    assert_eq!(text.matches("PASS").count(), 8, "{text}");
+    assert!(text.contains("row-env"), "{text}");
     assert!(text.contains("bounds-soundness"), "{text}");
     assert!(text.contains("strip-interp"), "{text}");
     assert!(text.contains("batched-cache"), "{text}");

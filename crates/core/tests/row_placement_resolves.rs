@@ -1,0 +1,61 @@
+//! How often a sweep resolves a thread placement: once per suite row on
+//! a cold cache, never on a warm one. A test binary of its own, because
+//! the trace collector and the estimate cache are process-wide.
+
+use rvhpc::experiments::driver::EXPERIMENTS;
+use rvhpc::machines::{machine, MachineId};
+use rvhpc::perfmodel::{cache, persist, Precision, RunConfig};
+use rvhpc::suite_times;
+
+fn resolves() -> u64 {
+    rvhpc_trace::snapshot().counter("perfmodel.placement.resolve")
+}
+
+#[test]
+fn cold_rows_resolve_once_and_warm_rows_never() {
+    persist::set_cache_dir(None);
+    cache::clear();
+    rvhpc_trace::set_enabled(true);
+
+    let rows = [
+        (MachineId::Sg2042, RunConfig::sg2042_best(Precision::Fp32, 16)),
+        (MachineId::Sg2042, RunConfig::sg2042_best(Precision::Fp64, 64)),
+        (MachineId::Sg2042, RunConfig::scalar_single(Precision::Fp32)),
+        (MachineId::VisionFiveV2, RunConfig::sg2042_best(Precision::Fp32, 64)),
+        (MachineId::Sg2042NextGen, RunConfig::sg2042_best(Precision::Fp64, 32)),
+        (MachineId::AmdRome, RunConfig::x86(Precision::Fp64, 64)),
+    ];
+    for (id, cfg) in rows {
+        let m = machine(id);
+        let before = resolves();
+        let cold = suite_times(&m, &cfg);
+        assert_eq!(resolves() - before, 1, "cold {id} {cfg:?}: one resolve per row");
+        let before = resolves();
+        let warm = suite_times(&m, &cfg);
+        assert_eq!(resolves() - before, 0, "warm {id} {cfg:?}: an all-hit row resolves nothing");
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.estimate.seconds.to_bits(), w.estimate.seconds.to_bits());
+        }
+    }
+
+    // The whole paper batch: a cold pass resolves one placement per row
+    // with a miss, a warm pass resolves only Figure 3's three uncached
+    // rows, far below the pass's thousands of misses.
+    cache::clear();
+    let (before, misses_before) = (resolves(), cache::stats().misses);
+    for e in &EXPERIMENTS {
+        let _ = e.run();
+    }
+    let cold_resolves = resolves() - before;
+    let misses = cache::stats().misses - misses_before;
+    let before = resolves();
+    for e in &EXPERIMENTS {
+        let _ = e.run();
+    }
+    let warm_resolves = resolves() - before;
+    rvhpc_trace::set_enabled(false);
+    eprintln!("cold pass: {misses} misses, {cold_resolves} resolves; warm: {warm_resolves}");
+    assert_eq!(misses % 64, 0, "misses come in whole suite rows");
+    assert_eq!(cold_resolves, misses / 64 + 3, "one per missing row plus Figure 3's rows");
+    assert_eq!(warm_resolves, 3, "only Figure 3's uncached rows");
+}

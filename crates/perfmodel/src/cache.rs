@@ -4,9 +4,9 @@
 //! heavily: Figure 2's vector-on series is Figure 1's SG2042 series, the
 //! x86 figures re-derive the same SG2042 baselines, and the what-if
 //! experiment reuses the 32/64-thread bests of Figures 6–7. This module
-//! memoises [`estimate_averaged`] process-wide so `repro all` makes exactly
-//! one pass over each unique `(machine, kernel, canonical RunConfig)`
-//! triple, however many experiments ask for it.
+//! memoises [`crate::estimate_averaged`] process-wide so `repro all` makes
+//! exactly one pass over each unique `(machine, kernel, canonical
+//! RunConfig)` triple, however many experiments ask for it.
 //!
 //! The cache is bounded (FIFO eviction at [`CACHE_CAPACITY`] entries) and
 //! fully deterministic: a hit returns the exact `TimeEstimate` a miss would
@@ -18,8 +18,11 @@
 //! Under the map sits the optional [`persist`] store. Its content-hash key
 //! (the `Debug` text of the full descriptor and canonical config, salted
 //! and hashed) costs several times the estimate, so a miss derives it only
-//! when the store is enabled; with the store off a miss costs the estimate
-//! plus one map insert.
+//! when the store is enabled. With the store off a miss costs two map
+//! locks (the lookup and the insert) around the estimate, and the estimate
+//! resolves the thread placement only on the first miss of its [`RowEnv`]:
+//! [`estimate_cached`] builds a one-off row per call, while
+//! [`estimate_cached_in`] shares one row across a sweep's kernels.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
@@ -27,13 +30,14 @@
 //! must use the uncached [`crate::estimate`] family instead.
 
 use crate::config::{Precision, RunConfig, Toolchain};
-use crate::estimate::{estimate_averaged, TimeEstimate};
+use crate::estimate::TimeEstimate;
 use crate::persist;
+use crate::row::RowEnv;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{Machine, MachineId, PlacementPolicy};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Default maximum number of resident estimates. `repro all` touches ~15k
@@ -81,14 +85,28 @@ fn capacity_drift_warning(
 /// captured value, a warning is printed to stderr (once) instead of the
 /// change being silently ignored.
 pub fn capacity() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
     static WARNED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
     let raw = std::env::var("RVHPC_CACHE_CAP").ok();
-    let cap = *CAPACITY.get_or_init(|| configured_capacity(raw.as_deref()));
+    let cap = captured_capacity();
     if let Some(warning) = capacity_drift_warning(cap, raw.as_deref(), &WARNED) {
         eprintln!("{warning}");
     }
     cap
+}
+
+/// The capacity captured at first use, without re-reading the environment:
+/// the insert paths run on every miss and need only the fixed bound (the
+/// drift check lives in [`capacity`], which [`stats`] calls).
+fn captured_capacity() -> usize {
+    static CAPACITY: OnceLock<usize> = OnceLock::new();
+    *CAPACITY.get_or_init(|| configured_capacity(std::env::var("RVHPC_CACHE_CAP").ok().as_deref()))
+}
+
+/// The `perfmodel.estimate_cache.entries` gauge, looked up in the registry
+/// once rather than on every miss.
+fn entries_gauge() -> &'static AtomicI64 {
+    static GAUGE: OnceLock<&'static AtomicI64> = OnceLock::new();
+    GAUGE.get_or_init(|| rvhpc_obs::gauge("perfmodel.estimate_cache.entries"))
 }
 
 /// Number of currently resident entries (same as [`stats`]`().entries`).
@@ -109,7 +127,8 @@ struct CanonicalConfig {
 }
 
 impl CanonicalConfig {
-    fn new(machine: &Machine, cfg: &RunConfig) -> Self {
+    fn new(row: &RowEnv) -> Self {
+        let cfg = row.config();
         CanonicalConfig {
             precision: cfg.precision,
             vectorize: cfg.vectorize,
@@ -120,7 +139,7 @@ impl CanonicalConfig {
             placement: cfg.placement,
             // The model clamps to the core count before anything else, so a
             // 64-thread request on a 4-core part is the 4-thread estimate.
-            threads: cfg.threads.clamp(1, machine.n_cores()),
+            threads: row.threads(),
         }
     }
 }
@@ -234,12 +253,22 @@ pub fn clear() {
     c.order.clear();
 }
 
-/// [`estimate_averaged`] through the process-wide cross-sweep cache.
+/// [`crate::estimate_averaged`] through the process-wide cross-sweep cache.
 ///
 /// Deterministic and bit-identical to the uncached call; see the module
-/// docs for the catalog-descriptor contract.
+/// docs for the catalog-descriptor contract. Callers estimating many
+/// kernels under one configuration should build one [`RowEnv`] and use
+/// [`estimate_cached_in`], which resolves the placement once per row.
 pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    let key = Key { machine: machine.id, kernel, cfg: CanonicalConfig::new(machine, cfg) };
+    estimate_cached_in(&RowEnv::new(machine, cfg), kernel)
+}
+
+/// [`estimate_cached`] for one kernel of a row: a miss estimates through
+/// the row's shared environment, and a hit touches nothing in it, so a row
+/// served entirely from the cache never resolves its placement.
+pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
+    let machine = row.machine();
+    let key = Key { machine: machine.id, kernel, cfg: CanonicalConfig::new(row) };
     if let Some(found) = locked().map.get(&key) {
         HITS.fetch_add(1, Ordering::Relaxed);
         rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
@@ -258,7 +287,7 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
         rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
         rvhpc_trace::counter!("perfmodel.estimate_cache.disk_hit", 1);
         let mut c = locked();
-        let evicted = c.insert(capacity(), key, est);
+        let evicted = c.insert(captured_capacity(), key, est);
         if evicted > 0 {
             EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -268,26 +297,29 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     rvhpc_trace::counter!("perfmodel.estimate_cache.miss", 1);
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
-    let est = estimate_averaged(machine, kernel, cfg);
+    let est = row.estimate_averaged(kernel);
     if let Some(disk_key) = disk_key {
         persist::record(disk_key, est);
     }
     let (evicted, resident) = {
         let mut c = locked();
-        let evicted = c.insert(capacity(), key, est);
+        let evicted = c.insert(captured_capacity(), key, est);
         (evicted, c.map.len())
     };
     if evicted > 0 {
         EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
         rvhpc_trace::counter!("perfmodel.estimate_cache.eviction", evicted);
     }
-    rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", resident as i64);
+    if rvhpc_obs::enabled() {
+        entries_gauge().store(resident as i64, Ordering::Relaxed);
+    }
     est
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::estimate_averaged;
     use rvhpc_machines::machine;
 
     /// The cache and its counters are process-global; tests that assert
@@ -320,6 +352,20 @@ mod tests {
             assert_eq!(a.overhead_seconds.to_bits(), b.overhead_seconds.to_bits());
             assert_eq!(a.vector_path, b.vector_path);
         }
+    }
+
+    #[test]
+    fn an_all_hit_row_never_resolves_its_placement() {
+        let _l = isolated();
+        let m = sg();
+        let cfg = RunConfig::sg2042_best(Precision::Fp32, 32);
+        let cold = RowEnv::new(&m, &cfg);
+        let miss = estimate_cached_in(&cold, KernelName::DAXPY);
+        assert!(cold.resolved(), "a miss estimates through the row");
+        let warm = RowEnv::new(&m, &cfg);
+        let hit = estimate_cached_in(&warm, KernelName::DAXPY);
+        assert!(!warm.resolved(), "a hit must not resolve the placement");
+        assert_eq!(miss.seconds.to_bits(), hit.seconds.to_bits());
     }
 
     #[test]
@@ -580,7 +626,7 @@ mod tests {
         let expected = persist::key_hash(
             &format!("{m:?}"),
             kernel.label(),
-            &format!("{:?}", CanonicalConfig::new(&m, &cfg)),
+            &format!("{:?}", CanonicalConfig::new(&RowEnv::new(&m, &cfg))),
         );
         assert_eq!(stored_keys(&dir), vec![format!("{expected:016x}")]);
         persist::set_cache_dir(None);

@@ -3,7 +3,8 @@
 use crate::calibration::{calibration, Calibration};
 use crate::compute::{compute_seconds, VectorCtx};
 use crate::config::{RunConfig, Toolchain};
-use crate::memory::{memory_seconds, MemoryEnv};
+use crate::memory::memory_seconds;
+use crate::row::RowEnv;
 use crate::scaling::effective_threads;
 use rvhpc_compiler::codegen::measure;
 use rvhpc_compiler::VectorMode;
@@ -175,26 +176,18 @@ pub fn estimate_sized(
     cal: &Calibration,
     size: usize,
 ) -> TimeEstimate {
-    let _span = rvhpc_trace::span!(
-        "perfmodel.estimate",
-        kernel = kernel,
-        machine = machine.id.token(),
-        threads = cfg.threads,
-    );
-    let est = model_parts(machine, kernel, cfg, cal, size).estimate();
-    rvhpc_trace::histogram!("perfmodel.estimate.seconds", est.seconds);
-    est
+    RowEnv::with_calibration(machine, cfg, cal).estimate_sized(kernel, size)
 }
 
-/// Every intermediate quantity of one estimate. [`estimate_sized`] and the
-/// [`crate::explain`] module both go through here, so the printed
-/// breakdown is always the arithmetic that produced the number.
+/// Every kernel-dependent intermediate quantity of one estimate; the
+/// kernel-independent ones (thread count, calibration, memory environment)
+/// live in the [`RowEnv`]. [`estimate_sized`] and the [`crate::explain`]
+/// module both go through here, so the printed breakdown is always the
+/// arithmetic that produced the number.
 pub(crate) struct ModelParts {
     pub w: Workload,
-    pub threads: usize,
     pub eff_t: f64,
     pub vec: VectorCtx,
-    pub env: MemoryEnv,
     pub compute: f64,
     pub memory: f64,
     pub overhead: f64,
@@ -226,29 +219,20 @@ impl ModelParts {
     }
 }
 
-pub(crate) fn model_parts(
-    machine: &Machine,
-    kernel: KernelName,
-    cfg: &RunConfig,
-    cal: &Calibration,
-    size: usize,
-) -> ModelParts {
-    let cal = *cal;
-    let threads = cfg.threads.clamp(1, machine.n_cores());
+pub(crate) fn model_parts(env: &RowEnv, kernel: KernelName, size: usize) -> ModelParts {
+    let (machine, cfg, cal) = (env.machine(), env.config(), env.calibration());
     let w = workload(kernel, size);
-    let placement = cfg.placement.map(&machine.topology, threads);
-    let eff_t = effective_threads(kernel, threads);
+    let eff_t = effective_threads(kernel, env.threads());
     let vec = resolve_vector(machine, kernel, &w, cfg);
 
     let iters_per_thread = w.iterations / eff_t;
-    let compute = compute_seconds(machine, &cal, &w, &vec, iters_per_thread);
+    let compute = compute_seconds(machine, cal, &w, &vec, iters_per_thread);
 
-    let env = MemoryEnv::new(machine, &placement);
     let elem_bytes = f64::from(cfg.precision.bytes());
     let memory = memory_seconds(
         machine,
-        &cal,
-        &env,
+        cal,
+        env.memory(),
         &w,
         elem_bytes,
         eff_t,
@@ -256,18 +240,8 @@ pub(crate) fn model_parts(
         compute,
     );
 
-    let overhead = fork_join_overhead(&cal, threads);
-    ModelParts {
-        w,
-        threads,
-        eff_t,
-        vec,
-        env,
-        compute,
-        memory,
-        overhead,
-        out_of_order: machine.core.out_of_order,
-    }
+    let overhead = fork_join_overhead(cal, env.threads());
+    ModelParts { w, eff_t, vec, compute, memory, overhead, out_of_order: machine.core.out_of_order }
 }
 
 fn fork_join_overhead(cal: &Calibration, threads: usize) -> f64 {
@@ -281,7 +255,17 @@ fn fork_join_overhead(cal: &Calibration, threads: usize) -> f64 {
 /// The paper averages every measurement over five runs; we do the same
 /// with deterministic ±2 % jitter so repeated invocations agree exactly.
 pub fn estimate_averaged(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    let base = estimate(machine, kernel, cfg);
+    RowEnv::new(machine, cfg).estimate_averaged(kernel)
+}
+
+/// Average five jittered runs of `base`, the single-run estimate of
+/// `kernel` on `machine` under `cfg`.
+pub(crate) fn average_runs(
+    machine: &Machine,
+    kernel: KernelName,
+    cfg: &RunConfig,
+    base: TimeEstimate,
+) -> TimeEstimate {
     let mut seed = jitter_seed(machine, kernel, cfg);
     let mut sum = 0.0;
     const RUNS: usize = 5;

@@ -8,10 +8,11 @@
 //! model), so the printed breakdown always sums — per the overlap rule —
 //! to the reported [`TimeEstimate::seconds`].
 
-use crate::calibration::{calibration, Calibration};
+use crate::calibration::Calibration;
 use crate::config::RunConfig;
 use crate::estimate::{model_parts, sim_size};
 use crate::memory::to_access_spec;
+use crate::row::RowEnv;
 use crate::TimeEstimate;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
@@ -303,8 +304,8 @@ pub fn explain_sized(
     size: usize,
 ) -> Explanation {
     let _span = rvhpc_trace::span!("perfmodel.explain", kernel = kernel);
-    let cal = calibration(machine.id);
-    let parts = model_parts(machine, kernel, cfg, &cal, size);
+    let env = RowEnv::new(machine, cfg);
+    let parts = model_parts(&env, kernel, size);
 
     // Home level per stream: the first cache level whose share of capacity
     // (scaled by this stream's fraction of the concurrently live footprint,
@@ -325,7 +326,7 @@ pub fn explain_sized(
             let home_level = machine
                 .caches
                 .iter()
-                .zip(&parts.env.capacity_shares)
+                .zip(&env.memory().capacity_shares)
                 .find(|(_, cap)| spec.footprint_bytes <= **cap * share)
                 .map(|(c, _)| c.level);
             StreamResidency { stream: name, footprint_bytes: spec.footprint_bytes, home_level }
@@ -337,7 +338,7 @@ pub fn explain_sized(
         kernel,
         config: *cfg,
         size,
-        threads: parts.threads,
+        threads: env.threads(),
         effective_threads: parts.eff_t,
         out_of_order: parts.out_of_order,
         estimate: parts.estimate(),
@@ -348,7 +349,7 @@ pub fn explain_sized(
             measured_vla_ratio: parts.vec.measured_vla_ratio,
         },
         residency,
-        calibration: cal,
+        calibration: *env.calibration(),
         iterations: parts.w.iterations,
         fp_ops: parts.w.fp_ops,
         fp_expensive: parts.w.fp_expensive,

@@ -25,7 +25,9 @@
 //! heavily) is amortised by [`cache`]: a bounded process-wide memoisation
 //! of [`estimate_averaged`] keyed by `(machine, kernel, canonical config)`,
 //! with hit/miss/eviction counters surfaced through `rvhpc-trace` and the
-//! `repro bench` artefact.
+//! `repro bench` artefact. A sweep's rows share the kernel-independent
+//! part of the model — clamped threads, calibration, and the placement's
+//! memory environment — through one [`RowEnv`] per row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,15 +40,17 @@ pub mod estimate;
 pub mod explain;
 pub mod memory;
 pub mod persist;
+pub mod row;
 pub mod scaling;
 
 #[cfg(test)]
 mod proptests;
 
-pub use cache::{estimate_cached, CacheStats};
+pub use cache::{estimate_cached, estimate_cached_in, CacheStats};
 pub use calibration::{calibration, Calibration};
 pub use config::{Precision, RunConfig, Toolchain};
 pub use estimate::{
     estimate, estimate_averaged, estimate_sized, estimate_with, sim_size, TimeEstimate,
 };
 pub use explain::{explain, explain_sized, Explanation};
+pub use row::RowEnv;

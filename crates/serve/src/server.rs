@@ -28,9 +28,9 @@ use crate::protocol::{
 };
 use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{machine, Machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
-use rvhpc_perfmodel::{cache, estimate_cached, explain, RunConfig};
+use rvhpc_perfmodel::{cache, estimate_cached, estimate_cached_in, explain, RowEnv, RunConfig};
 use rvhpc_threads::global_team;
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
@@ -882,12 +882,13 @@ fn admit(
 
 fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) -> Json {
     let descriptor = machine(m);
+    let row = RowEnv::new(&descriptor, cfg);
     let kernels: Vec<KernelName> =
         KernelName::ALL.into_iter().filter(|k| class.is_none_or(|c| k.class() == c)).collect();
     let rows: Vec<Json> = kernels
         .iter()
         .map(|&k| {
-            let est = estimate_cached(&descriptor, k, cfg);
+            let est = estimate_cached_in(&row, k);
             Json::obj(vec![
                 ("kernel", Json::str(k.label())),
                 ("class", Json::str(k.class().label())),
@@ -1003,12 +1004,19 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
 
     // Dedup to unique queries, compute those through the shared pool, then
     // answer every request (duplicates share one computation).
-    let mut unique: Vec<(EstKey, MachineId, KernelName, RunConfig)> = Vec::new();
+    // Each unique query names its machine by an index into `descriptors`,
+    // which holds one descriptor per distinct machine in the batch.
+    let mut unique: Vec<(usize, KernelName, RunConfig)> = Vec::new();
+    let mut descriptors: Vec<(MachineId, Machine)> = Vec::new();
     let mut index_of: HashMap<EstKey, usize> = HashMap::new();
     for (key, item) in &estimates {
-        if let WorkKind::Estimate { machine, kernel, cfg } = &item.kind {
+        if let WorkKind::Estimate { machine: m, kernel, cfg } = &item.kind {
             index_of.entry(*key).or_insert_with(|| {
-                unique.push((*key, *machine, *kernel, *cfg));
+                let d = descriptors.iter().position(|(id, _)| id == m).unwrap_or_else(|| {
+                    descriptors.push((*m, machine(*m)));
+                    descriptors.len() - 1
+                });
+                unique.push((d, *kernel, *cfg));
                 unique.len() - 1
             });
         }
@@ -1017,8 +1025,8 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
         (0..unique.len()).map(|_| Mutex::new(None)).collect();
     let compute_start = Instant::now();
     let compute = |i: usize| {
-        let (_, m, kernel, cfg) = unique[i];
-        let est = estimate_cached(&machine(m), kernel, &cfg);
+        let (d, kernel, cfg) = unique[i];
+        let est = estimate_cached(&descriptors[d].1, kernel, &cfg);
         *slots[i].lock().expect("slot poisoned") = Some(est);
     };
     if unique.len() == 1 {

@@ -33,6 +33,10 @@
 //!   bytes than FP64, estimates are monotone in clock/bandwidth/threads
 //!   within the model's own scaling assumptions, and `explain` components
 //!   always sum exactly to [`rvhpc_perfmodel::TimeEstimate::seconds`].
+//! * [`row_env`] — a suite row estimated through one shared
+//!   [`rvhpc_perfmodel::RowEnv`] (placement resolved once, kernels fanned
+//!   out over the pool) must be bit-identical to estimating each kernel on
+//!   its own, on catalog and perturbed descriptors alike.
 //!
 //! Every case derives from a base seed (`repro verify --seed N`); on
 //! failure the driver greedily minimizes the counterexample via
@@ -51,6 +55,7 @@ pub mod bounds_sound;
 pub mod cache_diff;
 pub mod kernels_diff;
 pub mod metamorphic;
+pub mod row_env;
 pub mod rvv_diff;
 pub mod strip_interp;
 
@@ -150,7 +155,7 @@ impl OracleReport {
 }
 
 /// All oracle names, in run order.
-pub const ORACLES: [&str; 7] = [
+pub const ORACLES: [&str; 8] = [
     rvv_diff::NAME,
     strip_interp::NAME,
     bounds_sound::NAME,
@@ -158,6 +163,7 @@ pub const ORACLES: [&str; 7] = [
     batched_cache::NAME,
     kernels_diff::NAME,
     metamorphic::NAME,
+    row_env::NAME,
 ];
 
 /// Replay budget for counterexample minimization.
@@ -228,6 +234,7 @@ pub fn run_oracle(name: &str, cfg: &VerifyConfig) -> Option<OracleReport> {
         batched_cache::NAME => Some(batched_cache::run(cfg)),
         kernels_diff::NAME => Some(kernels_diff::run(cfg)),
         metamorphic::NAME => Some(metamorphic::run(cfg)),
+        row_env::NAME => Some(row_env::run(cfg)),
         _ => None,
     }
 }
@@ -249,6 +256,7 @@ pub fn replay_case(oracle: &str, case_seed: u64, inject: Fault) -> Result<(), St
         batched_cache::NAME => batched_cache::check(&batched_cache::generate_case(&mut g), inject),
         kernels_diff::NAME => kernels_diff::check(&kernels_diff::generate_case(&mut g), inject),
         metamorphic::NAME => metamorphic::check(&metamorphic::generate_case(&mut g), inject),
+        row_env::NAME => row_env::check(&row_env::generate_case(&mut g), inject),
         other => Err(format!("unknown oracle {other:?} (known: {ORACLES:?})")),
     }
 }
