@@ -124,9 +124,10 @@ RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
 # Observability smoke: a server with SLO tail-sampling and an on-disk
 # metrics-snapshot ring, driven by an SLO-gated loadgen that polls (and
 # schema-validates) the `metrics` op throughout the run. One dashboard
-# frame is then captured as JSON: `top --check` must accept it, reject a
-# schema-retagged copy with exit 2, and `top --once` itself exits
-# non-zero unless `slow_requests` is retrievable.
+# frame is then captured as JSON: `top --check` must accept it, its
+# `counters` must hold the estimate-cache hit counter, `top --check` must
+# reject a schema-retagged copy with exit 2, and `top --once` itself
+# exits non-zero unless `slow_requests` is retrievable.
 OBS_PORT_FILE="$(mktemp)"
 OBS_METRICS_FILE="$(mktemp)"
 cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
@@ -143,6 +144,8 @@ cargo run --release -p rvhpc --bin repro -- loadgen --addr "$OBS_ADDR" \
 OBS_SNAP="$(mktemp)"
 cargo run --release -p rvhpc --bin repro -- top "$OBS_ADDR" --once --json > "$OBS_SNAP"
 cargo run --release -p rvhpc --bin repro -- top --check "$OBS_SNAP"
+# The frame carries the registry's counters, the estimate cache's among them.
+jq -e '.counters | has("perfmodel.estimate_cache.hit")' "$OBS_SNAP" > /dev/null
 BAD_SNAP="$(mktemp)"
 sed 's/rvhpc-metrics-v1/rvhpc-metrics-v999/' "$OBS_SNAP" > "$BAD_SNAP"
 rc=0

@@ -83,7 +83,7 @@ pub(crate) fn analyze_with_fuel(
         // Half-settled states could both miss findings and report
         // definite-sounding ones for paths that never merged, so the only
         // honest output is the exhaustion itself.
-        rvhpc_trace::counter!("lint.widening_exhausted", 1);
+        rvhpc_obs::counter!("lint.widening_exhausted", 1);
         let diags = vec![Diagnostic::global(
             Pass::WideningExhausted,
             format!(

@@ -138,7 +138,7 @@ impl TrafficModel {
             footprint_bytes = spec.footprint_bytes,
             passes = spec.passes,
         );
-        rvhpc_trace::counter!("cachesim.analytic.streams", 1);
+        rvhpc_obs::counter!("cachesim.analytic.streams", 1);
         let n = self.level_capacities.len();
         if spec.footprint_bytes <= 0.0 || spec.passes <= 0.0 {
             return LevelTraffic {

@@ -41,6 +41,14 @@ pub struct Hierarchy {
     dram_writeback_lines: u64,
 }
 
+/// Per-level counter names published by a traced replay, L1 first. A
+/// fourth level (no modelled machine has one) is not published.
+const LEVEL_COUNTERS: [[&str; 2]; 3] = [
+    ["cachesim.l1.hits", "cachesim.l1.misses"],
+    ["cachesim.l2.hits", "cachesim.l2.misses"],
+    ["cachesim.l3.hits", "cachesim.l3.misses"],
+];
+
 impl Hierarchy {
     /// Build a hierarchy from level configs, L1 first.
     ///
@@ -175,13 +183,17 @@ impl Hierarchy {
     }
 
     fn publish_deltas(&self, before: &HierarchyStats) {
+        let add = |name, delta| {
+            rvhpc_obs::counter(name).fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
+        };
         let after = self.stats();
-        for (i, (b, a)) in before.levels.iter().zip(&after.levels).enumerate() {
-            rvhpc_trace::counter_add(&format!("cachesim.l{}.hits", i + 1), a.hits - b.hits);
-            rvhpc_trace::counter_add(&format!("cachesim.l{}.misses", i + 1), a.misses - b.misses);
+        for ((b, a), [hits, misses]) in before.levels.iter().zip(&after.levels).zip(LEVEL_COUNTERS)
+        {
+            add(hits, a.hits - b.hits);
+            add(misses, a.misses - b.misses);
         }
-        rvhpc_trace::counter_add("cachesim.dram.lines", after.dram_lines - before.dram_lines);
-        rvhpc_trace::counter_add(
+        add("cachesim.dram.lines", after.dram_lines - before.dram_lines);
+        add(
             "cachesim.dram.writeback_lines",
             after.dram_writeback_lines - before.dram_writeback_lines,
         );

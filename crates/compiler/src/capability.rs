@@ -153,10 +153,11 @@ pub fn vector_path_executes(
 ) -> bool {
     let _span = rvhpc_trace::span!("compiler.capability", kernel = kernel, bits = elem_bits);
     let executes = vector_path_decision(compiler, kernel, elem_bits, hw_supports_fp64_vec);
-    rvhpc_trace::counter!(
-        if executes { "compiler.vector_path.executes" } else { "compiler.vector_path.refused" },
-        1
-    );
+    if executes {
+        rvhpc_obs::counter!("compiler.vector_path.executes", 1);
+    } else {
+        rvhpc_obs::counter!("compiler.vector_path.refused", 1);
+    }
     executes
 }
 

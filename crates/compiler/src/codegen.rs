@@ -318,10 +318,10 @@ pub fn measure(kernel: KernelName, mode: VectorMode, sew: Sew, n: usize) -> Opti
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
     let key = (kernel, mode, sew.bits(), n);
     if let Some(cached) = memo.lock().expect("no poisoned lock").get(&key) {
-        rvhpc_trace::counter!("compiler.measure.hit", 1);
+        rvhpc_obs::counter!("compiler.measure.hit", 1);
         return *cached;
     }
-    rvhpc_trace::counter!("compiler.measure.miss", 1);
+    rvhpc_obs::counter!("compiler.measure.miss", 1);
     let _span = rvhpc_trace::span!("compiler.measure", kernel = kernel, mode = mode.label());
     let counts = (|| {
         let program = generate(kernel, mode, sew)?;

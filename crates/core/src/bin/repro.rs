@@ -270,8 +270,9 @@ fn main() {
     if trace {
         rvhpc_trace::set_enabled(false);
         let data = rvhpc_trace::take();
+        let counters = rvhpc_obs::counters();
         let path = format!("trace-{cmd}.json");
-        let json = rvhpc_trace::chrome::export(&data);
+        let json = rvhpc_trace::chrome::export(&data, &counters);
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("wrote {} span(s) to {path}", data.events.len()),
             Err(e) => {
@@ -280,7 +281,10 @@ fn main() {
             }
         }
         let mut err = std::io::stderr().lock();
-        let _ = write!(err, "{}", rvhpc_trace::metrics::to_markdown(&data));
+        let _ = writeln!(err, "| counter | value |\n|---|---:|");
+        for (name, value) in counters {
+            let _ = writeln!(err, "| {name} | {value} |");
+        }
     }
 }
 

@@ -61,7 +61,7 @@ pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
 pub fn times_faster(baseline_seconds: f64, this_seconds: f64) -> f64 {
     let usable = |t: f64| t.is_finite() && t > 0.0;
     if !usable(baseline_seconds) || !usable(this_seconds) {
-        rvhpc_trace::counter!("core.times_faster.clamped", 1);
+        rvhpc_obs::counter!("core.times_faster.clamped", 1);
         return 0.0;
     }
     let ratio = baseline_seconds / this_seconds;

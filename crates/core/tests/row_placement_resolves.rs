@@ -1,6 +1,6 @@
 //! How often a sweep resolves a thread placement: once per suite row on
 //! a cold cache, never on a warm one. A test binary of its own, because
-//! the trace collector and the estimate cache are process-wide.
+//! the registry counters and the estimate cache are process-wide.
 
 use rvhpc::experiments::driver::EXPERIMENTS;
 use rvhpc::machines::{machine, MachineId};
@@ -8,14 +8,13 @@ use rvhpc::perfmodel::{cache, persist, Precision, RunConfig};
 use rvhpc::suite_times;
 
 fn resolves() -> u64 {
-    rvhpc_trace::snapshot().counter("perfmodel.placement.resolve")
+    rvhpc_obs::counter("perfmodel.placement.resolve").load(std::sync::atomic::Ordering::Relaxed)
 }
 
 #[test]
 fn cold_rows_resolve_once_and_warm_rows_never() {
     persist::set_cache_dir(None);
     cache::clear();
-    rvhpc_trace::set_enabled(true);
 
     let rows = [
         (MachineId::Sg2042, RunConfig::sg2042_best(Precision::Fp32, 16)),
@@ -53,7 +52,6 @@ fn cold_rows_resolve_once_and_warm_rows_never() {
         let _ = e.run();
     }
     let warm_resolves = resolves() - before;
-    rvhpc_trace::set_enabled(false);
     eprintln!("cold pass: {misses} misses, {cold_resolves} resolves; warm: {warm_resolves}");
     assert_eq!(misses % 64, 0, "misses come in whole suite rows");
     assert_eq!(cold_resolves, misses / 64 + 3, "one per missing row plus Figure 3's rows");

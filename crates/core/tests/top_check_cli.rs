@@ -29,7 +29,7 @@ fn tmp_file(name: &str, contents: &str) -> std::path::PathBuf {
 /// --check` must accept exactly what the exposition layer produces.
 fn valid_snapshot_text() -> String {
     rvhpc_obs::stage("test.top.check").record_us(123.0);
-    rvhpc_obs::gauge_set("test.top.gauge", 7);
+    rvhpc_obs::gauge!("test.top.gauge", 7);
     rvhpc_obs::metrics_json().pretty()
 }
 

@@ -93,7 +93,6 @@ impl FleetState {
             s.up = false;
             s.down_since = Some(Instant::now());
             self.mark_downs[shard].fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("fleet.mark_down", 1);
         }
     }
 
@@ -111,7 +110,6 @@ impl FleetState {
             s.up = true;
             s.down_since = None;
             self.mark_ups[shard].fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("fleet.mark_up", 1);
         }
     }
 

@@ -6,7 +6,7 @@
 //! cache accounting works unchanged against a router).
 //!
 //! The merge rules preserve every invariant the validator enforces:
-//! counts, breaches and gauges sum; rates and burn fractions are
+//! counts, breaches, gauges and counters sum; rates and burn fractions are
 //! *recomputed* from the summed counts (never averaged, which would drift
 //! past the validator's 1e-9 tolerance); means are count-weighted; and
 //! quantiles take the elementwise max — the max of ordered tuples is
@@ -95,45 +95,43 @@ fn burn(total: f64, breaches: f64) -> f64 {
     }
 }
 
+/// The names in the documents' `block` objects, in first-seen order for
+/// deterministic output.
+fn union_names<'a>(docs: &'a [Json], block: &str) -> Vec<&'a String> {
+    let mut names: Vec<&String> = Vec::new();
+    for doc in docs {
+        if let Some(Json::Obj(pairs)) = doc.get(block) {
+            for (name, _) in pairs {
+                if !names.contains(&name) {
+                    names.push(name);
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Each name in the documents' `block` objects with its values summed:
+/// how gauges and counters merge.
+fn sum_by_name(docs: &[Json], block: &str) -> Json {
+    let sums = union_names(docs, block).into_iter().map(|name| {
+        let sum: f64 = docs.iter().filter_map(|d| d.get(block)?.get(name)?.as_f64()).sum();
+        (name.clone(), Json::Num(sum))
+    });
+    Json::Obj(sums.collect())
+}
+
 /// Merge N shard `rvhpc-metrics-v1` documents into one fleet document.
 /// The result validates under [`rvhpc_obs::validate_metrics`] whenever the
 /// inputs do.
 pub fn merge_metrics(docs: &[Json]) -> Json {
     let uptime = docs.iter().map(|d| get_num(d, "uptime_s")).fold(0.0, f64::max);
-    // Union of stage names, first-seen order for deterministic output.
-    let mut stage_names: Vec<String> = Vec::new();
-    for doc in docs {
-        if let Some(Json::Obj(pairs)) = doc.get("stages") {
-            for (name, _) in pairs {
-                if !stage_names.contains(name) {
-                    stage_names.push(name.clone());
-                }
-            }
-        }
-    }
-    let stages = stage_names
+    let stages = union_names(docs, "stages")
         .into_iter()
         .map(|name| {
             let blocks: Vec<&Json> =
-                docs.iter().filter_map(|d| d.get("stages")?.get(&name)).collect();
-            (name, merge_stage(&blocks))
-        })
-        .collect::<Vec<_>>();
-    let mut gauge_names: Vec<String> = Vec::new();
-    for doc in docs {
-        if let Some(Json::Obj(pairs)) = doc.get("gauges") {
-            for (name, _) in pairs {
-                if !gauge_names.contains(name) {
-                    gauge_names.push(name.clone());
-                }
-            }
-        }
-    }
-    let gauges = gauge_names
-        .into_iter()
-        .map(|name| {
-            let sum: f64 = docs.iter().filter_map(|d| d.get("gauges")?.get(&name)?.as_f64()).sum();
-            (name, Json::Num(sum))
+                docs.iter().filter_map(|d| d.get("stages")?.get(name)).collect();
+            (name.clone(), merge_stage(&blocks))
         })
         .collect::<Vec<_>>();
     let slos: Vec<&Json> = docs.iter().filter_map(|d| d.get("slo")).collect();
@@ -162,7 +160,8 @@ pub fn merge_metrics(docs: &[Json]) -> Json {
         ("schema", Json::str(rvhpc_obs::METRICS_SCHEMA)),
         ("uptime_s", Json::Num(uptime)),
         ("stages", Json::Obj(stages)),
-        ("gauges", Json::Obj(gauges)),
+        ("gauges", sum_by_name(docs, "gauges")),
+        ("counters", sum_by_name(docs, "counters")),
         (
             "slo",
             Json::obj(vec![
@@ -279,7 +278,7 @@ mod tests {
         for i in 0..100 {
             s.record_us(50.0 + i as f64);
         }
-        rvhpc_obs::gauge_set("test.fleet.gauge", 7);
+        rvhpc_obs::gauge!("test.fleet.gauge", 7);
         let doc = rvhpc_obs::metrics_json();
         let merged = merge_metrics(&[doc.clone(), doc.clone()]);
         rvhpc_obs::validate_metrics(&merged.render()).expect("merged doc validates");
@@ -298,6 +297,25 @@ mod tests {
             merged.get("gauges").and_then(|g| g.get("test.fleet.gauge")).and_then(Json::as_f64),
             Some(14.0)
         );
+    }
+
+    #[test]
+    fn merged_metrics_sum_counters_by_name() {
+        let doc = |counters: Vec<(&str, Json)>| {
+            let Json::Obj(mut pairs) = rvhpc_obs::metrics_json() else { unreachable!() };
+            pairs.retain(|(k, _)| k != "counters");
+            pairs.push(("counters".to_string(), Json::obj(counters)));
+            Json::Obj(pairs)
+        };
+        let a = doc(vec![("test.fleet.both", Json::Num(3.0)), ("test.fleet.a", Json::Num(1.0))]);
+        let b = doc(vec![("test.fleet.both", Json::Num(4.0)), ("test.fleet.b", Json::Num(2.0))]);
+        let merged = merge_metrics(&[a, b]);
+        rvhpc_obs::validate_metrics(&merged.render()).expect("merged doc validates");
+        let counters = merged.get("counters").expect("counters block");
+        let get = |name| counters.get(name).and_then(Json::as_f64);
+        assert_eq!(get("test.fleet.both"), Some(7.0));
+        assert_eq!(get("test.fleet.a"), Some(1.0), "a name on one side only keeps its value");
+        assert_eq!(get("test.fleet.b"), Some(2.0));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   (admission is deterministic, so every shard derives the same
 //!   artifact id and later `k:`/`m:` references can be ring-routed).
 //! * `stats` / `metrics` / `slow_requests` — fanned out and merged into
-//!   one fleet view ([`crate::merge`]).
+//!   one fleet view ([`crate::merge`]); `metrics` also merges in the
+//!   router's own registry, which holds the `fleet.*` counters.
 //! * `ping` — answered by the router itself (it is the fleet's face).
 //! * `shutdown` — broadcast to all shards, acknowledged, then the router
 //!   drains.
@@ -236,7 +237,7 @@ fn route_line(
             continue;
         }
         if hop > 0 {
-            rvhpc_trace::counter!("fleet.reroutes", 1);
+            rvhpc_obs::counter!("fleet.reroutes", 1);
         }
         let mut attempt = 0;
         loop {
@@ -246,7 +247,7 @@ fn route_line(
                         attempt += 1;
                         let base = retry_after_ms.min(shared.config.retry_cap_ms);
                         let sleep_ms = base / 2 + shared.jitter_ms(base.max(1) / 2);
-                        rvhpc_trace::counter!("fleet.retries", 1);
+                        rvhpc_obs::counter!("fleet.retries", 1);
                         std::thread::sleep(Duration::from_millis(sleep_ms.max(1)));
                     }
                     Some(_) => {
@@ -412,7 +413,7 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                                 )
                             } else {
                                 let replies = fan_out(shared, &mut pool, r#"{"op":"metrics"}"#);
-                                let results = results_of(&replies);
+                                let mut results = results_of(&replies);
                                 if results.is_empty() {
                                     error_response(
                                         &id,
@@ -421,6 +422,8 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                                         Some(shared.config.cooldown.as_millis() as u64),
                                     )
                                 } else {
+                                    // The router's own registry: `fleet.*` counters.
+                                    results.push(rvhpc_obs::metrics_json());
                                     ok_response(&id, op, merge_metrics(&results))
                                 }
                             }
@@ -460,7 +463,7 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                         Request::Shutdown => {
                             let _ = fan_out(shared, &mut pool, &line);
                             shared.draining.store(true, Ordering::Relaxed);
-                            rvhpc_trace::counter!("fleet.shutdowns", 1);
+                            rvhpc_obs::counter!("fleet.shutdowns", 1);
                             let reply = ok_response(
                                 &id,
                                 op,

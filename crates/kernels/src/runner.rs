@@ -38,7 +38,7 @@ pub trait KernelExec<T: Real>: Send {
 /// ```
 pub fn make_kernel<T: Real>(name: KernelName, n: usize) -> Box<dyn KernelExec<T>> {
     let _span = rvhpc_trace::span!("kernels.make", kernel = name, n = n);
-    rvhpc_trace::counter!("kernels.instantiated", 1);
+    rvhpc_obs::counter!("kernels.instantiated", 1);
     use KernelName::*;
     match name {
         // Stream

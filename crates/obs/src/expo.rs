@@ -7,9 +7,8 @@
 //! Prometheus text is the interop face for standard scrapers. Both are
 //! rendered from the same registry snapshot.
 
-use crate::hist::HistSnapshot;
+use crate::hist::{bucket_upper_bound, HistSnapshot};
 use crate::window::WINDOWS_S;
-use rvhpc_trace::hist::bucket_upper_bound;
 use rvhpc_trace::json::Json;
 use std::fmt::Write as _;
 
@@ -84,11 +83,14 @@ pub fn metrics_json() -> Json {
         crate::stages().into_iter().map(|(name, s)| (name.to_string(), stage_json(s, now_s)));
     let gauges =
         crate::gauges().into_iter().map(|(name, v)| (name.to_string(), Json::Num(v as f64)));
+    let counters =
+        crate::counters().into_iter().map(|(name, v)| (name.to_string(), Json::Num(v as f64)));
     Json::obj(vec![
         ("schema", Json::str(METRICS_SCHEMA)),
         ("uptime_s", Json::Num(crate::uptime_s())),
         ("stages", Json::Obj(stages.collect())),
         ("gauges", Json::Obj(gauges.collect())),
+        ("counters", Json::Obj(counters.collect())),
         ("slo", slo_json(now_s)),
     ])
 }
@@ -127,6 +129,10 @@ pub fn metrics_prometheus() -> String {
     let _ = writeln!(out, "# TYPE rvhpc_gauge gauge");
     for (name, v) in crate::gauges() {
         let _ = writeln!(out, "rvhpc_gauge{{name=\"{}\"}} {v}", prom_name(name));
+    }
+    let _ = writeln!(out, "# TYPE rvhpc_counter counter");
+    for (name, v) in crate::counters() {
+        let _ = writeln!(out, "rvhpc_counter{{name=\"{}\"}} {v}", prom_name(name));
     }
     let slo = crate::slo();
     let (total, breaches, dropped) = slo.counters();
@@ -245,6 +251,18 @@ pub fn validate_metrics(text: &str) -> Result<(), String> {
         }
         _ => return Err("missing `gauges` object".to_string()),
     }
+    // Optional: rings written before counters joined the registry lack it.
+    match doc.get("counters") {
+        None => {}
+        Some(Json::Obj(pairs)) => {
+            for (name, v) in pairs {
+                if !v.as_f64().is_some_and(|n| n >= 0.0 && n.is_finite() && n.fract() == 0.0) {
+                    return Err(format!("counter `{name}` is not a non-negative integer"));
+                }
+            }
+        }
+        Some(_) => return Err("`counters` is not an object".to_string()),
+    }
     let slo = doc.get("slo").ok_or("missing `slo` block")?;
     let threshold = req_num(slo, &["threshold_ms"])?;
     if threshold < 0.0 {
@@ -279,7 +297,8 @@ mod tests {
         for i in 0..50 {
             s.record_us(100.0 + i as f64);
         }
-        crate::gauge_set("test.expo.gauge", 3);
+        crate::gauge!("test.expo.gauge", 3);
+        crate::counter!("test.expo.counter", 4);
         let doc = metrics_json();
         validate_metrics(&doc.render()).expect("self-produced document validates");
         let stage = doc.get("stages").and_then(|s| s.get("test.expo.stage")).expect("stage");
@@ -289,6 +308,8 @@ mod tests {
             doc.get("gauges").unwrap().get("test.expo.gauge").and_then(Json::as_f64),
             Some(3.0)
         );
+        let counter = doc.get("counters").and_then(|c| c.get("test.expo.counter"));
+        assert!(counter.and_then(Json::as_f64).unwrap() >= 4.0);
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(METRICS_SCHEMA));
     }
 
@@ -302,6 +323,10 @@ mod tests {
         assert!(text.contains("rvhpc_stage_us_count{stage=\"test.expo.prom\"} 1"));
         assert!(text.contains("# TYPE rvhpc_gauge gauge"));
         assert!(text.contains("rvhpc_slo_requests_total"));
+        crate::counter!("test.expo.prom_counter", 1);
+        let text = metrics_prometheus();
+        assert!(text.contains("# TYPE rvhpc_counter counter"));
+        assert!(text.contains("rvhpc_counter{name=\"test_expo_prom_counter\"}"));
         // Sparse: exactly one finite bucket line for a single sample.
         let finite_buckets = text
             .lines()
@@ -325,5 +350,37 @@ mod tests {
         crate::stage("test.expo.reject").record_us(9.0);
         let doc = metrics_json().render().replace("\"p999_us\":", "\"p999_us\":-1,\"x_us\":");
         assert!(validate_metrics(&doc).is_err());
+    }
+
+    /// The live document with its `counters` block replaced (`Some`) or
+    /// removed (`None`).
+    fn with_counters(counters: Option<Json>) -> String {
+        let Json::Obj(mut pairs) = metrics_json() else { unreachable!("an object") };
+        pairs.retain(|(k, _)| k != "counters");
+        if let Some(c) = counters {
+            pairs.push(("counters".to_string(), c));
+        }
+        Json::Obj(pairs).render()
+    }
+
+    #[test]
+    fn validator_requires_counters_to_be_non_negative_integers() {
+        let one = |v: Json| Some(Json::obj(vec![("test.expo.bad", v)]));
+        let negative = validate_metrics(&with_counters(one(Json::Num(-1.0)))).unwrap_err();
+        assert!(negative.contains("test.expo.bad"), "{negative}");
+        assert!(validate_metrics(&with_counters(one(Json::Num(2.5)))).is_err(), "fractional");
+        assert!(validate_metrics(&with_counters(one(Json::str("3")))).is_err(), "non-number");
+        assert!(
+            validate_metrics(&with_counters(Some(Json::Arr(vec![])))).is_err(),
+            "not an object"
+        );
+        validate_metrics(&with_counters(one(Json::Num(0.0)))).expect("zero is a count");
+    }
+
+    #[test]
+    fn validator_accepts_documents_written_before_counters() {
+        let old = with_counters(None);
+        assert!(!old.contains("\"counters\""));
+        validate_metrics(&old).expect("a document without `counters` still validates");
     }
 }

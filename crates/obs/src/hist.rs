@@ -1,10 +1,29 @@
-//! Lock-free sharded streaming histogram.
+//! Log-bucketed (HDR-style) histograms: the bucket math and the
+//! lock-free sharded streaming histogram built on it.
 //!
-//! [`ShardedHist`] wraps the log-bucket layout from [`rvhpc_trace::hist`]
-//! in per-shard `AtomicU64` count arrays so concurrent recorders touch
-//! disjoint cache lines most of the time: a recording thread picks its
-//! shard from [`rvhpc_trace::thread_ordinal`] and does two relaxed
-//! fetch-adds plus a fetch-max — no locks, no allocation.
+//! **Bucket math.** A fixed log-linear bucket layout (16 linear
+//! sub-buckets per power-of-two octave), index/bound conversion, and
+//! quantile estimation over a counts array. Everything is deterministic
+//! integer/bit arithmetic — bucket assignment is derived from the IEEE-754
+//! representation, not from `log2`, so the same value always lands in the
+//! same bucket on every platform, and merged count arrays are
+//! bit-identical regardless of the order shards are combined in.
+//!
+//! Layout, for values measured in any unit `u`:
+//! * bucket `0`: the underflow bucket, `v < 1u` (plus NaN and negatives);
+//! * buckets `1 ..= OCTAVES*SUB_BUCKETS`: octave `e` (values in
+//!   `[2^e, 2^(e+1))`) split into [`SUB_BUCKETS`] equal linear steps,
+//!   giving a worst-case relative error of `1/SUB_BUCKETS` ≈ 6%;
+//! * the last bucket: saturating overflow, `v >= 2^OCTAVES`.
+//!
+//! With `OCTAVES = 40` and microsecond inputs the overflow threshold is
+//! `2^40 µs` ≈ 12.7 days — effectively "never" for request latencies.
+//!
+//! **[`ShardedHist`]** keeps that layout in per-shard `AtomicU64` count
+//! arrays so concurrent recorders touch disjoint cache lines most of the
+//! time: a recording thread picks its shard from
+//! [`rvhpc_trace::thread_ordinal`] and does two relaxed fetch-adds plus a
+//! fetch-max — no locks, no allocation.
 //!
 //! Reads *merge* the shards into a [`HistSnapshot`]. Because every
 //! aggregate is either an integer (bucket counts, sample count,
@@ -13,9 +32,73 @@
 //! samples produces the same snapshot no matter which threads recorded
 //! which sample or in what order the shards are combined.
 
-use rvhpc_trace::hist::{quantile_from_counts, N_BUCKETS};
 use rvhpc_trace::thread_ordinal;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Linear sub-buckets per power-of-two octave (resolution ≈ 6%).
+pub const SUB_BUCKETS: usize = 16;
+/// Power-of-two octaves covered before the overflow bucket saturates.
+pub const OCTAVES: usize = 40;
+/// Total bucket count: underflow + `OCTAVES * SUB_BUCKETS` + overflow.
+pub const N_BUCKETS: usize = 2 + OCTAVES * SUB_BUCKETS;
+
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Map a sample to its bucket index. NaN, negative, and sub-1 values all
+/// land in the underflow bucket `0`; values at or above `2^OCTAVES`
+/// saturate into the final bucket.
+#[inline]
+pub fn bucket_index(v: f64) -> usize {
+    if v.is_nan() || v < 1.0 {
+        return 0;
+    }
+    let bits = v.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    if exp >= OCTAVES as i64 {
+        return N_BUCKETS - 1;
+    }
+    let sub = ((bits >> (52 - SUB_BITS)) & (SUB_BUCKETS as u64 - 1)) as usize;
+    1 + exp as usize * SUB_BUCKETS + sub
+}
+
+/// Exclusive upper bound of a bucket. The underflow bucket's bound is
+/// `1.0`; the overflow bucket's is `+inf`.
+#[inline]
+pub fn bucket_upper_bound(index: usize) -> f64 {
+    if index == 0 {
+        return 1.0;
+    }
+    if index >= N_BUCKETS - 1 {
+        return f64::INFINITY;
+    }
+    let b = index - 1;
+    let octave = (b / SUB_BUCKETS) as i32;
+    let sub = (b % SUB_BUCKETS) as f64;
+    f64::powi(2.0, octave) * (1.0 + (sub + 1.0) / SUB_BUCKETS as f64)
+}
+
+/// Estimate the `q`-quantile (`0.0..=1.0`) of the distribution described
+/// by a bucket-counts array, as the upper bound of the bucket holding the
+/// rank-`ceil(q·n)` sample. Returns `0.0` for an empty histogram and
+/// `+inf` when the rank falls in the overflow bucket — callers that track
+/// the true observed maximum should clamp with it (`quantile.min(max)`),
+/// which also turns the bound into the exact value for single-sample
+/// histograms.
+pub fn quantile_from_counts(counts: &[u64], q: f64) -> f64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bucket_upper_bound(i);
+        }
+    }
+    bucket_upper_bound(counts.len().saturating_sub(1))
+}
 
 /// Shards per histogram. Recording threads hash onto these by thread
 /// ordinal; more shards trade memory for less false sharing.
@@ -64,7 +147,7 @@ impl ShardedHist {
     /// counted in the underflow bucket and contribute zero to the sum.
     pub fn record_us(&self, v: f64) {
         let shard = &self.shards[(thread_ordinal() as usize) % N_SHARDS];
-        shard.counts[rvhpc_trace::hist::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        shard.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         shard.count.fetch_add(1, Ordering::Relaxed);
         // Sum in integer nanoseconds so merged sums are deterministic
         // (integer addition commutes; f64 addition does not).
@@ -93,7 +176,7 @@ impl ShardedHist {
 /// compare bit-for-bit across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistSnapshot {
-    /// Per-bucket sample counts (layout from [`rvhpc_trace::hist`]).
+    /// Per-bucket sample counts (the layout above).
     pub counts: Vec<u64>,
     /// Total samples.
     pub count: u64,
@@ -233,5 +316,75 @@ mod tests {
             assert_eq!(got, want, "{n_threads}-thread fan-in must merge bit-identically");
             assert_eq!(got.quantile_us(0.999).to_bits(), want.quantile_us(0.999).to_bits());
         }
+    }
+
+    #[test]
+    fn bucket_index_is_monotone_and_exact_at_powers_of_two() {
+        assert_eq!(bucket_index(0.0), 0);
+        assert_eq!(bucket_index(-3.0), 0);
+        assert_eq!(bucket_index(f64::NAN), 0);
+        assert_eq!(bucket_index(0.999), 0);
+        assert_eq!(bucket_index(1.0), 1);
+        assert_eq!(bucket_index(2.0), 1 + SUB_BUCKETS);
+        assert_eq!(bucket_index(4.0), 1 + 2 * SUB_BUCKETS);
+        let mut last = 0;
+        let mut v = 1.0f64;
+        while v < 2.0f64.powi(OCTAVES as i32 + 2) {
+            let b = bucket_index(v);
+            assert!(b >= last, "bucket index must be monotone in the value");
+            assert!(b < N_BUCKETS);
+            last = b;
+            v *= 1.01;
+        }
+        assert_eq!(last, N_BUCKETS - 1, "huge values saturate the final bucket");
+    }
+
+    #[test]
+    fn every_value_sits_below_its_bucket_upper_bound() {
+        for i in 0..400 {
+            let v = 1.0037f64.powi(i) * 1.3;
+            let b = bucket_index(v);
+            assert!(v < bucket_upper_bound(b), "v={v} bucket={b}");
+            if b > 1 {
+                assert!(
+                    v >= bucket_upper_bound(b - 1),
+                    "v={v} below previous bound {}",
+                    bucket_upper_bound(b - 1)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn relative_error_of_the_bound_is_within_one_sub_bucket() {
+        for i in 0..2000 {
+            let v = 1.5f64 + i as f64 * 7.3;
+            let bound = bucket_upper_bound(bucket_index(v));
+            assert!(bound >= v);
+            assert!(bound <= v * (1.0 + 2.0 / SUB_BUCKETS as f64), "v={v} bound={bound}");
+        }
+    }
+
+    #[test]
+    fn quantiles_walk_the_cumulative_counts() {
+        let mut counts = vec![0u64; N_BUCKETS];
+        // 90 samples at ~10, 10 samples at ~1000.
+        counts[bucket_index(10.0)] = 90;
+        counts[bucket_index(1000.0)] = 10;
+        let p50 = quantile_from_counts(&counts, 0.50);
+        let p99 = quantile_from_counts(&counts, 0.99);
+        assert!((10.0..11.0).contains(&p50), "p50={p50}");
+        assert!((1000.0..1100.0).contains(&p99), "p99={p99}");
+        assert!(quantile_from_counts(&counts, 0.0) > 0.0, "q=0 clamps to rank 1");
+        assert_eq!(quantile_from_counts(&[0; N_BUCKETS], 0.5), 0.0, "empty histogram");
+    }
+
+    #[test]
+    fn overflow_quantile_is_infinite_until_clamped() {
+        let mut counts = vec![0u64; N_BUCKETS];
+        counts[N_BUCKETS - 1] = 5;
+        assert_eq!(quantile_from_counts(&counts, 0.5), f64::INFINITY);
+        let observed_max = 1.0e30;
+        assert_eq!(quantile_from_counts(&counts, 0.5).min(observed_max), observed_max);
     }
 }

@@ -13,7 +13,7 @@
 //! path next to it stays entirely lock-free.
 
 use crate::hist::HistSnapshot;
-use rvhpc_trace::hist::{bucket_index, N_BUCKETS};
+use crate::hist::{bucket_index, N_BUCKETS};
 use std::sync::Mutex;
 
 /// Ring capacity in seconds. Must exceed the widest queryable window

@@ -11,9 +11,9 @@
 //! The cache is bounded (FIFO eviction at [`CACHE_CAPACITY`] entries) and
 //! fully deterministic: a hit returns the exact `TimeEstimate` a miss would
 //! recompute, so cached and uncached sweeps are bit-identical. Hit, miss
-//! and eviction counts are kept in always-on atomics (read via [`stats`],
-//! the `repro bench` artefact's source) and mirrored to `rvhpc-trace` as
-//! `perfmodel.estimate_cache.{hit,miss,eviction}` when tracing is enabled.
+//! and eviction counts are the always-on `rvhpc-obs` registry counters
+//! `perfmodel.estimate_cache.{hit,miss,eviction}`, read back through
+//! [`stats`] (the `repro bench` artefact's source).
 //!
 //! Under the map sits the optional [`persist`] store. Its content-hash key
 //! (the `Debug` text of the full descriptor and canonical config, salted
@@ -37,7 +37,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{Machine, MachineId, PlacementPolicy};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 
 /// Default maximum number of resident estimates. `repro all` touches ~15k
@@ -100,13 +100,6 @@ pub fn capacity() -> usize {
 fn captured_capacity() -> usize {
     static CAPACITY: OnceLock<usize> = OnceLock::new();
     *CAPACITY.get_or_init(|| configured_capacity(std::env::var("RVHPC_CACHE_CAP").ok().as_deref()))
-}
-
-/// The `perfmodel.estimate_cache.entries` gauge, looked up in the registry
-/// once rather than on every miss.
-fn entries_gauge() -> &'static AtomicI64 {
-    static GAUGE: OnceLock<&'static AtomicI64> = OnceLock::new();
-    GAUGE.get_or_init(|| rvhpc_obs::gauge("perfmodel.estimate_cache.entries"))
 }
 
 /// Number of currently resident entries (same as [`stats`]`().entries`).
@@ -176,10 +169,6 @@ impl Bounded {
     }
 }
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
 fn cache() -> &'static Mutex<Bounded> {
     static CACHE: OnceLock<Mutex<Bounded>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(Bounded { map: HashMap::new(), order: VecDeque::new() }))
@@ -236,10 +225,11 @@ impl CacheStats {
 
 /// Current statistics snapshot.
 pub fn stats() -> CacheStats {
+    let count = |name| rvhpc_obs::counter(name).load(Ordering::Relaxed);
     CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
+        hits: count("perfmodel.estimate_cache.hit"),
+        misses: count("perfmodel.estimate_cache.miss"),
+        evictions: count("perfmodel.estimate_cache.eviction"),
         entries: locked().map.len(),
         capacity: capacity(),
     }
@@ -270,8 +260,7 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
     let machine = row.machine();
     let key = Key { machine: machine.id, kernel, cfg: CanonicalConfig::new(row) };
     if let Some(found) = locked().map.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
+        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         return *found;
     }
     // Persistent layer: a disk warm-start is a hit (it serves the exact
@@ -283,18 +272,15 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
         persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg))
     });
     if let Some(est) = disk_key.and_then(persist::lookup) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        rvhpc_trace::counter!("perfmodel.estimate_cache.hit", 1);
-        rvhpc_trace::counter!("perfmodel.estimate_cache.disk_hit", 1);
-        let mut c = locked();
-        let evicted = c.insert(captured_capacity(), key, est);
+        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
+        rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", 1);
+        let evicted = locked().insert(captured_capacity(), key, est);
         if evicted > 0 {
-            EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
+            rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
         }
         return est;
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    rvhpc_trace::counter!("perfmodel.estimate_cache.miss", 1);
+    rvhpc_obs::counter!("perfmodel.estimate_cache.miss", 1);
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
     let est = row.estimate_averaged(kernel);
@@ -307,12 +293,9 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
         (evicted, c.map.len())
     };
     if evicted > 0 {
-        EVICTIONS.fetch_add(evicted, Ordering::Relaxed);
-        rvhpc_trace::counter!("perfmodel.estimate_cache.eviction", evicted);
+        rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
     }
-    if rvhpc_obs::enabled() {
-        entries_gauge().store(resident as i64, Ordering::Relaxed);
-    }
+    rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", resident as i64);
     est
 }
 

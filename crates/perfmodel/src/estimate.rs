@@ -64,10 +64,10 @@ fn measured_vla_ratio(kernel: KernelName, sew: Sew) -> Option<f64> {
     let cache = CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("no poisoned lock");
     if let Some(cached) = map.get(&(kernel, sew.bits())) {
-        rvhpc_trace::counter!("perfmodel.vla_ratio.hit", 1);
+        rvhpc_obs::counter!("perfmodel.vla_ratio.hit", 1);
         return *cached;
     }
-    rvhpc_trace::counter!("perfmodel.vla_ratio.miss", 1);
+    rvhpc_obs::counter!("perfmodel.vla_ratio.miss", 1);
     let ratio = (|| {
         let vla = measure(kernel, VectorMode::Vla, sew, 4096)?;
         let vls = measure(kernel, VectorMode::Vls, sew, 4096)?;
@@ -302,6 +302,7 @@ mod tests {
     use super::*;
     use crate::config::Precision;
     use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+    use std::sync::atomic::Ordering::Relaxed;
 
     fn sg() -> Machine {
         machine(MachineId::Sg2042)
@@ -433,19 +434,13 @@ mod tests {
         // cache — a miss here means the interpreter would re-run on every
         // estimate, which is exactly the regression this counter guards.
         let _ = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
-        rvhpc_trace::set_enabled(true);
-        let before = rvhpc_trace::snapshot();
+        let hits = || rvhpc_obs::counter("perfmodel.vla_ratio.hit").load(Relaxed);
+        let before = hits();
         let first = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
         let second = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
-        let after = rvhpc_trace::snapshot();
-        rvhpc_trace::set_enabled(false);
         assert_eq!(first, second);
         assert!(first.expect("codegen covers STREAM_TRIAD") > 0.0);
-        assert!(
-            after.counter("perfmodel.vla_ratio.hit")
-                >= before.counter("perfmodel.vla_ratio.hit") + 2,
-            "both lookups must hit the memo"
-        );
+        assert!(hits() >= before + 2, "both lookups must hit the memo");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! Repeated sweep traffic (the paper's ~30 full-suite sweeps overlap
 //! heavily) is amortised by [`cache`]: a bounded process-wide memoisation
 //! of [`estimate_averaged`] keyed by `(machine, kernel, canonical config)`,
-//! with hit/miss/eviction counters surfaced through `rvhpc-trace` and the
-//! `repro bench` artefact. A sweep's rows share the kernel-independent
+//! with hit/miss/eviction counters in the `rvhpc-obs` registry, surfaced
+//! through the `metrics` op and the `repro bench` artefact. A sweep's rows share the kernel-independent
 //! part of the model — clamped threads, calibration, and the placement's
 //! memory environment — through one [`RowEnv`] per row.
 

@@ -11,7 +11,7 @@
 //! needs it, inside a [`OnceLock`]: a row shared across pool workers fills
 //! it from whichever worker gets there first, and a row whose estimates
 //! are all served from the cache never resolves a placement at all. Each
-//! resolution counts as `perfmodel.placement.resolve` in `rvhpc-trace`.
+//! resolution counts as the `perfmodel.placement.resolve` registry counter.
 //!
 //! A `RowEnv` borrows the caller's descriptor and memoises nothing
 //! process-wide, so a perturbed descriptor (the metamorphic verify
@@ -101,7 +101,7 @@ impl<'m> RowEnv<'m> {
     /// use.
     pub fn memory(&self) -> &MemoryEnv {
         self.memory.get_or_init(|| {
-            rvhpc_trace::counter!("perfmodel.placement.resolve", 1);
+            rvhpc_obs::counter!("perfmodel.placement.resolve", 1);
             let placement = self.cfg.placement.map(&self.machine.topology, self.threads);
             MemoryEnv::new(self.machine, &placement)
         })
@@ -128,9 +128,7 @@ impl<'m> RowEnv<'m> {
             machine = self.machine.id.token(),
             threads = self.cfg.threads,
         );
-        let est = model_parts(self, kernel, size).estimate();
-        rvhpc_trace::histogram!("perfmodel.estimate.seconds", est.seconds);
-        est
+        model_parts(self, kernel, size).estimate()
     }
 
     /// The paper's five-run average ([`crate::estimate_averaged`]).

@@ -313,18 +313,19 @@ impl OpClass {
         OpClass::VectorReduce,
     ];
 
-    /// Stable metric-name suffix.
-    pub fn label(self) -> &'static str {
+    /// The `rvv.retired.<class>` registry counter a traced run publishes
+    /// this class's retirements to.
+    pub fn counter_name(self) -> &'static str {
         match self {
-            OpClass::ScalarAlu => "scalar_alu",
-            OpClass::ScalarMem => "scalar_mem",
-            OpClass::Control => "control",
-            OpClass::VectorConfig => "vector_config",
-            OpClass::VectorMem => "vector_mem",
-            OpClass::VectorArith => "vector_arith",
-            OpClass::VectorMask => "vector_mask",
-            OpClass::VectorMove => "vector_move",
-            OpClass::VectorReduce => "vector_reduce",
+            OpClass::ScalarAlu => "rvv.retired.scalar_alu",
+            OpClass::ScalarMem => "rvv.retired.scalar_mem",
+            OpClass::Control => "rvv.retired.control",
+            OpClass::VectorConfig => "rvv.retired.vector_config",
+            OpClass::VectorMem => "rvv.retired.vector_mem",
+            OpClass::VectorArith => "rvv.retired.vector_arith",
+            OpClass::VectorMask => "rvv.retired.vector_mask",
+            OpClass::VectorMove => "rvv.retired.vector_move",
+            OpClass::VectorReduce => "rvv.retired.vector_reduce",
         }
     }
 

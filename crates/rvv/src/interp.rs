@@ -430,7 +430,8 @@ impl Machine {
         if let Some(before) = before {
             for class in OpClass::ALL {
                 let delta = self.retired_by_class[class.index()] - before[class.index()];
-                rvhpc_trace::counter_add(&format!("rvv.retired.{}", class.label()), delta);
+                rvhpc_obs::counter(class.counter_name())
+                    .fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
             }
         }
         result

@@ -27,9 +27,10 @@
 //!   [`signal`]) stops the listener, lets every admitted request finish,
 //!   answers late arrivals with `shutting_down`, and then exits cleanly.
 //! * **Observability** — always-on atomic counters surfaced by the `stats`
-//!   op, mirrored to `rvhpc-trace` (`serve.*` counters, `serve.queue_depth`
-//!   / `serve.batch_size` / `serve.latency_us` histograms, per-batch and
-//!   per-request spans) when tracing is enabled.
+//!   op; five per-request stage histograms, queue-depth and in-flight
+//!   gauges and the SLO tracker in the `rvhpc-obs` registry (the `metrics`
+//!   op); per-batch and per-request `rvhpc-trace` spans when tracing is
+//!   enabled.
 //!
 //! The companion [`loadgen`] module drives a server over real sockets from
 //! N closed-loop clients, verifies every answer bit-identically against a

@@ -246,7 +246,6 @@ fn accept_new(
         };
         if conns.len() >= shared.config.max_conns {
             shared.stats.rejected_conn_cap.fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("serve.rejected_conn_cap", 1);
             // Best-effort: the socket is fresh (empty send buffer), so
             // this short line cannot block meaningfully.
             let reply = error_response(
@@ -269,7 +268,6 @@ fn accept_new(
             continue;
         }
         shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        rvhpc_trace::counter!("serve.connections", 1);
         conns.insert(
             token,
             Conn {
@@ -366,7 +364,6 @@ fn deliver_outbox(
             flush_inner(conn);
             if conn.pending_out() > shared.config.max_outbox_bytes {
                 shared.stats.dropped_slow.fetch_add(1, Ordering::Relaxed);
-                rvhpc_trace::counter!("serve.dropped_slow", 1);
                 conn.fatal = true;
             }
         }
@@ -453,7 +450,6 @@ fn sweep(
         }
         if idle_candidate && quiescent {
             shared.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("serve.idle_disconnects", 1);
             closing.push(token);
             continue;
         }

@@ -104,9 +104,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Always-on serving counters (the `stats` op's source; mirrored to
-/// `rvhpc-trace` when tracing is enabled, the same pattern as the
-/// perfmodel estimate cache).
+/// Always-on serving counters, the `stats` op's source. Each event is
+/// counted here only; the `rvhpc-obs` registry holds the serving stages
+/// and gauges.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted.
@@ -463,7 +463,7 @@ impl Server {
         ] {
             rvhpc_obs::gauge(name);
         }
-        rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", cache::len() as i64);
+        rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", cache::len() as i64);
         let shared = Arc::new(Shared {
             config,
             stats: ServerStats::default(),
@@ -542,11 +542,8 @@ fn spawn_reactor(_: &Arc<Shared>, _: TcpListener) -> std::io::Result<JoinHandle<
 /// stale: queue depth (otherwise only touched on admit/pop) and cache
 /// occupancy (otherwise only touched on inserts).
 fn refresh_gauges(shared: &Arc<Shared>) {
-    rvhpc_obs::gauge_set(
-        "serve.queue_depth",
-        shared.stats.queue_depth.load(Ordering::SeqCst) as i64,
-    );
-    rvhpc_obs::gauge_set("perfmodel.estimate_cache.entries", cache::len() as i64);
+    rvhpc_obs::gauge!("serve.queue_depth", shared.stats.queue_depth.load(Ordering::SeqCst) as i64);
+    rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", cache::len() as i64);
 }
 
 /// Periodic self-scrape: append one `rvhpc-metrics-v1` snapshot per
@@ -577,14 +574,12 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
         Ok(r) => r,
         Err(msg) => {
             shared.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("serve.bad_request", 1);
             writer.send_line(&error_response(&id, ErrorKind::BadRequest, &msg, None));
             return;
         }
     };
     let op = request.op();
     let _span = rvhpc_trace::span!("serve.request", op = op);
-    rvhpc_trace::counter!("serve.requests", 1);
     match request {
         // ---- batched path: admission control, then the queue ----
         Request::Estimate { machine, kernel, cfg, deadline_ms } => {
@@ -620,12 +615,10 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
                     let evicted = shared.kernels.insert(&aid, artifact);
                     shared.stats.artifact_evictions.fetch_add(evicted, Ordering::Relaxed);
                     shared.stats.submitted_kernels.fetch_add(1, Ordering::Relaxed);
-                    rvhpc_trace::counter!("serve.submit.kernel_accepted", 1);
                     ok_response(&id, op, result)
                 }
                 Err(rejection) => {
                     shared.stats.rejected_submissions.fetch_add(1, Ordering::Relaxed);
-                    rvhpc_trace::counter!("serve.submit.rejected", 1);
                     ok_response(&id, op, rejection.to_json())
                 }
             }
@@ -639,7 +632,6 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
                     let evicted = shared.machines.insert(&mid, m);
                     shared.stats.artifact_evictions.fetch_add(evicted, Ordering::Relaxed);
                     shared.stats.submitted_machines.fetch_add(1, Ordering::Relaxed);
-                    rvhpc_trace::counter!("serve.submit.machine_accepted", 1);
                     let result = Json::obj(vec![
                         ("accepted", Json::Bool(true)),
                         ("id", Json::str(&mid)),
@@ -649,7 +641,6 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
                 }
                 (_, _) => {
                     shared.stats.rejected_submissions.fetch_add(1, Ordering::Relaxed);
-                    rvhpc_trace::counter!("serve.submit.rejected", 1);
                     let result = Json::obj(vec![
                         ("accepted", Json::Bool(false)),
                         ("reason", Json::str("descriptor_findings")),
@@ -663,7 +654,6 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
             Some(artifact) => match crate::submit::execute_kernel(&artifact) {
                 Ok(result) => {
                     shared.stats.kernel_runs.fetch_add(1, Ordering::Relaxed);
-                    rvhpc_trace::counter!("serve.submit.kernel_runs", 1);
                     ok_response(&id, op, result)
                 }
                 Err(msg) => error_response(&id, ErrorKind::BadRequest, &msg, None),
@@ -751,7 +741,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
         Request::Cluster { machine: m, kernel, network, mode, precision, nodes } => {
             let net = network.network();
             let points = rvhpc_cluster::scaling_curve(m, &net, kernel, mode, precision, &nodes);
-            rvhpc_trace::counter!("serve.cluster_curves", 1);
+            rvhpc_obs::counter!("serve.cluster_curves", 1);
             ok_response(
                 &id,
                 op,
@@ -853,13 +843,11 @@ fn admit(
         Ok(()) => {
             shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
             shared.stages.admission.record_us(admission_us);
-            rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
-            rvhpc_trace::histogram!("serve.queue_depth", depth as f64);
+            rvhpc_obs::gauge!("serve.queue_depth", depth as i64);
         }
         Err(TrySendError::Full(item)) => {
             shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst);
             shared.stats.rejected_overload.fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("serve.rejected", 1);
             item.writer.send_line(&error_response(
                 &item.id,
                 ErrorKind::Overloaded,
@@ -920,7 +908,7 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
         };
         first.popped = Instant::now();
         let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+        rvhpc_obs::gauge!("serve.queue_depth", depth as i64);
         let mut batch = vec![first];
         let window_end = Instant::now() + shared.config.batch_window;
         while batch.len() < shared.config.batch_max {
@@ -932,15 +920,15 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
                 Ok(mut item) => {
                     item.popped = Instant::now();
                     let depth = shared.stats.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-                    rvhpc_obs::gauge_set("serve.queue_depth", depth as i64);
+                    rvhpc_obs::gauge!("serve.queue_depth", depth as i64);
                     batch.push(item);
                 }
                 Err(_) => break,
             }
         }
-        rvhpc_obs::gauge_set("serve.inflight_batches", 1);
+        rvhpc_obs::gauge!("serve.inflight_batches", 1);
         process_batch(shared, batch);
-        rvhpc_obs::gauge_set("serve.inflight_batches", 0);
+        rvhpc_obs::gauge!("serve.inflight_batches", 0);
     }
     shared.batcher_done.store(true, Ordering::SeqCst);
 }
@@ -950,7 +938,6 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     shared.stats.batch_items.fetch_add(size, Ordering::Relaxed);
     shared.stats.max_batch.fetch_max(size, Ordering::Relaxed);
-    rvhpc_trace::histogram!("serve.batch_size", size as f64);
     let _span = rvhpc_trace::span!("serve.batch", size = size);
 
     // Partition: expired deadlines are cancelled unexecuted; sleeps run
@@ -964,7 +951,6 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
         shared.stages.queue_wait.record_us(us(item.popped - item.admitted));
         if item.deadline.is_some_and(|d| d < now) {
             shared.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            rvhpc_trace::counter!("serve.deadline_exceeded", 1);
             item.writer.send_line(&error_response(
                 &item.id,
                 ErrorKind::DeadlineExceeded,
@@ -1044,7 +1030,6 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     for (key, item) in estimates {
         let est = results[index_of[&key]];
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        rvhpc_trace::histogram!("serve.latency_us", item.admitted.elapsed().as_secs_f64() * 1e6);
         let send_start = Instant::now();
         item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(&est)));
         let written = Instant::now();

@@ -37,7 +37,7 @@ impl SpinBarrier {
     /// same `local_sense` generation. Callers must thread their
     /// [`BarrierToken`] through successive waits.
     pub fn wait(&self, token: &mut BarrierToken) {
-        rvhpc_trace::counter!("threads.barrier.waits", 1);
+        rvhpc_obs::counter!("threads.barrier.waits", 1);
         // Flip the caller's sense for this round.
         token.sense = !token.sense;
         let my_sense = token.sense;
@@ -63,7 +63,7 @@ impl SpinBarrier {
                     std::hint::spin_loop();
                 }
             }
-            rvhpc_trace::counter!("threads.barrier.spins", spins as u64);
+            rvhpc_obs::counter!("threads.barrier.spins", spins as u64);
         }
     }
 }

@@ -183,7 +183,7 @@ impl Team {
         F: Fn(&mut ThreadCtx<'_>) + Sync,
     {
         let _region = rvhpc_trace::span!("threads.region", threads = self.n_threads);
-        rvhpc_trace::counter!("threads.regions", 1);
+        rvhpc_obs::counter!("threads.regions", 1);
         let done_rx = match self.done_rx.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -269,10 +269,10 @@ impl Team {
         struct BacklogGuard;
         impl Drop for BacklogGuard {
             fn drop(&mut self) {
-                rvhpc_obs::gauge_set("threads.worksteal.backlog", 0);
+                rvhpc_obs::gauge!("threads.worksteal.backlog", 0);
             }
         }
-        rvhpc_obs::gauge_set("threads.worksteal.backlog", range.len() as i64);
+        rvhpc_obs::gauge!("threads.worksteal.backlog", range.len() as i64);
         let _backlog = BacklogGuard;
         let queues = WorkQueues::new(range, self.n_threads);
         self.run(|ctx| {

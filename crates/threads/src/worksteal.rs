@@ -99,7 +99,7 @@ impl WorkQueues {
             let keep = q.len() - q.len().div_ceil(2);
             let stolen = (q.start + keep)..q.end;
             q.end = q.start + keep;
-            rvhpc_trace::counter!("threads.worksteal.steals", 1);
+            rvhpc_obs::counter!("threads.worksteal.steals", 1);
             return Some(stolen);
         }
     }

@@ -2,19 +2,21 @@
 //!
 //! Emits the JSON object form of the trace-event format: every collected
 //! span becomes a complete ("X") event with microsecond timestamps, and
-//! counters/histogram summaries ride along as metadata so one artefact
-//! file carries the whole picture.
+//! the caller's counter snapshot (the `rvhpc-obs` registry's, in
+//! `repro --trace`) rides along as metadata so one artefact file carries
+//! the whole picture.
 
 use crate::json::Json;
 use crate::TraceData;
 
-/// Render collected trace data as a Chrome trace JSON document.
-pub fn export(data: &TraceData) -> String {
-    to_json(data).pretty()
+/// Render collected spans, plus a `(name, value)` counter snapshot, as a
+/// Chrome trace JSON document.
+pub fn export(data: &TraceData, counters: &[(&str, u64)]) -> String {
+    to_json(data, counters).pretty()
 }
 
 /// The Chrome trace document as a [`Json`] value (for tests and embedding).
-pub fn to_json(data: &TraceData) -> Json {
+pub fn to_json(data: &TraceData, counters: &[(&str, u64)]) -> Json {
     let mut events: Vec<Json> = data
         .events
         .iter()
@@ -44,34 +46,13 @@ pub fn to_json(data: &TraceData) -> Json {
         ts(a).partial_cmp(&ts(b)).unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let counters = data.counters.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect();
-    let histograms = data
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            (
-                k.clone(),
-                Json::obj(vec![
-                    ("count", Json::Num(h.count as f64)),
-                    ("sum", Json::Num(h.sum)),
-                    ("min", Json::Num(h.min)),
-                    ("max", Json::Num(h.max)),
-                    ("mean", Json::Num(h.mean())),
-                ]),
-            )
-        })
-        .collect();
-
+    let counters = counters.iter().map(|&(k, v)| (k.to_string(), Json::Num(v as f64))).collect();
     Json::obj(vec![
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", Json::str("ms")),
         (
             "metadata",
-            Json::obj(vec![
-                ("tool", Json::str("rvhpc-trace")),
-                ("counters", Json::Obj(counters)),
-                ("histograms", Json::Obj(histograms)),
-            ]),
+            Json::obj(vec![("tool", Json::str("rvhpc-trace")), ("counters", Json::Obj(counters))]),
         ),
     ])
 }
@@ -103,13 +84,12 @@ mod tests {
             start_us: 2.0,
             dur_us: 1.0,
         });
-        data.counters.insert("cachesim.l1.hits".into(), 42);
         data
     }
 
     #[test]
     fn export_is_valid_sorted_chrome_json() {
-        let text = export(&sample());
+        let text = export(&sample(), &[("cachesim.l1.hits", 42)]);
         let doc = Json::parse(&text).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(Json::as_arr).expect("events");
         assert_eq!(events.len(), 2);

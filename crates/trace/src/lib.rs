@@ -1,22 +1,24 @@
-//! Zero-dependency tracing and metrics for the rvhpc workspace.
+//! Zero-dependency span tracing for the rvhpc workspace.
 //!
 //! The paper's value is diagnostic: it attributes every headline number to
 //! a component (memory-controller queueing, placement policy, VLA/VLS
-//! codegen ratios). This crate gives the reproduction the same visibility:
+//! codegen ratios). This crate gives the reproduction the same visibility
+//! over time:
 //!
 //! * **Spans** ([`span!`]) — named, argument-carrying intervals collected
 //!   thread-safely and exported as Chrome `chrome://tracing` JSON
 //!   ([`chrome`]);
-//! * **Counters and histograms** ([`counter!`], [`histogram!`]) — named
-//!   monotonic counts (cache hits per level, RVV instructions retired per
-//!   opcode class, barrier waits, memoisation hit rates) and value
-//!   summaries, exported as a flat markdown/CSV table ([`metrics`]);
 //! * **JSON** ([`json`]) — a minimal JSON value type with a renderer and a
-//!   parser, shared by the Chrome exporter and the `repro --json` output
-//!   (the build environment is offline; there is no serde here).
+//!   parser, shared by the Chrome exporter, the metrics documents and the
+//!   `repro --json` output (the build environment is offline; there is no
+//!   serde here).
 //!
-//! Tracing is **off by default** and every instrumentation site is gated on
-//! one relaxed atomic load ([`enabled`]); with tracing disabled the
+//! Named counts, gauges and latency histograms live in `rvhpc-obs`, the
+//! one metrics registry; a Chrome export carries the caller's counter
+//! snapshot in its metadata.
+//!
+//! Tracing is **off by default** and every span site is gated on one
+//! relaxed atomic load ([`enabled`]); with tracing disabled the
 //! instrumented pipeline produces byte-identical output to an
 //! uninstrumented build. Library crates never print — they emit events
 //! here, and binaries decide what to render.
@@ -25,24 +27,19 @@
 //! rvhpc_trace::set_enabled(true);
 //! {
 //!     let _g = rvhpc_trace::span!("estimate", kernel = "STREAM_TRIAD");
-//!     rvhpc_trace::counter!("cachesim.l1.hits", 3);
-//!     rvhpc_trace::histogram!("estimate.seconds", 0.0123);
 //! }
 //! let data = rvhpc_trace::take();
 //! rvhpc_trace::set_enabled(false);
 //! assert_eq!(data.events.len(), 1);
-//! assert_eq!(data.counter("cachesim.l1.hits"), 3);
+//! assert_eq!(data.span_names(), vec!["estimate"]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod hist;
 pub mod json;
-pub mod metrics;
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -98,76 +95,14 @@ pub struct SpanEvent {
     pub dur_us: f64,
 }
 
-/// Summary statistics of a histogram metric.
-#[derive(Debug, Clone, Copy)]
-pub struct Histogram {
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl Histogram {
-    fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-}
-
 /// Everything collected since the last [`take`].
 #[derive(Debug, Clone, Default)]
 pub struct TraceData {
     /// Completed spans in completion order.
     pub events: Vec<SpanEvent>,
-    /// Named monotonic counters (sorted by name for deterministic export).
-    pub counters: BTreeMap<String, u64>,
-    /// Named value summaries (sorted by name).
-    pub histograms: BTreeMap<String, Histogram>,
 }
 
 impl TraceData {
-    /// A counter's value (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// A histogram's summary, if any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All counters whose name starts with `prefix`, in name order —
-    /// convenient for pulling one subsystem's counters (e.g.
-    /// `perfmodel.estimate_cache.`) out of a full collection.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(&str, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect()
-    }
-
     /// Span names that occur in the trace, deduplicated, sorted.
     pub fn span_names(&self) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = self.events.iter().map(|e| e.name).collect();
@@ -175,33 +110,14 @@ impl TraceData {
         names.dedup();
         names
     }
-
-    /// Fold another collection into this one (used by [`snapshot`] tests
-    /// and multi-phase runs).
-    pub fn merge(&mut self, other: TraceData) {
-        self.events.extend(other.events);
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, h) in other.histograms {
-            let e = self.histograms.entry(k).or_default();
-            e.count += h.count;
-            e.sum += h.sum;
-            e.min = e.min.min(h.min);
-            e.max = e.max.max(h.max);
-        }
-    }
 }
 
-fn collector() -> &'static Mutex<TraceData> {
-    static COLLECTOR: OnceLock<Mutex<TraceData>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Mutex::new(TraceData::default()))
-}
+static COLLECTOR: Mutex<TraceData> = Mutex::new(TraceData { events: Vec::new() });
 
 fn with_collector<R>(f: impl FnOnce(&mut TraceData) -> R) -> R {
     // A poisoned collector only means a panic happened mid-record; the data
     // itself is still structurally sound, so keep collecting.
-    let mut guard = match collector().lock() {
+    let mut guard = match COLLECTOR.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
     };
@@ -211,40 +127,6 @@ fn with_collector<R>(f: impl FnOnce(&mut TraceData) -> R) -> R {
 /// Drain everything collected so far.
 pub fn take() -> TraceData {
     with_collector(std::mem::take)
-}
-
-/// Copy everything collected so far without draining.
-pub fn snapshot() -> TraceData {
-    with_collector(|d| d.clone())
-}
-
-/// Add `delta` to a named counter. Call sites should gate on [`enabled`]
-/// (the [`counter!`] macro does).
-pub fn counter_add(name: &str, delta: u64) {
-    if delta == 0 {
-        return;
-    }
-    with_collector(|d| {
-        if let Some(v) = d.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            d.counters.insert(name.to_string(), delta);
-        }
-    });
-}
-
-/// Record one histogram sample. Call sites should gate on [`enabled`]
-/// (the [`histogram!`] macro does).
-pub fn histogram_record(name: &str, value: f64) {
-    with_collector(|d| {
-        if let Some(h) = d.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::default();
-            h.record(value);
-            d.histograms.insert(name.to_string(), h);
-        }
-    });
 }
 
 /// RAII guard for an in-flight span; records a [`SpanEvent`] on drop.
@@ -317,28 +199,6 @@ macro_rules! span {
     };
 }
 
-/// Add to a named counter: `counter!("cachesim.l1.hits", n)`.
-/// Costs one relaxed atomic load when tracing is disabled.
-#[macro_export]
-macro_rules! counter {
-    ($name:expr, $delta:expr) => {
-        if $crate::enabled() {
-            $crate::counter_add($name, $delta);
-        }
-    };
-}
-
-/// Record a histogram sample: `histogram!("estimate.seconds", secs)`.
-/// Costs one relaxed atomic load when tracing is disabled.
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr, $value:expr) => {
-        if $crate::enabled() {
-            $crate::histogram_record($name, $value);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,26 +218,17 @@ mod tests {
         let _ = take();
         {
             let _g = span!("should.not.appear", size = 42);
-            counter!("should.not.count", 7);
-            histogram!("should.not.sample", 1.0);
         }
-        let data = take();
-        assert!(data.events.is_empty());
-        assert!(data.counters.is_empty());
-        assert!(data.histograms.is_empty());
+        assert!(take().events.is_empty());
     }
 
     #[test]
-    fn span_counter_histogram_round_trip() {
+    fn span_args_round_trip() {
         let _l = locked();
         set_enabled(true);
         let _ = take();
         {
             let _g = span!("unit.span", kernel = "DAXPY", n = 128);
-            counter!("unit.counter", 2);
-            counter!("unit.counter", 3);
-            histogram!("unit.hist", 1.5);
-            histogram!("unit.hist", 2.5);
         }
         let data = take();
         set_enabled(false);
@@ -387,12 +238,6 @@ mod tests {
         assert_eq!(e.args[0], ("kernel", "DAXPY".to_string()));
         assert_eq!(e.args[1], ("n", "128".to_string()));
         assert!(e.dur_us >= 0.0);
-        assert_eq!(data.counter("unit.counter"), 5);
-        let h = data.histogram("unit.hist").expect("sampled");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.mean(), 2.0);
-        assert_eq!(h.min, 1.5);
-        assert_eq!(h.max, 2.5);
     }
 
     #[test]
@@ -418,35 +263,5 @@ mod tests {
                 assert!(pair[0].start_us >= 0.0);
             }
         }
-    }
-
-    #[test]
-    fn counters_with_prefix_selects_one_subsystem() {
-        let mut d = TraceData::default();
-        d.counters.insert("perfmodel.estimate_cache.hit".into(), 7);
-        d.counters.insert("perfmodel.estimate_cache.miss".into(), 3);
-        d.counters.insert("perfmodel.other".into(), 1);
-        d.counters.insert("threads.worksteal.steals".into(), 5);
-        let cache = d.counters_with_prefix("perfmodel.estimate_cache.");
-        assert_eq!(
-            cache,
-            vec![("perfmodel.estimate_cache.hit", 7), ("perfmodel.estimate_cache.miss", 3)]
-        );
-        assert!(d.counters_with_prefix("nomatch.").is_empty());
-        assert_eq!(d.counters_with_prefix("").len(), 4);
-    }
-
-    #[test]
-    fn merge_folds_counters_and_histograms() {
-        let mut a = TraceData::default();
-        a.counters.insert("c".into(), 1);
-        let mut b = TraceData::default();
-        b.counters.insert("c".into(), 2);
-        let mut h = Histogram::default();
-        h.record(4.0);
-        b.histograms.insert("h".into(), h);
-        a.merge(b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.histogram("h").unwrap().count, 1);
     }
 }

@@ -189,7 +189,7 @@ pub(crate) fn drive<C: Clone>(
         let case = generate(&mut g);
         cases_run += 1;
         if let Err(detail) = check(&case, cfg.inject) {
-            rvhpc_trace::counter!("verify.failures", 1);
+            rvhpc_obs::counter!("verify.failures", 1);
             let inject = cfg.inject;
             let min = rvhpc_quickprop::minimize(
                 case,
@@ -220,7 +220,7 @@ pub(crate) fn drive<C: Clone>(
             break;
         }
     }
-    rvhpc_trace::counter!("verify.cases", cases_run);
+    rvhpc_obs::counter!("verify.cases", cases_run);
     OracleReport { oracle, cases_run, failures }
 }
 

@@ -1,7 +1,8 @@
 //! Golden tests for the tracing layer's exporters: a traced run must
 //! produce valid Chrome-trace JSON (parseable, complete `X` events,
-//! monotonic timestamps) with spans from at least four crates, and
-//! disabling tracing must leave report output byte-identical.
+//! monotonic timestamps) with spans from at least four crates, every
+//! registry counter it moves must reach every exporter, and disabling
+//! tracing must leave report output byte-identical.
 
 use rvhpc::cachesim::{AccessKind, CacheConfig, Hierarchy, LevelConfig};
 use rvhpc::experiments::fig2;
@@ -10,11 +11,28 @@ use rvhpc::machines::{machine, MachineId};
 use rvhpc::perfmodel::{estimate, Precision, RunConfig};
 use rvhpc::threads::Team;
 use rvhpc_trace::json::Json;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// The collector is process-global, so the tests in this binary must not
-/// toggle the enable flag concurrently.
+/// The collector and the counter registry are process-global, so the
+/// tests in this binary must not run their workloads concurrently.
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+fn counters() -> BTreeMap<&'static str, u64> {
+    rvhpc_obs::counters().into_iter().collect()
+}
+
+/// The registry counters that grew between two snapshots, with their
+/// growth.
+fn grown(before: &BTreeMap<&'static str, u64>) -> BTreeMap<&'static str, u64> {
+    counters()
+        .into_iter()
+        .filter_map(|(name, v)| {
+            let d = v - before.get(name).copied().unwrap_or(0);
+            (d > 0).then_some((name, d))
+        })
+        .collect()
+}
 
 /// Drive every instrumented subsystem once: the estimator (perfmodel →
 /// compiler → rvv), a native fork-join region (threads), a cache replay
@@ -47,7 +65,7 @@ fn chrome_export_is_valid_and_covers_four_crates() {
     let data = traced_mini_run();
     assert!(!data.events.is_empty(), "mini-run produced no spans");
 
-    let text = rvhpc_trace::chrome::export(&data);
+    let text = rvhpc_trace::chrome::export(&data, &rvhpc_obs::counters());
     let doc = Json::parse(&text).expect("chrome export parses as JSON");
 
     let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents array");
@@ -73,27 +91,35 @@ fn chrome_export_is_valid_and_covers_four_crates() {
         assert!(crates.contains(expected), "missing {expected} in {crates:?}");
     }
 
-    // Counters and histograms ride along in the metadata object.
+    // The caller's counter snapshot rides along in the metadata object.
     let metadata = doc.get("metadata").expect("metadata");
     assert!(metadata.get("counters").is_some());
-    assert!(metadata.get("histograms").is_some());
 }
 
 #[test]
 fn metrics_exporters_cover_every_counter() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let before = counters();
     let data = traced_mini_run();
-    assert!(!data.counters.is_empty(), "mini-run produced no counters");
-
-    let md = rvhpc_trace::metrics::to_markdown(&data);
-    let csv = rvhpc_trace::metrics::to_csv(&data);
-    for name in data.counters.keys() {
-        assert!(md.contains(name.as_str()), "markdown missing {name}");
-        assert!(csv.contains(name.as_str()), "csv missing {name}");
+    let moved = grown(&before);
+    for name in ["threads.regions", "cachesim.l1.misses", "kernels.instantiated"] {
+        assert!(moved.contains_key(name), "mini-run did not move {name}: {moved:?}");
     }
-    for name in data.histograms.keys() {
-        assert!(md.contains(name.as_str()), "markdown missing {name}");
-        assert!(csv.contains(name.as_str()), "csv missing {name}");
+
+    let snapshot = rvhpc_obs::counters();
+    let chrome = rvhpc_trace::chrome::to_json(&data, &snapshot);
+    let metrics = rvhpc_obs::metrics_json();
+    let prometheus = rvhpc_obs::metrics_prometheus();
+    for name in moved.keys() {
+        let value = counters()[name] as f64;
+        let in_chrome = chrome.get("metadata").and_then(|m| m.get("counters")?.get(name));
+        assert_eq!(in_chrome.and_then(Json::as_f64), Some(value), "chrome metadata: {name}");
+        let in_metrics = metrics.get("counters").and_then(|c| c.get(name));
+        assert_eq!(in_metrics.and_then(Json::as_f64), Some(value), "metrics document: {name}");
+        let prom_name: String =
+            name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
+        let line = format!("rvhpc_counter{{name=\"{prom_name}\"}} {}", counters()[name]);
+        assert!(prometheus.lines().any(|l| l == line), "prometheus text missing `{line}`");
     }
 }
 
@@ -112,6 +138,7 @@ fn disabling_tracing_leaves_reports_byte_identical() {
     // traced run cold so it actually reaches the estimator (and proves
     // cache state cannot change the rendered artefact either).
     rvhpc::perfmodel::cache::clear();
+    let before = counters();
     rvhpc_trace::set_enabled(true);
     rvhpc_trace::take();
     let fig = fig2::run();
@@ -125,7 +152,7 @@ fn disabling_tracing_leaves_reports_byte_identical() {
         "the traced regeneration recorded no estimator spans"
     );
     assert!(
-        data.counter("perfmodel.estimate_cache.miss") > 0,
+        grown(&before).contains_key("perfmodel.estimate_cache.miss"),
         "a cold traced run must record estimate-cache misses"
     );
 }
