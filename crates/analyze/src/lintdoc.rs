@@ -3,7 +3,7 @@
 //! `rvhpc-analysis-v1` reports), plus the validator behind
 //! `repro lint --check`.
 //!
-//! The exit-code contract mirrors `repro bench --check`: the CLI first
+//! The exit-code contract is shared by every `--check`: the CLI first
 //! compares the embedded `schema` tag against [`LINT_SCHEMA`] (a mismatch
 //! is a *format disagreement*, exit 2), then runs [`validate_lint`] (a
 //! known-format document that breaks its own invariants is *invalid*,

@@ -19,10 +19,6 @@
 //!                            # --report adds inferred resource bounds
 //!                            # (rvhpc-analysis-v1), --json wraps the run
 //!                            # as rvhpc-lint-v1, --check validates one
-//! repro bench [--quick] [--cache-dir <dir>] [--json <path>] [--check <path>]
-//!                            # time every experiment through the shared
-//!                            # sweep engine; write/validate BENCH JSON;
-//!                            # --cache-dir persists estimates across runs
 //! repro serve [--addr A] [--queue-cap N] [--batch-max N]
 //!             [--batch-window-us U] [--port-file <path>]
 //!             [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]
@@ -74,6 +70,8 @@
 //! repro --chart <figure>     # ASCII bar chart (figures; tables fall back)
 //! repro --trace <artefact>   # also write trace-<artefact>.json
 //!                            # (chrome://tracing) + metrics to stderr
+//!
+//! RVHPC_CACHE_DIR=<dir> repro all   # persist estimates across runs
 //! ```
 
 use rvhpc::experiments::driver::{self, Artefact};
@@ -113,15 +111,6 @@ calling convention for an --asm file, --json wraps\n                          \
 the run as one rvhpc-lint-v1 document, --check\n                          \
 validates a saved document (exit 1 invalid, exit 2\n                          \
 unknown schema version or unreadable file)\n  \
-  bench [--quick] [--cache-dir <dir>] [--json <path>] [--check <path>]\n                          \
-time every experiment through the shared sweep\n                          \
-engine and report wall time + estimate-cache hit\n                          \
-rates; --cache-dir enables the persistent on-disk\n                          \
-estimate store (warm starts across processes);\n                          \
---json writes the BENCH artefact, --check\n                          \
-validates one (exit 1 invalid, exit 2 unknown\n                          \
-schema version, quick-mode artefact, or unreadable\n                          \
-file)\n  \
   serve [--addr <ip:port>] [--queue-cap N] [--batch-max N]\n        \
 [--batch-window-us U] [--port-file <path>]\n        \
 [--slo-ms MS] [--metrics-file <path>] [--scrape-every-ms MS]\n          \
@@ -195,7 +184,10 @@ flags:\n  \
   --json                  JSON instead of markdown\n  \
   --chart                 ASCII bar chart (figures only)\n  \
   --trace                 record spans/counters, write trace-<cmd>.json,\n                          \
-print the metrics table to stderr";
+print the metrics table to stderr\n\
+environment:\n  \
+  RVHPC_CACHE_DIR=<dir>   persist estimates on disk so later runs (and\n                          \
+serve restarts) start warm";
 
 /// Output format for figures and tables, decided once from the flags.
 #[derive(Clone, Copy, PartialEq)]
@@ -216,9 +208,6 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("lint") {
         lint(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        bench(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("serve") {
         serve(&args[1..]);
@@ -331,6 +320,9 @@ fn run_command(cmd: &str, positional: &[&str], format: Format) {
             }
         },
     }
+    // Persist the estimates computed since the last auto-flush, so the
+    // next process with the same `RVHPC_CACHE_DIR` starts warm.
+    rvhpc::perfmodel::persist::flush();
 }
 
 fn emit_artefact(a: Artefact, format: Format) {
@@ -519,9 +511,9 @@ fn verify(args: &[String]) -> ! {
 /// convention). `--report` adds the inferred resource bounds as
 /// `rvhpc-analysis-v1` reports; `--json` wraps the whole run as one
 /// `rvhpc-lint-v1` document; `--check <path>` validates a saved document
-/// instead of linting (exit 1 invalid, 2 unknown schema or unreadable —
-/// the `bench --check` split). Lint runs exit 3 when any finding is
-/// reported, 2 on usage/IO errors, 0 when everything is clean.
+/// instead of linting (exit 1 invalid, 2 unknown schema or unreadable).
+/// Lint runs exit 3 when any finding is reported, 2 on usage/IO errors, 0
+/// when everything is clean.
 fn lint(args: &[String]) -> ! {
     use rvhpc::analyze::{
         analyze_program, analyze_report, lint_all_machines, lint_doc, lint_machine, parse_env,
@@ -595,9 +587,9 @@ fn lint(args: &[String]) -> ! {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         });
-        // Same failure split as `bench --check`: an unknown schema version
-        // is a format disagreement (exit 2), a known-format document that
-        // breaks its own invariants is invalid (exit 1).
+        // An unknown schema version is a format disagreement (exit 2), a
+        // known-format document that breaks its own invariants is invalid
+        // (exit 1).
         let embedded = Json::parse(&text)
             .ok()
             .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
@@ -801,172 +793,6 @@ fn lint(args: &[String]) -> ! {
     std::process::exit(if findings.is_empty() { 0 } else { 3 });
 }
 
-/// `repro bench` — time every experiment of the batch through the shared
-/// sweep engine and report wall time plus estimate-cache traffic.
-/// `--cache-dir <dir>` layers the persistent on-disk estimate store under
-/// the in-memory cache so repeat runs start warm; `--json <path>` writes
-/// the `rvhpc-bench-v1` artefact; `--check <path>` validates one as a
-/// trajectory point instead of measuring (exit 1 when invalid, exit 2 on
-/// an unknown schema version or a `quick: true` artefact).
-fn bench(args: &[String]) -> ! {
-    use rvhpc::experiments::driver::EXPERIMENTS;
-    use rvhpc::perfmodel::cache;
-    use rvhpc::perfmodel::persist;
-    use rvhpc_bench::sweep::{
-        artefact, validate_trajectory, wall_seconds_of, EngineInfo, ExperimentBench,
-        TrajectoryError, SCHEMA,
-    };
-
-    const BENCH_USAGE: &str =
-        "usage: repro bench [--quick] [--cache-dir <dir>] [--json <path>] [--check <path>]";
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{BENCH_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_path = Some(value("--json")),
-            "--check" => check_path = Some(value("--check")),
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")),
-            other => {
-                eprintln!("unknown bench argument `{other}`\n{BENCH_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        // An unknown schema version is a different failure class than a
-        // malformed artefact of the right version: the former means the
-        // producer and checker disagree about the format itself (exit 2),
-        // the latter that a known-format artefact is broken (exit 1).
-        let embedded = rvhpc_trace::json::Json::parse(&text)
-            .ok()
-            .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
-        match embedded.as_deref() {
-            Some(s) if s == SCHEMA => {}
-            Some(other) => {
-                eprintln!("{path}: unknown schema version `{other}` (expected `{SCHEMA}`)");
-                std::process::exit(2);
-            }
-            None => {
-                eprintln!("{path}: no `schema` tag found (expected `{SCHEMA}`)");
-                std::process::exit(2);
-            }
-        }
-        // A `quick: true` artefact is well-formed but inadmissible as a
-        // trajectory point, so it shares exit 2 with the unknown-schema
-        // case; a broken known-format artefact stays exit 1.
-        match validate_trajectory(&text, &names) {
-            Ok(()) => {
-                println!("{path}: valid {SCHEMA} artefact ({} experiment(s))", names.len());
-                std::process::exit(0);
-            }
-            Err(e @ TrajectoryError::Quick) => {
-                eprintln!("{path}: REFUSED as a trajectory point — {e}");
-                std::process::exit(2);
-            }
-            Err(TrajectoryError::Invalid(e)) => {
-                eprintln!("{path}: INVALID {SCHEMA} artefact — {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // The persistent estimate store makes warm starts cross-process: the
-    // first bench against a fresh dir is the cold baseline, later runs
-    // against the same dir replay estimates from disk.
-    if let Some(dir) = cache_dir {
-        persist::set_cache_dir(Some(std::path::PathBuf::from(dir)));
-    }
-
-    // One repetition in quick mode is the genuine cold→shared pass the
-    // acceptance contract is about; full mode adds warm repetitions and
-    // keeps the per-rep minimum as the wall time.
-    let reps = if quick { 1 } else { 3 };
-    let lanes = rvhpc::threads::global_team().n_threads();
-    println!(
-        "bench: {} experiment(s), {reps} rep(s) each, {lanes} lane(s), cache capacity {}\n",
-        EXPERIMENTS.len(),
-        cache::capacity()
-    );
-    println!("| experiment | wall [s] | cache hits | misses | evictions | hit rate |");
-    println!("|---|---|---|---|---|---|");
-
-    cache::clear();
-    let run_start = cache::stats();
-    let mut rows: Vec<ExperimentBench> = Vec::new();
-    for e in &EXPERIMENTS {
-        let before = cache::stats();
-        let wall = wall_seconds_of(reps, || {
-            let _ = e.run();
-        });
-        let d = cache::stats().since(&before);
-        let row = ExperimentBench {
-            name: e.name.to_string(),
-            wall_seconds: wall,
-            hits: d.hits,
-            misses: d.misses,
-            evictions: d.evictions,
-        };
-        println!(
-            "| {} | {:.6} | {} | {} | {} | {:.3} |",
-            row.name,
-            row.wall_seconds,
-            row.hits,
-            row.misses,
-            row.evictions,
-            row.hit_rate()
-        );
-        rows.push(row);
-    }
-    let d = cache::stats().since(&run_start);
-    let total = ExperimentBench {
-        name: "total".to_string(),
-        wall_seconds: rows.iter().map(|r| r.wall_seconds).sum(),
-        hits: d.hits,
-        misses: d.misses,
-        evictions: d.evictions,
-    };
-    println!(
-        "| **total** | {:.6} | {} | {} | {} | {:.3} |",
-        total.wall_seconds,
-        total.hits,
-        total.misses,
-        total.evictions,
-        total.hit_rate()
-    );
-
-    if let Some(path) = json_path {
-        let engine = EngineInfo { lanes, cache_capacity: cache::capacity() };
-        let doc = artefact(quick, &engine, &rows, &total);
-        let mut text = doc.pretty();
-        text.push('\n');
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}");
-    }
-    // Persist any estimates computed this run so the next process with the
-    // same --cache-dir starts warm.
-    persist::flush();
-    std::process::exit(0);
-}
-
 /// `repro serve` — run the batched, backpressured query server until a
 /// `shutdown` request or SIGTERM drains it. Prints the bound address on
 /// stdout (and to `--port-file` if given) so scripts can use port 0.
@@ -1088,6 +914,9 @@ fn serve(args: &[String]) -> ! {
         }
     }
     server.join();
+    // The drain answered every admitted request; persist what they
+    // computed so a restart with the same `RVHPC_CACHE_DIR` starts warm.
+    rvhpc::perfmodel::persist::flush();
     eprintln!("rvhpc-serve drained cleanly");
     std::process::exit(0);
 }
@@ -1610,9 +1439,8 @@ fn fleet(args: &[String]) -> ! {
 /// `repro fleet-bench` — run the whole fleet experiment (spawn shards,
 /// warm, measure, kill one shard mid-run, respawn it, serve the cluster
 /// scaling curves) and write/validate the `rvhpc-fleet-bench-v1`
-/// artefact. `--check` follows the `bench --check` exit contract: 1 for
-/// an invalid known-schema artefact, 2 for an unknown schema or
-/// unreadable file.
+/// artefact. `--check` exits 1 for an invalid known-schema artefact, 2
+/// for an unknown schema or unreadable file.
 fn fleet_bench(args: &[String]) -> ! {
     use rvhpc_fleet::{
         fleet_artefact, run_fleet_bench, validate_fleet_artefact, FleetBenchConfig, FLEET_SCHEMA,
@@ -1959,7 +1787,7 @@ fn cluster(args: &[String]) -> ! {
 /// (per-stage rates and percentiles, gauges, SLO burn, recent slow
 /// requests), or offline validation of a saved `rvhpc-metrics-v1`
 /// snapshot via `--check` (exit 1 invalid, exit 2 unknown schema or
-/// unreadable file — the same split `repro bench --check` uses).
+/// unreadable file).
 fn top(args: &[String]) -> ! {
     use rvhpc_obs::METRICS_SCHEMA;
     use rvhpc_trace::json::Json;
@@ -2020,9 +1848,9 @@ fn top(args: &[String]) -> ! {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         });
-        // Same failure split as `bench --check`: a schema the checker
-        // does not know is a format disagreement (exit 2), a known-format
-        // document that breaks its own invariants is invalid (exit 1).
+        // A schema the checker does not know is a format disagreement
+        // (exit 2), a known-format document that breaks its own invariants
+        // is invalid (exit 1).
         let embedded = Json::parse(&text)
             .ok()
             .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));

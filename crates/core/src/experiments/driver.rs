@@ -2,7 +2,7 @@
 //! pass through the shared sweep engine.
 //!
 //! `repro all` used to be a hand-maintained list of a dozen calls; the
-//! driver makes the batch first-class so the binary, the bench harness and
+//! driver makes the batch first-class so the binary, the benchmark and
 //! CI all iterate the *same* experiments in the same order. Because every
 //! experiment fans out over [`rvhpc_threads::global_team`] and estimates
 //! through the cross-sweep cache, running the batch end-to-end makes
@@ -39,7 +39,7 @@ impl Experiment {
 }
 
 /// The full reproduction batch, in the paper's presentation order (the
-/// order `repro all` emits and `repro bench` times).
+/// order `repro all` emits and the benchmark times).
 pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig1",

@@ -12,7 +12,7 @@
 //! | Extension | [`next_gen`] | the conclusion's next-gen wishlist as a what-if machine |
 //!
 //! [`driver`] enumerates the whole batch in presentation order so
-//! `repro all`, `repro bench` and CI iterate the same experiments.
+//! `repro all`, the benchmark and CI iterate the same experiments.
 
 pub mod driver;
 pub mod fig1;

@@ -2,8 +2,7 @@
 //!
 //! The simulator reproduces the paper's machines; this module is the
 //! ground-truth path — it executes the same 64 kernels on real threads via
-//! the `rvhpc-threads` runtime. The Criterion benches and the `repro
-//! native` subcommand use it, and it is how we know the kernel
+//! the `rvhpc-threads` runtime. The `repro native` subcommand uses it, and it is how we know the kernel
 //! implementations are real code rather than descriptor stubs.
 
 use rvhpc_kernels::{make_kernel, KernelClass, KernelName};

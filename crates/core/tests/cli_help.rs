@@ -25,7 +25,6 @@ fn help_names_every_subcommand() {
         "native",
         "verify",
         "lint",
-        "bench",
         "serve",
         "submit",
         "loadgen",
@@ -84,8 +83,8 @@ fn help_documents_serving_flags_and_exit_codes() {
         assert!(text.contains(flag), "help must mention top flag `{flag}`:\n{text}");
     }
     // Exit-code contracts scripts depend on.
-    assert!(text.contains("exit 1 invalid"), "bench --check invalid => exit 1:\n{text}");
-    assert!(text.contains("exit 2 unknown"), "bench --check unknown schema => exit 2:\n{text}");
+    assert!(text.contains("exit 1 invalid"), "--check invalid => exit 1:\n{text}");
+    assert!(text.contains("exit 2 unknown"), "--check unknown schema => exit 2:\n{text}");
     assert!(text.contains("exits 1 on any protocol error"), "loadgen error => exit 1:\n{text}");
     assert!(text.contains("exits 3"), "lint findings => exit 3:\n{text}");
 }
@@ -115,6 +114,13 @@ fn unknown_command_and_flag_exit_2_with_usage() {
     assert_eq!(out.status.code(), Some(2), "serve --reactor");
     let err = String::from_utf8(out.stderr).expect("utf8");
     assert!(err.contains("unknown serve argument `--reactor`"), "{err}");
+
+    // `bench` is not a command: a stale invocation must fail the same way
+    // as any other unknown command, not run something else.
+    let out = repro().arg("bench").output().expect("runs");
+    assert_eq!(out.status.code(), Some(2), "stale bench command");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("unknown command `bench`"), "{err}");
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Golden tests for `repro lint --check`'s exit-code contract (the same
-//! split as `bench --check`): 0 for a valid `rvhpc-lint-v1` document,
+//! Golden tests for `repro lint --check`'s exit-code contract (the split
+//! every `--check` shares): 0 for a valid `rvhpc-lint-v1` document,
 //! 1 for a broken document of the right schema version, 2 for an
 //! unknown/missing schema version or an unreadable file. The valid input
 //! is produced by `repro lint --report --json` itself, so the round trip

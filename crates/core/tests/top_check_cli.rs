@@ -1,6 +1,6 @@
 //! Golden tests for the observability CLI surface:
 //! * `repro top --check` follows the same exit-code contract as
-//!   `repro bench --check` — 0 valid, 1 broken-but-known-schema,
+//!   `repro lint --check` — 0 valid, 1 broken-but-known-schema,
 //!   2 unknown/missing schema or unreadable file;
 //! * `repro serve` announces itself with one machine-parseable JSON
 //!   banner line on stderr before accepting traffic.

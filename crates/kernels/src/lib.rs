@@ -7,7 +7,7 @@
 //! * **Native implementations** ([`exec`], [`runner`]) that really execute,
 //!   generic over `f32`/`f64` ([`real::Real`]), each with a serial reference
 //!   loop and a parallel loop on the `rvhpc-threads` OpenMP-substitute
-//!   runtime. These back the Criterion benches and the correctness tests.
+//!   runtime. These back `repro native` and the correctness tests.
 //! * **Descriptors** ([`descriptor`]) that state each kernel's work and
 //!   memory streams as data. The performance model in `rvhpc-perfmodel`
 //!   simulates the paper's machines from these, and the compiler model in

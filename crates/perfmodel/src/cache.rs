@@ -13,7 +13,7 @@
 //! recompute, so cached and uncached sweeps are bit-identical. Hit, miss
 //! and eviction counts are the always-on `rvhpc-obs` registry counters
 //! `perfmodel.estimate_cache.{hit,miss,eviction}`, read back through
-//! [`stats`] (the `repro bench` artefact's source).
+//! [`stats`] (which the benchmark reads).
 //!
 //! Under the map sits the optional [`persist`] store. Its content-hash key
 //! (the `Debug` text of the full descriptor and canonical config, salted
@@ -183,8 +183,8 @@ fn locked() -> std::sync::MutexGuard<'static, Bounded> {
     }
 }
 
-/// Cache statistics since process start (monotonic; `repro bench` subtracts
-/// snapshots to attribute hits to one experiment).
+/// Cache statistics since process start (monotonic; subtract two snapshots
+/// with [`CacheStats::since`] to attribute hits to one phase).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheStats {
     /// Lookups served from the cache.

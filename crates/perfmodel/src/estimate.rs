@@ -154,7 +154,7 @@ pub fn estimate(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeE
     estimate_with(machine, kernel, cfg, &calibration(machine.id))
 }
 
-/// Estimate with an explicit calibration — the ablation benches use this to
+/// Estimate with an explicit calibration — the ablation tests use this to
 /// switch individual model ingredients off and watch which paper phenomenon
 /// disappears.
 pub fn estimate_with(

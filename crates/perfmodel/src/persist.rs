@@ -1,10 +1,10 @@
 //! Persistent disk-backed layer under [`crate::cache::estimate_cached`].
 //!
-//! Disabled by default; enabled by pointing `RVHPC_CACHE_DIR` (or the
-//! `repro --cache-dir` flag, which calls [`set_cache_dir`]) at a directory.
+//! Disabled by default; enabled by pointing `RVHPC_CACHE_DIR` at a
+//! directory (library callers and tests can use [`set_cache_dir`]).
 //! Once enabled, every estimate computed by a miss is recorded and every
 //! later process warm-starts from the file, so cross-process hit rates for
-//! repeated sweeps (`repro bench`, serve restarts, CI) approach 100%.
+//! repeated sweeps (`repro` reruns, serve restarts, CI) approach 100%.
 //!
 //! Whether the store is enabled is mirrored into an atomic that
 //! [`set_cache_dir`] and the lazy environment resolution keep in sync, so
@@ -221,8 +221,8 @@ fn write_atomic(dir: &Path, content: &str) -> std::io::Result<()> {
 }
 
 /// Enable (or disable with `None`) the persistent store at an explicit
-/// directory — the `repro --cache-dir` hook. Overrides `RVHPC_CACHE_DIR`
-/// and reloads from the new location immediately.
+/// directory. Overrides `RVHPC_CACHE_DIR` and reloads from the new
+/// location immediately.
 pub fn set_cache_dir(dir: Option<PathBuf>) {
     let mut s = locked();
     s.env_checked = true; // explicit choice wins; never consult the env again
@@ -283,7 +283,8 @@ fn flush_locked(s: &mut Store) {
 
 /// Write any unflushed entries to disk (atomic temp + rename). A no-op
 /// when the store is disabled or clean. `repro` calls this at the end of
-/// each command so short runs persist their work.
+/// each artefact command and after a `serve` drain, so short runs persist
+/// their work.
 pub fn flush() {
     let mut s = locked();
     ensure_ready(&mut s);

@@ -59,7 +59,7 @@ impl<'m> RowEnv<'m> {
         Self::with_calibration(machine, cfg, &calibration(machine.id))
     }
 
-    /// The row under an explicit calibration (the ablation benches switch
+    /// The row under an explicit calibration (the ablation tests switch
     /// model ingredients off this way).
     pub(crate) fn with_calibration(
         machine: &'m Machine,
