@@ -2,9 +2,7 @@
 
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::Machine;
-use rvhpc_perfmodel::{estimate_cached_in, RowEnv, RunConfig, TimeEstimate};
-use rvhpc_threads::global_team;
-use std::sync::Mutex;
+use rvhpc_perfmodel::{estimate_batch, RowEnv, RunConfig, TimeEstimate};
 
 /// One kernel's simulated time under one configuration.
 #[derive(Debug, Clone)]
@@ -19,35 +17,26 @@ pub struct KernelTime {
 
 /// Run the whole 64-kernel suite on a simulated machine.
 ///
-/// The per-kernel estimates are independent, so the sweep fans out over the
-/// process-wide [`global_team`] — one shared pool amortised across every
-/// sweep of a reproduction instead of a spawn/teardown per call — with a
-/// work-stealing handout (per-kernel estimate cost is irregular; see
-/// [`rvhpc_threads::worksteal`]). Estimates go through the cross-sweep
-/// cache ([`rvhpc_perfmodel::cache`]), so repeated configurations are
-/// computed once per process, and all 64 share one [`RowEnv`], so the
-/// thread placement is resolved at most once per row, and not at all when
-/// every kernel hits the cache. Results come back in `KernelName::ALL`
-/// order and are bit-identical to a serial single-lane run: the estimator
-/// is pure, each kernel writes its own slot, and neither the handout order
+/// The row goes through [`estimate_batch`], the cross-sweep cache's batch
+/// path ([`rvhpc_perfmodel::cache`]): every kernel already cached is
+/// answered under one map lock, and only the misses are estimated — a lone
+/// miss on the calling thread, several fanned out over the process-wide
+/// [`global_team`](rvhpc_threads::global_team) with a work-stealing
+/// handout (per-kernel estimate cost is irregular; see
+/// [`rvhpc_threads::worksteal`]). So repeated configurations are computed
+/// once per process, a warm row never dispatches to the pool, and all 64
+/// kernels share one [`RowEnv`], whose thread placement is resolved at
+/// most once, and not at all when every kernel hits the cache. Results
+/// come back in `KernelName::ALL` order and are bit-identical to a serial
+/// single-lane run: the estimator is pure, and neither the handout order
 /// nor the cache state can change a value.
 pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
     let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
-    let total = KernelName::ALL.len();
     let row = RowEnv::new(machine, cfg);
-    let slots: Vec<Mutex<Option<KernelTime>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    global_team().parallel_for_worksteal(0..total, |i| {
-        let kernel = KernelName::ALL[i];
-        let time = KernelTime {
-            kernel,
-            class: kernel.class(),
-            estimate: estimate_cached_in(&row, kernel),
-        };
-        *slots[i].lock().expect("slot poisoned") = Some(time);
-    });
-    slots
+    KernelName::ALL
         .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("all kernels estimated"))
+        .zip(estimate_batch(&KernelName::ALL.map(|k| (&row, k))))
+        .map(|(kernel, estimate)| KernelTime { kernel, class: kernel.class(), estimate })
         .collect()
 }
 

@@ -7,7 +7,7 @@
 //! flapping shard cannot oscillate faster than the cooldown).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One shard's mutable state.
@@ -48,6 +48,13 @@ impl FleetState {
         }
     }
 
+    /// One shard's state, poison-tolerant: every critical section below
+    /// leaves the state consistent, so a thread that panicked holding the
+    /// lock must not take the health table down with it.
+    fn shard(&self, shard: usize) -> MutexGuard<'_, ShardState> {
+        self.shards[shard].lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Number of shards (fixed for the fleet's lifetime).
     pub fn len(&self) -> usize {
         self.shards.len()
@@ -60,35 +67,35 @@ impl FleetState {
 
     /// Current address of a shard (changes when a shard is respawned).
     pub fn addr(&self, shard: usize) -> String {
-        self.shards[shard].lock().unwrap().addr.clone()
+        self.shard(shard).addr.clone()
     }
 
     /// Point a shard identity at a new address (respawn on a fresh
     /// ephemeral port). The shard keeps its ring position; it stays in
     /// whatever up/down state it was in until the prober revives it.
     pub fn set_addr(&self, shard: usize, addr: String) {
-        self.shards[shard].lock().unwrap().addr = addr;
+        self.shard(shard).addr = addr;
     }
 
     /// The up/down bitmap the ring routes over.
     pub fn up_map(&self) -> Vec<bool> {
-        self.shards.iter().map(|s| s.lock().unwrap().up).collect()
+        (0..self.len()).map(|i| self.shard(i).up).collect()
     }
 
     /// Is this shard currently up?
     pub fn is_up(&self, shard: usize) -> bool {
-        self.shards[shard].lock().unwrap().up
+        self.shard(shard).up
     }
 
     /// Number of shards currently up.
     pub fn up_count(&self) -> usize {
-        self.shards.iter().filter(|s| s.lock().unwrap().up).count()
+        (0..self.len()).filter(|&i| self.shard(i).up).count()
     }
 
     /// Mark a shard down (connect failure or mid-request I/O error).
     /// Idempotent: only the first call per outage counts.
     pub fn mark_down(&self, shard: usize) {
-        let mut s = self.shards[shard].lock().unwrap();
+        let mut s = self.shard(shard);
         if s.up {
             s.up = false;
             s.down_since = Some(Instant::now());
@@ -99,13 +106,13 @@ impl FleetState {
     /// May the prober attempt to revive this shard yet? True when it is
     /// down and its cooldown has elapsed.
     pub fn revivable(&self, shard: usize) -> bool {
-        let s = self.shards[shard].lock().unwrap();
+        let s = self.shard(shard);
         !s.up && s.down_since.map(|t| t.elapsed() >= self.cooldown).unwrap_or(true)
     }
 
     /// Mark a shard up again (prober-only, after a successful ping).
     pub fn mark_up(&self, shard: usize) {
-        let mut s = self.shards[shard].lock().unwrap();
+        let mut s = self.shard(shard);
         if !s.up {
             s.up = true;
             s.down_since = None;
@@ -161,5 +168,23 @@ mod tests {
         state.set_addr(0, "a:99".into());
         assert_eq!(state.addr(0), "a:99");
         assert!(!state.is_up(0), "a respawned shard stays down until probed");
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_table_down() {
+        let state = FleetState::new(vec!["a:1".into(), "b:2".into()], Duration::ZERO);
+        let poisoned = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = state.shard(1);
+                panic!("connection thread died holding the lock");
+            })
+            .join()
+        });
+        assert!(poisoned.is_err() && state.shards[1].is_poisoned());
+        state.mark_down(1);
+        assert_eq!(state.up_map(), vec![true, false]);
+        assert!(state.revivable(1));
+        state.mark_up(1);
+        assert_eq!((state.up_count(), state.addr(1).as_str()), (2, "b:2"));
     }
 }

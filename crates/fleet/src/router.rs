@@ -546,7 +546,7 @@ impl Router {
                     Ok((stream, _)) => {
                         let shared = Arc::clone(&shared);
                         let handle = std::thread::spawn(move || serve_client(&shared, stream));
-                        conn_handles.lock().unwrap().push(handle);
+                        conn_handles.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
                     }
                     Err(e) if e.kind() == IoErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -601,7 +601,8 @@ impl Router {
         if let Some(h) = self.prober_handle.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.conn_handles.lock().unwrap());
+        let handles: Vec<JoinHandle<()>> =
+            std::mem::take(&mut *self.conn_handles.lock().unwrap_or_else(|p| p.into_inner()));
         for h in handles {
             let _ = h.join();
         }

@@ -15,14 +15,19 @@
 //! `perfmodel.estimate_cache.{hit,miss,eviction}`, read back through
 //! [`stats`] (which the benchmark reads).
 //!
+//! Batches go through [`estimate_batch`]: it answers every hit of a batch
+//! (a suite row, or a server batch's unique queries) under one map lock
+//! and hands only the misses on, one to the calling thread or several to
+//! the process-wide pool, so a warm row costs one lock and no dispatch.
+//!
 //! Under the map sits the optional [`persist`] store. Its content-hash key
 //! (the `Debug` text of the full descriptor and canonical config, salted
 //! and hashed) costs several times the estimate, so a miss derives it only
-//! when the store is enabled. With the store off a miss costs two map
-//! locks (the lookup and the insert) around the estimate, and the estimate
-//! resolves the thread placement only on the first miss of its [`RowEnv`]:
-//! [`estimate_cached`] builds a one-off row per call, while
-//! [`estimate_cached_in`] shares one row across a sweep's kernels.
+//! when the store is enabled. A miss, one at a time or out of a batch,
+//! consults the store, estimates and takes the map lock again to insert,
+//! and the estimate resolves the thread placement only on the first miss
+//! of its [`RowEnv`]: [`estimate_cached`] builds a one-off row per call,
+//! while [`estimate_cached_in`] and a batch's queries share their rows.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
@@ -144,6 +149,12 @@ struct Key {
     cfg: CanonicalConfig,
 }
 
+impl Key {
+    fn new(row: &RowEnv, kernel: KernelName) -> Self {
+        Key { machine: row.machine().id, kernel, cfg: CanonicalConfig::new(row) }
+    }
+}
+
 /// FIFO-bounded map. FIFO (not LRU) is deliberate: sweeps re-touch whole
 /// generations of keys at once, so recency carries no extra signal, and a
 /// FIFO queue needs no bookkeeping on the hit path.
@@ -253,23 +264,67 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
     estimate_cached_in(&RowEnv::new(machine, cfg), kernel)
 }
 
+/// Every query of a batch through the cache, in query order. The hits are
+/// answered under one map lock and count on `perfmodel.estimate_cache.hit`;
+/// only the misses are estimated, on the miss path of
+/// [`estimate_cached_in`] (persistent store, miss and eviction counters,
+/// the row's lazy placement) — a lone miss on the calling thread, several
+/// fanned out over the process-wide
+/// [`global_team`](rvhpc_threads::global_team) with a work-stealing
+/// handout. A batch without misses touches neither the pool nor any row's
+/// placement. Bit-identical to estimating each query on its own.
+pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
+    let keys: Vec<Key> = queries.iter().map(|&(row, kernel)| Key::new(row, kernel)).collect();
+    let mut found: Vec<Option<TimeEstimate>> = {
+        let c = locked();
+        keys.iter().map(|key| c.map.get(key).copied()).collect()
+    };
+    let misses: Vec<usize> = (0..queries.len()).filter(|&i| found[i].is_none()).collect();
+    let hits = (queries.len() - misses.len()) as u64;
+    if hits > 0 {
+        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", hits);
+    }
+    let miss = |i: usize| estimate_miss(queries[i].0, keys[i]);
+    match misses[..] {
+        [] => {}
+        [i] => found[i] = Some(miss(i)),
+        _ => {
+            let slots: Vec<OnceLock<TimeEstimate>> =
+                misses.iter().map(|_| OnceLock::new()).collect();
+            rvhpc_threads::global_team().parallel_for_worksteal(0..misses.len(), |j| {
+                let _ = slots[j].set(miss(misses[j]));
+            });
+            for (&i, slot) in misses.iter().zip(slots) {
+                found[i] = slot.into_inner();
+            }
+        }
+    }
+    found.into_iter().map(|f| f.expect("every miss estimated")).collect()
+}
+
 /// [`estimate_cached`] for one kernel of a row: a miss estimates through
 /// the row's shared environment, and a hit touches nothing in it, so a row
 /// served entirely from the cache never resolves its placement.
 pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
-    let machine = row.machine();
-    let key = Key { machine: machine.id, kernel, cfg: CanonicalConfig::new(row) };
+    let key = Key::new(row, kernel);
     if let Some(found) = locked().map.get(&key) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         return *found;
     }
+    estimate_miss(row, key)
+}
+
+/// The miss path: the persistent store, else the estimate, then the
+/// insert.
+fn estimate_miss(row: &RowEnv, key: Key) -> TimeEstimate {
+    let machine = row.machine();
     // Persistent layer: a disk warm-start is a hit (it serves the exact
     // bits a miss would recompute) and also populates the in-memory map so
     // later lookups never touch the store lock twice. The content-hash key
     // costs several times the estimate itself, so it is derived only when
     // the store is on; when it is off a miss is just the estimate.
     let disk_key = persist::enabled().then(|| {
-        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg))
+        persist::key_hash(&format!("{machine:?}"), key.kernel.label(), &format!("{:?}", key.cfg))
     });
     if let Some(est) = disk_key.and_then(persist::lookup) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
@@ -283,7 +338,7 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
     rvhpc_obs::counter!("perfmodel.estimate_cache.miss", 1);
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
-    let est = row.estimate_averaged(kernel);
+    let est = row.estimate_averaged(key.kernel);
     if let Some(disk_key) = disk_key {
         persist::record(disk_key, est);
     }
@@ -349,6 +404,41 @@ mod tests {
         let hit = estimate_cached_in(&warm, KernelName::DAXPY);
         assert!(!warm.resolved(), "a hit must not resolve the placement");
         assert_eq!(miss.seconds.to_bits(), hit.seconds.to_bits());
+    }
+
+    #[test]
+    fn a_batch_estimates_only_its_misses_and_counts_each_query_once() {
+        let _l = isolated();
+        let (m, v2) = (sg(), machine(MachineId::VisionFiveV2));
+        let a = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
+        let b = RowEnv::new(&v2, &RunConfig::sg2042_best(Precision::Fp64, 64));
+        let _ = estimate_cached_in(&a, KernelName::DAXPY);
+        let queries = [
+            (&a, KernelName::DAXPY),
+            (&a, KernelName::EOS),
+            (&b, KernelName::DAXPY),
+            (&b, KernelName::STREAM_ADD),
+        ];
+        let direct: Vec<TimeEstimate> = queries
+            .iter()
+            .map(|&(row, kernel)| estimate_averaged(row.machine(), kernel, row.config()))
+            .collect();
+        for (expected_hits, expected_misses) in [(1, 3), (4, 0)] {
+            let before = stats();
+            let got = estimate_batch(&queries);
+            let delta = stats().since(&before);
+            assert_eq!((delta.hits, delta.misses), (expected_hits, expected_misses), "{delta:?}");
+            for (d, g) in direct.iter().zip(&got) {
+                assert_eq!(
+                    (d.seconds.to_bits(), d.vector_path),
+                    (g.seconds.to_bits(), g.vector_path)
+                );
+                assert_eq!(d.memory_seconds.to_bits(), g.memory_seconds.to_bits());
+            }
+        }
+        let warm = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
+        let _ = estimate_batch(&[(&warm, KernelName::DAXPY), (&warm, KernelName::EOS)]);
+        assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
     }
 
     #[test]

@@ -62,7 +62,9 @@ fn measured_vla_ratio(kernel: KernelName, sew: Sew) -> Option<f64> {
     type RatioCache = std::sync::Mutex<HashMap<(KernelName, u32), Option<f64>>>;
     static CACHE: OnceLock<RatioCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("no poisoned lock");
+    // The map is only written after a measurement succeeds, so a panic
+    // inside one leaves it consistent: tolerate the poisoning.
+    let mut map = cache.lock().unwrap_or_else(|p| p.into_inner());
     if let Some(cached) = map.get(&(kernel, sew.bits())) {
         rvhpc_obs::counter!("perfmodel.vla_ratio.hit", 1);
         return *cached;

@@ -373,6 +373,59 @@ mod tests {
         assert!(parse_file("").is_none());
     }
 
+    /// FNV-1a over the bits of `estimate_averaged` on a fixed probe set:
+    /// every machine, one kernel per class, both precisions, threads
+    /// {1, 4, 64} and every placement policy.
+    fn model_fingerprint() -> u64 {
+        use crate::config::{Precision, RunConfig};
+        use rvhpc_kernels::{KernelClass, KernelName};
+        use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+        let mut bytes = Vec::new();
+        for id in MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]) {
+            let m = machine(id);
+            for class in KernelClass::ALL {
+                let kernel =
+                    KernelName::ALL.into_iter().find(|k| k.class() == class).expect("class kernel");
+                for precision in [Precision::Fp32, Precision::Fp64] {
+                    for threads in [1, 4, 64] {
+                        for placement in PlacementPolicy::ALL {
+                            let base = if id.is_riscv() {
+                                RunConfig::sg2042_best(precision, threads)
+                            } else {
+                                RunConfig::x86(precision, threads)
+                            };
+                            let cfg = RunConfig { placement, ..base };
+                            let e = crate::estimate_averaged(&m, kernel, &cfg);
+                            for x in
+                                [e.seconds, e.compute_seconds, e.memory_seconds, e.overhead_seconds]
+                            {
+                                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+                            }
+                            bytes.push(u8::from(e.vector_path));
+                        }
+                    }
+                }
+            }
+        }
+        fnv64(&bytes)
+    }
+
+    /// The store serves estimates recorded by older binaries whenever the
+    /// salt is unchanged, so the model and the salt must move together: a
+    /// change that alters any estimate must bump [`MODEL_SALT`], and a
+    /// change that does not (a refactor, a performance change) must leave
+    /// this fingerprint exactly as pinned.
+    #[test]
+    fn model_fingerprint_is_pinned_to_the_salt() {
+        let got = model_fingerprint();
+        assert_eq!(
+            (MODEL_SALT, got),
+            ("rvhpc-perfmodel-2026-08", 0xeed6_95ab_80cf_ebac),
+            "the estimator's output changed under an unchanged MODEL_SALT; if the change is \
+             intended, bump MODEL_SALT and re-pin this test to (new salt, {got:#018x})"
+        );
+    }
+
     #[test]
     fn key_hash_separates_every_component() {
         let base = key_hash("m", "k", "c");

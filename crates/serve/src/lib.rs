@@ -16,10 +16,10 @@
 //!   the connection (the 429 pattern).
 //! * **Batching** — a dedicated batcher thread coalesces estimate requests
 //!   that arrive within a small window, deduplicates identical queries, and
-//!   fans the unique ones out through the process-wide
-//!   [`rvhpc_threads::global_team`] work-stealing pool onto
-//!   [`rvhpc_perfmodel::estimate_cached`], so concurrent clients share both
-//!   the thread pool and the cross-sweep estimate cache.
+//!   hands the unique ones to [`rvhpc_perfmodel::estimate_batch`]: the
+//!   cached ones are answered under one cache lock, and only the misses
+//!   fan out through the process-wide work-stealing pool, so concurrent
+//!   clients share both the thread pool and the cross-sweep estimate cache.
 //! * **Deadlines** — a request may carry `deadline_ms`; work whose deadline
 //!   has already passed when its batch is assembled is answered with
 //!   `deadline_exceeded` and never computed (admission-time cancellation).

@@ -11,8 +11,9 @@
 //!                                      │
 //!                batcher ◀─────────────┘
 //!                coalesce ≤ batch_max within window,
-//!                dedupe, fan out via global_team
-//!                work-stealing onto estimate_cached,
+//!                dedupe, answer hits under one cache
+//!                lock, fan only misses out via
+//!                global_team (cache::estimate_batch),
 //!                post each reply to the reactor's mailbox
 //! ```
 //!
@@ -30,8 +31,7 @@ use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{machine, Machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
-use rvhpc_perfmodel::{cache, estimate_cached, estimate_cached_in, explain, RowEnv, RunConfig};
-use rvhpc_threads::global_team;
+use rvhpc_perfmodel::{cache, estimate_batch, estimate_cached_in, explain, RowEnv, RunConfig};
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -272,7 +272,7 @@ enum WorkKind {
 }
 
 /// Dedup key for coalescing: two estimate requests with equal keys are
-/// answered from one computation (which `estimate_cached` then also
+/// answered from one computation (which the estimate cache then also
 /// memoises across batches).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct EstKey {
@@ -988,10 +988,11 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
         return;
     }
 
-    // Dedup to unique queries, compute those through the shared pool, then
-    // answer every request (duplicates share one computation).
-    // Each unique query names its machine by an index into `descriptors`,
-    // which holds one descriptor per distinct machine in the batch.
+    // Dedup to unique queries, answer their hits under one cache lock and
+    // compute only the misses, then answer every request (duplicates share
+    // one computation). Each unique query names its machine by an index
+    // into `descriptors`, which holds one descriptor per distinct machine
+    // in the batch.
     let mut unique: Vec<(usize, KernelName, RunConfig)> = Vec::new();
     let mut descriptors: Vec<(MachineId, Machine)> = Vec::new();
     let mut index_of: HashMap<EstKey, usize> = HashMap::new();
@@ -1007,26 +1008,15 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
             });
         }
     }
-    let slots: Vec<Mutex<Option<rvhpc_perfmodel::TimeEstimate>>> =
-        (0..unique.len()).map(|_| Mutex::new(None)).collect();
     let compute_start = Instant::now();
-    let compute = |i: usize| {
-        let (d, kernel, cfg) = unique[i];
-        let est = estimate_cached(&descriptors[d].1, kernel, &cfg);
-        *slots[i].lock().expect("slot poisoned") = Some(est);
-    };
-    if unique.len() == 1 {
-        compute(0);
-    } else {
-        global_team().parallel_for_worksteal(0..unique.len(), compute);
-    }
-    // The batch computes as one fan-out, so every member shares the same
+    let rows: Vec<RowEnv> =
+        unique.iter().map(|(d, _, cfg)| RowEnv::new(&descriptors[*d].1, cfg)).collect();
+    let queries: Vec<(&RowEnv, KernelName)> =
+        rows.iter().zip(&unique).map(|(row, &(_, kernel, _))| (row, kernel)).collect();
+    let results = estimate_batch(&queries);
+    // The batch computes as one step, so every member shares the same
     // compute-stage duration (that *is* the latency the batch added).
     let compute_us = us(compute_start.elapsed());
-    let results: Vec<rvhpc_perfmodel::TimeEstimate> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned").expect("estimate computed"))
-        .collect();
     for (key, item) in estimates {
         let est = results[index_of[&key]];
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
