@@ -131,81 +131,113 @@ impl TrafficModel {
         self
     }
 
-    /// Predict boundary traffic for one stream.
+    /// Predict boundary traffic for one stream (a thin wrapper over
+    /// [`stream_traffic`], which does the arithmetic).
     pub fn traffic(&self, spec: &AccessSpec) -> LevelTraffic {
-        let _span = rvhpc_trace::span!(
-            "cachesim.traffic",
-            footprint_bytes = spec.footprint_bytes,
-            passes = spec.passes,
+        let mut fetch_bytes = vec![0.0; self.level_capacities.len()];
+        let totals = stream_traffic(
+            &self.level_capacities,
+            self.line_bytes,
+            self.steady_state,
+            spec,
+            &mut fetch_bytes,
         );
-        rvhpc_obs::counter!("cachesim.analytic.streams", 1);
-        let n = self.level_capacities.len();
-        if spec.footprint_bytes <= 0.0 || spec.passes <= 0.0 {
-            return LevelTraffic {
-                requested_bytes: 0.0,
-                fetch_bytes: vec![0.0; n],
-                dram_writeback_bytes: 0.0,
-            };
-        }
-        let stride = spec.stride_bytes.max(spec.elem_bytes).max(1.0);
-        let accesses_per_pass = (spec.footprint_bytes / stride).max(1.0);
-        let requested = spec.passes * accesses_per_pass * spec.elem_bytes;
-
-        match spec.locality {
-            Locality::Sequential | Locality::Strided => {
-                // Lines touched per pass: line-granular for dense sweeps,
-                // one line per access once the stride exceeds a line.
-                let lines_per_pass = if stride <= self.line_bytes {
-                    (spec.footprint_bytes / self.line_bytes).max(1.0)
-                } else {
-                    accesses_per_pass
-                };
-                let pass_line_bytes = lines_per_pass * self.line_bytes;
-
-                // Steady-state home level: first level whose share holds the
-                // footprint; `n` means DRAM-resident.
-                let home = self
-                    .level_capacities
-                    .iter()
-                    .position(|&cap| spec.footprint_bytes <= cap)
-                    .unwrap_or(n);
-
-                let fetch_bytes: Vec<f64> = (0..n)
-                    .map(|i| {
-                        if i < home {
-                            spec.passes * pass_line_bytes
-                        } else if self.steady_state {
-                            0.0 // resident across repetitions
-                        } else {
-                            pass_line_bytes // compulsory first pass only
-                        }
-                    })
-                    .collect();
-
-                // Dirty lines reach DRAM every pass when the footprint is
-                // DRAM-resident, otherwise once.
-                let wb_passes = if home == n { spec.passes } else { 1.0 };
-                let dram_writeback_bytes = spec.write_fraction * pass_line_bytes * wb_passes;
-
-                LevelTraffic { requested_bytes: requested, fetch_bytes, dram_writeback_bytes }
-            }
-            Locality::Random => {
-                // Each access fetches a line with no spatial reuse; a level
-                // hits with probability share/footprint.
-                let total_accesses = spec.passes * accesses_per_pass;
-                let mut reaching = total_accesses; // accesses probing L1
-                let mut fetch_bytes = vec![0.0; n];
-                for (i, &cap) in self.level_capacities.iter().enumerate() {
-                    let hit_p = (cap / spec.footprint_bytes).clamp(0.0, 1.0);
-                    let misses = reaching * (1.0 - hit_p);
-                    fetch_bytes[i] = misses * self.line_bytes;
-                    reaching = misses;
-                }
-                let dram_writeback_bytes = spec.write_fraction * fetch_bytes[n - 1];
-                LevelTraffic { requested_bytes: requested, fetch_bytes, dram_writeback_bytes }
-            }
+        LevelTraffic {
+            requested_bytes: totals.requested_bytes,
+            fetch_bytes,
+            dram_writeback_bytes: totals.dram_writeback_bytes,
         }
     }
+}
+
+/// The per-stream totals of [`stream_traffic`]; the per-level fetches go
+/// to the caller's slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StreamTotals {
+    /// As [`LevelTraffic::requested_bytes`].
+    pub requested_bytes: f64,
+    /// As [`LevelTraffic::dram_writeback_bytes`].
+    pub dram_writeback_bytes: f64,
+}
+
+/// The traffic model's arithmetic, allocation-free: predict one stream's
+/// boundary traffic under `level_capacities` (as
+/// [`TrafficModel::level_capacities`]) and write the bytes fetched into
+/// each level to `fetch_bytes[i]`, overwriting every one of the first
+/// `level_capacities.len()` entries. The memory model calls this once per
+/// stream per estimate with reused buffers; [`TrafficModel::traffic`] is
+/// the allocating form.
+///
+/// # Panics
+/// Panics if `fetch_bytes` is shorter than `level_capacities`.
+pub fn stream_traffic(
+    level_capacities: &[f64],
+    line_bytes: f64,
+    steady_state: bool,
+    spec: &AccessSpec,
+    fetch_bytes: &mut [f64],
+) -> StreamTotals {
+    let _span = rvhpc_trace::span!(
+        "cachesim.traffic",
+        footprint_bytes = spec.footprint_bytes,
+        passes = spec.passes,
+    );
+    rvhpc_obs::counter!("cachesim.analytic.streams", 1);
+    let n = level_capacities.len();
+    let fetch_bytes = &mut fetch_bytes[..n];
+    if spec.footprint_bytes <= 0.0 || spec.passes <= 0.0 {
+        fetch_bytes.fill(0.0);
+        return StreamTotals { requested_bytes: 0.0, dram_writeback_bytes: 0.0 };
+    }
+    let stride = spec.stride_bytes.max(spec.elem_bytes).max(1.0);
+    let accesses_per_pass = (spec.footprint_bytes / stride).max(1.0);
+    let requested_bytes = spec.passes * accesses_per_pass * spec.elem_bytes;
+
+    let dram_writeback_bytes = match spec.locality {
+        Locality::Sequential | Locality::Strided => {
+            // Lines touched per pass: line-granular for dense sweeps, one
+            // line per access once the stride exceeds a line.
+            let lines_per_pass = if stride <= line_bytes {
+                (spec.footprint_bytes / line_bytes).max(1.0)
+            } else {
+                accesses_per_pass
+            };
+            let pass_line_bytes = lines_per_pass * line_bytes;
+
+            // Steady-state home level: first level whose share holds the
+            // footprint; `n` means DRAM-resident.
+            let home =
+                level_capacities.iter().position(|&cap| spec.footprint_bytes <= cap).unwrap_or(n);
+
+            for (i, f) in fetch_bytes.iter_mut().enumerate() {
+                *f = if i < home {
+                    spec.passes * pass_line_bytes
+                } else if steady_state {
+                    0.0 // resident across repetitions
+                } else {
+                    pass_line_bytes // compulsory first pass only
+                };
+            }
+
+            // Dirty lines reach DRAM every pass when the footprint is
+            // DRAM-resident, otherwise once.
+            let wb_passes = if home == n { spec.passes } else { 1.0 };
+            spec.write_fraction * pass_line_bytes * wb_passes
+        }
+        Locality::Random => {
+            // Each access fetches a line with no spatial reuse; a level
+            // hits with probability share/footprint.
+            let mut reaching = spec.passes * accesses_per_pass; // accesses probing L1
+            for (f, &cap) in fetch_bytes.iter_mut().zip(level_capacities) {
+                let hit_p = (cap / spec.footprint_bytes).clamp(0.0, 1.0);
+                let misses = reaching * (1.0 - hit_p);
+                *f = misses * line_bytes;
+                reaching = misses;
+            }
+            fetch_bytes.last().map_or(0.0, |&last| spec.write_fraction * last)
+        }
+    };
+    StreamTotals { requested_bytes, dram_writeback_bytes }
 }
 
 #[cfg(test)]

@@ -123,3 +123,51 @@ fn cache_is_deterministic() {
         assert_eq!(run(), run());
     });
 }
+
+/// The allocation-free traffic core, called the way the memory model
+/// calls it — per-stream capacity shares, into a reused buffer with stale
+/// contents — agrees to the bit with a fresh
+/// [`TrafficModel::traffic`] on every field, and writes every level.
+#[test]
+fn traffic_core_matches_the_model_bit_for_bit() {
+    use crate::analytic::{stream_traffic, AccessSpec, Locality, TrafficModel};
+    run_cases(256, |g| {
+        let levels = g.usize_in(1..=6);
+        let mut physical = Vec::with_capacity(levels);
+        let mut cap = g.f64_in(1e3, 1e5);
+        for _ in 0..levels {
+            physical.push(cap);
+            cap *= g.f64_in(1.0, 64.0);
+        }
+        let line_bytes = *g.choose(&[32.0, 64.0, 128.0]);
+        let steady_state = g.bool_with(0.5);
+        let share = g.f64_in(0.0, 1.0);
+        let locality = *g.choose(&[Locality::Sequential, Locality::Strided, Locality::Random]);
+        let elem_bytes = *g.choose(&[4.0, 8.0]);
+        let spec = AccessSpec {
+            footprint_bytes: if g.bool_with(0.05) { 0.0 } else { g.f64_in(1.0, 1e9) },
+            elem_bytes,
+            stride_bytes: elem_bytes * g.f64_in(0.5, 64.0),
+            passes: g.f64_in(0.0, 100.0),
+            write_fraction: g.f64_in(0.0, 1.0),
+            locality,
+        };
+
+        let caps: Vec<f64> = physical.iter().map(|c| c * share).collect();
+        let mut model = TrafficModel::new(caps.clone(), line_bytes);
+        model.steady_state = steady_state;
+        let want = model.traffic(&spec);
+
+        let mut buf = vec![f64::NAN; levels + 2];
+        let got = stream_traffic(&caps, line_bytes, steady_state, &spec, &mut buf);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.requested_bytes.to_bits(), want.requested_bytes.to_bits(), "{spec:?}");
+        assert_eq!(
+            got.dram_writeback_bytes.to_bits(),
+            want.dram_writeback_bytes.to_bits(),
+            "{spec:?}"
+        );
+        assert_eq!(bits(&buf[..levels]), bits(&want.fetch_bytes), "{spec:?}");
+        assert!(buf[levels..].iter().all(|x| x.is_nan()), "wrote past its levels");
+    });
+}

@@ -17,17 +17,28 @@
 //!
 //! Batches go through [`estimate_batch`]: it answers every hit of a batch
 //! (a suite row, or a server batch's unique queries) under one map lock
-//! and hands only the misses on, one to the calling thread or several to
-//! the process-wide pool, so a warm row costs one lock and no dispatch.
+//! and hands only the misses on. The misses run on the calling thread when
+//! there is one of them or when the process-wide pool has a single lane
+//! (a hand-off there adds two context switches and no parallelism — the
+//! rule follows the host's pool width, not a knob); otherwise they fan out
+//! over the pool. Their answers land in the batch's answer vector and are
+//! inserted under one more map lock, which also publishes the eviction
+//! count and the `perfmodel.estimate_cache.entries` gauge once per batch
+//! ([`clear`] zeroes the gauge). So a warm row costs one lock and no
+//! dispatch, and a cold row two locks.
+//!
+//! A key hashes as one packed `u64` of its fields through std's keyed
+//! SipHash, which keeps the map collision-resistant against the network
+//! keys the server feeds it; equality still compares the fields.
 //!
 //! Under the map sits the optional [`persist`] store. Its content-hash key
 //! (the `Debug` text of the full descriptor and canonical config, salted
 //! and hashed) costs several times the estimate, so a miss derives it only
 //! when the store is enabled. A miss, one at a time or out of a batch,
-//! consults the store, estimates and takes the map lock again to insert,
-//! and the estimate resolves the thread placement only on the first miss
-//! of its [`RowEnv`]: [`estimate_cached`] builds a one-off row per call,
-//! while [`estimate_cached_in`] and a batch's queries share their rows.
+//! consults the store or else estimates, and the estimate resolves the
+//! thread placement only on the first miss of its [`RowEnv`]:
+//! [`estimate_cached`] builds a one-off row per call, while
+//! [`estimate_cached_in`] and a batch's queries share their rows.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
@@ -42,6 +53,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{Machine, MachineId, PlacementPolicy};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
 
@@ -114,7 +126,7 @@ pub fn len() -> usize {
 
 /// The canonical form of a [`RunConfig`]: two configs that provably produce
 /// the same estimate share one canonical key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CanonicalConfig {
     precision: Precision,
     vectorize: bool,
@@ -142,16 +154,60 @@ impl CanonicalConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     machine: MachineId,
     kernel: KernelName,
     cfg: CanonicalConfig,
 }
 
+/// Bit offsets of [`Key::packed`]'s fields, low to high. The thread count
+/// takes the rest of the word.
+const KERNEL_SHIFT: u32 = 4;
+const PRECISION_SHIFT: u32 = KERNEL_SHIFT + 8;
+const VECTORIZE_SHIFT: u32 = PRECISION_SHIFT + 1;
+const TOOLCHAIN_SHIFT: u32 = VECTORIZE_SHIFT + 1;
+const MODE_SHIFT: u32 = TOOLCHAIN_SHIFT + 2;
+const PLACEMENT_SHIFT: u32 = MODE_SHIFT + 1;
+const THREADS_SHIFT: u32 = PLACEMENT_SHIFT + 2;
+
+// Every enum field fits below the next field's offset (each assertion
+// names the enum's last variant or counts its `ALL`).
+const _: () = {
+    assert!((MachineId::Sg2042NextGen as u32) < 1 << KERNEL_SHIFT);
+    assert!(KernelName::ALL.len() <= 1 << (PRECISION_SHIFT - KERNEL_SHIFT));
+    assert!((Precision::Fp64 as u32) < 1 << (VECTORIZE_SHIFT - PRECISION_SHIFT));
+    assert!((Toolchain::X86Gcc as u32) < 1 << (MODE_SHIFT - TOOLCHAIN_SHIFT));
+    assert!((VectorMode::Vla as u32) < 1 << (PLACEMENT_SHIFT - MODE_SHIFT));
+    assert!(PlacementPolicy::ALL.len() <= 1 << (THREADS_SHIFT - PLACEMENT_SHIFT));
+};
+
 impl Key {
     fn new(row: &RowEnv, kernel: KernelName) -> Self {
         Key { machine: row.machine().id, kernel, cfg: CanonicalConfig::new(row) }
+    }
+
+    /// Every field in one word, so a lookup hashes one `u64` instead of
+    /// seven fields. Distinct catalog keys pack to distinct words (a test
+    /// enumerates them); a thread count past 2^45 would share a word with
+    /// a smaller one, which costs a hash collision, never a wrong hit,
+    /// since equality still compares the fields.
+    fn packed(&self) -> u64 {
+        let c = &self.cfg;
+        self.machine as u64
+            | (self.kernel as u64) << KERNEL_SHIFT
+            | (c.precision as u64) << PRECISION_SHIFT
+            | (c.vectorize as u64) << VECTORIZE_SHIFT
+            | (c.toolchain as u64) << TOOLCHAIN_SHIFT
+            | (c.mode as u64) << MODE_SHIFT
+            | (c.placement as u64) << PLACEMENT_SHIFT
+            | (c.threads as u64) << THREADS_SHIFT
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.packed());
     }
 }
 
@@ -178,6 +234,21 @@ impl Bounded {
         }
         evicted
     }
+}
+
+/// Insert a batch of fresh estimates under one map lock, then publish the
+/// eviction count and the `perfmodel.estimate_cache.entries` gauge once.
+fn insert_all(entries: impl IntoIterator<Item = (Key, TimeEstimate)>) {
+    let capacity = captured_capacity();
+    let (evicted, resident) = {
+        let mut c = locked();
+        let evicted: u64 = entries.into_iter().map(|(key, est)| c.insert(capacity, key, est)).sum();
+        (evicted, c.map.len())
+    };
+    if evicted > 0 {
+        rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
+    }
+    rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", resident as i64);
 }
 
 fn cache() -> &'static Mutex<Bounded> {
@@ -252,6 +323,7 @@ pub fn clear() {
     let mut c = locked();
     c.map.clear();
     c.order.clear();
+    rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", 0);
 }
 
 /// [`crate::estimate_averaged`] through the process-wide cross-sweep cache.
@@ -266,41 +338,63 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 
 /// Every query of a batch through the cache, in query order. The hits are
 /// answered under one map lock and count on `perfmodel.estimate_cache.hit`;
-/// only the misses are estimated, on the miss path of
-/// [`estimate_cached_in`] (persistent store, miss and eviction counters,
-/// the row's lazy placement) — a lone miss on the calling thread, several
-/// fanned out over the process-wide
-/// [`global_team`](rvhpc_threads::global_team) with a work-stealing
-/// handout. A batch without misses touches neither the pool nor any row's
-/// placement. Bit-identical to estimating each query on its own.
+/// only the misses are fetched, from the persistent store or the estimate
+/// (counted as in [`estimate_cached_in`], through the row's lazy
+/// placement), and then inserted under one more lock. The misses run on
+/// the calling thread when there is one of them or the process-wide
+/// [`global_team`](rvhpc_threads::global_team) has one lane, where a
+/// hand-off would buy no parallelism; otherwise they fan out over the
+/// pool with a work-stealing handout. A batch without misses touches
+/// neither the pool nor any row's placement. Bit-identical to estimating
+/// each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let keys: Vec<Key> = queries.iter().map(|&(row, kernel)| Key::new(row, kernel)).collect();
-    let mut found: Vec<Option<TimeEstimate>> = {
+    let mut misses = Vec::new();
+    let mut answers: Vec<TimeEstimate> = {
         let c = locked();
-        keys.iter().map(|key| c.map.get(key).copied()).collect()
+        keys.iter()
+            .enumerate()
+            .map(|(i, key)| {
+                c.map.get(key).copied().unwrap_or_else(|| {
+                    misses.push(i);
+                    UNANSWERED
+                })
+            })
+            .collect()
     };
-    let misses: Vec<usize> = (0..queries.len()).filter(|&i| found[i].is_none()).collect();
     let hits = (queries.len() - misses.len()) as u64;
     if hits > 0 {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", hits);
     }
-    let miss = |i: usize| estimate_miss(queries[i].0, keys[i]);
-    match misses[..] {
-        [] => {}
-        [i] => found[i] = Some(miss(i)),
-        _ => {
-            let slots: Vec<OnceLock<TimeEstimate>> =
-                misses.iter().map(|_| OnceLock::new()).collect();
-            rvhpc_threads::global_team().parallel_for_worksteal(0..misses.len(), |j| {
-                let _ = slots[j].set(miss(misses[j]));
-            });
-            for (&i, slot) in misses.iter().zip(slots) {
-                found[i] = slot.into_inner();
-            }
-        }
+    if misses.is_empty() {
+        return answers;
     }
-    found.into_iter().map(|f| f.expect("every miss estimated")).collect()
+    let fetch = |i: usize| fetch_miss(queries[i].0, &keys[i]);
+    if misses.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
+        for &i in &misses {
+            answers[i] = fetch(i);
+        }
+    } else {
+        let shared = Mutex::new(&mut answers[..]);
+        rvhpc_threads::global_team().parallel_for_worksteal(0..misses.len(), |j| {
+            let est = fetch(misses[j]);
+            shared.lock().unwrap_or_else(|p| p.into_inner())[misses[j]] = est;
+        });
+    }
+    insert_all(misses.iter().map(|&i| (keys[i], answers[i])));
+    answers
 }
+
+/// What a miss's answer slot holds until [`estimate_batch`] fills it: every
+/// slot is filled before the batch returns, and NaN could never pass for
+/// an estimate if one were not.
+const UNANSWERED: TimeEstimate = TimeEstimate {
+    seconds: f64::NAN,
+    compute_seconds: f64::NAN,
+    memory_seconds: f64::NAN,
+    overhead_seconds: f64::NAN,
+    vector_path: false,
+};
 
 /// [`estimate_cached`] for one kernel of a row: a miss estimates through
 /// the row's shared environment, and a hit touches nothing in it, so a row
@@ -311,16 +405,18 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         return *found;
     }
-    estimate_miss(row, key)
+    let est = fetch_miss(row, &key);
+    insert_all([(key, est)]);
+    est
 }
 
-/// The miss path: the persistent store, else the estimate, then the
-/// insert.
-fn estimate_miss(row: &RowEnv, key: Key) -> TimeEstimate {
+/// A miss's answer, from the persistent store or else the estimate; the
+/// caller inserts it.
+fn fetch_miss(row: &RowEnv, key: &Key) -> TimeEstimate {
     let machine = row.machine();
     // Persistent layer: a disk warm-start is a hit (it serves the exact
-    // bits a miss would recompute) and also populates the in-memory map so
-    // later lookups never touch the store lock twice. The content-hash key
+    // bits a miss would recompute), and the caller's insert means later
+    // lookups never touch the store lock twice. The content-hash key
     // costs several times the estimate itself, so it is derived only when
     // the store is on; when it is off a miss is just the estimate.
     let disk_key = persist::enabled().then(|| {
@@ -329,10 +425,6 @@ fn estimate_miss(row: &RowEnv, key: Key) -> TimeEstimate {
     if let Some(est) = disk_key.and_then(persist::lookup) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", 1);
-        let evicted = locked().insert(captured_capacity(), key, est);
-        if evicted > 0 {
-            rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
-        }
         return est;
     }
     rvhpc_obs::counter!("perfmodel.estimate_cache.miss", 1);
@@ -342,15 +434,6 @@ fn estimate_miss(row: &RowEnv, key: Key) -> TimeEstimate {
     if let Some(disk_key) = disk_key {
         persist::record(disk_key, est);
     }
-    let (evicted, resident) = {
-        let mut c = locked();
-        let evicted = c.insert(captured_capacity(), key, est);
-        (evicted, c.map.len())
-    };
-    if evicted > 0 {
-        rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
-    }
-    rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", resident as i64);
     est
 }
 
@@ -423,11 +506,20 @@ mod tests {
             .iter()
             .map(|&(row, kernel)| estimate_averaged(row.machine(), kernel, row.config()))
             .collect();
+        let regions = || rvhpc_obs::counter("threads.regions").load(Ordering::Relaxed);
+        let one_lane = rvhpc_threads::global_team().n_threads() == 1;
         for (expected_hits, expected_misses) in [(1, 3), (4, 0)] {
-            let before = stats();
+            let before = (stats(), regions());
             let got = estimate_batch(&queries);
-            let delta = stats().since(&before);
+            let delta = stats().since(&before.0);
             assert_eq!((delta.hits, delta.misses), (expected_hits, expected_misses), "{delta:?}");
+            // Several misses fan out over the pool unless it has one lane.
+            let dispatched = regions() - before.1;
+            if expected_misses < 2 || one_lane {
+                assert_eq!(dispatched, 0, "no pool region");
+            } else {
+                assert!(dispatched >= 1, "the misses fan out over the pool");
+            }
             for (d, g) in direct.iter().zip(&got) {
                 assert_eq!(
                     (d.seconds.to_bits(), d.vector_path),
@@ -742,6 +834,78 @@ mod tests {
         }
         let delta = stats().since(&before);
         assert_eq!((delta.hits, delta.misses), (0, off.len() as u64), "{delta:?}");
+
+        persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn packed_keys_are_distinct_over_the_catalog_domain() {
+        // Every canonical key a catalog descriptor can produce: scalar
+        // configs carry the VLS mode, threads run 1..=cores.
+        let machines = MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]);
+        let toolchains = [Toolchain::XuanTieGcc, Toolchain::ClangRvv, Toolchain::X86Gcc];
+        let mut keys = 0usize;
+        let mut words = Vec::new();
+        for id in machines {
+            for kernel in KernelName::ALL {
+                for precision in [Precision::Fp32, Precision::Fp64] {
+                    for (vectorize, mode) in
+                        [(false, VectorMode::Vls), (true, VectorMode::Vls), (true, VectorMode::Vla)]
+                    {
+                        for toolchain in toolchains {
+                            for placement in PlacementPolicy::ALL {
+                                for threads in 1..=machine(id).n_cores() {
+                                    let cfg = CanonicalConfig {
+                                        precision,
+                                        vectorize,
+                                        toolchain,
+                                        mode,
+                                        placement,
+                                        threads,
+                                    };
+                                    // The loops yield each distinct key once.
+                                    keys += 1;
+                                    words.push(Key { machine: id, kernel, cfg }.packed());
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), keys, "two catalog keys share a packed word");
+    }
+
+    #[test]
+    fn entries_gauge_tracks_every_insert_and_clear() {
+        let _l = isolated();
+        if !rvhpc_obs::enabled() {
+            return; // RVHPC_OBS=off leaves gauges at zero by design
+        }
+        let gauge = || rvhpc_obs::gauge("perfmodel.estimate_cache.entries").load(Ordering::Relaxed);
+        let m = sg();
+        let cfg = |threads| RunConfig::sg2042_best(Precision::Fp32, threads);
+        let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(2));
+        assert_eq!(gauge(), 1, "a true miss");
+        let row = RowEnv::new(&m, &cfg(4));
+        let _ = estimate_batch(&[(&row, KernelName::DAXPY), (&row, KernelName::EOS)]);
+        assert_eq!(gauge(), 3, "one batch insert");
+
+        let dir = store_dir("gauge");
+        persist::set_cache_dir(Some(dir.clone()));
+        let _ = estimate_cached(&m, KernelName::MEMSET, &cfg(8));
+        persist::flush();
+        clear();
+        assert_eq!(gauge(), 0, "clear");
+        persist::set_cache_dir(Some(dir.clone()));
+        let before = stats();
+        let _ = estimate_cached(&m, KernelName::MEMSET, &cfg(8));
+        assert_eq!(stats().since(&before).misses, 0, "served from the store");
+        assert_eq!(gauge(), 1, "a disk hit");
+        assert_eq!(gauge(), len() as i64);
 
         persist::set_cache_dir(None);
         let _ = std::fs::remove_dir_all(&dir);

@@ -431,6 +431,33 @@ mod tests {
     }
 
     #[test]
+    fn a_hierarchy_deeper_than_the_inline_buffers_estimates_and_sums() {
+        // The model takes any descriptor a library caller builds, checked
+        // or not: stack more package-shared levels under the SG2042's
+        // three than the memory model keeps on the stack.
+        let mut m = machine(MachineId::Sg2042);
+        let base = m.caches.last().expect("catalog caches").clone();
+        for extra in 1..=crate::memory::INLINE_LEVELS + 1 {
+            let mut level = base.clone();
+            level.level = base.level + extra as u8;
+            level.size_bytes = base.size_bytes << extra;
+            level.bandwidth_bytes_per_cycle = base.bandwidth_bytes_per_cycle / extra as f64;
+            m.caches.push(level);
+        }
+        for (kernel, threads) in [(KernelName::STREAM_TRIAD, 64), (KernelName::GEMM, 1)] {
+            let cfg = RunConfig::sg2042_best(Precision::Fp32, threads);
+            let direct = estimate(&m, kernel, &cfg);
+            assert!(direct.seconds.is_finite() && direct.memory_seconds.is_finite(), "{direct:?}");
+            let ex = explain(&m, kernel, &cfg);
+            assert_eq!(ex.estimate.seconds, direct.seconds, "{kernel:?}");
+            assert!(
+                (ex.busy_seconds() + ex.estimate.overhead_seconds - direct.seconds).abs() < 1e-15,
+                "{kernel:?}: breakdown must sum to the estimate"
+            );
+        }
+    }
+
+    #[test]
     fn fp64_on_sg2042_reports_scalar_path() {
         let m = machine(MachineId::Sg2042);
         let ex = explain(&m, KernelName::DAXPY, &RunConfig::sg2042_best(Precision::Fp64, 1));

@@ -11,9 +11,16 @@
 //!   16 threads on each of two controllers while cyclic lands 8 on each of
 //!   four, and a queueing factor makes oversubscription degrade
 //!   super-linearly (Table 1's collapse).
+//!
+//! Every cold estimate runs [`memory_seconds`], so it allocates nothing:
+//! each stream's per-level traffic comes from `cachesim`'s
+//! allocation-free [`stream_traffic`] core into stack buffers (a
+//! hierarchy deeper than `INLINE_LEVELS` takes one heap buffer), and the
+//! streams are visited in workload order so the floating-point sums are
+//! the same whichever way they are held.
 
 use crate::calibration::Calibration;
-use rvhpc_cachesim::analytic::{AccessSpec, Locality, TrafficModel};
+use rvhpc_cachesim::analytic::{stream_traffic, AccessSpec, Locality};
 use rvhpc_kernels::{Access, Workload};
 use rvhpc_machines::{CacheSharing, Machine, Placement};
 
@@ -112,6 +119,11 @@ pub(crate) fn to_access_spec(
     }
 }
 
+/// Cache levels [`memory_seconds`] keeps its per-level buffers for on the
+/// stack: every catalog machine has at most three, and `Machine::validate`
+/// admits at most four. Deeper hand-built descriptors take the heap.
+pub(crate) const INLINE_LEVELS: usize = 4;
+
 /// Seconds one thread spends waiting on the memory system per repetition.
 #[allow(clippy::too_many_arguments)]
 pub fn memory_seconds(
@@ -133,23 +145,40 @@ pub fn memory_seconds(
     // Live streams compete for cache capacity: allot each stream a share
     // of every level proportional to its footprint (the LRU steady state
     // for concurrently swept arrays). Without this, two 40 MB arrays would
-    // each "fit" a 64 MB L3.
-    let specs: Vec<_> =
-        w.streams.iter().map(|s| to_access_spec(s, elem_bytes, effective_threads)).collect();
-    let total_footprint: f64 = specs.iter().map(|s| s.footprint_bytes).sum::<f64>().max(1.0);
+    // each "fit" a 64 MB L3. The footprint sum runs in stream order, so
+    // it is bit-identical however the specs are held.
+    let spec = |s| to_access_spec(s, elem_bytes, effective_threads);
+    let total_footprint: f64 =
+        w.streams.iter().map(|s| spec(s).footprint_bytes).sum::<f64>().max(1.0);
+
+    // Three per-level buffers — the stream's capacity shares, its fetches
+    // and the running fetch totals — on the stack up to `INLINE_LEVELS`,
+    // else in one heap buffer.
+    let n = machine.caches.len();
+    let mut inline = [0.0f64; 3 * INLINE_LEVELS];
+    let mut spilled = Vec::new();
+    let scratch: &mut [f64] = if n <= INLINE_LEVELS {
+        &mut inline[..3 * n]
+    } else {
+        spilled.resize(3 * n, 0.0);
+        &mut spilled
+    };
+    let (caps, rest) = scratch.split_at_mut(n);
+    let (stream_fetch, fetch) = rest.split_at_mut(n);
 
     let mut requested = 0.0f64;
-    let mut fetch = vec![0.0f64; machine.caches.len()];
     let mut dram_wb = 0.0f64;
-    for spec in &specs {
+    for s in &w.streams {
+        let spec = spec(s);
         let share = spec.footprint_bytes / total_footprint;
-        let caps: Vec<f64> = env.capacity_shares.iter().map(|c| c * share).collect();
+        for (cap, c) in caps.iter_mut().zip(&env.capacity_shares) {
+            *cap = c * share;
+        }
         // Steady-state accounting: the paper measures repetitions over
         // resident arrays, so one-off cold fills amortise away.
-        let model = TrafficModel::new(caps, env.line_bytes).steady_state();
-        let t = model.traffic(spec);
+        let t = stream_traffic(caps, env.line_bytes, true, &spec, stream_fetch);
         requested += t.requested_bytes;
-        for (acc, f) in fetch.iter_mut().zip(&t.fetch_bytes) {
+        for (acc, f) in fetch.iter_mut().zip(&*stream_fetch) {
             *acc += f;
         }
         // Scalar stores pay write-allocate read-for-ownership without the
@@ -175,14 +204,14 @@ pub fn memory_seconds(
     // cannot keep enough requests in flight to saturate the outer levels
     // either — the same issue-rate limitation the DRAM path models.
     let issue_fraction = if vectored { 1.0 } else { cal.scalar_stream_fraction };
-    for i in 0..machine.caches.len() - 1 {
+    for i in 0..n - 1 {
         let served = (fetch[i] - fetch[i + 1]).max(0.0);
         time = time.max(served / (env.bw_shares[i + 1] * issue_fraction * clock));
     }
 
     // DRAM boundary: bandwidth share of the busiest controller plus a
     // queueing penalty that grows with controller oversubscription.
-    let dram_bytes = fetch[machine.caches.len() - 1] + dram_wb;
+    let dram_bytes = fetch[n - 1] + dram_wb;
     if dram_bytes > 0.0 {
         let ctrl_bw = machine.memory.controller_bandwidth() * cal.dram_efficiency;
         // Scalar memory ops can't keep the memory pipeline full on every
