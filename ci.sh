@@ -8,12 +8,12 @@ cargo test -q --workspace
 # The benchmark's sweeps run bound to one CPU, where the shared pool has a
 # single worker; rerun the sweep bit-identity and pool-dispatch tests in
 # that configuration too, with the estimate cache's unit tests for its
-# one-lane batch path.
+# one-lane batch path and the pinned artefact digests.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines
     taskset -c 0 cargo test -q -p rvhpc \
-        --test row_placement_resolves --test warm_row_dispatch
+        --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
 fi
 
