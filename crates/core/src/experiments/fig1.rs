@@ -1,42 +1,25 @@
 //! Figure 1: single-core comparison of the VisionFive V1, VisionFive V2 and
 //! SG2042 at FP32 and FP64, baselined to the V2 at FP64.
 
-use crate::report::{ClassStat, FigureReport, SeriesStat};
-use crate::suite::{suite_times, times_faster};
-use rvhpc_kernels::{KernelClass, KernelName};
+use crate::report::{FigureReport, SeriesStat};
+use crate::suite::{suite_seconds, times_faster_each};
+use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
 use std::collections::HashMap;
 
-/// The per-kernel baseline: VisionFive V2 at FP64, one core, best config.
-fn baseline() -> HashMap<KernelName, f64> {
-    let v2 = machine(MachineId::VisionFiveV2);
-    suite_times(&v2, &RunConfig::sg2042_best(Precision::Fp64, 1))
-        .into_iter()
-        .map(|t| (t.kernel, t.estimate.seconds))
-        .collect()
+/// The per-kernel baseline, in `KernelName::ALL` order: VisionFive V2 at
+/// FP64, one core, best config.
+fn baseline() -> Vec<f64> {
+    suite_seconds(&machine(MachineId::VisionFiveV2), &RunConfig::sg2042_best(Precision::Fp64, 1))
 }
 
-fn series(
-    label: &str,
-    id: MachineId,
-    precision: Precision,
-    base: &HashMap<KernelName, f64>,
-) -> SeriesStat {
-    let m = machine(id);
-    let times = suite_times(&m, &RunConfig::sg2042_best(precision, 1));
-    let classes = KernelClass::ALL
-        .into_iter()
-        .map(|class| {
-            let vals: Vec<f64> = times
-                .iter()
-                .filter(|t| t.class == class)
-                .map(|t| times_faster(base[&t.kernel], t.estimate.seconds))
-                .collect();
-            ClassStat::from_values(class, &vals)
-        })
-        .collect();
-    SeriesStat { label: label.into(), classes }
+fn single_core(id: MachineId, precision: Precision) -> Vec<f64> {
+    suite_seconds(&machine(id), &RunConfig::sg2042_best(precision, 1))
+}
+
+fn series(label: &str, id: MachineId, precision: Precision, base: &[f64]) -> SeriesStat {
+    SeriesStat::from_kernel_values(label, &times_faster_each(base, &single_core(id, precision)))
 }
 
 /// Regenerate Figure 1.
@@ -63,16 +46,16 @@ pub fn run() -> FigureReport {
 /// EXPERIMENTS.md.
 pub fn speedup_ratios(id: MachineId, precision: Precision) -> HashMap<KernelName, f64> {
     let base = baseline();
-    let m = machine(id);
-    suite_times(&m, &RunConfig::sg2042_best(precision, 1))
+    KernelName::ALL
         .into_iter()
-        .map(|t| (t.kernel, base[&t.kernel] / t.estimate.seconds))
+        .zip(base.iter().zip(single_core(id, precision)).map(|(b, t)| b / t))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvhpc_kernels::KernelClass;
 
     #[test]
     fn sg2042_outperforms_v2_in_every_class_at_both_precisions() {

@@ -1,40 +1,32 @@
 //! Figure 2: single-core speedup from enabling vectorisation on the
 //! SG2042's C920, at FP32 and FP64, per class.
 
-use crate::report::{ClassStat, FigureReport, SeriesStat};
-use crate::suite::{suite_times, times_faster};
-use rvhpc_kernels::{KernelClass, KernelName};
+use crate::report::{FigureReport, SeriesStat};
+use crate::suite::{suite_seconds, times_faster};
+use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
 use std::collections::HashMap;
 
 /// Per-kernel vector-on vs vector-off ratio at one precision.
 pub fn vectorisation_ratios(precision: Precision) -> HashMap<KernelName, f64> {
+    KernelName::ALL.into_iter().zip(ratios(precision)).collect()
+}
+
+/// [`vectorisation_ratios`] in `KernelName::ALL` order.
+fn ratios(precision: Precision) -> Vec<f64> {
     let m = machine(MachineId::Sg2042);
-    let on = suite_times(&m, &RunConfig::sg2042_best(precision, 1));
+    let on = suite_seconds(&m, &RunConfig::sg2042_best(precision, 1));
     let mut off_cfg = RunConfig::sg2042_best(precision, 1);
     off_cfg.vectorize = false;
-    let off = suite_times(&m, &off_cfg);
-    on.iter().zip(&off).map(|(a, b)| (a.kernel, b.estimate.seconds / a.estimate.seconds)).collect()
+    let off = suite_seconds(&m, &off_cfg);
+    on.iter().zip(&off).map(|(on, off)| off / on).collect()
 }
 
 fn series(label: &str, precision: Precision) -> SeriesStat {
-    let ratios = vectorisation_ratios(precision);
-    let classes = KernelClass::ALL
-        .into_iter()
-        .map(|class| {
-            let vals: Vec<f64> = KernelName::in_class(class)
-                .into_iter()
-                .map(|k| {
-                    let r = ratios[&k];
-                    // times_faster with the scalar run as baseline.
-                    times_faster(r, 1.0)
-                })
-                .collect();
-            ClassStat::from_values(class, &vals)
-        })
-        .collect();
-    SeriesStat { label: label.into(), classes }
+    // times_faster with the scalar run as baseline.
+    let faster: Vec<f64> = ratios(precision).into_iter().map(|r| times_faster(r, 1.0)).collect();
+    SeriesStat::from_kernel_values(label, &faster)
 }
 
 /// Regenerate Figure 2.
@@ -52,6 +44,7 @@ pub fn run() -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvhpc_kernels::KernelClass;
 
     #[test]
     fn fp32_benefits_exceed_fp64_everywhere() {

@@ -5,13 +5,12 @@
 //! exactly that machine and asks how far it closes the gap to the x86
 //! parts.
 
-use crate::report::{ClassStat, FigureReport, SeriesStat};
-use crate::suite::{suite_times, times_faster};
+use super::x86::sg2042_times;
+use crate::report::{FigureReport, SeriesStat};
+use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_compiler::VectorMode;
-use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{machine, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
-use std::collections::HashMap;
 
 /// Configuration for the what-if machine: mainline Clang targeting RVV
 /// v1.0 natively (no rollback needed), cluster placement.
@@ -29,37 +28,23 @@ fn ng_config(precision: Precision, threads: usize) -> RunConfig {
 /// The what-if comparison: SG2042-NG and the x86 parts, baselined against
 /// today's SG2042, multithreaded, at a given precision.
 pub fn run(precision: Precision) -> FigureReport {
-    let sg = machine(MachineId::Sg2042);
-    let base: HashMap<KernelName, f64> = {
-        let t32 = suite_times(&sg, &RunConfig::sg2042_best(precision, 32));
-        let t64 = suite_times(&sg, &RunConfig::sg2042_best(precision, 64));
-        t32.into_iter()
-            .zip(t64)
-            .map(|(a, b)| (a.kernel, a.estimate.seconds.min(b.estimate.seconds)))
-            .collect()
+    let base = sg2042_times(precision, true);
+    let series_of = |label: &str, times: &[f64]| {
+        SeriesStat::from_kernel_values(label, &times_faster_each(&base, times))
     };
 
     let mut series = Vec::new();
     // The what-if machine at its best thread count.
-    {
-        let ng = machine(MachineId::Sg2042NextGen);
-        let t32 = suite_times(&ng, &ng_config(precision, 32));
-        let t64 = suite_times(&ng, &ng_config(precision, 64));
-        let best: HashMap<KernelName, f64> = t32
-            .into_iter()
-            .zip(t64)
-            .map(|(a, b)| (a.kernel, a.estimate.seconds.min(b.estimate.seconds)))
-            .collect();
-        series.push(class_series("SG2042-NG (what-if)", &best, &base));
-    }
+    let ng = machine(MachineId::Sg2042NextGen);
+    let best = fastest_of(
+        &suite_seconds(&ng, &ng_config(precision, 32)),
+        &suite_seconds(&ng, &ng_config(precision, 64)),
+    );
+    series.push(series_of("SG2042-NG (what-if)", &best));
     for id in [MachineId::AmdRome, MachineId::IntelIcelake] {
         let m = machine(id);
-        let times: HashMap<KernelName, f64> =
-            suite_times(&m, &RunConfig::x86(precision, m.n_cores()))
-                .into_iter()
-                .map(|t| (t.kernel, t.estimate.seconds))
-                .collect();
-        series.push(class_series(&m.name, &times, &base));
+        let times = suite_seconds(&m, &RunConfig::x86(precision, m.n_cores()));
+        series.push(series_of(&m.name, &times));
     }
 
     FigureReport {
@@ -72,24 +57,6 @@ pub fn run(precision: Precision) -> FigureReport {
         value_label: "times faster than today's SG2042".into(),
         series,
     }
-}
-
-fn class_series(
-    label: &str,
-    times: &HashMap<KernelName, f64>,
-    base: &HashMap<KernelName, f64>,
-) -> SeriesStat {
-    let classes = KernelClass::ALL
-        .into_iter()
-        .map(|class| {
-            let vals: Vec<f64> = KernelName::in_class(class)
-                .into_iter()
-                .map(|k| times_faster(base[&k], times[&k]))
-                .collect();
-            ClassStat::from_values(class, &vals)
-        })
-        .collect();
-    SeriesStat { label: label.into(), classes }
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
 //! Tables 1–3: speed-up and parallel efficiency on the SG2042 as threads
 //! scale under the three placement policies (FP32, vectorised).
 
-use crate::report::TableReport;
-use crate::suite::{class_mean, suite_times};
+use crate::report::{ClassStat, TableReport};
+use crate::suite::suite_seconds;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelClass;
 use rvhpc_machines::{machine, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
-use std::collections::HashMap;
 
 /// Thread counts the paper sweeps.
 pub const THREADS: [usize; 6] = [2, 4, 8, 16, 32, 64];
@@ -26,8 +25,9 @@ pub struct ScalingCell {
 pub struct ScalingTable {
     /// The placement policy.
     pub policy: PlacementPolicy,
-    /// `cells[threads][class]`.
-    pub cells: HashMap<usize, HashMap<KernelClass, ScalingCell>>,
+    /// `cells[t][c]` is thread count `THREADS[t]` and class
+    /// `KernelClass::ALL[c]`.
+    pub cells: [[ScalingCell; KernelClass::ALL.len()]; THREADS.len()],
 }
 
 fn cfg(policy: PlacementPolicy, threads: usize) -> RunConfig {
@@ -44,34 +44,25 @@ fn cfg(policy: PlacementPolicy, threads: usize) -> RunConfig {
 /// Compute a scaling table for one policy.
 pub fn run(policy: PlacementPolicy) -> ScalingTable {
     let m = machine(MachineId::Sg2042);
-    let t1: HashMap<_, _> = suite_times(&m, &cfg(policy, 1))
-        .into_iter()
-        .map(|t| (t.kernel, t.estimate.seconds))
-        .collect();
-
-    let mut cells: HashMap<usize, HashMap<KernelClass, ScalingCell>> = HashMap::new();
-    for threads in THREADS {
-        let times = suite_times(&m, &cfg(policy, threads));
-        let mut by_class: HashMap<KernelClass, Vec<f64>> = HashMap::new();
-        for t in &times {
-            by_class.entry(t.class).or_default().push(t1[&t.kernel] / t.estimate.seconds);
-        }
-        let row = by_class
-            .into_iter()
-            .map(|(class, speedups)| {
-                let speedup = class_mean(&speedups);
-                (class, ScalingCell { speedup, efficiency: speedup / threads as f64 })
-            })
-            .collect();
-        cells.insert(threads, row);
-    }
+    let t1 = suite_seconds(&m, &cfg(policy, 1));
+    let cells = THREADS.map(|threads| {
+        let times = suite_seconds(&m, &cfg(policy, threads));
+        let speedups: Vec<f64> = t1.iter().zip(&times).map(|(one, t)| one / t).collect();
+        let classes = ClassStat::per_class(&speedups);
+        std::array::from_fn(|c| {
+            let speedup = classes[c].mean;
+            ScalingCell { speedup, efficiency: speedup / threads as f64 }
+        })
+    });
     ScalingTable { policy, cells }
 }
 
 impl ScalingTable {
-    /// Cell lookup.
+    /// Cell lookup; `threads` must be one of [`THREADS`].
     pub fn cell(&self, threads: usize, class: KernelClass) -> ScalingCell {
-        self.cells[&threads][&class]
+        let t = THREADS.iter().position(|&n| n == threads).expect("a THREADS entry");
+        let c = KernelClass::ALL.iter().position(|&k| k == class).expect("every class is listed");
+        self.cells[t][c]
     }
 
     /// Render in the paper's layout: one row per thread count, speedup and
@@ -84,10 +75,10 @@ impl ScalingTable {
         }
         let rows = THREADS
             .iter()
-            .map(|&t| {
+            .zip(&self.cells)
+            .map(|(t, cells)| {
                 let mut row = vec![t.to_string()];
-                for class in KernelClass::ALL {
-                    let c = self.cell(t, class);
+                for c in cells {
                     row.push(format!("{:.2}", c.speedup));
                     row.push(format!("{:.2}", c.efficiency));
                 }

@@ -1,11 +1,9 @@
 //! Table 4 and Figures 4–7: the x86 comparison.
 
-use crate::report::{ClassStat, FigureReport, SeriesStat, TableReport};
-use crate::suite::{suite_times, times_faster};
-use rvhpc_kernels::{KernelClass, KernelName};
+use crate::report::{FigureReport, SeriesStat, TableReport};
+use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_machines::{machine, x86_machines, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
-use std::collections::HashMap;
 
 /// Table 4: the x86 CPU inventory, straight from the machine descriptors.
 pub fn table4() -> TableReport {
@@ -34,55 +32,29 @@ pub fn table4() -> TableReport {
     }
 }
 
-/// Per-kernel SG2042 baseline times (best config) at a precision and
-/// thread count ("best" multithreaded = min over 32/64 threads, as the
-/// paper found 32 better for some classes).
-fn sg2042_times(precision: Precision, multithreaded: bool) -> HashMap<KernelName, f64> {
+/// Per-kernel SG2042 baseline times (best config), in `KernelName::ALL`
+/// order, at a precision and thread count ("best" multithreaded = min
+/// over 32/64 threads, as the paper found 32 better for some classes).
+pub(crate) fn sg2042_times(precision: Precision, multithreaded: bool) -> Vec<f64> {
     let m = machine(MachineId::Sg2042);
     if multithreaded {
-        let t32 = suite_times(&m, &RunConfig::sg2042_best(precision, 32));
-        let t64 = suite_times(&m, &RunConfig::sg2042_best(precision, 64));
-        t32.into_iter()
-            .zip(t64)
-            .map(|(a, b)| (a.kernel, a.estimate.seconds.min(b.estimate.seconds)))
-            .collect()
+        fastest_of(
+            &suite_seconds(&m, &RunConfig::sg2042_best(precision, 32)),
+            &suite_seconds(&m, &RunConfig::sg2042_best(precision, 64)),
+        )
     } else {
-        suite_times(&m, &RunConfig::sg2042_best(precision, 1))
-            .into_iter()
-            .map(|t| (t.kernel, t.estimate.seconds))
-            .collect()
+        suite_seconds(&m, &RunConfig::sg2042_best(precision, 1))
     }
-}
-
-fn x86_series(
-    id: MachineId,
-    precision: Precision,
-    threads: usize,
-    base: &HashMap<KernelName, f64>,
-) -> SeriesStat {
-    let m = machine(id);
-    let times = suite_times(&m, &RunConfig::x86(precision, threads));
-    let classes = KernelClass::ALL
-        .into_iter()
-        .map(|class| {
-            let vals: Vec<f64> = times
-                .iter()
-                .filter(|t| t.class == class)
-                .map(|t| times_faster(base[&t.kernel], t.estimate.seconds))
-                .collect();
-            ClassStat::from_values(class, &vals)
-        })
-        .collect();
-    SeriesStat { label: m.name, classes }
 }
 
 fn comparison(id: &str, title: &str, precision: Precision, multithreaded: bool) -> FigureReport {
     let base = sg2042_times(precision, multithreaded);
     let series = x86_machines()
-        .iter()
+        .into_iter()
         .map(|m| {
             let threads = if multithreaded { m.n_cores() } else { 1 };
-            x86_series(m.id, precision, threads, &base)
+            let times = suite_seconds(&m, &RunConfig::x86(precision, threads));
+            SeriesStat::from_kernel_values(m.name, &times_faster_each(&base, &times))
         })
         .collect();
     FigureReport {
@@ -137,6 +109,7 @@ pub fn fig7() -> FigureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvhpc_kernels::KernelClass;
 
     fn series<'a>(fig: &'a FigureReport, name: &str) -> &'a SeriesStat {
         fig.series

@@ -1,8 +1,8 @@
 //! Report structures for figures and tables, with markdown/CSV/JSON
 //! rendering.
 
-use rvhpc_kernels::KernelClass;
-use rvhpc_trace::json::Json;
+use rvhpc_kernels::{KernelClass, KernelName};
+use rvhpc_trace::json::JsonWriter;
 use std::fmt::Write as _;
 
 /// Mean + whisker statistics for one benchmark class (one bar of a paper
@@ -27,6 +27,30 @@ impl ClassStat {
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         ClassStat { class, mean, min, max }
     }
+
+    /// One bar per class, in `KernelClass::ALL` order, over per-kernel
+    /// values given in `KernelName::ALL` order.
+    ///
+    /// `KernelName::ALL` lists the kernels grouped by class in
+    /// `KernelClass::ALL` order, so each class is one contiguous run of
+    /// `values`, and each mean sums its run in `KernelName::ALL` order,
+    /// exactly as a per-class filter of the suite would.
+    pub fn per_class(values: &[f64]) -> Vec<ClassStat> {
+        assert_eq!(values.len(), KernelName::ALL.len(), "one value per kernel");
+        let mut start = 0;
+        let stats = KernelClass::ALL
+            .into_iter()
+            .map(|class| {
+                let len =
+                    KernelName::ALL[start..].iter().take_while(|k| k.class() == class).count();
+                let stat = ClassStat::from_values(class, &values[start..start + len]);
+                start += len;
+                stat
+            })
+            .collect();
+        debug_assert_eq!(start, values.len(), "KernelName::ALL must be grouped by class");
+        stats
+    }
 }
 
 /// One plotted series (one machine/configuration across the six classes).
@@ -39,6 +63,11 @@ pub struct SeriesStat {
 }
 
 impl SeriesStat {
+    /// A series over per-kernel values in `KernelName::ALL` order.
+    pub fn from_kernel_values(label: impl Into<String>, values: &[f64]) -> SeriesStat {
+        SeriesStat { label: label.into(), classes: ClassStat::per_class(values) }
+    }
+
     /// The bar for a class.
     pub fn class(&self, class: KernelClass) -> Option<&ClassStat> {
         self.classes.iter().find(|c| c.class == class)
@@ -150,41 +179,29 @@ impl FigureReport {
 
     /// Render as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("id", Json::str(self.id.clone())),
-            ("title", Json::str(self.title.clone())),
-            ("value_label", Json::str(self.value_label.clone())),
-            (
-                "series",
-                Json::Arr(
-                    self.series
-                        .iter()
-                        .map(|s| {
-                            Json::obj(vec![
-                                ("label", Json::str(s.label.clone())),
-                                (
-                                    "classes",
-                                    Json::Arr(
-                                        s.classes
-                                            .iter()
-                                            .map(|c| {
-                                                Json::obj(vec![
-                                                    ("class", Json::str(c.class.label())),
-                                                    ("mean", Json::Num(c.mean)),
-                                                    ("min", Json::Num(c.min)),
-                                                    ("max", Json::Num(c.max)),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .pretty()
+        let classes: usize = self.series.iter().map(|s| s.classes.len()).sum();
+        let mut w = JsonWriter::pretty(256 + 64 * self.series.len() + 192 * classes);
+        w.open_object();
+        w.key("id").string(&self.id);
+        w.key("title").string(&self.title);
+        w.key("value_label").string(&self.value_label);
+        w.key("series").open_array();
+        for s in &self.series {
+            w.open_object();
+            w.key("label").string(&s.label);
+            w.key("classes").open_array();
+            for c in &s.classes {
+                w.open_object();
+                w.key("class").string(c.class.label());
+                w.key("mean").number(c.mean);
+                w.key("min").number(c.min);
+                w.key("max").number(c.max);
+                w.close_object();
+            }
+            w.close_array().close_object();
+        }
+        w.close_array().close_object();
+        w.finish()
     }
 }
 
@@ -238,29 +255,28 @@ impl TableReport {
 
     /// Render as pretty-printed JSON (rows as header-keyed objects).
     pub fn to_json(&self) -> String {
-        Json::obj(vec![
-            ("id", Json::str(self.id.clone())),
-            ("title", Json::str(self.title.clone())),
-            ("headers", Json::Arr(self.headers.iter().map(Json::str).collect())),
-            (
-                "rows",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|row| {
-                            Json::Obj(
-                                self.headers
-                                    .iter()
-                                    .zip(row)
-                                    .map(|(h, cell)| (h.clone(), Json::str(cell.clone())))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .pretty()
+        let text = |cells: &[String]| cells.iter().map(|c| c.len() + 8).sum::<usize>();
+        let header_text = text(&self.headers);
+        let cells: usize = self.rows.iter().map(|row| 16 + header_text + text(row)).sum();
+        let mut w = JsonWriter::pretty(256 + 2 * header_text + cells);
+        w.open_object();
+        w.key("id").string(&self.id);
+        w.key("title").string(&self.title);
+        w.key("headers").open_array();
+        for h in &self.headers {
+            w.string(h);
+        }
+        w.close_array();
+        w.key("rows").open_array();
+        for row in &self.rows {
+            w.open_object();
+            for (h, cell) in self.headers.iter().zip(row) {
+                w.key(h).string(cell);
+            }
+            w.close_object();
+        }
+        w.close_array().close_object();
+        w.finish()
     }
 }
 
@@ -274,6 +290,35 @@ mod tests {
         assert_eq!(s.mean, 1.0);
         assert_eq!(s.min, -1.0);
         assert_eq!(s.max, 3.0);
+    }
+
+    #[test]
+    fn kernels_are_grouped_by_class_in_class_order() {
+        // `per_class` slices `KernelName::ALL` into one run per class.
+        let classes: Vec<KernelClass> = KernelName::ALL.iter().map(|k| k.class()).collect();
+        let mut runs = classes.clone();
+        runs.dedup();
+        assert_eq!(runs, KernelClass::ALL);
+    }
+
+    #[test]
+    fn per_class_matches_a_class_filter_bit_for_bit() {
+        let values: Vec<f64> =
+            (0..KernelName::ALL.len()).map(|i| ((i * 37 % 11) as f64 - 5.0) / 3.0).collect();
+        let stats = ClassStat::per_class(&values);
+        for (class, stat) in KernelClass::ALL.into_iter().zip(&stats) {
+            let filtered: Vec<f64> = KernelName::ALL
+                .iter()
+                .zip(&values)
+                .filter(|(k, _)| k.class() == class)
+                .map(|(_, v)| *v)
+                .collect();
+            let expected = ClassStat::from_values(class, &filtered);
+            assert_eq!(stat.class, class);
+            assert_eq!(stat.mean.to_bits(), expected.mean.to_bits(), "{class}");
+            assert_eq!(stat.min.to_bits(), expected.min.to_bits(), "{class}");
+            assert_eq!(stat.max.to_bits(), expected.max.to_bits(), "{class}");
+        }
     }
 
     #[test]

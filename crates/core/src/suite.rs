@@ -31,13 +31,29 @@ pub struct KernelTime {
 /// single-lane run: the estimator is pure, and neither the handout order
 /// nor the cache state can change a value.
 pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
-    let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
-    let row = RowEnv::new(machine, cfg);
     KernelName::ALL
         .into_iter()
-        .zip(estimate_batch(&KernelName::ALL.map(|k| (&row, k))))
+        .zip(suite_row(machine, cfg))
         .map(|(kernel, estimate)| KernelTime { kernel, class: kernel.class(), estimate })
         .collect()
+}
+
+/// Each kernel's [`suite_times`] seconds, in `KernelName::ALL` order: the
+/// form the experiments aggregate by position.
+pub fn suite_seconds(machine: &Machine, cfg: &RunConfig) -> Vec<f64> {
+    suite_row(machine, cfg).iter().map(|e| e.seconds).collect()
+}
+
+fn suite_row(machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstimate> {
+    let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
+    let row = RowEnv::new(machine, cfg);
+    estimate_batch(&KernelName::ALL.map(|k| (&row, k)))
+}
+
+/// The kernel-by-kernel minimum of two rows of seconds: a machine at the
+/// better of two configurations.
+pub fn fastest_of(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(x, y)| x.min(*y)).collect()
 }
 
 /// The paper's "number of times faster" convention for its figures:
@@ -59,6 +75,12 @@ pub fn times_faster(baseline_seconds: f64, this_seconds: f64) -> f64 {
     } else {
         -(1.0 / ratio - 1.0)
     }
+}
+
+/// [`times_faster`] kernel by kernel, for rows of seconds in the same
+/// order.
+pub fn times_faster_each(baseline: &[f64], this: &[f64]) -> Vec<f64> {
+    baseline.iter().zip(this).map(|(&b, &t)| times_faster(b, t)).collect()
 }
 
 /// Mean of a slice.

@@ -31,6 +31,7 @@ use crate::ring::ConsistentRing;
 use rvhpc_serve::protocol::{error_response, ok_response, parse_request};
 use rvhpc_serve::{ErrorKind, Request};
 use rvhpc_trace::json::Json;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -176,13 +177,13 @@ fn exchange_with_shard(
     line: &str,
 ) -> std::io::Result<String> {
     let addr = shared.state.addr(shard);
-    let stale = pool.get(&shard).map(|c| c.addr != addr).unwrap_or(true);
-    if stale {
+    if pool.get(&shard).is_some_and(|c| c.addr != addr) {
         pool.remove(&shard);
-        let conn = open_shard_conn(&addr, shared.config.io_timeout)?;
-        pool.insert(shard, conn);
     }
-    let conn = pool.get_mut(&shard).expect("just inserted");
+    let conn = match pool.entry(shard) {
+        Entry::Occupied(pooled) => pooled.into_mut(),
+        Entry::Vacant(slot) => slot.insert(open_shard_conn(&addr, shared.config.io_timeout)?),
+    };
     let result = (|| {
         conn.stream.write_all(line.as_bytes())?;
         conn.stream.write_all(b"\n")?;
@@ -473,11 +474,17 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
                             let _ = writer.write_all(b"\n");
                             return;
                         }
-                        _ => {
-                            let key = routing_key(&req)
-                                .expect("every routed op has a key by construction");
-                            route_line(shared, &mut pool, &key, &line, &id)
-                        }
+                        // Every op left here has a routing key; one without
+                        // is a router bug, answered rather than panicking.
+                        _ => match routing_key(&req) {
+                            Some(key) => route_line(shared, &mut pool, &key, &line, &id),
+                            None => error_response(
+                                &id,
+                                ErrorKind::Internal,
+                                &format!("op {op} has no routing key"),
+                                None,
+                            ),
+                        },
                     }
                 }
             }

@@ -2,7 +2,7 @@
 
 use crate::calibration::{calibration, Calibration};
 use crate::compute::{compute_seconds, VectorCtx};
-use crate::config::{RunConfig, Toolchain};
+use crate::config::RunConfig;
 use crate::memory::memory_seconds;
 use crate::row::RowEnv;
 use crate::scaling::effective_threads;
@@ -103,10 +103,10 @@ pub(crate) fn resolve_vector(
         return VectorCtx::scalar();
     }
 
-    let active = match cfg.toolchain {
-        Toolchain::X86Gcc => w.vec.vectorizable,
-        Toolchain::XuanTieGcc | Toolchain::ClangRvv => {
-            let compiler = cfg.toolchain.riscv_compiler().expect("riscv toolchain");
+    let active = match cfg.toolchain.riscv_compiler() {
+        // x86 GCC: the kernel's own vectorisability decides.
+        None => w.vec.vectorizable,
+        Some(compiler) => {
             if compiler == rvhpc_compiler::Compiler::XuanTieGcc && cfg.mode == VectorMode::Vla {
                 // The GCC fork emits VLS only.
                 false
@@ -302,7 +302,7 @@ fn splitmix(state: &mut u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Precision;
+    use crate::config::{Precision, Toolchain};
     use rvhpc_machines::{machine, MachineId, PlacementPolicy};
     use std::sync::atomic::Ordering::Relaxed;
 

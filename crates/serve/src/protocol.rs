@@ -16,7 +16,9 @@
 //! are closed: `bad_request` (malformed line or unknown field/op/operand),
 //! `overloaded` (admission queue full; carries `retry_after_ms`),
 //! `deadline_exceeded` (the request's `deadline_ms` budget expired before
-//! its batch ran) and `shutting_down` (arrived after a drain began).
+//! its batch ran), `shutting_down` (arrived after a drain began) and
+//! `internal` (the server reached a state it should never be in; the
+//! request was not served, the connection stays up).
 
 use rvhpc_cluster::{NetworkKind, ScalingMode};
 use rvhpc_compiler::VectorMode;
@@ -58,6 +60,8 @@ pub enum ErrorKind {
     DeadlineExceeded,
     /// The server is draining; no new work is admitted.
     ShuttingDown,
+    /// An invariant failed inside the server; the request was not served.
+    Internal,
 }
 
 impl ErrorKind {
@@ -68,6 +72,7 @@ impl ErrorKind {
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::ShuttingDown => "shutting_down",
+            ErrorKind::Internal => "internal",
         }
     }
 }

@@ -482,14 +482,20 @@ impl Server {
             std::thread::Builder::new()
                 .name("rvhpc-serve-scraper".to_string())
                 .spawn(move || scraper_loop(&shared, &path))
-                .expect("spawn scraper")
         });
+        let scraper = match scraper.transpose() {
+            Ok(scraper) => scraper,
+            Err(e) => return Err(stop_started(&shared, [reactor], e)),
+        };
         let batcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("rvhpc-serve-batcher".to_string())
                 .spawn(move || batcher_loop(&shared, &queue_rx))
-                .expect("spawn batcher")
+        };
+        let batcher = match batcher {
+            Ok(batcher) => batcher,
+            Err(e) => return Err(stop_started(&shared, [reactor].into_iter().chain(scraper), e)),
         };
         Ok(Server { local_addr, shared, reactor, batcher, scraper })
     }
@@ -524,13 +530,29 @@ impl Server {
     }
 }
 
+/// A thread failed to spawn during [`Server::start`]: drain and join the
+/// threads already running, then hand back the spawn error. No batcher
+/// runs, so the drain is marked complete for the reactor and scraper to
+/// exit on.
+fn stop_started(
+    shared: &Shared,
+    started: impl IntoIterator<Item = JoinHandle<()>>,
+    error: std::io::Error,
+) -> std::io::Error {
+    shared.begin_drain();
+    shared.batcher_done.store(true, Ordering::SeqCst);
+    for thread in started {
+        let _ = thread.join();
+    }
+    error
+}
+
 #[cfg(target_os = "linux")]
 fn spawn_reactor(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
-    Ok(std::thread::Builder::new()
+    std::thread::Builder::new()
         .name("rvhpc-serve-reactor".to_string())
         .spawn(move || crate::reactor::reactor_loop(&shared, listener))
-        .expect("spawn reactor"))
 }
 
 #[cfg(not(target_os = "linux"))]

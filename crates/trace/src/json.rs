@@ -1,9 +1,19 @@
-//! A minimal JSON value type with a renderer and a parser.
+//! JSON for the workspace: a value tree, a streaming writer and a parser.
 //!
-//! The workspace builds offline, so there is no serde; this module is the
-//! single JSON substrate shared by the Chrome-trace exporter and the
-//! `repro --json` artefact output. Object keys keep insertion order so
-//! rendered output is deterministic.
+//! The workspace builds offline and has no external dependencies, so
+//! there is no serde; this module is the single JSON substrate shared by
+//! the Chrome-trace exporter, the serve protocol, the metrics documents
+//! and the `repro --json` artefact output.
+//!
+//! * [`JsonWriter`] is the one formatter. It takes open/close, key and
+//!   scalar calls in document order and renders compactly or with
+//!   two-space indentation into a buffer reserved once. Artefacts of a
+//!   fixed shape (the paper's figures and tables) stream straight into it.
+//! * [`Json`] is a tree for documents built or inspected piecemeal;
+//!   [`Json::render`] and [`Json::pretty`] stream it through the writer.
+//!   Object keys keep insertion order, so rendered output is
+//!   deterministic.
+//! * [`Json::parse`] reads a document back into a tree.
 
 use std::fmt::Write as _;
 
@@ -87,112 +97,251 @@ impl Json {
 
     /// Render compactly (no whitespace).
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
+        let mut w = JsonWriter::compact(0);
+        self.write(&mut w);
+        w.finish()
     }
 
     /// Render with two-space indentation.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        let mut w = JsonWriter::pretty(0);
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Stream this value into a writer.
+    pub fn write(&self, w: &mut JsonWriter) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.number(*n),
+            Json::Str(s) => w.string(s),
             Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    items[i].write(out, indent, d);
-                });
+                w.open_array();
+                for item in items {
+                    item.write(w);
+                }
+                w.close_array()
             }
             Json::Obj(pairs) => {
-                write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i, d| {
-                    write_escaped(out, &pairs[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    pairs[i].1.write(out, indent, d);
-                });
+                w.open_object();
+                for (k, v) in pairs {
+                    w.key(k);
+                    v.write(w);
+                }
+                w.close_object()
             }
-        }
+        };
     }
 
     /// Parse a JSON document. Returns a description of the first error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
+/// Two-space indentation is copied out of this in slices.
+const SPACES: &str = "                                                                ";
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_seq(
-    out: &mut String,
+/// A streaming JSON writer: the one formatter behind [`Json::render`] and
+/// [`Json::pretty`], and what artefacts with a fixed shape render through
+/// directly, without building a [`Json`] tree first.
+///
+/// Values are written in document order: `open_*`/`close_*` bracket
+/// containers, [`key`](Self::key) precedes each object member's value, and
+/// [`string`](Self::string), [`number`](Self::number), [`bool`](Self::bool)
+/// and [`null`](Self::null) write scalars. The writer places commas,
+/// newlines and indentation itself, and its output is byte-identical to
+/// the tree renderer for the same sequence of values. The caller's
+/// capacity is reserved up front; unescaped string runs and indentation
+/// are copied as slices.
+pub struct JsonWriter {
+    out: String,
+    /// Spaces per nesting level; `None` renders compactly.
     indent: Option<usize>,
     depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+    /// The innermost open container already holds an item.
+    has_items: bool,
+    /// A key was written and its value is next.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// A writer rendering compactly, with `capacity` bytes reserved.
+    pub fn compact(capacity: usize) -> JsonWriter {
+        JsonWriter::new(None, capacity)
     }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+
+    /// A writer rendering with two-space indentation, with `capacity`
+    /// bytes reserved.
+    pub fn pretty(capacity: usize) -> JsonWriter {
+        JsonWriter::new(Some(2), capacity)
+    }
+
+    fn new(indent: Option<usize>, capacity: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(capacity),
+            indent,
+            depth: 0,
+            has_items: false,
+            after_key: false,
         }
-        if let Some(width) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat_n(' ', width * (depth + 1)));
+    }
+
+    /// The rendered document.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Open an object.
+    pub fn open_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Close the innermost object.
+    pub fn close_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Open an array.
+    pub fn open_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Close the innermost array.
+    pub fn close_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Write an object member's key; its value is the next thing written.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        write_escaped(&mut self.out, key);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
         }
-        item(out, i, depth + 1);
+        self.after_key = true;
+        self
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * depth));
+
+    /// Write a string.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.item();
+        write_escaped(&mut self.out, s);
+        self
     }
-    out.push(close);
+
+    /// Write a number; non-finite values render as `null`, integral ones
+    /// below 1e15 in magnitude without a fraction.
+    pub fn number(&mut self, n: f64) -> &mut Self {
+        self.item();
+        if !n.is_finite() {
+            self.out.push_str("null");
+        } else if n == n.trunc() && n.abs() < 1e15 {
+            let _ = write!(self.out, "{}", n as i64);
+        } else {
+            let _ = write!(self.out, "{n}");
+        }
+        self
+    }
+
+    /// Write `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Write `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.item();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Start a value: the separator and indentation it needs inside its
+    /// container, or nothing after a key or at the top level.
+    fn item(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+            return;
+        }
+        if self.depth > 0 {
+            if self.has_items {
+                self.out.push(',');
+            }
+            self.newline(self.depth);
+        }
+        self.has_items = true;
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.item();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.has_items = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        debug_assert!(self.depth > 0, "close without a matching open");
+        self.depth -= 1;
+        if self.has_items {
+            self.newline(self.depth);
+        }
+        self.out.push(bracket);
+        // The enclosing container holds at least the one just closed.
+        self.has_items = true;
+        self
+    }
+
+    fn newline(&mut self, depth: usize) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            let mut n = width * depth;
+            while n > 0 {
+                let run = n.min(SPACES.len());
+                self.out.push_str(&SPACES[..run]);
+                n -= run;
+            }
+        }
+    }
+}
+
+/// Append `s` as a quoted JSON string. Runs of bytes that need no escape
+/// are copied as slices; every byte that needs one is ASCII, so each
+/// slice boundary is a char boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -201,14 +350,15 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -218,7 +368,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -240,13 +390,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -259,7 +409,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(text, pos),
     }
 }
 
@@ -272,20 +422,29 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Resul
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parse a quoted string. Runs between escapes are copied as slices of
+/// `text`: they end at a `"` or `\\`, which are ASCII, so every slice
+/// boundary is a char boundary.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -297,10 +456,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let hex = text
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         // Surrogate pairs are not needed for our own output;
                         // map lone surrogates to the replacement character.
@@ -311,40 +469,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Copy one UTF-8 scalar. Find its length from the leading byte.
-                let start = *pos;
-                let len = utf8_len(bytes[start]);
-                let chunk =
-                    bytes.get(start..start + len).ok_or("truncated UTF-8 sequence".to_string())?;
-                let s = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
-                out.push_str(s);
-                *pos += len;
-            }
         }
     }
 }
 
-fn utf8_len(lead: u8) -> usize {
-    match lead {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    let num = &text[start..*pos];
+    num.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number {num:?} at byte {start}"))
 }
 
 #[cfg(test)]
@@ -400,5 +538,182 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(2.5));
         assert_eq!(v.get("b").and_then(|b| b.as_str()), Some("x"));
         assert_eq!(v.get("missing"), None);
+    }
+
+    /// The renderer the streaming writer replaced, kept as its oracle:
+    /// a recursive walk that escapes one char at a time and pads with
+    /// repeated spaces.
+    fn reference(value: &Json, indent: Option<usize>) -> String {
+        fn escaped(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        fn seq<T>(
+            out: &mut String,
+            indent: Option<usize>,
+            depth: usize,
+            brackets: (char, char),
+            items: &[T],
+            mut item: impl FnMut(&mut String, &T),
+        ) {
+            out.push(brackets.0);
+            if items.is_empty() {
+                out.push(brackets.1);
+                return;
+            }
+            for (i, it) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if let Some(width) = indent {
+                    out.push('\n');
+                    out.extend(std::iter::repeat_n(' ', width * (depth + 1)));
+                }
+                item(out, it);
+            }
+            if let Some(width) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat_n(' ', width * depth));
+            }
+            out.push(brackets.1);
+        }
+        fn walk(out: &mut String, v: &Json, indent: Option<usize>, depth: usize) {
+            match v {
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Num(n) if !n.is_finite() => out.push_str("null"),
+                Json::Num(n) if *n == n.trunc() && n.abs() < 1e15 => {
+                    let _ = write!(out, "{}", *n as i64);
+                }
+                Json::Num(n) => {
+                    let _ = write!(out, "{n}");
+                }
+                Json::Str(s) => escaped(out, s),
+                Json::Arr(items) => seq(out, indent, depth, ('[', ']'), items, |out, v| {
+                    walk(out, v, indent, depth + 1)
+                }),
+                Json::Obj(pairs) => seq(out, indent, depth, ('{', '}'), pairs, |out, (k, v)| {
+                    escaped(out, k);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    walk(out, v, indent, depth + 1);
+                }),
+            }
+        }
+        let mut out = String::new();
+        walk(&mut out, value, indent, 0);
+        out
+    }
+
+    fn gen_string(g: &mut rvhpc_quickprop::Gen) -> String {
+        const CHARS: [char; 16] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            '€', '𝄞',
+        ];
+        let len = g.usize_in(0..=12);
+        (0..len).map(|_| *g.choose(&CHARS)).collect()
+    }
+
+    fn gen_number(g: &mut rvhpc_quickprop::Gen) -> f64 {
+        match g.usize_in(0..=7) {
+            0 => g.i64_in(-1_000_000..=1_000_000) as f64,
+            1 => *g.choose(&[1e15, -1e15, 999_999_999_999_999.0, 2f64.powi(53) + 2.0, 1e300]),
+            2 => -0.0,
+            3 => *g.choose(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+            4 => *g.choose(&[f64::MIN_POSITIVE, 5e-324, f64::MAX, f64::MIN]),
+            _ => f64::from_bits(g.u64()),
+        }
+    }
+
+    fn gen_doc(g: &mut rvhpc_quickprop::Gen, depth: usize) -> Json {
+        let leaf = depth == 0 || g.bool_with(0.4);
+        match g.usize_in(if leaf { 0..=3 } else { 4..=5 }) {
+            0 => Json::Null,
+            1 => Json::Bool(g.bool_with(0.5)),
+            2 => Json::Num(gen_number(g)),
+            3 => Json::Str(gen_string(g)),
+            4 => Json::Arr((0..g.usize_in(0..=4)).map(|_| gen_doc(g, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..g.usize_in(0..=4)).map(|_| (gen_string(g), gen_doc(g, depth - 1))).collect(),
+            ),
+        }
+    }
+
+    /// What a document reads back as: non-finite numbers render as `null`.
+    fn as_parsed(v: &Json) -> Json {
+        match v {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(as_parsed).collect()),
+            Json::Obj(pairs) => {
+                Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), as_parsed(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    #[test]
+    fn streaming_writer_matches_the_reference_renderer_and_round_trips() {
+        rvhpc_quickprop::run_cases(512, |g| {
+            let doc = gen_doc(g, 4);
+            let (compact, pretty) = (doc.render(), doc.pretty());
+            assert_eq!(compact, reference(&doc, None));
+            assert_eq!(pretty, reference(&doc, Some(2)));
+            let back = as_parsed(&doc);
+            assert_eq!(Json::parse(&compact).expect("compact parses"), back, "{compact}");
+            assert_eq!(Json::parse(&pretty).expect("pretty parses"), back, "{pretty}");
+        });
+    }
+
+    #[test]
+    fn writer_calls_render_like_the_tree() {
+        let tree = Json::obj(vec![
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            ("nested", Json::Arr(vec![Json::Arr(vec![Json::Num(-0.0)]), Json::Obj(vec![])])),
+            ("s", Json::str("q\"b\\c\u{1}é")),
+        ]);
+        for (mut w, expected) in
+            [(JsonWriter::compact(64), tree.render()), (JsonWriter::pretty(64), tree.pretty())]
+        {
+            w.open_object();
+            w.key("empty_arr").open_array().close_array();
+            w.key("empty_obj").open_object().close_object();
+            w.key("nested").open_array();
+            w.open_array().number(-0.0).close_array();
+            w.open_object().close_object();
+            w.close_array();
+            w.key("s").string("q\"b\\c\u{1}é");
+            w.close_object();
+            assert_eq!(w.finish(), expected);
+        }
+        assert_eq!(
+            tree.render(),
+            r#"{"empty_arr":[],"empty_obj":{},"nested":[[0],{}],"s":"q\"b\\c\u0001é"}"#
+        );
+    }
+
+    #[test]
+    fn parse_copies_multibyte_runs_and_rejects_bad_escapes() {
+        let v = Json::parse(r#"["€𝄞 é", "a\u00e9b\"\\/", ""]"#).unwrap();
+        assert_eq!(v, Json::Arr(vec![Json::str("€𝄞 é"), Json::str("aéb\"\\/"), Json::str("")]));
+        assert!(Json::parse(r#""\u00""#).is_err());
+        assert!(Json::parse(r#""\u00€""#).is_err());
+        assert!(Json::parse(r#""\x""#).is_err());
+        assert!(Json::parse(r#""ends in escape\"#).is_err());
     }
 }

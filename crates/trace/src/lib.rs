@@ -8,10 +8,10 @@
 //! * **Spans** ([`span!`]) — named, argument-carrying intervals collected
 //!   thread-safely and exported as Chrome `chrome://tracing` JSON
 //!   ([`chrome`]);
-//! * **JSON** ([`json`]) — a minimal JSON value type with a renderer and a
-//!   parser, shared by the Chrome exporter, the metrics documents and the
-//!   `repro --json` output (the build environment is offline; there is no
-//!   serde here).
+//! * **JSON** ([`json`]) — a streaming writer, a value tree rendered
+//!   through it and a parser, shared by the Chrome exporter, the serve
+//!   protocol, the metrics documents and the `repro --json` output (the
+//!   build environment is offline; there is no serde here).
 //!
 //! Named counts, gauges and latency histograms live in `rvhpc-obs`, the
 //! one metrics registry; a Chrome export carries the caller's counter
