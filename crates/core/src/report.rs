@@ -179,6 +179,8 @@ impl FigureReport {
 
     /// Render as pretty-printed JSON.
     pub fn to_json(&self) -> String {
+        // Reserve the whole document: a class's object renders in under
+        // 192 bytes.
         let classes: usize = self.series.iter().map(|s| s.classes.len()).sum();
         let mut w = JsonWriter::pretty(256 + 64 * self.series.len() + 192 * classes);
         w.open_object();
@@ -255,6 +257,9 @@ impl TableReport {
 
     /// Render as pretty-printed JSON (rows as header-keyed objects).
     pub fn to_json(&self) -> String {
+        // Reserve the whole document: every row repeats the headers as keys,
+        // and a header or cell line adds under 16 bytes of quotes,
+        // separators and indentation to its text.
         let text = |cells: &[String]| cells.iter().map(|c| c.len() + 8).sum::<usize>();
         let header_text = text(&self.headers);
         let cells: usize = self.rows.iter().map(|row| 16 + header_text + text(row)).sum();
@@ -295,8 +300,7 @@ mod tests {
     #[test]
     fn kernels_are_grouped_by_class_in_class_order() {
         // `per_class` slices `KernelName::ALL` into one run per class.
-        let classes: Vec<KernelClass> = KernelName::ALL.iter().map(|k| k.class()).collect();
-        let mut runs = classes.clone();
+        let mut runs: Vec<KernelClass> = KernelName::ALL.iter().map(|k| k.class()).collect();
         runs.dedup();
         assert_eq!(runs, KernelClass::ALL);
     }

@@ -52,7 +52,7 @@ fn suite_row(machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstimate> {
 
 /// The kernel-by-kernel minimum of two rows of seconds: a machine at the
 /// better of two configurations.
-pub fn fastest_of(a: &[f64], b: &[f64]) -> Vec<f64> {
+pub(crate) fn fastest_of(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x.min(*y)).collect()
 }
 
@@ -79,7 +79,7 @@ pub fn times_faster(baseline_seconds: f64, this_seconds: f64) -> f64 {
 
 /// [`times_faster`] kernel by kernel, for rows of seconds in the same
 /// order.
-pub fn times_faster_each(baseline: &[f64], this: &[f64]) -> Vec<f64> {
+pub(crate) fn times_faster_each(baseline: &[f64], this: &[f64]) -> Vec<f64> {
     baseline.iter().zip(this).map(|(&b, &t)| times_faster(b, t)).collect()
 }
 

@@ -109,8 +109,7 @@ impl Json {
         w.finish()
     }
 
-    /// Stream this value into a writer.
-    pub fn write(&self, w: &mut JsonWriter) {
+    fn write(&self, w: &mut JsonWriter) {
         match self {
             Json::Null => w.null(),
             Json::Bool(b) => w.bool(*b),
@@ -163,8 +162,8 @@ const SPACES: &str = "                                                          
 /// are copied as slices.
 pub struct JsonWriter {
     out: String,
-    /// Spaces per nesting level; `None` renders compactly.
-    indent: Option<usize>,
+    /// Two-space indentation, or compact.
+    pretty: bool,
     depth: usize,
     /// The innermost open container already holds an item.
     has_items: bool,
@@ -175,19 +174,19 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// A writer rendering compactly, with `capacity` bytes reserved.
     pub fn compact(capacity: usize) -> JsonWriter {
-        JsonWriter::new(None, capacity)
+        JsonWriter::new(false, capacity)
     }
 
     /// A writer rendering with two-space indentation, with `capacity`
     /// bytes reserved.
     pub fn pretty(capacity: usize) -> JsonWriter {
-        JsonWriter::new(Some(2), capacity)
+        JsonWriter::new(true, capacity)
     }
 
-    fn new(indent: Option<usize>, capacity: usize) -> JsonWriter {
+    fn new(pretty: bool, capacity: usize) -> JsonWriter {
         JsonWriter {
             out: String::with_capacity(capacity),
-            indent,
+            pretty,
             depth: 0,
             has_items: false,
             after_key: false,
@@ -224,7 +223,7 @@ impl JsonWriter {
         self.item();
         write_escaped(&mut self.out, key);
         self.out.push(':');
-        if self.indent.is_some() {
+        if self.pretty {
             self.out.push(' ');
         }
         self.after_key = true;
@@ -303,9 +302,9 @@ impl JsonWriter {
     }
 
     fn newline(&mut self, depth: usize) {
-        if let Some(width) = self.indent {
+        if self.pretty {
             self.out.push('\n');
-            let mut n = width * depth;
+            let mut n = 2 * depth;
             while n > 0 {
                 let run = n.min(SPACES.len());
                 self.out.push_str(&SPACES[..run]);
