@@ -276,7 +276,7 @@ impl JsonWriter {
             if self.has_items {
                 self.out.push(',');
             }
-            self.newline(self.depth);
+            self.newline();
         }
         self.has_items = true;
     }
@@ -293,7 +293,7 @@ impl JsonWriter {
         debug_assert!(self.depth > 0, "close without a matching open");
         self.depth -= 1;
         if self.has_items {
-            self.newline(self.depth);
+            self.newline();
         }
         self.out.push(bracket);
         // The enclosing container holds at least the one just closed.
@@ -301,10 +301,11 @@ impl JsonWriter {
         self
     }
 
-    fn newline(&mut self, depth: usize) {
+    /// In pretty mode, a newline and the current depth's indentation.
+    fn newline(&mut self) {
         if self.pretty {
             self.out.push('\n');
-            let mut n = 2 * depth;
+            let mut n = 2 * self.depth;
             while n > 0 {
                 let run = n.min(SPACES.len());
                 self.out.push_str(&SPACES[..run]);
