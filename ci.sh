@@ -15,6 +15,10 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc \
         --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
+    # The serving tests hold the batcher with `Server::pause_batcher`; on
+    # one CPU the reactor, the batcher and the test thread share a core.
+    taskset -c 0 cargo test -q -p rvhpc-integration-tests --test serve_end_to_end \
+        --test serve_differential --test serve_sigterm --test obs_end_to_end
 fi
 
 cargo fmt --all --check

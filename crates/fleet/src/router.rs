@@ -11,8 +11,8 @@
 //!
 //! Per-op behaviour:
 //!
-//! * `estimate` / `explain` / `suite` / `cluster` / `sleep` — routed by
-//!   the consistent-hash ring over the estimate-cache key material
+//! * `estimate` / `explain` / `suite` / `cluster` / `lint_machine` —
+//!   routed by the consistent-hash ring over the estimate-cache key material
 //!   ([`routing_key`]), with bounded jittered retries on `overloaded` and
 //!   rerouting to the ring successor on connect failure.
 //! * `submit_kernel` / `submit_machine` — broadcast to every live shard
@@ -107,7 +107,6 @@ pub fn routing_key(req: &Request) -> Option<String> {
             mode.token()
         )),
         Request::LintMachine { machine, .. } => Some(format!("lint/{}", machine.token())),
-        Request::Sleep { ms } => Some(format!("sleep/{ms}")),
         Request::SubmitKernel { .. }
         | Request::SubmitMachine { .. }
         | Request::Stats

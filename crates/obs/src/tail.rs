@@ -22,7 +22,7 @@ pub const DEFAULT_RING_CAP: usize = 64;
 pub struct SlowRequest {
     /// The request's rendered JSON `id`.
     pub id: String,
-    /// The op, e.g. `estimate` or `sleep`.
+    /// The op, e.g. `estimate` or `suite`.
     pub op: String,
     /// Human-oriented summary of the payload (machine/kernel/threads…).
     pub detail: String,

@@ -57,5 +57,5 @@ pub mod submit;
 
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use protocol::{ErrorKind, Request, MAX_LINE_BYTES};
-pub use server::{ServeConfig, Server, ServerStats};
+pub use server::{BatcherPause, ServeConfig, Server, ServerStats};
 pub use submit::{admit_kernel, KernelArtifact, Rejection, DEFAULT_MAX_FUEL, MAX_SUBMIT_INSTS};

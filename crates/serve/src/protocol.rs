@@ -31,10 +31,6 @@ use rvhpc_trace::json::Json;
 /// `bad_request` rather than buffered without bound.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Longest `sleep` op honoured, so a hostile client cannot park the
-/// batcher for minutes.
-pub const MAX_SLEEP_MS: u64 = 10_000;
-
 /// `slow_requests` exemplars returned when the client sets no `limit`.
 pub const DEFAULT_SLOW_LIMIT: usize = 16;
 
@@ -202,12 +198,6 @@ pub enum Request {
     },
     /// Liveness probe.
     Ping,
-    /// Hold the batcher for `ms` milliseconds (diagnostic op used by the
-    /// backpressure tests and the loadgen's overload probe; batched path).
-    Sleep {
-        /// How long to sleep.
-        ms: u64,
-    },
     /// Begin a graceful drain.
     Shutdown,
 }
@@ -231,7 +221,6 @@ impl Request {
             Request::Metrics { .. } => "metrics",
             Request::SlowRequests { .. } => "slow_requests",
             Request::Ping => "ping",
-            Request::Sleep { .. } => "sleep",
             Request::Shutdown => "shutdown",
         }
     }
@@ -260,7 +249,6 @@ fn allowed_fields(op: &str) -> &'static [&'static str] {
         "cluster" => &["machine", "kernel", "network", "mode", "precision", "nodes"],
         "submit_kernel" => &["asm", "env"],
         "submit_machine" => &["descriptor"],
-        "sleep" => &["ms"],
         "metrics" => &["format"],
         "slow_requests" => &["limit"],
         _ => &[],
@@ -379,21 +367,11 @@ pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
             }),
         },
         "ping" => Ok(Request::Ping),
-        "sleep" => match doc.get("ms") {
-            Some(v) => parse_count(v, "ms").and_then(|ms| {
-                if ms > MAX_SLEEP_MS {
-                    Err(format!("`ms` capped at {MAX_SLEEP_MS}"))
-                } else {
-                    Ok(Request::Sleep { ms })
-                }
-            }),
-            None => Err("sleep needs a numeric `ms` field".to_string()),
-        },
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
             "unknown op `{other}` (known: estimate, explain, suite, submit_kernel, \
              submit_machine, lint_machine, cluster, stats, metrics, slow_requests, \
-             ping, sleep, shutdown)"
+             ping, shutdown)"
         )),
     };
     (id, parsed)
@@ -824,9 +802,9 @@ mod tests {
     }
 
     #[test]
-    fn sleep_is_capped_and_shutdown_parses() {
-        assert!(matches!(must_parse(r#"{"op":"sleep","ms":50}"#), Request::Sleep { ms: 50 }));
-        assert!(must_fail(r#"{"op":"sleep","ms":999999}"#).contains("capped"));
+    fn sleep_is_rejected_and_shutdown_parses() {
+        assert!(must_fail(r#"{"op":"sleep"}"#).starts_with("unknown op `sleep`"));
+        assert!(must_fail(r#"{"op":"sleep","ms":50}"#).starts_with("unknown field `ms`"));
         assert!(matches!(must_parse(r#"{"op":"shutdown"}"#), Request::Shutdown));
         assert!(matches!(must_parse(r#"{"op":"ping","id":null}"#), Request::Ping));
     }

@@ -7,14 +7,14 @@
 //!   │  accept, read, frame lines
 //!   │  direct ops (explain/suite/lint/stats/ping)
 //!   │  answered inline on the event loop
-//!   └─ estimate/sleep ──try_send──▶ bounded queue
-//!                                      │
-//!                batcher ◀─────────────┘
-//!                coalesce ≤ batch_max within window,
-//!                dedupe, answer hits under one cache
-//!                lock, fan only misses out via
-//!                global_team (cache::estimate_batch),
-//!                post each reply to the reactor's mailbox
+//!   └─ estimate ──try_send──▶ bounded queue
+//!                                │
+//!          batcher ◀─────────────┘
+//!          coalesce ≤ batch_max within window,
+//!          dedupe, answer hits under one cache
+//!          lock, fan only misses out via
+//!          global_team (cache::estimate_batch),
+//!          post each reply to the reactor's mailbox
 //! ```
 //!
 //! Backpressure is explicit: `try_send` on the bounded queue either admits
@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,7 +47,7 @@ pub struct ServeConfig {
     /// Bind address; port 0 asks the OS for an ephemeral port (read the
     /// real one back from [`Server::local_addr`]).
     pub addr: String,
-    /// Admission-queue bound: estimate/sleep requests beyond this many
+    /// Admission-queue bound: estimate requests beyond this many
     /// in flight are answered `overloaded` instead of queued.
     pub queue_capacity: usize,
     /// Largest batch the coalescer assembles.
@@ -113,7 +113,7 @@ pub struct ServerStats {
     pub connections: AtomicU64,
     /// Request lines received (including rejected ones).
     pub requests: AtomicU64,
-    /// Estimate/sleep requests admitted to the queue.
+    /// Estimate requests admitted to the queue.
     pub admitted: AtomicU64,
     /// Batched requests answered with a result.
     pub completed: AtomicU64,
@@ -251,7 +251,7 @@ impl ConnWriter {
     }
 }
 
-/// A queued unit of batched work. The three instants split the request's
+/// A queued estimate request. The three instants split the request's
 /// life into the observability stages: `received → admitted` is
 /// admission, `admitted → popped` is queue wait, `popped → batch
 /// execution` is the batch window.
@@ -263,12 +263,9 @@ struct WorkItem {
     admitted: Instant,
     popped: Instant,
     deadline: Option<Instant>,
-    kind: WorkKind,
-}
-
-enum WorkKind {
-    Estimate { machine: MachineId, kernel: KernelName, cfg: RunConfig },
-    Sleep { ms: u64 },
+    machine: MachineId,
+    kernel: KernelName,
+    cfg: RunConfig,
 }
 
 /// Dedup key for coalescing: two estimate requests with equal keys are
@@ -408,6 +405,17 @@ pub(crate) struct Shared {
     kernels: Registry<crate::submit::KernelArtifact>,
     machines: Registry<rvhpc_machines::Machine>,
     queue_tx: SyncSender<WorkItem>,
+    pause: Mutex<PauseState>,
+    pause_changed: Condvar,
+}
+
+/// The [`Server::pause_batcher`] handshake, guarded by `Shared::pause`.
+#[derive(Default)]
+struct PauseState {
+    /// Live [`BatcherPause`] guards.
+    holds: usize,
+    /// The batcher is parked before its next pop, or has exited.
+    parked: bool,
 }
 
 impl Shared {
@@ -421,6 +429,25 @@ impl Shared {
 
     pub(crate) fn batcher_done(&self) -> bool {
         self.batcher_done.load(Ordering::SeqCst)
+    }
+
+    fn pause_state(&self) -> MutexGuard<'_, PauseState> {
+        self.pause.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The batcher's check before each pop: park while a pause is held.
+    fn park_while_paused(&self) {
+        let mut state = self.pause_state();
+        if state.holds == 0 {
+            return;
+        }
+        state.parked = true;
+        self.pause_changed.notify_all();
+        let mut state = self
+            .pause_changed
+            .wait_while(state, |s| s.holds > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.parked = false;
     }
 
     /// The `Retry-After` hint attached to `overloaded` replies: roughly
@@ -474,6 +501,8 @@ impl Server {
             kernels: Registry::default(),
             machines: Registry::default(),
             queue_tx,
+            pause: Mutex::default(),
+            pause_changed: Condvar::new(),
         });
 
         let reactor = spawn_reactor(&shared, listener)?;
@@ -515,6 +544,18 @@ impl Server {
         &self.shared.stats
     }
 
+    /// Hold the batcher: returns once it is parked before its next pop,
+    /// and until the guard drops nothing leaves the admission queue. Tests
+    /// use it to fill the queue or age a deadline deterministically. A
+    /// batcher that has already exited counts as parked.
+    pub fn pause_batcher(&self) -> BatcherPause<'_> {
+        let shared = &self.shared;
+        let mut state = shared.pause_state();
+        state.holds += 1;
+        drop(shared.pause_changed.wait_while(state, |s| !s.parked));
+        BatcherPause { shared }
+    }
+
     /// Wait for the drain to complete: listener stopped, queue empty,
     /// batcher exited, every connection closed. Blocks until a drain is
     /// initiated (by a `shutdown` request, [`Server::shutdown`] or
@@ -527,6 +568,19 @@ impl Server {
         if let Some(h) = self.scraper {
             let _ = h.join();
         }
+    }
+}
+
+/// A hold on the batcher from [`Server::pause_batcher`]; dropping it lets
+/// the batcher resume once no other pause is held.
+pub struct BatcherPause<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for BatcherPause<'_> {
+    fn drop(&mut self) {
+        self.shared.pause_state().holds -= 1;
+        self.shared.pause_changed.notify_all();
     }
 }
 
@@ -602,18 +656,25 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
     };
     let op = request.op();
     let _span = rvhpc_trace::span!("serve.request", op = op);
-    match request {
-        // ---- batched path: admission control, then the queue ----
-        Request::Estimate { machine, kernel, cfg, deadline_ms } => {
-            let kind = WorkKind::Estimate { machine, kernel, cfg };
-            admit(shared, writer, id, kind, deadline_ms, received);
-            return;
-        }
-        Request::Sleep { ms } => {
-            admit(shared, writer, id, WorkKind::Sleep { ms }, None, received);
-            return;
-        }
-        _ => {}
+    // ---- batched path: admission control, then the queue ----
+    if let Request::Estimate { machine, kernel, cfg, deadline_ms } = request {
+        let admitted = Instant::now();
+        admit(
+            shared,
+            WorkItem {
+                id,
+                writer: Arc::clone(writer),
+                received,
+                admission_us: us(admitted - received),
+                admitted,
+                popped: admitted,
+                deadline: deadline_ms.map(|ms| admitted + Duration::from_millis(ms)),
+                machine,
+                kernel,
+                cfg,
+            },
+        );
+        return;
     }
 
     // ---- direct path: computed and answered on the event loop. The
@@ -807,7 +868,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
             drain_after = true;
             ok_response(&id, op, Json::obj(vec![("draining", Json::Bool(true))]))
         }
-        Request::Estimate { .. } | Request::Sleep { .. } => unreachable!("batched ops returned"),
+        Request::Estimate { .. } => unreachable!("batched ops returned"),
     };
     let computed_at = Instant::now();
     writer.send_line(&reply);
@@ -832,31 +893,14 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
 
 /// Try to enqueue a batched work item; answers `overloaded` or
 /// `shutting_down` immediately when it cannot.
-fn admit(
-    shared: &Arc<Shared>,
-    writer: &Arc<ConnWriter>,
-    id: Json,
-    kind: WorkKind,
-    deadline_ms: Option<u64>,
-    received: Instant,
-) {
+fn admit(shared: &Arc<Shared>, item: WorkItem) {
     if shared.draining() {
         shared.stats.shed_shutting_down.fetch_add(1, Ordering::Relaxed);
-        writer.send_line(&error_response(&id, ErrorKind::ShuttingDown, "server is draining", None));
+        let reply = error_response(&item.id, ErrorKind::ShuttingDown, "server is draining", None);
+        item.writer.send_line(&reply);
         return;
     }
-    let admitted = Instant::now();
-    let admission_us = us(admitted - received);
-    let item = WorkItem {
-        id,
-        writer: Arc::clone(writer),
-        received,
-        admission_us,
-        admitted,
-        popped: admitted,
-        deadline: deadline_ms.map(|ms| admitted + Duration::from_millis(ms)),
-        kind,
-    };
+    let admission_us = item.admission_us;
     // Count the slot before publishing the item: the batcher decrements on
     // pop, and it can pop the instant try_send returns, so incrementing
     // afterwards would race the gauge below zero.
@@ -916,6 +960,7 @@ fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) ->
 
 fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
     loop {
+        shared.park_while_paused();
         let mut first = match queue_rx.recv_timeout(Duration::from_millis(25)) {
             Ok(item) => item,
             Err(RecvTimeoutError::Timeout) => {
@@ -952,6 +997,9 @@ fn batcher_loop(shared: &Arc<Shared>, queue_rx: &Receiver<WorkItem>) {
         process_batch(shared, batch);
         rvhpc_obs::gauge!("serve.inflight_batches", 0);
     }
+    // Parked for good: a pause taken from now on returns at once.
+    shared.pause_state().parked = true;
+    shared.pause_changed.notify_all();
     shared.batcher_done.store(true, Ordering::SeqCst);
 }
 
@@ -962,16 +1010,21 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     shared.stats.max_batch.fetch_max(size, Ordering::Relaxed);
     let _span = rvhpc_trace::span!("serve.batch", size = size);
 
-    // Partition: expired deadlines are cancelled unexecuted; sleeps run
-    // inline on the batcher (they exist to simulate a slow model and make
-    // backpressure observable); estimates are deduped and fanned out.
-    // `exec_start` closes the batch-window stage for every item.
-    let mut estimates: Vec<(EstKey, WorkItem)> = Vec::new();
+    // Expired deadlines are cancelled unexecuted; the rest are deduped to
+    // unique queries, whose hits are answered under one cache lock and
+    // only whose misses are computed, then every request is answered
+    // (duplicates share one computation). Each unique query names its
+    // machine by an index into `descriptors`, which holds one descriptor
+    // per distinct machine in the batch. `exec_start` closes the
+    // batch-window stage for every item.
+    let mut estimates: Vec<(usize, WorkItem)> = Vec::with_capacity(batch.len());
+    let mut unique: Vec<(usize, KernelName, RunConfig)> = Vec::new();
+    let mut descriptors: Vec<(MachineId, Machine)> = Vec::new();
+    let mut index_of: HashMap<EstKey, usize> = HashMap::new();
     let exec_start = Instant::now();
-    let now = exec_start;
     for item in batch {
         shared.stages.queue_wait.record_us(us(item.popped - item.admitted));
-        if item.deadline.is_some_and(|d| d < now) {
+        if item.deadline.is_some_and(|d| d < exec_start) {
             shared.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
             item.writer.send_line(&error_response(
                 &item.id,
@@ -981,55 +1034,22 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
             ));
             continue;
         }
-        match item.kind {
-            WorkKind::Sleep { ms } => {
-                let sleep_start = Instant::now();
-                std::thread::sleep(Duration::from_millis(ms));
-                let slept = Instant::now();
-                shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                let result = Json::obj(vec![("slept_ms", num(ms))]);
-                item.writer.send_line(&ok_response(&item.id, "sleep", result));
-                let written = Instant::now();
-                record_batched(
-                    shared,
-                    &item,
-                    "sleep",
-                    exec_start,
-                    us(slept - sleep_start),
-                    us(written - slept),
-                    written,
-                    || format!("sleep {ms}ms"),
-                );
-            }
-            WorkKind::Estimate { machine, kernel, cfg } => {
-                estimates.push((EstKey::new(machine, kernel, &cfg), item));
-            }
-        }
+        let key = EstKey::new(item.machine, item.kernel, &item.cfg);
+        let slot = *index_of.entry(key).or_insert_with(|| {
+            let d =
+                descriptors.iter().position(|(id, _)| *id == item.machine).unwrap_or_else(|| {
+                    descriptors.push((item.machine, machine(item.machine)));
+                    descriptors.len() - 1
+                });
+            unique.push((d, item.kernel, item.cfg));
+            unique.len() - 1
+        });
+        estimates.push((slot, item));
     }
     if estimates.is_empty() {
         return;
     }
 
-    // Dedup to unique queries, answer their hits under one cache lock and
-    // compute only the misses, then answer every request (duplicates share
-    // one computation). Each unique query names its machine by an index
-    // into `descriptors`, which holds one descriptor per distinct machine
-    // in the batch.
-    let mut unique: Vec<(usize, KernelName, RunConfig)> = Vec::new();
-    let mut descriptors: Vec<(MachineId, Machine)> = Vec::new();
-    let mut index_of: HashMap<EstKey, usize> = HashMap::new();
-    for (key, item) in &estimates {
-        if let WorkKind::Estimate { machine: m, kernel, cfg } = &item.kind {
-            index_of.entry(*key).or_insert_with(|| {
-                let d = descriptors.iter().position(|(id, _)| id == m).unwrap_or_else(|| {
-                    descriptors.push((*m, machine(*m)));
-                    descriptors.len() - 1
-                });
-                unique.push((d, *kernel, *cfg));
-                unique.len() - 1
-            });
-        }
-    }
     let compute_start = Instant::now();
     let rows: Vec<RowEnv> =
         unique.iter().map(|(d, _, cfg)| RowEnv::new(&descriptors[*d].1, cfg)).collect();
@@ -1039,57 +1059,32 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     // The batch computes as one step, so every member shares the same
     // compute-stage duration (that *is* the latency the batch added).
     let compute_us = us(compute_start.elapsed());
-    for (key, item) in estimates {
-        let est = results[index_of[&key]];
+    for (slot, item) in estimates {
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         let send_start = Instant::now();
-        item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(&est)));
+        item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(&results[slot])));
         let written = Instant::now();
-        record_batched(
-            shared,
-            &item,
-            "estimate",
-            exec_start,
-            compute_us,
-            us(written - send_start),
-            written,
-            || {
-                if let WorkKind::Estimate { machine, kernel, cfg } = &item.kind {
-                    format!(
-                        "{}/{} {} t={}",
-                        machine.token(),
-                        kernel.label(),
-                        cfg.precision.label(),
-                        cfg.threads
-                    )
-                } else {
-                    String::new()
-                }
-            },
-        );
+        record_batched(shared, &item, exec_start, compute_us, us(written - send_start), written);
     }
 }
 
-/// Record the stage histograms and SLO outcome for one answered batched
-/// item. `compute_us`/`write_back_us` are the item's own stage durations;
+/// Record the stage histograms and SLO outcome for one answered estimate.
+/// `compute_us`/`write_back_us` are the item's own stage durations;
 /// `written` is the instant its reply hit the socket.
-#[allow(clippy::too_many_arguments)]
 fn record_batched(
     shared: &Arc<Shared>,
     item: &WorkItem,
-    op: &'static str,
     exec_start: Instant,
     compute_us: f64,
     write_back_us: f64,
     written: Instant,
-    detail: impl FnOnce() -> String,
 ) {
     let batch_window_us = us(exec_start - item.popped);
     shared.stages.batch_window.record_us(batch_window_us);
     shared.stages.compute.record_us(compute_us);
     shared.stages.write_back.record_us(write_back_us);
     observe_request(
-        op,
+        "estimate",
         &item.id,
         us(written - item.received),
         &[
@@ -1099,6 +1094,14 @@ fn record_batched(
             ("compute", compute_us),
             ("write_back", write_back_us),
         ],
-        detail,
+        || {
+            format!(
+                "{}/{} {} t={}",
+                item.machine.token(),
+                item.kernel.label(),
+                item.cfg.precision.label(),
+                item.cfg.threads
+            )
+        },
     );
 }

@@ -33,13 +33,21 @@ fn connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
     (stream, reader)
 }
 
-fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
+fn send(stream: &mut TcpStream, line: &str) {
     stream.write_all(line.as_bytes()).expect("write");
     stream.write_all(b"\n").expect("write newline");
+}
+
+fn recv(reader: &mut BufReader<TcpStream>) -> Json {
     let mut reply = String::new();
     let n = reader.read_line(&mut reply).expect("reply readable");
     assert!(n > 0, "server closed the connection instead of replying");
     Json::parse(reply.trim_end()).expect("reply is valid JSON")
+}
+
+fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
+    send(stream, line);
+    recv(reader)
 }
 
 fn ok_result(reply: &Json) -> &Json {
@@ -47,9 +55,10 @@ fn ok_result(reply: &Json) -> &Json {
     reply.get("result").expect("result object")
 }
 
-/// The e2e tail-sampling contract: a sleep far above any threshold a
-/// concurrent test could have armed must surface in `slow_requests` with
-/// all five pipeline stages and a total consistent with the sleep.
+/// The e2e tail-sampling contract: an estimate held in the queue far
+/// above any threshold a concurrent test could have armed must surface in
+/// `slow_requests` with all five pipeline stages and a total consistent
+/// with the hold.
 #[test]
 fn slow_request_is_tail_sampled_with_full_stage_breakdown() {
     let server = start(ServeConfig { slo_ms: 50.0, ..ServeConfig::default() });
@@ -58,9 +67,17 @@ fn slow_request_is_tail_sampled_with_full_stage_breakdown() {
     // Unique id so this test finds its own exemplar even though the SLO
     // ring is process-global.
     let id = format!("obs-e2e-{}", std::process::id());
-    let reply =
-        exchange(&mut stream, &mut reader, &format!(r#"{{"id":"{id}","op":"sleep","ms":400}}"#));
-    ok_result(&reply);
+    let pause = server.pause_batcher();
+    send(
+        &mut stream,
+        &format!(r#"{{"id":"{id}","op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY"}}"#),
+    );
+    // The server handles a connection's lines in order, so the ping's
+    // reply proves the estimate was admitted; it then waits out the hold.
+    ok_result(&exchange(&mut stream, &mut reader, r#"{"op":"ping"}"#));
+    std::thread::sleep(Duration::from_millis(400));
+    drop(pause);
+    ok_result(&recv(&mut reader));
 
     let reply = exchange(&mut stream, &mut reader, r#"{"op":"slow_requests","limit":64}"#);
     let result = ok_result(&reply);
@@ -73,11 +90,11 @@ fn slow_request_is_tail_sampled_with_full_stage_breakdown() {
     let mine = requests
         .iter()
         .find(|r| r.get("id").and_then(Json::as_str) == Some(id.as_str()))
-        .unwrap_or_else(|| panic!("400ms sleep {id} not captured in {requests:?}"));
+        .unwrap_or_else(|| panic!("400ms hold {id} not captured in {requests:?}"));
 
-    assert_eq!(mine.get("op").and_then(Json::as_str), Some("sleep"));
+    assert_eq!(mine.get("op").and_then(Json::as_str), Some("estimate"));
     let total_us = mine.get("total_us").and_then(Json::as_f64).expect("total_us");
-    assert!(total_us >= 400_000.0, "total covers the sleep: {total_us}");
+    assert!(total_us >= 400_000.0, "total covers the hold: {total_us}");
     let stages = mine.get("stages").expect("stage breakdown");
     let mut sum_us = 0.0;
     for stage in ["admission", "queue_wait", "batch_window", "compute", "write_back"] {
@@ -90,8 +107,8 @@ fn slow_request_is_tail_sampled_with_full_stage_breakdown() {
         sum_us <= total_us * 1.05,
         "stage components must not exceed the wall total: {sum_us} vs {total_us}"
     );
-    let compute = stages.get("compute").and_then(Json::as_f64).expect("compute");
-    assert!(compute >= 400_000.0 * 0.95, "the sleep dominates compute: {compute}");
+    let queue_wait = stages.get("queue_wait").and_then(Json::as_f64).expect("queue_wait");
+    assert!(queue_wait >= 400_000.0, "the hold dominates queue_wait: {queue_wait}");
 
     server.shutdown();
     server.join();

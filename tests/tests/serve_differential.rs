@@ -276,6 +276,7 @@ fn served_op_mix_is_bit_identical_to_the_in_process_model() {
         r#"{"id":3,"op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY","bogus":1}"#,
         r#"{"op":"estimate","machine":"not-a-machine","kernel":"Basic_DAXPY"}"#,
         r#"{"id":4,"op":"suite","machine":"sg2042","class":7}"#,
+        r#"{"id":5,"op":"sleep","ms":50}"#,
     ];
 
     let ops = 120u64;
@@ -353,10 +354,10 @@ fn served_op_mix_is_bit_identical_to_the_in_process_model() {
 
 #[test]
 fn plugged_queue_error_taxonomy_matches_the_protocol() {
-    // One queue slot, one-request batches, and a 300ms sleep plugging the
-    // batcher: the admission outcome of every follow-up request is then
-    // fully deterministic, so the overload / deadline-0 taxonomy can be
-    // compared reply-for-reply (not just statistically).
+    // One queue slot, one-request batches, and a paused batcher: the
+    // admission outcome of every request is then fully deterministic, so
+    // the overload / deadline-0 taxonomy can be compared reply-for-reply
+    // (not just statistically).
     let tiny = ServeConfig {
         queue_capacity: 1,
         batch_max: 1,
@@ -366,11 +367,9 @@ fn plugged_queue_error_taxonomy_matches_the_protocol() {
     let server = Server::start(tiny).expect("server binds");
     let mut conn = Conn::open(&server);
 
-    conn.send(r#"{"id":"plug","op":"sleep","ms":300}"#);
-    // Let the batcher pop the sleep so the queue slot is free again.
-    std::thread::sleep(Duration::from_millis(100));
+    let pause = server.pause_batcher();
     // Takes the single queue slot; expired by the time its batch
-    // assembles (the batcher sleeps for another ~200ms).
+    // assembles after the pause.
     conn.send(
         r#"{"id":"d0","op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY","deadline_ms":0}"#,
     );
@@ -397,10 +396,6 @@ fn plugged_queue_error_taxonomy_matches_the_protocol() {
         })
         .collect();
     expected.insert(
-        Json::str("plug").render(),
-        ok_response(&Json::str("plug"), "sleep", Json::obj(vec![("slept_ms", Json::Num(300.0))])),
-    );
-    expected.insert(
         Json::str("d0").render(),
         error_response(
             &Json::str("d0"),
@@ -410,15 +405,16 @@ fn plugged_queue_error_taxonomy_matches_the_protocol() {
         ),
     );
 
-    // Reply order may interleave (rejections are immediate, the plug
-    // answers after 300ms), so key replies by id before comparing.
-    let served: BTreeMap<String, String> = (0..expected.len())
-        .map(|_| {
-            let line = conn.recv_line();
-            let id = Json::parse(&line).expect("valid JSON").get("id").expect("id echoed").render();
-            (id, line)
-        })
-        .collect();
+    // The four rejections are immediate; `d0` is answered only once the
+    // pause drops. Key replies by id before comparing.
+    let mut recv_keyed = || {
+        let line = conn.recv_line();
+        let id = Json::parse(&line).expect("valid JSON").get("id").expect("id echoed").render();
+        (id, line)
+    };
+    let mut served: BTreeMap<String, String> = (0..4).map(|_| recv_keyed()).collect();
+    drop(pause);
+    served.extend([recv_keyed()]);
     assert_eq!(
         served.keys().collect::<Vec<_>>(),
         expected.keys().collect::<Vec<_>>(),

@@ -112,9 +112,10 @@ fn served_estimates_are_bit_identical_to_the_local_model() {
 
 #[test]
 fn overload_rejects_with_backpressure_and_never_drops() {
-    // A deliberately tiny server: one queue slot, one-item batches. A slow
-    // `sleep` occupies the batcher while a burst arrives, so most of the
-    // burst must be rejected — but every single request still gets a reply.
+    // A deliberately tiny server: one queue slot, one-item batches. The
+    // batcher is paused while a burst arrives, so the first request takes
+    // the slot and the rest must be rejected — but every single request
+    // still gets a reply.
     let server = start(ServeConfig {
         queue_capacity: 1,
         batch_max: 1,
@@ -123,7 +124,7 @@ fn overload_rejects_with_backpressure_and_never_drops() {
     });
     let (mut stream, mut reader) = connect(&server);
 
-    send(&mut stream, r#"{"id":"plug","op":"sleep","ms":300}"#);
+    let pause = server.pause_batcher();
     let burst = 10;
     for i in 0..burst {
         let req = format!(
@@ -133,11 +134,16 @@ fn overload_rejects_with_backpressure_and_never_drops() {
         send(&mut stream, &req);
     }
 
+    // The rejections are immediate; the admitted request is answered only
+    // once the pause drops.
+    let mut replies: Vec<Json> = (1..burst).map(|_| recv(&mut reader)).collect();
+    drop(pause);
+    replies.push(recv(&mut reader));
+
     let mut ok = 0u32;
     let mut overloaded = 0u32;
     let mut saw_retry_hint = false;
-    for _ in 0..burst + 1 {
-        let reply = recv(&mut reader);
+    for reply in &replies {
         match reply.get("ok") {
             Some(Json::Bool(true)) => ok += 1,
             Some(Json::Bool(false)) => {
@@ -155,14 +161,14 @@ fn overload_rejects_with_backpressure_and_never_drops() {
             _ => panic!("malformed reply: {reply:?}"),
         }
     }
-    assert_eq!(ok + overloaded, burst + 1, "every request answered, none dropped");
-    assert!(overloaded >= 1, "a 1-slot queue behind a 300ms sleep must shed load");
+    assert_eq!(overloaded, burst - 1, "a 1-slot queue behind a paused batcher sheds the rest");
     assert!(saw_retry_hint, "overloaded replies carry retry_after_ms");
-    assert!(ok >= 1, "the sleep itself (and any queued estimate) completes");
+    assert_eq!(ok, 1, "the admitted estimate completes");
 
     let stats = server.stats();
-    assert!(
-        stats.rejected_overload.load(std::sync::atomic::Ordering::Relaxed) >= u64::from(overloaded),
+    assert_eq!(
+        stats.rejected_overload.load(Ordering::Relaxed),
+        u64::from(overloaded),
         "server counted its rejections"
     );
 
@@ -231,34 +237,49 @@ fn graceful_drain_answers_admitted_work_then_closes() {
 
 #[test]
 fn deadline_zero_is_cancelled_not_computed() {
-    // Hold the batcher with a sleep so the deadline-0 estimate is already
-    // expired when its batch assembles.
+    // Hold the batcher until the deadline-0 estimate is admitted, so it
+    // has expired when its batch assembles.
     let server = start(ServeConfig { queue_capacity: 8, batch_max: 1, ..ServeConfig::default() });
     let (mut stream, mut reader) = connect(&server);
-    send(&mut stream, r#"{"id":1,"op":"sleep","ms":150}"#);
+    let pause = server.pause_batcher();
     send(
         &mut stream,
         r#"{"id":2,"op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY","deadline_ms":0}"#,
     );
-    let mut kinds = Vec::new();
-    for _ in 0..2 {
-        let reply = recv(&mut reader);
-        match reply.get("ok") {
-            Some(Json::Bool(true)) => kinds.push("ok".to_string()),
-            _ => kinds.push(
-                reply
-                    .get("error")
-                    .and_then(|e| e.get("kind"))
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-            ),
-        }
-    }
-    kinds.sort();
-    assert_eq!(kinds, vec!["deadline_exceeded", "ok"], "sleep ok + estimate cancelled");
+    // Lines on one connection are handled in order: the pong proves the
+    // estimate ahead of it was admitted.
+    send(&mut stream, r#"{"id":3,"op":"ping"}"#);
+    assert_eq!(recv(&mut reader).get("id"), Some(&Json::Num(3.0)), "pong first");
+    drop(pause);
+    let reply = recv(&mut reader);
+    assert_eq!(reply.get("id"), Some(&Json::Num(2.0)));
+    let kind = reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+    assert_eq!(kind, Some("deadline_exceeded"), "estimate cancelled: {reply:?}");
+    assert_eq!(server.stats().completed.load(Ordering::Relaxed), 0, "never computed");
 
     server.shutdown();
+    server.join();
+}
+
+#[test]
+fn pausing_an_exited_batcher_returns_at_once() {
+    let server = start(ServeConfig::default());
+    let (mut stream, mut reader) = connect(&server);
+    // A ping answered means the connection was accepted, so the drain
+    // closes it rather than resetting it from the listen backlog.
+    send(&mut stream, r#"{"op":"ping"}"#);
+    assert_eq!(recv(&mut reader).get("ok"), Some(&Json::Bool(true)));
+    server.shutdown();
+    // The drain closes connections only after the batcher has exited.
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("readable until EOF");
+    assert_eq!(n, 0, "the drain closes the connection, got {line:?}");
+
+    let asked = Instant::now();
+    let pause = server.pause_batcher();
+    let waited = asked.elapsed();
+    assert!(waited < Duration::from_secs(1), "an exited batcher counts as parked: {waited:?}");
+    drop(pause);
     server.join();
 }
 

@@ -13,15 +13,20 @@ use rvhpc_serve::{ServeConfig, Server};
 use rvhpc_trace::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+fn send(stream: &mut TcpStream, line: &str) {
+    stream.write_all(line.as_bytes()).expect("write");
+    stream.write_all(b"\n").expect("newline");
+}
 
 #[test]
 fn sigterm_drains_the_server_answering_all_admitted_work() {
     rvhpc_serve::signal::install_sigterm_hook();
 
     // One-request batches behind a queue big enough for the whole backlog,
-    // so a 400ms sleep plug guarantees admitted-but-unexecuted work exists
-    // at the moment the signal lands.
+    // and a paused batcher, so admitted-but-unexecuted work exists at the
+    // moment the signal lands.
     let server = Server::start(ServeConfig {
         queue_capacity: 32,
         batch_max: 1,
@@ -37,28 +42,44 @@ fn sigterm_drains_the_server_answering_all_admitted_work() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut stream = stream;
 
-    stream.write_all(b"{\"id\":\"plug\",\"op\":\"sleep\",\"ms\":400}\n").expect("write plug");
+    let pause = server.pause_batcher();
     let backlog = 5u64;
     for i in 0..backlog {
         let req = format!(
             r#"{{"id":{i},"op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY","threads":2}}"#
         );
-        stream.write_all(req.as_bytes()).expect("write");
-        stream.write_all(b"\n").expect("newline");
+        send(&mut stream, &req);
     }
-    // Give the server time to admit the backlog, then deliver SIGTERM to
-    // ourselves exactly like a supervisor would.
-    std::thread::sleep(Duration::from_millis(150));
+    // Lines on one connection are handled in order, so each `stats` reply
+    // follows the backlog's admission. Deliver SIGTERM to ourselves exactly
+    // like a supervisor would, and poll until the server reports the drain.
+    let mut stats = |stream: &mut TcpStream| {
+        send(stream, r#"{"id":"stats","op":"stats"}"#);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("stats reply");
+        let reply = Json::parse(line.trim_end()).expect("valid JSON");
+        reply.get("result").and_then(|r| r.get("server")).cloned().expect("server stats")
+    };
+    let admitted = stats(&mut stream).get("admitted").and_then(Json::as_f64);
+    assert_eq!(admitted, Some(backlog as f64), "the whole backlog is queued");
     let status = std::process::Command::new("kill")
         .args(["-TERM", &std::process::id().to_string()])
         .status()
         .expect("kill runs");
     assert!(status.success(), "kill -TERM delivered");
+    let signalled = Instant::now();
+    while stats(&mut stream).get("draining") != Some(&Json::Bool(true)) {
+        assert!(signalled.elapsed() < Duration::from_secs(10), "SIGTERM never began the drain");
+    }
+    // A late arrival is shed; the queued backlog is answered once the
+    // batcher resumes.
+    send(&mut stream, r#"{"id":"late","op":"estimate","machine":"sg2042","kernel":"Basic_DAXPY"}"#);
+    drop(pause);
 
     // Everything admitted before the signal must still be answered `ok`,
     // then the connection closes cleanly.
     let mut answered = 0u64;
-    let mut plug_ok = false;
+    let mut shed = false;
     let mut line = String::new();
     loop {
         line.clear();
@@ -67,14 +88,20 @@ fn sigterm_drains_the_server_answering_all_admitted_work() {
             break;
         }
         let reply = Json::parse(line.trim_end()).expect("valid JSON");
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "admitted work answered: {reply:?}");
-        if reply.get("id") == Some(&Json::str("plug")) {
-            plug_ok = true;
+        if reply.get("id") == Some(&Json::str("late")) {
+            let kind = reply.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+            assert_eq!(kind, Some("shutting_down"), "late arrival shed: {reply:?}");
+            shed = true;
         } else {
+            assert_eq!(
+                reply.get("ok"),
+                Some(&Json::Bool(true)),
+                "admitted work answered: {reply:?}"
+            );
             answered += 1;
         }
     }
-    assert!(plug_ok, "the in-flight sleep completed");
+    assert!(shed, "the late arrival was answered");
     assert_eq!(answered, backlog, "every admitted estimate answered before close");
 
     // join() returning is the drain completing; afterwards nothing is
