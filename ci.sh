@@ -3,6 +3,7 @@
 set -eux
 
 cargo build --release --workspace
+REPRO=target/release/repro
 cargo test -q --workspace
 
 # The benchmark's sweeps run bound to one CPU, where the shared pool has a
@@ -31,13 +32,13 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Differential/metamorphic cross-checks: a pinned seed for reproducible
 # CI, plus a seed derived from the commit hash so the randomized surface
 # grows with history while any failure stays replayable via its artefact.
-cargo run --release -p rvhpc --bin repro -- verify --seed 42 --cases 200
+"$REPRO" verify --seed 42 --cases 200
 COMMIT_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5eedcafe)"
-cargo run --release -p rvhpc --bin repro -- verify --seed "$COMMIT_SEED" --cases 50
+"$REPRO" verify --seed "$COMMIT_SEED" --cases 50
 
 # Static lint: every machine descriptor and every generated RVV program
 # (v1.0 output and its v0.7.1 rollback) must be finding-free.
-cargo run --release -p rvhpc --bin repro -- lint
+"$REPRO" lint
 
 # The lint must also *fail* when a defect is present: a v0.7.1 target with
 # fractional LMUL plus a vector op ahead of any vsetvli must exit 3.
@@ -48,7 +49,7 @@ vsetvli x5, x10, e32, m1
 vle.v v2, (x11)
 EOF
 rc=0
-cargo run --release -p rvhpc --bin repro -- lint --asm "$BAD_ASM" || rc=$?
+"$REPRO" lint --asm "$BAD_ASM" || rc=$?
 rm -f "$BAD_ASM"
 test "$rc" -eq 3
 
@@ -57,13 +58,13 @@ test "$rc" -eq 3
 # a schema-retagged copy must be a format disagreement (exit 2), while a
 # broken document of the known schema would exit 1.
 LINT_DOC="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- lint --kernel Basic_DAXPY \
+"$REPRO" lint --kernel Basic_DAXPY \
     --report --json > "$LINT_DOC"
-cargo run --release -p rvhpc --bin repro -- lint --check "$LINT_DOC"
+"$REPRO" lint --check "$LINT_DOC"
 BAD_LINT="$(mktemp)"
 sed 's/rvhpc-lint-v1/rvhpc-lint-v999/' "$LINT_DOC" > "$BAD_LINT"
 rc=0
-cargo run --release -p rvhpc --bin repro -- lint --check "$BAD_LINT" || rc=$?
+"$REPRO" lint --check "$BAD_LINT" || rc=$?
 rm -f "$LINT_DOC" "$BAD_LINT"
 test "$rc" -eq 2
 
@@ -78,7 +79,7 @@ test "$rc" -eq 2
 # the workspace's pinned RVHPC_SEED honoured when set; rerun it here
 # under the CI-pinned seed so the exact schedule is reproducible.
 SERVE_PORT_FILE="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
+"$REPRO" serve --addr 127.0.0.1:0 \
     --max-conns 1024 --port-file "$SERVE_PORT_FILE" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -86,11 +87,11 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 SERVE_ADDR="$(cat "$SERVE_PORT_FILE")"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
+"$REPRO" loadgen --addr "$SERVE_ADDR" \
     --clients 4 --requests 200 --seed 42 --probe-bad --json SERVE_SMOKE.json
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
+"$REPRO" loadgen --addr "$SERVE_ADDR" \
     --open-loop --connections 256 --rps 300 --requests 4 --seed 2042
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SERVE_ADDR" \
+"$REPRO" loadgen --addr "$SERVE_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$SERVE_PID"
 rm -f "$SERVE_PORT_FILE"
@@ -106,7 +107,7 @@ RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
 # exits non-zero unless `slow_requests` is retrievable.
 OBS_PORT_FILE="$(mktemp)"
 OBS_METRICS_FILE="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
+"$REPRO" serve --addr 127.0.0.1:0 \
     --port-file "$OBS_PORT_FILE" --slo-ms 250 --metrics-file "$OBS_METRICS_FILE" \
     --scrape-every-ms 200 &
 OBS_PID=$!
@@ -115,25 +116,25 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 OBS_ADDR="$(cat "$OBS_PORT_FILE")"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$OBS_ADDR" \
+"$REPRO" loadgen --addr "$OBS_ADDR" \
     --clients 4 --requests 200 --seed 42 --slo-ms 250 --poll-metrics-ms 50
 OBS_SNAP="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- top "$OBS_ADDR" --once --json > "$OBS_SNAP"
-cargo run --release -p rvhpc --bin repro -- top --check "$OBS_SNAP"
+"$REPRO" top "$OBS_ADDR" --once --json > "$OBS_SNAP"
+"$REPRO" top --check "$OBS_SNAP"
 # The frame carries the registry's counters, the estimate cache's among them.
 jq -e '.counters | has("perfmodel.estimate_cache.hit")' "$OBS_SNAP" > /dev/null
 BAD_SNAP="$(mktemp)"
 sed 's/rvhpc-metrics-v1/rvhpc-metrics-v999/' "$OBS_SNAP" > "$BAD_SNAP"
 rc=0
-cargo run --release -p rvhpc --bin repro -- top --check "$BAD_SNAP" || rc=$?
+"$REPRO" top --check "$BAD_SNAP" || rc=$?
 test "$rc" -eq 2
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$OBS_ADDR" \
+"$REPRO" loadgen --addr "$OBS_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$OBS_PID"
 # The self-scrape ring accumulated snapshots, and each line validates.
 test -s "$OBS_METRICS_FILE"
 head -n 1 "$OBS_METRICS_FILE" > "$OBS_SNAP"
-cargo run --release -p rvhpc --bin repro -- top --check "$OBS_SNAP"
+"$REPRO" top --check "$OBS_SNAP"
 rm -f "$OBS_PORT_FILE" "$OBS_METRICS_FILE" "$OBS_SNAP" "$BAD_SNAP"
 
 # Submission smoke: the lint-gated ingestion path end to end. A server
@@ -164,7 +165,7 @@ cat > "$DIRTY_ASM" <<'EOF'
     vle32.v v1, (x11)
     ret
 EOF
-cargo run --release -p rvhpc --bin repro -- serve --addr 127.0.0.1:0 \
+"$REPRO" serve --addr 127.0.0.1:0 \
     --max-fuel 1000000 --port-file "$SUBMIT_PORT_FILE" &
 SUBMIT_PID=$!
 for _ in $(seq 1 100); do
@@ -172,13 +173,13 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 SUBMIT_ADDR="$(cat "$SUBMIT_PORT_FILE")"
-cargo run --release -p rvhpc --bin repro -- submit --addr "$SUBMIT_ADDR" \
+"$REPRO" submit --addr "$SUBMIT_ADDR" \
     --asm "$CLEAN_ASM" --estimate
 rc=0
-cargo run --release -p rvhpc --bin repro -- submit --addr "$SUBMIT_ADDR" \
+"$REPRO" submit --addr "$SUBMIT_ADDR" \
     --asm "$DIRTY_ASM" || rc=$?
 test "$rc" -eq 3
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$SUBMIT_ADDR" \
+"$REPRO" loadgen --addr "$SUBMIT_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$SUBMIT_PID"
 rm -f "$SUBMIT_PORT_FILE" "$CLEAN_ASM" "$DIRTY_ASM"
@@ -196,7 +197,7 @@ RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
 FLEET_PORT_FILE="$(mktemp)"
 FLEET_SHARDS_FILE="$(mktemp)"
 FLEET_LOG="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- fleet --shards 3 \
+"$REPRO" fleet --shards 3 \
     --addr 127.0.0.1:0 --port-file "$FLEET_PORT_FILE" \
     --shards-file "$FLEET_SHARDS_FILE" --seed 42 > "$FLEET_LOG" 2>&1 &
 FLEET_PID=$!
@@ -206,11 +207,11 @@ for _ in $(seq 1 100); do
 done
 FLEET_ADDR="$(cat "$FLEET_PORT_FILE")"
 FLEET_TARGETS="$(awk '{ print $3 }' "$FLEET_SHARDS_FILE" | paste -sd, -)"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$FLEET_ADDR" \
+"$REPRO" loadgen --addr "$FLEET_ADDR" \
     --clients 4 --requests 100 --seed 42 --shards 3 --target-list "$FLEET_TARGETS"
 KILLED_PID="$(awk '$1 == 1 { print $2 }' "$FLEET_SHARDS_FILE")"
 kill -9 "$KILLED_PID"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$FLEET_ADDR" \
+"$REPRO" loadgen --addr "$FLEET_ADDR" \
     --clients 4 --requests 100 --seed 43 --shards 3
 for _ in $(seq 1 100); do
     grep -q "respawned" "$FLEET_LOG" && break
@@ -218,9 +219,9 @@ for _ in $(seq 1 100); do
 done
 grep -q "respawned" "$FLEET_LOG"
 FLEET_SNAP="$(mktemp)"
-cargo run --release -p rvhpc --bin repro -- top "$FLEET_ADDR" --once --json > "$FLEET_SNAP"
-cargo run --release -p rvhpc --bin repro -- top --check "$FLEET_SNAP"
-cargo run --release -p rvhpc --bin repro -- loadgen --addr "$FLEET_ADDR" \
+"$REPRO" top "$FLEET_ADDR" --once --json > "$FLEET_SNAP"
+"$REPRO" top --check "$FLEET_SNAP"
+"$REPRO" loadgen --addr "$FLEET_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$FLEET_PID"
 grep -q "drained cleanly" "$FLEET_LOG"
@@ -228,10 +229,10 @@ rm -f "$FLEET_PORT_FILE" "$FLEET_SHARDS_FILE" "$FLEET_LOG" "$FLEET_SNAP"
 
 # The checked-in fleet-bench artefact validates, and `fleet-bench --check`
 # honours the --check exit contract (2 for an unknown schema version).
-cargo run --release -p rvhpc --bin repro -- fleet-bench --check FLEET_BENCH.json
+"$REPRO" fleet-bench --check FLEET_BENCH.json
 BAD_FLEET="$(mktemp)"
 sed 's/rvhpc-fleet-bench-v1/rvhpc-fleet-bench-v999/' FLEET_BENCH.json > "$BAD_FLEET"
 rc=0
-cargo run --release -p rvhpc --bin repro -- fleet-bench --check "$BAD_FLEET" || rc=$?
+"$REPRO" fleet-bench --check "$BAD_FLEET" || rc=$?
 rm -f "$BAD_FLEET"
 test "$rc" -eq 2

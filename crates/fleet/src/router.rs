@@ -40,13 +40,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How often the prober pings every shard. A constant, not a tunable: the
+/// prober sleeps a whole interval before `Router::join` can return, so a
+/// long one would stall shutdown.
+const PROBE_EVERY: Duration = Duration::from_millis(200);
+
 /// Router tunables.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Listen address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Health-probe cadence.
-    pub probe_every: Duration,
     /// Minimum down time before a shard may be marked up again.
     pub cooldown: Duration,
     /// Jittered retries on an `overloaded` reply before rerouting.
@@ -63,7 +66,6 @@ impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".to_string(),
-            probe_every: Duration::from_millis(200),
             cooldown: Duration::from_millis(400),
             max_retries: 3,
             retry_cap_ms: 250,
@@ -566,7 +568,7 @@ impl Router {
             std::thread::spawn(move || {
                 while !shared.draining.load(Ordering::Relaxed) {
                     probe_once(&shared);
-                    std::thread::sleep(shared.config.probe_every);
+                    std::thread::sleep(PROBE_EVERY);
                 }
             })
         };

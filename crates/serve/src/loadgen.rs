@@ -281,7 +281,12 @@ pub fn reply_bits(result: &Json) -> Option<EstimateBits> {
     Some(bits)
 }
 
-fn client_loop(cfg: &LoadgenConfig, pool: &[Triple], client_idx: usize) -> ClientOutcome {
+fn client_loop(
+    cfg: &LoadgenConfig,
+    pool: &[Triple],
+    client_idx: usize,
+    pace: Option<Duration>,
+) -> ClientOutcome {
     let mut out = ClientOutcome::default();
     let Ok(stream) = TcpStream::connect(&cfg.addr) else {
         out.protocol_errors += 1;
@@ -298,12 +303,6 @@ fn client_loop(cfg: &LoadgenConfig, pool: &[Triple], client_idx: usize) -> Clien
     };
     let mut reader = BufReader::new(stream);
     let mut rng = cfg.seed ^ (client_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // Aggregate pacing split evenly: each client sends at rps/clients.
-    let pace = if cfg.rps > 0.0 {
-        Some(Duration::from_secs_f64(cfg.clients as f64 / cfg.rps))
-    } else {
-        None
-    };
     let start = Instant::now();
     let mut reply = String::with_capacity(256);
     for seq in 0u64.. {
@@ -472,6 +471,18 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     } else {
         assert!(cfg.clients >= 1, "need at least one client");
     }
+    // The gap between one sender's requests: the aggregate rate is split
+    // evenly over the closed-loop clients; the open loop paces one stream.
+    let senders = if cfg.open_loop { 1.0 } else { cfg.clients as f64 };
+    let pace = if cfg.rps > 0.0 {
+        let gap = Duration::try_from_secs_f64(senders / cfg.rps).map_err(|e| {
+            let msg = format!("rps {:e} gives no usable pacing interval: {e}", cfg.rps);
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, msg)
+        })?;
+        Some(gap)
+    } else {
+        None
+    };
     let pool = query_pool();
     let (mut control, mut control_reader) = control_connection(&cfg.addr).ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "cannot reach server")
@@ -495,7 +506,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
             let outcomes = if cfg.open_loop {
                 #[cfg(target_os = "linux")]
                 {
-                    crate::openloop::run_clients(cfg, pool_ref)
+                    crate::openloop::run_clients(cfg, pool_ref, pace.unwrap_or_default())
                 }
                 #[cfg(not(target_os = "linux"))]
                 {
@@ -503,7 +514,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
                 }
             } else {
                 let handles: Vec<_> = (0..cfg.clients)
-                    .map(|i| scope.spawn(move || client_loop(cfg, pool_ref, i)))
+                    .map(|i| scope.spawn(move || client_loop(cfg, pool_ref, i, pace)))
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("client panicked")).collect()
             };
@@ -723,6 +734,23 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A positive rate too small for its pacing interval to fit a
+    /// `Duration` is an input error, reported before any connection.
+    #[test]
+    fn unrepresentable_pacing_is_an_error_not_a_panic() {
+        for open_loop in [false, true] {
+            let cfg = LoadgenConfig {
+                addr: "127.0.0.1:1".to_string(),
+                rps: 1e-300,
+                open_loop,
+                connections: usize::from(open_loop),
+                ..LoadgenConfig::default()
+            };
+            let err = run_loadgen(&cfg).expect_err("no pacing interval fits");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        }
+    }
 
     #[test]
     fn query_pool_is_stable_and_nonempty() {

@@ -66,10 +66,15 @@ impl OpenConn {
     }
 }
 
-/// Drive the full open-loop run and return one [`ClientOutcome`] per
-/// connection. Never panics on I/O trouble: failures are folded into
-/// `protocol_errors` so a misbehaving server produces a report.
-pub(crate) fn run_clients(cfg: &LoadgenConfig, pool: &[Triple]) -> Vec<ClientOutcome> {
+/// Drive the full open-loop run, one request every `interval`, and return
+/// one [`ClientOutcome`] per connection. Never panics on I/O trouble:
+/// failures are folded into `protocol_errors` so a misbehaving server
+/// produces a report.
+pub(crate) fn run_clients(
+    cfg: &LoadgenConfig,
+    pool: &[Triple],
+    interval: Duration,
+) -> Vec<ClientOutcome> {
     let n = cfg.connections.max(1);
     let mut outs: Vec<ClientOutcome> = (0..n).map(|_| ClientOutcome::default()).collect();
     let Ok(ep) = Epoll::new() else {
@@ -117,7 +122,6 @@ pub(crate) fn run_clients(cfg: &LoadgenConfig, pool: &[Triple]) -> Vec<ClientOut
     }
 
     // Phase 2: wall-clock-paced sends, reply collection as it happens.
-    let interval = Duration::from_secs_f64(1.0 / cfg.rps);
     let budget: Option<u64> = cfg.requests_per_client.map(|r| r as u64 * n as u64);
     let mut rng = cfg.seed;
     let mut seqs = vec![0u64; n];
