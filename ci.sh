@@ -16,6 +16,12 @@ if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc \
         --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
+    # The estimate cache stays invisible at any capacity: one entry evicts
+    # inside a suite row, a hundred across rows, and the pinned artefact
+    # digests must still match.
+    for cap in 1 100; do
+        RVHPC_CACHE_CAP=$cap taskset -c 0 cargo test -q -p rvhpc --test golden_artefacts
+    done
     # The serving tests hold the batcher with `Server::pause_batcher`; on
     # one CPU the reactor, the batcher and the test thread share a core.
     taskset -c 0 cargo test -q -p rvhpc-integration-tests --test serve_end_to_end \

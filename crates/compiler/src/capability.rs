@@ -10,7 +10,7 @@
 //! 2MM, 3MM and GEMM. The remaining members are assigned to match both the
 //! totals and each kernel's inherent vectorisability from the descriptors.
 
-use rvhpc_kernels::{workload, KernelName};
+use rvhpc_kernels::{vec_profile, KernelName};
 
 /// A toolchain that can target the C920.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,11 +174,11 @@ fn vector_path_decision(
     // *some* loop (that is how reference [11] reaches 59/64 for Clang);
     // whether the hot loop can run vectorised is still bounded by the
     // kernel's inherent dependence structure.
-    let w = workload(kernel, kernel.default_size());
-    if !w.vec.vectorizable {
+    let vec = vec_profile(kernel);
+    if !vec.vectorizable {
         return false;
     }
-    if w.vec.int_data {
+    if vec.int_data {
         return true; // integer vectors work at any "precision" setting
     }
     elem_bits < 64 || hw_supports_fp64_vec
@@ -255,7 +255,7 @@ mod tests {
         // The capability count may credit partially-vectorised kernels, but
         // the executable verdict must respect loop-carried dependences.
         for &k in KernelName::ALL.iter() {
-            if !workload(k, k.default_size()).vec.vectorizable {
+            if !vec_profile(k).vectorizable {
                 for c in [Compiler::XuanTieGcc, Compiler::Clang] {
                     assert!(!vector_path_executes(c, k, 32, false), "{k} via {c:?}");
                 }
@@ -268,7 +268,7 @@ mod tests {
         // GCC's Vectorized (vector-path) set is curated to hot loops only.
         for &k in KernelName::ALL.iter() {
             if vec_status(Compiler::XuanTieGcc, k) == VecStatus::Vectorized {
-                assert!(workload(k, k.default_size()).vec.vectorizable, "{k}");
+                assert!(vec_profile(k).vectorizable, "{k}");
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::capability::{vec_status, Compiler, VecStatus};
 use crate::codegen::{generate, measure, InstCounts, VectorMode};
-use rvhpc_kernels::{workload, KernelName};
+use rvhpc_kernels::{vec_profile, KernelName};
 use rvhpc_rvv::{print_program, rollback, Dialect, Program, Sew};
 
 /// The vector ISA level a compilation targets.
@@ -88,8 +88,7 @@ pub fn compile(
 
     // Hardware constraint: no FP64 vectors on the C920 (integer-data
     // kernels exempt).
-    let w = workload(kernel, kernel.default_size());
-    if sew == Sew::E64 && !w.vec.int_data {
+    if sew == Sew::E64 && !vec_profile(kernel).int_data {
         out.note = Some("C920 RVV v0.7.1 does not implement FP64 vector arithmetic".into());
         return out;
     }

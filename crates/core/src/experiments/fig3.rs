@@ -6,7 +6,7 @@ use crate::suite::times_faster;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{Precision, RowEnv, RunConfig, Toolchain};
+use rvhpc_perfmodel::{estimate_batch, Precision, RowEnv, RunConfig, Toolchain};
 
 /// The Polybench kernels the paper plots in Figure 3.
 pub const FIG3_KERNELS: [KernelName; 12] = [
@@ -46,23 +46,24 @@ fn cfg(toolchain: Toolchain, mode: VectorMode) -> RunConfig {
     }
 }
 
-/// Regenerate Figure 3's data.
+/// Regenerate Figure 3's data: three single-core rows of the twelve
+/// kernels, each answered through the estimate cache's batch path.
 pub fn run() -> Vec<Fig3Point> {
     let m = machine(MachineId::Sg2042);
-    let gcc_row = RowEnv::new(&m, &cfg(Toolchain::XuanTieGcc, VectorMode::Vls));
-    let vla_row = RowEnv::new(&m, &cfg(Toolchain::ClangRvv, VectorMode::Vla));
-    let vls_row = RowEnv::new(&m, &cfg(Toolchain::ClangRvv, VectorMode::Vls));
+    let row = |toolchain, mode| {
+        let env = RowEnv::new(&m, &cfg(toolchain, mode));
+        estimate_batch(&FIG3_KERNELS.map(|k| (&env, k)))
+    };
+    let gcc = row(Toolchain::XuanTieGcc, VectorMode::Vls);
+    let vla = row(Toolchain::ClangRvv, VectorMode::Vla);
+    let vls = row(Toolchain::ClangRvv, VectorMode::Vls);
     FIG3_KERNELS
         .into_iter()
-        .map(|kernel| {
-            let gcc = gcc_row.estimate_averaged(kernel);
-            let vla = vla_row.estimate_averaged(kernel);
-            let vls = vls_row.estimate_averaged(kernel);
-            Fig3Point {
-                kernel,
-                clang_vla: times_faster(gcc.seconds, vla.seconds),
-                clang_vls: times_faster(gcc.seconds, vls.seconds),
-            }
+        .enumerate()
+        .map(|(i, kernel)| Fig3Point {
+            kernel,
+            clang_vla: times_faster(gcc[i].seconds, vla[i].seconds),
+            clang_vls: times_faster(gcc[i].seconds, vls[i].seconds),
         })
         .collect()
 }

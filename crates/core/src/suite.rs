@@ -18,8 +18,9 @@ pub struct KernelTime {
 /// Run the whole 64-kernel suite on a simulated machine.
 ///
 /// The row goes through [`estimate_batch`], the cross-sweep cache's batch
-/// path ([`rvhpc_perfmodel::cache`]): every kernel already cached is
-/// answered under one map lock, and only the misses are estimated — a lone
+/// path ([`rvhpc_perfmodel::cache`]), whose store is keyed by suite row:
+/// every kernel already cached is answered under one map lock and one map
+/// probe for the whole row, and only the misses are estimated — a lone
 /// miss on the calling thread, several fanned out over the process-wide
 /// [`global_team`](rvhpc_threads::global_team) with a work-stealing
 /// handout (per-kernel estimate cost is irregular; see

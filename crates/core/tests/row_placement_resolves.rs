@@ -38,8 +38,9 @@ fn cold_rows_resolve_once_and_warm_rows_never() {
     }
 
     // The whole paper batch: a cold pass resolves one placement per row
-    // with a miss, a warm pass resolves only Figure 3's three uncached
-    // rows, far below the pass's thousands of misses.
+    // with a miss, a warm pass none. The cold misses are 48 whole suite
+    // rows and Figure 3's two Clang rows of 12 kernels (its GCC row is
+    // Table 1's single-thread row, which runs before it).
     cache::clear();
     let (before, misses_before) = (resolves(), cache::stats().misses);
     for e in &EXPERIMENTS {
@@ -53,7 +54,7 @@ fn cold_rows_resolve_once_and_warm_rows_never() {
     }
     let warm_resolves = resolves() - before;
     eprintln!("cold pass: {misses} misses, {cold_resolves} resolves; warm: {warm_resolves}");
-    assert_eq!(misses % 64, 0, "misses come in whole suite rows");
-    assert_eq!(cold_resolves, misses / 64 + 3, "one per missing row plus Figure 3's rows");
-    assert_eq!(warm_resolves, 3, "only Figure 3's uncached rows");
+    assert_eq!(misses, 48 * 64 + 2 * 12, "48 suite rows and Figure 3's two Clang rows");
+    assert_eq!(cold_resolves, 48 + 2, "one per row with a miss");
+    assert_eq!(warm_resolves, 0, "a warm pass resolves nothing");
 }

@@ -13,6 +13,7 @@
 //! the mapping from loop body → model input is reviewable side by side.
 
 use crate::ids::KernelName;
+use std::sync::OnceLock;
 
 /// Spatial access shape of one stream (converted to the cache model's
 /// locality classes by `rvhpc-perfmodel`).
@@ -94,7 +95,7 @@ impl StreamSpec {
 }
 
 /// How a loop responds to vectorisation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VecProfile {
     /// The loop has no loop-carried dependence (inherently vectorisable).
     pub vectorizable: bool,
@@ -951,6 +952,17 @@ pub fn workload(name: KernelName, n: usize) -> Workload {
     }
 }
 
+/// A kernel's vectorisation response, which no problem size changes: its
+/// [`workload`]'s `vec` at the default size, read from a table built once
+/// per process, so asking for it builds no descriptor.
+pub fn vec_profile(name: KernelName) -> VecProfile {
+    static TABLE: OnceLock<Vec<VecProfile>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        KernelName::ALL.iter().map(|&k| workload(k, k.default_size()).vec).collect()
+    });
+    table[name as usize]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,6 +1038,15 @@ mod tests {
                 large.requested_bytes(8) >= small.requested_bytes(8),
                 "{k}: bytes must not shrink with n"
             );
+        }
+    }
+
+    #[test]
+    fn vec_profile_does_not_depend_on_the_size() {
+        for k in KernelName::ALL {
+            for n in [1_000, k.default_size(), 8_388_608] {
+                assert_eq!(vec_profile(k), workload(k, n).vec, "{k} at {n}");
+            }
         }
     }
 

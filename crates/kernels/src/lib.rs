@@ -29,7 +29,7 @@ pub mod runner;
 #[cfg(test)]
 mod proptests;
 
-pub use descriptor::{workload, Access, StreamSpec, VecProfile, Workload};
+pub use descriptor::{vec_profile, workload, Access, StreamSpec, VecProfile, Workload};
 pub use ids::{KernelClass, KernelName};
 pub use real::Real;
 pub use runner::{make_kernel, KernelExec};

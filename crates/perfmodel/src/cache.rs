@@ -12,22 +12,31 @@
 //! fully deterministic: a hit returns the exact `TimeEstimate` a miss would
 //! recompute, so cached and uncached sweeps are bit-identical. Hit, miss
 //! and eviction counts are the always-on `rvhpc-obs` registry counters
-//! `perfmodel.estimate_cache.{hit,miss,eviction}`, read back through
-//! [`stats`] (which the benchmark reads).
+//! `perfmodel.estimate_cache.{hit,miss,eviction}`, one per query or
+//! entry, read back through [`stats`] (which the benchmark reads).
+//!
+//! The store is keyed by suite row, the way every artefact asks: a
+//! `(machine, canonical RunConfig)` row key maps to the row's resident
+//! estimates, found by a 64-bit kernel mask and kept at the rank of their
+//! kernel's bit, so a sparsely filled row (the server's random keys) holds
+//! only what it has. A FIFO queue of `(row, kernel)` entries drives
+//! eviction entry by entry, exactly as a map of single entries would; a
+//! row goes when its last entry does.
 //!
 //! Batches go through [`estimate_batch`]: it answers every hit of a batch
-//! (a suite row, or a server batch's unique queries) under one map lock
-//! and hands only the misses on. The misses run on the calling thread when
-//! there is one of them or when the process-wide pool has a single lane
-//! (a hand-off there adds two context switches and no parallelism — the
-//! rule follows the host's pool width, not a knob); otherwise they fan out
-//! over the pool. Their answers land in the batch's answer vector and are
-//! inserted under one more map lock, which also publishes the eviction
-//! count and the `perfmodel.estimate_cache.entries` gauge once per batch
-//! ([`clear`] zeroes the gauge). So a warm row costs one lock and no
-//! dispatch, and a cold row two locks.
+//! (a suite row, or a server batch's unique queries) under one map lock,
+//! with one map probe per run of queries from the same row, and hands
+//! only the misses on. The misses run on the calling thread when there is
+//! one of them or when the process-wide pool has a single lane (a hand-off
+//! there adds two context switches and no parallelism — the rule follows
+//! the host's pool width, not a knob); otherwise they fan out over the
+//! pool. Their answers land in the batch's answer vector and are inserted
+//! under one more map lock, one map lookup per row, which also publishes
+//! the eviction count and the `perfmodel.estimate_cache.entries` gauge
+//! once per batch ([`clear`] zeroes the gauge). So a warm row costs one
+//! lock, one probe and no dispatch, and a cold row two locks.
 //!
-//! A key hashes as one packed `u64` of its fields through std's keyed
+//! A row key hashes as one packed `u64` of its fields through std's keyed
 //! SipHash, which keeps the map collision-resistant against the network
 //! keys the server feeds it; equality still compares the fields.
 //!
@@ -121,7 +130,7 @@ fn captured_capacity() -> usize {
 
 /// Number of currently resident entries (same as [`stats`]`().entries`).
 pub fn len() -> usize {
-    locked().map.len()
+    locked().len
 }
 
 /// The canonical form of a [`RunConfig`]: two configs that provably produce
@@ -154,17 +163,17 @@ impl CanonicalConfig {
     }
 }
 
+/// Where one suite row's estimates live: the machine and the canonical
+/// configuration, everything of a cache key but the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Key {
+struct RowKey {
     machine: MachineId,
-    kernel: KernelName,
     cfg: CanonicalConfig,
 }
 
-/// Bit offsets of [`Key::packed`]'s fields, low to high. The thread count
-/// takes the rest of the word.
-const KERNEL_SHIFT: u32 = 4;
-const PRECISION_SHIFT: u32 = KERNEL_SHIFT + 8;
+/// Bit offsets of [`RowKey::packed`]'s fields, low to high. The thread
+/// count takes the rest of the word.
+const PRECISION_SHIFT: u32 = 4;
 const VECTORIZE_SHIFT: u32 = PRECISION_SHIFT + 1;
 const TOOLCHAIN_SHIFT: u32 = VECTORIZE_SHIFT + 1;
 const MODE_SHIFT: u32 = TOOLCHAIN_SHIFT + 2;
@@ -172,30 +181,30 @@ const PLACEMENT_SHIFT: u32 = MODE_SHIFT + 1;
 const THREADS_SHIFT: u32 = PLACEMENT_SHIFT + 2;
 
 // Every enum field fits below the next field's offset (each assertion
-// names the enum's last variant or counts its `ALL`).
+// names the enum's last variant or counts its `ALL`), and a row's kernels
+// fit one `u64` mask.
 const _: () = {
-    assert!((MachineId::Sg2042NextGen as u32) < 1 << KERNEL_SHIFT);
-    assert!(KernelName::ALL.len() <= 1 << (PRECISION_SHIFT - KERNEL_SHIFT));
+    assert!((MachineId::Sg2042NextGen as u32) < 1 << PRECISION_SHIFT);
     assert!((Precision::Fp64 as u32) < 1 << (VECTORIZE_SHIFT - PRECISION_SHIFT));
     assert!((Toolchain::X86Gcc as u32) < 1 << (MODE_SHIFT - TOOLCHAIN_SHIFT));
     assert!((VectorMode::Vla as u32) < 1 << (PLACEMENT_SHIFT - MODE_SHIFT));
     assert!(PlacementPolicy::ALL.len() <= 1 << (THREADS_SHIFT - PLACEMENT_SHIFT));
+    assert!(KernelName::ALL.len() <= 64);
 };
 
-impl Key {
-    fn new(row: &RowEnv, kernel: KernelName) -> Self {
-        Key { machine: row.machine().id, kernel, cfg: CanonicalConfig::new(row) }
+impl RowKey {
+    fn new(row: &RowEnv) -> Self {
+        RowKey { machine: row.machine().id, cfg: CanonicalConfig::new(row) }
     }
 
     /// Every field in one word, so a lookup hashes one `u64` instead of
-    /// seven fields. Distinct catalog keys pack to distinct words (a test
-    /// enumerates them); a thread count past 2^45 would share a word with
+    /// six fields. Distinct catalog keys pack to distinct words (a test
+    /// enumerates them); a thread count past 2^53 would share a word with
     /// a smaller one, which costs a hash collision, never a wrong hit,
     /// since equality still compares the fields.
     fn packed(&self) -> u64 {
         let c = &self.cfg;
         self.machine as u64
-            | (self.kernel as u64) << KERNEL_SHIFT
             | (c.precision as u64) << PRECISION_SHIFT
             | (c.vectorize as u64) << VECTORIZE_SHIFT
             | (c.toolchain as u64) << TOOLCHAIN_SHIFT
@@ -205,45 +214,138 @@ impl Key {
     }
 }
 
-impl Hash for Key {
+impl Hash for RowKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.packed());
     }
 }
 
-/// FIFO-bounded map. FIFO (not LRU) is deliberate: sweeps re-touch whole
-/// generations of keys at once, so recency carries no extra signal, and a
-/// FIFO queue needs no bookkeeping on the hit path.
-struct Bounded {
-    map: HashMap<Key, TimeEstimate>,
-    order: VecDeque<Key>,
+/// The resident estimates of one suite row: bit `k` of `filled` marks
+/// kernel `k` resident, and its estimate sits at the rank of that bit, so
+/// a sparsely filled row holds only what it has.
+#[derive(Default)]
+struct Row {
+    filled: u64,
+    est: Vec<TimeEstimate>,
 }
 
-impl Bounded {
-    /// Insert under a capacity bound; returns how many entries were evicted.
-    fn insert(&mut self, capacity: usize, key: Key, est: TimeEstimate) -> u64 {
-        let mut evicted = 0;
-        if self.map.insert(key, est).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.map.remove(&oldest);
-                    evicted += 1;
-                }
-            }
+impl Row {
+    fn bit(kernel: KernelName) -> u64 {
+        1 << kernel as u32
+    }
+
+    /// The slot of a kernel's bit: how many resident kernels sort below it.
+    fn rank(&self, bit: u64) -> usize {
+        (self.filled & (bit - 1)).count_ones() as usize
+    }
+
+    fn get(&self, kernel: KernelName) -> Option<TimeEstimate> {
+        let bit = Row::bit(kernel);
+        (self.filled & bit != 0).then(|| self.est[self.rank(bit)])
+    }
+
+    /// Store a kernel's estimate; `true` if the kernel was absent, and
+    /// `false` if it was resident and its estimate is replaced.
+    fn insert(&mut self, kernel: KernelName, est: TimeEstimate) -> bool {
+        let bit = Row::bit(kernel);
+        let slot = self.rank(bit);
+        if self.filled & bit != 0 {
+            self.est[slot] = est;
+            return false;
         }
-        evicted
+        self.est.insert(slot, est);
+        self.filled |= bit;
+        true
+    }
+
+    fn remove(&mut self, kernel: KernelName) {
+        let bit = Row::bit(kernel);
+        if self.filled & bit != 0 {
+            self.est.remove(self.rank(bit));
+            self.filled &= !bit;
+        }
     }
 }
 
-/// Insert a batch of fresh estimates under one map lock, then publish the
-/// eviction count and the `perfmodel.estimate_cache.entries` gauge once.
-fn insert_all(entries: impl IntoIterator<Item = (Key, TimeEstimate)>) {
+/// FIFO-bounded store of rows. FIFO (not LRU) is deliberate: sweeps
+/// re-touch whole generations of keys at once, so recency carries no
+/// extra signal, and a FIFO queue needs no bookkeeping on the hit path.
+/// The queue and the bound count entries, not rows; a row goes when its
+/// last entry does.
+#[derive(Default)]
+struct Bounded {
+    rows: HashMap<RowKey, Row>,
+    order: VecDeque<(RowKey, KernelName)>,
+    len: usize,
+}
+
+impl Bounded {
+    fn get(&self, key: &RowKey, kernel: KernelName) -> Option<TimeEstimate> {
+        self.rows.get(key)?.get(kernel)
+    }
+
+    /// Insert one row's entries under a capacity bound through one map
+    /// lookup; returns how many entries were evicted. The result is that
+    /// of inserting the entries one at a time, each followed by evicting
+    /// the oldest entries down to the bound: an entry of this row evicted
+    /// part-way is absent again for a later entry of the same kernel.
+    fn insert_row(
+        &mut self,
+        capacity: usize,
+        key: RowKey,
+        entries: impl IntoIterator<Item = (KernelName, TimeEstimate)>,
+    ) -> u64 {
+        // The i-th eviction takes `order[i]`: this row's evicted entries
+        // leave it at once, other rows' once the row borrow ends.
+        let mut evicted = 0;
+        let row = self.rows.entry(key).or_default();
+        for (kernel, est) in entries {
+            if !row.insert(kernel, est) {
+                continue;
+            }
+            self.order.push_back((key, kernel));
+            self.len += 1;
+            while self.len > capacity {
+                let (oldest, k) = self.order[evicted];
+                if oldest == key {
+                    row.remove(k);
+                }
+                evicted += 1;
+                self.len -= 1;
+            }
+        }
+        if row.filled == 0 {
+            self.rows.remove(&key);
+        }
+        for (oldest, kernel) in self.order.drain(..evicted) {
+            if oldest == key {
+                continue;
+            }
+            if let Some(row) = self.rows.get_mut(&oldest) {
+                row.remove(kernel);
+                if row.filled == 0 {
+                    self.rows.remove(&oldest);
+                }
+            }
+        }
+        evicted as u64
+    }
+}
+
+/// Insert a batch of fresh estimates under one map lock, one map lookup
+/// per run of entries from the same row, then publish the eviction count
+/// and the `perfmodel.estimate_cache.entries` gauge once.
+fn insert_all(entries: impl IntoIterator<Item = (RowKey, KernelName, TimeEstimate)>) {
     let capacity = captured_capacity();
     let (evicted, resident) = {
         let mut c = locked();
-        let evicted: u64 = entries.into_iter().map(|(key, est)| c.insert(capacity, key, est)).sum();
-        (evicted, c.map.len())
+        let mut evicted = 0;
+        let mut entries = entries.into_iter().peekable();
+        while let Some(&(key, _, _)) = entries.peek() {
+            let run = std::iter::from_fn(|| entries.next_if(|e| e.0 == key));
+            evicted += c.insert_row(capacity, key, run.map(|(_, kernel, est)| (kernel, est)));
+        }
+        (evicted, c.len)
     };
     if evicted > 0 {
         rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
@@ -253,7 +355,7 @@ fn insert_all(entries: impl IntoIterator<Item = (Key, TimeEstimate)>) {
 
 fn cache() -> &'static Mutex<Bounded> {
     static CACHE: OnceLock<Mutex<Bounded>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Bounded { map: HashMap::new(), order: VecDeque::new() }))
+    CACHE.get_or_init(|| Mutex::new(Bounded::default()))
 }
 
 fn locked() -> std::sync::MutexGuard<'static, Bounded> {
@@ -312,7 +414,7 @@ pub fn stats() -> CacheStats {
         hits: count("perfmodel.estimate_cache.hit"),
         misses: count("perfmodel.estimate_cache.miss"),
         evictions: count("perfmodel.estimate_cache.eviction"),
-        entries: locked().map.len(),
+        entries: locked().len,
         capacity: capacity(),
     }
 }
@@ -321,8 +423,9 @@ pub fn stats() -> CacheStats {
 /// benchmark phases and determinism tests.
 pub fn clear() {
     let mut c = locked();
-    c.map.clear();
+    c.rows.clear();
     c.order.clear();
+    c.len = 0;
     rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", 0);
 }
 
@@ -337,7 +440,8 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 }
 
 /// Every query of a batch through the cache, in query order. The hits are
-/// answered under one map lock and count on `perfmodel.estimate_cache.hit`;
+/// answered under one map lock, one map probe per run of consecutive
+/// queries from the same row, and count on `perfmodel.estimate_cache.hit`;
 /// only the misses are fetched, from the persistent store or the estimate
 /// (counted as in [`estimate_cached_in`], through the row's lazy
 /// placement), and then inserted under one more lock. The misses run on
@@ -348,14 +452,21 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// neither the pool nor any row's placement. Bit-identical to estimating
 /// each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
-    let keys: Vec<Key> = queries.iter().map(|&(row, kernel)| Key::new(row, kernel)).collect();
     let mut misses = Vec::new();
     let mut answers: Vec<TimeEstimate> = {
         let c = locked();
-        keys.iter()
+        // One map probe per run of queries from the same row.
+        let mut current: Option<(RowKey, Option<&Row>)> = None;
+        queries
+            .iter()
             .enumerate()
-            .map(|(i, key)| {
-                c.map.get(key).copied().unwrap_or_else(|| {
+            .map(|(i, &(row, kernel))| {
+                let key = RowKey::new(row);
+                let found = match current {
+                    Some((k, found)) if k == key => found,
+                    _ => current.insert((key, c.rows.get(&key))).1,
+                };
+                found.and_then(|r| r.get(kernel)).unwrap_or_else(|| {
                     misses.push(i);
                     UNANSWERED
                 })
@@ -369,7 +480,7 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     if misses.is_empty() {
         return answers;
     }
-    let fetch = |i: usize| fetch_miss(queries[i].0, &keys[i]);
+    let fetch = |i: usize| fetch_miss(queries[i].0, &RowKey::new(queries[i].0), queries[i].1);
     if misses.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
         for &i in &misses {
             answers[i] = fetch(i);
@@ -381,7 +492,7 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
             shared.lock().unwrap_or_else(|p| p.into_inner())[misses[j]] = est;
         });
     }
-    insert_all(misses.iter().map(|&i| (keys[i], answers[i])));
+    insert_all(misses.iter().map(|&i| (RowKey::new(queries[i].0), queries[i].1, answers[i])));
     answers
 }
 
@@ -396,23 +507,24 @@ const UNANSWERED: TimeEstimate = TimeEstimate {
     vector_path: false,
 };
 
-/// [`estimate_cached`] for one kernel of a row: a miss estimates through
-/// the row's shared environment, and a hit touches nothing in it, so a row
-/// served entirely from the cache never resolves its placement.
+/// [`estimate_cached`] for one kernel of a row: one row probe and a bit
+/// test. A miss estimates through the row's shared environment, and a hit
+/// touches nothing in it, so a row served entirely from the cache never
+/// resolves its placement.
 pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
-    let key = Key::new(row, kernel);
-    if let Some(found) = locked().map.get(&key) {
+    let key = RowKey::new(row);
+    if let Some(found) = locked().get(&key, kernel) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
-        return *found;
+        return found;
     }
-    let est = fetch_miss(row, &key);
-    insert_all([(key, est)]);
+    let est = fetch_miss(row, &key, kernel);
+    insert_all([(key, kernel, est)]);
     est
 }
 
 /// A miss's answer, from the persistent store or else the estimate; the
 /// caller inserts it.
-fn fetch_miss(row: &RowEnv, key: &Key) -> TimeEstimate {
+fn fetch_miss(row: &RowEnv, key: &RowKey, kernel: KernelName) -> TimeEstimate {
     let machine = row.machine();
     // Persistent layer: a disk warm-start is a hit (it serves the exact
     // bits a miss would recompute), and the caller's insert means later
@@ -420,7 +532,7 @@ fn fetch_miss(row: &RowEnv, key: &Key) -> TimeEstimate {
     // costs several times the estimate itself, so it is derived only when
     // the store is on; when it is off a miss is just the estimate.
     let disk_key = persist::enabled().then(|| {
-        persist::key_hash(&format!("{machine:?}"), key.kernel.label(), &format!("{:?}", key.cfg))
+        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg))
     });
     if let Some(est) = disk_key.and_then(persist::lookup) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
@@ -430,7 +542,7 @@ fn fetch_miss(row: &RowEnv, key: &Key) -> TimeEstimate {
     rvhpc_obs::counter!("perfmodel.estimate_cache.miss", 1);
     // Compute outside the lock: estimation is pure, so a racing duplicate
     // computation is wasted work at worst, never a wrong answer.
-    let est = row.estimate_averaged(key.kernel);
+    let est = row.estimate_averaged(kernel);
     if let Some(disk_key) = disk_key {
         persist::record(disk_key, est);
     }
@@ -591,43 +703,81 @@ mod tests {
         assert_ne!(fp32.seconds.to_bits(), fp64.seconds.to_bits());
     }
 
-    #[test]
-    fn fifo_eviction_respects_the_bound() {
-        // Exercised on a local instance so the test does not need to fill
-        // the real 32k-entry cache.
-        let mk_key = |threads| Key {
+    /// The store before rows: one map entry and one queue slot per key,
+    /// each insert evicting the oldest entries down to the bound. The row
+    /// store must behave exactly like it.
+    #[derive(Default)]
+    struct Reference {
+        map: HashMap<(RowKey, KernelName), TimeEstimate>,
+        order: VecDeque<(RowKey, KernelName)>,
+    }
+
+    impl Reference {
+        fn insert(&mut self, capacity: usize, key: (RowKey, KernelName), est: TimeEstimate) -> u64 {
+            let mut evicted = 0;
+            if self.map.insert(key, est).is_none() {
+                self.order.push_back(key);
+                while self.map.len() > capacity {
+                    if let Some(oldest) = self.order.pop_front() {
+                        self.map.remove(&oldest);
+                        evicted += 1;
+                    }
+                }
+            }
+            evicted
+        }
+    }
+
+    fn row_key(precision: Precision, mode: VectorMode, threads: usize) -> RowKey {
+        RowKey {
             machine: MachineId::Sg2042,
-            kernel: KernelName::DAXPY,
             cfg: CanonicalConfig {
-                precision: Precision::Fp32,
+                precision,
                 vectorize: true,
                 toolchain: Toolchain::XuanTieGcc,
-                mode: VectorMode::Vls,
+                mode,
                 placement: PlacementPolicy::Block,
                 threads,
             },
-        };
-        let est = TimeEstimate {
-            seconds: 1.0,
-            compute_seconds: 0.5,
-            memory_seconds: 0.5,
+        }
+    }
+
+    fn est(seconds: f64) -> TimeEstimate {
+        TimeEstimate {
+            seconds,
+            compute_seconds: seconds / 2.0,
+            memory_seconds: seconds / 2.0,
             overhead_seconds: 0.0,
             vector_path: false,
-        };
-        let mut b = Bounded { map: HashMap::new(), order: VecDeque::new() };
+        }
+    }
+
+    /// Resident entries counted from the rows themselves; no row is empty.
+    fn entries_in_rows(b: &Bounded) -> usize {
+        assert!(b.rows.values().all(|r| r.filled != 0), "an empty row stays resident");
+        assert!(b.rows.values().all(|r| r.est.len() == r.filled.count_ones() as usize));
+        b.rows.values().map(|r| r.est.len()).sum()
+    }
+
+    #[test]
+    fn fifo_eviction_respects_the_bound() {
+        // Exercised on a local instance so the test does not need to fill
+        // the real 32k-entry cache. One entry in each of five rows.
+        let key = |threads| row_key(Precision::Fp32, VectorMode::Vls, threads);
+        let mut b = Bounded::default();
         let mut evicted = 0;
         for t in 1..=5 {
-            evicted += b.insert(3, mk_key(t), est);
+            evicted += b.insert_row(3, key(t), [(KernelName::DAXPY, est(1.0))]);
         }
         assert_eq!(evicted, 2);
-        assert_eq!(b.map.len(), 3);
-        assert_eq!(b.order.len(), 3);
-        // Oldest keys (threads 1 and 2) were displaced, newest retained.
-        assert!(!b.map.contains_key(&mk_key(1)) && !b.map.contains_key(&mk_key(2)));
-        assert!(b.map.contains_key(&mk_key(5)));
+        assert_eq!((b.len, b.order.len(), entries_in_rows(&b)), (3, 3, 3));
+        // Oldest keys (threads 1 and 2) were displaced with their rows,
+        // newest retained.
+        assert!(!b.rows.contains_key(&key(1)) && !b.rows.contains_key(&key(2)));
+        assert!(b.get(&key(5), KernelName::DAXPY).is_some());
         // Re-inserting an existing key neither grows nor evicts.
-        assert_eq!(b.insert(3, mk_key(5), est), 0);
-        assert_eq!(b.map.len(), 3);
+        assert_eq!(b.insert_row(3, key(5), [(KernelName::DAXPY, est(1.0))]), 0);
+        assert_eq!(b.len, 3);
     }
 
     #[test]
@@ -645,38 +795,72 @@ mod tests {
     #[test]
     fn tiny_capacity_evicts_every_prior_entry() {
         // Capacity 1: each distinct insert displaces the previous entry,
-        // and a repeat lookup of the survivor still hits.
-        let mk_key = |kernel| Key {
-            machine: MachineId::Sg2042,
-            kernel,
-            cfg: CanonicalConfig {
-                precision: Precision::Fp64,
-                vectorize: true,
-                toolchain: Toolchain::XuanTieGcc,
-                mode: VectorMode::Vla,
-                placement: PlacementPolicy::Block,
-                threads: 8,
-            },
-        };
-        let est = TimeEstimate {
-            seconds: 2.0,
-            compute_seconds: 1.0,
-            memory_seconds: 1.0,
-            overhead_seconds: 0.0,
-            vector_path: true,
-        };
-        let mut b = Bounded { map: HashMap::new(), order: VecDeque::new() };
+        // and a repeat lookup of the survivor still hits. The kernels
+        // share a row, inserted one at a time or as one group.
+        let key = row_key(Precision::Fp64, VectorMode::Vla, 8);
         let kernels = [KernelName::DAXPY, KernelName::EOS, KernelName::MEMSET];
-        let mut evicted = 0;
-        for k in kernels {
-            evicted += b.insert(1, mk_key(k), est);
+        let one_at_a_time = || {
+            let mut b = Bounded::default();
+            let evicted: u64 = kernels.map(|k| b.insert_row(1, key, [(k, est(2.0))])).iter().sum();
+            (b, evicted)
+        };
+        let grouped = || {
+            let mut b = Bounded::default();
+            let evicted = b.insert_row(1, key, kernels.map(|k| (k, est(2.0))));
+            (b, evicted)
+        };
+        for (mut b, evicted) in [one_at_a_time(), grouped()] {
+            assert_eq!(evicted, 2, "each insert after the first displaces one entry");
+            assert_eq!((b.len, b.order.len(), entries_in_rows(&b)), (1, 1, 1));
+            assert!(b.get(&key, KernelName::MEMSET).is_some(), "newest entry survives");
+            assert!(b.get(&key, KernelName::DAXPY).is_none());
+            // A re-insert of the survivor is a no-op, not an eviction.
+            assert_eq!(b.insert_row(1, key, [(KernelName::MEMSET, est(2.0))]), 0);
+            assert_eq!(b.len, 1);
         }
-        assert_eq!(evicted, 2, "each insert after the first displaces one entry");
-        assert_eq!((b.map.len(), b.order.len()), (1, 1));
-        assert!(b.map.contains_key(&mk_key(KernelName::MEMSET)), "newest entry survives");
-        // A re-insert of the survivor is a no-op, not an eviction.
-        assert_eq!(b.insert(1, mk_key(KernelName::MEMSET), est), 0);
-        assert_eq!(b.map.len(), 1);
+    }
+
+    #[test]
+    fn the_row_store_evicts_exactly_like_the_per_entry_reference() {
+        // Seeded sequences of grouped inserts (with re-inserts and repeats
+        // inside a group) and lookups over 3–4 rows of all 64 kernels, at
+        // capacities from one entry to two rows' worth, so evictions fall
+        // inside a row and across rows.
+        rvhpc_quickprop::run_cases(48, |g| {
+            let capacity = g.usize_in(1..=130);
+            let rows: Vec<RowKey> = (1..=g.usize_in(3..=4))
+                .map(|t| row_key(Precision::Fp32, VectorMode::Vls, t))
+                .collect();
+            let (mut store, mut reference) = (Bounded::default(), Reference::default());
+            for step in 0..60 {
+                let key = *g.choose(&rows);
+                if g.bool_with(0.75) {
+                    let n = g.usize_in(1..=80);
+                    let group: Vec<(KernelName, TimeEstimate)> = (0..n)
+                        .map(|i| (*g.choose(&KernelName::ALL), est((step * 100 + i) as f64)))
+                        .collect();
+                    let expected: u64 =
+                        group.iter().map(|&(k, e)| reference.insert(capacity, (key, k), e)).sum();
+                    let evicted = store.insert_row(capacity, key, group);
+                    assert_eq!(evicted, expected, "step {step}: evictions");
+                } else {
+                    let k = *g.choose(&KernelName::ALL);
+                    let got = store.get(&key, k).map(|e| e.seconds.to_bits());
+                    let want = reference.map.get(&(key, k)).map(|e| e.seconds.to_bits());
+                    assert_eq!(got, want, "step {step}: lookup");
+                }
+                assert_eq!(store.len, reference.map.len(), "step {step}: len");
+                assert_eq!(store.order, reference.order, "step {step}: FIFO order");
+                assert_eq!(entries_in_rows(&store), store.len, "step {step}: rows");
+                for &key in &rows {
+                    for k in KernelName::ALL {
+                        let got = store.get(&key, k).map(|e| e.seconds.to_bits());
+                        let want = reference.map.get(&(key, k)).map(|e| e.seconds.to_bits());
+                        assert_eq!(got, want, "step {step}: {k} after the step");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
@@ -841,33 +1025,31 @@ mod tests {
 
     #[test]
     fn packed_keys_are_distinct_over_the_catalog_domain() {
-        // Every canonical key a catalog descriptor can produce: scalar
+        // Every canonical row key a catalog descriptor can produce: scalar
         // configs carry the VLS mode, threads run 1..=cores.
         let machines = MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]);
         let toolchains = [Toolchain::XuanTieGcc, Toolchain::ClangRvv, Toolchain::X86Gcc];
         let mut keys = 0usize;
         let mut words = Vec::new();
         for id in machines {
-            for kernel in KernelName::ALL {
-                for precision in [Precision::Fp32, Precision::Fp64] {
-                    for (vectorize, mode) in
-                        [(false, VectorMode::Vls), (true, VectorMode::Vls), (true, VectorMode::Vla)]
-                    {
-                        for toolchain in toolchains {
-                            for placement in PlacementPolicy::ALL {
-                                for threads in 1..=machine(id).n_cores() {
-                                    let cfg = CanonicalConfig {
-                                        precision,
-                                        vectorize,
-                                        toolchain,
-                                        mode,
-                                        placement,
-                                        threads,
-                                    };
-                                    // The loops yield each distinct key once.
-                                    keys += 1;
-                                    words.push(Key { machine: id, kernel, cfg }.packed());
-                                }
+            for precision in [Precision::Fp32, Precision::Fp64] {
+                for (vectorize, mode) in
+                    [(false, VectorMode::Vls), (true, VectorMode::Vls), (true, VectorMode::Vla)]
+                {
+                    for toolchain in toolchains {
+                        for placement in PlacementPolicy::ALL {
+                            for threads in 1..=machine(id).n_cores() {
+                                let cfg = CanonicalConfig {
+                                    precision,
+                                    vectorize,
+                                    toolchain,
+                                    mode,
+                                    placement,
+                                    threads,
+                                };
+                                // The loops yield each distinct key once.
+                                keys += 1;
+                                words.push(RowKey { machine: id, cfg }.packed());
                             }
                         }
                     }
@@ -876,7 +1058,7 @@ mod tests {
         }
         words.sort_unstable();
         words.dedup();
-        assert_eq!(words.len(), keys, "two catalog keys share a packed word");
+        assert_eq!(words.len(), keys, "two catalog row keys share a packed word");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::{workload, KernelClass, KernelName, Workload};
 use rvhpc_machines::Machine;
 use rvhpc_rvv::Sew;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -187,7 +188,7 @@ pub fn estimate_sized(
 /// module both go through here, so the printed breakdown is always the
 /// arithmetic that produced the number.
 pub(crate) struct ModelParts {
-    pub w: Workload,
+    pub w: Cow<'static, Workload>,
     pub eff_t: f64,
     pub vec: VectorCtx,
     pub compute: f64,
@@ -221,9 +222,22 @@ impl ModelParts {
     }
 }
 
+/// Every kernel's workload at its [`sim_size`], built once per process, so
+/// a suite-size estimate borrows its descriptor instead of building one.
+fn sim_workload(kernel: KernelName) -> &'static Workload {
+    static TABLE: OnceLock<Vec<Workload>> = OnceLock::new();
+    let table =
+        TABLE.get_or_init(|| KernelName::ALL.iter().map(|&k| workload(k, sim_size(k))).collect());
+    &table[kernel as usize]
+}
+
 pub(crate) fn model_parts(env: &RowEnv, kernel: KernelName, size: usize) -> ModelParts {
     let (machine, cfg, cal) = (env.machine(), env.config(), env.calibration());
-    let w = workload(kernel, size);
+    let w = if size == sim_size(kernel) {
+        Cow::Borrowed(sim_workload(kernel))
+    } else {
+        Cow::Owned(workload(kernel, size))
+    };
     let eff_t = effective_threads(kernel, env.threads());
     let vec = resolve_vector(machine, kernel, &w, cfg);
 
@@ -449,6 +463,14 @@ mod tests {
     fn sim_sizes_cover_all_kernels() {
         for k in KernelName::ALL {
             assert!(sim_size(k) > 0);
+        }
+    }
+
+    #[test]
+    fn shared_sim_workloads_match_freshly_built_ones() {
+        for k in KernelName::ALL {
+            let built = workload(k, sim_size(k));
+            assert_eq!(format!("{:?}", sim_workload(k)), format!("{built:?}"), "{k}");
         }
     }
 }
