@@ -9,12 +9,15 @@ cargo test -q --workspace
 # The benchmark's sweeps run bound to one CPU, where the shared pool has a
 # single worker; rerun the sweep bit-identity and pool-dispatch tests in
 # that configuration too, with the estimate cache's unit tests for its
-# one-lane batch path and the pinned artefact digests.
+# one-lane batch path and the pinned artefact digests. The persistent
+# store's tests cover its one-lane path: keys derived for misses answered
+# on the calling thread.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines
     taskset -c 0 cargo test -q -p rvhpc \
-        --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts
+        --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts \
+        --test cache_dir_env_cli --test store_key_derivations
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
     # The estimate cache stays invisible at any capacity: one entry evicts
     # inside a suite row, a hundred across rows, and the pinned artefact

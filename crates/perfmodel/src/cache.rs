@@ -40,12 +40,15 @@
 //! SipHash, which keeps the map collision-resistant against the network
 //! keys the server feeds it; equality still compares the fields.
 //!
-//! Under the map sits the optional [`persist`] store. Its content-hash key
-//! (the `Debug` text of the full descriptor and canonical config, salted
-//! and hashed) costs several times the estimate, so a miss derives it only
-//! when the store is enabled. A miss, one at a time or out of a batch,
-//! consults the store or else estimates, and the estimate resolves the
-//! thread placement only on the first miss of its [`RowEnv`]:
+//! Under the map sits the optional [`persist`] store, keyed by a salted
+//! hash of the `Debug` text of the full descriptor, the kernel and the
+//! canonical config. Hashing the descriptor's ~1 KB of text costs several
+//! times the estimate, so a batch hashes it once per distinct descriptor,
+//! serially before any fan-out, and each miss then hashes only its kernel
+//! label and config text (~125 bytes); with the store disabled no key is
+//! derived and nothing is allocated for one. A miss, one at a time or out
+//! of a batch, consults the store or else estimates, and the estimate
+//! resolves the thread placement only on the first miss of its [`RowEnv`]:
 //! [`estimate_cached`] builds a one-off row per call, while
 //! [`estimate_cached_in`] and a batch's queries share their rows.
 //!
@@ -444,7 +447,9 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// queries from the same row, and count on `perfmodel.estimate_cache.hit`;
 /// only the misses are fetched, from the persistent store or the estimate
 /// (counted as in [`estimate_cached_in`], through the row's lazy
-/// placement), and then inserted under one more lock. The misses run on
+/// placement), and then inserted under one more lock. With the store on,
+/// the misses' store keys are derived first, on the calling thread, with
+/// one descriptor hash per distinct descriptor. The misses run on
 /// the calling thread when there is one of them or the process-wide
 /// [`global_team`](rvhpc_threads::global_team) has one lane, where a
 /// hand-off would buy no parallelism; otherwise they fan out over the
@@ -480,20 +485,56 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     if misses.is_empty() {
         return answers;
     }
-    let fetch = |i: usize| fetch_miss(queries[i].0, &RowKey::new(queries[i].0), queries[i].1);
+    // The store's keys, derived serially before any fan-out; with the
+    // store off there are none and nothing is allocated for them.
+    let disk_keys = persist::enabled().then(|| disk_keys(queries, &misses));
+    let fetch = |j: usize| {
+        let (row, kernel) = queries[misses[j]];
+        fetch_miss(row, kernel, disk_keys.as_ref().map(|keys| keys[j]))
+    };
     if misses.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
-        for &i in &misses {
-            answers[i] = fetch(i);
+        for (j, &i) in misses.iter().enumerate() {
+            answers[i] = fetch(j);
         }
     } else {
         let shared = Mutex::new(&mut answers[..]);
         rvhpc_threads::global_team().parallel_for_worksteal(0..misses.len(), |j| {
-            let est = fetch(misses[j]);
+            let est = fetch(j);
             shared.lock().unwrap_or_else(|p| p.into_inner())[misses[j]] = est;
         });
     }
     insert_all(misses.iter().map(|&i| (RowKey::new(queries[i].0), queries[i].1, answers[i])));
     answers
+}
+
+/// The persistent store's key of each miss of a batch, in `misses` order.
+/// The descriptor part of a key is derived once per distinct descriptor
+/// the batch borrows (rows sharing a `&Machine` share it), and the
+/// configuration text once per run of misses from the same row; each miss
+/// then hashes only its kernel label and that text.
+fn disk_keys(queries: &[(&RowEnv, KernelName)], misses: &[usize]) -> Vec<u64> {
+    let mut prefixes: Vec<(&Machine, persist::KeyPrefix)> = Vec::new();
+    let mut cfg_text: Option<(RowKey, String)> = None;
+    let mut keys = Vec::with_capacity(misses.len());
+    for &i in misses {
+        let (row, kernel) = queries[i];
+        let machine = row.machine();
+        let prefix = match prefixes.iter().find(|(m, _)| std::ptr::eq(*m, machine)) {
+            Some(&(_, prefix)) => prefix,
+            None => {
+                let prefix = persist::KeyPrefix::new(machine);
+                prefixes.push((machine, prefix));
+                prefix
+            }
+        };
+        let key = RowKey::new(row);
+        let text = match &mut cfg_text {
+            Some((k, text)) if *k == key => text,
+            slot => &slot.insert((key, format!("{:?}", key.cfg))).1,
+        };
+        keys.push(prefix.key(kernel.label(), text));
+    }
+    keys
 }
 
 /// What a miss's answer slot holds until [`estimate_batch`] fills it: every
@@ -517,23 +558,22 @@ pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         return found;
     }
-    let est = fetch_miss(row, &key, kernel);
+    // The content-hash key is derived only when the store is on; when it
+    // is off a miss is just the estimate.
+    let disk_key = persist::enabled().then(|| {
+        persist::KeyPrefix::new(row.machine()).key(kernel.label(), &format!("{:?}", key.cfg))
+    });
+    let est = fetch_miss(row, kernel, disk_key);
     insert_all([(key, kernel, est)]);
     est
 }
 
-/// A miss's answer, from the persistent store or else the estimate; the
-/// caller inserts it.
-fn fetch_miss(row: &RowEnv, key: &RowKey, kernel: KernelName) -> TimeEstimate {
-    let machine = row.machine();
+/// A miss's answer, from the persistent store under `disk_key` (present
+/// only when the store is on) or else the estimate; the caller inserts it.
+fn fetch_miss(row: &RowEnv, kernel: KernelName, disk_key: Option<u64>) -> TimeEstimate {
     // Persistent layer: a disk warm-start is a hit (it serves the exact
     // bits a miss would recompute), and the caller's insert means later
-    // lookups never touch the store lock twice. The content-hash key
-    // costs several times the estimate itself, so it is derived only when
-    // the store is on; when it is off a miss is just the estimate.
-    let disk_key = persist::enabled().then(|| {
-        persist::key_hash(&format!("{machine:?}"), kernel.label(), &format!("{:?}", key.cfg))
-    });
+    // lookups never touch the store lock twice.
     if let Some(est) = disk_key.and_then(persist::lookup) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", 1);
@@ -980,6 +1020,58 @@ mod tests {
         assert_eq!(stored_keys(&dir), vec![format!("{expected:016x}")]);
         persist::set_cache_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn batch_keys_equal_the_whole_text_hash_bit_for_bit() {
+        // Every descriptor, every kernel and every canonical precision ×
+        // vectorize/mode × toolchain × placement at threads {1, 4, 64},
+        // as one batch of misses: each key built from a per-descriptor
+        // prefix must equal the hash of the whole key text, and the batch
+        // derives one prefix per descriptor.
+        let _l = isolated();
+        let machines: Vec<Machine> =
+            MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]).map(machine).collect();
+        let toolchains = [Toolchain::XuanTieGcc, Toolchain::ClangRvv, Toolchain::X86Gcc];
+        let mut rows = Vec::new();
+        for m in &machines {
+            for precision in [Precision::Fp32, Precision::Fp64] {
+                for (vectorize, mode) in
+                    [(false, VectorMode::Vls), (true, VectorMode::Vls), (true, VectorMode::Vla)]
+                {
+                    for toolchain in toolchains {
+                        for placement in PlacementPolicy::ALL {
+                            for threads in [1, 4, 64] {
+                                let cfg = RunConfig {
+                                    precision,
+                                    vectorize,
+                                    toolchain,
+                                    mode,
+                                    placement,
+                                    threads,
+                                };
+                                rows.push(RowEnv::new(m, &cfg));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let queries: Vec<(&RowEnv, KernelName)> =
+            rows.iter().flat_map(|row| KernelName::ALL.map(|k| (row, k))).collect();
+        let misses: Vec<usize> = (0..queries.len()).collect();
+        let derivations =
+            || rvhpc_obs::counter("perfmodel.persist.descriptor_hash").load(Ordering::Relaxed);
+        let before = derivations();
+        let keys = disk_keys(&queries, &misses);
+        assert_eq!(derivations() - before, machines.len() as u64, "one prefix per descriptor");
+        let descriptors: Vec<String> = machines.iter().map(|m| format!("{m:?}")).collect();
+        for (&(row, kernel), key) in queries.iter().zip(keys) {
+            let d = machines.iter().position(|m| std::ptr::eq(m, row.machine())).unwrap();
+            let cfg = format!("{:?}", CanonicalConfig::new(row));
+            let expected = persist::key_hash(&descriptors[d], kernel.label(), &cfg);
+            assert_eq!(key, expected, "{} {kernel} {cfg}", machines[d].id);
+        }
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! below is derived only when the store is enabled: a store-off miss never
 //! formats the descriptor or touches this module's lock.
 //!
+//! Keys are built through one [`KeyPrefix`]: the hash state after the salt
+//! and the descriptor, derived once per distinct descriptor in a batch
+//! (each derivation counts as the `perfmodel.persist.descriptor_hash`
+//! registry counter), from which each miss hashes only its kernel label
+//! and canonical configuration text. FNV-1a is a streaming hash, so the
+//! hashed bytes, and the key, are exactly those of hashing the whole key
+//! text at once.
+//!
 //! # File format (`rvhpc-estcache-v1`)
 //!
 //! A plain text file, `estimates.v1`, one record per line:
@@ -25,7 +33,8 @@
 //! * `key-hash` — 16 hex digits: an FNV-1a 64-bit hash over the **content**
 //!   of the lookup key: a model-version salt, the full machine descriptor
 //!   (not just its id — editing the catalog invalidates stale entries), the
-//!   kernel name, and the canonical run configuration. Bumping
+//!   kernel name, and the canonical run configuration, hashed as the text
+//!   `"{MODEL_SALT}|{machine:?}|{kernel}|{cfg:?}"`. Bumping
 //!   [`MODEL_SALT`] when estimator behaviour changes invalidates every
 //!   prior entry at once.
 //! * the four time components — 16 hex digits each, the raw IEEE-754 bit
@@ -43,7 +52,9 @@
 //!   and the model salt is the invalidation mechanism.
 
 use crate::estimate::TimeEstimate;
+use rvhpc_machines::Machine;
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -62,20 +73,61 @@ const MODEL_SALT: &str = "rvhpc-perfmodel-2026-08";
 /// callers should still [`flush`] at natural boundaries).
 const FLUSH_EVERY: u64 = 1024;
 
-/// FNV-1a 64-bit over a byte string.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A running FNV-1a 64-bit hash. Text formatted into it (it is a
+/// [`fmt::Write`]) hashes exactly as the formatted string would.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    const OFFSET: Fnv = Fnv(0xcbf2_9ce4_8422_2325);
+
+    fn bytes(self, bytes: &[u8]) -> Fnv {
+        Fnv(bytes
+            .iter()
+            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)))
     }
-    h
 }
 
-/// Content hash of one lookup key (see module docs for what it covers).
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        *self = self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The content hash's row-independent part: the hash state after
+/// `"{MODEL_SALT}|{machine:?}|"`. Formatting the descriptor is most of a
+/// key's cost, so a batch derives one prefix per distinct descriptor and
+/// every miss of that descriptor extends it. It lives no longer than the
+/// batch: a prefix kept across batches by machine id would key a
+/// perturbed descriptor's estimate under the catalog descriptor's key.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyPrefix(Fnv);
+
+impl KeyPrefix {
+    /// Hash the salt and the full descriptor, streamed through the hash
+    /// without building the text.
+    pub(crate) fn new(machine: &Machine) -> KeyPrefix {
+        rvhpc_obs::counter!("perfmodel.persist.descriptor_hash", 1);
+        let mut h = Fnv::OFFSET;
+        // Writing into the hash cannot fail.
+        let _ = write!(h, "{MODEL_SALT}|{machine:?}|");
+        KeyPrefix(h)
+    }
+
+    /// The content hash of one lookup key: this prefix extended by the
+    /// kernel label and the canonical configuration's `Debug` text.
+    pub(crate) fn key(self, kernel: &str, cfg_text: &str) -> u64 {
+        self.0.bytes(kernel.as_bytes()).bytes(b"|").bytes(cfg_text.as_bytes()).0
+    }
+}
+
+/// The content hash of one lookup key over the whole key text at once:
+/// the reference [`KeyPrefix`] must reproduce bit for bit.
+#[cfg(test)]
 pub(crate) fn key_hash(machine_debug: &str, kernel: &str, canonical_cfg_debug: &str) -> u64 {
     let text = format!("{MODEL_SALT}|{machine_debug}|{kernel}|{canonical_cfg_debug}");
-    fnv64(text.as_bytes())
+    Fnv::OFFSET.bytes(text.as_bytes()).0
 }
 
 #[derive(Default)]
@@ -199,15 +251,18 @@ fn render_file(map: &HashMap<u64, TimeEstimate>) -> String {
     out.push('\n');
     for k in keys {
         let e = &map[k];
-        out.push_str(&format!(
-            "{:016x} {:016x} {:016x} {:016x} {:016x} {}\n",
+        // Each record goes straight into the buffer; writing to a
+        // `String` cannot fail.
+        let _ = writeln!(
+            out,
+            "{:016x} {:016x} {:016x} {:016x} {:016x} {}",
             k,
             e.seconds.to_bits(),
             e.compute_seconds.to_bits(),
             e.memory_seconds.to_bits(),
             e.overhead_seconds.to_bits(),
             u8::from(e.vector_path),
-        ));
+        );
     }
     out
 }
@@ -407,7 +462,7 @@ mod tests {
                 }
             }
         }
-        fnv64(&bytes)
+        Fnv::OFFSET.bytes(&bytes).0
     }
 
     /// The store serves estimates recorded by older binaries whenever the
