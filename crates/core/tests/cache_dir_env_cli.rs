@@ -4,6 +4,8 @@
 //! must replay it from disk: a near-total hit rate, disk hits, byte-identical
 //! output and less time in the experiments. A server drained by `shutdown`
 //! must persist every estimate it computed, not only the auto-flushed ones.
+//! A store directory that cannot be created must cost a warning and a few
+//! write attempts, never an answer or the exit status.
 
 use rvhpc_perfmodel::persist;
 use rvhpc_trace::json::Json;
@@ -83,6 +85,44 @@ fn env_cache_dir_warm_starts_a_second_run() {
         cold.experiment_us
     );
     assert!(warm.stdout == cold.stdout, "warm output is byte-identical to cold");
+
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn an_unwritable_store_warns_once_and_changes_no_output() {
+    let tmp = scratch_dir("unwritable-store");
+    // A directory below a regular file cannot be created, even by root.
+    let file = tmp.join("a-file");
+    std::fs::write(&file, "a regular file").expect("regular file");
+    let all = |store: Option<&Path>| {
+        let mut repro = Command::new(env!("CARGO_BIN_EXE_repro"));
+        repro.args(["--trace", "all"]).current_dir(&tmp).env_remove("RVHPC_CACHE_DIR");
+        if let Some(store) = store {
+            repro.env("RVHPC_CACHE_DIR", store);
+        }
+        let out = repro.output().expect("repro --trace all runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let store_off = all(None);
+    let unwritable = all(Some(&file.join("store")));
+    assert!(unwritable.stdout == store_off.stdout, "an unwritable store changed the output");
+    let stderr = String::from_utf8_lossy(&unwritable.stderr);
+    assert_eq!(stderr.matches("cannot write the estimate store").count(), 1, "{stderr}");
+
+    let text = std::fs::read_to_string(tmp.join("trace-all.json")).expect("trace written");
+    let doc = Json::parse(&text).expect("trace is JSON");
+    let counter = |name: &str| {
+        doc.get("metadata")
+            .and_then(|m| m.get("counters")?.get(name))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
+    let (writes, failed) =
+        (counter("perfmodel.persist.write"), counter("perfmodel.persist.write_failed"));
+    assert!((1.0..=3.0).contains(&writes), "{writes} write attempts");
+    assert_eq!(failed, writes, "every attempt fails");
 
     let _ = std::fs::remove_dir_all(&tmp);
 }

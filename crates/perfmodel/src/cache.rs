@@ -46,10 +46,13 @@
 //! times the estimate, so a batch hashes it once per distinct descriptor,
 //! serially before any fan-out, and each miss then hashes only its kernel
 //! label and config text (~125 bytes); with the store disabled no key is
-//! derived and nothing is allocated for one. A miss, one at a time or out
-//! of a batch, consults the store or else estimates, and the estimate
-//! resolves the thread placement only on the first miss of its [`RowEnv`]:
-//! [`estimate_cached`] builds a one-off row per call, while
+//! derived and nothing is allocated for one. The store is reached once per
+//! batch: all of the misses' keys are looked up under one store lock, what
+//! it holds is answered before any estimate runs, and the estimates of the
+//! rest are recorded under one more, on the calling thread. A one-off miss
+//! ([`estimate_cached_in`]) is a batch of one and takes the same path. An
+//! estimate resolves the thread placement only on the first miss of its
+//! [`RowEnv`]: [`estimate_cached`] builds a one-off row per call, while
 //! [`estimate_cached_in`] and a batch's queries share their rows.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
@@ -65,6 +68,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{Machine, MachineId, PlacementPolicy};
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
@@ -445,17 +449,13 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// Every query of a batch through the cache, in query order. The hits are
 /// answered under one map lock, one map probe per run of consecutive
 /// queries from the same row, and count on `perfmodel.estimate_cache.hit`;
-/// only the misses are fetched, from the persistent store or the estimate
-/// (counted as in [`estimate_cached_in`], through the row's lazy
-/// placement), and then inserted under one more lock. With the store on,
-/// the misses' store keys are derived first, on the calling thread, with
-/// one descriptor hash per distinct descriptor. The misses run on
-/// the calling thread when there is one of them or the process-wide
-/// [`global_team`](rvhpc_threads::global_team) has one lane, where a
-/// hand-off would buy no parallelism; otherwise they fan out over the
-/// pool with a work-stealing handout. A batch without misses touches
-/// neither the pool nor any row's placement. Bit-identical to estimating
-/// each query on its own.
+/// only the misses go on, to the persistent store when it is on (one store
+/// lock for the batch) and then to the estimate, through the row's lazy
+/// placement, and are inserted under one more map lock. Misses fan out
+/// over the pool only when more than one of them must be estimated and the
+/// pool has more than one lane. A batch without misses touches neither
+/// the store, the pool nor any row's placement. Bit-identical to
+/// estimating each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let mut misses = Vec::new();
     let mut answers: Vec<TimeEstimate> = {
@@ -482,42 +482,104 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     if hits > 0 {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", hits);
     }
-    if misses.is_empty() {
-        return answers;
+    if !misses.is_empty() {
+        answer_misses(queries, &misses, &mut answers);
     }
-    // The store's keys, derived serially before any fan-out; with the
-    // store off there are none and nothing is allocated for them.
-    let disk_keys = persist::enabled().then(|| disk_keys(queries, &misses));
-    let fetch = |j: usize| {
-        let (row, kernel) = queries[misses[j]];
-        fetch_miss(row, kernel, disk_keys.as_ref().map(|keys| keys[j]))
-    };
-    if misses.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
-        for (j, &i) in misses.iter().enumerate() {
-            answers[i] = fetch(j);
+    answers
+}
+
+/// Fill the answer slots of a batch's misses (indices into `queries`),
+/// then insert them under one map lock. With the store on, the misses'
+/// store keys are derived on the calling thread and every key is looked up
+/// under one store lock; what the store holds is answered at once and
+/// counts as a hit and a disk hit. The rest count as misses and are
+/// estimated, on the calling thread when there is one of them or the
+/// process-wide [`global_team`](rvhpc_threads::global_team) has one lane,
+/// where a hand-off would buy no parallelism, and otherwise fanned out
+/// over the pool with a work-stealing handout. With the store on, they
+/// are then recorded under one more store lock, on the calling thread,
+/// which is also where the store's auto-flush writes the file.
+fn answer_misses(
+    queries: &[(&RowEnv, KernelName)],
+    misses: &[usize],
+    answers: &mut [TimeEstimate],
+) {
+    let stored = persist::enabled().then(|| from_store(queries, misses, answers));
+    let fresh = stored.as_ref().map_or(misses, |(fresh, _)| fresh);
+    if !fresh.is_empty() {
+        rvhpc_obs::counter!("perfmodel.estimate_cache.miss", fresh.len() as u64);
+        estimate_all(queries, fresh, answers);
+        if let Some((fresh, keys)) = &stored {
+            persist::record_all(keys.iter().zip(fresh).map(|(&key, &i)| (key, answers[i])));
         }
-    } else {
-        let shared = Mutex::new(&mut answers[..]);
-        rvhpc_threads::global_team().parallel_for_worksteal(0..misses.len(), |j| {
-            let est = fetch(j);
-            shared.lock().unwrap_or_else(|p| p.into_inner())[misses[j]] = est;
-        });
     }
     insert_all(misses.iter().map(|&i| (RowKey::new(queries[i].0), queries[i].1, answers[i])));
-    answers
+}
+
+/// Answer the misses the persistent store holds, under one store lock;
+/// returns the others with their store keys.
+fn from_store(
+    queries: &[(&RowEnv, KernelName)],
+    misses: &[usize],
+    answers: &mut [TimeEstimate],
+) -> (Vec<usize>, Vec<u64>) {
+    let keys = disk_keys(queries, misses);
+    let (mut fresh, mut fresh_keys) = (Vec::new(), Vec::new());
+    persist::lookup_all(&keys, |j, found| match found {
+        Some(est) => answers[misses[j]] = est,
+        None => {
+            fresh.push(misses[j]);
+            fresh_keys.push(keys[j]);
+        }
+    });
+    let served = (misses.len() - fresh.len()) as u64;
+    if served > 0 {
+        // A disk warm-start is a hit: it serves the exact bits a miss
+        // would recompute.
+        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", served);
+        rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", served);
+    }
+    (fresh, fresh_keys)
+}
+
+/// Estimate the queries at `fresh` into their answer slots, outside every
+/// lock: estimation is pure, so a racing duplicate computation is wasted
+/// work at worst, never a wrong answer.
+fn estimate_all(queries: &[(&RowEnv, KernelName)], fresh: &[usize], answers: &mut [TimeEstimate]) {
+    let estimate = |i: usize| {
+        let (row, kernel) = queries[i];
+        row.estimate_averaged(kernel)
+    };
+    if fresh.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
+        for &i in fresh {
+            answers[i] = estimate(i);
+        }
+    } else {
+        let shared = Mutex::new(answers);
+        rvhpc_threads::global_team().parallel_for_worksteal(0..fresh.len(), |j| {
+            let est = estimate(fresh[j]);
+            shared.lock().unwrap_or_else(|p| p.into_inner())[fresh[j]] = est;
+        });
+    }
 }
 
 /// The persistent store's key of each miss of a batch, in `misses` order.
 /// The descriptor part of a key is derived once per distinct descriptor
-/// the batch borrows (rows sharing a `&Machine` share it), and the
-/// configuration text once per run of misses from the same row; each miss
-/// then hashes only its kernel label and that text.
+/// the batch borrows (rows sharing a `&Machine` share it). Misses come in
+/// runs from one row, and a run formats its configuration text once,
+/// hashes each kernel label on its own and then feeds the text to all of
+/// the run's keys together ([`persist::finish_keys`]).
 fn disk_keys(queries: &[(&RowEnv, KernelName)], misses: &[usize]) -> Vec<u64> {
     let mut prefixes: Vec<(&Machine, persist::KeyPrefix)> = Vec::new();
-    let mut cfg_text: Option<(RowKey, String)> = None;
+    let mut cfg_text = String::new();
     let mut keys = Vec::with_capacity(misses.len());
-    for &i in misses {
-        let (row, kernel) = queries[i];
+    let same_row = |&a: &usize, &b: &usize| {
+        let (a, b) = (queries[a].0, queries[b].0);
+        std::ptr::eq(a, b)
+            || (std::ptr::eq(a.machine(), b.machine()) && RowKey::new(a) == RowKey::new(b))
+    };
+    for run in misses.chunk_by(same_row) {
+        let row = queries[run[0]].0;
         let machine = row.machine();
         let prefix = match prefixes.iter().find(|(m, _)| std::ptr::eq(*m, machine)) {
             Some(&(_, prefix)) => prefix,
@@ -527,12 +589,12 @@ fn disk_keys(queries: &[(&RowEnv, KernelName)], misses: &[usize]) -> Vec<u64> {
                 prefix
             }
         };
-        let key = RowKey::new(row);
-        let text = match &mut cfg_text {
-            Some((k, text)) if *k == key => text,
-            slot => &slot.insert((key, format!("{:?}", key.cfg))).1,
-        };
-        keys.push(prefix.key(kernel.label(), text));
+        cfg_text.clear();
+        // Writing to a `String` cannot fail.
+        let _ = write!(cfg_text, "{:?}", RowKey::new(row).cfg);
+        let start = keys.len();
+        keys.extend(run.iter().map(|&i| prefix.with_kernel(queries[i].1.label())));
+        persist::finish_keys(&mut keys[start..], &cfg_text);
     }
     keys
 }
@@ -549,44 +611,18 @@ const UNANSWERED: TimeEstimate = TimeEstimate {
 };
 
 /// [`estimate_cached`] for one kernel of a row: one row probe and a bit
-/// test. A miss estimates through the row's shared environment, and a hit
-/// touches nothing in it, so a row served entirely from the cache never
-/// resolves its placement.
+/// test. A miss is a batch of one, answered like any batch's misses; it
+/// estimates through the row's shared environment, and a hit touches
+/// nothing in it, so a row served entirely from the cache never resolves
+/// its placement.
 pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
-    let key = RowKey::new(row);
-    if let Some(found) = locked().get(&key, kernel) {
+    if let Some(found) = locked().get(&RowKey::new(row), kernel) {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
         return found;
     }
-    // The content-hash key is derived only when the store is on; when it
-    // is off a miss is just the estimate.
-    let disk_key = persist::enabled().then(|| {
-        persist::KeyPrefix::new(row.machine()).key(kernel.label(), &format!("{:?}", key.cfg))
-    });
-    let est = fetch_miss(row, kernel, disk_key);
-    insert_all([(key, kernel, est)]);
-    est
-}
-
-/// A miss's answer, from the persistent store under `disk_key` (present
-/// only when the store is on) or else the estimate; the caller inserts it.
-fn fetch_miss(row: &RowEnv, kernel: KernelName, disk_key: Option<u64>) -> TimeEstimate {
-    // Persistent layer: a disk warm-start is a hit (it serves the exact
-    // bits a miss would recompute), and the caller's insert means later
-    // lookups never touch the store lock twice.
-    if let Some(est) = disk_key.and_then(persist::lookup) {
-        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
-        rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", 1);
-        return est;
-    }
-    rvhpc_obs::counter!("perfmodel.estimate_cache.miss", 1);
-    // Compute outside the lock: estimation is pure, so a racing duplicate
-    // computation is wasted work at worst, never a wrong answer.
-    let est = row.estimate_averaged(kernel);
-    if let Some(disk_key) = disk_key {
-        persist::record(disk_key, est);
-    }
-    est
+    let mut answer = [UNANSWERED];
+    answer_misses(&[(row, kernel)], &[0], &mut answer);
+    answer[0]
 }
 
 #[cfg(test)]

@@ -15,10 +15,17 @@
 //! Keys are built through one [`KeyPrefix`]: the hash state after the salt
 //! and the descriptor, derived once per distinct descriptor in a batch
 //! (each derivation counts as the `perfmodel.persist.descriptor_hash`
-//! registry counter), from which each miss hashes only its kernel label
-//! and canonical configuration text. FNV-1a is a streaming hash, so the
-//! hashed bytes, and the key, are exactly those of hashing the whole key
-//! text at once.
+//! registry counter). A run of keys that share one configuration hashes
+//! each kernel label on its own and then feeds the shared `|{config:?}`
+//! suffix to the run's hash states eight at a time ([`finish_keys`]): the
+//! states are independent multiply chains, so the CPU overlaps them.
+//! FNV-1a is a streaming hash, so the hashed bytes, and the key, are
+//! exactly those of hashing the whole key text at once.
+//!
+//! The cache reaches the store once per batch: [`lookup_all`] answers all
+//! of a batch's keys under one store lock, and [`record_all`] records all
+//! of its computed estimates under one more. Each acquisition of the store
+//! lock counts as the `perfmodel.persist.lock` registry counter.
 //!
 //! # File format (`rvhpc-estcache-v1`)
 //!
@@ -41,6 +48,26 @@
 //!   patterns of the `f64`s, so a round trip through disk is bit-exact.
 //! * `vector_path` — `0` or `1`.
 //!
+//! Records are written through a 16-entry digit table, one fixed-width
+//! 86-byte line each, and sorted by key. A reload decodes each line of
+//! that canonical shape through a 256-entry digit table and sends any other
+//! line to the general parser (`from_str_radix` over whitespace-separated
+//! fields), so the accepted language is that of the general parser alone.
+//!
+//! # Write schedule
+//!
+//! Besides the explicit [`flush`], [`record_all`] writes the file once the
+//! map has grown, since the last write attempt or load, by
+//! `max(FLUSH_EVERY, records the file then held)`; it checks once per
+//! batch. Each write rewrites the whole file, so this keeps the total
+//! bytes written linear in the store's size, and a cold pass of the paper
+//! batch into an empty store writes at 1 024 and 2 048 records. A crash
+//! loses at most `max(1 023, records on disk)` records plus one batch. A
+//! failed write (an unwritable directory) warns once on stderr and is
+//! retried only at the next threshold or [`flush`]; every write attempt
+//! counts as `perfmodel.persist.write` and every failure as
+//! `perfmodel.persist.write_failed`.
+//!
 //! # Invalidation and corruption rules
 //!
 //! * An unknown first line (version bump) or any malformed record makes
@@ -56,7 +83,7 @@ use rvhpc_machines::Machine;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// First line of a valid store file.
@@ -69,9 +96,13 @@ pub const FILE_NAME: &str = "estimates.v1";
 /// so stale entries from older binaries can never be served.
 const MODEL_SALT: &str = "rvhpc-perfmodel-2026-08";
 
-/// Auto-flush after this many unflushed inserts (bounds loss on crash;
-/// callers should still [`flush`] at natural boundaries).
-const FLUSH_EVERY: u64 = 1024;
+/// The least growth of the map, in new records, that triggers an
+/// auto-flush (see "Write schedule"); callers should still [`flush`] at
+/// natural boundaries.
+const FLUSH_EVERY: usize = 1024;
+
+/// The FNV-1a 64-bit multiplier.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A running FNV-1a 64-bit hash. Text formatted into it (it is a
 /// [`fmt::Write`]) hashes exactly as the formatted string would.
@@ -82,9 +113,7 @@ impl Fnv {
     const OFFSET: Fnv = Fnv(0xcbf2_9ce4_8422_2325);
 
     fn bytes(self, bytes: &[u8]) -> Fnv {
-        Fnv(bytes
-            .iter()
-            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)))
+        Fnv(bytes.iter().fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)))
     }
 }
 
@@ -115,10 +144,33 @@ impl KeyPrefix {
         KeyPrefix(h)
     }
 
-    /// The content hash of one lookup key: this prefix extended by the
-    /// kernel label and the canonical configuration's `Debug` text.
-    pub(crate) fn key(self, kernel: &str, cfg_text: &str) -> u64 {
-        self.0.bytes(kernel.as_bytes()).bytes(b"|").bytes(cfg_text.as_bytes()).0
+    /// The hash state of a key up to its kernel label: this prefix
+    /// extended by the label, waiting for [`finish_keys`].
+    pub(crate) fn with_kernel(self, kernel: &str) -> u64 {
+        self.0.bytes(kernel.as_bytes()).0
+    }
+}
+
+/// Finish a run of keys that share one canonical configuration: feed
+/// `|{cfg_text}` to every state from [`KeyPrefix::with_kernel`]. The states
+/// go eight at a time, held in registers, and each byte goes to all eight
+/// before the next, so eight independent multiply chains overlap. Each
+/// state then holds the content hash of its whole key text.
+pub(crate) fn finish_keys(states: &mut [u64], cfg_text: &str) {
+    const LANES: usize = 8;
+    let suffix = || b"|".iter().chain(cfg_text.as_bytes());
+    let mut blocks = states.chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        let mut lanes: [u64; LANES] = (&*block).try_into().expect("a block of LANES states");
+        for &b in suffix() {
+            for h in &mut lanes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            }
+        }
+        block.copy_from_slice(&lanes);
+    }
+    for h in blocks.into_remainder() {
+        *h = suffix().fold(*h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
     }
 }
 
@@ -137,9 +189,19 @@ struct Store {
     dir: Option<PathBuf>,
     env_checked: bool,
     map: HashMap<u64, TimeEstimate>,
-    dirty: u64,
+    /// Whether the map holds records that the file does not.
+    dirty: bool,
+    /// The map size at which [`record_all`] next writes the file.
+    flush_at: usize,
     /// Entries loaded from disk at the last (re)load — warm-start telemetry.
     loaded: usize,
+}
+
+/// The auto-flush threshold after the file was written or loaded with
+/// `written` records: it fires once the map has grown by
+/// `max(FLUSH_EVERY, written)`.
+fn next_flush_at(written: usize) -> usize {
+    written + written.max(FLUSH_EVERY)
 }
 
 /// [`ENABLED`] states. `UNRESOLVED` until the first [`ensure_ready`] or
@@ -158,6 +220,7 @@ fn store() -> &'static Mutex<Store> {
 }
 
 fn locked() -> std::sync::MutexGuard<'static, Store> {
+    rvhpc_obs::counter!("perfmodel.persist.lock", 1);
     match store().lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
@@ -197,74 +260,151 @@ pub(crate) fn enabled() -> bool {
 
 fn reload(s: &mut Store) {
     s.map.clear();
-    s.dirty = 0;
+    s.dirty = false;
     s.loaded = 0;
-    let Some(dir) = &s.dir else { return };
-    let Ok(text) = std::fs::read_to_string(dir.join(FILE_NAME)) else { return };
-    // Corrupt or version-mismatched file parses to `None`: cold start,
-    // overwrite at the next flush.
-    if let Some(map) = parse_file(&text) {
-        s.loaded = map.len();
-        s.map = map;
+    if let Some(dir) = &s.dir {
+        // A missing, corrupt or version-mismatched file is a cold start,
+        // overwritten at the next flush.
+        if let Some(map) =
+            std::fs::read_to_string(dir.join(FILE_NAME)).ok().and_then(|text| parse_file(&text))
+        {
+            s.loaded = map.len();
+            s.map = map;
+        }
     }
+    s.flush_at = next_flush_at(s.loaded);
 }
 
-/// Parse a store file; `None` on any deviation from the format.
-fn parse_file(text: &str) -> Option<HashMap<u64, TimeEstimate>> {
+/// The length of a canonical record line, without its newline: five
+/// 16-digit hex fields and the flag, separated by single spaces.
+const RECORD_LEN: usize = 5 * 17 + 1;
+
+/// Marks a byte that is not a hex digit in [`HEX_VALUE`].
+const NOT_HEX: u8 = 0x10;
+
+/// Each byte's hex digit value, or [`NOT_HEX`]. Upper- and lowercase
+/// digits, the digits `u64::from_str_radix(_, 16)` takes.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[b"0123456789abcdef"[d] as usize] = d as u8;
+        table[b"0123456789ABCDEF"[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// Decode a canonical record line without branching on its digits: the
+/// OR of every digit's table entry shows whether any was not a digit.
+/// `None` for any line of another shape, which the general parser then
+/// judges.
+fn parse_canonical(line: &[u8]) -> Option<(u64, TimeEstimate)> {
+    let line: &[u8; RECORD_LEN] = line.try_into().ok()?;
+    let (mut fields, mut seen) = ([0u64; 5], 0u8);
+    for (f, field) in fields.iter_mut().enumerate() {
+        for &b in &line[f * 17..f * 17 + 16] {
+            let v = HEX_VALUE[usize::from(b)];
+            *field = *field << 4 | u64::from(v & 0xf);
+            seen |= v;
+        }
+    }
+    let spaced = (0..5).all(|f| line[f * 17 + 16] == b' ');
+    let flag = line[RECORD_LEN - 1].wrapping_sub(b'0');
+    if seen & NOT_HEX != 0 || !spaced || flag > 1 {
+        return None;
+    }
+    let [key, seconds, compute, memory, overhead] = fields;
+    Some((
+        key,
+        TimeEstimate {
+            seconds: f64::from_bits(seconds),
+            compute_seconds: f64::from_bits(compute),
+            memory_seconds: f64::from_bits(memory),
+            overhead_seconds: f64::from_bits(overhead),
+            vector_path: flag == 1,
+        },
+    ))
+}
+
+/// Parse one record of any spacing: six whitespace-separated fields, each
+/// hex field as `u64::from_str_radix` reads it. `None` on any deviation.
+fn parse_record(line: &str) -> Option<(u64, TimeEstimate)> {
+    let mut f = line.split_ascii_whitespace();
+    let key = u64::from_str_radix(f.next()?, 16).ok()?;
+    let mut bits = || u64::from_str_radix(f.next().unwrap_or("x"), 16).ok();
+    let est = TimeEstimate {
+        seconds: f64::from_bits(bits()?),
+        compute_seconds: f64::from_bits(bits()?),
+        memory_seconds: f64::from_bits(bits()?),
+        overhead_seconds: f64::from_bits(bits()?),
+        vector_path: match f.next()? {
+            "0" => false,
+            "1" => true,
+            _ => return None,
+        },
+    };
+    if f.next().is_some() {
+        return None; // trailing junk
+    }
+    Some((key, est))
+}
+
+/// Parse a store file with `record` for each non-empty line after the
+/// header; `None` on any deviation from the format.
+fn parse_lines(
+    text: &str,
+    record: impl Fn(&str) -> Option<(u64, TimeEstimate)>,
+) -> Option<HashMap<u64, TimeEstimate>> {
     let mut lines = text.lines();
     if lines.next()? != SCHEMA {
         return None;
     }
-    let mut map = HashMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let mut f = line.split_ascii_whitespace();
-        let key = u64::from_str_radix(f.next()?, 16).ok()?;
-        let mut bits = || u64::from_str_radix(f.next().unwrap_or("x"), 16).ok();
-        let est = TimeEstimate {
-            seconds: f64::from_bits(bits()?),
-            compute_seconds: f64::from_bits(bits()?),
-            memory_seconds: f64::from_bits(bits()?),
-            overhead_seconds: f64::from_bits(bits()?),
-            vector_path: match f.next()? {
-                "0" => false,
-                "1" => true,
-                _ => return None,
-            },
-        };
-        if f.next().is_some() {
-            return None; // trailing junk
-        }
+    let mut map = HashMap::with_capacity(text.len() / (RECORD_LEN + 1));
+    for line in lines.filter(|l| !l.is_empty()) {
+        let (key, est) = record(line)?;
         map.insert(key, est);
     }
     Some(map)
 }
 
+/// Parse a store file; `None` on any deviation from the format.
+fn parse_file(text: &str) -> Option<HashMap<u64, TimeEstimate>> {
+    parse_lines(text, |line| parse_canonical(line.as_bytes()).or_else(|| parse_record(line)))
+}
+
+/// One record as its canonical line, newline included.
+fn render_record(key: u64, e: &TimeEstimate) -> [u8; RECORD_LEN + 1] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let fields = [
+        key,
+        e.seconds.to_bits(),
+        e.compute_seconds.to_bits(),
+        e.memory_seconds.to_bits(),
+        e.overhead_seconds.to_bits(),
+    ];
+    let mut line = [b' '; RECORD_LEN + 1];
+    for (f, x) in fields.into_iter().enumerate() {
+        for (i, digit) in line[f * 17..f * 17 + 16].iter_mut().enumerate() {
+            *digit = DIGITS[(x >> (60 - 4 * i)) as usize & 0xf];
+        }
+    }
+    line[RECORD_LEN - 1] = b'0' + u8::from(e.vector_path);
+    line[RECORD_LEN] = b'\n';
+    line
+}
+
 fn render_file(map: &HashMap<u64, TimeEstimate>) -> String {
     // Sorted for deterministic bytes (useful for diffing two runs).
-    let mut keys: Vec<&u64> = map.keys().collect();
-    keys.sort_unstable();
-    let mut out = String::with_capacity(32 + map.len() * 90);
-    out.push_str(SCHEMA);
-    out.push('\n');
-    for k in keys {
-        let e = &map[k];
-        // Each record goes straight into the buffer; writing to a
-        // `String` cannot fail.
-        let _ = writeln!(
-            out,
-            "{:016x} {:016x} {:016x} {:016x} {:016x} {}",
-            k,
-            e.seconds.to_bits(),
-            e.compute_seconds.to_bits(),
-            e.memory_seconds.to_bits(),
-            e.overhead_seconds.to_bits(),
-            u8::from(e.vector_path),
-        );
+    let mut records: Vec<(u64, &TimeEstimate)> = map.iter().map(|(&k, e)| (k, e)).collect();
+    records.sort_unstable_by_key(|&(k, _)| k);
+    let mut out = Vec::with_capacity(SCHEMA.len() + 1 + records.len() * (RECORD_LEN + 1));
+    out.extend_from_slice(SCHEMA.as_bytes());
+    out.push(b'\n');
+    for (k, e) in records {
+        out.extend_from_slice(&render_record(k, e));
     }
-    out
+    String::from_utf8(out).expect("the schema line and hex records are ASCII")
 }
 
 /// Atomic write: temp file in the target directory, then rename.
@@ -273,6 +413,39 @@ fn write_atomic(dir: &Path, content: &str) -> std::io::Result<()> {
     let tmp = dir.join(format!(".{}.tmp-{}", FILE_NAME, std::process::id()));
     std::fs::write(&tmp, content)?;
     std::fs::rename(&tmp, dir.join(FILE_NAME))
+}
+
+/// The one-time warning for a failed store write; `None` once warned.
+/// Split out from [`write_locked`] so the text has a unit test.
+fn write_failure_warning(dir: &Path, err: &std::io::Error, warned: &AtomicBool) -> Option<String> {
+    if warned.swap(true, Ordering::Relaxed) {
+        return None;
+    }
+    Some(format!(
+        "rvhpc-perfmodel: cannot write the estimate store in {}: {err}; estimates are \
+         unaffected, but new ones may not persist (the write is retried at the next \
+         flush threshold; this warning is printed once)",
+        dir.display(),
+    ))
+}
+
+/// Write the whole map to the file and set the next auto-flush threshold,
+/// whether or not the write succeeds: a failed write is retried at the
+/// next threshold, not on every record.
+fn write_locked(s: &mut Store) {
+    static WARNED: AtomicBool = AtomicBool::new(false);
+    let Some(dir) = &s.dir else { return };
+    rvhpc_obs::counter!("perfmodel.persist.write", 1);
+    s.flush_at = next_flush_at(s.map.len());
+    match write_atomic(dir, &render_file(&s.map)) {
+        Ok(()) => s.dirty = false,
+        Err(err) => {
+            rvhpc_obs::counter!("perfmodel.persist.write_failed", 1);
+            if let Some(warning) = write_failure_warning(dir, &err, &WARNED) {
+                eprintln!("{warning}");
+            }
+        }
+    }
 }
 
 /// Enable (or disable with `None`) the persistent store at an explicit
@@ -300,39 +473,34 @@ pub fn loaded_entries() -> usize {
     s.loaded
 }
 
-/// Look up a previously persisted estimate. `None` when the store is
-/// disabled or the key is absent.
-pub(crate) fn lookup(key: u64) -> Option<TimeEstimate> {
+/// Look up every key of a batch under one store lock, calling
+/// `each(j, found)` for `keys[j]` in order; `found` is `None` when the key
+/// is absent or the store is disabled.
+pub(crate) fn lookup_all(keys: &[u64], mut each: impl FnMut(usize, Option<TimeEstimate>)) {
     let mut s = locked();
     ensure_ready(&mut s);
-    s.dir.as_ref()?;
-    s.map.get(&key).copied()
+    let map = s.dir.as_ref().map(|_| &s.map);
+    for (j, key) in keys.iter().enumerate() {
+        each(j, map.and_then(|m| m.get(key)).copied());
+    }
 }
 
-/// Record a freshly computed estimate; flushed in batches and on [`flush`].
-pub(crate) fn record(key: u64, est: TimeEstimate) {
+/// Record a batch's freshly computed estimates under one store lock, then
+/// write the file if the batch brought the map to the auto-flush
+/// threshold. A no-op when the store is disabled.
+pub(crate) fn record_all(entries: impl IntoIterator<Item = (u64, TimeEstimate)>) {
     let mut s = locked();
     ensure_ready(&mut s);
     if s.dir.is_none() {
         return;
     }
-    if s.map.insert(key, est).is_none() {
-        s.dirty += 1;
-        if s.dirty >= FLUSH_EVERY {
-            flush_locked(&mut s);
+    for (key, est) in entries {
+        if s.map.insert(key, est).is_none() {
+            s.dirty = true;
         }
     }
-}
-
-fn flush_locked(s: &mut Store) {
-    if s.dirty == 0 {
-        return;
-    }
-    if let Some(dir) = s.dir.clone() {
-        let content = render_file(&s.map);
-        if write_atomic(&dir, &content).is_ok() {
-            s.dirty = 0;
-        }
+    if s.map.len() >= s.flush_at {
+        write_locked(&mut s);
     }
 }
 
@@ -343,7 +511,9 @@ fn flush_locked(s: &mut Store) {
 pub fn flush() {
     let mut s = locked();
     ensure_ready(&mut s);
-    flush_locked(&mut s);
+    if s.dirty {
+        write_locked(&mut s);
+    }
 }
 
 #[cfg(test)]
@@ -358,6 +528,167 @@ mod tests {
             overhead_seconds: x / 8.0,
             vector_path: true,
         }
+    }
+
+    /// The store's renderer before the digit table: `fmt` over each record.
+    fn render_file_reference(map: &HashMap<u64, TimeEstimate>) -> String {
+        let mut keys: Vec<&u64> = map.keys().collect();
+        keys.sort_unstable();
+        let mut out = String::with_capacity(32 + map.len() * 90);
+        out.push_str(SCHEMA);
+        out.push('\n');
+        for k in keys {
+            let e = &map[k];
+            let _ = writeln!(
+                out,
+                "{:016x} {:016x} {:016x} {:016x} {:016x} {}",
+                k,
+                e.seconds.to_bits(),
+                e.compute_seconds.to_bits(),
+                e.memory_seconds.to_bits(),
+                e.overhead_seconds.to_bits(),
+                u8::from(e.vector_path),
+            );
+        }
+        out
+    }
+
+    /// The store's parser before the digit table: every record through
+    /// `from_str_radix`.
+    fn parse_file_reference(text: &str) -> Option<HashMap<u64, TimeEstimate>> {
+        parse_lines(text, parse_record)
+    }
+
+    /// A parsed file as comparable bits, sorted by key.
+    fn bits(map: Option<HashMap<u64, TimeEstimate>>) -> Option<Vec<(u64, [u64; 4], bool)>> {
+        let mut records: Vec<_> = map?
+            .into_iter()
+            .map(|(k, e)| {
+                let times = [e.seconds, e.compute_seconds, e.memory_seconds, e.overhead_seconds];
+                (k, times.map(f64::to_bits), e.vector_path)
+            })
+            .collect();
+        records.sort_unstable_by_key(|r| r.0);
+        Some(records)
+    }
+
+    /// A 64-bit pattern that is often a corner of the `f64` encoding:
+    /// NaN payloads of either sign, ±0.0, subnormals, infinities, all ones.
+    fn adversarial_bits(g: &mut rvhpc_quickprop::Gen) -> u64 {
+        const CORNERS: [u64; 12] = [
+            0,
+            1,
+            u64::MAX,
+            0x8000_0000_0000_0000,
+            0x000f_ffff_ffff_ffff,
+            0x800f_ffff_ffff_ffff,
+            0x7ff0_0000_0000_0000,
+            0xfff0_0000_0000_0000,
+            0x7ff8_0000_0000_0000,
+            0x7ff0_0000_0000_0001,
+            0xfff8_dead_beef_0001,
+            0x3ff0_0000_0000_0000,
+        ];
+        if g.bool_with(0.6) {
+            *g.choose(&CORNERS)
+        } else {
+            g.u64()
+        }
+    }
+
+    /// One single-byte mutation of a canonical record line.
+    fn mutate(g: &mut rvhpc_quickprop::Gen, line: &str) -> String {
+        let mut b = line.as_bytes().to_vec();
+        let at = g.usize_in(0..=b.len() - 1);
+        match g.usize_in(0..=6) {
+            // An uppercase digit where there is a lowercase one.
+            0 => b[at] = b[at].to_ascii_uppercase(),
+            // An extra space, here or at either end.
+            1 => b.insert(*g.choose(&[at, 0, b.len()]), b' '),
+            // A tab, in place of a byte or between two.
+            2 => {
+                if g.bool_with(0.5) {
+                    b[at] = b'\t';
+                } else {
+                    b.insert(at, b'\t');
+                }
+            }
+            // Truncation, or one byte dropped.
+            3 => {
+                if g.bool_with(0.5) {
+                    b.truncate(at);
+                } else {
+                    b.remove(at);
+                }
+            }
+            // A sign, which `from_str_radix` takes at a field's start.
+            4 => b[at] = *g.choose(b"+-"),
+            // Any other ASCII byte: non-hex letters, controls, `\r`, `\n`.
+            5 => b[at] = g.usize_in(0..=127) as u8,
+            // The flag out of range.
+            _ => *b.last_mut().expect("a record") = *g.choose(b"2x "),
+        }
+        String::from_utf8(b).expect("ASCII mutations")
+    }
+
+    #[test]
+    fn fast_codec_matches_the_reference_codec() {
+        rvhpc_quickprop::run_cases(200, |g| {
+            let mut map = HashMap::new();
+            for _ in 0..g.usize_in(1..=6) {
+                let est = TimeEstimate {
+                    seconds: f64::from_bits(adversarial_bits(g)),
+                    compute_seconds: f64::from_bits(adversarial_bits(g)),
+                    memory_seconds: f64::from_bits(adversarial_bits(g)),
+                    overhead_seconds: f64::from_bits(adversarial_bits(g)),
+                    vector_path: g.bool_with(0.5),
+                };
+                map.insert(adversarial_bits(g), est);
+            }
+            let text = render_file(&map);
+            assert_eq!(text, render_file_reference(&map), "rendered bytes");
+            let lines: Vec<&str> = text.lines().skip(1).collect();
+            assert!(
+                lines.iter().all(|l| parse_canonical(l.as_bytes()).is_some()),
+                "every rendered record takes the table decode"
+            );
+            assert_eq!(bits(parse_file(&text)), bits(Some(map)), "round trip");
+            for _ in 0..8 {
+                let j = g.usize_in(0..=lines.len() - 1);
+                let line = mutate(g, lines[j]);
+                let mut mutated = lines.clone();
+                mutated[j] = &line;
+                let file = format!("{SCHEMA}\n{}\n", mutated.join("\n"));
+                assert_eq!(
+                    bits(parse_file(&file)),
+                    bits(parse_file_reference(&file)),
+                    "{:?} parses differently",
+                    line
+                );
+                assert_eq!(
+                    parse_canonical(line.as_bytes()).or_else(|| parse_record(&line)).map(|r| r.0),
+                    parse_record(&line).map(|r| r.0),
+                    "{line:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn the_flush_threshold_grows_with_the_file() {
+        assert_eq!(next_flush_at(0), 1024);
+        assert_eq!(next_flush_at(1024), 2048);
+        assert_eq!(next_flush_at(2048), 4096);
+        assert_eq!(next_flush_at(200_000), 400_000);
+    }
+
+    #[test]
+    fn a_failed_write_warns_once() {
+        let warned = AtomicBool::new(false);
+        let err = std::io::Error::new(std::io::ErrorKind::NotADirectory, "not a directory");
+        let msg = write_failure_warning(Path::new("/x/store"), &err, &warned).expect("first");
+        assert!(msg.contains("/x/store") && msg.contains("not a directory"), "{msg}");
+        assert_eq!(write_failure_warning(Path::new("/x/store"), &err, &warned), None, "once");
     }
 
     #[test]
