@@ -28,7 +28,8 @@ if command -v taskset > /dev/null; then
     # The serving tests hold the batcher with `Server::pause_batcher`; on
     # one CPU the reactor, the batcher and the test thread share a core.
     taskset -c 0 cargo test -q -p rvhpc-integration-tests --test serve_end_to_end \
-        --test serve_differential --test serve_sigterm --test obs_end_to_end
+        --test serve_differential --test serve_sigterm --test obs_end_to_end \
+        --test serve_batch_dedup
 fi
 
 cargo fmt --all --check

@@ -1,12 +1,17 @@
 //! What the persistent store costs a pass of the paper batch: how often it
 //! hashes a machine descriptor for its content keys (once per batch with a
 //! miss while the store is on, never while it is off), how often it takes
-//! its lock and writes its file, and what a store it cannot write does. A
-//! test binary of its own, because the registry counters, the estimate
-//! cache and the store are process-wide; its tests take [`serial`] in turn.
+//! its lock and writes its file, and what a store it cannot write does;
+//! and that the server's `suite` op is one such batch. A test binary of
+//! its own, because the registry counters, the estimate cache and the
+//! store are process-wide; its tests take [`serial`] in turn.
 
 use rvhpc::experiments::driver::{Artefact, EXPERIMENTS};
 use rvhpc::perfmodel::{cache, persist};
+use rvhpc_serve::{ServeConfig, Server};
+use rvhpc_trace::json::Json;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
 
@@ -161,4 +166,38 @@ fn an_unwritable_store_changes_no_answer_and_retries_only_at_thresholds() {
 
     persist::set_cache_dir(None);
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[cfg(target_os = "linux")] // the server's transport is epoll
+#[test]
+fn a_suite_op_hashes_its_descriptor_once() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("rvhpc-suite-op-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    persist::set_cache_dir(Some(dir.clone()));
+    cache::clear();
+
+    // A row no pass asks for, cold in memory and in the new store: one
+    // batch of 64 misses, so one descriptor hash.
+    let server = Server::start(ServeConfig::default()).expect("server binds");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (before, misses) = (derivations(), cache::stats().misses);
+    stream
+        .write_all(
+            b"{\"op\":\"suite\",\"machine\":\"sg2042\",\"precision\":\"fp32\",\"threads\":7}\n",
+        )
+        .expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("reply");
+    let reply = Json::parse(line.trim_end()).expect("JSON reply");
+    let n = reply.get("result").and_then(|r| r.get("n")).and_then(Json::as_f64);
+    assert_eq!(n, Some(64.0), "{reply:?}");
+    assert_eq!(cache::stats().misses - misses, 64);
+    assert_eq!(derivations() - before, 1, "one descriptor hash for the suite row");
+
+    server.shutdown();
+    server.join();
+    persist::set_cache_dir(None);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,7 +12,7 @@
 //! Per-op behaviour:
 //!
 //! * `estimate` / `explain` / `suite` / `cluster` / `lint_machine` —
-//!   routed by the consistent-hash ring over the estimate-cache key material
+//!   routed by the consistent-hash ring over the request's model fields
 //!   ([`routing_key`]), with bounded jittered retries on `overloaded` and
 //!   rerouting to the ring successor on connect failure.
 //! * `submit_kernel` / `submit_machine` — broadcast to every live shard
@@ -75,10 +75,11 @@ impl Default for RouterConfig {
     }
 }
 
-/// The routing key of a request: the estimate-cache key material
-/// (machine / kernel / canonical config) for model queries, the artifact
-/// id for artifact references. `None` means the op is not ring-routed
-/// (aggregated, broadcast, or answered locally).
+/// The routing key of a request: the raw machine / kernel / config fields
+/// for model queries (not the estimate cache's canonical key, so two
+/// requests the cache treats as one may land on different shards), the
+/// artifact id for artifact references. `None` means the op is not
+/// ring-routed (aggregated, broadcast, or answered locally).
 pub fn routing_key(req: &Request) -> Option<String> {
     fn cfg_key(cfg: &rvhpc_perfmodel::RunConfig) -> String {
         format!(

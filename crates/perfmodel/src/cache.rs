@@ -23,18 +23,20 @@
 //! eviction entry by entry, exactly as a map of single entries would; a
 //! row goes when its last entry does.
 //!
-//! Batches go through [`estimate_batch`]: it answers every hit of a batch
-//! (a suite row, or a server batch's unique queries) under one map lock,
-//! with one map probe per run of queries from the same row, and hands
-//! only the misses on. The misses run on the calling thread when there is
-//! one of them or when the process-wide pool has a single lane (a hand-off
-//! there adds two context switches and no parallelism — the rule follows
-//! the host's pool width, not a knob); otherwise they fan out over the
-//! pool. Their answers land in the batch's answer vector and are inserted
-//! under one more map lock, one map lookup per row, which also publishes
-//! the eviction count and the `perfmodel.estimate_cache.entries` gauge
-//! once per batch ([`clear`] zeroes the gauge). So a warm row costs one
-//! lock, one probe and no dispatch, and a cold row two locks.
+//! Every query goes through [`estimate_batch`], which owns query identity:
+//! it answers every hit of a batch (a suite row, or a server batch) under
+//! one map lock, with one map probe per run of queries from the same row,
+//! and hands only the misses on, each `(row key, kernel)` once: a repeat
+//! of an earlier miss counts as a hit and is answered from it. The misses
+//! run on the calling thread when there is one of them or when the
+//! process-wide pool has a single lane (a hand-off there adds two context
+//! switches and no parallelism — the rule follows the host's pool width,
+//! not a knob); otherwise they fan out over the pool. Their answers land
+//! in the batch's answer vector and are inserted under one more map lock,
+//! one map lookup per row, which also publishes the eviction count and the
+//! `perfmodel.estimate_cache.entries` gauge once per batch ([`clear`]
+//! zeroes the gauge). So a warm row costs one lock, one probe and no
+//! dispatch, and a cold row two locks.
 //!
 //! A row key hashes as one packed `u64` of its fields through std's keyed
 //! SipHash, which keeps the map collision-resistant against the network
@@ -49,11 +51,10 @@
 //! derived and nothing is allocated for one. The store is reached once per
 //! batch: all of the misses' keys are looked up under one store lock, what
 //! it holds is answered before any estimate runs, and the estimates of the
-//! rest are recorded under one more, on the calling thread. A one-off miss
-//! ([`estimate_cached_in`]) is a batch of one and takes the same path. An
-//! estimate resolves the thread placement only on the first miss of its
-//! [`RowEnv`]: [`estimate_cached`] builds a one-off row per call, while
-//! [`estimate_cached_in`] and a batch's queries share their rows.
+//! rest are recorded under one more, on the calling thread. A one-off
+//! query ([`estimate_cached`]) is a batch of one and takes the same path.
+//! An estimate resolves the thread placement only on the first miss of its
+//! [`RowEnv`], so a batch's queries that share a row share its placement.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
@@ -287,10 +288,6 @@ struct Bounded {
 }
 
 impl Bounded {
-    fn get(&self, key: &RowKey, kernel: KernelName) -> Option<TimeEstimate> {
-        self.rows.get(key)?.get(kernel)
-    }
-
     /// Insert one row's entries under a capacity bound through one map
     /// lookup; returns how many entries were evicted. The result is that
     /// of inserting the entries one at a time, each followed by evicting
@@ -436,28 +433,28 @@ pub fn clear() {
     rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", 0);
 }
 
-/// [`crate::estimate_averaged`] through the process-wide cross-sweep cache.
-///
-/// Deterministic and bit-identical to the uncached call; see the module
-/// docs for the catalog-descriptor contract. Callers estimating many
-/// kernels under one configuration should build one [`RowEnv`] and use
-/// [`estimate_cached_in`], which resolves the placement once per row.
+/// [`crate::estimate_averaged`] through the process-wide cross-sweep cache,
+/// as a batch of one query ([`estimate_batch`]); bit-identical to the
+/// uncached call. See the module docs for the catalog-descriptor contract.
+/// Many kernels under one configuration go as one batch over one
+/// [`RowEnv`], which resolves the placement once per row.
 pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    estimate_cached_in(&RowEnv::new(machine, cfg), kernel)
+    estimate_batch(&[(&RowEnv::new(machine, cfg), kernel)])[0]
 }
 
 /// Every query of a batch through the cache, in query order. The hits are
 /// answered under one map lock, one map probe per run of consecutive
-/// queries from the same row, and count on `perfmodel.estimate_cache.hit`;
-/// only the misses go on, to the persistent store when it is on (one store
+/// queries from the same row, and count on `perfmodel.estimate_cache.hit`,
+/// as does a repeat of an earlier miss's row key and kernel. Only the
+/// first misses go on, to the persistent store when it is on (one store
 /// lock for the batch) and then to the estimate, through the row's lazy
 /// placement, and are inserted under one more map lock. Misses fan out
 /// over the pool only when more than one of them must be estimated and the
-/// pool has more than one lane. A batch without misses touches neither
-/// the store, the pool nor any row's placement. Bit-identical to
-/// estimating each query on its own.
+/// pool has more than one lane. A batch without misses touches neither the
+/// store, the pool nor any row's placement. Bit-identical to estimating
+/// each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
-    let mut misses = Vec::new();
+    let mut misses = Misses::default();
     let mut answers: Vec<TimeEstimate> = {
         let c = locked();
         // One map probe per run of queries from the same row.
@@ -472,20 +469,72 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
                     _ => current.insert((key, c.rows.get(&key))).1,
                 };
                 found.and_then(|r| r.get(kernel)).unwrap_or_else(|| {
-                    misses.push(i);
+                    misses.add(key, kernel, i);
                     UNANSWERED
                 })
             })
             .collect()
     };
-    let hits = (queries.len() - misses.len()) as u64;
+    let hits = (queries.len() - misses.first.len()) as u64;
     if hits > 0 {
         rvhpc_obs::counter!("perfmodel.estimate_cache.hit", hits);
     }
-    if !misses.is_empty() {
-        answer_misses(queries, &misses, &mut answers);
+    if !misses.first.is_empty() {
+        answer_misses(queries, &misses.first, &mut answers);
+        if !misses.repeats.is_empty() {
+            misses.answer_repeats(queries, &mut answers);
+        }
     }
     answers
+}
+
+/// The misses of a batch, each `(row key, kernel)` once: `first` holds the
+/// query that first missed each pair, in query order, and `repeats` every
+/// later query of a pair. Telling the two apart is a bit test in the mask
+/// of the last miss's row; a miss from another row parks that mask and
+/// takes up its own, so a batch whose misses share one row hashes nothing.
+#[derive(Default)]
+struct Misses {
+    first: Vec<usize>,
+    repeats: Vec<usize>,
+    /// The row key of the last miss, and the kernels it has missed.
+    row: Option<(RowKey, u64)>,
+    /// The same for every other row key with a miss.
+    parked: HashMap<RowKey, u64>,
+}
+
+impl Misses {
+    fn add(&mut self, key: RowKey, kernel: KernelName, query: usize) {
+        let mut missed = match self.row {
+            Some((last, missed)) if last == key => missed,
+            last => {
+                if let Some((last, missed)) = last {
+                    self.parked.insert(last, missed);
+                }
+                self.parked.remove(&key).unwrap_or(0)
+            }
+        };
+        let bit = Row::bit(kernel);
+        if missed & bit != 0 {
+            self.repeats.push(query);
+        } else {
+            missed |= bit;
+            self.first.push(query);
+        }
+        self.row = Some((key, missed));
+    }
+
+    /// Copy each repeat's answer from the first miss of its pair, once
+    /// `answers` holds the first misses' answers.
+    fn answer_repeats(&self, queries: &[(&RowEnv, KernelName)], answers: &mut [TimeEstimate]) {
+        let pair = |i: usize| (RowKey::new(queries[i].0), queries[i].1);
+        let first: HashMap<_, _> = self.first.iter().map(|&i| (pair(i), i)).collect();
+        for &i in &self.repeats {
+            if let Some(&j) = first.get(&pair(i)) {
+                answers[i] = answers[j];
+            }
+        }
+    }
 }
 
 /// Fill the answer slots of a batch's misses (indices into `queries`),
@@ -610,21 +659,6 @@ const UNANSWERED: TimeEstimate = TimeEstimate {
     vector_path: false,
 };
 
-/// [`estimate_cached`] for one kernel of a row: one row probe and a bit
-/// test. A miss is a batch of one, answered like any batch's misses; it
-/// estimates through the row's shared environment, and a hit touches
-/// nothing in it, so a row served entirely from the cache never resolves
-/// its placement.
-pub fn estimate_cached_in(row: &RowEnv, kernel: KernelName) -> TimeEstimate {
-    if let Some(found) = locked().get(&RowKey::new(row), kernel) {
-        rvhpc_obs::counter!("perfmodel.estimate_cache.hit", 1);
-        return found;
-    }
-    let mut answer = [UNANSWERED];
-    answer_misses(&[(row, kernel)], &[0], &mut answer);
-    answer[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,10 +703,10 @@ mod tests {
         let m = sg();
         let cfg = RunConfig::sg2042_best(Precision::Fp32, 32);
         let cold = RowEnv::new(&m, &cfg);
-        let miss = estimate_cached_in(&cold, KernelName::DAXPY);
+        let miss = estimate_batch(&[(&cold, KernelName::DAXPY)])[0];
         assert!(cold.resolved(), "a miss estimates through the row");
         let warm = RowEnv::new(&m, &cfg);
-        let hit = estimate_cached_in(&warm, KernelName::DAXPY);
+        let hit = estimate_batch(&[(&warm, KernelName::DAXPY)])[0];
         assert!(!warm.resolved(), "a hit must not resolve the placement");
         assert_eq!(miss.seconds.to_bits(), hit.seconds.to_bits());
     }
@@ -683,7 +717,7 @@ mod tests {
         let (m, v2) = (sg(), machine(MachineId::VisionFiveV2));
         let a = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
         let b = RowEnv::new(&v2, &RunConfig::sg2042_best(Precision::Fp64, 64));
-        let _ = estimate_cached_in(&a, KernelName::DAXPY);
+        let _ = estimate_batch(&[(&a, KernelName::DAXPY)]);
         let queries = [
             (&a, KernelName::DAXPY),
             (&a, KernelName::EOS),
@@ -719,6 +753,76 @@ mod tests {
         let warm = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
         let _ = estimate_batch(&[(&warm, KernelName::DAXPY), (&warm, KernelName::EOS)]);
         assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
+    }
+
+    /// Every answer of a batch, bit for bit, against the uncached model.
+    fn assert_uncached_bits(queries: &[(&RowEnv, KernelName)], got: &[TimeEstimate]) {
+        for (&(row, kernel), g) in queries.iter().zip(got) {
+            let d = estimate_averaged(row.machine(), kernel, row.config());
+            assert_eq!(
+                [d.seconds, d.compute_seconds, d.memory_seconds, d.overhead_seconds]
+                    .map(f64::to_bits),
+                [g.seconds, g.compute_seconds, g.memory_seconds, g.overhead_seconds]
+                    .map(f64::to_bits),
+                "{kernel}"
+            );
+            assert_eq!(d.vector_path, g.vector_path, "{kernel}");
+        }
+    }
+
+    #[test]
+    fn a_batch_estimates_each_canonical_query_once() {
+        // The same query twice, and two rows of their own whose threads
+        // (64 and 128 on the 64-core SG2042) clamp to one canonical key:
+        // one estimate, one store record and one entry for all four.
+        let _l = isolated();
+        let dir = store_dir("dedup");
+        persist::set_cache_dir(Some(dir.clone()));
+        let m = sg();
+        let cfg = |threads| RunConfig::sg2042_best(Precision::Fp64, threads);
+        let (at64, again64, at128) =
+            (RowEnv::new(&m, &cfg(64)), RowEnv::new(&m, &cfg(64)), RowEnv::new(&m, &cfg(128)));
+        let k = KernelName::STREAM_TRIAD;
+        let queries = [(&at64, k), (&at64, k), (&again64, k), (&at128, k)];
+        let (before, entries) = (stats(), len());
+        let got = estimate_batch(&queries);
+        let delta = stats().since(&before);
+        assert_eq!((delta.misses, delta.hits), (1, 3), "{delta:?}");
+        assert_eq!(len(), entries + 1, "one entry per distinct canonical query");
+        assert!(!again64.resolved() && !at128.resolved(), "a repeat estimates nothing");
+        assert_uncached_bits(&queries, &got);
+        persist::flush();
+        assert_eq!(stored_keys(&dir).len(), 1, "a repeat records nothing");
+        persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Repeats that come back after another row's misses: a scalar
+        // config in either vector mode is one key, and so is a
+        // VisionFive V2 row at 4 or 64 threads.
+        let v2 = machine(MachineId::VisionFiveV2);
+        let mut vls = RunConfig::scalar_single(Precision::Fp32);
+        vls.mode = VectorMode::Vls;
+        let vla = RunConfig { mode: VectorMode::Vla, ..vls };
+        let rows = [
+            RowEnv::new(&m, &vls),
+            RowEnv::new(&v2, &cfg(4)),
+            RowEnv::new(&m, &vla),
+            RowEnv::new(&v2, &cfg(64)),
+        ];
+        let queries = [
+            (&rows[0], KernelName::EOS),
+            (&rows[1], KernelName::DAXPY),
+            (&rows[2], KernelName::EOS),
+            (&rows[3], KernelName::DAXPY),
+            (&rows[0], KernelName::MEMSET),
+            (&rows[2], KernelName::MEMSET),
+        ];
+        let (before, entries) = (stats(), len());
+        let got = estimate_batch(&queries);
+        let delta = stats().since(&before);
+        assert_eq!((delta.misses, delta.hits), (3, 3), "{delta:?}");
+        assert_eq!(len(), entries + 3, "one entry per distinct canonical query");
+        assert_uncached_bits(&queries, &got);
     }
 
     #[test]
@@ -825,6 +929,12 @@ mod tests {
             memory_seconds: seconds / 2.0,
             overhead_seconds: 0.0,
             vector_path: false,
+        }
+    }
+
+    impl Bounded {
+        fn get(&self, key: &RowKey, kernel: KernelName) -> Option<TimeEstimate> {
+            self.rows.get(key)?.get(kernel)
         }
     }
 

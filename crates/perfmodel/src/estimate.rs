@@ -275,14 +275,9 @@ pub fn estimate_averaged(machine: &Machine, kernel: KernelName, cfg: &RunConfig)
 }
 
 /// Average five jittered runs of `base`, the single-run estimate of
-/// `kernel` on `machine` under `cfg`.
-pub(crate) fn average_runs(
-    machine: &Machine,
-    kernel: KernelName,
-    cfg: &RunConfig,
-    base: TimeEstimate,
-) -> TimeEstimate {
-    let mut seed = jitter_seed(machine, kernel, cfg);
+/// `kernel` in the row `env`.
+pub(crate) fn average_runs(env: &RowEnv, kernel: KernelName, base: TimeEstimate) -> TimeEstimate {
+    let mut seed = jitter_seed(env, kernel);
     let mut sum = 0.0;
     const RUNS: usize = 5;
     for _ in 0..RUNS {
@@ -293,14 +288,18 @@ pub(crate) fn average_runs(
     TimeEstimate { seconds: sum / RUNS as f64, ..base }
 }
 
-fn jitter_seed(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> u64 {
+/// The jitter's seed hashes the thread count the model runs, clamped like
+/// every other use of it, so a request past the core count averages to
+/// the bits of the clamped request.
+fn jitter_seed(env: &RowEnv, kernel: KernelName) -> u64 {
     use std::hash::{Hash, Hasher};
+    let cfg = env.config();
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    machine.id.hash(&mut h);
+    env.machine().id.hash(&mut h);
     kernel.hash(&mut h);
     cfg.precision.bits().hash(&mut h);
     cfg.vectorize.hash(&mut h);
-    cfg.threads.hash(&mut h);
+    env.threads().hash(&mut h);
     cfg.placement.hash(&mut h);
     h.finish()
 }
@@ -389,6 +388,21 @@ mod tests {
         assert_eq!(a.seconds, b.seconds);
         let base = estimate(&m, KernelName::STREAM_ADD, &cfg);
         assert!((a.seconds - base.seconds).abs() / base.seconds < 0.03);
+    }
+
+    #[test]
+    fn threads_past_the_core_count_average_to_the_clamped_bits() {
+        // The estimate cache keys a request by its clamped thread count,
+        // so the averaged estimate, jitter included, must not see more.
+        for id in MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]) {
+            let m = machine(id);
+            let cfg = |threads| RunConfig::sg2042_best(Precision::Fp64, threads);
+            for kernel in [KernelName::DAXPY, KernelName::STREAM_TRIAD] {
+                let clamped = estimate_averaged(&m, kernel, &cfg(m.n_cores()));
+                let past = estimate_averaged(&m, kernel, &cfg(2 * m.n_cores() + 1));
+                assert_eq!(clamped.seconds.to_bits(), past.seconds.to_bits(), "{id:?} {kernel}");
+            }
+        }
     }
 
     #[test]

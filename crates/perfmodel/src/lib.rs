@@ -46,7 +46,7 @@ pub mod scaling;
 #[cfg(test)]
 mod proptests;
 
-pub use cache::{estimate_batch, estimate_cached, estimate_cached_in, CacheStats};
+pub use cache::{estimate_batch, estimate_cached, CacheStats};
 pub use calibration::{calibration, Calibration};
 pub use config::{Precision, RunConfig, Toolchain};
 pub use estimate::{

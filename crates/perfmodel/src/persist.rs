@@ -94,7 +94,7 @@ pub const FILE_NAME: &str = "estimates.v1";
 
 /// Salt folded into every key hash; bump when estimator behaviour changes
 /// so stale entries from older binaries can never be served.
-const MODEL_SALT: &str = "rvhpc-perfmodel-2026-08";
+const MODEL_SALT: &str = "rvhpc-perfmodel-2026-10";
 
 /// The least growth of the map, in new records, that triggers an
 /// auto-flush (see "Write schedule"); callers should still [`flush`] at
@@ -806,7 +806,7 @@ mod tests {
         let got = model_fingerprint();
         assert_eq!(
             (MODEL_SALT, got),
-            ("rvhpc-perfmodel-2026-08", 0xeed6_95ab_80cf_ebac),
+            ("rvhpc-perfmodel-2026-10", 0xca84_f178_f264_a1a0),
             "the estimator's output changed under an unchanged MODEL_SALT; if the change is \
              intended, bump MODEL_SALT and re-pin this test to (new salt, {got:#018x})"
         );

@@ -133,7 +133,7 @@ impl<'m> RowEnv<'m> {
 
     /// The paper's five-run average ([`crate::estimate_averaged`]).
     pub fn estimate_averaged(&self, kernel: KernelName) -> TimeEstimate {
-        average_runs(self.machine, kernel, &self.cfg, self.estimate(kernel))
+        average_runs(self, kernel, self.estimate(kernel))
     }
 }
 

@@ -11,9 +11,10 @@
 //!                                │
 //!          batcher ◀─────────────┘
 //!          coalesce ≤ batch_max within window,
-//!          dedupe, answer hits under one cache
-//!          lock, fan only misses out via
-//!          global_team (cache::estimate_batch),
+//!          one cache::estimate_batch call: hits
+//!          under one cache lock, each distinct
+//!          canonical miss computed once, fanned
+//!          out via global_team,
 //!          post each reply to the reactor's mailbox
 //! ```
 //!
@@ -31,9 +32,8 @@ use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{machine, Machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
-use rvhpc_perfmodel::{cache, estimate_batch, estimate_cached_in, explain, RowEnv, RunConfig};
+use rvhpc_perfmodel::{cache, estimate_batch, explain, RowEnv, RunConfig};
 use rvhpc_trace::json::Json;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -266,36 +266,6 @@ struct WorkItem {
     machine: MachineId,
     kernel: KernelName,
     cfg: RunConfig,
-}
-
-/// Dedup key for coalescing: two estimate requests with equal keys are
-/// answered from one computation (which the estimate cache then also
-/// memoises across batches).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct EstKey {
-    machine: MachineId,
-    kernel: KernelName,
-    precision: rvhpc_perfmodel::Precision,
-    vectorize: bool,
-    toolchain: rvhpc_perfmodel::Toolchain,
-    mode: rvhpc_compiler::VectorMode,
-    placement: rvhpc_machines::PlacementPolicy,
-    threads: usize,
-}
-
-impl EstKey {
-    fn new(machine: MachineId, kernel: KernelName, cfg: &RunConfig) -> Self {
-        EstKey {
-            machine,
-            kernel,
-            precision: cfg.precision,
-            vectorize: cfg.vectorize,
-            toolchain: cfg.toolchain,
-            mode: cfg.mode,
-            placement: cfg.placement,
-            threads: cfg.threads,
-        }
-    }
 }
 
 /// The five `serve.*` observability stages, resolved once at startup so
@@ -934,15 +904,19 @@ fn admit(shared: &Arc<Shared>, item: WorkItem) {
     }
 }
 
+/// One suite row, class-filtered, answered as one [`estimate_batch`].
 fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) -> Json {
     let descriptor = machine(m);
     let row = RowEnv::new(&descriptor, cfg);
-    let kernels: Vec<KernelName> =
-        KernelName::ALL.into_iter().filter(|k| class.is_none_or(|c| k.class() == c)).collect();
-    let rows: Vec<Json> = kernels
+    let queries: Vec<(&RowEnv, KernelName)> = KernelName::ALL
+        .into_iter()
+        .filter(|k| class.is_none_or(|c| k.class() == c))
+        .map(|k| (&row, k))
+        .collect();
+    let rows: Vec<Json> = queries
         .iter()
-        .map(|&k| {
-            let est = estimate_cached_in(&row, k);
+        .zip(estimate_batch(&queries))
+        .map(|(&(_, k), est)| {
             Json::obj(vec![
                 ("kernel", Json::str(k.label())),
                 ("class", Json::str(k.class().label())),
@@ -1010,17 +984,12 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     shared.stats.max_batch.fetch_max(size, Ordering::Relaxed);
     let _span = rvhpc_trace::span!("serve.batch", size = size);
 
-    // Expired deadlines are cancelled unexecuted; the rest are deduped to
-    // unique queries, whose hits are answered under one cache lock and
-    // only whose misses are computed, then every request is answered
-    // (duplicates share one computation). Each unique query names its
-    // machine by an index into `descriptors`, which holds one descriptor
-    // per distinct machine in the batch. `exec_start` closes the
-    // batch-window stage for every item.
-    let mut estimates: Vec<(usize, WorkItem)> = Vec::with_capacity(batch.len());
-    let mut unique: Vec<(usize, KernelName, RunConfig)> = Vec::new();
-    let mut descriptors: Vec<(MachineId, Machine)> = Vec::new();
-    let mut index_of: HashMap<EstKey, usize> = HashMap::new();
+    // Expired deadlines are cancelled unexecuted; item i of the rest is
+    // query i of one cache batch and gets result i. Each names its machine
+    // by an index into `descriptors`, one per distinct machine in the
+    // batch. `exec_start` closes the batch-window stage for every item.
+    let mut live: Vec<(usize, WorkItem)> = Vec::with_capacity(batch.len());
+    let mut descriptors: Vec<Machine> = Vec::new();
     let exec_start = Instant::now();
     for item in batch {
         shared.stages.queue_wait.record_us(us(item.popped - item.admitted));
@@ -1034,37 +1003,31 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
             ));
             continue;
         }
-        let key = EstKey::new(item.machine, item.kernel, &item.cfg);
-        let slot = *index_of.entry(key).or_insert_with(|| {
-            let d =
-                descriptors.iter().position(|(id, _)| *id == item.machine).unwrap_or_else(|| {
-                    descriptors.push((item.machine, machine(item.machine)));
-                    descriptors.len() - 1
-                });
-            unique.push((d, item.kernel, item.cfg));
-            unique.len() - 1
+        let d = descriptors.iter().position(|m| m.id == item.machine).unwrap_or_else(|| {
+            descriptors.push(machine(item.machine));
+            descriptors.len() - 1
         });
-        estimates.push((slot, item));
+        live.push((d, item));
     }
-    if estimates.is_empty() {
+    if live.is_empty() {
         return;
     }
 
     let compute_start = Instant::now();
     let rows: Vec<RowEnv> =
-        unique.iter().map(|(d, _, cfg)| RowEnv::new(&descriptors[*d].1, cfg)).collect();
+        live.iter().map(|(d, item)| RowEnv::new(&descriptors[*d], &item.cfg)).collect();
     let queries: Vec<(&RowEnv, KernelName)> =
-        rows.iter().zip(&unique).map(|(row, &(_, kernel, _))| (row, kernel)).collect();
+        rows.iter().zip(&live).map(|(row, (_, item))| (row, item.kernel)).collect();
     let results = estimate_batch(&queries);
     // The batch computes as one step, so every member shares the same
     // compute-stage duration (that *is* the latency the batch added).
     let compute_us = us(compute_start.elapsed());
-    for (slot, item) in estimates {
+    for ((_, item), est) in live.iter().zip(&results) {
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         let send_start = Instant::now();
-        item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(&results[slot])));
+        item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(est)));
         let written = Instant::now();
-        record_batched(shared, &item, exec_start, compute_us, us(written - send_start), written);
+        record_batched(shared, item, exec_start, compute_us, us(written - send_start), written);
     }
 }
 
