@@ -34,6 +34,9 @@ fi
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs build warning-free, so an intra-doc link to a deleted, private or
+# ambiguous item fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The benchmark is a workspace of its own (benchmark/Cargo.toml); run its
 # unit tests too so its metric, statistics and comparison code stay green.

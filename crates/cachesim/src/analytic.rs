@@ -359,9 +359,7 @@ mod tests {
                 }),
                 passes,
             };
-            // The batched line-run path — what the sweep-facing callers use;
-            // the `batched-cache` verify oracle pins it to per-access replay.
-            h.replay_pattern(&pat);
+            h.replay(pat.stream());
             let s = h.stats();
 
             let spec =

@@ -165,8 +165,8 @@ impl Cache {
     }
 
     /// Decompose a byte address into its (set, tag) pair — the single place
-    /// the line/set/tag arithmetic lives, so the per-access reference path,
-    /// the batched run path and `probe` can never drift from one another.
+    /// the line/set/tag arithmetic lives, so `access` and `probe` can never
+    /// drift from one another.
     #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.set_shift;
@@ -177,23 +177,8 @@ impl Cache {
 
     /// Access one byte address. Returns the outcome; counters are updated.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
-        self.access_run(addr, 1, kind)
-    }
-
-    /// Access the same line `reps` times in a row — the batched primitive
-    /// behind [`Hierarchy::replay_pattern`](crate::Hierarchy::replay_pattern).
-    /// Bit-identical to `reps` consecutive [`Cache::access`] calls on `addr`:
-    /// the LRU clock advances by `reps`, the line's final stamp is the clock
-    /// after the last access, victim choice only inspects *other* ways'
-    /// stamps (unchanged either way), and accesses after the first are
-    /// guaranteed hits on the just-installed line. Returns the outcome of
-    /// the *first* access. `reps == 0` is a no-op returning `Hit`.
-    pub fn access_run(&mut self, addr: u64, reps: u64, kind: AccessKind) -> AccessOutcome {
-        if reps == 0 {
-            return AccessOutcome::Hit;
-        }
         let (set, tag) = self.locate(addr);
-        self.clock += reps;
+        self.clock += 1;
         let ways = self.config.associativity;
         let base = set * ways;
 
@@ -204,15 +189,13 @@ impl Cache {
                 if kind == AccessKind::Store {
                     self.sets[i].dirty = true;
                 }
-                self.stats.hits += reps;
+                self.stats.hits += 1;
                 return AccessOutcome::Hit;
             }
         }
 
-        // Miss on the first access; the remaining `reps - 1` hit the line
-        // just installed. Victim: invalid way first, else least-recent stamp.
+        // Miss. Victim: invalid way first, else least-recent stamp.
         self.stats.misses += 1;
-        self.stats.hits += reps - 1;
         let mut victim = base;
         let mut best = u64::MAX;
         for i in base..base + ways {
@@ -383,55 +366,5 @@ mod tests {
         }
         assert!(!c.probe(128 + 256), "same set, different tag");
         assert!(!c.probe(64), "different set");
-    }
-
-    #[test]
-    fn access_run_is_bit_identical_to_repeated_access() {
-        // Drive two clones through the same line-run schedule, one via the
-        // batched primitive and one via per-access replay; every observable
-        // (stats, probe results, then subsequent eviction behaviour) must
-        // match exactly.
-        let runs: [(u64, u64, AccessKind); 7] = [
-            (0, 8, AccessKind::Load),
-            (256, 1, AccessKind::Store),
-            (0, 3, AccessKind::Load),
-            (512, 5, AccessKind::Store),
-            (768, 2, AccessKind::Load),
-            (512, 1, AccessKind::Load),
-            (0, 4, AccessKind::Store),
-        ];
-        let mut batched = tiny();
-        let mut reference = tiny();
-        for (addr, reps, kind) in runs {
-            batched.access_run(addr, reps, kind);
-            for _ in 0..reps {
-                reference.access(addr, kind);
-            }
-            assert_eq!(batched.stats(), reference.stats(), "after run at {addr}");
-            for probe_addr in [0, 64, 256, 512, 768] {
-                assert_eq!(batched.probe(probe_addr), reference.probe(probe_addr));
-            }
-        }
-        assert_eq!(batched.clock, reference.clock, "LRU clocks must stay in lockstep");
-        for (b, r) in batched.sets.iter().zip(&reference.sets) {
-            assert_eq!((b.tag, b.dirty, b.stamp), (r.tag, r.dirty, r.stamp));
-        }
-    }
-
-    #[test]
-    fn access_run_zero_reps_is_a_no_op() {
-        let mut c = tiny();
-        assert_eq!(c.access_run(0, 0, AccessKind::Store), AccessOutcome::Hit);
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(!c.probe(0));
-    }
-
-    #[test]
-    fn access_run_returns_first_access_outcome() {
-        let mut c = tiny();
-        assert_eq!(c.access_run(0, 4, AccessKind::Store), AccessOutcome::Miss);
-        assert_eq!(c.access_run(0, 2, AccessKind::Load), AccessOutcome::Hit);
-        c.access(256, AccessKind::Load);
-        assert_eq!(c.access_run(512, 3, AccessKind::Load), AccessOutcome::MissDirtyEviction);
     }
 }

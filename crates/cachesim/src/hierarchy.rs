@@ -6,7 +6,6 @@
 //! last level's misses.
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheStats};
-use crate::pattern::Pattern;
 
 /// Geometry of one hierarchy level.
 #[derive(Debug, Clone, Copy)]
@@ -96,89 +95,6 @@ impl Hierarchy {
         }
         if let Some(before) = before {
             self.publish_deltas(&before);
-        }
-    }
-
-    /// Replay `reps` consecutive accesses to the same line through the
-    /// stack in one step. Bit-identical to `reps` [`Hierarchy::access`]
-    /// calls: if the first access hits L1 so do the rest; if it misses, the
-    /// line is installed by the miss and the remaining `reps - 1` accesses
-    /// are L1 hits that never reach lower levels. All levels share a line
-    /// size, so "same line" holds at every level at once.
-    pub fn access_run(&mut self, addr: u64, reps: u64, kind: AccessKind) {
-        if reps == 0 {
-            return;
-        }
-        if self.levels[0].access_run(addr, reps, kind) == crate::cache::AccessOutcome::Hit {
-            return;
-        }
-        for level in &mut self.levels[1..] {
-            if level.access(addr, kind) == crate::cache::AccessOutcome::Hit {
-                return;
-            }
-        }
-        self.dram_lines += 1;
-    }
-
-    /// Replay a whole [`Pattern`] through the stack, automatically selecting
-    /// the batched line-run path for dense shapes (sequential, tiled and
-    /// repeated walks decompose into runs of consecutive same-line accesses,
-    /// each consumed by one [`Hierarchy::access_run`] call) and falling back
-    /// to per-access replay for random streams, where runs degenerate to
-    /// length one. Bit-identical to `replay(pattern.stream())` — the
-    /// per-access path stays as the reference model and the `batched-cache`
-    /// verify oracle pins the equivalence over adversarial traces.
-    pub fn replay_pattern(&mut self, pattern: &Pattern) {
-        let _span = rvhpc_trace::span!("cachesim.replay_batched", levels = self.levels.len());
-        let before = rvhpc_trace::enabled().then(|| self.stats());
-        self.replay_pattern_inner(pattern);
-        if let Some(before) = before {
-            self.publish_deltas(&before);
-        }
-    }
-
-    fn replay_pattern_inner(&mut self, pattern: &Pattern) {
-        let line = self.line_bytes() as u64;
-        match pattern {
-            Pattern::Sequential { base, stride, count, kind } => {
-                self.sequential_runs(*base, *stride, *count, *kind, line);
-            }
-            Pattern::Repeated { inner, passes } => {
-                for _ in 0..*passes {
-                    self.replay_pattern_inner(inner);
-                }
-            }
-            Pattern::Tile2D { base, elem, row_elems, rows, cols, kind } => {
-                for r in 0..*rows {
-                    self.sequential_runs(base + r * row_elems * elem, *elem, *cols, *kind, line);
-                }
-            }
-            Pattern::Random { .. } => {
-                for (addr, kind) in pattern.stream() {
-                    self.access(addr, kind);
-                }
-            }
-        }
-    }
-
-    /// Decompose a sequential walk into maximal runs of consecutive
-    /// accesses falling in one cache line, batched per run.
-    fn sequential_runs(&mut self, base: u64, stride: u64, count: u64, kind: AccessKind, line: u64) {
-        if stride == 0 {
-            self.access_run(base, count, kind);
-            return;
-        }
-        let mut i = 0;
-        while i < count {
-            let addr = base + i * stride;
-            let line_end = (addr / line + 1) * line;
-            let reps = if stride >= line {
-                1
-            } else {
-                ((line_end - 1 - addr) / stride + 1).min(count - i)
-            };
-            self.access_run(addr, reps, kind);
-            i += reps;
         }
     }
 
@@ -296,65 +212,6 @@ mod tests {
         }
         assert_eq!(a.stats().levels[0], b.stats().levels[0]);
         assert_eq!(a.stats().dram_lines, b.stats().dram_lines);
-    }
-
-    #[test]
-    fn replay_pattern_matches_per_access_reference() {
-        use crate::pattern::Pattern;
-        let patterns = [
-            Pattern::Sequential { base: 16, stride: 8, count: 700, kind: AccessKind::Load },
-            Pattern::Sequential { base: 0, stride: 48, count: 300, kind: AccessKind::Store },
-            Pattern::Sequential { base: 7, stride: 256, count: 100, kind: AccessKind::Load },
-            Pattern::Sequential { base: 0, stride: 0, count: 50, kind: AccessKind::Store },
-            Pattern::Repeated {
-                inner: Box::new(Pattern::Sequential {
-                    base: 0,
-                    stride: 8,
-                    count: 512,
-                    kind: AccessKind::Store,
-                }),
-                passes: 3,
-            },
-            Pattern::Tile2D {
-                base: 64,
-                elem: 8,
-                row_elems: 128,
-                rows: 9,
-                cols: 21,
-                kind: AccessKind::Load,
-            },
-            Pattern::Random {
-                base: 0,
-                footprint: 32768,
-                elem: 8,
-                count: 2000,
-                seed: 9,
-                kind: AccessKind::Store,
-            },
-        ];
-        // One shared hierarchy pair across all patterns, so batched runs
-        // interleave with prior state rather than starting cold each time.
-        let mut batched = two_level();
-        let mut reference = two_level();
-        for p in &patterns {
-            batched.replay_pattern(p);
-            reference.replay(p.stream());
-            let (b, r) = (batched.stats(), reference.stats());
-            assert_eq!(b.levels, r.levels, "level stats diverged on {p:?}");
-            assert_eq!(b.dram_lines, r.dram_lines, "dram lines diverged on {p:?}");
-            assert_eq!(b.dram_writeback_lines, r.dram_writeback_lines, "writebacks on {p:?}");
-        }
-    }
-
-    #[test]
-    fn access_run_propagates_only_first_access_below_l1() {
-        let mut h = two_level();
-        h.access_run(0, 10, AccessKind::Load);
-        let s = h.stats();
-        assert_eq!(s.levels[0].hits, 9);
-        assert_eq!(s.levels[0].misses, 1);
-        assert_eq!(s.levels[1].accesses(), 1, "only the first access reached L2");
-        assert_eq!(s.dram_lines, 1);
     }
 
     #[test]

@@ -23,22 +23,6 @@ pub enum Pattern {
         /// Number of repetitions.
         passes: u32,
     },
-    /// Row-major walk of a 2-D tile inside a larger row-major array —
-    /// produces the strided reuse shape of stencil and matrix kernels.
-    Tile2D {
-        /// First byte address of the tile.
-        base: u64,
-        /// Bytes per element.
-        elem: u64,
-        /// Elements per full row of the backing array.
-        row_elems: u64,
-        /// Tile height in rows.
-        rows: u64,
-        /// Tile width in elements.
-        cols: u64,
-        /// Loads or stores.
-        kind: AccessKind,
-    },
     /// Pseudo-random uniform accesses over a footprint (gather/scatter,
     /// sort-like kernels). Deterministic: a splitmix64 sequence.
     Random {
@@ -63,7 +47,6 @@ impl Pattern {
         match self {
             Pattern::Sequential { count, .. } => *count,
             Pattern::Repeated { inner, passes } => inner.len() * *passes as u64,
-            Pattern::Tile2D { rows, cols, .. } => rows * cols,
             Pattern::Random { count, .. } => *count,
         }
     }
@@ -124,11 +107,6 @@ impl Iterator for AddressStream<'_> {
                 s.idx = j;
                 s.next().expect("j < inner.len()")
             }
-            Pattern::Tile2D { base, elem, row_elems, cols, kind, .. } => {
-                let r = i / cols;
-                let c = i % cols;
-                (base + (r * row_elems + c) * elem, *kind)
-            }
             Pattern::Random { base, footprint, elem, seed, kind, .. } => {
                 let _ = seed;
                 let r = splitmix64(&mut self.rng);
@@ -162,20 +140,6 @@ mod tests {
         let addrs: Vec<u64> = p.stream().map(|(a, _)| a).collect();
         assert_eq!(addrs, vec![0, 4, 8, 0, 4, 8]);
         assert!(p.stream().all(|(_, k)| k == AccessKind::Store));
-    }
-
-    #[test]
-    fn tile2d_row_major_with_row_jumps() {
-        let p = Pattern::Tile2D {
-            base: 0,
-            elem: 8,
-            row_elems: 100,
-            rows: 2,
-            cols: 3,
-            kind: AccessKind::Load,
-        };
-        let addrs: Vec<u64> = p.stream().map(|(a, _)| a).collect();
-        assert_eq!(addrs, vec![0, 8, 16, 800, 808, 816]);
     }
 
     #[test]

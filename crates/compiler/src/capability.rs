@@ -1,6 +1,6 @@
 //! Per-kernel auto-vectorisation capability tables for the two toolchains.
 //!
-//! The aggregate numbers come from the paper and its reference [11]
+//! The aggregate numbers come from the paper and its reference \[11\]
 //! (Lee et al., "Test-driving RISC-V Vector hardware for HPC"): XuanTie GCC
 //! vectorises 30/64 kernels with 7 taking the scalar path at runtime; Clang
 //! vectorises 59/64 with 3 taking the scalar path. The paper names several

@@ -5,7 +5,7 @@
 //! * upstream GCC has no RVV support at all; the **XuanTie GCC 8.4** fork
 //!   emits Vector Length Specific (VLS) RVV v0.7.1 and auto-vectorises only
 //!   30 of the 64 RAJAPerf kernels, 7 of which still take the scalar path
-//!   at runtime (per the paper's reference [11]);
+//!   at runtime (per the paper's reference \[11\]);
 //! * **Clang** auto-vectorises 59 of 64 (3 of which take the scalar path),
 //!   can emit VLA or VLS, but only targets RVV v1.0 — so its output must be
 //!   run through the RVV-Rollback rewriter before the C920 can execute it;

@@ -2,7 +2,7 @@
 //! experiment driven through a real sharded fleet.
 //!
 //! [`run_fleet_bench`] spawns N shard processes, fronts them with the
-//! consistent-hash [`Router`](crate::Router), and runs four phases:
+//! consistent-hash [`Router`], and runs four phases:
 //!
 //! 1. **warm** — replay the entire loadgen query pool once through the
 //!    router, so every shard's disjoint cache partition is hot;

@@ -1,8 +1,8 @@
 //! The consistent-hash L7 router fronting a fleet of `rvhpc-serve` shards.
 //!
 //! The router speaks the exact serve protocol on both faces. Each client
-//! connection gets a reader thread (mirroring the serve crate's threaded
-//! listener); request lines are parsed with the *same*
+//! connection gets its own thread, which reads request lines and forwards
+//! them one at a time; the lines are parsed with the *same*
 //! [`rvhpc_serve::protocol::parse_request`] the shards use, so a request
 //! the fleet rejects is exactly the request a shard would reject. Routed
 //! requests are forwarded **verbatim** — the original line, byte for

@@ -59,7 +59,7 @@
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
 //! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
 //! that perturbs a descriptor in place — the metamorphic verify oracles —
-//! must use the uncached [`crate::estimate`] family instead.
+//! must use the uncached [`crate::estimate()`] family instead.
 
 use crate::config::{Precision, RunConfig, Toolchain};
 use crate::estimate::TimeEstimate;

@@ -12,7 +12,6 @@ use rvhpc_kernels::{workload, KernelClass, KernelName, Workload};
 use rvhpc_machines::Machine;
 use rvhpc_rvv::Sew;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Simulated problem size per kernel: chosen so the suite exercises the
@@ -55,29 +54,13 @@ pub struct TimeEstimate {
     pub vector_path: bool,
 }
 
-/// Measured VLA/VLS instruction ratios for codegen-covered kernels, cached
-/// process-wide (the interpreter run is deterministic). Hits and misses are
-/// counted as `perfmodel.vla_ratio.hit` / `.miss` — a miss costs two
-/// interpreter runs, so the hit rate is worth watching.
+/// Measured VLA/VLS instruction ratio for a codegen-covered kernel.
+/// [`measure`] memoises both interpreter runs process-wide, so a repeat
+/// lookup costs two memo hits (`compiler.measure.hit`).
 fn measured_vla_ratio(kernel: KernelName, sew: Sew) -> Option<f64> {
-    type RatioCache = std::sync::Mutex<HashMap<(KernelName, u32), Option<f64>>>;
-    static CACHE: OnceLock<RatioCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()));
-    // The map is only written after a measurement succeeds, so a panic
-    // inside one leaves it consistent: tolerate the poisoning.
-    let mut map = cache.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(cached) = map.get(&(kernel, sew.bits())) {
-        rvhpc_obs::counter!("perfmodel.vla_ratio.hit", 1);
-        return *cached;
-    }
-    rvhpc_obs::counter!("perfmodel.vla_ratio.miss", 1);
-    let ratio = (|| {
-        let vla = measure(kernel, VectorMode::Vla, sew, 4096)?;
-        let vls = measure(kernel, VectorMode::Vls, sew, 4096)?;
-        Some(vla.per_element() / vls.per_element())
-    })();
-    map.insert((kernel, sew.bits()), ratio);
-    ratio
+    let vla = measure(kernel, VectorMode::Vla, sew, 4096)?;
+    let vls = measure(kernel, VectorMode::Vls, sew, 4096)?;
+    Some(vla.per_element() / vls.per_element())
 }
 
 /// Resolve whether vector code executes and with how many lanes.
@@ -459,18 +442,19 @@ mod tests {
 
     #[test]
     fn vla_ratio_memo_hits_on_second_lookup() {
-        // First lookup populates the memo (or finds it already populated by
-        // another test); the lookup after that MUST be served from the
-        // cache — a miss here means the interpreter would re-run on every
-        // estimate, which is exactly the regression this counter guards.
+        // First lookup populates `measure`'s memo (or finds it already
+        // populated by another test); both runs of every lookup after that
+        // MUST be served from it — a miss here means the interpreter would
+        // re-run on every estimate, which is exactly the regression this
+        // counter guards.
         let _ = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
-        let hits = || rvhpc_obs::counter("perfmodel.vla_ratio.hit").load(Relaxed);
+        let hits = || rvhpc_obs::counter("compiler.measure.hit").load(Relaxed);
         let before = hits();
         let first = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
         let second = measured_vla_ratio(KernelName::STREAM_TRIAD, Sew::E32);
         assert_eq!(first, second);
         assert!(first.expect("codegen covers STREAM_TRIAD") > 0.0);
-        assert!(hits() >= before + 2, "both lookups must hit the memo");
+        assert!(hits() >= before + 4, "both runs of both lookups must hit the memo");
     }
 
     #[test]

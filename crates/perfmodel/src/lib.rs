@@ -19,7 +19,7 @@
 //!   loops (`rvhpc-compiler::codegen::measure`).
 //!
 //! Constants that cannot be derived from datasheets live in
-//! [`calibration`], one commented block per machine.
+//! [`calibration`](mod@calibration), one commented block per machine.
 //!
 //! Repeated sweep traffic (the paper's ~30 full-suite sweeps overlap
 //! heavily) is amortised by [`cache`]: a bounded process-wide memoisation

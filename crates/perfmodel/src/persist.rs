@@ -12,18 +12,18 @@
 //! below is derived only when the store is enabled: a store-off miss never
 //! formats the descriptor or touches this module's lock.
 //!
-//! Keys are built through one [`KeyPrefix`]: the hash state after the salt
+//! Keys are built through one `KeyPrefix`: the hash state after the salt
 //! and the descriptor, derived once per distinct descriptor in a batch
 //! (each derivation counts as the `perfmodel.persist.descriptor_hash`
 //! registry counter). A run of keys that share one configuration hashes
 //! each kernel label on its own and then feeds the shared `|{config:?}`
-//! suffix to the run's hash states eight at a time ([`finish_keys`]): the
+//! suffix to the run's hash states eight at a time (`finish_keys`): the
 //! states are independent multiply chains, so the CPU overlaps them.
 //! FNV-1a is a streaming hash, so the hashed bytes, and the key, are
 //! exactly those of hashing the whole key text at once.
 //!
-//! The cache reaches the store once per batch: [`lookup_all`] answers all
-//! of a batch's keys under one store lock, and [`record_all`] records all
+//! The cache reaches the store once per batch: `lookup_all` answers all
+//! of a batch's keys under one store lock, and `record_all` records all
 //! of its computed estimates under one more. Each acquisition of the store
 //! lock counts as the `perfmodel.persist.lock` registry counter.
 //!
@@ -42,7 +42,7 @@
 //!   (not just its id — editing the catalog invalidates stale entries), the
 //!   kernel name, and the canonical run configuration, hashed as the text
 //!   `"{MODEL_SALT}|{machine:?}|{kernel}|{cfg:?}"`. Bumping
-//!   [`MODEL_SALT`] when estimator behaviour changes invalidates every
+//!   `MODEL_SALT` when estimator behaviour changes invalidates every
 //!   prior entry at once.
 //! * the four time components — 16 hex digits each, the raw IEEE-754 bit
 //!   patterns of the `f64`s, so a round trip through disk is bit-exact.
@@ -56,7 +56,7 @@
 //!
 //! # Write schedule
 //!
-//! Besides the explicit [`flush`], [`record_all`] writes the file once the
+//! Besides the explicit [`flush`], `record_all` writes the file once the
 //! map has grown, since the last write attempt or load, by
 //! `max(FLUSH_EVERY, records the file then held)`; it checks once per
 //! batch. Each write rewrites the whole file, so this keeps the total

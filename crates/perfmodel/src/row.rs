@@ -17,7 +17,7 @@
 //! process-wide, so a perturbed descriptor (the metamorphic verify
 //! oracles) can never be estimated against a placement resolved for
 //! another. Every estimate through a `RowEnv` is bit-identical to the
-//! per-call [`crate::estimate`] family, which is itself a one-off row.
+//! per-call [`crate::estimate()`] family, which is itself a one-off row.
 
 use crate::calibration::{calibration, Calibration};
 use crate::config::RunConfig;

@@ -22,31 +22,8 @@ use std::collections::HashMap;
 pub const VLEN_BITS: usize = 128;
 /// Vector register width in bytes.
 pub const VLEN_BYTES: usize = VLEN_BITS / 8;
-/// Largest byte span one vector operand group can cover (LMUL = 8).
-const MAX_GROUP_BYTES: usize = 8 * VLEN_BYTES;
-
-/// How vector instructions execute their active `vl` strip.
-///
-/// Both modes are bit-identical by construction (the `strip-interp` verify
-/// oracle pins the equivalence over every codegen kernel and rollback);
-/// [`ExecMode::Strip`] is the default because it matches on the element
-/// width once per instruction and then runs a tight typed loop over the
-/// whole strip, instead of paying the per-element register/offset
-/// arithmetic of the lane-at-a-time reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Strip-wise dispatch: one opcode/SEW match per instruction, then a
-    /// typed inner loop over whole register segments. Falls back to
-    /// lane-at-a-time for the rare operand aliasing shapes whose semantics
-    /// are order-dependent (e.g. a destination group overlapping the mask
-    /// register or a source at an offset).
-    #[default]
-    Strip,
-    /// The lane-at-a-time reference: every element individually located,
-    /// read and written. Kept as the semantic baseline the strip path is
-    /// differentially verified against.
-    Lanewise,
-}
+/// The whole vector register file in bytes: 32 registers, laid out flat.
+const VREG_FILE_BYTES: usize = 32 * VLEN_BYTES;
 
 /// Execution failure.
 #[allow(missing_docs)] // variant docs explain; fields are self-describing
@@ -91,7 +68,10 @@ pub struct Machine {
     dialect: Dialect,
     x: [u64; 32],
     f: [f64; 32],
-    v: [[u8; VLEN_BYTES]; 32],
+    /// The 32 vector registers back to back: `v<r>` is bytes
+    /// `16r..16r + 16`, so a register group is one contiguous span (wrapping
+    /// from v31 to v0).
+    v: [u8; VREG_FILE_BYTES],
     mem: Vec<u8>,
     vl: usize,
     vtype: Option<(Sew, Lmul, bool)>, // (sew, lmul, tail_agnostic)
@@ -110,8 +90,6 @@ pub struct Machine {
     pub mem_bytes: u64,
     /// When enabled, every memory access as `(addr, len)`, in order.
     touched_log: Option<Vec<(u64, usize)>>,
-    /// Strip-wise or lane-at-a-time vector execution.
-    exec_mode: ExecMode,
 }
 
 impl Machine {
@@ -121,7 +99,7 @@ impl Machine {
             dialect,
             x: [0; 32],
             f: [0.0; 32],
-            v: [[0; VLEN_BYTES]; 32],
+            v: [0; VREG_FILE_BYTES],
             mem: vec![0; mem_bytes],
             vl: 0,
             vtype: None,
@@ -131,19 +109,7 @@ impl Machine {
             retired_by_class: [0; OpClass::ALL.len()],
             mem_bytes: 0,
             touched_log: None,
-            exec_mode: ExecMode::default(),
         }
-    }
-
-    /// Select strip-wise or lane-at-a-time vector execution (the two are
-    /// bit-identical; see [`ExecMode`]).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The active execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Start recording every memory access as `(addr, len)`; the
@@ -266,43 +232,75 @@ impl Machine {
         ((Self::elems_per_reg(sew) as f64) * lmul.ratio()).floor().max(1.0) as usize
     }
 
+    /// Byte offset of element `idx` of the group at `base` in the flat
+    /// register file. Elements past v31 wrap to v0.
+    fn elem_off(base: u8, idx: usize, sew: Sew) -> usize {
+        (base as usize * VLEN_BYTES + idx * sew.bytes()) % VREG_FILE_BYTES
+    }
+
+    /// The register-file spans covered by `len` bytes from element `start`
+    /// of the group at `base`, in element order: one span, or more where
+    /// the group wraps from v31 to v0. Every span starts on an element.
+    fn group_spans(
+        base: u8,
+        start: usize,
+        sew: Sew,
+        len: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let mut off = Self::elem_off(base, start, sew);
+        let mut left = len;
+        std::iter::from_fn(move || {
+            let take = left.min(VREG_FILE_BYTES - off);
+            if take == 0 {
+                return None;
+            }
+            let span = off..off + take;
+            left -= take;
+            off = 0;
+            Some(span)
+        })
+    }
+
     fn read_elem(&self, base: u8, idx: usize, sew: Sew) -> u64 {
-        let epr = Self::elems_per_reg(sew);
-        let reg = base as usize + idx / epr;
-        let off = (idx % epr) * sew.bytes();
-        let mut buf = [0u8; 8];
-        buf[..sew.bytes()].copy_from_slice(&self.v[reg & 31][off..off + sew.bytes()]);
-        u64::from_le_bytes(buf)
+        let b = &self.v[Self::elem_off(base, idx, sew)..];
+        match sew {
+            Sew::E8 => u64::from(b[0]),
+            Sew::E16 => u64::from(u16::from_le_bytes([b[0], b[1]])),
+            Sew::E32 => u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            Sew::E64 => u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
+        }
     }
 
     fn write_elem(&mut self, base: u8, idx: usize, sew: Sew, val: u64) {
-        let epr = Self::elems_per_reg(sew);
-        let reg = base as usize + idx / epr;
-        let off = (idx % epr) * sew.bytes();
-        self.v[reg & 31][off..off + sew.bytes()].copy_from_slice(&val.to_le_bytes()[..sew.bytes()]);
+        let b = &mut self.v[Self::elem_off(base, idx, sew)..];
+        match sew {
+            Sew::E8 => b[0] = val as u8,
+            Sew::E16 => b[..2].copy_from_slice(&(val as u16).to_le_bytes()),
+            Sew::E32 => b[..4].copy_from_slice(&(val as u32).to_le_bytes()),
+            Sew::E64 => b[..8].copy_from_slice(&val.to_le_bytes()),
+        }
+    }
+
+    /// Write `val` to elements `0..vl` of the group at `base`. No vector
+    /// register is read, so filling span by span gives the element-order
+    /// result.
+    fn splat(&mut self, base: u8, sew: Sew, val: u64) {
+        let lane = &val.to_le_bytes()[..sew.bytes()];
+        for span in Self::group_spans(base, 0, sew, self.vl * sew.bytes()) {
+            for elem in self.v[span].chunks_exact_mut(sew.bytes()) {
+                elem.copy_from_slice(lane);
+            }
+        }
     }
 
     /// Apply tail policy after writing `vl` elements of a destination group.
     fn apply_tail(&mut self, base: u8, sew: Sew, lmul: Lmul, tail_agnostic: bool) {
         let vlmax = Self::vlmax(sew, lmul);
-        if self.dialect == Dialect::V10 && tail_agnostic {
-            if self.exec_mode == ExecMode::Strip {
-                // All-ones fill is byte-wise, so the tail strip is a plain
-                // byte fill per register segment (identical to writing
-                // `u64::MAX` per element).
-                let epr = Self::elems_per_reg(sew);
-                let mut idx = self.vl;
-                while idx < vlmax {
-                    let reg = (base as usize + idx / epr) & 31;
-                    let start = (idx % epr) * sew.bytes();
-                    let take = (epr - idx % epr).min(vlmax - idx);
-                    self.v[reg][start..start + take * sew.bytes()].fill(0xFF);
-                    idx += take;
-                }
-            } else {
-                for idx in self.vl..vlmax {
-                    self.write_elem(base, idx, sew, u64::MAX);
-                }
+        if self.dialect == Dialect::V10 && tail_agnostic && self.vl < vlmax {
+            // All-ones elements are all-ones bytes.
+            let len = (vlmax - self.vl) * sew.bytes();
+            for span in Self::group_spans(base, self.vl, sew, len) {
+                self.v[span].fill(0xFF);
             }
         }
         // v0.7.1 and v1.0 `tu`: tail undisturbed — nothing to do.
@@ -523,32 +521,27 @@ impl Machine {
                     let (_, lmul, ta) = self.vtype()?;
                     let base = self.x(rs1.0);
                     self.check_mem(base, self.vl * eew.bytes())?;
-                    self.note_mem(base, self.vl * eew.bytes());
-                    if self.exec_mode == ExecMode::Strip {
-                        self.strip_vle(vd.0, base, *eew);
-                    } else {
-                        for i in 0..self.vl {
-                            let b = self.load_mem(base + (i * eew.bytes()) as u64, eew.bytes())?;
-                            let mut buf = [0u8; 8];
-                            buf[..eew.bytes()].copy_from_slice(b);
-                            self.write_elem(vd.0, i, *eew, u64::from_le_bytes(buf));
-                        }
+                    let len = self.vl * eew.bytes();
+                    self.note_mem(base, len);
+                    // One copy per span: memory is the only source.
+                    let mut a = base as usize;
+                    for span in Self::group_spans(vd.0, 0, *eew, len) {
+                        let end = a + span.len();
+                        self.v[span].copy_from_slice(&self.mem[a..end]);
+                        a = end;
                     }
                     self.apply_tail(vd.0, *eew, lmul, ta);
                 }
                 Inst::Vse { vs, rs1, eew } => {
                     let base = self.x(rs1.0);
                     self.check_mem(base, self.vl * eew.bytes())?;
-                    self.note_mem(base, self.vl * eew.bytes());
-                    if self.exec_mode == ExecMode::Strip {
-                        self.strip_vse(vs.0, base, *eew);
-                    } else {
-                        for i in 0..self.vl {
-                            let val = self.read_elem(vs.0, i, *eew);
-                            let a = (base as usize) + i * eew.bytes();
-                            self.mem[a..a + eew.bytes()]
-                                .copy_from_slice(&val.to_le_bytes()[..eew.bytes()]);
-                        }
+                    let len = self.vl * eew.bytes();
+                    self.note_mem(base, len);
+                    let mut a = base as usize;
+                    for span in Self::group_spans(vs.0, 0, *eew, len) {
+                        let end = a + span.len();
+                        self.mem[a..end].copy_from_slice(&self.v[span]);
+                        a = end;
                     }
                 }
                 Inst::Vlse { vd, rs1, stride, eew } => {
@@ -581,14 +574,10 @@ impl Machine {
                 Inst::VfVV { op, vd, vs1, vs2 } => {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, op.stem())?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_fp_vv(*op, vd.0, vs1.0, vs2.0, sew)
-                    {
-                        for i in 0..self.vl {
-                            let a = self.read_elem(vs1.0, i, sew);
-                            let b = self.read_elem(vs2.0, i, sew);
-                            self.write_elem(vd.0, i, sew, Self::fp_bin(sew, *op, a, b));
-                        }
+                    for i in 0..self.vl {
+                        let a = self.read_elem(vs1.0, i, sew);
+                        let b = self.read_elem(vs2.0, i, sew);
+                        self.write_elem(vd.0, i, sew, Self::fp_bin(sew, *op, a, b));
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
@@ -596,28 +585,20 @@ impl Machine {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, op.stem())?;
                     let scalar = self.scalar_bits(fs2.0, sew);
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_fp_vf(*op, vd.0, vs1.0, scalar, sew)
-                    {
-                        for i in 0..self.vl {
-                            let a = self.read_elem(vs1.0, i, sew);
-                            self.write_elem(vd.0, i, sew, Self::fp_bin(sew, *op, a, scalar));
-                        }
+                    for i in 0..self.vl {
+                        let a = self.read_elem(vs1.0, i, sew);
+                        self.write_elem(vd.0, i, sew, Self::fp_bin(sew, *op, a, scalar));
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::VfmaccVV { vd, vs1, vs2 } => {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, "vfmacc.vv")?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_fma(vd.0, Some(vs1.0), 0, vs2.0, sew)
-                    {
-                        for i in 0..self.vl {
-                            let acc = self.read_elem(vd.0, i, sew);
-                            let a = self.read_elem(vs1.0, i, sew);
-                            let b = self.read_elem(vs2.0, i, sew);
-                            self.write_elem(vd.0, i, sew, Self::fma_bits(sew, acc, a, b));
-                        }
+                    for i in 0..self.vl {
+                        let acc = self.read_elem(vd.0, i, sew);
+                        let a = self.read_elem(vs1.0, i, sew);
+                        let b = self.read_elem(vs2.0, i, sew);
+                        self.write_elem(vd.0, i, sew, Self::fma_bits(sew, acc, a, b));
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
@@ -625,44 +606,32 @@ impl Machine {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, "vfmacc.vf")?;
                     let scalar = self.scalar_bits(fs1.0, sew);
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_fma(vd.0, None, scalar, vs2.0, sew)
-                    {
-                        for i in 0..self.vl {
-                            let acc = self.read_elem(vd.0, i, sew);
-                            let b = self.read_elem(vs2.0, i, sew);
-                            self.write_elem(vd.0, i, sew, Self::fma_bits(sew, acc, scalar, b));
-                        }
+                    for i in 0..self.vl {
+                        let acc = self.read_elem(vd.0, i, sew);
+                        let b = self.read_elem(vs2.0, i, sew);
+                        self.write_elem(vd.0, i, sew, Self::fma_bits(sew, acc, scalar, b));
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::ViVV { op, vd, vs1, vs2 } => {
                     let (sew, lmul, ta) = self.vtype()?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_int_vv(*op, vd.0, vs1.0, vs2.0, sew)
-                    {
-                        for i in 0..self.vl {
-                            let a = self.read_elem(vs1.0, i, sew);
-                            let b = self.read_elem(vs2.0, i, sew);
-                            self.write_elem(vd.0, i, sew, Self::int_bin(sew, *op, a, b));
-                        }
+                    for i in 0..self.vl {
+                        let a = self.read_elem(vs1.0, i, sew);
+                        let b = self.read_elem(vs2.0, i, sew);
+                        self.write_elem(vd.0, i, sew, Self::int_bin(sew, *op, a, b));
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::VaddVI { vd, vs1, imm } => {
                     let (sew, lmul, ta) = self.vtype()?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_add_imm(vd.0, vs1.0, *imm as i64 as u64, sew)
-                    {
-                        for i in 0..self.vl {
-                            let a = self.read_elem(vs1.0, i, sew);
-                            self.write_elem(
-                                vd.0,
-                                i,
-                                sew,
-                                Self::int_bin(sew, ViBinOp::Add, a, *imm as i64 as u64),
-                            );
-                        }
+                    for i in 0..self.vl {
+                        let a = self.read_elem(vs1.0, i, sew);
+                        self.write_elem(
+                            vd.0,
+                            i,
+                            sew,
+                            Self::int_bin(sew, ViBinOp::Add, a, *imm as i64 as u64),
+                        );
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
@@ -671,69 +640,57 @@ impl Machine {
                     let is_lt = matches!(inst, Inst::VmfltVF { .. });
                     self.guard_fp64(sew, if is_lt { "vmflt.vf" } else { "vmfge.vf" })?;
                     let scalar = self.scalar_bits(fs2.0, sew);
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_cmp_vf(is_lt, vd.0, vs1.0, scalar, sew)
-                    {
-                        for i in 0..self.vl {
-                            let a = self.read_elem(vs1.0, i, sew);
-                            let cmp = match sew {
-                                Sew::E32 => {
-                                    let (x, y) =
-                                        (f32::from_bits(a as u32), f32::from_bits(scalar as u32));
-                                    if is_lt {
-                                        x < y
-                                    } else {
-                                        x >= y
-                                    }
+                    for i in 0..self.vl {
+                        let a = self.read_elem(vs1.0, i, sew);
+                        let cmp = match sew {
+                            Sew::E32 => {
+                                let (x, y) =
+                                    (f32::from_bits(a as u32), f32::from_bits(scalar as u32));
+                                if is_lt {
+                                    x < y
+                                } else {
+                                    x >= y
                                 }
-                                Sew::E64 => {
-                                    let (x, y) = (f64::from_bits(a), f64::from_bits(scalar));
-                                    if is_lt {
-                                        x < y
-                                    } else {
-                                        x >= y
-                                    }
+                            }
+                            Sew::E64 => {
+                                let (x, y) = (f64::from_bits(a), f64::from_bits(scalar));
+                                if is_lt {
+                                    x < y
+                                } else {
+                                    x >= y
                                 }
-                                _ => false,
-                            };
-                            self.set_mask_bit(vd.0, i, cmp);
-                        }
+                            }
+                            _ => false,
+                        };
+                        self.set_mask_bit(vd.0, i, cmp);
                     }
                 }
                 Inst::VmergeVVM { vd, vs2, vs1 } => {
                     let (sew, lmul, ta) = self.vtype()?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_merge(vd.0, vs1.0, vs2.0, sew)
-                    {
-                        for i in 0..self.vl {
-                            let val = if self.mask_bit(i) {
-                                self.read_elem(vs1.0, i, sew)
-                            } else {
-                                self.read_elem(vs2.0, i, sew)
-                            };
-                            self.write_elem(vd.0, i, sew, val);
-                        }
+                    for i in 0..self.vl {
+                        let val = if self.mask_bit(i) {
+                            self.read_elem(vs1.0, i, sew)
+                        } else {
+                            self.read_elem(vs2.0, i, sew)
+                        };
+                        self.write_elem(vd.0, i, sew, val);
                     }
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::VfsqrtV { vd, vs1, masked } => {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, "vfsqrt.v")?;
-                    if self.exec_mode == ExecMode::Lanewise
-                        || !self.strip_sqrt(vd.0, vs1.0, *masked, sew)
-                    {
-                        for i in 0..self.vl {
-                            if *masked && !self.mask_bit(i) {
-                                continue; // inactive elements undisturbed (mu)
-                            }
-                            let a = self.read_elem(vs1.0, i, sew);
-                            let r = match sew {
-                                Sew::E32 => f32::from_bits(a as u32).sqrt().to_bits() as u64,
-                                Sew::E64 => f64::from_bits(a).sqrt().to_bits(),
-                                _ => 0,
-                            };
-                            self.write_elem(vd.0, i, sew, r);
+                    for i in 0..self.vl {
+                        if *masked && !self.mask_bit(i) {
+                            continue; // inactive elements undisturbed (mu)
                         }
+                        let a = self.read_elem(vs1.0, i, sew);
+                        let r = match sew {
+                            Sew::E32 => f32::from_bits(a as u32).sqrt().to_bits() as u64,
+                            Sew::E64 => f64::from_bits(a).sqrt().to_bits(),
+                            _ => 0,
+                        };
+                        self.write_elem(vd.0, i, sew, r);
                     }
                     if !*masked {
                         self.apply_tail(vd.0, sew, lmul, ta);
@@ -742,26 +699,14 @@ impl Machine {
                 Inst::VmvVX { vd, rs1 } => {
                     let (sew, lmul, ta) = self.vtype()?;
                     let val = self.x(rs1.0);
-                    if self.exec_mode == ExecMode::Strip {
-                        self.strip_splat(vd.0, val, sew);
-                    } else {
-                        for i in 0..self.vl {
-                            self.write_elem(vd.0, i, sew, val);
-                        }
-                    }
+                    self.splat(vd.0, sew, val);
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::VfmvVF { vd, fs1 } => {
                     let (sew, lmul, ta) = self.vtype()?;
                     self.guard_fp64(sew, "vfmv.v.f")?;
                     let val = self.scalar_bits(fs1.0, sew);
-                    if self.exec_mode == ExecMode::Strip {
-                        self.strip_splat(vd.0, val, sew);
-                    } else {
-                        for i in 0..self.vl {
-                            self.write_elem(vd.0, i, sew, val);
-                        }
-                    }
+                    self.splat(vd.0, sew, val);
                     self.apply_tail(vd.0, sew, lmul, ta);
                 }
                 Inst::VfmvFS { fd, vs1 } => {
@@ -779,28 +724,22 @@ impl Machine {
                     self.guard_fp64(sew, "vfredsum")?;
                     // Both reductions computed in element order: deterministic,
                     // and identical across dialects so rewrites stay provable.
-                    // All source reads precede the single element-0 write, so
-                    // the strip path needs no aliasing fallback.
-                    if self.exec_mode == ExecMode::Strip {
-                        self.strip_reduce(vd.0, vs1.0, vs2.0, sew);
-                    } else {
-                        match sew {
-                            Sew::E32 => {
-                                let mut acc = f32::from_bits(self.read_elem(vs2.0, 0, sew) as u32);
-                                for i in 0..self.vl {
-                                    acc += f32::from_bits(self.read_elem(vs1.0, i, sew) as u32);
-                                }
-                                self.write_elem(vd.0, 0, sew, acc.to_bits() as u64);
+                    match sew {
+                        Sew::E32 => {
+                            let mut acc = f32::from_bits(self.read_elem(vs2.0, 0, sew) as u32);
+                            for i in 0..self.vl {
+                                acc += f32::from_bits(self.read_elem(vs1.0, i, sew) as u32);
                             }
-                            Sew::E64 => {
-                                let mut acc = f64::from_bits(self.read_elem(vs2.0, 0, sew));
-                                for i in 0..self.vl {
-                                    acc += f64::from_bits(self.read_elem(vs1.0, i, sew));
-                                }
-                                self.write_elem(vd.0, 0, sew, acc.to_bits());
-                            }
-                            _ => {}
+                            self.write_elem(vd.0, 0, sew, acc.to_bits() as u64);
                         }
+                        Sew::E64 => {
+                            let mut acc = f64::from_bits(self.read_elem(vs2.0, 0, sew));
+                            for i in 0..self.vl {
+                                acc += f64::from_bits(self.read_elem(vs1.0, i, sew));
+                            }
+                            self.write_elem(vd.0, 0, sew, acc.to_bits());
+                        }
+                        _ => {}
                     }
                     // Reduction writes element 0 only; tail policy applies to
                     // the rest of the destination register.
@@ -817,12 +756,12 @@ impl Machine {
 
     /// Read mask bit `i` of register v0 (LSB-packed, one bit per element).
     fn mask_bit(&self, i: usize) -> bool {
-        (self.v[0][i / 8] >> (i % 8)) & 1 == 1
+        (self.v[i / 8] >> (i % 8)) & 1 == 1
     }
 
     /// Write mask bit `i` of a mask destination register.
     fn set_mask_bit(&mut self, vd: u8, i: usize, val: bool) {
-        let byte = &mut self.v[vd as usize & 31][i / 8];
+        let byte = &mut self.v[(vd as usize & 31) * VLEN_BYTES + i / 8];
         if val {
             *byte |= 1 << (i % 8);
         } else {
@@ -836,411 +775,6 @@ impl Machine {
             Sew::E32 => (self.f(fr) as f32).to_bits() as u64,
             Sew::E64 => self.f(fr).to_bits(),
             _ => 0,
-        }
-    }
-}
-
-/// Strip-wise execution: each helper consumes the whole active `vl` strip
-/// with the element width matched once and a tight typed inner loop over
-/// flat byte buffers, instead of per-element register/offset arithmetic.
-///
-/// Every helper is bit-identical to the lane-at-a-time loop it replaces.
-/// Helpers that copy source groups up front return `false` — telling the
-/// dispatcher to fall back to the lanewise reference — for the rare operand
-/// aliasing shapes whose lanewise semantics are order-dependent: a source
-/// group overlapping the destination at a register offset, or a destination
-/// group covering the live mask register `v0`.
-impl Machine {
-    /// Registers covered by an `n`-element group at `base` (mod-32 wrap,
-    /// exactly as `read_elem`/`write_elem` resolve them).
-    fn group_regs(base: u8, n: usize, sew: Sew) -> impl Iterator<Item = usize> {
-        let epr = Self::elems_per_reg(sew);
-        let segs = n.div_ceil(epr);
-        (0..segs).map(move |k| (base as usize + k) & 31)
-    }
-
-    /// Whether copying `src` up front preserves lanewise order: either the
-    /// same base register (element `i` is always read before index `i` is
-    /// written) or a group fully disjoint from the destination.
-    fn strip_safe(vd: u8, src: u8, n: usize, sew: Sew) -> bool {
-        vd == src
-            || !Self::group_regs(vd, n, sew).any(|r| Self::group_regs(src, n, sew).any(|s| s == r))
-    }
-
-    /// Whether the destination group covers the mask register `v0`.
-    fn covers_mask(vd: u8, n: usize, sew: Sew) -> bool {
-        Self::group_regs(vd, n, sew).any(|r| r == 0)
-    }
-
-    /// Copy the first `n` elements of the group at `base` into `buf`;
-    /// returns the strip's byte length.
-    fn copy_group_out(
-        &self,
-        base: u8,
-        n: usize,
-        sew: Sew,
-        buf: &mut [u8; MAX_GROUP_BYTES],
-    ) -> usize {
-        let epr = Self::elems_per_reg(sew);
-        let mut done = 0;
-        while done < n {
-            let reg = (base as usize + done / epr) & 31;
-            let take = epr.min(n - done);
-            let bytes = take * sew.bytes();
-            let dst = done * sew.bytes();
-            buf[dst..dst + bytes].copy_from_slice(&self.v[reg][..bytes]);
-            done += take;
-        }
-        n * sew.bytes()
-    }
-
-    /// Write the first `n` elements of `buf` into the group at `base`.
-    fn copy_group_in(&mut self, base: u8, n: usize, sew: Sew, buf: &[u8]) {
-        let epr = Self::elems_per_reg(sew);
-        let mut done = 0;
-        while done < n {
-            let reg = (base as usize + done / epr) & 31;
-            let take = epr.min(n - done);
-            let bytes = take * sew.bytes();
-            let src = done * sew.bytes();
-            self.v[reg][..bytes].copy_from_slice(&buf[src..src + bytes]);
-            done += take;
-        }
-    }
-
-    /// Unit-stride load: one raw little-endian copy from memory into the
-    /// destination group (bounds already checked for the whole strip).
-    fn strip_vle(&mut self, vd: u8, base: u64, eew: Sew) {
-        let n = self.vl;
-        let len = n * eew.bytes();
-        let mut buf = [0u8; MAX_GROUP_BYTES];
-        buf[..len].copy_from_slice(&self.mem[base as usize..base as usize + len]);
-        self.copy_group_in(vd, n, eew, &buf[..len]);
-    }
-
-    /// Unit-stride store: one raw little-endian copy from the source group
-    /// into memory (bounds already checked for the whole strip).
-    fn strip_vse(&mut self, vs: u8, base: u64, eew: Sew) {
-        let n = self.vl;
-        let mut buf = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs, n, eew, &mut buf);
-        self.mem[base as usize..base as usize + len].copy_from_slice(&buf[..len]);
-    }
-
-    /// FP binary `vd[i] = op(vs1[i], vs2[i])` over the whole strip.
-    fn strip_fp_vv(&mut self, op: VfBinOp, vd: u8, vs1: u8, vs2: u8, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew) || !Self::strip_safe(vd, vs2, n, sew) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut b = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        self.copy_group_out(vs2, n, sew, &mut b);
-        match sew {
-            Sew::E32 => {
-                let lanes = out[..len].chunks_exact_mut(4).zip(a[..len].chunks_exact(4));
-                for ((o, x), y) in lanes.zip(b[..len].chunks_exact(4)) {
-                    let xv = f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                    let yv = f32::from_le_bytes(y.try_into().expect("4-byte lane"));
-                    o.copy_from_slice(&Self::apply_f32(op, xv, yv).to_le_bytes());
-                }
-            }
-            Sew::E64 => {
-                let lanes = out[..len].chunks_exact_mut(8).zip(a[..len].chunks_exact(8));
-                for ((o, x), y) in lanes.zip(b[..len].chunks_exact(8)) {
-                    let xv = f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                    let yv = f64::from_le_bytes(y.try_into().expect("8-byte lane"));
-                    o.copy_from_slice(&Self::apply_f64(op, xv, yv).to_le_bytes());
-                }
-            }
-            // FP on sub-32-bit SEW yields zero bits (matching `fp_bin`);
-            // `out` is pre-zeroed.
-            _ => {}
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// FP vector-scalar binary over the whole strip.
-    fn strip_fp_vf(&mut self, op: VfBinOp, vd: u8, vs1: u8, scalar: u64, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        match sew {
-            Sew::E32 => {
-                let yv = f32::from_bits(scalar as u32);
-                for (o, x) in out[..len].chunks_exact_mut(4).zip(a[..len].chunks_exact(4)) {
-                    let xv = f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                    o.copy_from_slice(&Self::apply_f32(op, xv, yv).to_le_bytes());
-                }
-            }
-            Sew::E64 => {
-                let yv = f64::from_bits(scalar);
-                for (o, x) in out[..len].chunks_exact_mut(8).zip(a[..len].chunks_exact(8)) {
-                    let xv = f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                    o.copy_from_slice(&Self::apply_f64(op, xv, yv).to_le_bytes());
-                }
-            }
-            _ => {}
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// Fused multiply-add `vd[i] += vs1[i] * vs2[i]` (vector-vector) or
-    /// `vd[i] += scalar * vs2[i]` (scalar via `a_scalar`).
-    fn strip_fma(&mut self, vd: u8, a_src: Option<u8>, a_scalar: u64, vs2: u8, sew: Sew) -> bool {
-        let n = self.vl;
-        if let Some(vs1) = a_src {
-            if !Self::strip_safe(vd, vs1, n, sew) {
-                return false;
-            }
-        }
-        if !Self::strip_safe(vd, vs2, n, sew) {
-            return false;
-        }
-        let mut acc = [0u8; MAX_GROUP_BYTES];
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut b = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vd, n, sew, &mut acc);
-        match a_src {
-            Some(vs1) => {
-                self.copy_group_out(vs1, n, sew, &mut a);
-            }
-            None => {
-                for lane in a[..len].chunks_exact_mut(sew.bytes().max(1)) {
-                    lane.copy_from_slice(&a_scalar.to_le_bytes()[..sew.bytes()]);
-                }
-            }
-        }
-        self.copy_group_out(vs2, n, sew, &mut b);
-        match sew {
-            Sew::E32 => {
-                let lanes = acc[..len].chunks_exact_mut(4).zip(a[..len].chunks_exact(4));
-                for ((o, x), y) in lanes.zip(b[..len].chunks_exact(4)) {
-                    let xv = f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                    let yv = f32::from_le_bytes(y.try_into().expect("4-byte lane"));
-                    let av = f32::from_le_bytes(o.as_ref().try_into().expect("4-byte lane"));
-                    o.copy_from_slice(&xv.mul_add(yv, av).to_le_bytes());
-                }
-            }
-            Sew::E64 => {
-                let lanes = acc[..len].chunks_exact_mut(8).zip(a[..len].chunks_exact(8));
-                for ((o, x), y) in lanes.zip(b[..len].chunks_exact(8)) {
-                    let xv = f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                    let yv = f64::from_le_bytes(y.try_into().expect("8-byte lane"));
-                    let av = f64::from_le_bytes(o.as_ref().try_into().expect("8-byte lane"));
-                    o.copy_from_slice(&xv.mul_add(yv, av).to_le_bytes());
-                }
-            }
-            // `fma_bits` yields zero on sub-32-bit SEW.
-            _ => acc[..len].fill(0),
-        }
-        self.copy_group_in(vd, n, sew, &acc[..len]);
-        true
-    }
-
-    /// Integer binary `vd[i] = op(vs1[i], vs2[i])` over the whole strip.
-    fn strip_int_vv(&mut self, op: ViBinOp, vd: u8, vs1: u8, vs2: u8, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew) || !Self::strip_safe(vd, vs2, n, sew) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut b = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        self.copy_group_out(vs2, n, sew, &mut b);
-        macro_rules! lanes {
-            ($t:ty, $w:expr) => {{
-                let it = out[..len].chunks_exact_mut($w).zip(a[..len].chunks_exact($w));
-                for ((o, x), y) in it.zip(b[..len].chunks_exact($w)) {
-                    let xv = <$t>::from_le_bytes(x.try_into().expect("lane"));
-                    let yv = <$t>::from_le_bytes(y.try_into().expect("lane"));
-                    let r = match op {
-                        ViBinOp::Add => xv.wrapping_add(yv),
-                        ViBinOp::Sub => xv.wrapping_sub(yv),
-                        ViBinOp::Mul => xv.wrapping_mul(yv),
-                        ViBinOp::And => xv & yv,
-                        ViBinOp::Or => xv | yv,
-                        ViBinOp::Xor => xv ^ yv,
-                    };
-                    o.copy_from_slice(&r.to_le_bytes());
-                }
-            }};
-        }
-        match sew {
-            Sew::E8 => lanes!(u8, 1),
-            Sew::E16 => lanes!(u16, 2),
-            Sew::E32 => lanes!(u32, 4),
-            Sew::E64 => lanes!(u64, 8),
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// Integer add-immediate over the whole strip.
-    fn strip_add_imm(&mut self, vd: u8, vs1: u8, imm: u64, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        macro_rules! lanes {
-            ($t:ty, $w:expr) => {{
-                let iv = imm as $t;
-                for (o, x) in out[..len].chunks_exact_mut($w).zip(a[..len].chunks_exact($w)) {
-                    let xv = <$t>::from_le_bytes(x.try_into().expect("lane"));
-                    o.copy_from_slice(&xv.wrapping_add(iv).to_le_bytes());
-                }
-            }};
-        }
-        match sew {
-            Sew::E8 => lanes!(u8, 1),
-            Sew::E16 => lanes!(u16, 2),
-            Sew::E32 => lanes!(u32, 4),
-            Sew::E64 => lanes!(u64, 8),
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// Splat raw element bits over the whole strip (no vector sources, so
-    /// always strip-safe).
-    fn strip_splat(&mut self, vd: u8, val: u64, sew: Sew) {
-        let n = self.vl;
-        let len = n * sew.bytes();
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        for lane in out[..len].chunks_exact_mut(sew.bytes()) {
-            lane.copy_from_slice(&val.to_le_bytes()[..sew.bytes()]);
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-    }
-
-    /// FP compare against a scalar, packing one mask bit per element into
-    /// the single register `vd`.
-    fn strip_cmp_vf(&mut self, is_lt: bool, vd: u8, vs1: u8, scalar: u64, sew: Sew) -> bool {
-        let n = self.vl;
-        // The mask destination is one register; if the source group covers
-        // it, lanewise bit writes interleave with element reads.
-        if Self::group_regs(vs1, n, sew).any(|r| r == (vd as usize & 31)) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        match sew {
-            Sew::E32 => {
-                let yv = f32::from_bits(scalar as u32);
-                for (i, x) in a[..len].chunks_exact(4).enumerate() {
-                    let xv = f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                    self.set_mask_bit(vd, i, if is_lt { xv < yv } else { xv >= yv });
-                }
-            }
-            Sew::E64 => {
-                let yv = f64::from_bits(scalar);
-                for (i, x) in a[..len].chunks_exact(8).enumerate() {
-                    let xv = f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                    self.set_mask_bit(vd, i, if is_lt { xv < yv } else { xv >= yv });
-                }
-            }
-            _ => {
-                for i in 0..n {
-                    self.set_mask_bit(vd, i, false);
-                }
-            }
-        }
-        true
-    }
-
-    /// Mask-driven merge `vd[i] = mask[i] ? vs1[i] : vs2[i]` over the strip.
-    fn strip_merge(&mut self, vd: u8, vs1: u8, vs2: u8, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew)
-            || !Self::strip_safe(vd, vs2, n, sew)
-            || Self::covers_mask(vd, n, sew)
-        {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut b = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        self.copy_group_out(vs2, n, sew, &mut b);
-        let w = sew.bytes();
-        let it = out[..len].chunks_exact_mut(w).zip(a[..len].chunks_exact(w));
-        for (i, ((o, x), y)) in it.zip(b[..len].chunks_exact(w)).enumerate() {
-            o.copy_from_slice(if (self.v[0][i / 8] >> (i % 8)) & 1 == 1 { x } else { y });
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// Square root over the strip, optionally masked (inactive elements
-    /// undisturbed, seeded from the destination's current contents).
-    fn strip_sqrt(&mut self, vd: u8, vs1: u8, masked: bool, sew: Sew) -> bool {
-        let n = self.vl;
-        if !Self::strip_safe(vd, vs1, n, sew) || (masked && Self::covers_mask(vd, n, sew)) {
-            return false;
-        }
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let mut out = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        if masked {
-            self.copy_group_out(vd, n, sew, &mut out);
-        }
-        let w = sew.bytes();
-        for (i, (o, x)) in out[..len].chunks_exact_mut(w).zip(a[..len].chunks_exact(w)).enumerate()
-        {
-            if masked && (self.v[0][i / 8] >> (i % 8)) & 1 == 0 {
-                continue;
-            }
-            match sew {
-                Sew::E32 => {
-                    let xv = f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                    o.copy_from_slice(&xv.sqrt().to_le_bytes());
-                }
-                Sew::E64 => {
-                    let xv = f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                    o.copy_from_slice(&xv.sqrt().to_le_bytes());
-                }
-                _ => o.fill(0),
-            }
-        }
-        self.copy_group_in(vd, n, sew, &out[..len]);
-        true
-    }
-
-    /// Ordered/unordered sum reduction over the strip (both are computed in
-    /// element order). All source reads precede the single element-0 write,
-    /// so every aliasing shape is strip-safe.
-    fn strip_reduce(&mut self, vd: u8, vs1: u8, vs2: u8, sew: Sew) {
-        let n = self.vl;
-        let mut a = [0u8; MAX_GROUP_BYTES];
-        let len = self.copy_group_out(vs1, n, sew, &mut a);
-        match sew {
-            Sew::E32 => {
-                let mut acc = f32::from_bits(self.read_elem(vs2, 0, sew) as u32);
-                for x in a[..len].chunks_exact(4) {
-                    acc += f32::from_le_bytes(x.try_into().expect("4-byte lane"));
-                }
-                self.write_elem(vd, 0, sew, acc.to_bits() as u64);
-            }
-            Sew::E64 => {
-                let mut acc = f64::from_bits(self.read_elem(vs2, 0, sew));
-                for x in a[..len].chunks_exact(8) {
-                    acc += f64::from_le_bytes(x.try_into().expect("8-byte lane"));
-                }
-                self.write_elem(vd, 0, sew, acc.to_bits());
-            }
-            _ => {}
         }
     }
 }
@@ -1536,53 +1070,30 @@ loop:
         assert_eq!(m.mem_bytes, 2 * 3 * 16);
     }
 
-    /// Run a program in both execution modes and require every observable
-    /// to match exactly: registers, memory, counters, vl, and step count.
-    fn assert_modes_agree(text: &str, dialect: Dialect, setup: impl Fn(&mut Machine)) {
+    /// Run `text` from fresh 4 KiB memory after `setup`.
+    fn run_text(text: &str, dialect: Dialect, setup: impl Fn(&mut Machine)) -> Machine {
         let p = parse_program(text, dialect).unwrap();
-        let mut strip = Machine::new(dialect, 4096);
-        let mut lane = Machine::new(dialect, 4096);
-        lane.set_exec_mode(ExecMode::Lanewise);
-        setup(&mut strip);
-        setup(&mut lane);
-        strip.enable_mem_tracking();
-        lane.enable_mem_tracking();
-        let rs = strip.run_fueled(&p, 100_000);
-        let rl = lane.run_fueled(&p, 100_000);
-        assert_eq!(rs, rl, "fuel/step results diverged");
-        assert_eq!(strip.v, lane.v, "vector registers diverged");
-        assert_eq!(strip.x, lane.x);
-        assert_eq!(strip.f, lane.f);
-        assert_eq!(strip.mem, lane.mem, "memory diverged");
-        assert_eq!(strip.executed, lane.executed);
-        assert_eq!(strip.executed_vector, lane.executed_vector);
-        assert_eq!(strip.mem_bytes, lane.mem_bytes);
-        assert_eq!(strip.touched_accesses(), lane.touched_accesses());
-        assert_eq!(strip.vl, lane.vl);
+        let mut m = Machine::new(dialect, 4096);
+        setup(&mut m);
+        m.run(&p, 1000).unwrap();
+        m
+    }
+
+    /// Elements `0..n` of the group at `base`, as raw bits.
+    fn elems(m: &Machine, base: u8, n: usize, sew: Sew) -> Vec<u64> {
+        (0..n).map(|i| m.read_elem(base, i, sew)).collect()
+    }
+
+    fn f32_bits(vals: &[f32]) -> Vec<u64> {
+        vals.iter().map(|v| u64::from(v.to_bits())).collect()
     }
 
     #[test]
-    fn strip_and_lanewise_agree_on_daxpy() {
-        let n = 37;
-        assert_modes_agree(
-            "loop:\n    vsetvli x5, x10, e32, m1, ta, ma\n    vle32.v v0, (x11)\n    vle32.v v1, (x12)\n    vfmacc.vf v1, f0, v0\n    vse32.v v1, (x12)\n    slli x6, x5, 2\n    add x11, x11, x6\n    add x12, x12, x6\n    sub x10, x10, x5\n    bne x10, x0, loop\n    ret\n",
-            Dialect::V10,
-            |m| {
-                let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-                m.write_f32s(0, &x);
-                m.write_f32s(1024, &x);
-                m.set_x(10, n as u64);
-                m.set_x(11, 0);
-                m.set_x(12, 1024);
-                m.set_f(0, 3.0);
-            },
-        );
-    }
-
-    #[test]
-    fn strip_and_lanewise_agree_on_aliased_operands() {
-        // vd == vs1 == vs2 (in-place doubling) plus mask/merge/sqrt shapes.
-        assert_modes_agree(
+    fn aliased_operands_pin_registers_and_memory() {
+        // vd == vs1 == vs2 (in-place doubling), then mask, masked sqrt and
+        // merge shapes whose operands alias the destination, at vl = 3 of
+        // 4 so the ta tail fill shows too.
+        let m = run_text(
             "    vsetvli x5, x10, e32, m1, ta, ma\n\
                  vle32.v v1, (x11)\n\
                  vfadd.vv v1, v1, v1\n\
@@ -1595,20 +1106,32 @@ loop:
             Dialect::V10,
             |m| {
                 m.write_f32s(0, &[4.0, -1.0, 9.0, -16.0]);
-                m.set_x(10, 3); // partial strip: tail lanes exercised too
+                m.set_x(10, 3);
                 m.set_x(11, 0);
                 m.set_x(12, 64);
                 m.set_f(3, 0.0);
             },
         );
+        let ones = u64::from(u32::MAX);
+        // Mask bits 0 and 2 (8.0 and 18.0 are >= 0); the rest of v0 is zero.
+        assert_eq!(elems(&m, 0, 4, Sew::E32), vec![0b101, 0, 0, 0]);
+        let mut doubled = f32_bits(&[8.0, -2.0, 18.0]);
+        doubled.push(ones);
+        assert_eq!(elems(&m, 1, 4, Sew::E32), doubled);
+        // sqrt where the mask is set, v1 elsewhere, then 3 off the bits.
+        let merged: Vec<u64> =
+            f32_bits(&[8f32.sqrt(), -2.0, 18f32.sqrt()]).iter().map(|b| b - 3).collect();
+        assert_eq!(elems(&m, 2, 4, Sew::E32), [merged.clone(), vec![ones]].concat());
+        assert_eq!(f32_bits(&m.read_f32s(64, 4)), [merged, vec![0]].concat());
     }
 
     #[test]
-    fn strip_falls_back_on_offset_overlapping_groups() {
-        // LMUL=2 with vd/vs1 groups overlapping at a register offset — the
-        // order-dependent shape the strip path must refuse and the lanewise
-        // reference defines. v2 group = {v2,v3}, v1 group = {v1,v2}.
-        assert_modes_agree(
+    fn offset_overlapping_groups_follow_element_order() {
+        // LMUL=2 with the vd group {v2,v3} over the vs1 group {v1,v2} at a
+        // one-register offset: elements 4..8 of the source are read after
+        // elements 0..4 of the destination overwrote them, so they double
+        // twice.
+        let m = run_text(
             "    vsetvli x5, x10, e32, m2, ta, ma\n\
                  vle32.v v1, (x11)\n\
                  vfadd.vv v2, v1, v1\n\
@@ -1623,11 +1146,43 @@ loop:
                 m.set_x(12, 256);
             },
         );
+        assert_eq!(m.read_f32s(256, 8), vec![1.0, 3.0, 5.0, 7.0, 2.0, 6.0, 10.0, 14.0]);
+        assert_eq!(elems(&m, 1, 4, Sew::E32), f32_bits(&[0.5, 1.5, 2.5, 3.5]));
     }
 
     #[test]
-    fn strip_and_lanewise_agree_on_reduction_and_v071() {
-        assert_modes_agree(
+    fn group_past_v31_wraps_to_v0() {
+        // e32/m8 at vl = 32 from v28: elements 0..16 land in v28..v31 and
+        // elements 16..32 wrap to v0..v3, on the load and the store alike.
+        let m = run_text(
+            "    vsetvli x5, x10, e32, m8, ta, ma\n\
+                 vle32.v v28, (x11)\n\
+                 vse32.v v28, (x12)\n\
+                 vsetvli x5, x10, e32, m1, ta, ma\n\
+                 vse32.v v0, (x13)\n\
+                 ret\n",
+            Dialect::V10,
+            |m| {
+                let vals: Vec<f32> = (0..32).map(|i| i as f32).collect();
+                m.write_f32s(0, &vals);
+                m.set_x(10, 32);
+                m.set_x(11, 0);
+                m.set_x(12, 512);
+                m.set_x(13, 1024);
+            },
+        );
+        let vals: Vec<f32> = (0..32).map(|i| i as f32).collect();
+        assert_eq!(elems(&m, 28, 4, Sew::E32), f32_bits(&vals[0..4]));
+        assert_eq!(elems(&m, 31, 4, Sew::E32), f32_bits(&vals[12..16]));
+        assert_eq!(elems(&m, 0, 4, Sew::E32), f32_bits(&vals[16..20]));
+        assert_eq!(elems(&m, 3, 4, Sew::E32), f32_bits(&vals[28..32]));
+        assert_eq!(m.read_f32s(512, 32), vals);
+        assert_eq!(m.read_f32s(1024, 4), vals[16..20]);
+    }
+
+    #[test]
+    fn v071_reduction_sums_in_element_order() {
+        let m = run_text(
             "    vsetvli x5, x10, e32, m1\n\
                  vle.v v1, (x11)\n\
                  vfmv.v.f v2, f1\n\
@@ -1642,6 +1197,11 @@ loop:
                 m.set_f(1, 100.0);
             },
         );
+        // ((((100 + 1.5) + 2.25) + 3.125) + 4.0625), all exact in f32.
+        assert_eq!(m.f(2), 110.9375);
+        assert_eq!(elems(&m, 2, 4, Sew::E32), f32_bits(&[100.0; 4]));
+        // v0.7.1 leaves the tail of the reduction destination undisturbed.
+        assert_eq!(elems(&m, 3, 4, Sew::E32), vec![u64::from(110.9375f32.to_bits()), 0, 0, 0]);
     }
 
     #[test]

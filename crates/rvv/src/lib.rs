@@ -10,11 +10,11 @@
 //!   vector RISC-V that the suite's vectorised loops need;
 //! * [`dialect`] — the two vector dialects and their differences (mnemonic
 //!   families, `vsetvli` tail/mask policy flags, fractional LMUL);
-//! * [`print`] / [`parse`] — assembly text in either dialect;
+//! * [`print`](mod@print) / [`parse`] — assembly text in either dialect;
 //! * [`interp`] — a functional interpreter with 128-bit vector registers
 //!   (the C920's VLEN) and dialect-faithful tail semantics, used to *prove*
 //!   rewrites preserve behaviour;
-//! * [`rollback`] — the v1.0 → v0.7.1 rewriter itself, including the
+//! * [`rollback`](mod@rollback) — the v1.0 → v0.7.1 rewriter itself, including the
 //!   paper-critical refusals: fractional LMUL has no v0.7.1 encoding, and
 //!   FP64 vector arithmetic is rejected because the C920 does not implement
 //!   it.
@@ -40,7 +40,7 @@ mod proptests;
 pub use builder::ProgramBuilder;
 pub use dialect::{Dialect, Lmul, Sew};
 pub use inst::{FReg, Inst, OpClass, Program, VReg, XReg};
-pub use interp::{ExecError, ExecMode, Machine, VLEN_BITS};
+pub use interp::{ExecError, Machine, VLEN_BITS};
 pub use parse::{parse_program, parse_program_with_lines, ParseError, SourceMap};
 pub use print::print_program;
 pub use rollback::{rollback, RollbackError};

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// Print a whole program as assembly text in the given dialect.
 ///
 /// The printer is total for v1.0. For v0.7.1 it asserts that the program is
-/// representable (no fractional LMUL) — use [`crate::rollback`] to convert a
+/// representable (no fractional LMUL) — use [`crate::rollback()`] to convert a
 /// v1.0 program first.
 pub fn print_program(program: &Program, dialect: Dialect) -> String {
     let mut out = String::new();

@@ -1,6 +1,6 @@
 //! The v1.0 → v0.7.1 rewriter: a miniature RVV-Rollback.
 //!
-//! The paper (Section 3.2) uses the RVV-Rollback tool of Lee et al. [11] to
+//! The paper (Section 3.2) uses the RVV-Rollback tool of Lee et al. \[11\] to
 //! take Clang's RVV v1.0 assembly and backport it so the C920 can execute
 //! it. The translation is mostly mechanical — drop the `vsetvli` policy
 //! flags, move the element width from load/store mnemonics back into the

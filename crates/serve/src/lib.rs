@@ -35,7 +35,7 @@
 //! The companion [`loadgen`] module drives a server over real sockets from
 //! N closed-loop clients, verifies every answer bit-identically against a
 //! local [`rvhpc_perfmodel::estimate_cached`] call, and emits the
-//! `rvhpc-serve-bench-v1` artefact ([`bench`]) so serving latency joins the
+//! `rvhpc-serve-bench-v1` artefact ([`bench`](mod@bench)) so serving latency joins the
 //! repository's benchmark trajectory.
 
 #![deny(unsafe_code)] // except the SIGTERM shim in `signal` and the epoll shim in `epoll`

@@ -130,7 +130,7 @@ pub fn take() -> TraceData {
 }
 
 /// RAII guard for an in-flight span; records a [`SpanEvent`] on drop.
-/// Constructed by [`span`] / [`span!`]; inert (and free beyond the
+/// Constructed by [`span()`] / [`span!`]; inert (and free beyond the
 /// constructor's atomic load) when tracing is disabled.
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {

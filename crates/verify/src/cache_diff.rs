@@ -190,9 +190,7 @@ pub fn check(case: &CacheCase, _fault: Fault) -> Result<(), String> {
             passes: case.passes,
         }
     };
-    // Batched line-run replay: the sweep-facing path. The `batched-cache`
-    // oracle separately pins it bit-identical to per-access replay.
-    h.replay_pattern(&pattern);
+    h.replay(pattern.stream());
     let stats = h.stats();
 
     let model = TrafficModel::new(vec![case.l1_bytes as f64, case.l2_bytes as f64], LINE as f64);

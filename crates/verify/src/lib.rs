@@ -9,18 +9,9 @@
 //!   RVV interpreter (VLA and VLS code, v1.0 and rolled-back v0.7.1
 //!   dialects) and a scalar reference; results must be bit-compatible
 //!   across dialects and tolerance-bounded against the reference.
-//! * [`strip_interp`] — every codegen kernel (and its v0.7.1 rollback)
-//!   executes under the interpreter's strip-wise dispatch and under the
-//!   lane-at-a-time reference loop; registers, memory, retirement
-//!   counters and step counts must be bit-identical.
 //! * [`cache_diff`] — random access patterns run through both
 //!   `cachesim::analytic` and the trace-driven hierarchy; their per-level
 //!   traffic (and hence miss rates) must agree within bounded divergence.
-//! * [`batched_cache`] — the sweep's batched line-run replay
-//!   (`Hierarchy::replay_pattern` / `Cache::access_run`) must produce
-//!   bit-identical hits, misses and writebacks to the per-access LRU
-//!   reference at every level, over random, sequential-thrash,
-//!   large-stride and multi-pass traces.
 //! * [`kernels_diff`] — every executable kernel's parallel path must match
 //!   its serial reference checksum, and `reset` must restore exact state.
 //! * [`bounds_sound`] — the static resource bounds `rvhpc-analyze` infers
@@ -50,14 +41,12 @@
 #![warn(missing_docs)]
 
 pub mod artefact;
-pub mod batched_cache;
 pub mod bounds_sound;
 pub mod cache_diff;
 pub mod kernels_diff;
 pub mod metamorphic;
 pub mod row_env;
 pub mod rvv_diff;
-pub mod strip_interp;
 
 use rvhpc_quickprop::Gen;
 use rvhpc_trace::json::Json;
@@ -155,12 +144,10 @@ impl OracleReport {
 }
 
 /// All oracle names, in run order.
-pub const ORACLES: [&str; 8] = [
+pub const ORACLES: [&str; 6] = [
     rvv_diff::NAME,
-    strip_interp::NAME,
     bounds_sound::NAME,
     cache_diff::NAME,
-    batched_cache::NAME,
     kernels_diff::NAME,
     metamorphic::NAME,
     row_env::NAME,
@@ -228,10 +215,8 @@ pub(crate) fn drive<C: Clone>(
 pub fn run_oracle(name: &str, cfg: &VerifyConfig) -> Option<OracleReport> {
     match name {
         rvv_diff::NAME => Some(rvv_diff::run(cfg)),
-        strip_interp::NAME => Some(strip_interp::run(cfg)),
         bounds_sound::NAME => Some(bounds_sound::run(cfg)),
         cache_diff::NAME => Some(cache_diff::run(cfg)),
-        batched_cache::NAME => Some(batched_cache::run(cfg)),
         kernels_diff::NAME => Some(kernels_diff::run(cfg)),
         metamorphic::NAME => Some(metamorphic::run(cfg)),
         row_env::NAME => Some(row_env::run(cfg)),
@@ -250,10 +235,8 @@ pub fn replay_case(oracle: &str, case_seed: u64, inject: Fault) -> Result<(), St
     let mut g = Gen::new(case_seed);
     match oracle {
         rvv_diff::NAME => rvv_diff::check(&rvv_diff::generate_case(&mut g), inject),
-        strip_interp::NAME => strip_interp::check(&strip_interp::generate_case(&mut g), inject),
         bounds_sound::NAME => bounds_sound::check(&bounds_sound::generate_case(&mut g), inject),
         cache_diff::NAME => cache_diff::check(&cache_diff::generate_case(&mut g), inject),
-        batched_cache::NAME => batched_cache::check(&batched_cache::generate_case(&mut g), inject),
         kernels_diff::NAME => kernels_diff::check(&kernels_diff::generate_case(&mut g), inject),
         metamorphic::NAME => metamorphic::check(&metamorphic::generate_case(&mut g), inject),
         row_env::NAME => row_env::check(&row_env::generate_case(&mut g), inject),
