@@ -41,6 +41,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # The benchmark is a workspace of its own (benchmark/Cargo.toml); run its
 # unit tests too so its metric, statistics and comparison code stay green.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# One second of the cold paper sweep checks the estimator itself: the run
+# exits non-zero when a pass's artefact digests disagree with the first
+# pass or when the 256-key cache bit-identity gate sees a cached estimate
+# differ from a fresh one.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload sweep_cold --seconds 1 --trace 0
 
 # Differential/metamorphic cross-checks: a pinned seed for reproducible
 # CI, plus a seed derived from the commit hash so the randomized surface

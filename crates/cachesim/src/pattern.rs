@@ -58,7 +58,7 @@ impl Pattern {
 
     /// Iterate the pattern's `(address, kind)` stream.
     pub fn stream(&self) -> AddressStream<'_> {
-        AddressStream { pattern: self, idx: 0, rng: splitmix_seed(self) }
+        AddressStream { pattern: self, idx: 0, rng: splitmix_seed(self), inner: None }
     }
 }
 
@@ -75,6 +75,8 @@ pub struct AddressStream<'a> {
     pattern: &'a Pattern,
     idx: u64,
     rng: u64,
+    /// A `Repeated` pattern's current pass of its inner stream.
+    inner: Option<Box<AddressStream<'a>>>,
 }
 
 #[inline]
@@ -98,14 +100,11 @@ impl Iterator for AddressStream<'_> {
         Some(match self.pattern {
             Pattern::Sequential { base, stride, kind, .. } => (base + i * stride, *kind),
             Pattern::Repeated { inner, .. } => {
-                let inner_len = inner.len();
-                let j = i % inner_len;
-                // Regenerate the inner pattern's j-th access. Inner patterns
-                // are non-random in practice; for simplicity recompute via
-                // nth (inner streams are cheap closed forms).
-                let mut s = inner.stream();
-                s.idx = j;
-                s.next().expect("j < inner.len()")
+                // Every pass restarts the inner stream, its RNG included.
+                if i % inner.len() == 0 {
+                    self.inner = Some(Box::new(inner.stream()));
+                }
+                self.inner.as_mut().and_then(|s| s.next()).expect("i < inner.len() * passes")
             }
             Pattern::Random { base, footprint, elem, seed, kind, .. } => {
                 let _ = seed;
@@ -140,6 +139,26 @@ mod tests {
         let addrs: Vec<u64> = p.stream().map(|(a, _)| a).collect();
         assert_eq!(addrs, vec![0, 4, 8, 0, 4, 8]);
         assert!(p.stream().all(|(_, k)| k == AccessKind::Store));
+    }
+
+    #[test]
+    fn every_pass_of_a_repeated_random_stream_replays_the_inner_sequence() {
+        let inner = Pattern::Random {
+            base: 0,
+            footprint: 4096,
+            elem: 8,
+            count: 5,
+            seed: 42,
+            kind: AccessKind::Load,
+        };
+        let once: Vec<(u64, AccessKind)> = inner.stream().collect();
+        assert!(once.windows(2).any(|w| w[0] != w[1]), "the inner stream moves: {once:?}");
+        let p = Pattern::Repeated { inner: Box::new(inner), passes: 3 };
+        let all: Vec<(u64, AccessKind)> = p.stream().collect();
+        assert_eq!(all.len(), 15);
+        for pass in all.chunks(5) {
+            assert_eq!(pass, once.as_slice());
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@
 //! one map lock, with one map probe per run of queries from the same row,
 //! and hands only the misses on, each `(row key, kernel)` once: a repeat
 //! of an earlier miss counts as a hit and is answered from it. The misses
-//! run on the calling thread when there is one of them or when the
-//! process-wide pool has a single lane (a hand-off there adds two context
-//! switches and no parallelism — the rule follows the host's pool width,
-//! not a knob); otherwise they fan out over the pool. Their answers land
-//! in the batch's answer vector and are inserted under one more map lock,
-//! one map lookup per row, which also publishes the eviction count and the
+//! fan out over the process-wide pool only when there are at least
+//! `FAN_OUT_MIN` of them (a full cold suite row) and the pool has more
+//! than one lane; a smaller batch, such as a server batch of a few misses,
+//! runs on the calling thread, where it finishes before a hand-off would
+//! have woken a worker. The rule follows the batch and the host's pool
+//! width, not a knob. Their answers land in the batch's answer vector and
+//! are inserted under one more map lock, one map lookup per row, which
+//! also publishes the eviction count and the
 //! `perfmodel.estimate_cache.entries` gauge once per batch ([`clear`]
 //! zeroes the gauge). So a warm row costs one lock, one probe and no
 //! dispatch, and a cold row two locks.
@@ -449,10 +451,10 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// first misses go on, to the persistent store when it is on (one store
 /// lock for the batch) and then to the estimate, through the row's lazy
 /// placement, and are inserted under one more map lock. Misses fan out
-/// over the pool only when more than one of them must be estimated and the
-/// pool has more than one lane. A batch without misses touches neither the
-/// store, the pool nor any row's placement. Bit-identical to estimating
-/// each query on its own.
+/// over the pool only when at least `FAN_OUT_MIN` of them must be
+/// estimated and the pool has more than one lane. A batch without misses
+/// touches neither the store, the pool nor any row's placement.
+/// Bit-identical to estimating each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let mut misses = Misses::default();
     let mut answers: Vec<TimeEstimate> = {
@@ -542,12 +544,12 @@ impl Misses {
 /// store keys are derived on the calling thread and every key is looked up
 /// under one store lock; what the store holds is answered at once and
 /// counts as a hit and a disk hit. The rest count as misses and are
-/// estimated, on the calling thread when there is one of them or the
-/// process-wide [`global_team`](rvhpc_threads::global_team) has one lane,
-/// where a hand-off would buy no parallelism, and otherwise fanned out
-/// over the pool with a work-stealing handout. With the store on, they
-/// are then recorded under one more store lock, on the calling thread,
-/// which is also where the store's auto-flush writes the file.
+/// estimated on the calling thread when there are fewer than
+/// `FAN_OUT_MIN` of them or the process-wide
+/// [`global_team`](rvhpc_threads::global_team) has one lane, and otherwise
+/// fanned out over the pool with a work-stealing handout. With the store
+/// on, they are then recorded under one more store lock, on the calling
+/// thread, which is also where the store's auto-flush writes the file.
 fn answer_misses(
     queries: &[(&RowEnv, KernelName)],
     misses: &[usize],
@@ -591,6 +593,14 @@ fn from_store(
     (fresh, fresh_keys)
 }
 
+/// The fewest misses [`estimate_batch`] fans out over the pool. On a
+/// two-CPU host, batches of 2 to 64 misses ran 1.4× to 13× faster on the
+/// calling thread than fanned out, whether each miss had a row of its own
+/// (a server batch) or all shared one, and the two only tied at ~256.
+/// The bar sits at one full suite row, so a cold row still spreads over
+/// a wider host's pool.
+const FAN_OUT_MIN: usize = 64;
+
 /// Estimate the queries at `fresh` into their answer slots, outside every
 /// lock: estimation is pure, so a racing duplicate computation is wasted
 /// work at worst, never a wrong answer.
@@ -599,7 +609,7 @@ fn estimate_all(queries: &[(&RowEnv, KernelName)], fresh: &[usize], answers: &mu
         let (row, kernel) = queries[i];
         row.estimate_averaged(kernel)
     };
-    if fresh.len() == 1 || rvhpc_threads::global_team().n_threads() == 1 {
+    if fresh.len() < FAN_OUT_MIN || rvhpc_threads::global_team().n_threads() == 1 {
         for &i in fresh {
             answers[i] = estimate(i);
         }
@@ -735,13 +745,8 @@ mod tests {
             let got = estimate_batch(&queries);
             let delta = stats().since(&before.0);
             assert_eq!((delta.hits, delta.misses), (expected_hits, expected_misses), "{delta:?}");
-            // Several misses fan out over the pool unless it has one lane.
-            let dispatched = regions() - before.1;
-            if expected_misses < 2 || one_lane {
-                assert_eq!(dispatched, 0, "no pool region");
-            } else {
-                assert!(dispatched >= 1, "the misses fan out over the pool");
-            }
+            // Fewer than `FAN_OUT_MIN` misses run on the calling thread.
+            assert_eq!(regions() - before.1, 0, "no pool region");
             for (d, g) in direct.iter().zip(&got) {
                 assert_eq!(
                     (d.seconds.to_bits(), d.vector_path),
@@ -753,6 +758,23 @@ mod tests {
         let warm = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
         let _ = estimate_batch(&[(&warm, KernelName::DAXPY), (&warm, KernelName::EOS)]);
         assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
+
+        // One miss short of `FAN_OUT_MIN` still runs on the calling thread;
+        // at `FAN_OUT_MIN` the misses fan out, unless the pool has one lane.
+        for (threads, misses) in [(7, FAN_OUT_MIN - 1), (9, FAN_OUT_MIN)] {
+            let row = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp64, threads));
+            let queries: Vec<_> = KernelName::ALL[..misses].iter().map(|&k| (&row, k)).collect();
+            let before = (stats(), regions());
+            let got = estimate_batch(&queries);
+            assert_eq!(stats().since(&before.0).misses, misses as u64);
+            let dispatched = regions() - before.1;
+            if misses < FAN_OUT_MIN || one_lane {
+                assert_eq!(dispatched, 0, "{misses} misses: no pool region");
+            } else {
+                assert!(dispatched >= 1, "{misses} misses fan out over the pool");
+            }
+            assert_uncached_bits(&queries, &got);
+        }
     }
 
     /// Every answer of a batch, bit for bit, against the uncached model.

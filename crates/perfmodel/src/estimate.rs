@@ -274,17 +274,52 @@ pub(crate) fn average_runs(env: &RowEnv, kernel: KernelName, base: TimeEstimate)
 /// The jitter's seed hashes the thread count the model runs, clamped like
 /// every other use of it, so a request past the core count averages to
 /// the bits of the clamped request.
+/// The hash is SipHash-1-3 with zero keys, written out so that no change
+/// to std's unspecified `DefaultHasher` can move a model number, over the
+/// 37 little-endian bytes that hasher was fed: the machine-id and kernel
+/// discriminants (8 bytes each), the precision bits (4), `vectorize` (1),
+/// the clamped thread count (8) and the placement discriminant (8) —
+/// four 8-byte blocks and a tail block carrying `37 << 56`.
 fn jitter_seed(env: &RowEnv, kernel: KernelName) -> u64 {
-    use std::hash::{Hash, Hasher};
     let cfg = env.config();
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    env.machine().id.hash(&mut h);
-    kernel.hash(&mut h);
-    cfg.precision.bits().hash(&mut h);
-    cfg.vectorize.hash(&mut h);
-    env.threads().hash(&mut h);
-    cfg.placement.hash(&mut h);
-    h.finish()
+    let mut bytes = [0u8; 40];
+    bytes[0..8].copy_from_slice(&(env.machine().id as u64).to_le_bytes());
+    bytes[8..16].copy_from_slice(&(kernel as u64).to_le_bytes());
+    bytes[16..20].copy_from_slice(&cfg.precision.bits().to_le_bytes());
+    bytes[20] = u8::from(cfg.vectorize);
+    bytes[21..29].copy_from_slice(&(env.threads() as u64).to_le_bytes());
+    bytes[29..37].copy_from_slice(&(cfg.placement as u64).to_le_bytes());
+    bytes[39] = 37;
+    let mut v = [
+        0x736f_6d65_7073_6575u64,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    for block in bytes.chunks_exact(8) {
+        let m = u64::from_le_bytes(block.try_into().expect("8-byte block"));
+        v[3] ^= m;
+        sip_round(&mut v);
+        v[0] ^= m;
+    }
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        sip_round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
+fn sip_round(v: &mut [u64; 4]) {
+    v[0] = v[0].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(13) ^ v[0];
+    v[0] = v[0].rotate_left(32);
+    v[2] = v[2].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(16) ^ v[2];
+    v[0] = v[0].wrapping_add(v[3]);
+    v[3] = v[3].rotate_left(21) ^ v[0];
+    v[2] = v[2].wrapping_add(v[1]);
+    v[1] = v[1].rotate_left(17) ^ v[2];
+    v[2] = v[2].rotate_left(32);
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -385,6 +420,55 @@ mod tests {
                 let past = estimate_averaged(&m, kernel, &cfg(2 * m.n_cores() + 1));
                 assert_eq!(clamped.seconds.to_bits(), past.seconds.to_bits(), "{id:?} {kernel}");
             }
+        }
+    }
+
+    #[test]
+    fn jitter_seeds_keep_the_bits_std_default_hasher_gave_them() {
+        // `(machine, kernel, precision, vectorize, threads, placement,
+        // seed)`, the seeds as std's `DefaultHasher` computed them. The
+        // keys cover every machine, both precisions, vectorisation on and
+        // off, one thread and threads past the core count, and every
+        // placement policy.
+        use MachineId::*;
+        use PlacementPolicy::*;
+        use Precision::*;
+        let pinned = [
+            (Sg2042, KernelName::DAXPY, Fp32, true, 1, Block, 0x65d6_c80e_7831_cf44),
+            (VisionFiveV1, KernelName::GEMM, Fp64, false, 9, NumaCyclic, 0x4bb8_57da_d6f4_395c),
+            (
+                VisionFiveV2,
+                KernelName::STREAM_TRIAD,
+                Fp32,
+                false,
+                1,
+                ClusterCyclic,
+                0x9ce5_e531_4c36_1bcf,
+            ),
+            (AmdRome, KernelName::REDUCE3_INT, Fp64, true, 200, Block, 0x067c_bd82_25f8_f324),
+            (IntelBroadwell, KernelName::EOS, Fp32, true, 16, NumaCyclic, 0xa6d2_eda7_35ac_071f),
+            (IntelIcelake, KernelName::SORT, Fp64, false, 1, ClusterCyclic, 0x52ce_5846_f181_6805),
+            (IntelSandybridge, KernelName::JACOBI_2D, Fp32, true, 5, Block, 0x14a2_b408_aa1c_cb8c),
+            (
+                Sg2042NextGen,
+                KernelName::FLOYD_WARSHALL,
+                Fp64,
+                true,
+                65,
+                ClusterCyclic,
+                0x53b8_3902_221f_3e4b,
+            ),
+        ];
+        for (id, kernel, precision, vectorize, threads, placement, seed) in pinned {
+            let m = machine(id);
+            let mut cfg = RunConfig::sg2042_best(precision, threads);
+            cfg.vectorize = vectorize;
+            cfg.placement = placement;
+            let got = jitter_seed(&RowEnv::new(&m, &cfg), kernel);
+            assert_eq!(
+                got, seed,
+                "{id:?} {kernel} {precision:?} {vectorize} {threads} {placement:?}"
+            );
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::calibration::Calibration;
 use rvhpc_cachesim::analytic::{stream_traffic, AccessSpec, Locality};
-use rvhpc_kernels::{Access, Workload};
+use rvhpc_kernels::{Access, StreamSpec, Workload};
 use rvhpc_machines::{CacheSharing, Machine, Placement};
 
 /// Resolved memory environment for one run.
@@ -80,18 +80,29 @@ impl MemoryEnv {
     }
 }
 
+/// The bytes of a kernel stream one thread's share of the work touches:
+/// static chunks split a sequential or strided footprint contiguously,
+/// while random streams roam the whole array.
+fn footprint_bytes(stream: &StreamSpec, default_elem_bytes: f64, effective_threads: f64) -> f64 {
+    let eb = stream.elem_bytes_override.map_or(default_elem_bytes, f64::from);
+    match stream.access {
+        Access::Sequential | Access::Strided(_) => stream.elems * eb / effective_threads,
+        Access::Random => stream.elems * eb,
+    }
+}
+
 /// Convert a kernel stream into the cache model's access spec for one
 /// thread's share of the work.
 pub(crate) fn to_access_spec(
-    stream: &rvhpc_kernels::StreamSpec,
+    stream: &StreamSpec,
     default_elem_bytes: f64,
     effective_threads: f64,
 ) -> AccessSpec {
     let eb = stream.elem_bytes_override.map_or(default_elem_bytes, f64::from);
+    let footprint_bytes = footprint_bytes(stream, default_elem_bytes, effective_threads);
     match stream.access {
         Access::Sequential => AccessSpec {
-            // Static chunks split the footprint contiguously.
-            footprint_bytes: stream.elems * eb / effective_threads,
+            footprint_bytes,
             elem_bytes: eb,
             stride_bytes: eb,
             passes: stream.passes,
@@ -99,7 +110,7 @@ pub(crate) fn to_access_spec(
             locality: Locality::Sequential,
         },
         Access::Strided(s) => AccessSpec {
-            footprint_bytes: stream.elems * eb / effective_threads,
+            footprint_bytes,
             elem_bytes: eb,
             stride_bytes: s * eb,
             passes: stream.passes,
@@ -107,9 +118,8 @@ pub(crate) fn to_access_spec(
             locality: Locality::Strided,
         },
         Access::Random => AccessSpec {
-            // Random streams roam the whole array; each thread issues its
-            // share of the accesses.
-            footprint_bytes: stream.elems * eb,
+            // Each thread issues its share of the random accesses.
+            footprint_bytes,
             elem_bytes: eb,
             stride_bytes: eb,
             passes: stream.passes / effective_threads,
@@ -145,11 +155,10 @@ pub fn memory_seconds(
     // Live streams compete for cache capacity: allot each stream a share
     // of every level proportional to its footprint (the LRU steady state
     // for concurrently swept arrays). Without this, two 40 MB arrays would
-    // each "fit" a 64 MB L3. The footprint sum runs in stream order, so
-    // it is bit-identical however the specs are held.
-    let spec = |s| to_access_spec(s, elem_bytes, effective_threads);
-    let total_footprint: f64 =
-        w.streams.iter().map(|s| spec(s).footprint_bytes).sum::<f64>().max(1.0);
+    // each "fit" a 64 MB L3. The footprint sum runs in stream order and
+    // builds no access spec.
+    let footprint = |s| footprint_bytes(s, elem_bytes, effective_threads);
+    let total_footprint: f64 = w.streams.iter().map(footprint).sum::<f64>().max(1.0);
 
     // Three per-level buffers — the stream's capacity shares, its fetches
     // and the running fetch totals — on the stack up to `INLINE_LEVELS`,
@@ -169,7 +178,7 @@ pub fn memory_seconds(
     let mut requested = 0.0f64;
     let mut dram_wb = 0.0f64;
     for s in &w.streams {
-        let spec = spec(s);
+        let spec = to_access_spec(s, elem_bytes, effective_threads);
         let share = spec.footprint_bytes / total_footprint;
         for (cap, c) in caps.iter_mut().zip(&env.capacity_shares) {
             *cap = c * share;
@@ -228,9 +237,8 @@ pub fn memory_seconds(
         // Below `QUEUE_KNEE` the controller keeps up; beyond it, row-buffer
         // interference and queueing degrade super-linearly with a
         // machine-specific sensitivity (the SG2042's 64-thread collapse).
-        const QUEUE_KNEE: f64 = 2.6;
         let overload = k * demand.min(cal.per_core_stream_bw) / ctrl_bw;
-        let queue_mult = 1.0 + cal.queue_sensitivity * (overload - QUEUE_KNEE).max(0.0).powf(1.5);
+        let queue_mult = queue_multiplier(cal.queue_sensitivity, overload);
 
         let bw_time = dram_bytes / share;
         let lat_time =
@@ -238,6 +246,18 @@ pub fn memory_seconds(
         time = time.max(bw_time.max(lat_time) * queue_mult);
     }
     time
+}
+
+/// Controller overload below which queueing costs nothing.
+const QUEUE_KNEE: f64 = 2.6;
+
+/// `1 + sensitivity · max(overload − QUEUE_KNEE, 0)^1.5`. Most estimates
+/// sit below the knee, where the power is skipped; the product is still
+/// taken, so a NaN or infinite sensitivity yields NaN there as well.
+fn queue_multiplier(sensitivity: f64, overload: f64) -> f64 {
+    let excess = (overload - QUEUE_KNEE).max(0.0);
+    let pow = if excess == 0.0 { 0.0 } else { excess.powf(1.5) };
+    1.0 + sensitivity * pow
 }
 
 #[cfg(test)]
@@ -249,6 +269,22 @@ mod tests {
 
     fn sg() -> Machine {
         machine(MachineId::Sg2042)
+    }
+
+    #[test]
+    fn queue_multiplier_keeps_the_bits_of_the_unconditional_power() {
+        let reference = |s: f64, o: f64| 1.0 + s * (o - QUEUE_KNEE).max(0.0).powf(1.5);
+        let below = f64::from_bits(QUEUE_KNEE.to_bits() - 1);
+        let above = f64::from_bits(QUEUE_KNEE.to_bits() + 1);
+        for s in [0.0, 0.5, 3.0, f64::INFINITY, f64::NAN] {
+            for o in [0.0, 1.0, below, QUEUE_KNEE, above, 3.0, 40.0, f64::NAN] {
+                assert_eq!(
+                    queue_multiplier(s, o).to_bits(),
+                    reference(s, o).to_bits(),
+                    "sensitivity {s}, overload {o}"
+                );
+            }
+        }
     }
 
     #[test]
