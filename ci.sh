@@ -6,12 +6,11 @@ cargo build --release --workspace
 REPRO=target/release/repro
 cargo test -q --workspace
 
-# The benchmark's sweeps run bound to one CPU, where the shared pool has a
-# single worker; rerun the sweep bit-identity and pool-dispatch tests in
-# that configuration too, with the estimate cache's unit tests for its
-# one-lane batch path and the pinned artefact digests. The persistent
-# store's tests cover its one-lane path: keys derived for misses answered
-# on the calling thread.
+# The benchmark's sweeps run bound to one CPU; rerun in that configuration
+# the sweep bit-identity test, the tests that count a row's cache hits,
+# misses, placements and (zero) pool regions, the estimate cache's and
+# the persistent store's unit tests and the pinned artefact digests, so a
+# result that depended on the host's CPU count would show here.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines

@@ -4,8 +4,8 @@
 //! `repro all` used to be a hand-maintained list of a dozen calls; the
 //! driver makes the batch first-class so the binary, the benchmark and
 //! CI all iterate the *same* experiments in the same order. Because every
-//! experiment fans out over [`rvhpc_threads::global_team`] and estimates
-//! through the cross-sweep cache, running the batch end-to-end makes
+//! experiment estimates through the cross-sweep cache, on the calling
+//! thread, running the batch end-to-end makes
 //! exactly one pass over each unique `(machine, kernel, config)` triple —
 //! later experiments are served the earlier experiments' estimates.
 

@@ -20,17 +20,14 @@ pub struct KernelTime {
 /// The row goes through [`estimate_batch`], the cross-sweep cache's batch
 /// path ([`rvhpc_perfmodel::cache`]), whose store is keyed by suite row:
 /// every kernel already cached is answered under one map lock and one map
-/// probe for the whole row, and only the misses are estimated — a lone
-/// miss on the calling thread, several fanned out over the process-wide
-/// [`global_team`](rvhpc_threads::global_team) with a work-stealing
-/// handout (per-kernel estimate cost is irregular; see
-/// [`rvhpc_threads::worksteal`]). So repeated configurations are computed
-/// once per process, a warm row never dispatches to the pool, and all 64
+/// probe for the whole row, and only the misses are estimated, one after
+/// another on the calling thread. So repeated configurations are computed
+/// once per process, no row dispatches to a thread pool, and all 64
 /// kernels share one [`RowEnv`], whose thread placement is resolved at
 /// most once, and not at all when every kernel hits the cache. Results
-/// come back in `KernelName::ALL` order and are bit-identical to a serial
-/// single-lane run: the estimator is pure, and neither the handout order
-/// nor the cache state can change a value.
+/// come back in `KernelName::ALL` order and are bit-identical to a plain
+/// uncached loop: the estimator is pure, and the cache state cannot change
+/// a value.
 pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
     KernelName::ALL
         .into_iter()
@@ -115,16 +112,15 @@ mod tests {
         assert_eq!(a.vector_path, b.vector_path, "{ctx}: vector_path");
     }
 
-    /// The sweep-determinism contract: `suite_times` through the shared
-    /// pool — whatever the lane count, cold or warm cache — returns
-    /// bit-identical estimates to a serial single-lane run, on all 8
+    /// The sweep-determinism contract: `suite_times`, cold or warm cache,
+    /// returns bit-identical estimates to a plain uncached loop, on all 8
     /// machines.
     #[test]
     fn suite_times_matches_serial_run_bit_for_bit_on_all_machines() {
         for id in MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]) {
             let m = machine(id);
             let cfg = RunConfig::sg2042_best(Precision::Fp32, 16);
-            // Serial single-lane reference: a plain loop, no pool, no cache.
+            // Reference: a plain loop, no cache.
             let serial: Vec<TimeEstimate> =
                 KernelName::ALL.into_iter().map(|k| estimate_averaged(&m, k, &cfg)).collect();
             // Cold pass (other tests may have warmed the cache — clear it),

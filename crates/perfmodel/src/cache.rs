@@ -28,17 +28,14 @@
 //! one map lock, with one map probe per run of queries from the same row,
 //! and hands only the misses on, each `(row key, kernel)` once: a repeat
 //! of an earlier miss counts as a hit and is answered from it. The misses
-//! fan out over the process-wide pool only when there are at least
-//! `FAN_OUT_MIN` of them (a full cold suite row) and the pool has more
-//! than one lane; a smaller batch, such as a server batch of a few misses,
-//! runs on the calling thread, where it finishes before a hand-off would
-//! have woken a worker. The rule follows the batch and the host's pool
-//! width, not a knob. Their answers land in the batch's answer vector and
-//! are inserted under one more map lock, one map lookup per row, which
-//! also publishes the eviction count and the
-//! `perfmodel.estimate_cache.entries` gauge once per batch ([`clear`]
-//! zeroes the gauge). So a warm row costs one lock, one probe and no
-//! dispatch, and a cold row two locks.
+//! are estimated on the calling thread, one after another: a miss costs
+//! under a microsecond, and on a two-CPU host even a full cold suite row
+//! of 64 ran faster that way than handed out over a thread pool. Their
+//! answers land in the batch's answer vector and are inserted under one
+//! more map lock, one map lookup per row, which also publishes the
+//! eviction count and the `perfmodel.estimate_cache.entries` gauge once
+//! per batch ([`clear`] zeroes the gauge). So a warm row costs one lock
+//! and one probe, and a cold row two locks.
 //!
 //! A row key hashes as one packed `u64` of its fields through std's keyed
 //! SipHash, which keeps the map collision-resistant against the network
@@ -47,14 +44,14 @@
 //! Under the map sits the optional [`persist`] store, keyed by a salted
 //! hash of the `Debug` text of the full descriptor, the kernel and the
 //! canonical config. Hashing the descriptor's ~1 KB of text costs several
-//! times the estimate, so a batch hashes it once per distinct descriptor,
-//! serially before any fan-out, and each miss then hashes only its kernel
-//! label and config text (~125 bytes); with the store disabled no key is
-//! derived and nothing is allocated for one. The store is reached once per
-//! batch: all of the misses' keys are looked up under one store lock, what
-//! it holds is answered before any estimate runs, and the estimates of the
-//! rest are recorded under one more, on the calling thread. A one-off
-//! query ([`estimate_cached`]) is a batch of one and takes the same path.
+//! times the estimate, so a batch hashes it once per distinct descriptor
+//! and each miss then hashes only its kernel label and config text (~125
+//! bytes); with the store disabled no key is derived and nothing is
+//! allocated for one. The store is reached once per batch: all of the
+//! misses' keys are looked up under one store lock, what it holds is
+//! answered before any estimate runs, and the estimates of the rest are
+//! recorded under one more. A one-off query ([`estimate_cached`]) is a
+//! batch of one and takes the same path.
 //! An estimate resolves the thread placement only on the first miss of its
 //! [`RowEnv`], so a batch's queries that share a row share its placement.
 //!
@@ -450,11 +447,9 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// as does a repeat of an earlier miss's row key and kernel. Only the
 /// first misses go on, to the persistent store when it is on (one store
 /// lock for the batch) and then to the estimate, through the row's lazy
-/// placement, and are inserted under one more map lock. Misses fan out
-/// over the pool only when at least `FAN_OUT_MIN` of them must be
-/// estimated and the pool has more than one lane. A batch without misses
-/// touches neither the store, the pool nor any row's placement.
-/// Bit-identical to estimating each query on its own.
+/// placement, on the calling thread, and are inserted under one more map
+/// lock. A batch without misses touches neither the store nor any row's
+/// placement. Bit-identical to estimating each query on its own.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let mut misses = Misses::default();
     let mut answers: Vec<TimeEstimate> = {
@@ -541,15 +536,12 @@ impl Misses {
 
 /// Fill the answer slots of a batch's misses (indices into `queries`),
 /// then insert them under one map lock. With the store on, the misses'
-/// store keys are derived on the calling thread and every key is looked up
-/// under one store lock; what the store holds is answered at once and
-/// counts as a hit and a disk hit. The rest count as misses and are
-/// estimated on the calling thread when there are fewer than
-/// `FAN_OUT_MIN` of them or the process-wide
-/// [`global_team`](rvhpc_threads::global_team) has one lane, and otherwise
-/// fanned out over the pool with a work-stealing handout. With the store
-/// on, they are then recorded under one more store lock, on the calling
-/// thread, which is also where the store's auto-flush writes the file.
+/// store keys are derived and every key is looked up under one store lock;
+/// what the store holds is answered at once and counts as a hit and a disk
+/// hit. The rest count as misses, are estimated one after another outside
+/// every lock and, with the store on, recorded under one more store lock,
+/// which is also where the store's auto-flush writes the file. All of it
+/// runs on the calling thread.
 fn answer_misses(
     queries: &[(&RowEnv, KernelName)],
     misses: &[usize],
@@ -559,7 +551,12 @@ fn answer_misses(
     let fresh = stored.as_ref().map_or(misses, |(fresh, _)| fresh);
     if !fresh.is_empty() {
         rvhpc_obs::counter!("perfmodel.estimate_cache.miss", fresh.len() as u64);
-        estimate_all(queries, fresh, answers);
+        // Outside every lock: estimation is pure, so two batches racing on
+        // one miss waste work at worst, never answer wrongly.
+        for &i in fresh {
+            let (row, kernel) = queries[i];
+            answers[i] = row.estimate_averaged(kernel);
+        }
         if let Some((fresh, keys)) = &stored {
             persist::record_all(keys.iter().zip(fresh).map(|(&key, &i)| (key, answers[i])));
         }
@@ -591,35 +588,6 @@ fn from_store(
         rvhpc_obs::counter!("perfmodel.estimate_cache.disk_hit", served);
     }
     (fresh, fresh_keys)
-}
-
-/// The fewest misses [`estimate_batch`] fans out over the pool. On a
-/// two-CPU host, batches of 2 to 64 misses ran 1.4× to 13× faster on the
-/// calling thread than fanned out, whether each miss had a row of its own
-/// (a server batch) or all shared one, and the two only tied at ~256.
-/// The bar sits at one full suite row, so a cold row still spreads over
-/// a wider host's pool.
-const FAN_OUT_MIN: usize = 64;
-
-/// Estimate the queries at `fresh` into their answer slots, outside every
-/// lock: estimation is pure, so a racing duplicate computation is wasted
-/// work at worst, never a wrong answer.
-fn estimate_all(queries: &[(&RowEnv, KernelName)], fresh: &[usize], answers: &mut [TimeEstimate]) {
-    let estimate = |i: usize| {
-        let (row, kernel) = queries[i];
-        row.estimate_averaged(kernel)
-    };
-    if fresh.len() < FAN_OUT_MIN || rvhpc_threads::global_team().n_threads() == 1 {
-        for &i in fresh {
-            answers[i] = estimate(i);
-        }
-    } else {
-        let shared = Mutex::new(answers);
-        rvhpc_threads::global_team().parallel_for_worksteal(0..fresh.len(), |j| {
-            let est = estimate(fresh[j]);
-            shared.lock().unwrap_or_else(|p| p.into_inner())[fresh[j]] = est;
-        });
-    }
 }
 
 /// The persistent store's key of each miss of a batch, in `misses` order.
@@ -739,13 +707,11 @@ mod tests {
             .map(|&(row, kernel)| estimate_averaged(row.machine(), kernel, row.config()))
             .collect();
         let regions = || rvhpc_obs::counter("threads.regions").load(Ordering::Relaxed);
-        let one_lane = rvhpc_threads::global_team().n_threads() == 1;
         for (expected_hits, expected_misses) in [(1, 3), (4, 0)] {
             let before = (stats(), regions());
             let got = estimate_batch(&queries);
             let delta = stats().since(&before.0);
             assert_eq!((delta.hits, delta.misses), (expected_hits, expected_misses), "{delta:?}");
-            // Fewer than `FAN_OUT_MIN` misses run on the calling thread.
             assert_eq!(regions() - before.1, 0, "no pool region");
             for (d, g) in direct.iter().zip(&got) {
                 assert_eq!(
@@ -759,22 +725,15 @@ mod tests {
         let _ = estimate_batch(&[(&warm, KernelName::DAXPY), (&warm, KernelName::EOS)]);
         assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
 
-        // One miss short of `FAN_OUT_MIN` still runs on the calling thread;
-        // at `FAN_OUT_MIN` the misses fan out, unless the pool has one lane.
-        for (threads, misses) in [(7, FAN_OUT_MIN - 1), (9, FAN_OUT_MIN)] {
-            let row = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp64, threads));
-            let queries: Vec<_> = KernelName::ALL[..misses].iter().map(|&k| (&row, k)).collect();
-            let before = (stats(), regions());
-            let got = estimate_batch(&queries);
-            assert_eq!(stats().since(&before.0).misses, misses as u64);
-            let dispatched = regions() - before.1;
-            if misses < FAN_OUT_MIN || one_lane {
-                assert_eq!(dispatched, 0, "{misses} misses: no pool region");
-            } else {
-                assert!(dispatched >= 1, "{misses} misses fan out over the pool");
-            }
-            assert_uncached_bits(&queries, &got);
-        }
+        // A full cold suite row, the largest batch a caller builds, runs on
+        // the calling thread too, on any host.
+        let row = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp64, 9));
+        let queries: Vec<_> = KernelName::ALL.iter().map(|&k| (&row, k)).collect();
+        let before = (stats(), regions());
+        let got = estimate_batch(&queries);
+        assert_eq!(stats().since(&before.0).misses, 64);
+        assert_eq!(regions() - before.1, 0, "64 misses: no pool region");
+        assert_uncached_bits(&queries, &got);
     }
 
     /// Every answer of a batch, bit for bit, against the uncached model.

@@ -8,8 +8,9 @@
 //! them once and shares them across every kernel estimated in it.
 //!
 //! The memory environment is built lazily, on the first estimate that
-//! needs it, inside a [`OnceLock`]: a row shared across pool workers fills
-//! it from whichever worker gets there first, and a row whose estimates
+//! needs it, inside a [`OnceLock`]: a row shared across threads (the
+//! `row-env` verify oracle hands one to a pool) fills it from whichever
+//! thread gets there first, and a row whose estimates
 //! are all served from the cache never resolves a placement at all. Each
 //! resolution counts as the `perfmodel.placement.resolve` registry counter.
 //!

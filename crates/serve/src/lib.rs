@@ -17,9 +17,9 @@
 //! * **Batching** — a dedicated batcher thread coalesces estimate requests
 //!   that arrive within a small window and hands them, as they came, to
 //!   [`rvhpc_perfmodel::estimate_batch`]: the cached ones are answered
-//!   under one cache lock, each distinct canonical miss is estimated once,
-//!   and only those fan out through the process-wide work-stealing pool,
-//!   so concurrent clients share the pool and the estimate cache.
+//!   under one cache lock and each distinct canonical miss is estimated
+//!   once, on the batcher thread, so concurrent clients share the estimate
+//!   cache.
 //! * **Deadlines** — a request may carry `deadline_ms`; work whose deadline
 //!   has already passed when its batch is assembled is answered with
 //!   `deadline_exceeded` and never computed (admission-time cancellation).

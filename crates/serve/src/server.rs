@@ -13,8 +13,7 @@
 //!          coalesce ≤ batch_max within window,
 //!          one cache::estimate_batch call: hits
 //!          under one cache lock, each distinct
-//!          canonical miss computed once, fanned
-//!          out via global_team,
+//!          canonical miss computed once, here,
 //!          post each reply to the reactor's mailbox
 //! ```
 //!

@@ -13,10 +13,10 @@
 //! * [`schedule`] — OpenMP-style static chunking,
 //! * [`Team::parallel_for`] / [`Team::parallel_reduce`] — the worksharing
 //!   constructs the kernels use,
-//! * [`global_team`] — the process-wide shared pool that sweep fan-outs
-//!   amortise instead of respawning a team per sweep, with
+//! * [`global_team`] — a process-wide shared pool for callers that would
+//!   otherwise respawn a team per call, with
 //!   [`Team::parallel_for_worksteal`] (backed by [`worksteal::WorkQueues`])
-//!   for irregular estimator work; kernel paths stay on static chunks.
+//!   for irregular work; kernel paths stay on static chunks.
 //!
 //! The pool never oversubscribes and the team shape is immutable after
 //! construction, mirroring `OMP_NUM_THREADS` + `OMP_PROC_BIND=true`.

@@ -101,10 +101,12 @@ pub struct Team {
 }
 
 /// The process-wide shared team, created lazily at first use and sized to
-/// the host's available parallelism. Sweep fan-outs (the estimator, the
-/// experiment driver) share this pool instead of spawning and tearing down
-/// a private `Team` per call; `Team::run` serialises concurrent dispatchers,
-/// so interleaved sweeps queue rather than oversubscribe.
+/// the host's available parallelism. Its callers (the `row-env` verify
+/// oracle, the benchmark's fan-out probe) share this pool instead of
+/// spawning and tearing down a private `Team` per call; `Team::run`
+/// serialises concurrent dispatchers, so interleaved calls queue rather
+/// than oversubscribe. The estimate cache does not use it: its misses are
+/// cheaper to estimate on the calling thread.
 pub fn global_team() -> &'static Team {
     static TEAM: OnceLock<Team> = OnceLock::new();
     TEAM.get_or_init(|| {
@@ -257,7 +259,7 @@ impl Team {
     /// Worksharing loop with a work-stealing handout: apply `f(i)` for
     /// every `i` in `range` exactly once, but let idle threads steal from
     /// busy ones instead of waiting at the join. Use for irregular
-    /// fan-outs (the estimator sweep); kernel paths stay on the
+    /// fan-outs (the `row-env` verify oracle); kernel paths stay on the
     /// OpenMP-faithful [`Team::parallel_for`]. Handout order is not
     /// deterministic — write results into per-index slots.
     pub fn parallel_for_worksteal<F>(&self, range: Range<usize>, f: F)
@@ -539,8 +541,7 @@ mod tests {
 
     #[test]
     fn worksteal_panic_propagates_with_payload() {
-        // The serving layer fans batched estimates out through
-        // parallel_for_worksteal; a panic in one body function must reach
+        // A panic in one parallel_for_worksteal body function must reach
         // the caller with its payload intact, exactly as Team::run does.
         let team = Team::new(4);
         let result = catch_unwind(AssertUnwindSafe(|| {

@@ -2,13 +2,18 @@
 //!
 //! The kernel paths keep OpenMP-faithful *static* chunks (contiguous blocks
 //! are what make placement matter on the SG2042 — see [`crate::schedule`]).
-//! The estimator fan-out is different: per-item cost varies by orders of
-//! magnitude between a cache-resident polybench estimate and a
-//! queueing-heavy stream estimate, so a static split leaves lanes idle. This
-//! module provides the dynamic alternative: each thread starts from its
-//! static chunk (preserving the balanced fast path, which never locks a
-//! foreign queue) and, once drained, steals the back half of the fullest
-//! remaining victim.
+//! Work of irregular per-item cost, such as estimates (a cache-resident
+//! polybench kernel against a queueing-heavy stream kernel), leaves lanes
+//! idle under a static split. This module provides the dynamic
+//! alternative: each thread starts from its static chunk (preserving the
+//! balanced fast path, which never locks a foreign queue) and, once
+//! drained, steals the back half of the fullest remaining victim.
+//!
+//! The estimate cache does not use it: its misses are cheaper to estimate
+//! on the calling thread. Two callers do: the `row-env` verify oracle fans
+//! a shared row's kernels out through
+//! [`Team::parallel_for_worksteal`](crate::Team::parallel_for_worksteal),
+//! and the benchmark's `threads.fanout_us` probe times one handout.
 //!
 //! Every index is handed out exactly once; the handout *order* is not
 //! deterministic, so callers must write results into per-index slots rather

@@ -3,13 +3,15 @@
 //!
 //! Sweeps estimate every kernel of a row through one
 //! [`rvhpc_perfmodel::RowEnv`], which resolves the thread placement and
-//! its memory environment once and shares them across kernels and pool
-//! workers. That path is claimed *bit-identical* to estimating each
-//! kernel on its own. This oracle pins the claim on seeded rows — every
-//! catalog machine including the what-if part, every policy, thread
-//! counts past the core count, both precisions, scalar and vector
-//! toolchains — with the kernels in a seeded order and fanned out over the
-//! shared pool so whichever worker arrives first resolves the row.
+//! its memory environment once and shares them across kernels. That path
+//! is claimed *bit-identical* to estimating each kernel on its own. This
+//! oracle pins the claim on seeded rows — every catalog machine including
+//! the what-if part, every policy, thread counts past the core count, both
+//! precisions, scalar and vector toolchains — with the kernels in a seeded
+//! order. Sweeps estimate a row on one thread; the oracle instead fans the
+//! kernels out over the shared pool, so whichever worker arrives first
+//! resolves the row, which stress-tests the row's `OnceLock` under
+//! concurrent first use.
 //!
 //! Half the cases swap in a non-catalog topology, and the catalog row of
 //! the same configuration is estimated first, so a placement memoised
