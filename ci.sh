@@ -25,10 +25,12 @@ if command -v taskset > /dev/null; then
         RVHPC_CACHE_CAP=$cap taskset -c 0 cargo test -q -p rvhpc --test golden_artefacts
     done
     # The serving tests hold the batcher with `Server::pause_batcher`; on
-    # one CPU the reactor, the batcher and the test thread share a core.
+    # one CPU the reactor, the batcher and the test thread share a core,
+    # and in `fleet_router` the router's threads (its 100 ms drain tick,
+    # the framing parity test) share it too.
     taskset -c 0 cargo test -q -p rvhpc-integration-tests --test serve_end_to_end \
         --test serve_differential --test serve_sigterm --test obs_end_to_end \
-        --test serve_batch_dedup
+        --test serve_batch_dedup --test fleet_router
 fi
 
 cargo fmt --all --check

@@ -9,10 +9,10 @@
 
 use rvhpc::kernels::KernelName;
 use rvhpc::machines::MachineId;
+use rvhpc_serve::LineConn;
 use rvhpc_trace::json::Json;
 use std::fmt::{Display, Write as _};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::ErrorKind;
 use std::time::Duration;
 
 /// How a flag's value is read and range-checked. The `&str` is the value's
@@ -497,17 +497,15 @@ pub fn check_document(path: &str, schema: &str, validate: fn(&str) -> Result<(),
 /// writes one request line and reads one reply line.
 pub struct Conn {
     addr: String,
-    reader: BufReader<TcpStream>,
+    conn: LineConn,
 }
 
 impl Conn {
     /// Connect to `addr`; exit 1 when it cannot be reached.
     pub fn open(addr: &str) -> Conn {
-        let stream = TcpStream::connect(addr)
+        let conn = LineConn::connect(addr, Duration::from_secs(30))
             .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")));
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        Conn { addr: addr.to_string(), reader: BufReader::new(stream) }
+        Conn { addr: addr.to_string(), conn }
     }
 
     /// Send `request` and return the reply's `result`. Exits 1 when the
@@ -515,21 +513,10 @@ impl Conn {
     /// does not answer `ok`.
     pub fn result(&mut self, request: &Json) -> Json {
         let addr = &self.addr;
-        let went_away = |e: &dyn Display| -> ! { fail(format!("server at {addr} went away: {e}")) };
-        let mut line = request.render();
-        line.push('\n');
-        let mut writer: &TcpStream = self.reader.get_ref();
-        if let Err(e) = writer.write_all(line.as_bytes()) {
-            went_away(&e);
-        }
-        let mut reply = String::new();
-        match self.reader.read_line(&mut reply) {
-            Ok(n) if n > 0 => {}
-            Ok(_) => went_away(&"connection closed"),
-            Err(e) => went_away(&e),
-        }
-        let doc = Json::parse(reply.trim_end())
-            .unwrap_or_else(|e| fail(format!("unparseable reply from {addr}: {e}")));
+        let doc = self.conn.request(&request.render()).unwrap_or_else(|e| match e.kind() {
+            ErrorKind::InvalidData => fail(format!("bad reply from {addr}: {e}")),
+            _ => fail(format!("server at {addr} went away: {e}")),
+        });
         if doc.get("ok") != Some(&Json::Bool(true)) {
             fail(format!("server refused the request: {}", doc.render()));
         }

@@ -690,7 +690,6 @@ fn loadgen(args: &cli::Args) -> ! {
 /// request through the router.
 fn fleet(args: &cli::Args) -> ! {
     use rvhpc_fleet::{spawn_shard, Router, RouterConfig};
-    use std::io::{BufRead, BufReader};
 
     let shards = args.get("--shards").unwrap_or_default();
     let d = RouterConfig::default();
@@ -772,9 +771,8 @@ fn fleet(args: &cli::Args) -> ! {
     // then give them a grace period before reaping. Best effort: any error
     // here only skips the request, since the reaping below still runs.
     if !router.draining() {
-        if let Ok(stream) = std::net::TcpStream::connect(addr) {
-            let _ = (&stream).write_all(b"{\"id\":0,\"op\":\"shutdown\"}\n");
-            let _ = BufReader::new(&stream).read_line(&mut String::new());
+        if let Ok(mut conn) = rvhpc_serve::LineConn::connect(addr, Duration::from_secs(30)) {
+            let _ = conn.exchange(r#"{"id":0,"op":"shutdown"}"#);
         }
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

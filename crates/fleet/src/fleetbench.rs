@@ -28,11 +28,10 @@ use rvhpc_cluster::{NetworkKind, ScalingMode};
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_perfmodel::Precision;
+use rvhpc_serve::bench::{req_bool, req_count, req_f64};
 use rvhpc_serve::loadgen::{query_pool, reply_bits, LoadgenReport};
-use rvhpc_serve::{run_loadgen, LoadgenConfig};
+use rvhpc_serve::{run_loadgen, LineConn, LoadgenConfig};
 use rvhpc_trace::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -135,32 +134,8 @@ pub struct FleetBenchReport {
     pub wall_seconds: f64,
 }
 
-/// One line-delimited JSON connection to the router.
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Conn {
-    fn open(addr: &str) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let writer = stream.try_clone()?;
-        Ok(Conn { writer, reader: BufReader::new(stream) })
-    }
-
-    fn exchange(&mut self, line: &str) -> std::io::Result<Json> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::other("connection closed mid-exchange"));
-        }
-        Json::parse(reply.trim())
-            .map_err(|e| std::io::Error::other(format!("unparseable reply: {e}")))
-    }
-}
+/// How long a fleet-bench connection to the router waits for a reply.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn num(v: f64) -> Json {
     Json::Num(v)
@@ -271,34 +246,6 @@ pub fn fleet_artefact(cfg: &FleetBenchConfig, report: &FleetBenchReport) -> Json
         ),
         ("wall_seconds", num(report.wall_seconds)),
     ])
-}
-
-fn req_f64(doc: &Json, path: &[&str]) -> Result<f64, String> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur.get(key).ok_or_else(|| format!("missing field `{}`", path.join(".")))?;
-    }
-    cur.as_f64().ok_or_else(|| format!("field `{}` is not a number", path.join(".")))
-}
-
-fn req_count(doc: &Json, path: &[&str]) -> Result<u64, String> {
-    let v = req_f64(doc, path)?;
-    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 {
-        Ok(v as u64)
-    } else {
-        Err(format!("field `{}` is not a non-negative integer: {v}", path.join(".")))
-    }
-}
-
-fn req_bool(doc: &Json, path: &[&str]) -> Result<bool, String> {
-    let mut cur = doc;
-    for key in path {
-        cur = cur.get(key).ok_or_else(|| format!("missing field `{}`", path.join(".")))?;
-    }
-    match cur {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("field `{}` is not a boolean", path.join("."))),
-    }
 }
 
 /// Validate one phase block: counters, ordered percentiles, a hit rate
@@ -493,7 +440,7 @@ pub fn validate_fleet_artefact(text: &str) -> Result<(), String> {
 /// Request one scaling curve through the router and compare it bit for
 /// bit against the direct library call. Returns `(served, matched)`.
 fn served_curve(
-    conn: &mut Conn,
+    conn: &mut LineConn,
     id: u64,
     cfg: &FleetBenchConfig,
     mode: ScalingMode,
@@ -508,7 +455,7 @@ fn served_curve(
         ("nodes", Json::Arr(cfg.nodes.iter().map(|&n| num(n as f64)).collect())),
     ])
     .render();
-    let reply = conn.exchange(&line)?;
+    let reply = conn.request(&line)?;
     let points = reply
         .get("result")
         .and_then(|r| r.get("points"))
@@ -588,12 +535,12 @@ fn run_phases(
 
     // Phase 1: warm every shard's partition by replaying the whole pool.
     let warm_started = Instant::now();
-    let mut conn = Conn::open(&router_addr)?;
+    let mut conn = LineConn::connect(&router_addr, READ_TIMEOUT)?;
     let pool = query_pool();
     let mut warm_ok = 0u64;
     for (i, triple) in pool.iter().enumerate() {
         let id = 10_000_000 + i as u64;
-        let reply = conn.exchange(&triple.request_line(id))?;
+        let reply = conn.request(&triple.request_line(id))?;
         let ok = reply.get("ok").and_then(|v| match v {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -682,7 +629,7 @@ fn run_phases(
 
     // Phase 4: cluster-scaling curves through the fleet, checked against
     // the library.
-    let mut conn = Conn::open(&router_addr)?;
+    let mut conn = LineConn::connect(&router_addr, READ_TIMEOUT)?;
     let (weak, weak_ok) = served_curve(&mut conn, 20_000_001, cfg, ScalingMode::Weak)?;
     let (strong, strong_ok) = served_curve(&mut conn, 20_000_002, cfg, ScalingMode::Strong)?;
     // Belt and braces: re-derive one weak point against the raw model so

@@ -1,13 +1,18 @@
 //! The consistent-hash L7 router fronting a fleet of `rvhpc-serve` shards.
 //!
 //! The router speaks the exact serve protocol on both faces. Each client
-//! connection gets its own thread, which reads request lines and forwards
-//! them one at a time; the lines are parsed with the *same*
+//! connection gets its own thread, which frames request lines through the
+//! same [`LineConn`] framing a shard's reactor uses (trailing `\r`
+//! trimmed, blank lines skipped, the size limit applied to the trimmed
+//! body, an unterminated last line answered at EOF) and handles them one
+//! at a time; the lines are parsed with the *same*
 //! [`rvhpc_serve::protocol::parse_request`] the shards use, so a request
-//! the fleet rejects is exactly the request a shard would reject. Routed
-//! requests are forwarded **verbatim** — the original line, byte for
-//! byte — and replies are passed back verbatim, which is what makes
-//! fleet-served estimates trivially bit-identical to shard-served ones.
+//! the fleet rejects is exactly the request a shard would reject, with
+//! the same reply (`tests/tests/fleet_router.rs` sends edge-case lines to
+//! both and compares). Routed requests are forwarded **verbatim** — the
+//! framed line, byte for byte — and replies are passed back verbatim,
+//! which is what makes fleet-served estimates trivially bit-identical to
+//! shard-served ones.
 //!
 //! Per-op behaviour:
 //!
@@ -28,13 +33,13 @@
 use crate::health::FleetState;
 use crate::merge::{merge_metrics, merge_slow, merge_stats};
 use crate::ring::ConsistentRing;
-use rvhpc_serve::protocol::{error_response, ok_response, parse_request};
-use rvhpc_serve::{ErrorKind, Request};
+use rvhpc_serve::protocol::{error_response, ok_response, oversized_line, parse_request};
+use rvhpc_serve::{ErrorKind, Frame, LineConn, Request};
 use rvhpc_trace::json::Json;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind as IoErrorKind;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -149,24 +154,11 @@ impl RouterShared {
 /// to so a respawned shard (same identity, new port) gets a fresh socket.
 struct ShardConn {
     addr: String,
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: LineConn,
 }
 
 /// Per-client-connection pool of shard connections.
 type ConnPool = HashMap<usize, ShardConn>;
-
-fn open_shard_conn(addr: &str, timeout: Duration) -> std::io::Result<ShardConn> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(IoErrorKind::InvalidInput, "unresolvable addr"))?;
-    let stream = TcpStream::connect_timeout(&sock, Duration::from_secs(1))?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(ShardConn { addr: addr.to_string(), stream, reader })
-}
 
 /// Send `line` to `shard` over the pooled connection (opening or
 /// reopening it as needed) and read one reply line. Any I/O failure
@@ -182,45 +174,30 @@ fn exchange_with_shard(
     if pool.get(&shard).is_some_and(|c| c.addr != addr) {
         pool.remove(&shard);
     }
-    let conn = match pool.entry(shard) {
+    let pooled = match pool.entry(shard) {
         Entry::Occupied(pooled) => pooled.into_mut(),
-        Entry::Vacant(slot) => slot.insert(open_shard_conn(&addr, shared.config.io_timeout)?),
-    };
-    let result = (|| {
-        conn.stream.write_all(line.as_bytes())?;
-        conn.stream.write_all(b"\n")?;
-        conn.stream.flush()?;
-        let mut reply = String::new();
-        if conn.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(IoErrorKind::UnexpectedEof, "shard closed"));
+        Entry::Vacant(slot) => {
+            let conn = LineConn::connect(&addr, shared.config.io_timeout)?;
+            slot.insert(ShardConn { addr, conn })
         }
-        Ok(reply.trim_end().to_string())
-    })();
+    };
+    let result = pooled.conn.exchange(line);
     if result.is_err() {
         pool.remove(&shard);
     }
     result
 }
 
-fn reply_is_overloaded(reply: &str) -> Option<u64> {
+/// The `error.kind` of a shard's `ok:false` reply with its retry hint
+/// (10 ms when absent), from one parse; `None` for any other reply.
+fn shard_error(reply: &str) -> Option<(String, u64)> {
     let doc = Json::parse(reply).ok()?;
     if doc.get("ok") != Some(&Json::Bool(false)) {
         return None;
     }
     let error = doc.get("error")?;
-    if error.get("kind").and_then(Json::as_str) != Some("overloaded") {
-        return None;
-    }
-    Some(error.get("retry_after_ms").and_then(Json::as_f64).unwrap_or(10.0) as u64)
-}
-
-/// A `shutting_down` reply means the shard is draining out of the fleet:
-/// the request must fail over exactly as if the connection had dropped.
-fn reply_is_shutting_down(reply: &str) -> bool {
-    let Ok(doc) = Json::parse(reply) else { return false };
-    doc.get("ok") == Some(&Json::Bool(false))
-        && doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str)
-            == Some("shutting_down")
+    let kind = error.get("kind").and_then(Json::as_str)?.to_string();
+    Some((kind, error.get("retry_after_ms").and_then(Json::as_f64).unwrap_or(10.0) as u64))
 }
 
 /// Route one request line: try the key's successor chain, with bounded
@@ -245,26 +222,30 @@ fn route_line(
         let mut attempt = 0;
         loop {
             match exchange_with_shard(shared, pool, shard, line) {
-                Ok(reply) => match reply_is_overloaded(&reply) {
-                    Some(retry_after_ms) if attempt < shared.config.max_retries => {
+                Ok(reply) => match shard_error(&reply) {
+                    Some((kind, retry_after_ms))
+                        if kind == "overloaded" && attempt < shared.config.max_retries =>
+                    {
                         attempt += 1;
                         let base = retry_after_ms.min(shared.config.retry_cap_ms);
                         let sleep_ms = base / 2 + shared.jitter_ms(base.max(1) / 2);
                         rvhpc_obs::counter!("fleet.retries", 1);
                         std::thread::sleep(Duration::from_millis(sleep_ms.max(1)));
                     }
-                    Some(_) => {
+                    Some((kind, _)) if kind == "overloaded" => {
                         // Retries exhausted here; the ring successor may
                         // have headroom. Remember the reply in case every
                         // shard is saturated.
                         last_overloaded = Some(reply);
                         break;
                     }
-                    None if reply_is_shutting_down(&reply) => {
+                    // The shard is draining out of the fleet: fail over
+                    // exactly as if the connection had dropped.
+                    Some((kind, _)) if kind == "shutting_down" => {
                         shared.state.mark_down(shard);
                         break;
                     }
-                    None => {
+                    _ => {
                         shared.state.count_routed(shard);
                         return reply;
                     }
@@ -276,15 +257,17 @@ fn route_line(
             }
         }
     }
-    if let Some(reply) = last_overloaded {
-        return reply;
+    match last_overloaded {
+        Some(reply) => reply,
+        None => no_shard(shared, id, "no live shard for this key (all shards down or unreachable)"),
     }
-    error_response(
-        id,
-        ErrorKind::Overloaded,
-        "no live shard for this key (all shards down or unreachable)",
-        Some(shared.config.cooldown.as_millis() as u64),
-    )
+}
+
+/// The `overloaded` reply when no shard could serve a request, with the
+/// cooldown as the retry hint.
+fn no_shard(shared: &RouterShared, id: &Json, message: &str) -> String {
+    let retry_after_ms = shared.config.cooldown.as_millis() as u64;
+    error_response(id, ErrorKind::Overloaded, message, Some(retry_after_ms))
 }
 
 /// Send `line` to every live shard; returns `(shard, reply)` pairs for
@@ -343,158 +326,118 @@ fn results_of(replies: &[(usize, String)]) -> Vec<Json> {
 
 /// Handle one client connection until EOF, shutdown ack or drain.
 ///
-/// The read loop polls with a short timeout rather than blocking
-/// indefinitely: [`Router::join`] waits for every connection thread, so a
-/// client that parks an idle connection must not be able to wedge the
-/// drain. On a timeout tick the thread re-checks `draining` and exits if
-/// the fleet is going down; a partially read line survives the tick
-/// because `read_line` appends and the buffer is only cleared after a
-/// complete line is handled.
-fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+/// The read polls with a short timeout rather than blocking indefinitely:
+/// [`Router::join`] waits for every connection thread, so a client that
+/// parks an idle connection must not be able to wedge the drain. On a
+/// timeout tick the thread re-checks `draining` and exits if the fleet is
+/// going down; a partially read line survives the tick in the
+/// connection's frame buffer.
+fn serve_client(shared: &RouterShared, stream: TcpStream) {
+    let Ok(mut conn) = LineConn::accepted(stream, Duration::from_millis(100)) else {
+        return;
     };
-    let mut reader = BufReader::new(stream);
     let mut pool: ConnPool = HashMap::new();
-    let mut line = String::new();
     loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) if line.ends_with('\n') => break,
-                Ok(_) => {} // mid-line wakeup: keep appending
-                Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
-                    if shared.draining.load(Ordering::Relaxed) {
-                        return;
-                    }
-                }
+        let (reply, last) = match conn.recv() {
+            Ok(Some(Frame::Line(bytes))) => match std::str::from_utf8(bytes) {
+                Ok(line) => answer(shared, &mut pool, line),
+                // Not UTF-8: framing sync is lost, so close as a shard does.
                 Err(_) => return,
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (id, parsed) = parse_request(&line);
-        let reply = match parsed {
-            Err(msg) => error_response(&id, ErrorKind::BadRequest, &msg, None),
-            Ok(req) => {
-                if shared.draining.load(Ordering::Relaxed) && !matches!(req, Request::Shutdown) {
-                    error_response(&id, ErrorKind::ShuttingDown, "fleet is draining", None)
-                } else {
-                    let op = req.op();
-                    match &req {
-                        Request::Ping => {
-                            ok_response(&id, op, Json::obj(vec![("pong", Json::Bool(true))]))
-                        }
-                        Request::Stats => {
-                            let replies = fan_out(shared, &mut pool, r#"{"op":"stats"}"#);
-                            if replies.is_empty() {
-                                error_response(
-                                    &id,
-                                    ErrorKind::Overloaded,
-                                    "no shard reachable for stats",
-                                    Some(shared.config.cooldown.as_millis() as u64),
-                                )
-                            } else {
-                                let merged =
-                                    merge_stats(&results_of(&replies), fleet_block(shared));
-                                ok_response(&id, op, merged)
-                            }
-                        }
-                        Request::Metrics { prometheus } => {
-                            if *prometheus {
-                                error_response(
-                                    &id,
-                                    ErrorKind::BadRequest,
-                                    "the fleet router aggregates JSON metrics only; \
-                                     scrape shards directly for prometheus text",
-                                    None,
-                                )
-                            } else {
-                                let replies = fan_out(shared, &mut pool, r#"{"op":"metrics"}"#);
-                                let mut results = results_of(&replies);
-                                if results.is_empty() {
-                                    error_response(
-                                        &id,
-                                        ErrorKind::Overloaded,
-                                        "no shard reachable for metrics",
-                                        Some(shared.config.cooldown.as_millis() as u64),
-                                    )
-                                } else {
-                                    // The router's own registry: `fleet.*` counters.
-                                    results.push(rvhpc_obs::metrics_json());
-                                    ok_response(&id, op, merge_metrics(&results))
-                                }
-                            }
-                        }
-                        Request::SlowRequests { limit } => {
-                            let replies = fan_out(shared, &mut pool, &line);
-                            let results = results_of(&replies);
-                            if results.is_empty() {
-                                error_response(
-                                    &id,
-                                    ErrorKind::Overloaded,
-                                    "no shard reachable for slow_requests",
-                                    Some(shared.config.cooldown.as_millis() as u64),
-                                )
-                            } else {
-                                ok_response(&id, op, merge_slow(&results, *limit))
-                            }
-                        }
-                        Request::SubmitKernel { .. } | Request::SubmitMachine { .. } => {
-                            // Broadcast: admission is deterministic, so all
-                            // shards derive the same artifact id; reply with
-                            // the first shard's answer.
-                            let replies = fan_out(shared, &mut pool, &line);
-                            match replies.into_iter().next() {
-                                Some((shard, reply)) => {
-                                    shared.state.count_routed(shard);
-                                    reply
-                                }
-                                None => error_response(
-                                    &id,
-                                    ErrorKind::Overloaded,
-                                    "no live shard to accept the submission",
-                                    Some(shared.config.cooldown.as_millis() as u64),
-                                ),
-                            }
-                        }
-                        Request::Shutdown => {
-                            let _ = fan_out(shared, &mut pool, &line);
-                            shared.draining.store(true, Ordering::Relaxed);
-                            rvhpc_obs::counter!("fleet.shutdowns", 1);
-                            let reply = ok_response(
-                                &id,
-                                op,
-                                Json::obj(vec![("draining", Json::Bool(true))]),
-                            );
-                            let _ = writer.write_all(reply.as_bytes());
-                            let _ = writer.write_all(b"\n");
-                            return;
-                        }
-                        // Every op left here has a routing key; one without
-                        // is a router bug, answered rather than panicking.
-                        _ => match routing_key(&req) {
-                            Some(key) => route_line(shared, &mut pool, &key, &line, &id),
-                            None => error_response(
-                                &id,
-                                ErrorKind::Internal,
-                                &format!("op {op} has no routing key"),
-                                None,
-                            ),
-                        },
-                    }
+            },
+            Ok(Some(Frame::Oversized)) => answer(shared, &mut pool, oversized_line()),
+            Ok(None) => return,
+            Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
+                if shared.draining.load(Ordering::Relaxed) {
+                    return;
                 }
+                continue;
             }
+            Err(_) => return,
         };
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if conn.send(&reply).is_err() || last {
             return;
         }
     }
+}
+
+/// The reply to one framed request line, and whether it is the last the
+/// connection sends (a `shutdown` ack).
+fn answer(shared: &RouterShared, pool: &mut ConnPool, line: &str) -> (String, bool) {
+    let (id, parsed) = parse_request(line);
+    let req = match parsed {
+        Err(msg) => return (error_response(&id, ErrorKind::BadRequest, &msg, None), false),
+        Ok(req) => req,
+    };
+    if shared.draining.load(Ordering::Relaxed) && !matches!(req, Request::Shutdown) {
+        return (error_response(&id, ErrorKind::ShuttingDown, "fleet is draining", None), false);
+    }
+    let op = req.op();
+    let reply = match &req {
+        Request::Ping => ok_response(&id, op, Json::obj(vec![("pong", Json::Bool(true))])),
+        Request::Stats => {
+            let replies = fan_out(shared, pool, r#"{"op":"stats"}"#);
+            if replies.is_empty() {
+                no_shard(shared, &id, "no shard reachable for stats")
+            } else {
+                ok_response(&id, op, merge_stats(&results_of(&replies), fleet_block(shared)))
+            }
+        }
+        Request::Metrics { prometheus: true } => error_response(
+            &id,
+            ErrorKind::BadRequest,
+            "the fleet router aggregates JSON metrics only; \
+             scrape shards directly for prometheus text",
+            None,
+        ),
+        Request::Metrics { prometheus: false } => {
+            let mut results = results_of(&fan_out(shared, pool, r#"{"op":"metrics"}"#));
+            if results.is_empty() {
+                no_shard(shared, &id, "no shard reachable for metrics")
+            } else {
+                // The router's own registry: `fleet.*` counters.
+                results.push(rvhpc_obs::metrics_json());
+                ok_response(&id, op, merge_metrics(&results))
+            }
+        }
+        Request::SlowRequests { limit } => {
+            let results = results_of(&fan_out(shared, pool, line));
+            if results.is_empty() {
+                no_shard(shared, &id, "no shard reachable for slow_requests")
+            } else {
+                ok_response(&id, op, merge_slow(&results, *limit))
+            }
+        }
+        Request::SubmitKernel { .. } | Request::SubmitMachine { .. } => {
+            // Broadcast: admission is deterministic, so all shards derive
+            // the same artifact id; reply with the first shard's answer.
+            match fan_out(shared, pool, line).into_iter().next() {
+                Some((shard, reply)) => {
+                    shared.state.count_routed(shard);
+                    reply
+                }
+                None => no_shard(shared, &id, "no live shard to accept the submission"),
+            }
+        }
+        Request::Shutdown => {
+            let _ = fan_out(shared, pool, line);
+            shared.draining.store(true, Ordering::Relaxed);
+            rvhpc_obs::counter!("fleet.shutdowns", 1);
+            let ack = ok_response(&id, op, Json::obj(vec![("draining", Json::Bool(true))]));
+            return (ack, true);
+        }
+        // Every op left here has a routing key; one without is a router
+        // bug, answered rather than panicking.
+        _ => match routing_key(&req) {
+            Some(key) => route_line(shared, pool, &key, line, &id),
+            None => error_response(
+                &id,
+                ErrorKind::Internal,
+                &format!("op {op} has no routing key"),
+                None,
+            ),
+        },
+    };
+    (reply, false)
 }
 
 /// Probe every shard once: down+cooled-off shards are pinged back up,
@@ -502,19 +445,16 @@ fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
 fn probe_once(shared: &RouterShared) {
     for shard in 0..shared.state.len() {
         let addr = shared.state.addr(shard);
-        let ping = || -> std::io::Result<bool> {
-            let mut conn = open_shard_conn(&addr, Duration::from_millis(500))?;
-            conn.stream.write_all(b"{\"op\":\"ping\"}\n")?;
-            conn.stream.flush()?;
-            let mut reply = String::new();
-            conn.reader.read_line(&mut reply)?;
-            Ok(reply.contains("\"pong\""))
+        let ping = || {
+            LineConn::connect(&addr, Duration::from_millis(500))
+                .and_then(|mut conn| conn.exchange(r#"{"op":"ping"}"#))
+                .is_ok_and(|reply| reply.contains("\"pong\""))
         };
         if shared.state.is_up(shard) {
-            if !ping().unwrap_or(false) {
+            if !ping() {
                 shared.state.mark_down(shard);
             }
-        } else if shared.state.revivable(shard) && ping().unwrap_or(false) {
+        } else if shared.state.revivable(shard) && ping() {
             shared.state.mark_up(shard);
         }
     }
@@ -553,9 +493,17 @@ impl Router {
                 }
                 match listener.accept() {
                     Ok((stream, _)) => {
+                        let mut handles = conn_handles.lock().unwrap_or_else(|p| p.into_inner());
+                        // A finished connection thread keeps its stack
+                        // mapped until it is joined.
+                        let (done, live): (Vec<_>, Vec<_>) =
+                            handles.drain(..).partition(|h| h.is_finished());
+                        *handles = live;
+                        for h in done {
+                            let _ = h.join();
+                        }
                         let shared = Arc::clone(&shared);
-                        let handle = std::thread::spawn(move || serve_client(&shared, stream));
-                        conn_handles.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
+                        handles.push(std::thread::spawn(move || serve_client(&shared, stream)));
                     }
                     Err(e) if e.kind() == IoErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(5));
@@ -615,5 +563,37 @@ impl Router {
         for h in handles {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::Shutdown;
+
+    /// Each accept joins the connection threads that have finished, so
+    /// sequential connections keep no pile of handles (a finished thread
+    /// keeps its stack mapped until joined).
+    #[test]
+    fn finished_connection_threads_are_joined_on_accept() {
+        // A shard that never answers; the router answers `ping` itself.
+        let shard = TcpListener::bind("127.0.0.1:0").expect("shard binds");
+        let shard_addr = shard.local_addr().expect("shard addr").to_string();
+        let router =
+            Router::start(RouterConfig::default(), vec![shard_addr]).expect("router binds");
+        for _ in 0..40 {
+            let mut stream = TcpStream::connect(router.local_addr()).expect("connect");
+            stream.write_all(b"{\"op\":\"ping\"}\n").expect("send ping");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            // EOF arrives once the connection thread has dropped its socket.
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).expect("read to EOF");
+            assert!(reply.contains("\"pong\""), "{reply}");
+        }
+        let kept = router.conn_handles.lock().unwrap_or_else(|p| p.into_inner()).len();
+        assert!(kept <= 2, "{kept} connection handles kept after 40 sequential connections");
+        router.shutdown();
+        router.join();
     }
 }

@@ -138,15 +138,31 @@ pub fn serve_artefact(cfg: &LoadgenConfig, report: &LoadgenReport) -> Json {
     Json::obj(fields)
 }
 
-fn req_f64(doc: &Json, path: &[&str]) -> Result<f64, String> {
+/// The field at `path` in `doc`, or an error naming the dotted path.
+fn req_field<'a>(doc: &'a Json, path: &[&str]) -> Result<&'a Json, String> {
     let mut cur = doc;
     for key in path {
         cur = cur.get(key).ok_or_else(|| format!("missing field `{}`", path.join(".")))?;
     }
-    cur.as_f64().ok_or_else(|| format!("field `{}` is not a number", path.join(".")))
+    Ok(cur)
 }
 
-fn req_count(doc: &Json, path: &[&str]) -> Result<u64, String> {
+/// The number at `path` in an artefact, for the artefact validators.
+pub fn req_f64(doc: &Json, path: &[&str]) -> Result<f64, String> {
+    let v = req_field(doc, path)?;
+    v.as_f64().ok_or_else(|| format!("field `{}` is not a number", path.join(".")))
+}
+
+/// The boolean at `path` in an artefact.
+pub fn req_bool(doc: &Json, path: &[&str]) -> Result<bool, String> {
+    match req_field(doc, path)? {
+        Json::Bool(b) => Ok(*b),
+        _ => Err(format!("field `{}` is not a boolean", path.join("."))),
+    }
+}
+
+/// The non-negative integer at `path` in an artefact.
+pub fn req_count(doc: &Json, path: &[&str]) -> Result<u64, String> {
     let v = req_f64(doc, path)?;
     if v.is_finite() && v >= 0.0 && v.fract() == 0.0 {
         Ok(v as u64)

@@ -1,10 +1,14 @@
-//! Incremental zero-copy line framing for the reactor's read path.
+//! Incremental zero-copy line framing, and the one blocking connection
+//! that frames through it.
 //!
-//! The reactor receives arbitrary chunks from nonblocking reads and must
-//! reassemble the line stream a one-shot split of the whole byte stream
-//! would give. This module owns that reassembly so it can be fuzzed
-//! against the one-shot split in isolation (see the quickprop test in
-//! this file).
+//! Every reader of the line protocol splits its byte stream here: the
+//! reactor and the open-loop engine feed [`FrameBuf`] the chunks their
+//! nonblocking reads return, and every blocking peer (the fleet router's
+//! client and shard faces, loadgen's closed-loop and control
+//! connections, fleet-bench and `repro`'s client commands) reads through
+//! a [`LineConn`]. Chunked reassembly must give the line stream a
+//! one-shot split of the whole byte stream would give, so it is fuzzed
+//! against that split in isolation (see the quickprop test in this file).
 //!
 //! Semantics:
 //!
@@ -12,23 +16,30 @@
 //!   bytes are trimmed after the split, so `"x\r\r\n"` frames as `"x"`.
 //! * The oversize check applies to the *trimmed* length: a line whose
 //!   trimmed body exceeds the limit is reported as [`Frame::Oversized`]
-//!   (the caller replies `bad_request` exactly like
+//!   (a server replies `bad_request` exactly like
 //!   `protocol::parse_request` does for a too-long line).
 //! * Bytes of an oversized line beyond `limit + 1` are discarded on
-//!   arrival rather than buffered, so a hostile client streaming an
+//!   arrival rather than buffered, so a hostile peer streaming an
 //!   unbounded no-newline blob costs O(limit) memory, not O(stream).
-//! * Lines that trim to empty are *not* reported — the server skips
-//!   them without replying.
+//! * Lines that trim to empty are *not* reported — a server skips them
+//!   without replying.
+//! * At EOF a pending unterminated line is framed as if a final `\n`
+//!   had arrived.
 //!
 //! Zero-copy: completed lines are handed out as `&[u8]` slices into the
 //! internal buffer; nothing is copied out per line. The buffer compacts
 //! only when fully consumed.
 
+use crate::protocol::{MAX_LINE_BYTES, MAX_REPLY_BYTES};
+use rvhpc_trace::json::Json;
 use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// One framed item from the byte stream.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Frame<'a> {
+pub enum Frame<'a> {
     /// A complete line, already trimmed of trailing `\r` (never empty).
     Line(&'a [u8]),
     /// A line whose trimmed length exceeded the configured limit; its
@@ -131,17 +142,21 @@ impl FrameBuf {
         self.cur_trailing_cr = 0;
     }
 
+    /// Whether a completed frame is waiting. When none is, everything
+    /// framed has been consumed, so the partial tail moves to the front.
+    fn ready(&mut self) -> bool {
+        if self.lines.is_empty() && self.partial_start > 0 {
+            self.buf.drain(..self.partial_start);
+            self.partial_start = 0;
+        }
+        !self.lines.is_empty()
+    }
+
     /// Pop the next completed frame, if any. Returned slices borrow the
     /// internal buffer; interleave calls with [`FrameBuf::push`] freely —
     /// each call re-borrows.
     pub(crate) fn next_line(&mut self) -> Option<Frame<'_>> {
-        // Compact once everything framed has been consumed and no
-        // completed lines remain: move the partial tail to the front.
-        if self.lines.is_empty() {
-            if self.partial_start > 0 {
-                self.buf.drain(..self.partial_start);
-                self.partial_start = 0;
-            }
+        if !self.ready() {
             return None;
         }
         let (start, len, oversized) = self.lines.pop_front().expect("non-empty");
@@ -165,6 +180,106 @@ impl FrameBuf {
         if self.cur_total > 0 {
             self.finish_line();
         }
+    }
+}
+
+/// How long [`LineConn::connect`] waits for each resolved address.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// A blocking line-JSON connection: one `TcpStream` read through the
+/// reactor's `FrameBuf`, so a blocking peer splits, trims, bounds and
+/// ends lines exactly as the reactor does, and keeps a partial line
+/// across read timeouts.
+pub struct LineConn {
+    stream: TcpStream,
+    frame: FrameBuf,
+    eof: bool,
+}
+
+impl LineConn {
+    /// Connect to a server at `addr`, waiting at most a second for each
+    /// address it resolves to. Reads time out after `read_timeout`, and
+    /// replies are framed under [`MAX_REPLY_BYTES`].
+    pub fn connect(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<LineConn> {
+        let mut last = io::Error::new(ErrorKind::InvalidInput, "address resolves to nothing");
+        for sock in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(read_timeout))?;
+                    return Ok(LineConn::new(stream, MAX_REPLY_BYTES));
+                }
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// Serve an accepted client `stream`: requests are framed under
+    /// [`MAX_LINE_BYTES`], and reads time out after `read_timeout`.
+    pub fn accepted(stream: TcpStream, read_timeout: Duration) -> io::Result<LineConn> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(read_timeout))?;
+        Ok(LineConn::new(stream, MAX_LINE_BYTES))
+    }
+
+    fn new(stream: TcpStream, max_line: usize) -> LineConn {
+        LineConn { stream, frame: FrameBuf::new(max_line), eof: false }
+    }
+
+    /// Write `line` and its terminating `\n` in one write.
+    pub fn send(&mut self, line: &str) -> io::Result<()> {
+        let mut bytes = Vec::with_capacity(line.len() + 1);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        self.stream.write_all(&bytes)
+    }
+
+    /// The next framed line, reading as needed; `None` once the peer has
+    /// closed and every line before the close was returned. A read
+    /// timeout is returned as an error and loses nothing: the partial
+    /// line stays buffered for the next call.
+    pub fn recv(&mut self) -> io::Result<Option<Frame<'_>>> {
+        let mut chunk = [0u8; 16 * 1024];
+        while !self.frame.ready() {
+            if self.eof {
+                return Ok(None);
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    self.eof = true;
+                    self.frame.finish_eof();
+                }
+                Ok(n) => self.frame.push(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self.frame.next_line())
+    }
+
+    /// Send `line` and return its one reply line. A close before the
+    /// reply is `UnexpectedEof`; a reply over the bound or not UTF-8 is
+    /// `InvalidData`.
+    pub fn exchange(&mut self, line: &str) -> io::Result<String> {
+        self.send(line)?;
+        let limit = self.frame.max_line;
+        match self.recv()? {
+            Some(Frame::Line(bytes)) => String::from_utf8(bytes.to_vec())
+                .map_err(|_| io::Error::new(ErrorKind::InvalidData, "reply is not UTF-8")),
+            Some(Frame::Oversized) => {
+                Err(io::Error::new(ErrorKind::InvalidData, format!("reply exceeds {limit} bytes")))
+            }
+            None => Err(io::Error::new(ErrorKind::UnexpectedEof, "connection closed")),
+        }
+    }
+
+    /// [`LineConn::exchange`], with the reply parsed as JSON; a reply that
+    /// does not parse is `InvalidData`.
+    pub fn request(&mut self, line: &str) -> io::Result<Json> {
+        let reply = self.exchange(line)?;
+        Json::parse(&reply)
+            .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("unparseable reply: {e}")))
     }
 }
 
@@ -297,6 +412,24 @@ mod tests {
         // EOF with nothing pending frames nothing.
         fb.finish_eof();
         assert_eq!(drain(&mut fb), Vec::<Result<String, ()>>::new());
+    }
+
+    #[test]
+    fn line_conn_keeps_a_partial_line_across_read_timeouts_and_frames_it_at_eof() {
+        use std::net::{Shutdown, TcpListener};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut conn = LineConn::accepted(stream, Duration::from_millis(20)).expect("conn");
+        peer.write_all(b"{\"op\":").expect("write");
+        let err = conn.recv().map(|_| ()).expect_err("no line is complete yet");
+        assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");
+        peer.write_all(b"\"ping\"}\r\n\r\n \n{\"op\"").expect("write");
+        assert_eq!(conn.recv().expect("read"), Some(Frame::Line(b"{\"op\":\"ping\"}")));
+        assert_eq!(conn.recv().expect("read"), Some(Frame::Line(b" ")));
+        peer.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(conn.recv().expect("read"), Some(Frame::Line(b"{\"op\"")));
+        assert_eq!(conn.recv().expect("read"), None);
     }
 
     #[test]

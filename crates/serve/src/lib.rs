@@ -55,7 +55,8 @@ pub mod server;
 pub mod signal;
 pub mod submit;
 
+pub use frame::{Frame, LineConn};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use protocol::{ErrorKind, Request, MAX_LINE_BYTES};
+pub use protocol::{ErrorKind, Request, MAX_LINE_BYTES, MAX_REPLY_BYTES};
 pub use server::{BatcherPause, ServeConfig, Server, ServerStats};
 pub use submit::{admit_kernel, KernelArtifact, Rejection, DEFAULT_MAX_FUEL, MAX_SUBMIT_INSTS};

@@ -2,7 +2,10 @@
 //!
 //! Each client owns one TCP connection and runs a closed loop — send one
 //! request, block for its reply, record the latency, repeat — optionally
-//! paced to an aggregate request rate. The query mix is drawn from a fixed
+//! paced to an aggregate request rate. Every connection here (clients,
+//! the control connection, the metrics poller, per-shard snapshots) is a
+//! [`LineConn`], so replies are framed as the server frames requests,
+//! under [`crate::MAX_REPLY_BYTES`]. The query mix is drawn from a fixed
 //! pool of `(machine, kernel, precision, threads)` triples by a seeded
 //! LCG, so runs are reproducible and the pool is small enough for the
 //! estimate cache to warm up (which is exactly the serving scenario the
@@ -12,14 +15,12 @@
 //! identically** against a local [`estimate_cached`] call: the server must
 //! be a transparent network wrapper around the model, not a lossy one.
 
-use crate::protocol::MAX_LINE_BYTES;
+use crate::frame::LineConn;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_perfmodel::{estimate_cached, Precision, RunConfig};
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -288,23 +289,12 @@ fn client_loop(
     pace: Option<Duration>,
 ) -> ClientOutcome {
     let mut out = ClientOutcome::default();
-    let Ok(stream) = TcpStream::connect(&cfg.addr) else {
+    let Ok(mut conn) = LineConn::connect(&cfg.addr, READ_TIMEOUT) else {
         out.protocol_errors += 1;
         return out;
     };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            out.protocol_errors += 1;
-            return out;
-        }
-    };
-    let mut reader = BufReader::new(stream);
     let mut rng = cfg.seed ^ (client_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let start = Instant::now();
-    let mut reply = String::with_capacity(256);
     for seq in 0u64.. {
         if cfg.requests_per_client.is_some_and(|limit| seq as usize >= limit) {
             break;
@@ -317,26 +307,15 @@ fn client_loop(
         let line = pool[pool_idx].request_line(id);
         let sent_at = Instant::now();
         out.sent += 1;
-        if writer.write_all(line.as_bytes()).and_then(|()| writer.write_all(b"\n")).is_err() {
+        // A dropped connection mid-conversation is exactly the failure
+        // mode backpressure exists to prevent; an oversized reply is a
+        // violation too.
+        let Ok(reply) = conn.exchange(&line) else {
             out.protocol_errors += 1;
             break;
-        }
-        reply.clear();
-        match reader.read_line(&mut reply) {
-            Ok(0) | Err(_) => {
-                // A dropped connection mid-conversation is exactly the
-                // failure mode backpressure exists to prevent.
-                out.protocol_errors += 1;
-                break;
-            }
-            Ok(_) => {}
-        }
+        };
         let latency_us = sent_at.elapsed().as_secs_f64() * 1e6;
-        if reply.len() > MAX_LINE_BYTES {
-            out.protocol_errors += 1;
-            continue;
-        }
-        let Ok(doc) = Json::parse(reply.trim_end()) else {
+        let Ok(doc) = Json::parse(&reply) else {
             out.protocol_errors += 1;
             continue;
         };
@@ -380,24 +359,8 @@ fn client_loop(
     out
 }
 
-/// One request/reply exchange on a control connection.
-fn exchange(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Option<Json> {
-    stream.write_all(line.as_bytes()).ok()?;
-    stream.write_all(b"\n").ok()?;
-    let mut reply = String::new();
-    match reader.read_line(&mut reply) {
-        Ok(n) if n > 0 => Json::parse(reply.trim_end()).ok(),
-        _ => None,
-    }
-}
-
-fn control_connection(addr: &str) -> Option<(TcpStream, BufReader<TcpStream>)> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let reader = BufReader::new(stream.try_clone().ok()?);
-    Some((stream, reader))
-}
+/// How long any loadgen connection waits for a reply.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 fn cache_counters(stats_reply: &Json) -> Option<(u64, u64)> {
     let cache = stats_reply.get("result")?.get("estimate_cache")?;
@@ -409,8 +372,7 @@ fn cache_counters(stats_reply: &Json) -> Option<(u64, u64)> {
 /// One shard's `(server.requests, cache hits, cache misses)` over a fresh
 /// direct connection, for per-shard attribution around a fleet run.
 fn shard_snapshot(addr: &str) -> Option<(u64, u64, u64)> {
-    let (mut stream, mut reader) = control_connection(addr)?;
-    let reply = exchange(&mut stream, &mut reader, r#"{"op":"stats"}"#)?;
+    let reply = LineConn::connect(addr, READ_TIMEOUT).ok()?.request(r#"{"op":"stats"}"#).ok()?;
     let requests =
         reply.get("result")?.get("server")?.get("requests").and_then(Json::as_f64)? as u64;
     let (hits, misses) = cache_counters(&reply)?;
@@ -421,14 +383,14 @@ fn shard_snapshot(addr: &str) -> Option<(u64, u64, u64)> {
 /// flips, schema-validating every reply with [`rvhpc_obs::validate_metrics`].
 /// Returns `(polls, failures)`.
 fn metrics_poller(addr: &str, every: Duration, stop: &AtomicBool) -> (u64, u64) {
-    let Some((mut stream, mut reader)) = control_connection(addr) else {
+    let Ok(mut conn) = LineConn::connect(addr, READ_TIMEOUT) else {
         return (1, 1);
     };
     let mut polls = 0u64;
     let mut failures = 0u64;
     while !stop.load(Ordering::Relaxed) {
         polls += 1;
-        let reply = exchange(&mut stream, &mut reader, r#"{"op":"metrics"}"#);
+        let reply = conn.request(r#"{"op":"metrics"}"#).ok();
         let valid = reply
             .as_ref()
             .and_then(|doc| doc.get("result"))
@@ -484,11 +446,9 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         None
     };
     let pool = query_pool();
-    let (mut control, mut control_reader) = control_connection(&cfg.addr).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "cannot reach server")
-    })?;
+    let mut control = LineConn::connect(&cfg.addr, READ_TIMEOUT)?;
 
-    let stats_before_reply = exchange(&mut control, &mut control_reader, r#"{"op":"stats"}"#);
+    let stats_before_reply = control.request(r#"{"op":"stats"}"#).ok();
     let stats_before = stats_before_reply.as_ref().and_then(cache_counters);
     let shard_before: Vec<Option<(u64, u64, u64)>> =
         cfg.targets.iter().map(|addr| shard_snapshot(addr)).collect();
@@ -523,9 +483,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
         });
     let wall_seconds = started.elapsed().as_secs_f64();
 
-    let stats_after = exchange(&mut control, &mut control_reader, r#"{"op":"stats"}"#)
-        .as_ref()
-        .and_then(cache_counters);
+    let stats_after = control.request(r#"{"op":"stats"}"#).ok().as_ref().and_then(cache_counters);
     let shard_after: Vec<Option<(u64, u64, u64)>> =
         cfg.targets.iter().map(|addr| shard_snapshot(addr)).collect();
 
@@ -696,7 +654,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     }
 
     if cfg.probe_bad {
-        let reply = exchange(&mut control, &mut control_reader, "this is not json {");
+        let reply = control.request("this is not json {").ok();
         let ok = reply.as_ref().is_some_and(|doc| {
             doc.get("ok") == Some(&Json::Bool(false))
                 && doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str)
@@ -709,15 +667,13 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     }
 
     if cfg.shutdown_after {
-        let reply = exchange(&mut control, &mut control_reader, r#"{"op":"shutdown"}"#);
+        let reply = control.request(r#"{"op":"shutdown"}"#).ok();
         let acked = reply.as_ref().is_some_and(|doc| doc.get("ok") == Some(&Json::Bool(true)));
         // After the ack the server drains and closes: require EOF.
-        let mut tail = String::new();
         let eof = loop {
-            tail.clear();
-            match control_reader.read_line(&mut tail) {
-                Ok(0) => break true,
-                Ok(_) => continue, // late replies are fine during drain
+            match control.recv() {
+                Ok(None) => break true,
+                Ok(Some(_)) => continue, // late replies are fine during drain
                 Err(_) => break false,
             }
         };

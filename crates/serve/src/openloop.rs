@@ -8,10 +8,11 @@
 //! `--connections` sockets, while replies are collected whenever they
 //! arrive — the standard open-loop methodology for measuring p99 under
 //! real concurrency. It reuses the [`crate::epoll`] shim and the
-//! [`crate::frame`] line framer from the server side, and produces the
-//! same per-connection [`ClientOutcome`]s the closed-loop path does, so
-//! report folding, SLO gating and bit-identity verification in
-//! [`crate::loadgen`] are common code.
+//! [`crate::frame`] line framer from the server side (replies framed
+//! under [`crate::MAX_REPLY_BYTES`], like every blocking client's), and
+//! produces the same per-connection [`ClientOutcome`]s the closed-loop
+//! path does, so report folding, SLO gating and bit-identity verification
+//! in [`crate::loadgen`] are common code.
 //!
 //! Connection establishment is *staggered* ([`stagger_offsets`]): the old
 //! eager pattern — every client thread calling `connect` at t=0 — is a
@@ -105,7 +106,7 @@ pub(crate) fn run_clients(
                 }
                 conns.push(Some(OpenConn {
                     stream,
-                    frame: FrameBuf::new(crate::protocol::MAX_LINE_BYTES),
+                    frame: FrameBuf::new(crate::protocol::MAX_REPLY_BYTES),
                     sendbuf: Vec::new(),
                     send_cursor: 0,
                     outstanding: HashMap::new(),

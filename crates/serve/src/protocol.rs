@@ -26,10 +26,31 @@ use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, TimeEstimate};
 use rvhpc_trace::json::Json;
+use std::sync::OnceLock;
 
 /// Hard cap on one request line; longer lines are answered with
 /// `bad_request` rather than buffered without bound.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Hard cap on one reply line a client reads. [`MAX_LINE_BYTES`] does not
+/// bound replies: each echoes its request's `id`, and a rejected
+/// `submit_kernel` lists every finding. The largest reply found is such a
+/// rejection: a 64 KiB request of 3 442 `vfadd.vv` after a v0.7.1
+/// `vsetvli x0,x0,e64,m8` draws 27 537 findings in 3.4 MB (next come
+/// `slow_requests` and Prometheus `metrics` at 15 and 11 KB). The cap
+/// leaves almost five times that; a longer reply is discarded as it
+/// arrives and reported to the client as an error.
+pub const MAX_REPLY_BYTES: usize = 16 * 1024 * 1024;
+
+/// A line one byte over [`MAX_LINE_BYTES`]. A framer discards an
+/// oversized line's bytes as they arrive, so a server hands this stand-in
+/// to [`parse_request`] to give the same `bad_request` reply, count and
+/// obs stages as for any too-long line (the message names only the limit,
+/// never the offending length).
+pub fn oversized_line() -> &'static str {
+    static LINE: OnceLock<String> = OnceLock::new();
+    LINE.get_or_init(|| "x".repeat(MAX_LINE_BYTES + 1))
+}
 
 /// `slow_requests` exemplars returned when the client sets no `limit`.
 pub const DEFAULT_SLOW_LIMIT: usize = 16;

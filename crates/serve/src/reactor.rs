@@ -33,7 +33,7 @@ use crate::epoll::{
     self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::frame::{Frame, FrameBuf};
-use crate::protocol::{error_response, ErrorKind, MAX_LINE_BYTES};
+use crate::protocol::{error_response, oversized_line, ErrorKind, MAX_LINE_BYTES};
 use crate::server::{handle_line, ConnWriter, Shared};
 use crate::signal;
 use rvhpc_trace::json::Json;
@@ -42,7 +42,7 @@ use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -89,17 +89,6 @@ impl Hub {
             Err(p) => p.into_inner().iter().any(|(c, _)| *c == conn),
         }
     }
-}
-
-/// A line longer than the protocol limit, used to replay an oversized
-/// frame through `handle_line`: the framer discards the frame's bytes as
-/// they arrive, so the limit check in `parse_request` has to see a stand-in
-/// to produce the `bad_request` reply, the `bad_requests` count and the obs
-/// stages (the oversize error message names only the limit, never the
-/// offending length, so any over-limit line yields the same reply).
-fn oversized_line() -> &'static str {
-    static LINE: OnceLock<String> = OnceLock::new();
-    LINE.get_or_init(|| "x".repeat(MAX_LINE_BYTES + 1))
 }
 
 struct Conn {

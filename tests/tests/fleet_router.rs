@@ -1,8 +1,9 @@
 //! Router correctness against real in-process servers: every estimate
 //! key routes to exactly one live shard, fleet-served estimates are
 //! bit-identical to the local model, repeated sends of the same key are
-//! stable, and the fleet-wide `stats`/`metrics` aggregation produces
-//! documents that validate against the single-server schemas.
+//! stable, the fleet-wide `stats`/`metrics` aggregation produces
+//! documents that validate against the single-server schemas, and the
+//! router frames edge-case lines exactly as a shard does.
 //!
 //! (Per-shard cache *disjointness* needs real child processes — the
 //! estimate cache is process-global — and is exercised by the
@@ -14,10 +15,10 @@ use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
 use rvhpc_perfmodel::{estimate_cached, Precision};
 use rvhpc_serve::loadgen::{query_pool, reply_bits};
-use rvhpc_serve::{ServeConfig, Server};
+use rvhpc_serve::{ServeConfig, Server, MAX_LINE_BYTES};
 use rvhpc_trace::json::Json;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 fn start_fleet(shards: usize) -> (Vec<Server>, Router) {
@@ -199,5 +200,70 @@ fn malformed_requests_get_structured_rejections_through_the_router() {
         let msg = error.get("message").and_then(Json::as_str).unwrap_or_default();
         assert!(msg.contains(fragment), "`{msg}` should mention `{fragment}`");
     }
+    teardown(servers, router);
+}
+
+/// Send `bytes` on a fresh connection, then either half-close or send a
+/// ping with id `"after"`, and collect every reply line: up to EOF after a
+/// half-close, up to the ping's answer otherwise.
+fn replies_to(addr: SocketAddr, bytes: &[u8], half_close: bool) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    stream.write_all(bytes).expect("send input");
+    if half_close {
+        stream.shutdown(Shutdown::Write).expect("half-close");
+    } else {
+        stream.write_all(b"{\"id\":\"after\",\"op\":\"ping\"}\n").expect("send ping");
+    }
+    let mut reader = BufReader::new(stream);
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).expect("reply readable") == 0 {
+            assert!(half_close, "closed before the ping after {} input bytes", bytes.len());
+            return lines;
+        }
+        let answered_ping = !half_close && line.contains(r#""id":"after""#);
+        lines.push(line);
+        if answered_ping {
+            return lines;
+        }
+    }
+}
+
+/// The router frames every line the way a shard's reactor does: each
+/// edge-case input draws byte-identical replies through the router and
+/// from a shard directly, and the connection still answers a ping sent
+/// after it (or, after a half-close, answers the unterminated request).
+#[test]
+fn the_router_answers_every_line_the_way_a_shard_does() {
+    let (servers, router) = start_fleet(1);
+    let shard = servers[0].local_addr();
+    let wrapper = r#"{"id":"","op":"ping"}"#;
+    let exact = format!(r#"{{"id":"{}","op":"ping"}}"#, "x".repeat(MAX_LINE_BYTES - wrapper.len()));
+    assert_eq!(exact.len(), MAX_LINE_BYTES);
+    let mut mib = vec![b'y'; 1 << 20];
+    *mib.last_mut().expect("non-empty") = b'\n';
+    let cases: [(&str, Vec<u8>, bool); 6] = [
+        ("whitespace-only line", b" \t \n".to_vec(), false),
+        ("ping of exactly MAX_LINE_BYTES", format!("{exact}\n").into_bytes(), false),
+        ("CRLF-terminated ping", b"{\"id\":1,\"op\":\"ping\"}\r\n".to_vec(), false),
+        (
+            "MAX_LINE_BYTES + 1 line",
+            format!("{}\n", "z".repeat(MAX_LINE_BYTES + 1)).into_bytes(),
+            false,
+        ),
+        ("1 MiB line", mib, false),
+        ("unterminated ping, then half-close", b"{\"id\":2,\"op\":\"ping\"}".to_vec(), true),
+    ];
+    let mut differing = Vec::new();
+    for (name, bytes, half_close) in &cases {
+        let direct = replies_to(shard, bytes, *half_close);
+        assert!(!direct.is_empty(), "{name}: the shard did not answer");
+        if replies_to(router.local_addr(), bytes, *half_close) != direct {
+            differing.push(*name);
+        }
+    }
+    assert!(differing.is_empty(), "the router answered unlike a shard on: {differing:?}");
     teardown(servers, router);
 }
