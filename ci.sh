@@ -45,9 +45,13 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # One second of the cold paper sweep checks the estimator itself: the run
 # exits non-zero when a pass's artefact digests disagree with the first
 # pass or when the 256-key cache bit-identity gate sees a cached estimate
-# differ from a fresh one.
+# differ from a fresh one. One second of the warm sweep checks the same
+# digests on passes served from the cache, and that the set-up pass
+# served from the persistent store reproduces the cold one.
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload sweep_cold --seconds 1 --trace 0
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload sweep_warm --seconds 1 --trace 0
 
 # Differential/metamorphic cross-checks: a pinned seed for reproducible
 # CI, plus a seed derived from the commit hash so the randomized surface

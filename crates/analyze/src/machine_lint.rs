@@ -12,7 +12,7 @@
 //!   one supported element type).
 
 use crate::diag::{Diagnostic, Pass};
-use rvhpc_machines::{all_machines, machine, Machine, MachineId, PlacementPolicy};
+use rvhpc_machines::{all_machines, catalog, Machine, MachineId, PlacementPolicy};
 
 fn finding(m: &Machine, message: String) -> Diagnostic {
     Diagnostic::global(Pass::Descriptor, format!("{}: {message}", m.id.token()))
@@ -157,15 +157,15 @@ pub fn lint_machine(m: &Machine) -> Vec<Diagnostic> {
 /// Lint every machine in the catalog (the paper set plus the what-if
 /// `sg2042-next-gen`).
 pub fn lint_all_machines() -> Vec<Diagnostic> {
-    let mut diags: Vec<Diagnostic> = all_machines().iter().flat_map(lint_machine).collect();
-    diags.extend(lint_machine(&machine(MachineId::Sg2042NextGen)));
+    let mut diags: Vec<Diagnostic> = all_machines().into_iter().flat_map(lint_machine).collect();
+    diags.extend(lint_machine(catalog(MachineId::Sg2042NextGen)));
     diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvhpc_machines::{CacheLevel, CacheSharing};
+    use rvhpc_machines::{machine, CacheLevel, CacheSharing};
 
     /// Satellite 6: the shipped catalog is descriptor-lint clean. This is
     /// the regression fence — any future catalog edit that breaks cache

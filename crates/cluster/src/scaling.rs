@@ -8,7 +8,7 @@
 use crate::collectives::{allreduce_seconds, halo_exchange_seconds};
 use crate::network::Network;
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::{calibration, estimate_sized, sim_size, Precision, RunConfig};
 use rvhpc_trace::json::Json;
 
@@ -134,7 +134,7 @@ pub fn scaling_curve(
     precision: Precision,
     nodes_list: &[u32],
 ) -> Vec<ClusterPoint> {
-    let m = machine(node);
+    let m = catalog(node);
     let cal = calibration(node);
     let threads = m.n_cores();
     let cfg = if node.is_riscv() {
@@ -145,7 +145,7 @@ pub fn scaling_curve(
     let base_size = sim_size(kernel);
     let elem_bytes = f64::from(precision.bytes());
 
-    let single = estimate_sized(&m, kernel, &cfg, &cal, base_size).seconds;
+    let single = estimate_sized(m, kernel, &cfg, &cal, base_size).seconds;
     nodes_list
         .iter()
         .map(|&nodes| {
@@ -153,7 +153,7 @@ pub fn scaling_curve(
                 ScalingMode::Weak => base_size,
                 ScalingMode::Strong => (base_size / nodes as usize).max(64),
             };
-            let compute = estimate_sized(&m, kernel, &cfg, &cal, local_size).seconds;
+            let compute = estimate_sized(m, kernel, &cfg, &cal, local_size).seconds;
             let (faces, face_bytes, needs_allreduce) = comm_shape(kernel, local_size, elem_bytes);
             let mut comm = 0.0;
             if nodes > 1 {

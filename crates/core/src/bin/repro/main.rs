@@ -8,7 +8,7 @@ mod cli;
 use rvhpc::experiments::driver::{self, Artefact};
 use rvhpc::experiments::{fig1, next_gen, x86};
 use rvhpc::kernels::{KernelClass, KernelName};
-use rvhpc::machines::{machine, MachineId};
+use rvhpc::machines::{catalog, MachineId};
 use rvhpc::perfmodel::{Precision, RunConfig};
 use rvhpc_trace::json::Json;
 use std::env;
@@ -166,8 +166,7 @@ fn explain(positional: &[&str], format: Format) {
     } else {
         RunConfig::x86(precision, threads)
     };
-    let m = machine(id);
-    let ex = rvhpc::perfmodel::explain(&m, kernel, &cfg);
+    let ex = rvhpc::perfmodel::explain(catalog(id), kernel, &cfg);
     if format == Format::Json {
         println!("{}", ex.to_json().pretty());
     } else {
@@ -332,7 +331,7 @@ fn lint(args: &cli::Args) -> ! {
         let diags = match machine_filter {
             Some(id) => {
                 descriptors = 1;
-                lint_machine(&machine(id))
+                lint_machine(catalog(id))
             }
             None => {
                 descriptors = MachineId::ALL.len() + 1; // + the what-if machine

@@ -4,18 +4,18 @@
 use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{suite_seconds, times_faster_each};
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
 use std::collections::HashMap;
 
 /// The per-kernel baseline, in `KernelName::ALL` order: VisionFive V2 at
 /// FP64, one core, best config.
 fn baseline() -> Vec<f64> {
-    suite_seconds(&machine(MachineId::VisionFiveV2), &RunConfig::sg2042_best(Precision::Fp64, 1))
+    suite_seconds(catalog(MachineId::VisionFiveV2), &RunConfig::sg2042_best(Precision::Fp64, 1))
 }
 
 fn single_core(id: MachineId, precision: Precision) -> Vec<f64> {
-    suite_seconds(&machine(id), &RunConfig::sg2042_best(precision, 1))
+    suite_seconds(catalog(id), &RunConfig::sg2042_best(precision, 1))
 }
 
 fn series(label: &str, id: MachineId, precision: Precision, base: &[f64]) -> SeriesStat {

@@ -4,7 +4,7 @@
 use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{suite_seconds, times_faster};
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
 use std::collections::HashMap;
 
@@ -15,11 +15,11 @@ pub fn vectorisation_ratios(precision: Precision) -> HashMap<KernelName, f64> {
 
 /// [`vectorisation_ratios`] in `KernelName::ALL` order.
 fn ratios(precision: Precision) -> Vec<f64> {
-    let m = machine(MachineId::Sg2042);
-    let on = suite_seconds(&m, &RunConfig::sg2042_best(precision, 1));
+    let m = catalog(MachineId::Sg2042);
+    let on = suite_seconds(m, &RunConfig::sg2042_best(precision, 1));
     let mut off_cfg = RunConfig::sg2042_best(precision, 1);
     off_cfg.vectorize = false;
-    let off = suite_seconds(&m, &off_cfg);
+    let off = suite_seconds(m, &off_cfg);
     on.iter().zip(&off).map(|(on, off)| off / on).collect()
 }
 

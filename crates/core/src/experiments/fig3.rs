@@ -1,11 +1,11 @@
 //! Figure 3: Clang VLA and VLS single-core comparison against XuanTie GCC
 //! (baseline) for selected Polybench kernels at FP32.
 
-use crate::report::TableReport;
+use crate::report::{Fixed, TableReport};
 use crate::suite::times_faster;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{estimate_batch, Precision, RowEnv, RunConfig, Toolchain};
 
 /// The Polybench kernels the paper plots in Figure 3.
@@ -49,9 +49,9 @@ fn cfg(toolchain: Toolchain, mode: VectorMode) -> RunConfig {
 /// Regenerate Figure 3's data: three single-core rows of the twelve
 /// kernels, each answered through the estimate cache's batch path.
 pub fn run() -> Vec<Fig3Point> {
-    let m = machine(MachineId::Sg2042);
+    let m = catalog(MachineId::Sg2042);
     let row = |toolchain, mode| {
-        let env = RowEnv::new(&m, &cfg(toolchain, mode));
+        let env = RowEnv::new(m, &cfg(toolchain, mode));
         estimate_batch(&FIG3_KERNELS.map(|k| (&env, k)))
     };
     let gcc = row(Toolchain::XuanTieGcc, VectorMode::Vls);
@@ -81,8 +81,8 @@ pub fn report() -> TableReport {
             .map(|p| {
                 vec![
                     p.kernel.label().to_string(),
-                    format!("{:+.2}", p.clang_vla),
-                    format!("{:+.2}", p.clang_vls),
+                    Fixed::signed(p.clang_vla, 2).to_string(),
+                    Fixed::signed(p.clang_vls, 2).to_string(),
                 ]
             })
             .collect(),

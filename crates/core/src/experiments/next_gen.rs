@@ -9,7 +9,7 @@ use super::x86::sg2042_times;
 use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_compiler::VectorMode;
-use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
 
 /// Configuration for the what-if machine: mainline Clang targeting RVV
@@ -35,15 +35,15 @@ pub fn run(precision: Precision) -> FigureReport {
 
     let mut series = Vec::new();
     // The what-if machine at its best thread count.
-    let ng = machine(MachineId::Sg2042NextGen);
+    let ng = catalog(MachineId::Sg2042NextGen);
     let best = fastest_of(
-        &suite_seconds(&ng, &ng_config(precision, 32)),
-        &suite_seconds(&ng, &ng_config(precision, 64)),
+        &suite_seconds(ng, &ng_config(precision, 32)),
+        &suite_seconds(ng, &ng_config(precision, 64)),
     );
     series.push(series_of("SG2042-NG (what-if)", &best));
     for id in [MachineId::AmdRome, MachineId::IntelIcelake] {
-        let m = machine(id);
-        let times = suite_seconds(&m, &RunConfig::x86(precision, m.n_cores()));
+        let m = catalog(id);
+        let times = suite_seconds(m, &RunConfig::x86(precision, m.n_cores()));
         series.push(series_of(&m.name, &times));
     }
 

@@ -1,11 +1,11 @@
 //! Tables 1–3: speed-up and parallel efficiency on the SG2042 as threads
 //! scale under the three placement policies (FP32, vectorised).
 
-use crate::report::{ClassStat, TableReport};
+use crate::report::{ClassStat, Fixed, TableReport};
 use crate::suite::suite_seconds;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelClass;
-use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
 
 /// Thread counts the paper sweeps.
@@ -43,10 +43,10 @@ fn cfg(policy: PlacementPolicy, threads: usize) -> RunConfig {
 
 /// Compute a scaling table for one policy.
 pub fn run(policy: PlacementPolicy) -> ScalingTable {
-    let m = machine(MachineId::Sg2042);
-    let t1 = suite_seconds(&m, &cfg(policy, 1));
+    let m = catalog(MachineId::Sg2042);
+    let t1 = suite_seconds(m, &cfg(policy, 1));
     let cells = THREADS.map(|threads| {
-        let times = suite_seconds(&m, &cfg(policy, threads));
+        let times = suite_seconds(m, &cfg(policy, threads));
         let speedups: Vec<f64> = t1.iter().zip(&times).map(|(one, t)| one / t).collect();
         let classes = ClassStat::per_class(&speedups);
         std::array::from_fn(|c| {
@@ -79,8 +79,8 @@ impl ScalingTable {
             .map(|(t, cells)| {
                 let mut row = vec![t.to_string()];
                 for c in cells {
-                    row.push(format!("{:.2}", c.speedup));
-                    row.push(format!("{:.2}", c.efficiency));
+                    row.push(Fixed::new(c.speedup, 2).to_string());
+                    row.push(Fixed::new(c.efficiency, 2).to_string());
                 }
                 row
             })

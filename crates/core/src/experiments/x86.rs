@@ -2,7 +2,7 @@
 
 use crate::report::{FigureReport, SeriesStat, TableReport};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
-use rvhpc_machines::{machine, x86_machines, MachineId};
+use rvhpc_machines::{catalog, x86_machines, MachineId};
 use rvhpc_perfmodel::{Precision, RunConfig};
 
 /// Table 4: the x86 CPU inventory, straight from the machine descriptors.
@@ -36,14 +36,14 @@ pub fn table4() -> TableReport {
 /// order, at a precision and thread count ("best" multithreaded = min
 /// over 32/64 threads, as the paper found 32 better for some classes).
 pub(crate) fn sg2042_times(precision: Precision, multithreaded: bool) -> Vec<f64> {
-    let m = machine(MachineId::Sg2042);
+    let m = catalog(MachineId::Sg2042);
     if multithreaded {
         fastest_of(
-            &suite_seconds(&m, &RunConfig::sg2042_best(precision, 32)),
-            &suite_seconds(&m, &RunConfig::sg2042_best(precision, 64)),
+            &suite_seconds(m, &RunConfig::sg2042_best(precision, 32)),
+            &suite_seconds(m, &RunConfig::sg2042_best(precision, 64)),
         )
     } else {
-        suite_seconds(&m, &RunConfig::sg2042_best(precision, 1))
+        suite_seconds(m, &RunConfig::sg2042_best(precision, 1))
     }
 }
 
@@ -53,8 +53,8 @@ fn comparison(id: &str, title: &str, precision: Precision, multithreaded: bool) 
         .into_iter()
         .map(|m| {
             let threads = if multithreaded { m.n_cores() } else { 1 };
-            let times = suite_seconds(&m, &RunConfig::x86(precision, threads));
-            SeriesStat::from_kernel_values(m.name, &times_faster_each(&base, &times))
+            let times = suite_seconds(m, &RunConfig::x86(precision, threads));
+            SeriesStat::from_kernel_values(&m.name, &times_faster_each(&base, &times))
         })
         .collect();
     FigureReport {

@@ -1,10 +1,10 @@
 //! Inspection views: the machine inventory and per-kernel deep dives that
 //! back `repro machines` and `repro kernel <label>`.
 
-use crate::report::TableReport;
+use crate::report::{Fixed, TableReport};
 use rvhpc_compiler::{compile, vec_status, Compiler, VectorMode};
 use rvhpc_kernels::{workload, KernelName};
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::{estimate_averaged, sim_size, Precision, RunConfig};
 use rvhpc_rvv::Sew;
 
@@ -29,7 +29,7 @@ pub fn machines_table() -> TableReport {
         ],
         rows: ids
             .map(|id| {
-                let m = machine(id);
+                let m = catalog(id);
                 let kb = |b: usize| {
                     if b >= 1024 * 1024 {
                         format!("{}M", b / (1024 * 1024))
@@ -40,7 +40,7 @@ pub fn machines_table() -> TableReport {
                 vec![
                     m.name.clone(),
                     m.part.clone(),
-                    format!("{:.2}GHz", m.clock_ghz),
+                    format!("{}GHz", Fixed::new(m.clock_ghz, 2)),
                     m.n_cores().to_string(),
                     m.topology.n_regions().to_string(),
                     m.topology.regions()[0].controllers.to_string(),
@@ -86,13 +86,13 @@ pub fn kernel_table(kernel: KernelName) -> TableReport {
         format!("{}{}", c.vector_path, c.note.map(|n| format!(" ({n})")).unwrap_or_default()),
     ]);
     for id in MachineId::ALL {
-        let m = machine(id);
+        let m = catalog(id);
         let cfg = if id.is_riscv() {
             RunConfig::sg2042_best(Precision::Fp64, 1)
         } else {
             RunConfig::x86(Precision::Fp64, 1)
         };
-        let e = estimate_averaged(&m, kernel, &cfg);
+        let e = estimate_averaged(m, kernel, &cfg);
         rows.push(vec![
             format!("t(1 core, fp64) on {}", m.name),
             format!("{:.3} ms{}", e.seconds * 1e3, if e.vector_path { " (vec)" } else { "" }),

@@ -3,7 +3,102 @@
 
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_trace::json::JsonWriter;
+use std::fmt;
 use std::fmt::Write as _;
+
+/// A number rendered with a fixed count of decimals, byte for byte as
+/// std's `{:.N}` (or `{:+.N}` when [`Fixed::signed`]) renders it.
+///
+/// A finite value below `1e15` in magnitude, at up to four decimals, is
+/// rendered here with integer arithmetic: its exact binary value
+/// `mantissa · 2^exponent` is scaled by `10^N` and rounded half to even,
+/// as std rounds, and the digits are written directly, at well under half
+/// the cost of std's exact path. Anything else (NaN, ±∞, larger
+/// magnitudes, more decimals) goes to std's formatter.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed {
+    x: f64,
+    decimals: usize,
+    plus: bool,
+}
+
+impl Fixed {
+    /// The most decimals rendered without std.
+    const MAX_DECIMALS: usize = 4;
+
+    /// `x` as `{:.decimals}` renders it.
+    pub fn new(x: f64, decimals: usize) -> Fixed {
+        Fixed { x, decimals, plus: false }
+    }
+
+    /// `x` as `{:+.decimals}` renders it: with a sign, `+` included.
+    pub fn signed(x: f64, decimals: usize) -> Fixed {
+        Fixed { x, decimals, plus: true }
+    }
+
+    /// Write the rendering into the tail of `buf` and return it, or `None`
+    /// when the value is std's to render. `buf` holds a sign, sixteen
+    /// integer digits (`|x| < 1e15` can round up to `1e15`), the point and
+    /// four decimals.
+    fn exact(self, buf: &mut [u8; 24]) -> Option<&str> {
+        const POW10: [u128; Fixed::MAX_DECIMALS + 1] = [1, 10, 100, 1_000, 10_000];
+        if self.decimals > Fixed::MAX_DECIMALS || self.x.is_nan() || self.x.abs() >= 1e15 {
+            return None;
+        }
+        let bits = self.x.to_bits();
+        let biased = (bits >> 52 & 0x7ff) as i32;
+        let fraction = bits & ((1 << 52) - 1);
+        // |x| = mantissa · 2^-k exactly; as |x| < 1e15 < 2^52, k ≥ 1.
+        let (mantissa, k) =
+            if biased == 0 { (fraction, 1074) } else { (fraction | 1 << 52, 1075 - biased) };
+        // `scaled` is below 2^53 · 10^4 < 2^67: with k ≥ 128 the quotient
+        // is 0 and the remainder below half, so the value rounds to 0. The
+        // rounded value is at most 10^15 · 10^4, so it fits a `u64`.
+        let scaled = u128::from(mantissa) * POW10[self.decimals];
+        let mut n = if k >= 128 {
+            0
+        } else {
+            let k = k as u32;
+            let (q, r, half) = (scaled >> k, scaled & ((1 << k) - 1), 1 << (k - 1));
+            (q + u128::from(r > half || (r == half && q & 1 == 1))) as u64
+        };
+        let mut at = buf.len();
+        let mut put = |byte: u8| {
+            at -= 1;
+            buf[at] = byte;
+        };
+        for _ in 0..self.decimals {
+            put(b'0' + (n % 10) as u8);
+            n /= 10;
+        }
+        if self.decimals > 0 {
+            put(b'.');
+        }
+        loop {
+            put(b'0' + (n % 10) as u8);
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if self.x.is_sign_negative() {
+            put(b'-');
+        } else if self.plus {
+            put(b'+');
+        }
+        std::str::from_utf8(&buf[at..]).ok()
+    }
+}
+
+impl fmt::Display for Fixed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.exact(&mut [0; 24]) {
+            Some(text) => f.write_str(text),
+            None if self.plus => write!(f, "{:+.*}", self.decimals, self.x),
+            None => write!(f, "{:.*}", self.decimals, self.x),
+        }
+    }
+}
 
 /// Mean + whisker statistics for one benchmark class (one bar of a paper
 /// figure).
@@ -112,7 +207,8 @@ impl FigureReport {
             for s in &self.series {
                 match s.class(class) {
                     Some(c) => {
-                        let _ = write!(out, " {:+.2} [{:+.2}, {:+.2}] |", c.mean, c.min, c.max);
+                        let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::signed(v, 2));
+                        let _ = write!(out, " {mean} [{min}, {max}] |");
                     }
                     None => {
                         let _ = write!(out, " – |");
@@ -137,7 +233,7 @@ impl FigureReport {
             .fold(1e-9, f64::max);
         let mut out = String::new();
         let _ = writeln!(out, "{} — {}", self.id, self.title);
-        let _ = writeln!(out, "({}; axis spans ±{scale:.2})\n", self.value_label);
+        let _ = writeln!(out, "({}; axis spans ±{})\n", self.value_label, Fixed::new(scale, 2));
         for s in &self.series {
             let _ = writeln!(out, "{}", s.label);
             for c in &s.classes {
@@ -148,14 +244,9 @@ impl FigureReport {
                 } else {
                     (format!("{}{}", " ".repeat(HALF - n), "█".repeat(n)), " ".repeat(HALF))
                 };
-                let _ = writeln!(
-                    out,
-                    "  {:<10} {neg}|{pos} {:+.2} [{:+.2}, {:+.2}]",
-                    c.class.label(),
-                    c.mean,
-                    c.min,
-                    c.max
-                );
+                let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::signed(v, 2));
+                let _ =
+                    writeln!(out, "  {:<10} {neg}|{pos} {mean} [{min}, {max}]", c.class.label());
             }
             let _ = writeln!(out);
         }
@@ -167,11 +258,8 @@ impl FigureReport {
         let mut out = String::from("series,class,mean,min,max\n");
         for s in &self.series {
             for c in &s.classes {
-                let _ = writeln!(
-                    out,
-                    "{},{},{:.4},{:.4},{:.4}",
-                    s.label, c.class, c.mean, c.min, c.max
-                );
+                let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::new(v, 4));
+                let _ = writeln!(out, "{},{},{mean},{min},{max}", s.label, c.class);
             }
         }
         out
@@ -288,6 +376,86 @@ impl TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// SplitMix64: a seeded stream for the renderer's comparison.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One value of the comparison, drawn from the class `i % 7`.
+    fn fixed_probe(i: u64, state: &mut u64) -> f64 {
+        let r = splitmix(state);
+        let sign = r & 1 << 63;
+        let nudge =
+            |x: f64, by: u64| f64::from_bits(x.to_bits().wrapping_add(by % 7).wrapping_sub(3));
+        match i % 7 {
+            // Any bit pattern: mostly tiny or huge.
+            0 => f64::from_bits(r),
+            // Magnitudes 2^-30 .. 2^50, every mantissa bit random.
+            1 => f64::from_bits(sign | (993 + (r >> 52 & 0x7f) % 81) << 52 | r & ((1 << 52) - 1)),
+            // Exact ties at every decimal count: k/2, k/4, ..., k/32.
+            2 => {
+                let k = (r >> 8) % (1 << 40) + (r >> 48) % 3 * 999_999_999_000_000;
+                let x = (k >> (r & 7)) as f64 / f64::from(1u32 << (1 + (r >> 3) % 5));
+                f64::from_bits(x.to_bits() | sign)
+            }
+            // ±0 and subnormals.
+            3 => f64::from_bits(sign | (r % (1 << 52)) >> (r >> 52 & 63)),
+            // Either side of 1e15.
+            4 => f64::from_bits(sign | 1e15f64.to_bits().wrapping_add(r % 2001).wrapping_sub(1000)),
+            // A few ulps from a rounding boundary j.5 / 10^d.
+            5 => {
+                let d = (r >> 8) % 5;
+                let j = ((r >> 16) % 1_000_000_000) >> (r >> 46 & 15);
+                nudge((j as f64 + 0.5) / [1.0, 1e1, 1e2, 1e3, 1e4][d as usize], r >> 56)
+            }
+            // NaN (any payload) and ±∞.
+            _ => [f64::from_bits(r | 0x7ff8 << 48), f64::INFINITY, f64::NEG_INFINITY]
+                [(r % 3) as usize],
+        }
+    }
+
+    #[test]
+    fn fixed_renders_byte_for_byte_as_std() {
+        for (x, expect) in [(0.125, "0.12"), (0.375, "0.38"), (-0.001, "-0.00"), (2.5, "2.50")] {
+            assert_eq!(Fixed::new(x, 2).to_string(), expect);
+        }
+        assert_eq!(Fixed::signed(0.0, 2).to_string(), "+0.00");
+        assert_eq!(Fixed::new(-0.0, 0).to_string(), "-0");
+        assert_eq!(Fixed::new(0.5, 0).to_string(), "0");
+        assert_eq!(Fixed::signed(-1e300, 1).to_string(), format!("{:+.1}", -1e300));
+        assert_eq!(Fixed::new(1.0, 5).to_string(), "1.00000");
+        let mut state = 0x5eed_f1ed;
+        let (mut ours, mut std) = (String::new(), String::new());
+        for i in 0..1_000_000 {
+            let x = fixed_probe(i, &mut state);
+            for decimals in 0..=Fixed::MAX_DECIMALS {
+                for plus in [false, true] {
+                    let fixed = Fixed { x, decimals, plus };
+                    // Std renders these itself, at hundreds of digits
+                    // each; it is enough that they never reach the
+                    // integer path.
+                    if x.abs() >= 1e17 {
+                        assert!(fixed.exact(&mut [0; 24]).is_none(), "{x:e}");
+                        continue;
+                    }
+                    ours.clear();
+                    std.clear();
+                    let _ = write!(ours, "{fixed}");
+                    let _ = if plus {
+                        write!(std, "{x:+.decimals$}")
+                    } else {
+                        write!(std, "{x:.decimals$}")
+                    };
+                    assert_eq!(ours, std, "{x:e} (bits {:#x}) {fixed:?}", x.to_bits());
+                }
+            }
+        }
+    }
 
     #[test]
     fn class_stat_aggregates() {

@@ -26,7 +26,7 @@ use crate::router::{Router, RouterConfig};
 use rvhpc_cluster::{curve_from_json, curve_to_json, scaling_curve, ClusterPoint};
 use rvhpc_cluster::{NetworkKind, ScalingMode};
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::Precision;
 use rvhpc_serve::bench::{req_bool, req_count, req_f64};
 use rvhpc_serve::loadgen::{query_pool, reply_bits, LoadgenReport};
@@ -635,7 +635,7 @@ fn run_phases(
     // Belt and braces: re-derive one weak point against the raw model so
     // a broken scaling_curve cannot silently agree with itself.
     let sanity = !weak.is_empty() && {
-        let m = machine(MachineId::Sg2042);
+        let m = catalog(MachineId::Sg2042);
         weak[0].nodes == cfg.nodes[0] && weak[0].seconds.is_finite() && m.n_cores() > 0
     };
     let cluster = ClusterReport {

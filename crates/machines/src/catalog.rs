@@ -8,10 +8,44 @@ use crate::memory::MemorySystem;
 use crate::topology::Topology;
 use crate::vector::VectorIsa;
 use crate::Machine;
+use std::sync::OnceLock;
 
-/// Look up a machine descriptor by id.
+/// The process-wide descriptor for `id`.
+///
+/// All eight descriptors are built and validated once, on the first call,
+/// in every build profile; a descriptor that fails [`Machine::validate`]
+/// panics there. Every later call returns the same `&'static` entry, so
+/// callers that only read a descriptor borrow it instead of building one.
+pub fn catalog(id: MachineId) -> &'static Machine {
+    static CATALOG: OnceLock<Vec<Machine>> = OnceLock::new();
+    let entries = CATALOG.get_or_init(|| {
+        ids()
+            .enumerate()
+            .map(|(i, id)| {
+                let m = build(id);
+                assert_eq!(m.id as usize, i, "entries are indexed by discriminant");
+                m.validate().unwrap_or_else(|e| panic!("machine catalog: {e}"));
+                m
+            })
+            .collect()
+    });
+    &entries[id as usize]
+}
+
+/// An owned copy of the catalog descriptor for `id`, for callers that
+/// perturb it; readers borrow [`catalog`] instead.
 pub fn machine(id: MachineId) -> Machine {
-    let m = match id {
+    catalog(id).clone()
+}
+
+/// Every identifier, in discriminant order: the paper's machines and then
+/// the what-if machine.
+fn ids() -> impl Iterator<Item = MachineId> {
+    MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen])
+}
+
+fn build(id: MachineId) -> Machine {
+    match id {
         MachineId::Sg2042 => sg2042(),
         MachineId::VisionFiveV1 => visionfive_v1(),
         MachineId::VisionFiveV2 => visionfive_v2(),
@@ -20,30 +54,28 @@ pub fn machine(id: MachineId) -> Machine {
         MachineId::IntelIcelake => intel_icelake(),
         MachineId::IntelSandybridge => intel_sandybridge(),
         MachineId::Sg2042NextGen => sg2042_next_gen(),
-    };
-    debug_assert!(m.validate().is_ok(), "{:?}", m.validate());
-    m
+    }
 }
 
 /// All machines in paper order.
-pub fn all_machines() -> Vec<Machine> {
-    MachineId::ALL.into_iter().map(machine).collect()
+pub fn all_machines() -> Vec<&'static Machine> {
+    MachineId::ALL.into_iter().map(catalog).collect()
 }
 
 /// The three RISC-V machines (Section 3.1).
-pub fn riscv_machines() -> Vec<Machine> {
-    MachineId::ALL.into_iter().filter(|m| m.is_riscv()).map(machine).collect()
+pub fn riscv_machines() -> Vec<&'static Machine> {
+    MachineId::ALL.into_iter().filter(|m| m.is_riscv()).map(catalog).collect()
 }
 
 /// The four x86 machines (Table 4).
-pub fn x86_machines() -> Vec<Machine> {
-    MachineId::ALL.into_iter().filter(|m| m.is_x86()).map(machine).collect()
+pub fn x86_machines() -> Vec<&'static Machine> {
+    MachineId::ALL.into_iter().filter(|m| m.is_x86()).map(catalog).collect()
 }
 
 /// Sophon SG2042: 64 × XuanTie C920 @ 2 GHz, RVV v0.7.1 (128-bit, no FP64
 /// vectors), 64 KB L1D per core, 1 MB L2 per 4-core cluster, 64 MB package
 /// L3, four DDR4-3200 controllers (one per NUMA region).
-pub fn sg2042() -> Machine {
+fn sg2042() -> Machine {
     Machine {
         id: MachineId::Sg2042,
         name: "Sophon SG2042".into(),
@@ -70,7 +102,7 @@ pub fn sg2042() -> Machine {
 /// region would also likely deliver significant performance advantages".
 /// Same 64-core/4-region floorplan and clock; 256-bit RVV v1.0 with FP64,
 /// 128 KB L1D, two DDR4-3200 controllers per region.
-pub fn sg2042_next_gen() -> Machine {
+fn sg2042_next_gen() -> Machine {
     let mut m = sg2042();
     m.id = MachineId::Sg2042NextGen;
     m.name = "SG2042 next-gen (what-if)".into();
@@ -110,7 +142,7 @@ pub fn sg2042_next_gen() -> Machine {
 /// LPDDR4 path is modelled at a fraction of the JH7110's bandwidth with much
 /// higher latency, which is also consistent with the JH7100's known
 /// non-coherent L2/DMA design.
-pub fn visionfive_v1() -> Machine {
+fn visionfive_v1() -> Machine {
     Machine {
         id: MachineId::VisionFiveV1,
         name: "StarFive VisionFive V1".into(),
@@ -128,7 +160,7 @@ pub fn visionfive_v1() -> Machine {
 }
 
 /// StarFive VisionFive V2 (JH7110): 4 × SiFive U74 @ 1.5 GHz, no RVV.
-pub fn visionfive_v2() -> Machine {
+fn visionfive_v2() -> Machine {
     Machine {
         id: MachineId::VisionFiveV2,
         name: "StarFive VisionFive V2".into(),
@@ -148,7 +180,7 @@ pub fn visionfive_v2() -> Machine {
 /// AMD Rome EPYC 7742 (ARCHER2): 64 Zen 2 cores @ 2.25 GHz, AVX2, four NUMA
 /// regions of 16 cores (NPS4), eight DDR4-3200 controllers, 16 MB L3 per
 /// 4-core CCX.
-pub fn amd_rome() -> Machine {
+fn amd_rome() -> Machine {
     Machine {
         id: MachineId::AmdRome,
         name: "AMD Rome".into(),
@@ -168,7 +200,7 @@ pub fn amd_rome() -> Machine {
 
 /// Intel Broadwell Xeon E5-2695 (Cirrus): 18 cores @ 2.1 GHz, AVX2, single
 /// NUMA region, four DDR4-2400 controllers, 45 MB shared L3.
-pub fn intel_broadwell() -> Machine {
+fn intel_broadwell() -> Machine {
     Machine {
         id: MachineId::IntelBroadwell,
         name: "Intel Broadwell".into(),
@@ -191,7 +223,7 @@ pub fn intel_broadwell() -> Machine {
 /// Intel Icelake Xeon 6330: 28 cores @ 2.0 GHz, AVX-512, single NUMA region,
 /// eight DDR4-2933 controllers, 1.25 MB L2 per core (modelled 1 MB), 42 MB
 /// shared L3 (modelled 32 MB for well-formed set indexing).
-pub fn intel_icelake() -> Machine {
+fn intel_icelake() -> Machine {
     Machine {
         id: MachineId::IntelIcelake,
         name: "Intel Icelake".into(),
@@ -211,7 +243,7 @@ pub fn intel_icelake() -> Machine {
 
 /// Intel Sandybridge Xeon E5-2609 (2012): 4 cores @ 2.4 GHz, AVX (no FMA),
 /// 10 MB shared L3 (modelled 8 MB), four DDR3-1066 controllers.
-pub fn intel_sandybridge() -> Machine {
+fn intel_sandybridge() -> Machine {
     Machine {
         id: MachineId::IntelSandybridge,
         name: "Intel Sandybridge".into(),
@@ -232,6 +264,27 @@ pub fn intel_sandybridge() -> Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_id_has_one_validated_entry_shared_across_threads() {
+        let addrs = || ids().map(|id| catalog(id) as *const Machine as usize).collect::<Vec<_>>();
+        let here = addrs();
+        assert_eq!(here.len(), 8);
+        let seen: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|_| s.spawn(addrs)).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (i, id) in ids().enumerate() {
+            let entry = catalog(id);
+            assert_eq!(entry.id, id);
+            assert!(std::ptr::eq(entry, catalog(id)), "{id:?}: one entry per id");
+            assert!(seen.iter().all(|s| s[i] == here[i]), "{id:?}: every thread sees one entry");
+            entry.validate().unwrap_or_else(|e| panic!("{e}"));
+            let text = format!("{entry:?}");
+            assert_eq!(format!("{:?}", machine(id)), text, "{id:?}");
+            assert_eq!(format!("{:?}", build(id)), text, "{id:?}");
+        }
+    }
 
     #[test]
     fn table4_matches_paper() {

@@ -34,7 +34,7 @@ pub mod vector;
 mod proptests;
 
 pub use cache::{CacheLevel, CacheSharing};
-pub use catalog::{all_machines, machine, riscv_machines, x86_machines};
+pub use catalog::{all_machines, catalog, machine, riscv_machines, x86_machines};
 pub use core_model::CoreModel;
 pub use ids::MachineId;
 pub use memory::MemorySystem;
@@ -123,8 +123,8 @@ impl Machine {
         }
     }
 
-    /// Run a structural sanity check; used by tests and at catalog
-    /// construction time in debug builds.
+    /// Run a structural sanity check; used by tests and when the catalog
+    /// is built ([`catalog()`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.clock_ghz <= 0.0 {
             return Err(format!("{}: non-positive clock", self.name));

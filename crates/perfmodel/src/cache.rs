@@ -56,9 +56,12 @@
 //! [`RowEnv`], so a batch's queries that share a row share its placement.
 //!
 //! **Contract:** keys use [`MachineId`], not the descriptor contents, so
-//! callers must pass catalog descriptors (`rvhpc_machines::machine`). Code
-//! that perturbs a descriptor in place — the metamorphic verify oracles —
-//! must use the uncached [`crate::estimate()`] family instead.
+//! callers must pass catalog descriptors: borrow them from
+//! `rvhpc_machines::catalog`, which holds one process-wide descriptor per
+//! id (`rvhpc_machines::machine` clones an entry for a caller that needs
+//! to own one). Code that perturbs a descriptor — the metamorphic verify
+//! oracles, the server's submitted machines — must use the uncached
+//! [`crate::estimate()`] family instead.
 
 use crate::config::{Precision, RunConfig, Toolchain};
 use crate::estimate::TimeEstimate;

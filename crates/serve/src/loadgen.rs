@@ -17,7 +17,7 @@
 
 use crate::frame::LineConn;
 use rvhpc_kernels::KernelName;
-use rvhpc_machines::{machine, MachineId};
+use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::{estimate_cached, Precision, RunConfig};
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
@@ -640,7 +640,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     // local estimate_cached call exactly.
     for (pool_idx, bits) in &replies {
         let t = pool[*pool_idx];
-        let est = estimate_cached(&machine(t.machine), t.kernel, &t.run_config());
+        let est = estimate_cached(catalog(t.machine), t.kernel, &t.run_config());
         let local: EstimateBits = [
             est.seconds.to_bits(),
             est.compute_seconds.to_bits(),

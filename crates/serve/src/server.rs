@@ -29,7 +29,7 @@ use crate::protocol::{
 };
 use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
-use rvhpc_machines::{machine, Machine, MachineId};
+use rvhpc_machines::{catalog, machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
 use rvhpc_perfmodel::{cache, estimate_batch, explain, RowEnv, RunConfig};
 use rvhpc_trace::json::Json;
@@ -653,7 +653,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
     let mut drain_after = false;
     let reply = match request {
         Request::Explain { machine: m, kernel, cfg } => {
-            let ex = explain(&machine(m), kernel, &cfg);
+            let ex = explain(catalog(m), kernel, &cfg);
             ok_response(&id, op, ex.to_json())
         }
         Request::Suite { machine: m, cfg, class } => {
@@ -773,15 +773,11 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
             bw_per_controller_gbs,
         } => {
             let mut descriptor = machine(m);
-            if let Some(clock) = clock_ghz {
-                descriptor.clock_ghz = clock;
-            }
-            if let Some(n) = memory_controllers {
-                descriptor.memory.controllers = n;
-            }
-            if let Some(bw) = bw_per_controller_gbs {
-                descriptor.memory.bw_per_controller_gbs = bw;
-            }
+            descriptor.clock_ghz = clock_ghz.unwrap_or(descriptor.clock_ghz);
+            let memory = &mut descriptor.memory;
+            memory.controllers = memory_controllers.unwrap_or(memory.controllers);
+            memory.bw_per_controller_gbs =
+                bw_per_controller_gbs.unwrap_or(memory.bw_per_controller_gbs);
             let findings = lint_machine(&descriptor);
             let result = Json::obj(vec![
                 ("machine", Json::str(m.token())),
@@ -905,8 +901,7 @@ fn admit(shared: &Arc<Shared>, item: WorkItem) {
 
 /// One suite row, class-filtered, answered as one [`estimate_batch`].
 fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) -> Json {
-    let descriptor = machine(m);
-    let row = RowEnv::new(&descriptor, cfg);
+    let row = RowEnv::new(catalog(m), cfg);
     let queries: Vec<(&RowEnv, KernelName)> = KernelName::ALL
         .into_iter()
         .filter(|k| class.is_none_or(|c| k.class() == c))
@@ -984,11 +979,9 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     let _span = rvhpc_trace::span!("serve.batch", size = size);
 
     // Expired deadlines are cancelled unexecuted; item i of the rest is
-    // query i of one cache batch and gets result i. Each names its machine
-    // by an index into `descriptors`, one per distinct machine in the
-    // batch. `exec_start` closes the batch-window stage for every item.
-    let mut live: Vec<(usize, WorkItem)> = Vec::with_capacity(batch.len());
-    let mut descriptors: Vec<Machine> = Vec::new();
+    // query i of one cache batch and gets result i. `exec_start` closes
+    // the batch-window stage for every item.
+    let mut live: Vec<WorkItem> = Vec::with_capacity(batch.len());
     let exec_start = Instant::now();
     for item in batch {
         shared.stages.queue_wait.record_us(us(item.popped - item.admitted));
@@ -1002,11 +995,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
             ));
             continue;
         }
-        let d = descriptors.iter().position(|m| m.id == item.machine).unwrap_or_else(|| {
-            descriptors.push(machine(item.machine));
-            descriptors.len() - 1
-        });
-        live.push((d, item));
+        live.push(item);
     }
     if live.is_empty() {
         return;
@@ -1014,14 +1003,14 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
 
     let compute_start = Instant::now();
     let rows: Vec<RowEnv> =
-        live.iter().map(|(d, item)| RowEnv::new(&descriptors[*d], &item.cfg)).collect();
+        live.iter().map(|item| RowEnv::new(catalog(item.machine), &item.cfg)).collect();
     let queries: Vec<(&RowEnv, KernelName)> =
-        rows.iter().zip(&live).map(|(row, (_, item))| (row, item.kernel)).collect();
+        rows.iter().zip(&live).map(|(row, item)| (row, item.kernel)).collect();
     let results = estimate_batch(&queries);
     // The batch computes as one step, so every member shares the same
     // compute-stage duration (that *is* the latency the batch added).
     let compute_us = us(compute_start.elapsed());
-    for ((_, item), est) in live.iter().zip(&results) {
+    for (item, est) in live.iter().zip(&results) {
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
         let send_start = Instant::now();
         item.writer.send_line(&ok_response(&item.id, "estimate", estimate_json(est)));

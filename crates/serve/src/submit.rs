@@ -41,6 +41,9 @@ pub const FUEL_MARGIN: u64 = 64;
 /// Default server-side fuel ceiling (the `--max-fuel` default).
 pub const DEFAULT_MAX_FUEL: u64 = 10_000_000;
 
+/// The most findings a rejection lists, in order; a capped one's message states the total.
+pub const MAX_LISTED_FINDINGS: usize = 64;
+
 /// An admitted, executable kernel artifact.
 #[derive(Debug, Clone)]
 pub struct KernelArtifact {
@@ -66,7 +69,7 @@ pub struct Rejection {
     pub reason: &'static str,
     /// Human summary.
     pub message: String,
-    /// Lint findings, when the reason is lint-shaped.
+    /// Lint findings, when the reason is lint-shaped ([`MAX_LISTED_FINDINGS`] at most).
     pub findings: Vec<Diagnostic>,
 }
 
@@ -75,8 +78,13 @@ impl Rejection {
         Rejection { reason, message: message.into(), findings: Vec::new() }
     }
 
-    fn lint(reason: &'static str, message: impl Into<String>, findings: Vec<Diagnostic>) -> Self {
-        Rejection { reason, message: message.into(), findings }
+    fn lint(reason: &'static str, mut message: String, mut findings: Vec<Diagnostic>) -> Self {
+        let total = findings.len();
+        if total > MAX_LISTED_FINDINGS {
+            message = format!("{message} ({MAX_LISTED_FINDINGS} of {total} findings listed)");
+            findings.truncate(MAX_LISTED_FINDINGS);
+        }
+        Rejection { reason, message, findings }
     }
 
     /// The response payload of a rejected submission.
@@ -129,8 +137,9 @@ pub fn admit_kernel(
     let (program, map, dialect) = parse_either_dialect(asm)?;
     let env = match env_text {
         None => KernelEnv::default_streaming(),
-        Some(text) => parse_env(text)
-            .map_err(|findings| Rejection::lint("bad_env", "submission env rejected", findings))?,
+        Some(text) => parse_env(text).map_err(|findings| {
+            Rejection::lint("bad_env", "submission env rejected".into(), findings)
+        })?,
     };
     if program.len_insts() > MAX_SUBMIT_INSTS {
         return Err(Rejection::new(

@@ -17,7 +17,7 @@
 
 use crate::{drive, Fault, OracleReport, VerifyConfig};
 use rvhpc_kernels::{workload, KernelName};
-use rvhpc_machines::{machine, MachineId, PlacementPolicy};
+use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{
     calibration, estimate, estimate_with, explain, Precision, RunConfig, Toolchain,
 };
@@ -125,10 +125,10 @@ fn finite_nonneg(label: &str, v: f64, case: &ModelCase) -> Result<(), String> {
 
 /// Check one case: every metamorphic property of the model.
 pub fn check(case: &ModelCase, _fault: Fault) -> Result<(), String> {
-    let m = machine(case.machine);
+    let m = catalog(case.machine);
     let cfg = case.config();
 
-    let est = estimate(&m, case.kernel, &cfg);
+    let est = estimate(m, case.kernel, &cfg);
     finite_nonneg("seconds", est.seconds, case)?;
     finite_nonneg("compute_seconds", est.compute_seconds, case)?;
     finite_nonneg("memory_seconds", est.memory_seconds, case)?;
@@ -138,7 +138,7 @@ pub fn check(case: &ModelCase, _fault: Fault) -> Result<(), String> {
     }
 
     // explain is an attribution of the same estimate, not a second model.
-    let ex = explain(&m, case.kernel, &cfg);
+    let ex = explain(m, case.kernel, &cfg);
     if ex.estimate.seconds != est.seconds {
         return Err(format!(
             "explain embeds a different estimate: {} vs {} for {}",
@@ -195,7 +195,7 @@ pub fn check(case: &ModelCase, _fault: Fault) -> Result<(), String> {
     }
     let mut no_queue = calibration(case.machine);
     no_queue.queue_sensitivity = 0.0;
-    let base_nq = estimate_with(&m, case.kernel, &cfg, &no_queue);
+    let base_nq = estimate_with(m, case.kernel, &cfg, &no_queue);
     let clock_nq = estimate_with(&faster, case.kernel, &cfg, &no_queue);
     if clock_nq.seconds > base_nq.seconds * slack {
         return Err(format!(
@@ -222,7 +222,7 @@ pub fn check(case: &ModelCase, _fault: Fault) -> Result<(), String> {
     if case.threads * 2 <= 64 {
         let mut cfg2 = cfg;
         cfg2.threads = case.threads * 2;
-        let est2 = estimate(&m, case.kernel, &cfg2);
+        let est2 = estimate(m, case.kernel, &cfg2);
         if est2.compute_seconds > est.compute_seconds * slack {
             return Err(format!(
                 "doubling threads raised compute time: {} -> {} s for {}",

@@ -10,7 +10,9 @@
 //! * the artifact registry is bounded: past `REGISTRY_CAP` entries the
 //!   oldest artifact is evicted and further lookups of it fail loudly.
 
+use rvhpc_serve::protocol::MAX_LINE_BYTES;
 use rvhpc_serve::server::REGISTRY_CAP;
+use rvhpc_serve::submit::MAX_LISTED_FINDINGS;
 use rvhpc_serve::{ServeConfig, Server};
 use rvhpc_trace::json::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -156,6 +158,42 @@ fn dirty_kernel_is_rejected_before_any_execution() {
     assert_eq!(stat(&s, "kernel_runs"), 0.0, "rejected before execution");
     assert_eq!(stat(&s, "rejected_submissions"), 1.0);
     assert_eq!(stat(&s, "submitted_kernels"), 0.0);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn a_rejection_lists_a_capped_prefix_of_its_findings_and_counts_them_all() {
+    // A 64 KiB line of one v0.7.1 `vsetvli` and 3 442 `vfadd.vv` draws
+    // tens of thousands of findings.
+    let asm = format!("vsetvli x0,x0,e64,m8\n{}", "vfadd.vv v1,v2,v3\n".repeat(3442));
+    let line =
+        Json::obj(vec![("op", Json::str("submit_kernel")), ("asm", Json::str(&asm))]).render();
+    assert!(line.len() <= MAX_LINE_BYTES && line.len() > MAX_LINE_BYTES - 512, "{}", line.len());
+    let server = start();
+    let (mut stream, mut reader) = connect(&server);
+
+    let reply = ask_raw(&mut stream, &mut reader, &line);
+    assert!(
+        reply.len() < 2 * line.len(),
+        "a {} byte reply to a {} byte line",
+        reply.len(),
+        line.len()
+    );
+    let verdict = Json::parse(&reply).expect("valid JSON").get("result").cloned().expect("result");
+    assert_eq!(verdict.get("reason").and_then(Json::as_str), Some("lint_findings"));
+    let Some(Json::Arr(findings)) = verdict.get("findings") else {
+        panic!("structured findings expected: {reply}");
+    };
+    assert_eq!(findings.len(), MAX_LISTED_FINDINGS);
+    // "<total> finding(s), first: … (<cap> of <total> findings listed)"
+    let message = verdict.get("message").and_then(Json::as_str).expect("message");
+    let total: usize = message.split(' ').next().and_then(|n| n.parse().ok()).expect(message);
+    assert!(total >= 3442, "{message}");
+    assert!(
+        message.ends_with(&format!(" ({MAX_LISTED_FINDINGS} of {total} findings listed)")),
+        "{message}"
+    );
     server.shutdown();
     server.join();
 }
