@@ -11,11 +11,15 @@ cargo test -q --workspace
 # misses, placements and (zero) pool regions, the estimate cache's and
 # the persistent store's unit tests and the pinned artefact digests, so a
 # result that depended on the host's CPU count would show here.
+# `warm_row_dispatch` and `experiments_under_a_model` both assert the cache
+# counter deltas of whole paper passes: the paper model's, and an edited
+# model's, which must leave the counters alone.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines
     taskset -c 0 cargo test -q -p rvhpc \
-        --test row_placement_resolves --test warm_row_dispatch --test golden_artefacts \
+        --test row_placement_resolves --test warm_row_dispatch \
+        --test experiments_under_a_model --test golden_artefacts \
         --test cache_dir_env_cli --test store_key_derivations
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
     # The estimate cache stays invisible at any capacity: one entry evicts

@@ -9,7 +9,7 @@ use crate::collectives::{allreduce_seconds, halo_exchange_seconds};
 use crate::network::Network;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{catalog, MachineId};
-use rvhpc_perfmodel::{calibration, estimate_sized, sim_size, Precision, RunConfig};
+use rvhpc_perfmodel::{sim_size, Model, Precision, RowEnv, RunConfig};
 use rvhpc_trace::json::Json;
 
 /// Weak or strong scaling.
@@ -135,17 +135,17 @@ pub fn scaling_curve(
     nodes_list: &[u32],
 ) -> Vec<ClusterPoint> {
     let m = catalog(node);
-    let cal = calibration(node);
     let threads = m.n_cores();
     let cfg = if node.is_riscv() {
         RunConfig::sg2042_best(precision, threads)
     } else {
         RunConfig::x86(precision, threads)
     };
+    let row = RowEnv::new(Model::paper(), m, &cfg);
     let base_size = sim_size(kernel);
     let elem_bytes = f64::from(precision.bytes());
 
-    let single = estimate_sized(m, kernel, &cfg, &cal, base_size).seconds;
+    let single = row.estimate_sized(kernel, base_size).seconds;
     nodes_list
         .iter()
         .map(|&nodes| {
@@ -153,7 +153,7 @@ pub fn scaling_curve(
                 ScalingMode::Weak => base_size,
                 ScalingMode::Strong => (base_size / nodes as usize).max(64),
             };
-            let compute = estimate_sized(m, kernel, &cfg, &cal, local_size).seconds;
+            let compute = row.estimate_sized(kernel, local_size).seconds;
             let (faces, face_bytes, needs_allreduce) = comm_shape(kernel, local_size, elem_bytes);
             let mut comm = 0.0;
             if nodes > 1 {

@@ -526,8 +526,7 @@ impl Conn {
 
 /// Every machine token, for error messages.
 pub fn machine_tokens() -> String {
-    let all = MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]);
-    all.map(MachineId::token).collect::<Vec<_>>().join(", ")
+    MachineId::CATALOG.map(MachineId::token).join(", ")
 }
 
 /// A machine named on the command line (case-insensitive); exit 2 naming

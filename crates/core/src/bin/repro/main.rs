@@ -9,7 +9,7 @@ use rvhpc::experiments::driver::{self, Artefact};
 use rvhpc::experiments::{fig1, next_gen, x86};
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::{catalog, MachineId};
-use rvhpc::perfmodel::{Precision, RunConfig};
+use rvhpc::perfmodel::{Model, Precision, RunConfig};
 use rvhpc_trace::json::Json;
 use std::env;
 use std::io::Write as _;
@@ -80,8 +80,8 @@ fn run_command(cmd: &str, positional: &[&str], format: Format) {
         // The driver's `nextgen` entry is FP64-only (the batch's shape);
         // the standalone command keeps showing both precisions.
         "nextgen" => {
-            emit_fig(next_gen::run(Precision::Fp64), format);
-            emit_fig(next_gen::run(Precision::Fp32), format);
+            emit_fig(next_gen::run(Model::paper(), Precision::Fp64), format);
+            emit_fig(next_gen::run(Model::paper(), Precision::Fp32), format);
         }
         "machines" => emit_table(rvhpc::inspect::machines_table(), format),
         "kernel" => {
@@ -1112,7 +1112,7 @@ fn calibrate() {
 
     // Section 3.1 / conclusions: C920 vs U74 (V2) single-core.
     for (p, lo, hi) in [(Precision::Fp64, 4.3, 6.5), (Precision::Fp32, 5.6, 11.8)] {
-        let ratios = fig1::speedup_ratios(MachineId::Sg2042, p);
+        let ratios = fig1::speedup_ratios(Model::paper(), MachineId::Sg2042, p);
         let mut per_class: Vec<(KernelClass, f64)> = KernelClass::ALL
             .into_iter()
             .map(|c| {
@@ -1135,7 +1135,7 @@ fn calibrate() {
     // Conclusions: x86 vs SG2042 single core.
     println!("\nx86 vs SG2042 single core (paper: FP32 Rome 3x, Broadwell 4x, Icelake 4x, SNB 2x;");
     println!("                            FP64 Rome 4x, Broadwell 4x, Icelake 5x, SNB 1.2x)");
-    for (fig, label) in [(x86::fig5(), "FP32"), (x86::fig4(), "FP64")] {
+    for (fig, label) in [(x86::fig5(Model::paper()), "FP32"), (x86::fig4(Model::paper()), "FP64")] {
         print!("  {label}: ");
         for s in &fig.series {
             print!("{} {:+.1} | ", s.label, s.overall_mean());
@@ -1146,7 +1146,7 @@ fn calibrate() {
     // Conclusions: multithreaded.
     println!("\nx86 vs SG2042 multithreaded (paper: FP32 Rome 8x, Broadwell 6x, Icelake 6x;");
     println!("                              FP64 Rome 5x, Broadwell 4x, Icelake 8x; SNB loses)");
-    for (fig, label) in [(x86::fig7(), "FP32"), (x86::fig6(), "FP64")] {
+    for (fig, label) in [(x86::fig7(Model::paper()), "FP32"), (x86::fig6(Model::paper()), "FP64")] {
         print!("  {label}: ");
         for s in &fig.series {
             print!("{} {:+.1} | ", s.label, s.overall_mean());

@@ -7,11 +7,13 @@
 //! experiment estimates through the cross-sweep cache, on the calling
 //! thread, running the batch end-to-end makes
 //! exactly one pass over each unique `(machine, kernel, config)` triple —
-//! later experiments are served the earlier experiments' estimates.
+//! later experiments are served the earlier experiments' estimates. Under
+//! any model but [`Model::paper`] ([`Experiment::run_under`]) nothing is
+//! cached.
 
 use super::{fig1, fig2, fig3, next_gen, scaling, x86};
 use crate::report::{FigureReport, TableReport};
-use rvhpc_perfmodel::Precision;
+use rvhpc_perfmodel::{Model, Precision};
 
 /// A regenerated artefact: the paper has bar-chart figures and tables.
 pub enum Artefact {
@@ -27,14 +29,19 @@ pub struct Experiment {
     pub name: &'static str,
     /// One-line description for listings.
     pub title: &'static str,
-    run: fn() -> Artefact,
+    run: fn(&Model) -> Artefact,
 }
 
 impl Experiment {
-    /// Regenerate this experiment's artefact.
+    /// Regenerate this experiment's artefact under [`Model::paper`].
     pub fn run(&self) -> Artefact {
+        self.run_under(Model::paper())
+    }
+
+    /// Regenerate this experiment's artefact under `model`.
+    pub fn run_under(&self, model: &Model) -> Artefact {
         let _span = rvhpc_trace::span!("core.experiment", name = self.name);
-        (self.run)()
+        (self.run)(model)
     }
 }
 
@@ -44,72 +51,62 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "fig1",
         title: "single-core RISC-V comparison",
-        run: || Artefact::Figure(fig1::run()),
+        run: |m| Artefact::Figure(fig1::run(m)),
     },
     Experiment {
         name: "table1",
         title: "block placement scaling (FP32)",
-        run: || {
-            Artefact::Table(scaling::table1().report("Table 1", "block placement scaling (FP32)"))
-        },
+        run: |m| Artefact::Table(scaling::table1(m).report()),
     },
     Experiment {
         name: "table2",
         title: "NUMA-cyclic placement scaling (FP32)",
-        run: || {
-            Artefact::Table(
-                scaling::table2().report("Table 2", "NUMA-cyclic placement scaling (FP32)"),
-            )
-        },
+        run: |m| Artefact::Table(scaling::table2(m).report()),
     },
     Experiment {
         name: "table3",
         title: "cluster-cyclic placement scaling (FP32)",
-        run: || {
-            Artefact::Table(
-                scaling::table3().report("Table 3", "cluster-cyclic placement scaling (FP32)"),
-            )
-        },
+        run: |m| Artefact::Table(scaling::table3(m).report()),
     },
     Experiment {
         name: "fig2",
         title: "vectorisation speedup",
-        run: || Artefact::Figure(fig2::run()),
+        run: |m| Artefact::Figure(fig2::run(m)),
     },
     Experiment {
         name: "fig3",
         title: "VLA/VLS compiler comparison",
-        run: || Artefact::Table(fig3::report()),
+        run: |m| Artefact::Table(fig3::report(m)),
     },
     Experiment {
         name: "table4",
         title: "x86 CPU inventory",
-        run: || Artefact::Table(x86::table4()),
+        run: |_| Artefact::Table(x86::table4()),
     },
     Experiment {
         name: "fig4",
         title: "FP64 single-core vs x86",
-        run: || Artefact::Figure(x86::fig4()),
+        run: |m| Artefact::Figure(x86::fig4(m)),
     },
     Experiment {
         name: "fig5",
         title: "FP32 single-core vs x86",
-        run: || Artefact::Figure(x86::fig5()),
+        run: |m| Artefact::Figure(x86::fig5(m)),
     },
     Experiment {
         name: "fig6",
         title: "FP64 multithreaded vs x86",
-        run: || Artefact::Figure(x86::fig6()),
+        run: |m| Artefact::Figure(x86::fig6(m)),
     },
     Experiment {
         name: "fig7",
         title: "FP32 multithreaded vs x86",
-        run: || Artefact::Figure(x86::fig7()),
+        run: |m| Artefact::Figure(x86::fig7(m)),
     },
     Experiment {
         name: "nextgen",
         title: "the conclusion's what-if machine (FP64)",
-        run: || Artefact::Figure(next_gen::run(Precision::Fp64)),
+        run: |m| Artefact::Figure(next_gen::run(m, Precision::Fp64)),
     },
 ];
 

@@ -5,32 +5,33 @@ use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{suite_seconds, times_faster};
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{catalog, MachineId};
-use rvhpc_perfmodel::{Precision, RunConfig};
+use rvhpc_perfmodel::{Model, Precision, RunConfig};
 use std::collections::HashMap;
 
-/// Per-kernel vector-on vs vector-off ratio at one precision.
-pub fn vectorisation_ratios(precision: Precision) -> HashMap<KernelName, f64> {
-    KernelName::ALL.into_iter().zip(ratios(precision)).collect()
+/// Per-kernel vector-on vs vector-off ratio at one precision under
+/// `model`.
+pub fn vectorisation_ratios(model: &Model, precision: Precision) -> HashMap<KernelName, f64> {
+    KernelName::ALL.into_iter().zip(ratios(model, precision)).collect()
 }
 
 /// [`vectorisation_ratios`] in `KernelName::ALL` order.
-fn ratios(precision: Precision) -> Vec<f64> {
+fn ratios(model: &Model, precision: Precision) -> Vec<f64> {
     let m = catalog(MachineId::Sg2042);
-    let on = suite_seconds(m, &RunConfig::sg2042_best(precision, 1));
+    let on = suite_seconds(model, m, &RunConfig::sg2042_best(precision, 1));
     let mut off_cfg = RunConfig::sg2042_best(precision, 1);
     off_cfg.vectorize = false;
-    let off = suite_seconds(m, &off_cfg);
+    let off = suite_seconds(model, m, &off_cfg);
     on.iter().zip(&off).map(|(on, off)| off / on).collect()
 }
 
-fn series(label: &str, precision: Precision) -> SeriesStat {
+/// Regenerate Figure 2 under `model`.
+pub fn run(model: &Model) -> FigureReport {
     // times_faster with the scalar run as baseline.
-    let faster: Vec<f64> = ratios(precision).into_iter().map(|r| times_faster(r, 1.0)).collect();
-    SeriesStat::from_kernel_values(label, &faster)
-}
-
-/// Regenerate Figure 2.
-pub fn run() -> FigureReport {
+    let series = |label: &str, precision| {
+        let faster: Vec<f64> =
+            ratios(model, precision).into_iter().map(|r| times_faster(r, 1.0)).collect();
+        SeriesStat::from_kernel_values(label, &faster)
+    };
     FigureReport {
         id: "Figure 2".into(),
         title: "Maximum single core speedup for each benchmark class when enabling \
@@ -48,7 +49,7 @@ mod tests {
 
     #[test]
     fn fp32_benefits_exceed_fp64_everywhere() {
-        let fig = run();
+        let fig = run(Model::paper());
         let fp32 = &fig.series[0];
         let fp64 = &fig.series[1];
         assert!(fp32.overall_mean() > fp64.overall_mean());
@@ -57,7 +58,7 @@ mod tests {
     #[test]
     fn fp64_vectorisation_is_marginal() {
         // "enabling vectorisation for FP64 delivers very marginal benefit".
-        let fig = run();
+        let fig = run(Model::paper());
         let fp64 = fig.series.iter().find(|s| s.label == "FP64").unwrap();
         for c in &fp64.classes {
             assert!(c.mean < 0.5, "{}: FP64 vector mean {} should be near zero", c.class, c.mean);
@@ -68,7 +69,7 @@ mod tests {
     fn basic_fp64_average_is_lifted_by_reduce3_int() {
         // "Some benefit of FP64 vectorisation with the basic class can be
         //  observed, but it is just one kernel which operates on integers".
-        let ratios = vectorisation_ratios(Precision::Fp64);
+        let ratios = vectorisation_ratios(Model::paper(), Precision::Fp64);
         let int_gain = ratios[&KernelName::REDUCE3_INT];
         assert!(int_gain > 1.2, "REDUCE3_INT must vectorise at FP64: {int_gain}");
         for k in KernelName::in_class(KernelClass::Basic) {
@@ -87,7 +88,7 @@ mod tests {
         // "the stream class ... demonstrated by far the largest average
         //  improvement when enabling vectorisation" (GCC vectorises all its
         //  kernels).
-        let fig = run();
+        let fig = run(Model::paper());
         let fp32 = fig.series.iter().find(|s| s.label == "FP32").unwrap();
         let stream = fp32.class(KernelClass::Stream).unwrap().mean;
         for c in &fp32.classes {
@@ -102,7 +103,7 @@ mod tests {
         // Paper: some kernels run slower vectorised, but "the overhead of
         // even the worst performing kernels tends to be small".
         for p in [Precision::Fp32, Precision::Fp64] {
-            for (k, r) in vectorisation_ratios(p) {
+            for (k, r) in vectorisation_ratios(Model::paper(), p) {
                 assert!(r > 0.7, "{k} at {p:?}: vector/scalar ratio {r}");
             }
         }

@@ -6,7 +6,7 @@ use crate::suite::times_faster;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{estimate_batch, Precision, RowEnv, RunConfig, Toolchain};
+use rvhpc_perfmodel::{estimate_batch, Model, Precision, RowEnv, RunConfig, Toolchain};
 
 /// The Polybench kernels the paper plots in Figure 3.
 pub const FIG3_KERNELS: [KernelName; 12] = [
@@ -46,12 +46,12 @@ fn cfg(toolchain: Toolchain, mode: VectorMode) -> RunConfig {
     }
 }
 
-/// Regenerate Figure 3's data: three single-core rows of the twelve
-/// kernels, each answered through the estimate cache's batch path.
-pub fn run() -> Vec<Fig3Point> {
+/// Regenerate Figure 3's data under `model`: three single-core rows of the
+/// twelve kernels, each answered through the estimate cache's batch path.
+pub fn run(model: &Model) -> Vec<Fig3Point> {
     let m = catalog(MachineId::Sg2042);
     let row = |toolchain, mode| {
-        let env = RowEnv::new(m, &cfg(toolchain, mode));
+        let env = RowEnv::new(model, m, &cfg(toolchain, mode));
         estimate_batch(&FIG3_KERNELS.map(|k| (&env, k)))
     };
     let gcc = row(Toolchain::XuanTieGcc, VectorMode::Vls);
@@ -68,15 +68,15 @@ pub fn run() -> Vec<Fig3Point> {
         .collect()
 }
 
-/// Render the Figure 3 data as a table report.
-pub fn report() -> TableReport {
+/// Render the Figure 3 data under `model` as a table report.
+pub fn report(model: &Model) -> TableReport {
     TableReport {
         id: "Figure 3".into(),
         title: "Clang VLA and VLS single core comparison against using GCC for \
                 selected Polybench kernels in FP32"
             .into(),
         headers: vec!["kernel".into(), "Clang VLA vs GCC".into(), "Clang VLS vs GCC".into()],
-        rows: run()
+        rows: run(model)
             .into_iter()
             .map(|p| {
                 vec![
@@ -94,7 +94,7 @@ mod tests {
     use super::*;
 
     fn point(kernel: KernelName) -> Fig3Point {
-        run().into_iter().find(|p| p.kernel == kernel).unwrap()
+        run(Model::paper()).into_iter().find(|p| p.kernel == kernel).unwrap()
     }
 
     #[test]
@@ -122,13 +122,13 @@ mod tests {
     #[test]
     fn vls_tends_to_beat_vla() {
         // "VLS tends to outperform VLA on the C920".
-        let pts = run();
+        let pts = run(Model::paper());
         let wins = pts.iter().filter(|p| p.clang_vls >= p.clang_vla).count();
         assert!(wins * 2 > pts.len(), "VLS should win for most kernels: {wins}/{}", pts.len());
     }
 
     #[test]
     fn report_has_one_row_per_kernel() {
-        assert_eq!(report().rows.len(), FIG3_KERNELS.len());
+        assert_eq!(report(Model::paper()).rows.len(), FIG3_KERNELS.len());
     }
 }

@@ -10,7 +10,7 @@ use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_compiler::VectorMode;
 use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
+use rvhpc_perfmodel::{Model, Precision, RunConfig, Toolchain};
 
 /// Configuration for the what-if machine: mainline Clang targeting RVV
 /// v1.0 natively (no rollback needed), cluster placement.
@@ -26,9 +26,9 @@ fn ng_config(precision: Precision, threads: usize) -> RunConfig {
 }
 
 /// The what-if comparison: SG2042-NG and the x86 parts, baselined against
-/// today's SG2042, multithreaded, at a given precision.
-pub fn run(precision: Precision) -> FigureReport {
-    let base = sg2042_times(precision, true);
+/// today's SG2042, multithreaded, at a given precision, under `model`.
+pub fn run(model: &Model, precision: Precision) -> FigureReport {
+    let base = sg2042_times(model, precision, true);
     let series_of = |label: &str, times: &[f64]| {
         SeriesStat::from_kernel_values(label, &times_faster_each(&base, times))
     };
@@ -37,13 +37,13 @@ pub fn run(precision: Precision) -> FigureReport {
     // The what-if machine at its best thread count.
     let ng = catalog(MachineId::Sg2042NextGen);
     let best = fastest_of(
-        &suite_seconds(ng, &ng_config(precision, 32)),
-        &suite_seconds(ng, &ng_config(precision, 64)),
+        &suite_seconds(model, ng, &ng_config(precision, 32)),
+        &suite_seconds(model, ng, &ng_config(precision, 64)),
     );
     series.push(series_of("SG2042-NG (what-if)", &best));
     for id in [MachineId::AmdRome, MachineId::IntelIcelake] {
         let m = catalog(id);
-        let times = suite_seconds(m, &RunConfig::x86(precision, m.n_cores()));
+        let times = suite_seconds(model, m, &RunConfig::x86(precision, m.n_cores()));
         series.push(series_of(&m.name, &times));
     }
 
@@ -65,7 +65,7 @@ mod tests {
 
     #[test]
     fn next_gen_improves_on_todays_part_everywhere() {
-        let fig = run(Precision::Fp64);
+        let fig = run(Model::paper(), Precision::Fp64);
         let ng = &fig.series[0];
         for c in &ng.classes {
             assert!(c.mean > 0.0, "{}: next-gen must beat today's SG2042, got {}", c.class, c.mean);
@@ -76,8 +76,8 @@ mod tests {
     fn fp64_gains_more_than_fp32() {
         // FP64 vectorisation is the headline addition, so the what-if part
         // gains more at FP64 (where today's C920 runs scalar) than at FP32.
-        let fp64 = run(Precision::Fp64).series[0].overall_mean();
-        let fp32 = run(Precision::Fp32).series[0].overall_mean();
+        let fp64 = run(Model::paper(), Precision::Fp64).series[0].overall_mean();
+        let fp32 = run(Model::paper(), Precision::Fp32).series[0].overall_mean();
         assert!(fp64 > fp32, "fp64 gain {fp64} vs fp32 gain {fp32}");
     }
 
@@ -87,7 +87,7 @@ mod tests {
         // back a large multiple over today's part (FP64 vectors + memory
         // fixes), yet the per-core compute gap to Zen 2 remains — the
         // redesign narrows the x86 gap without closing it.
-        let fig = run(Precision::Fp64);
+        let fig = run(Model::paper(), Precision::Fp64);
         let ng = fig.series[0].overall_mean();
         let rome = fig.series[1].overall_mean();
         assert!(ng > 1.0, "wishlist must at least double performance: {ng}");

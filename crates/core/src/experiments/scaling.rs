@@ -6,7 +6,7 @@ use crate::suite::suite_seconds;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelClass;
 use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{Precision, RunConfig, Toolchain};
+use rvhpc_perfmodel::{Model, Precision, RunConfig, Toolchain};
 
 /// Thread counts the paper sweeps.
 pub const THREADS: [usize; 6] = [2, 4, 8, 16, 32, 64];
@@ -41,12 +41,12 @@ fn cfg(policy: PlacementPolicy, threads: usize) -> RunConfig {
     }
 }
 
-/// Compute a scaling table for one policy.
-pub fn run(policy: PlacementPolicy) -> ScalingTable {
+/// Compute a scaling table for one policy under `model`.
+pub fn run(model: &Model, policy: PlacementPolicy) -> ScalingTable {
     let m = catalog(MachineId::Sg2042);
-    let t1 = suite_seconds(m, &cfg(policy, 1));
+    let t1 = suite_seconds(model, m, &cfg(policy, 1));
     let cells = THREADS.map(|threads| {
-        let times = suite_seconds(m, &cfg(policy, threads));
+        let times = suite_seconds(model, m, &cfg(policy, threads));
         let speedups: Vec<f64> = t1.iter().zip(&times).map(|(one, t)| one / t).collect();
         let classes = ClassStat::per_class(&speedups);
         std::array::from_fn(|c| {
@@ -65,9 +65,16 @@ impl ScalingTable {
         self.cells[t][c]
     }
 
-    /// Render in the paper's layout: one row per thread count, speedup and
-    /// PE columns per class.
-    pub fn report(&self, id: &str, title: &str) -> TableReport {
+    /// Render as the paper's table of this policy: one row per thread
+    /// count, speedup and PE columns per class.
+    pub fn report(&self) -> TableReport {
+        let (id, title) = match self.policy {
+            PlacementPolicy::Block => ("Table 1", "block placement scaling (FP32)"),
+            PlacementPolicy::NumaCyclic => ("Table 2", "NUMA-cyclic placement scaling (FP32)"),
+            PlacementPolicy::ClusterCyclic => {
+                ("Table 3", "cluster-cyclic placement scaling (FP32)")
+            }
+        };
         let mut headers = vec!["Threads".to_string()];
         for class in KernelClass::ALL {
             headers.push(format!("{class} speedup"));
@@ -90,18 +97,18 @@ impl ScalingTable {
 }
 
 /// Table 1: block placement.
-pub fn table1() -> ScalingTable {
-    run(PlacementPolicy::Block)
+pub fn table1(model: &Model) -> ScalingTable {
+    run(model, PlacementPolicy::Block)
 }
 
 /// Table 2: NUMA-cyclic placement.
-pub fn table2() -> ScalingTable {
-    run(PlacementPolicy::NumaCyclic)
+pub fn table2(model: &Model) -> ScalingTable {
+    run(model, PlacementPolicy::NumaCyclic)
 }
 
 /// Table 3: cluster-aware cyclic placement.
-pub fn table3() -> ScalingTable {
-    run(PlacementPolicy::ClusterCyclic)
+pub fn table3(model: &Model) -> ScalingTable {
+    run(model, PlacementPolicy::ClusterCyclic)
 }
 
 #[cfg(test)]
@@ -112,7 +119,7 @@ mod tests {
     fn polybench_scales_best() {
         // Paper Table 2: polybench reaches PE ≈ 0.9 at 64 threads while
         // stream collapses.
-        let t = table2();
+        let t = table2(Model::paper());
         let poly = t.cell(64, KernelClass::Polybench);
         let stream = t.cell(64, KernelClass::Stream);
         assert!(poly.speedup > 3.0 * stream.speedup, "poly {poly:?} stream {stream:?}");
@@ -121,8 +128,8 @@ mod tests {
 
     #[test]
     fn cyclic_beats_block_at_32_threads() {
-        let block = table1();
-        let cyclic = table2();
+        let block = table1(Model::paper());
+        let cyclic = table2(Model::paper());
         let mut wins = 0;
         for class in KernelClass::ALL {
             if cyclic.cell(32, class).speedup > block.cell(32, class).speedup {
@@ -136,8 +143,8 @@ mod tests {
     fn cluster_beats_cyclic_up_to_32_threads() {
         // Paper: "up to and including 32 threads such a policy delivers a
         // noticeable improvement compared to the previous cyclic policy".
-        let cyclic = table2();
-        let cluster = table3();
+        let cyclic = table2(Model::paper());
+        let cluster = table3(Model::paper());
         for threads in [8usize, 16, 32] {
             let mut wins = 0;
             for class in KernelClass::ALL {
@@ -154,7 +161,7 @@ mod tests {
     #[test]
     fn block_placement_stream_collapses_at_32() {
         // Paper Table 1: stream speedup 4.31 @16 drops to 0.82 @32.
-        let t = table1();
+        let t = table1(Model::paper());
         let s16 = t.cell(16, KernelClass::Stream).speedup;
         let s32 = t.cell(32, KernelClass::Stream).speedup;
         assert!(s32 < s16, "block stream scaling must collapse: {s16} → {s32}");
@@ -162,7 +169,7 @@ mod tests {
 
     #[test]
     fn efficiency_equals_speedup_over_threads() {
-        let t = table3();
+        let t = table3(Model::paper());
         for threads in THREADS {
             for class in KernelClass::ALL {
                 let c = t.cell(threads, class);
@@ -173,7 +180,7 @@ mod tests {
 
     #[test]
     fn report_shape_matches_paper_tables() {
-        let r = table1().report("Table 1", "block placement");
+        let r = table1(Model::paper()).report();
         assert_eq!(r.headers.len(), 13, "threads + 6 × (speedup, PE)");
         assert_eq!(r.rows.len(), THREADS.len());
     }

@@ -3,7 +3,7 @@
 use crate::report::{FigureReport, SeriesStat, TableReport};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_machines::{catalog, x86_machines, MachineId};
-use rvhpc_perfmodel::{Precision, RunConfig};
+use rvhpc_perfmodel::{Model, Precision, RunConfig};
 
 /// Table 4: the x86 CPU inventory, straight from the machine descriptors.
 pub fn table4() -> TableReport {
@@ -35,75 +35,59 @@ pub fn table4() -> TableReport {
 /// Per-kernel SG2042 baseline times (best config), in `KernelName::ALL`
 /// order, at a precision and thread count ("best" multithreaded = min
 /// over 32/64 threads, as the paper found 32 better for some classes).
-pub(crate) fn sg2042_times(precision: Precision, multithreaded: bool) -> Vec<f64> {
+pub(crate) fn sg2042_times(model: &Model, precision: Precision, multithreaded: bool) -> Vec<f64> {
     let m = catalog(MachineId::Sg2042);
+    let at = |threads| suite_seconds(model, m, &RunConfig::sg2042_best(precision, threads));
     if multithreaded {
-        fastest_of(
-            &suite_seconds(m, &RunConfig::sg2042_best(precision, 32)),
-            &suite_seconds(m, &RunConfig::sg2042_best(precision, 64)),
-        )
+        fastest_of(&at(32), &at(64))
     } else {
-        suite_seconds(m, &RunConfig::sg2042_best(precision, 1))
+        at(1)
     }
 }
 
-fn comparison(id: &str, title: &str, precision: Precision, multithreaded: bool) -> FigureReport {
-    let base = sg2042_times(precision, multithreaded);
+/// Figure `figure`: every x86 machine, single-core or at all of its cores,
+/// against the SG2042 baseline at one precision.
+fn comparison(model: &Model, figure: u8, precision: Precision, mt: bool) -> FigureReport {
+    let base = sg2042_times(model, precision, mt);
     let series = x86_machines()
         .into_iter()
         .map(|m| {
-            let threads = if multithreaded { m.n_cores() } else { 1 };
-            let times = suite_seconds(m, &RunConfig::x86(precision, threads));
+            let threads = if mt { m.n_cores() } else { 1 };
+            let times = suite_seconds(model, m, &RunConfig::x86(precision, threads));
             SeriesStat::from_kernel_values(&m.name, &times_faster_each(&base, &times))
         })
         .collect();
     FigureReport {
-        id: id.into(),
-        title: title.into(),
+        id: format!("Figure {figure}"),
+        title: format!(
+            "{} {} comparison against x86, baselined to SG2042",
+            precision.label().to_uppercase(),
+            if mt { "multithreaded" } else { "single core" }
+        ),
         value_label: "times faster (+) or slower (−) than the SG2042 baseline".into(),
         series,
     }
 }
 
 /// Figure 4: FP64 single-core comparison.
-pub fn fig4() -> FigureReport {
-    comparison(
-        "Figure 4",
-        "FP64 single core comparison against x86, baselined to SG2042",
-        Precision::Fp64,
-        false,
-    )
+pub fn fig4(model: &Model) -> FigureReport {
+    comparison(model, 4, Precision::Fp64, false)
 }
 
 /// Figure 5: FP32 single-core comparison.
-pub fn fig5() -> FigureReport {
-    comparison(
-        "Figure 5",
-        "FP32 single core comparison against x86, baselined to SG2042",
-        Precision::Fp32,
-        false,
-    )
+pub fn fig5(model: &Model) -> FigureReport {
+    comparison(model, 5, Precision::Fp32, false)
 }
 
 /// Figure 6: FP64 multithreaded comparison (each machine at its best
 /// thread count).
-pub fn fig6() -> FigureReport {
-    comparison(
-        "Figure 6",
-        "FP64 multithreaded comparison against x86, baselined to SG2042",
-        Precision::Fp64,
-        true,
-    )
+pub fn fig6(model: &Model) -> FigureReport {
+    comparison(model, 6, Precision::Fp64, true)
 }
 
 /// Figure 7: FP32 multithreaded comparison.
-pub fn fig7() -> FigureReport {
-    comparison(
-        "Figure 7",
-        "FP32 multithreaded comparison against x86, baselined to SG2042",
-        Precision::Fp32,
-        true,
-    )
+pub fn fig7(model: &Model) -> FigureReport {
+    comparison(model, 7, Precision::Fp32, true)
 }
 
 #[cfg(test)]
@@ -130,7 +114,7 @@ mod tests {
 
     #[test]
     fn fig4_modern_x86_beats_sg2042_single_core_fp64() {
-        let fig = fig4();
+        let fig = fig4(Model::paper());
         for name in ["Rome", "Broadwell", "Icelake"] {
             let s = series(&fig, name);
             assert!(
@@ -145,7 +129,7 @@ mod tests {
     fn fig4_sandybridge_loses_stream_and_algorithm() {
         // Paper: "the Sandybridge core ... on average performs slower for
         // stream and algorithm benchmark classes".
-        let fig = fig4();
+        let fig = fig4(Model::paper());
         let snb = series(&fig, "Sandybridge");
         assert!(snb.class(KernelClass::Stream).unwrap().mean < 0.0);
         assert!(snb.class(KernelClass::Algorithm).unwrap().mean < 0.0);
@@ -157,10 +141,10 @@ mod tests {
         // single precision compared to double, whereas the Intel processors
         // on average perform just as well". We assert the relative version:
         // Rome's FP32-over-FP64 improvement trails Icelake's.
-        let rome_delta =
-            series(&fig5(), "Rome").overall_mean() - series(&fig4(), "Rome").overall_mean();
-        let icx_delta =
-            series(&fig5(), "Icelake").overall_mean() - series(&fig4(), "Icelake").overall_mean();
+        let rome_delta = series(&fig5(Model::paper()), "Rome").overall_mean()
+            - series(&fig4(Model::paper()), "Rome").overall_mean();
+        let icx_delta = series(&fig5(Model::paper()), "Icelake").overall_mean()
+            - series(&fig4(Model::paper()), "Icelake").overall_mean();
         assert!(
             rome_delta < icx_delta + 0.1,
             "Rome Δ{rome_delta} should not exceed Icelake Δ{icx_delta}"
@@ -170,7 +154,7 @@ mod tests {
     #[test]
     fn fig6_sg2042_beats_sandybridge_multithreaded() {
         // 64 C920 cores vs 4 Sandybridge cores.
-        let fig = fig6();
+        let fig = fig6(Model::paper());
         let snb = series(&fig, "Sandybridge");
         for c in &snb.classes {
             assert!(c.mean < 0.0, "{}: SNB should lose multithreaded: {}", c.class, c.mean);
@@ -179,7 +163,7 @@ mod tests {
 
     #[test]
     fn fig6_modern_x86_still_wins_multithreaded() {
-        let fig = fig6();
+        let fig = fig6(Model::paper());
         for name in ["Rome", "Broadwell", "Icelake"] {
             let s = series(&fig, name);
             assert!(s.overall_mean() > 0.5, "{name}: {}", s.overall_mean());
@@ -188,7 +172,7 @@ mod tests {
 
     #[test]
     fn fig7_exists_with_all_series() {
-        let fig = fig7();
+        let fig = fig7(Model::paper());
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             assert_eq!(s.classes.len(), 6);

@@ -10,7 +10,7 @@ use rvhpc_rvv::Sew;
 
 /// The full machine inventory (paper machines plus the what-if part).
 pub fn machines_table() -> TableReport {
-    let ids = MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]);
+    let ids = MachineId::CATALOG.into_iter();
     TableReport {
         id: "Machines".into(),
         title: "Modelled machine inventory".into(),

@@ -25,8 +25,9 @@
 //!
 //! ```
 //! use rvhpc::experiments::fig1;
+//! use rvhpc::perfmodel::Model;
 //!
-//! let fig = fig1::run();
+//! let fig = fig1::run(Model::paper());
 //! // The headline numbers of the paper's Section 3.1:
 //! let sg_fp64 = fig.series.iter().find(|s| s.label.contains("SG2042 FP64")).unwrap();
 //! assert!(sg_fp64.classes.iter().all(|c| c.mean > 0.0), "C920 beats the U74 everywhere");

@@ -2,7 +2,7 @@
 
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::Machine;
-use rvhpc_perfmodel::{estimate_batch, RowEnv, RunConfig, TimeEstimate};
+use rvhpc_perfmodel::{estimate_batch, Model, RowEnv, RunConfig, TimeEstimate};
 
 /// One kernel's simulated time under one configuration.
 #[derive(Debug, Clone)]
@@ -15,36 +15,37 @@ pub struct KernelTime {
     pub estimate: TimeEstimate,
 }
 
-/// Run the whole 64-kernel suite on a simulated machine.
+/// Run the whole 64-kernel suite on a simulated machine under `model`.
 ///
 /// The row goes through [`estimate_batch`], the cross-sweep cache's batch
 /// path ([`rvhpc_perfmodel::cache`]), whose store is keyed by suite row:
-/// every kernel already cached is answered under one map lock and one map
-/// probe for the whole row, and only the misses are estimated, one after
-/// another on the calling thread. So repeated configurations are computed
-/// once per process, no row dispatches to a thread pool, and all 64
-/// kernels share one [`RowEnv`], whose thread placement is resolved at
-/// most once, and not at all when every kernel hits the cache. Results
-/// come back in `KernelName::ALL` order and are bit-identical to a plain
-/// uncached loop: the estimator is pure, and the cache state cannot change
-/// a value.
-pub fn suite_times(machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
+/// under [`Model::paper`] every kernel already cached is answered under
+/// one map lock and one map probe for the whole row, and only the misses
+/// are estimated, one after another on the calling thread. So repeated
+/// configurations are computed once per process, no row dispatches to a
+/// thread pool, and all 64 kernels share one [`RowEnv`], whose thread
+/// placement is resolved at most once, and not at all when every kernel
+/// hits the cache. Under any other model every kernel is estimated and
+/// nothing is cached. Results come back in `KernelName::ALL` order and are
+/// bit-identical to a plain uncached loop: the estimator is pure, and the
+/// cache state cannot change a value.
+pub fn suite_times(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<KernelTime> {
     KernelName::ALL
         .into_iter()
-        .zip(suite_row(machine, cfg))
+        .zip(suite_row(model, machine, cfg))
         .map(|(kernel, estimate)| KernelTime { kernel, class: kernel.class(), estimate })
         .collect()
 }
 
 /// Each kernel's [`suite_times`] seconds, in `KernelName::ALL` order: the
 /// form the experiments aggregate by position.
-pub fn suite_seconds(machine: &Machine, cfg: &RunConfig) -> Vec<f64> {
-    suite_row(machine, cfg).iter().map(|e| e.seconds).collect()
+pub fn suite_seconds(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<f64> {
+    suite_row(model, machine, cfg).iter().map(|e| e.seconds).collect()
 }
 
-fn suite_row(machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstimate> {
+fn suite_row(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstimate> {
     let _span = rvhpc_trace::span!("core.suite_times", machine = machine.id.token());
-    let row = RowEnv::new(machine, cfg);
+    let row = RowEnv::new(model, machine, cfg);
     estimate_batch(&KernelName::ALL.map(|k| (&row, k)))
 }
 
@@ -99,7 +100,7 @@ mod tests {
     #[test]
     fn suite_covers_all_64_kernels() {
         let m = machine(MachineId::Sg2042);
-        let times = suite_times(&m, &RunConfig::sg2042_best(Precision::Fp32, 1));
+        let times = suite_times(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp32, 1));
         assert_eq!(times.len(), 64);
         assert!(times.iter().all(|t| t.estimate.seconds > 0.0));
     }
@@ -126,8 +127,8 @@ mod tests {
             // Cold pass (other tests may have warmed the cache — clear it),
             // then a warm pass served from the cache.
             rvhpc_perfmodel::cache::clear();
-            let cold = suite_times(&m, &cfg);
-            let warm = suite_times(&m, &cfg);
+            let cold = suite_times(Model::paper(), &m, &cfg);
+            let warm = suite_times(Model::paper(), &m, &cfg);
             for ((s, c), w) in serial.iter().zip(&cold).zip(&warm) {
                 assert_eq!(c.kernel, w.kernel, "order must be KernelName::ALL");
                 assert_bit_identical(s, &c.estimate, &format!("{id}/{} cold", c.kernel));

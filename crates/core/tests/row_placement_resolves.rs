@@ -4,7 +4,7 @@
 
 use rvhpc::experiments::driver::EXPERIMENTS;
 use rvhpc::machines::{machine, MachineId};
-use rvhpc::perfmodel::{cache, persist, Precision, RunConfig};
+use rvhpc::perfmodel::{cache, persist, Model, Precision, RunConfig};
 use rvhpc::suite_times;
 
 fn resolves() -> u64 {
@@ -27,10 +27,10 @@ fn cold_rows_resolve_once_and_warm_rows_never() {
     for (id, cfg) in rows {
         let m = machine(id);
         let before = resolves();
-        let cold = suite_times(&m, &cfg);
+        let cold = suite_times(Model::paper(), &m, &cfg);
         assert_eq!(resolves() - before, 1, "cold {id} {cfg:?}: one resolve per row");
         let before = resolves();
-        let warm = suite_times(&m, &cfg);
+        let warm = suite_times(Model::paper(), &m, &cfg);
         assert_eq!(resolves() - before, 0, "warm {id} {cfg:?}: an all-hit row resolves nothing");
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(c.estimate.seconds.to_bits(), w.estimate.seconds.to_bits());

@@ -9,7 +9,7 @@
 use rvhpc::experiments::driver::EXPERIMENTS;
 use rvhpc::kernels::KernelName;
 use rvhpc::machines::{machine, MachineId};
-use rvhpc::perfmodel::{cache, estimate_cached, persist, Precision, RunConfig};
+use rvhpc::perfmodel::{cache, estimate_cached, persist, Model, Precision, RunConfig};
 use rvhpc::suite_times;
 use std::sync::atomic::Ordering;
 
@@ -37,11 +37,11 @@ fn warm_rows_dispatch_nothing_and_pass_counts_hold() {
     for (id, cfg) in rows {
         let m = machine(id);
         let before = counts();
-        let _ = suite_times(&m, &cfg);
+        let _ = suite_times(Model::paper(), &m, &cfg);
         let (regions, hits, misses) = since(before);
         assert_eq!((regions, hits, misses), (0, 0, 64), "cold {id}: 64 misses, no pool region");
         let before = counts();
-        let _ = suite_times(&m, &cfg);
+        let _ = suite_times(Model::paper(), &m, &cfg);
         assert_eq!(since(before), (0, 64, 0), "warm {id}: one lookup, no pool region");
     }
 
@@ -52,7 +52,7 @@ fn warm_rows_dispatch_nothing_and_pass_counts_hold() {
         let _ = estimate_cached(&sg, kernel, &cfg);
     }
     let before = counts();
-    let _ = suite_times(&sg, &cfg);
+    let _ = suite_times(Model::paper(), &sg, &cfg);
     assert_eq!(since(before), (0, 63, 1), "one miss, no pool region");
 
     // One paper batch pass, cold then warm: the per-pass counts the

@@ -19,7 +19,8 @@ use std::sync::OnceLock;
 pub fn catalog(id: MachineId) -> &'static Machine {
     static CATALOG: OnceLock<Vec<Machine>> = OnceLock::new();
     let entries = CATALOG.get_or_init(|| {
-        ids()
+        MachineId::CATALOG
+            .into_iter()
             .enumerate()
             .map(|(i, id)| {
                 let m = build(id);
@@ -36,12 +37,6 @@ pub fn catalog(id: MachineId) -> &'static Machine {
 /// perturb it; readers borrow [`catalog`] instead.
 pub fn machine(id: MachineId) -> Machine {
     catalog(id).clone()
-}
-
-/// Every identifier, in discriminant order: the paper's machines and then
-/// the what-if machine.
-fn ids() -> impl Iterator<Item = MachineId> {
-    MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen])
 }
 
 fn build(id: MachineId) -> Machine {
@@ -267,14 +262,14 @@ mod tests {
 
     #[test]
     fn every_id_has_one_validated_entry_shared_across_threads() {
-        let addrs = || ids().map(|id| catalog(id) as *const Machine as usize).collect::<Vec<_>>();
+        let addrs = || MachineId::CATALOG.map(|id| catalog(id) as *const Machine as usize);
         let here = addrs();
         assert_eq!(here.len(), 8);
-        let seen: Vec<Vec<usize>> = std::thread::scope(|s| {
+        let seen: Vec<[usize; 8]> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..4).map(|_| s.spawn(addrs)).collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
-        for (i, id) in ids().enumerate() {
+        for (i, id) in MachineId::CATALOG.into_iter().enumerate() {
             let entry = catalog(id);
             assert_eq!(entry.id, id);
             assert!(std::ptr::eq(entry, catalog(id)), "{id:?}: one entry per id");

@@ -42,6 +42,19 @@ impl MachineId {
         MachineId::IntelSandybridge,
     ];
 
+    /// Every identifier the catalog holds, in discriminant order:
+    /// [`MachineId::ALL`] and then the what-if machine.
+    pub const CATALOG: [MachineId; 8] = [
+        MachineId::Sg2042,
+        MachineId::VisionFiveV1,
+        MachineId::VisionFiveV2,
+        MachineId::AmdRome,
+        MachineId::IntelBroadwell,
+        MachineId::IntelIcelake,
+        MachineId::IntelSandybridge,
+        MachineId::Sg2042NextGen,
+    ];
+
     /// True for the RISC-V machines.
     pub fn is_riscv(self) -> bool {
         matches!(
@@ -75,7 +88,7 @@ impl MachineId {
     /// Parse a command line token back into an identifier (the what-if
     /// machine included).
     pub fn from_token(tok: &str) -> Option<MachineId> {
-        MachineId::ALL.into_iter().chain([MachineId::Sg2042NextGen]).find(|m| m.token() == tok)
+        MachineId::CATALOG.into_iter().find(|m| m.token() == tok)
     }
 }
 

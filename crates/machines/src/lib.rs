@@ -87,12 +87,6 @@ impl Machine {
         self.caches.iter().max_by_key(|c| c.level)
     }
 
-    /// Peak scalar floating point operations per second for one core,
-    /// ignoring vectorisation: clock × FP pipes.
-    pub fn peak_scalar_flops_per_core(&self) -> f64 {
-        self.clock_ghz * 1e9 * self.core.fp_units as f64
-    }
-
     /// Peak DRAM bandwidth of the whole package in bytes/second.
     pub fn peak_dram_bandwidth(&self) -> f64 {
         self.memory.controllers as f64 * self.memory.bw_per_controller_gbs * 1e9

@@ -153,11 +153,6 @@ impl Placement {
     pub fn max_threads_per_cluster(&self) -> usize {
         self.threads_per_cluster.iter().copied().max().unwrap_or(0)
     }
-
-    /// Largest number of threads in one NUMA region.
-    pub fn max_threads_per_region(&self) -> usize {
-        self.threads_per_region.iter().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

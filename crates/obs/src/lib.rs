@@ -14,7 +14,7 @@
 //!   ([`ShardedHist`], bucket math in [`hist`]) with 1s/10s/60s sliding
 //!   windows ([`WindowRing`]) for rates and percentiles.
 //! * [`gauge!`] — point-in-time gauges (queue depth, in-flight batches,
-//!   worksteal backlog, cache occupancy), also through a cached handle.
+//!   cache occupancy), also through a cached handle.
 //! * [`slo`] — a process-wide [`SloTracker`] counting requests against a
 //!   latency SLO and tail-sampling breaching requests with full per-stage
 //!   breakdowns ([`SlowRequest`]).

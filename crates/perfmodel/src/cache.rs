@@ -55,14 +55,17 @@
 //! An estimate resolves the thread placement only on the first miss of its
 //! [`RowEnv`], so a batch's queries that share a row share its placement.
 //!
-//! **Contract:** keys use [`MachineId`], not the descriptor contents, so
-//! callers must pass catalog descriptors: borrow them from
-//! `rvhpc_machines::catalog`, which holds one process-wide descriptor per
-//! id (`rvhpc_machines::machine` clones an entry for a caller that needs
-//! to own one). Code that perturbs a descriptor — the metamorphic verify
-//! oracles, the server's submitted machines — must use the uncached
-//! [`crate::estimate()`] family instead.
+//! **Contract:** the cache holds [`Model::paper`]'s estimates only, and
+//! checks it: [`estimate_batch`] answers a row under any other model, told
+//! apart by the model's address, with the row's own estimate, touching no
+//! map, counter or store. Keys use [`MachineId`], not the descriptor
+//! contents, so callers must pass catalog descriptors: borrow them from
+//! `rvhpc_machines::catalog` (`rvhpc_machines::machine` clones an entry for
+//! a caller that needs to own one). Code that perturbs a descriptor — the
+//! metamorphic verify oracles, the server's submitted machines — must use
+//! the uncached [`crate::estimate_averaged`] family instead.
 
+use crate::calibration::Model;
 use crate::config::{Precision, RunConfig, Toolchain};
 use crate::estimate::TimeEstimate;
 use crate::persist;
@@ -441,19 +444,38 @@ pub fn clear() {
 /// Many kernels under one configuration go as one batch over one
 /// [`RowEnv`], which resolves the placement once per row.
 pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    estimate_batch(&[(&RowEnv::new(machine, cfg), kernel)])[0]
+    estimate_batch(&[(&RowEnv::new(Model::paper(), machine, cfg), kernel)])[0]
 }
 
-/// Every query of a batch through the cache, in query order. The hits are
-/// answered under one map lock, one map probe per run of consecutive
-/// queries from the same row, and count on `perfmodel.estimate_cache.hit`,
-/// as does a repeat of an earlier miss's row key and kernel. Only the
-/// first misses go on, to the persistent store when it is on (one store
-/// lock for the batch) and then to the estimate, through the row's lazy
-/// placement, on the calling thread, and are inserted under one more map
-/// lock. A batch without misses touches neither the store nor any row's
-/// placement. Bit-identical to estimating each query on its own.
+/// Every query of a batch, in query order; bit-identical to estimating
+/// each query on its own. A query under any model but [`Model::paper`] is
+/// answered by its own row and touches no map, counter or store. The rest
+/// go through the cache: the hits are answered under one map lock, one map
+/// probe per run of consecutive queries from the same row, and count on
+/// `perfmodel.estimate_cache.hit`, as does a repeat of an earlier miss's
+/// row key and kernel. Only the first misses go on, to the persistent store
+/// when it is on (one store lock for the batch) and then to the estimate,
+/// through the row's lazy placement, on the calling thread, and are
+/// inserted under one more map lock. A batch without misses touches
+/// neither the store nor any row's placement.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
+    let paper = Model::paper();
+    let cached = |&(row, _): &(&RowEnv, KernelName)| std::ptr::eq(row.model(), paper);
+    if queries.iter().all(cached) {
+        return paper_batch(queries);
+    }
+    let paper_queries: Vec<_> = queries.iter().copied().filter(cached).collect();
+    let mut answers = paper_batch(&paper_queries).into_iter().peekable();
+    // A paper query takes the next cached answer; any other is estimated.
+    let answer = |q| answers.next_if(|_| cached(q)).unwrap_or_else(|| q.0.estimate_averaged(q.1));
+    queries.iter().map(answer).collect()
+}
+
+/// The paper model's queries of an [`estimate_batch`].
+fn paper_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
+    if queries.is_empty() {
+        return Vec::new();
+    }
     let mut misses = Misses::default();
     let mut answers: Vec<TimeEstimate> = {
         let c = locked();
@@ -629,7 +651,7 @@ fn disk_keys(queries: &[(&RowEnv, KernelName)], misses: &[usize]) -> Vec<u64> {
     keys
 }
 
-/// What a miss's answer slot holds until [`estimate_batch`] fills it: every
+/// What a miss's answer slot holds until [`paper_batch`] fills it: every
 /// slot is filled before the batch returns, and NaN could never pass for
 /// an estimate if one were not.
 const UNANSWERED: TimeEstimate = TimeEstimate {
@@ -683,10 +705,10 @@ mod tests {
         let _l = isolated();
         let m = sg();
         let cfg = RunConfig::sg2042_best(Precision::Fp32, 32);
-        let cold = RowEnv::new(&m, &cfg);
+        let cold = RowEnv::new(Model::paper(), &m, &cfg);
         let miss = estimate_batch(&[(&cold, KernelName::DAXPY)])[0];
         assert!(cold.resolved(), "a miss estimates through the row");
-        let warm = RowEnv::new(&m, &cfg);
+        let warm = RowEnv::new(Model::paper(), &m, &cfg);
         let hit = estimate_batch(&[(&warm, KernelName::DAXPY)])[0];
         assert!(!warm.resolved(), "a hit must not resolve the placement");
         assert_eq!(miss.seconds.to_bits(), hit.seconds.to_bits());
@@ -696,8 +718,8 @@ mod tests {
     fn a_batch_estimates_only_its_misses_and_counts_each_query_once() {
         let _l = isolated();
         let (m, v2) = (sg(), machine(MachineId::VisionFiveV2));
-        let a = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
-        let b = RowEnv::new(&v2, &RunConfig::sg2042_best(Precision::Fp64, 64));
+        let a = RowEnv::new(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp32, 32));
+        let b = RowEnv::new(Model::paper(), &v2, &RunConfig::sg2042_best(Precision::Fp64, 64));
         let _ = estimate_batch(&[(&a, KernelName::DAXPY)]);
         let queries = [
             (&a, KernelName::DAXPY),
@@ -724,13 +746,13 @@ mod tests {
                 assert_eq!(d.memory_seconds.to_bits(), g.memory_seconds.to_bits());
             }
         }
-        let warm = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 32));
+        let warm = RowEnv::new(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp32, 32));
         let _ = estimate_batch(&[(&warm, KernelName::DAXPY), (&warm, KernelName::EOS)]);
         assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
 
         // A full cold suite row, the largest batch a caller builds, runs on
         // the calling thread too, on any host.
-        let row = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp64, 9));
+        let row = RowEnv::new(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp64, 9));
         let queries: Vec<_> = KernelName::ALL.iter().map(|&k| (&row, k)).collect();
         let before = (stats(), regions());
         let got = estimate_batch(&queries);
@@ -764,8 +786,11 @@ mod tests {
         persist::set_cache_dir(Some(dir.clone()));
         let m = sg();
         let cfg = |threads| RunConfig::sg2042_best(Precision::Fp64, threads);
-        let (at64, again64, at128) =
-            (RowEnv::new(&m, &cfg(64)), RowEnv::new(&m, &cfg(64)), RowEnv::new(&m, &cfg(128)));
+        let (at64, again64, at128) = (
+            RowEnv::new(Model::paper(), &m, &cfg(64)),
+            RowEnv::new(Model::paper(), &m, &cfg(64)),
+            RowEnv::new(Model::paper(), &m, &cfg(128)),
+        );
         let k = KernelName::STREAM_TRIAD;
         let queries = [(&at64, k), (&at64, k), (&again64, k), (&at128, k)];
         let (before, entries) = (stats(), len());
@@ -788,10 +813,10 @@ mod tests {
         vls.mode = VectorMode::Vls;
         let vla = RunConfig { mode: VectorMode::Vla, ..vls };
         let rows = [
-            RowEnv::new(&m, &vls),
-            RowEnv::new(&v2, &cfg(4)),
-            RowEnv::new(&m, &vla),
-            RowEnv::new(&v2, &cfg(64)),
+            RowEnv::new(Model::paper(), &m, &vls),
+            RowEnv::new(Model::paper(), &v2, &cfg(4)),
+            RowEnv::new(Model::paper(), &m, &vla),
+            RowEnv::new(Model::paper(), &v2, &cfg(64)),
         ];
         let queries = [
             (&rows[0], KernelName::EOS),
@@ -807,6 +832,42 @@ mod tests {
         assert_eq!((delta.misses, delta.hits), (3, 3), "{delta:?}");
         assert_eq!(len(), entries + 3, "one entry per distinct canonical query");
         assert_uncached_bits(&queries, &got);
+    }
+
+    #[test]
+    fn rows_under_another_model_bypass_the_cache() {
+        // A batch mixing the paper model's rows with an edited model's:
+        // the paper queries count and are stored as always, and the others
+        // are answered with their own model's bits and leave no trace.
+        let _l = isolated();
+        let dir = store_dir("other-model");
+        persist::set_cache_dir(Some(dir.clone()));
+        let m = sg();
+        let cfg = RunConfig::sg2042_best(Precision::Fp32, 64);
+        let mut edited = Model::paper().clone();
+        edited.calibration_mut(MachineId::Sg2042).queue_sensitivity = 0.0;
+        let (paper, other) =
+            (RowEnv::new(Model::paper(), &m, &cfg), RowEnv::new(&edited, &m, &cfg));
+        let k = KernelName::STREAM_TRIAD;
+        let (before, entries) = (stats(), len());
+        let got = estimate_batch(&[(&other, k), (&paper, k), (&other, KernelName::DAXPY)]);
+        let delta = stats().since(&before);
+        assert_eq!((delta.misses, delta.hits, len()), (1, 0, entries + 1), "{delta:?}");
+        assert_uncached_bits(&[(&paper, k)], &got[1..2]);
+        let fresh = [other.estimate_averaged(k), other.estimate_averaged(KernelName::DAXPY)];
+        for (a, b) in [(got[0], fresh[0]), (got[2], fresh[1])] {
+            assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
+        }
+        assert_ne!(got[0].seconds.to_bits(), got[1].seconds.to_bits(), "the edit moves the bits");
+
+        let before = stats();
+        let again = estimate_batch(&[(&other, k), (&other, k)]);
+        assert_eq!(stats().since(&before), CacheStats { hits: 0, misses: 0, ..stats() });
+        assert_eq!(again[0].seconds.to_bits(), fresh[0].seconds.to_bits());
+        persist::flush();
+        assert_eq!(stored_keys(&dir).len(), 1, "only the paper query is recorded");
+        persist::set_cache_dir(None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1145,7 +1206,7 @@ mod tests {
         let expected = persist::key_hash(
             &format!("{m:?}"),
             kernel.label(),
-            &format!("{:?}", CanonicalConfig::new(&RowEnv::new(&m, &cfg))),
+            &format!("{:?}", CanonicalConfig::new(&RowEnv::new(Model::paper(), &m, &cfg))),
         );
         assert_eq!(stored_keys(&dir), vec![format!("{expected:016x}")]);
         persist::set_cache_dir(None);
@@ -1180,7 +1241,7 @@ mod tests {
                                     placement,
                                     threads,
                                 };
-                                rows.push(RowEnv::new(m, &cfg));
+                                rows.push(RowEnv::new(Model::paper(), m, &cfg));
                             }
                         }
                     }
@@ -1294,7 +1355,7 @@ mod tests {
         let cfg = |threads| RunConfig::sg2042_best(Precision::Fp32, threads);
         let _ = estimate_cached(&m, KernelName::DAXPY, &cfg(2));
         assert_eq!(gauge(), 1, "a true miss");
-        let row = RowEnv::new(&m, &cfg(4));
+        let row = RowEnv::new(Model::paper(), &m, &cfg(4));
         let _ = estimate_batch(&[(&row, KernelName::DAXPY), (&row, KernelName::EOS)]);
         assert_eq!(gauge(), 3, "one batch insert");
 

@@ -9,6 +9,7 @@
 //! benchmark, a micro-architectural argument, or a paper observation.
 
 use rvhpc_machines::MachineId;
+use std::sync::OnceLock;
 
 /// Effective-performance constants for one machine.
 #[derive(Debug, Clone, Copy)]
@@ -61,8 +62,37 @@ pub struct Calibration {
     pub barrier_ns_per_thread: f64,
 }
 
-/// Calibration for each machine.
-pub fn calibration(id: MachineId) -> Calibration {
+/// The performance model: one [`Calibration`] per machine, and nothing
+/// else. Estimates take the machine's architecture from its descriptor and
+/// its effectiveness constants from the model.
+#[derive(Debug, Clone)]
+pub struct Model {
+    /// Indexed by `MachineId` discriminant.
+    calibrations: [Calibration; MachineId::CATALOG.len()],
+}
+
+impl Model {
+    /// The calibration the paper's artefacts are reproduced under, built
+    /// once per process: every call returns the same `&'static` model, the
+    /// only one the estimate cache serves ([`crate::cache`]).
+    pub fn paper() -> &'static Model {
+        static PAPER: OnceLock<Model> = OnceLock::new();
+        PAPER.get_or_init(|| Model { calibrations: MachineId::CATALOG.map(paper_calibration) })
+    }
+
+    /// The constants of one machine.
+    pub fn calibration_of(&self, id: MachineId) -> &Calibration {
+        &self.calibrations[id as usize]
+    }
+
+    /// The constants of one machine, for editing a clone of a model.
+    pub fn calibration_mut(&mut self, id: MachineId) -> &mut Calibration {
+        &mut self.calibrations[id as usize]
+    }
+}
+
+/// The paper model's calibration of each machine.
+fn paper_calibration(id: MachineId) -> Calibration {
     match id {
         // The what-if next-gen part inherits the C920 core calibration but
         // with the memory pathologies the redesign addresses removed:
@@ -74,7 +104,7 @@ pub fn calibration(id: MachineId) -> Calibration {
             queue_sensitivity: 0.2,
             mlp: 10.0,
             dram_efficiency: 0.6,
-            ..calibration(MachineId::Sg2042)
+            ..paper_calibration(MachineId::Sg2042)
         },
         // XuanTie C920 @ 2.0 GHz. 3-wide decode, 8-issue OoO, 2 FP pipes:
         // sustained ~1.3 flops/cycle on RAJAPerf-style loops (the core is
@@ -234,8 +264,9 @@ mod tests {
 
     #[test]
     fn all_machines_have_sane_calibrations() {
-        for id in MachineId::ALL {
-            let c = calibration(id);
+        for id in MachineId::CATALOG {
+            let c = Model::paper().calibration_of(id);
+            assert_eq!(format!("{c:?}"), format!("{:?}", paper_calibration(id)), "{id}");
             assert!(c.scalar_flops_per_cycle > 0.0, "{id}");
             assert!(c.int_ops_per_cycle > 0.0, "{id}");
             assert!(c.expensive_op_cycles >= 1.0, "{id}");
@@ -250,8 +281,10 @@ mod tests {
 
     #[test]
     fn c920_faster_per_core_than_u74_but_slower_than_x86() {
-        use rvhpc_machines::machine;
-        let gf = |id: MachineId| machine(id).clock_ghz * calibration(id).scalar_flops_per_cycle;
+        use rvhpc_machines::catalog;
+        let gf = |id: MachineId| {
+            catalog(id).clock_ghz * Model::paper().calibration_of(id).scalar_flops_per_cycle
+        };
         assert!(gf(MachineId::Sg2042) > 3.0 * gf(MachineId::VisionFiveV2));
         assert!(gf(MachineId::AmdRome) > gf(MachineId::Sg2042));
         assert!(gf(MachineId::IntelIcelake) > gf(MachineId::Sg2042));
@@ -259,8 +292,27 @@ mod tests {
 
     #[test]
     fn v1_memory_weaker_than_v2() {
-        let v1 = calibration(MachineId::VisionFiveV1);
-        let v2 = calibration(MachineId::VisionFiveV2);
+        let v1 = Model::paper().calibration_of(MachineId::VisionFiveV1);
+        let v2 = Model::paper().calibration_of(MachineId::VisionFiveV2);
         assert!(v1.per_core_stream_bw < v2.per_core_stream_bw / 2.0);
+    }
+
+    #[test]
+    fn the_paper_model_is_one_value_across_threads() {
+        let here: *const Model = Model::paper();
+        let there: Vec<usize> = std::thread::scope(|s| {
+            let spawned: Vec<_> =
+                (0..4).map(|_| s.spawn(|| Model::paper() as *const Model as usize)).collect();
+            spawned.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        assert!(there.iter().all(|&p| p == here as usize), "one model per process");
+    }
+
+    #[test]
+    fn an_edited_clone_leaves_the_paper_model_alone() {
+        let mut edited = Model::paper().clone();
+        edited.calibration_mut(MachineId::Sg2042).queue_sensitivity = 0.0;
+        assert_eq!(edited.calibration_of(MachineId::Sg2042).queue_sensitivity, 0.0);
+        assert_eq!(Model::paper().calibration_of(MachineId::Sg2042).queue_sensitivity, 2.0);
     }
 }

@@ -82,7 +82,7 @@ pub fn compute_seconds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::calibration;
+    use crate::calibration::Model;
     use rvhpc_kernels::{workload, KernelName};
     use rvhpc_machines::{machine, MachineId};
 
@@ -93,12 +93,12 @@ mod tests {
     #[test]
     fn vector_path_is_faster_for_clean_loops() {
         let m = machine(MachineId::Sg2042);
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let wl = w(KernelName::DAXPY);
-        let scalar = cycles_per_iteration(&m, &cal, &wl, &VectorCtx::scalar());
+        let scalar = cycles_per_iteration(&m, cal, &wl, &VectorCtx::scalar());
         let vec =
             VectorCtx { active: true, lanes: 4, mode: VectorMode::Vls, measured_vla_ratio: None };
-        let vectored = cycles_per_iteration(&m, &cal, &wl, &vec);
+        let vectored = cycles_per_iteration(&m, cal, &wl, &vec);
         assert!(vectored < scalar, "{vectored} !< {scalar}");
         assert!(vectored > scalar / 4.0, "speedup must stay below lane count");
     }
@@ -106,49 +106,48 @@ mod tests {
     #[test]
     fn vla_slower_than_vls() {
         let m = machine(MachineId::Sg2042);
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let wl = w(KernelName::STREAM_TRIAD);
         let mk = |mode| VectorCtx { active: true, lanes: 4, mode, measured_vla_ratio: None };
-        let vls = cycles_per_iteration(&m, &cal, &wl, &mk(VectorMode::Vls));
-        let vla = cycles_per_iteration(&m, &cal, &wl, &mk(VectorMode::Vla));
+        let vls = cycles_per_iteration(&m, cal, &wl, &mk(VectorMode::Vls));
+        let vla = cycles_per_iteration(&m, cal, &wl, &mk(VectorMode::Vla));
         assert!(vla > vls);
     }
 
     #[test]
     fn measured_ratio_overrides_default() {
         let m = machine(MachineId::Sg2042);
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let wl = w(KernelName::STREAM_TRIAD);
         let mk =
             |r| VectorCtx { active: true, lanes: 4, mode: VectorMode::Vla, measured_vla_ratio: r };
-        let a = cycles_per_iteration(&m, &cal, &wl, &mk(Some(1.5)));
-        let b = cycles_per_iteration(&m, &cal, &wl, &mk(None));
+        let a = cycles_per_iteration(&m, cal, &wl, &mk(Some(1.5)));
+        let b = cycles_per_iteration(&m, cal, &wl, &mk(None));
         assert!(a > b, "1.5 ratio must cost more than the {} default", cal.vla_overhead);
     }
 
     #[test]
     fn gather_kernels_gain_less_from_vectors() {
         let m = machine(MachineId::Sg2042);
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let clean = w(KernelName::STREAM_ADD);
         let gather = w(KernelName::HALO_PACKING);
         let vec =
             VectorCtx { active: true, lanes: 4, mode: VectorMode::Vls, measured_vla_ratio: None };
-        let clean_gain = cycles_per_iteration(&m, &cal, &clean, &VectorCtx::scalar())
-            / cycles_per_iteration(&m, &cal, &clean, &vec);
-        let gather_gain = cycles_per_iteration(&m, &cal, &gather, &VectorCtx::scalar())
-            / cycles_per_iteration(&m, &cal, &gather, &vec);
+        let clean_gain = cycles_per_iteration(&m, cal, &clean, &VectorCtx::scalar())
+            / cycles_per_iteration(&m, cal, &clean, &vec);
+        let gather_gain = cycles_per_iteration(&m, cal, &gather, &VectorCtx::scalar())
+            / cycles_per_iteration(&m, cal, &gather, &vec);
         assert!(clean_gain > gather_gain);
     }
 
     #[test]
     fn expensive_ops_dominate_planckian() {
         let m = machine(MachineId::Sg2042);
-        let cal = calibration(MachineId::Sg2042);
-        let planck =
-            cycles_per_iteration(&m, &cal, &w(KernelName::PLANCKIAN), &VectorCtx::scalar());
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
+        let planck = cycles_per_iteration(&m, cal, &w(KernelName::PLANCKIAN), &VectorCtx::scalar());
         let triad =
-            cycles_per_iteration(&m, &cal, &w(KernelName::STREAM_TRIAD), &VectorCtx::scalar());
+            cycles_per_iteration(&m, cal, &w(KernelName::STREAM_TRIAD), &VectorCtx::scalar());
         assert!(planck > 5.0 * triad);
     }
 }

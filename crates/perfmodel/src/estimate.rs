@@ -1,6 +1,6 @@
 //! The top-level estimator: machine × kernel × configuration → time.
 
-use crate::calibration::{calibration, Calibration};
+use crate::calibration::{Calibration, Model};
 use crate::compute::{compute_seconds, VectorCtx};
 use crate::config::RunConfig;
 use crate::memory::memory_seconds;
@@ -123,7 +123,8 @@ pub(crate) fn resolve_vector(
     }
 }
 
-/// Estimate the time of one kernel repetition.
+/// Estimate the time of one kernel repetition under [`Model::paper`]; a
+/// [`RowEnv`] estimates under any other model, or at another problem size.
 ///
 /// ```
 /// use rvhpc_machines::{machine, MachineId};
@@ -137,37 +138,12 @@ pub(crate) fn resolve_vector(
 /// assert!(fp32.seconds < fp64.seconds);
 /// ```
 pub fn estimate(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    estimate_with(machine, kernel, cfg, &calibration(machine.id))
-}
-
-/// Estimate with an explicit calibration — the ablation tests use this to
-/// switch individual model ingredients off and watch which paper phenomenon
-/// disappears.
-pub fn estimate_with(
-    machine: &Machine,
-    kernel: KernelName,
-    cfg: &RunConfig,
-    cal: &Calibration,
-) -> TimeEstimate {
-    estimate_sized(machine, kernel, cfg, cal, sim_size(kernel))
-}
-
-/// Estimate at an explicit problem size — the distributed-memory model in
-/// `rvhpc-cluster` uses this to shrink per-node domains under strong
-/// scaling.
-pub fn estimate_sized(
-    machine: &Machine,
-    kernel: KernelName,
-    cfg: &RunConfig,
-    cal: &Calibration,
-    size: usize,
-) -> TimeEstimate {
-    RowEnv::with_calibration(machine, cfg, cal).estimate_sized(kernel, size)
+    RowEnv::new(Model::paper(), machine, cfg).estimate(kernel)
 }
 
 /// Every kernel-dependent intermediate quantity of one estimate; the
 /// kernel-independent ones (thread count, calibration, memory environment)
-/// live in the [`RowEnv`]. [`estimate_sized`] and the [`crate::explain`]
+/// live in the [`RowEnv`]. [`RowEnv::estimate_sized`] and the [`crate::explain`]
 /// module both go through here, so the printed breakdown is always the
 /// arithmetic that produced the number.
 pub(crate) struct ModelParts {
@@ -215,7 +191,7 @@ fn sim_workload(kernel: KernelName) -> &'static Workload {
 }
 
 pub(crate) fn model_parts(env: &RowEnv, kernel: KernelName, size: usize) -> ModelParts {
-    let (machine, cfg, cal) = (env.machine(), env.config(), env.calibration());
+    let (machine, cfg, cal) = (env.machine(), env.config(), env.cal());
     let w = if size == sim_size(kernel) {
         Cow::Borrowed(sim_workload(kernel))
     } else {
@@ -253,8 +229,10 @@ fn fork_join_overhead(cal: &Calibration, threads: usize) -> f64 {
 
 /// The paper averages every measurement over five runs; we do the same
 /// with deterministic ±2 % jitter so repeated invocations agree exactly.
+/// Under [`Model::paper`], uncached ([`crate::estimate_cached`] is the
+/// cached form).
 pub fn estimate_averaged(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> TimeEstimate {
-    RowEnv::new(machine, cfg).estimate_averaged(kernel)
+    RowEnv::new(Model::paper(), machine, cfg).estimate_averaged(kernel)
 }
 
 /// Average five jittered runs of `base`, the single-run estimate of
@@ -464,7 +442,7 @@ mod tests {
             let mut cfg = RunConfig::sg2042_best(precision, threads);
             cfg.vectorize = vectorize;
             cfg.placement = placement;
-            let got = jitter_seed(&RowEnv::new(&m, &cfg), kernel);
+            let got = jitter_seed(&RowEnv::new(Model::paper(), &m, &cfg), kernel);
             assert_eq!(
                 got, seed,
                 "{id:?} {kernel} {precision:?} {vectorize} {threads} {placement:?}"

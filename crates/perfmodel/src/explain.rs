@@ -4,11 +4,11 @@
 //! memory time, whether the vector path executed, where the working set
 //! lives in the hierarchy, and which calibration constants shaped the
 //! result. [`explain`] computes exactly the intermediates
-//! [`crate::estimate_sized`] computes (both go through the same internal
+//! [`RowEnv::estimate_sized`] computes (both go through the same internal
 //! model), so the printed breakdown always sums — per the overlap rule —
 //! to the reported [`TimeEstimate::seconds`].
 
-use crate::calibration::Calibration;
+use crate::calibration::{Calibration, Model};
 use crate::config::RunConfig;
 use crate::estimate::{model_parts, sim_size};
 use crate::memory::to_access_spec;
@@ -291,20 +291,12 @@ impl Explanation {
     }
 }
 
-/// Explain one estimate at the suite's standard problem size.
+/// Explain one estimate of [`Model::paper`] at the suite's standard
+/// problem size.
 pub fn explain(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> Explanation {
-    explain_sized(machine, kernel, cfg, sim_size(kernel))
-}
-
-/// Explain one estimate at an explicit problem size.
-pub fn explain_sized(
-    machine: &Machine,
-    kernel: KernelName,
-    cfg: &RunConfig,
-    size: usize,
-) -> Explanation {
+    let size = sim_size(kernel);
     let _span = rvhpc_trace::span!("perfmodel.explain", kernel = kernel);
-    let env = RowEnv::new(machine, cfg);
+    let env = RowEnv::new(Model::paper(), machine, cfg);
     let parts = model_parts(&env, kernel, size);
 
     // Home level per stream: the first cache level whose share of capacity
@@ -349,7 +341,7 @@ pub fn explain_sized(
             measured_vla_ratio: parts.vec.measured_vla_ratio,
         },
         residency,
-        calibration: *env.calibration(),
+        calibration: *env.cal(),
         iterations: parts.w.iterations,
         fp_ops: parts.w.fp_ops,
         fp_expensive: parts.w.fp_expensive,

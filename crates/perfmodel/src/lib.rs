@@ -19,15 +19,18 @@
 //!   loops (`rvhpc-compiler::codegen::measure`).
 //!
 //! Constants that cannot be derived from datasheets live in
-//! [`calibration`](mod@calibration), one commented block per machine.
+//! [`calibration`](mod@calibration), one commented block per machine, held
+//! by a [`Model`]: [`Model::paper`] reproduces the artefacts, and an edited
+//! clone runs the same code under another calibration.
 //!
 //! Repeated sweep traffic (the paper's ~30 full-suite sweeps overlap
 //! heavily) is amortised by [`cache`]: a bounded process-wide memoisation
-//! of [`estimate_averaged`] keyed by `(machine, kernel, canonical config)`,
-//! with hit/miss/eviction counters in the `rvhpc-obs` registry, surfaced
-//! through the `metrics` op and the `--trace` counters table. A sweep's
-//! rows share the kernel-independent part of the model — clamped threads, calibration, and the placement's
-//! memory environment — through one [`RowEnv`] per row.
+//! of the paper model's averaged estimates keyed by `(machine, kernel,
+//! canonical config)`, with hit/miss/eviction counters in the `rvhpc-obs`
+//! registry, surfaced through the `metrics` op and the `--trace` counters
+//! table. A sweep's rows share the kernel-independent part of the model —
+//! clamped threads, calibration, and the placement's memory environment —
+//! through one [`RowEnv`] per row, whatever the model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +50,8 @@ pub mod scaling;
 mod proptests;
 
 pub use cache::{estimate_batch, estimate_cached, CacheStats};
-pub use calibration::{calibration, Calibration};
+pub use calibration::{Calibration, Model};
 pub use config::{Precision, RunConfig, Toolchain};
-pub use estimate::{
-    estimate, estimate_averaged, estimate_sized, estimate_with, sim_size, TimeEstimate,
-};
-pub use explain::{explain, explain_sized, Explanation};
+pub use estimate::{estimate, estimate_averaged, sim_size, TimeEstimate};
+pub use explain::{explain, Explanation};
 pub use row::RowEnv;

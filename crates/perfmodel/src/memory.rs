@@ -263,7 +263,7 @@ fn queue_multiplier(sensitivity: f64, overload: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::calibration;
+    use crate::calibration::Model;
     use rvhpc_kernels::{workload, KernelName};
     use rvhpc_machines::{machine, MachineId, PlacementPolicy};
 
@@ -309,10 +309,10 @@ mod tests {
     #[test]
     fn stream_triad_is_memory_bound_on_sg2042() {
         let m = sg();
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let w = workload(KernelName::STREAM_TRIAD, 8_000_000);
         let env = MemoryEnv::new(&m, &PlacementPolicy::Block.map(&m.topology, 1));
-        let mem = memory_seconds(&m, &cal, &env, &w, 8.0, 1.0, 1, 1e-3);
+        let mem = memory_seconds(&m, cal, &env, &w, 8.0, 1.0, 1, 1e-3);
         // 3 × 64 MB arrays from DRAM at ≤ 5.5 GB/s: tens of milliseconds.
         assert!(mem > 5e-3, "{mem}");
     }
@@ -320,16 +320,16 @@ mod tests {
     #[test]
     fn memory_time_grows_under_block_placement_contention() {
         let m = sg();
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let w = workload(KernelName::STREAM_TRIAD, 8_000_000);
         let per_thread_compute = 1e-3;
         let t16 = {
             let env = MemoryEnv::new(&m, &PlacementPolicy::Block.map(&m.topology, 16));
-            memory_seconds(&m, &cal, &env, &w, 8.0, 16.0, 1, per_thread_compute)
+            memory_seconds(&m, cal, &env, &w, 8.0, 16.0, 1, per_thread_compute)
         };
         let t32 = {
             let env = MemoryEnv::new(&m, &PlacementPolicy::Block.map(&m.topology, 32));
-            memory_seconds(&m, &cal, &env, &w, 8.0, 32.0, 1, per_thread_compute)
+            memory_seconds(&m, cal, &env, &w, 8.0, 32.0, 1, per_thread_compute)
         };
         // Per-thread work halves but the controller share also halves and
         // queueing worsens: no speedup from 16 → 32 under block placement.
@@ -339,11 +339,11 @@ mod tests {
     #[test]
     fn cyclic_beats_block_at_32_threads() {
         let m = sg();
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let w = workload(KernelName::STREAM_TRIAD, 8_000_000);
         let mk = |policy: PlacementPolicy| {
             let env = MemoryEnv::new(&m, &policy.map(&m.topology, 32));
-            memory_seconds(&m, &cal, &env, &w, 8.0, 32.0, 1, 1e-3)
+            memory_seconds(&m, cal, &env, &w, 8.0, 32.0, 1, 1e-3)
         };
         assert!(mk(PlacementPolicy::NumaCyclic) < mk(PlacementPolicy::Block));
     }
@@ -351,12 +351,12 @@ mod tests {
     #[test]
     fn l3_resident_matrix_work_barely_touches_dram() {
         let m = sg();
-        let cal = calibration(MachineId::Sg2042);
+        let cal = Model::paper().calibration_of(MachineId::Sg2042);
         let w = workload(KernelName::GEMM, 1_000_000); // 8 MB/matrix fits 64 MB L3
         let env = MemoryEnv::new(&m, &PlacementPolicy::Block.map(&m.topology, 1));
-        let mem = memory_seconds(&m, &cal, &env, &w, 8.0, 1.0, 1, 1.0);
+        let mem = memory_seconds(&m, cal, &env, &w, 8.0, 1.0, 1, 1.0);
         let stream_w = workload(KernelName::STREAM_TRIAD, 8_000_000);
-        let stream_mem = memory_seconds(&m, &cal, &env, &stream_w, 8.0, 1.0, 1, 1e-3);
+        let stream_mem = memory_seconds(&m, cal, &env, &stream_w, 8.0, 1.0, 1, 1e-3);
         // GEMM does ~2 GFLOP; its memory time must be far below what the
         // same model charges a DRAM-resident stream sweep per byte.
         let gemm_per_req = mem / w.requested_bytes(8);

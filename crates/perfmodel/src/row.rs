@@ -1,26 +1,28 @@
 //! The resolved environment of one suite row.
 //!
-//! A suite row is every kernel estimated under one `(machine, RunConfig)`.
-//! The clamped thread count, the calibration and the thread → core
-//! placement with the [`MemoryEnv`] derived from it depend on the machine
-//! and the configuration only, never on the kernel, yet resolving the
-//! placement costs more than half of a cold estimate. A [`RowEnv`] resolves
-//! them once and shares them across every kernel estimated in it.
+//! A suite row is every kernel estimated under one `(machine, RunConfig)`
+//! of a [`Model`]. The clamped thread count, the calibration and the
+//! thread → core placement with the [`MemoryEnv`] derived from it depend on
+//! the machine and the configuration only, never on the kernel, yet
+//! resolving the placement costs more than half of a cold estimate. A
+//! [`RowEnv`] resolves them once and shares them across every kernel
+//! estimated in it.
 //!
 //! The memory environment is built lazily, on the first estimate that
 //! needs it, inside a [`OnceLock`]: a row shared across threads (the
-//! `row-env` verify oracle hands one to a pool) fills it from whichever
+//! `row-env` verify oracle hands one to several) fills it from whichever
 //! thread gets there first, and a row whose estimates
 //! are all served from the cache never resolves a placement at all. Each
 //! resolution counts as the `perfmodel.placement.resolve` registry counter.
 //!
-//! A `RowEnv` borrows the caller's descriptor and memoises nothing
-//! process-wide, so a perturbed descriptor (the metamorphic verify
-//! oracles) can never be estimated against a placement resolved for
-//! another. Every estimate through a `RowEnv` is bit-identical to the
-//! per-call [`crate::estimate()`] family, which is itself a one-off row.
+//! A `RowEnv` borrows the caller's model and descriptor and memoises
+//! nothing process-wide, so a perturbed descriptor (the metamorphic verify
+//! oracles) or an edited model (the ablation tests) is never estimated
+//! against another's placement or constants. Every estimate through a
+//! `RowEnv` is bit-identical to the per-call [`crate::estimate()`] family,
+//! which is itself a one-off row of [`Model::paper`].
 
-use crate::calibration::{calibration, Calibration};
+use crate::calibration::{Calibration, Model};
 use crate::config::RunConfig;
 use crate::estimate::{average_runs, model_parts, sim_size, TimeEstimate};
 use crate::memory::MemoryEnv;
@@ -28,53 +30,49 @@ use rvhpc_kernels::KernelName;
 use rvhpc_machines::Machine;
 use std::sync::OnceLock;
 
-/// Everything an estimate needs that depends on the machine and the run
-/// configuration but not on the kernel.
+/// Everything an estimate needs that depends on the model, the machine and
+/// the run configuration but not on the kernel.
 ///
 /// ```
-/// use rvhpc_machines::{machine, MachineId};
+/// use rvhpc_machines::{catalog, MachineId};
 /// use rvhpc_kernels::KernelName;
-/// use rvhpc_perfmodel::{estimate_averaged, Precision, RowEnv, RunConfig};
+/// use rvhpc_perfmodel::{estimate_averaged, Model, Precision, RowEnv, RunConfig};
 ///
-/// let sg = machine(MachineId::Sg2042);
+/// let sg = catalog(MachineId::Sg2042);
 /// let cfg = RunConfig::sg2042_best(Precision::Fp32, 16);
-/// let row = RowEnv::new(&sg, &cfg);
+/// let row = RowEnv::new(Model::paper(), sg, &cfg);
 /// for kernel in KernelName::ALL {
 ///     let shared = row.estimate_averaged(kernel);
-///     let alone = estimate_averaged(&sg, kernel, &cfg);
+///     let alone = estimate_averaged(sg, kernel, &cfg);
 ///     assert_eq!(shared.seconds.to_bits(), alone.seconds.to_bits());
 /// }
 /// ```
 #[derive(Debug)]
 pub struct RowEnv<'m> {
+    model: &'m Model,
     machine: &'m Machine,
     cfg: RunConfig,
     threads: usize,
-    cal: Calibration,
     memory: OnceLock<MemoryEnv>,
 }
 
 impl<'m> RowEnv<'m> {
-    /// The row of `machine` under `cfg`, with the machine's calibration.
-    pub fn new(machine: &'m Machine, cfg: &RunConfig) -> Self {
-        Self::with_calibration(machine, cfg, &calibration(machine.id))
-    }
-
-    /// The row under an explicit calibration (the ablation tests switch
-    /// model ingredients off this way).
-    pub(crate) fn with_calibration(
-        machine: &'m Machine,
-        cfg: &RunConfig,
-        cal: &Calibration,
-    ) -> Self {
+    /// The row of `machine` under `cfg`, with the machine's calibration in
+    /// `model`.
+    pub fn new(model: &'m Model, machine: &'m Machine, cfg: &RunConfig) -> Self {
         RowEnv {
+            model,
             machine,
             cfg: *cfg,
             // The model clamps to the core count before anything else.
             threads: cfg.threads.clamp(1, machine.n_cores()),
-            cal: *cal,
             memory: OnceLock::new(),
         }
+    }
+
+    /// The model the row estimates under.
+    pub(crate) fn model(&self) -> &'m Model {
+        self.model
     }
 
     /// The machine descriptor.
@@ -93,9 +91,9 @@ impl<'m> RowEnv<'m> {
         self.threads
     }
 
-    /// The calibration constants applied.
-    pub(crate) fn calibration(&self) -> &Calibration {
-        &self.cal
+    /// The calibration constants applied: the model's for the machine.
+    pub(crate) fn cal(&self) -> &'m Calibration {
+        self.model.calibration_of(self.machine.id)
     }
 
     /// The memory environment of the row's placement, resolved on first
@@ -115,14 +113,15 @@ impl<'m> RowEnv<'m> {
     }
 
     /// One kernel repetition at the suite's problem size
-    /// ([`crate::estimate`]).
-    pub(crate) fn estimate(&self, kernel: KernelName) -> TimeEstimate {
+    /// ([`crate::estimate()`]).
+    pub fn estimate(&self, kernel: KernelName) -> TimeEstimate {
         self.estimate_sized(kernel, sim_size(kernel))
     }
 
-    /// One kernel repetition at an explicit problem size
-    /// ([`crate::estimate_sized`]).
-    pub(crate) fn estimate_sized(&self, kernel: KernelName, size: usize) -> TimeEstimate {
+    /// One kernel repetition at an explicit problem size: the
+    /// distributed-memory model in `rvhpc-cluster` shrinks per-node
+    /// domains under strong scaling this way.
+    pub fn estimate_sized(&self, kernel: KernelName, size: usize) -> TimeEstimate {
         let _span = rvhpc_trace::span!(
             "perfmodel.estimate",
             kernel = kernel,
@@ -157,7 +156,7 @@ mod tests {
     /// Every kernel of one row, estimated through one shared environment,
     /// against a fresh per-call estimate of each.
     fn check_row(m: &Machine, cfg: &RunConfig) {
-        let row = RowEnv::new(m, cfg);
+        let row = RowEnv::new(Model::paper(), m, cfg);
         for kernel in KernelName::ALL {
             let shared = row.estimate_averaged(kernel);
             let alone = estimate_averaged(m, kernel, cfg);
@@ -214,16 +213,16 @@ mod tests {
     fn threads_are_clamped_and_the_config_is_kept() {
         let v2 = machine(MachineId::VisionFiveV2);
         let cfg = RunConfig::sg2042_best(Precision::Fp32, 64);
-        let row = RowEnv::new(&v2, &cfg);
+        let row = RowEnv::new(Model::paper(), &v2, &cfg);
         assert_eq!(row.threads(), v2.n_cores());
         assert_eq!(row.config().threads, 64);
-        assert_eq!(RowEnv::new(&v2, &RunConfig { threads: 0, ..cfg }).threads(), 1);
+        assert_eq!(RowEnv::new(Model::paper(), &v2, &RunConfig { threads: 0, ..cfg }).threads(), 1);
     }
 
     #[test]
     fn memory_environment_is_resolved_lazily_and_once() {
         let m = machine(MachineId::Sg2042);
-        let row = RowEnv::new(&m, &RunConfig::sg2042_best(Precision::Fp32, 16));
+        let row = RowEnv::new(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp32, 16));
         assert!(!row.resolved(), "nothing resolved before the first estimate");
         let _ = row.estimate(KernelName::DAXPY);
         let first: *const MemoryEnv = row.memory();

@@ -520,12 +520,7 @@ fn parse_machine(doc: &Json) -> Result<MachineId, String> {
 
 /// Every machine token the server accepts (catalog + what-if).
 pub fn machine_tokens() -> String {
-    MachineId::ALL
-        .into_iter()
-        .chain([MachineId::Sg2042NextGen])
-        .map(MachineId::token)
-        .collect::<Vec<_>>()
-        .join(", ")
+    MachineId::CATALOG.map(MachineId::token).join(", ")
 }
 
 fn parse_class(label: &str) -> Result<KernelClass, String> {

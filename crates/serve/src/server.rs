@@ -31,7 +31,7 @@ use rvhpc_analyze::lint_machine;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{catalog, machine, MachineId};
 use rvhpc_obs::snapshot::{SnapshotRing, DEFAULT_SNAPSHOT_CAP};
-use rvhpc_perfmodel::{cache, estimate_batch, explain, RowEnv, RunConfig};
+use rvhpc_perfmodel::{cache, estimate_batch, explain, Model, RowEnv, RunConfig};
 use rvhpc_trace::json::Json;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -451,12 +451,9 @@ impl Server {
         // Arm the SLO tracker and pre-register every gauge so the very
         // first `metrics` reply already carries the full gauge set.
         rvhpc_obs::slo().set_threshold_ms(config.slo_ms);
-        for name in [
-            "serve.queue_depth",
-            "serve.inflight_batches",
-            "threads.worksteal.backlog",
-            "perfmodel.estimate_cache.entries",
-        ] {
+        for name in
+            ["serve.queue_depth", "serve.inflight_batches", "perfmodel.estimate_cache.entries"]
+        {
             rvhpc_obs::gauge(name);
         }
         rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", cache::len() as i64);
@@ -741,10 +738,11 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
         },
         Request::EstimateSubmitted { machine_ref, kernel, cfg } => {
             match shared.machines.get(&machine_ref) {
-                // Uncached on purpose: the estimate cache keys on catalog
-                // identity, which submitted descriptors do not have.
+                // The five-run average a catalog `estimate` answers, but
+                // uncached: the estimate cache keys on catalog identity,
+                // which submitted descriptors do not have.
                 Some(m) => {
-                    let est = rvhpc_perfmodel::estimate(&m, kernel, &cfg);
+                    let est = rvhpc_perfmodel::estimate_averaged(&m, kernel, &cfg);
                     ok_response(&id, op, estimate_json(&est))
                 }
                 None => error_response(
@@ -901,7 +899,7 @@ fn admit(shared: &Arc<Shared>, item: WorkItem) {
 
 /// One suite row, class-filtered, answered as one [`estimate_batch`].
 fn run_suite_slice(m: MachineId, cfg: &RunConfig, class: Option<KernelClass>) -> Json {
-    let row = RowEnv::new(catalog(m), cfg);
+    let row = RowEnv::new(Model::paper(), catalog(m), cfg);
     let queries: Vec<(&RowEnv, KernelName)> = KernelName::ALL
         .into_iter()
         .filter(|k| class.is_none_or(|c| k.class() == c))
@@ -1002,8 +1000,10 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<WorkItem>) {
     }
 
     let compute_start = Instant::now();
-    let rows: Vec<RowEnv> =
-        live.iter().map(|item| RowEnv::new(catalog(item.machine), &item.cfg)).collect();
+    let rows: Vec<RowEnv> = live
+        .iter()
+        .map(|item| RowEnv::new(Model::paper(), catalog(item.machine), &item.cfg))
+        .collect();
     let queries: Vec<(&RowEnv, KernelName)> =
         rows.iter().zip(&live).map(|(row, item)| (row, item.kernel)).collect();
     let results = estimate_batch(&queries);

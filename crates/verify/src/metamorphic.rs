@@ -18,9 +18,7 @@
 use crate::{drive, Fault, OracleReport, VerifyConfig};
 use rvhpc_kernels::{workload, KernelName};
 use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
-use rvhpc_perfmodel::{
-    calibration, estimate, estimate_with, explain, Precision, RunConfig, Toolchain,
-};
+use rvhpc_perfmodel::{estimate, explain, Model, Precision, RowEnv, RunConfig, Toolchain};
 use rvhpc_quickprop::Gen;
 use rvhpc_trace::json::Json;
 
@@ -193,10 +191,10 @@ pub fn check(case: &ModelCase, _fault: Fault) -> Result<(), String> {
             case.describe()
         ));
     }
-    let mut no_queue = calibration(case.machine);
-    no_queue.queue_sensitivity = 0.0;
-    let base_nq = estimate_with(m, case.kernel, &cfg, &no_queue);
-    let clock_nq = estimate_with(&faster, case.kernel, &cfg, &no_queue);
+    let mut no_queue = Model::paper().clone();
+    no_queue.calibration_mut(case.machine).queue_sensitivity = 0.0;
+    let base_nq = RowEnv::new(&no_queue, m, &cfg).estimate(case.kernel);
+    let clock_nq = RowEnv::new(&no_queue, &faster, &cfg).estimate(case.kernel);
     if clock_nq.seconds > base_nq.seconds * slack {
         return Err(format!(
             "1.5x clock slowed the run even without queueing: {} -> {} s for {}",

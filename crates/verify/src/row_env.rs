@@ -8,10 +8,10 @@
 //! oracle pins the claim on seeded rows — every catalog machine including
 //! the what-if part, every policy, thread counts past the core count, both
 //! precisions, scalar and vector toolchains — with the kernels in a seeded
-//! order. Sweeps estimate a row on one thread; the oracle instead fans the
-//! kernels out over the shared pool, so whichever worker arrives first
-//! resolves the row, which stress-tests the row's `OnceLock` under
-//! concurrent first use.
+//! order. Sweeps estimate a row on one thread; the oracle instead shares
+//! the row across a few scoped threads, each estimating a slice of the
+//! kernels, so whichever thread arrives first resolves the row, which
+//! stress-tests the row's `OnceLock` under concurrent first use.
 //!
 //! Half the cases swap in a non-catalog topology, and the catalog row of
 //! the same configuration is estimated first, so a placement memoised
@@ -28,27 +28,15 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, Machine, MachineId, PlacementPolicy, Topology};
 use rvhpc_perfmodel::memory::MemoryEnv;
-use rvhpc_perfmodel::{estimate_averaged, Precision, RowEnv, RunConfig, TimeEstimate, Toolchain};
+use rvhpc_perfmodel::{
+    estimate_averaged, Model, Precision, RowEnv, RunConfig, TimeEstimate, Toolchain,
+};
 use rvhpc_quickprop::Gen;
-use rvhpc_threads::global_team;
 use rvhpc_trace::json::Json;
-use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
 
 /// Oracle name (CLI token).
 pub const NAME: &str = "row-env";
-
-/// Every machine the sweeps estimate on: the paper's seven and the what-if
-/// part.
-const MACHINES: [MachineId; 8] = [
-    MachineId::Sg2042,
-    MachineId::VisionFiveV1,
-    MachineId::VisionFiveV2,
-    MachineId::AmdRome,
-    MachineId::IntelBroadwell,
-    MachineId::IntelIcelake,
-    MachineId::IntelSandybridge,
-    MachineId::Sg2042NextGen,
-];
 
 /// A non-catalog package: `cores` cores in `regions` contiguous NUMA
 /// regions of `controllers` controllers each, 4-core clusters.
@@ -160,7 +148,7 @@ impl RowCase {
 
 /// Generate a random case.
 pub fn generate_case(g: &mut Gen) -> RowCase {
-    let machine = *g.choose(&MACHINES);
+    let machine = *g.choose(&MachineId::CATALOG);
     let layout = g.bool_with(0.5).then(|| {
         let cores = *g.choose(&[4usize, 8, 12, 16, 32, 64]);
         let regions = *g.choose(&[1usize, 2, 4]);
@@ -203,16 +191,17 @@ fn same_env(a: &MemoryEnv, b: &MemoryEnv) -> bool {
         && a.line_bytes.to_bits() == b.line_bytes.to_bits()
 }
 
-/// Estimate the row's kernels through one shared environment, fanned out
-/// over the pool.
+/// Estimate the row's kernels through one shared environment, a quarter of
+/// them on each of four scoped threads.
 fn shared_row(m: &Machine, cfg: &RunConfig, kernels: &[KernelName]) -> Vec<TimeEstimate> {
-    let row = RowEnv::new(m, cfg);
-    let slots: Vec<Mutex<Option<TimeEstimate>>> =
-        kernels.iter().map(|_| Mutex::new(None)).collect();
-    global_team().parallel_for_worksteal(0..kernels.len(), |i| {
-        *slots[i].lock().expect("slot poisoned") = Some(row.estimate_averaged(kernels[i]));
-    });
-    slots.into_iter().map(|s| s.into_inner().expect("slot poisoned").expect("estimated")).collect()
+    let row = &RowEnv::new(Model::paper(), m, cfg);
+    std::thread::scope(|s| {
+        let threads: Vec<ScopedJoinHandle<Vec<TimeEstimate>>> = kernels
+            .chunks(kernels.len().div_ceil(4).max(1))
+            .map(|part| s.spawn(move || part.iter().map(|&k| row.estimate_averaged(k)).collect()))
+            .collect();
+        threads.into_iter().flat_map(|t| t.join().expect("row thread panicked")).collect()
+    })
 }
 
 /// Check one case: the shared row against independent estimates.
@@ -234,7 +223,7 @@ pub fn check(case: &RowCase, _fault: Fault) -> Result<(), String> {
         }
     }
 
-    let row = RowEnv::new(&m, &cfg);
+    let row = RowEnv::new(Model::paper(), &m, &cfg);
     let threads = case.threads.clamp(1, m.n_cores());
     if row.threads() != threads {
         return Err(format!("row runs {} threads, expected {threads}", row.threads()));

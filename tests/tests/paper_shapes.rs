@@ -5,7 +5,7 @@
 use rvhpc::experiments::{fig1, fig2, scaling, x86};
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::MachineId;
-use rvhpc::perfmodel::Precision;
+use rvhpc::perfmodel::{Model, Precision};
 use rvhpc_integration_tests::{geomean_ratio, CLASS_ORDER, PAPER_TABLE1, PAPER_TABLE2};
 
 /// Figure 1 headline: the C920's per-core advantage over the U74 lies
@@ -13,7 +13,7 @@ use rvhpc_integration_tests::{geomean_ratio, CLASS_ORDER, PAPER_TABLE1, PAPER_TA
 #[test]
 fn fig1_bands_within_2x_of_paper() {
     for (precision, lo, hi) in [(Precision::Fp64, 4.3, 6.5), (Precision::Fp32, 5.6, 11.8)] {
-        let ratios = fig1::speedup_ratios(MachineId::Sg2042, precision);
+        let ratios = fig1::speedup_ratios(Model::paper(), MachineId::Sg2042, precision);
         let mut class_means = Vec::new();
         for class in KernelClass::ALL {
             let vals: Vec<f64> = KernelName::in_class(class).iter().map(|k| ratios[k]).collect();
@@ -30,7 +30,7 @@ fn fig1_bands_within_2x_of_paper() {
 /// geometric-mean tolerance.
 #[test]
 fn table2_speedups_track_paper_within_2x() {
-    let table = scaling::table2();
+    let table = scaling::table2(Model::paper());
     for row in PAPER_TABLE2 {
         let model: Vec<f64> =
             CLASS_ORDER.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
@@ -52,7 +52,7 @@ fn table2_speedups_track_paper_within_2x() {
 /// that actually characterises the row is asserted separately below.
 #[test]
 fn table1_speedups_track_paper_within_2x() {
-    let table = scaling::table1();
+    let table = scaling::table1(Model::paper());
     for row in PAPER_TABLE1 {
         let mut model: Vec<f64> =
             CLASS_ORDER.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
@@ -78,7 +78,7 @@ fn table1_speedups_track_paper_within_2x() {
 /// scaling through both points.
 #[test]
 fn table1_block_placement_signature_shape() {
-    let table = scaling::table1();
+    let table = scaling::table1(Model::paper());
     let stream = |t| table.cell(t, KernelClass::Stream).speedup;
     assert!(
         stream(32) < 0.5 * stream(16),
@@ -103,8 +103,8 @@ fn table1_block_placement_signature_shape() {
 /// threads, where every cluster is full either way.
 #[test]
 fn table3_cluster_beats_cyclic_until_64_threads() {
-    let cyclic = scaling::table2();
-    let cluster = scaling::table3();
+    let cyclic = scaling::table2(Model::paper());
+    let cluster = scaling::table3(Model::paper());
     for threads in [2usize, 4, 8, 16, 32] {
         for class in KernelClass::ALL {
             let cy = cyclic.cell(threads, class).speedup;
@@ -127,9 +127,9 @@ fn table3_cluster_beats_cyclic_until_64_threads() {
 /// block ≤ cyclic and cyclic ≤ cluster on the classes that matter.
 #[test]
 fn placement_ordering_at_32_threads() {
-    let block = scaling::table1();
-    let cyclic = scaling::table2();
-    let cluster = scaling::table3();
+    let block = scaling::table1(Model::paper());
+    let cyclic = scaling::table2(Model::paper());
+    let cluster = scaling::table3(Model::paper());
     for class in [KernelClass::Stream, KernelClass::Basic, KernelClass::Lcals] {
         let b = block.cell(32, class).speedup;
         let cy = cyclic.cell(32, class).speedup;
@@ -145,13 +145,13 @@ fn placement_ordering_at_32_threads() {
 /// at 64 threads (Tables 2–3: ~14 → ~1.6).
 #[test]
 fn stream_collapse_points_match_the_paper() {
-    let block = scaling::table1();
+    let block = scaling::table1(Model::paper());
     assert!(
         block.cell(32, KernelClass::Stream).speedup
             < 0.5 * block.cell(16, KernelClass::Stream).speedup,
         "block placement must collapse stream at 32 threads"
     );
-    for table in [scaling::table2(), scaling::table3()] {
+    for table in [scaling::table2(Model::paper()), scaling::table3(Model::paper())] {
         let s32 = table.cell(32, KernelClass::Stream).speedup;
         let s64 = table.cell(64, KernelClass::Stream).speedup;
         assert!(
@@ -166,7 +166,7 @@ fn stream_collapse_points_match_the_paper() {
 /// Figure 2: the FP32/FP64 vectorisation asymmetry, class by class.
 #[test]
 fn fig2_fp32_beats_fp64_in_every_class() {
-    let fig = fig2::run();
+    let fig = fig2::run(Model::paper());
     let fp32 = &fig.series[0];
     let fp64 = &fig.series[1];
     for class in KernelClass::ALL {
@@ -180,13 +180,13 @@ fn fig2_fp32_beats_fp64_in_every_class() {
 /// Sandybridge behind the SG2042 multithreaded (the paper's conclusions).
 #[test]
 fn x86_orderings_match_conclusions() {
-    for fig in [x86::fig4(), x86::fig5()] {
+    for fig in [x86::fig4(Model::paper()), x86::fig5(Model::paper())] {
         for name in ["Rome", "Broadwell", "Icelake"] {
             let s = fig.series.iter().find(|s| s.label.contains(name)).unwrap();
             assert!(s.overall_mean() > 0.5, "{}: {name} {}", fig.id, s.overall_mean());
         }
     }
-    for fig in [x86::fig6(), x86::fig7()] {
+    for fig in [x86::fig6(Model::paper()), x86::fig7(Model::paper())] {
         let snb = fig.series.iter().find(|s| s.label.contains("Sandybridge")).unwrap();
         assert!(
             snb.overall_mean() < 0.0,
@@ -202,7 +202,7 @@ fn x86_orderings_match_conclusions() {
 /// in the study), far closer than any other x86 part.
 #[test]
 fn sandybridge_is_the_single_core_crossover() {
-    for fig in [x86::fig4(), x86::fig5()] {
+    for fig in [x86::fig4(Model::paper()), x86::fig5(Model::paper())] {
         let snb =
             fig.series.iter().find(|s| s.label.contains("Sandybridge")).unwrap().overall_mean();
         assert!(snb.abs() < 1.5, "{}: SNB should be near parity, got {snb}", fig.id);

@@ -303,3 +303,35 @@ fn submitted_machine_descriptors_serve_estimates_and_dirty_ones_are_rejected() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn a_restated_catalog_machine_answers_exactly_like_the_catalog_machine() {
+    // A descriptor that only restates `sg2042` is the catalog machine, so
+    // its estimates are the catalog's five-run averages, byte for byte.
+    let server = start();
+    let (mut stream, mut reader) = connect(&server);
+    let req =
+        r#"{"op":"submit_machine","descriptor":{"schema":"rvhpc-machine-v1","base":"sg2042"}}"#;
+    let reply = ask(&mut stream, &mut reader, req);
+    let verdict = reply.get("result").expect("result");
+    assert_eq!(verdict.get("accepted"), Some(&Json::Bool(true)), "{}", verdict.render());
+    let mid = verdict.get("id").and_then(Json::as_str).expect("machine id").to_string();
+
+    for kernel in ["Stream_TRIAD", "Basic_DAXPY", "Polybench_GEMM", "Algorithm_MEMSET"] {
+        for threads in [1, 4, 64] {
+            for precision in ["fp32", "fp64"] {
+                let mut result = |machine: &str| {
+                    let line = format!(
+                        r#"{{"op":"estimate","machine":"{machine}","kernel":"{kernel}","precision":"{precision}","threads":{threads}}}"#
+                    );
+                    let reply = ask(&mut stream, &mut reader, &line);
+                    reply.get("result").unwrap_or_else(|| panic!("{}", reply.render())).render()
+                };
+                let (submitted, catalog) = (result(&mid), result("sg2042"));
+                assert_eq!(submitted, catalog, "{kernel} {precision} at {threads} threads");
+            }
+        }
+    }
+    server.shutdown();
+    server.join();
+}

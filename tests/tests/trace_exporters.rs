@@ -8,7 +8,7 @@ use rvhpc::cachesim::{AccessKind, CacheConfig, Hierarchy, LevelConfig};
 use rvhpc::experiments::fig2;
 use rvhpc::kernels::{make_kernel, KernelName};
 use rvhpc::machines::{machine, MachineId};
-use rvhpc::perfmodel::{estimate, Precision, RunConfig};
+use rvhpc::perfmodel::{estimate, Model, Precision, RunConfig};
 use rvhpc::threads::Team;
 use rvhpc_trace::json::Json;
 use std::collections::BTreeMap;
@@ -131,7 +131,7 @@ fn disabling_tracing_leaves_reports_byte_identical() {
 
     rvhpc_trace::set_enabled(false);
     rvhpc_trace::take();
-    let fig = fig2::run();
+    let fig = fig2::run(Model::paper());
     let plain = format!("{}\n{}", fig.to_markdown(), fig.to_csv());
 
     // The untraced run warmed the cross-sweep estimate cache; start the
@@ -141,7 +141,7 @@ fn disabling_tracing_leaves_reports_byte_identical() {
     let before = counters();
     rvhpc_trace::set_enabled(true);
     rvhpc_trace::take();
-    let fig = fig2::run();
+    let fig = fig2::run(Model::paper());
     let traced = format!("{}\n{}", fig.to_markdown(), fig.to_csv());
     rvhpc_trace::set_enabled(false);
     let data = rvhpc_trace::take();
