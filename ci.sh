@@ -56,6 +56,14 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload sweep_cold --seconds 1 --trace 0
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload sweep_warm --seconds 1 --trace 0
+# One second of each closed-loop serve workload over real TCP: either run
+# exits non-zero if any reply differs from the local model, bit for bit,
+# or if a request fails. `serve_miss` parses and places a fresh key on
+# most requests, `serve_hot` answers from the cache.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload serve_miss --seconds 1 --trace 0
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload serve_hot --seconds 1 --trace 0
 
 # Differential/metamorphic cross-checks: a pinned seed for reproducible
 # CI, plus a seed derived from the commit hash so the randomized surface

@@ -35,7 +35,7 @@ use crate::merge::{merge_metrics, merge_slow, merge_stats};
 use crate::ring::ConsistentRing;
 use rvhpc_serve::protocol::{error_response, ok_response, oversized_line, parse_request};
 use rvhpc_serve::{ErrorKind, Frame, LineConn, Request};
-use rvhpc_trace::json::Json;
+use rvhpc_trace::json::{read_members, Json, JsonRef};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::ErrorKind as IoErrorKind;
@@ -189,15 +189,32 @@ fn exchange_with_shard(
 }
 
 /// The `error.kind` of a shard's `ok:false` reply with its retry hint
-/// (10 ms when absent), from one parse; `None` for any other reply.
+/// (10 ms when absent); `None` for any other reply. The reply is read in
+/// place, first occurrence of each key winning, and no tree is built.
 fn shard_error(reply: &str) -> Option<(String, u64)> {
-    let doc = Json::parse(reply).ok()?;
-    if doc.get("ok") != Some(&Json::Bool(false)) {
+    let [ok, error] = first_members(reply, ["ok", "error"])?;
+    if ok != Some(JsonRef::Bool(false)) {
         return None;
     }
-    let error = doc.get("error")?;
-    let kind = error.get("kind").and_then(Json::as_str)?.to_string();
-    Some((kind, error.get("retry_after_ms").and_then(Json::as_f64).unwrap_or(10.0) as u64))
+    let Some(JsonRef::Obj(error)) = error else { return None };
+    let [kind, retry_after_ms] = first_members(error, ["kind", "retry_after_ms"])?;
+    let kind = kind.as_ref().and_then(JsonRef::as_str)?.to_string();
+    Some((kind, retry_after_ms.and_then(|v| v.as_f64()).unwrap_or(10.0) as u64))
+}
+
+/// The first member of each given key in the JSON object `text`; `None`
+/// when `text` is not a valid object.
+fn first_members<'a, const N: usize>(
+    text: &'a str,
+    keys: [&str; N],
+) -> Option<[Option<JsonRef<'a>>; N]> {
+    let mut found = [const { None }; N];
+    let object = read_members(text, |key, value| {
+        if let Some(i) = keys.iter().position(|k| *k == key) {
+            found[i].get_or_insert(value);
+        }
+    });
+    object.ok()?.then_some(found)
 }
 
 /// Route one request line: try the key's successor chain, with bounded

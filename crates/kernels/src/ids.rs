@@ -81,6 +81,14 @@ macro_rules! kernels {
                     $( $( KernelName::$name => $label, )+ )+
                 }
             }
+
+            /// Look up by RAJAPerf label.
+            pub fn from_label(label: &str) -> Option<KernelName> {
+                match label {
+                    $( $( $label => Some(KernelName::$name), )+ )+
+                    _ => None,
+                }
+            }
         }
     };
 }
@@ -261,11 +269,6 @@ impl KernelName {
             ADI | HEAT_3D | FDTD_2D | JACOBI_2D => 10,
             _ => 50,
         }
-    }
-
-    /// Look up by RAJAPerf label.
-    pub fn from_label(label: &str) -> Option<KernelName> {
-        KernelName::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 

@@ -38,7 +38,7 @@ pub use catalog::{all_machines, catalog, machine, riscv_machines, x86_machines};
 pub use core_model::CoreModel;
 pub use ids::MachineId;
 pub use memory::MemorySystem;
-pub use placement::{Placement, PlacementPolicy};
+pub use placement::{Occupancy, Placement, PlacementPolicy};
 pub use topology::{NumaRegion, Topology};
 pub use vector::VectorIsa;
 

@@ -12,7 +12,7 @@
 //!   cycle round the four-core clusters inside each region. Worked example:
 //!   8 threads → cores 0, 8, 32, 40, 16, 24, 48, 56.
 
-use crate::topology::Topology;
+use crate::topology::{InterleavePos, Topology};
 use std::fmt;
 
 /// A thread-placement policy.
@@ -43,22 +43,72 @@ impl PlacementPolicy {
 
     /// Compute the core id for each of `n_threads` threads.
     ///
+    /// Block placement takes cores in id order. The cyclic policies take
+    /// one core from each NUMA region in turn, the next of that region's
+    /// own order, skipping regions with none left:
+    ///
+    /// * NUMA-cyclic orders a region's cores by ascending id;
+    /// * cluster-cyclic cycles the region's clusters in an order that
+    ///   interleaves the region's core ranges (first cluster of range 0,
+    ///   first of range 1, second of range 0, …), taking core 0 of each
+    ///   cluster, then core 1, …
+    ///
     /// Panics if `n_threads` exceeds the number of cores (the paper never
     /// oversubscribes; SMT is disabled on all machines).
     pub fn map(self, topo: &Topology, n_threads: usize) -> Placement {
-        assert!(
-            n_threads >= 1 && n_threads <= topo.n_cores(),
-            "n_threads {} out of range 1..={}",
-            n_threads,
-            topo.n_cores()
-        );
-        let cores = match self {
-            PlacementPolicy::Block => (0..n_threads).collect(),
-            PlacementPolicy::NumaCyclic => numa_cyclic(topo, n_threads),
-            PlacementPolicy::ClusterCyclic => cluster_cyclic(topo, n_threads),
-        };
-        Placement::new(self, topo, cores)
+        check_threads(topo, n_threads);
+        if self == PlacementPolicy::Block {
+            return Placement::new(self, topo, (0..n_threads).collect());
+        }
+        // Each region's share of the turns, taken off the front of its own
+        // order, then dealt out again slot by slot.
+        let shares = shares(self, topo, n_threads);
+        let orders: Vec<Vec<usize>> = (0..topo.n_regions())
+            .map(|region| region_order(self, topo, region, shares.as_ref()[region]))
+            .collect();
+        let longest = orders.iter().map(Vec::len).max().unwrap_or(0);
+        let cores = (0..longest).flat_map(|slot| orders.iter().filter_map(move |o| o.get(slot)));
+        Placement::new(self, topo, cores.copied().collect())
     }
+
+    /// How `n_threads` threads occupy `topo`: the per-region counts and the
+    /// busiest cluster's count of [`map`](Self::map)'s placement, without
+    /// the thread → core map. The regions' shares are [`map`](Self::map)'s,
+    /// and each share is counted off the front of its region's own order a
+    /// range or a cluster at a time instead of a core at a time. Allocates
+    /// nothing on topologies of up to 64 clusters in up to 8 regions. The
+    /// topology must be valid ([`Topology::validate`]), as every machine
+    /// descriptor's is.
+    ///
+    /// Panics like [`map`](Self::map).
+    pub fn occupancy(self, topo: &Topology, n_threads: usize) -> Occupancy {
+        check_threads(topo, n_threads);
+        let mut threads_per_region = Inline::new(topo.n_regions());
+        let mut per_cluster: Inline<usize, INLINE_CLUSTERS> = Inline::new(topo.n_clusters());
+        let (regions, clusters) = (threads_per_region.as_mut(), per_cluster.as_mut());
+        if self == PlacementPolicy::Block {
+            count_span(topo, 0, n_threads, regions, clusters);
+        } else {
+            let shares = shares(self, topo, n_threads);
+            for (region, &share) in shares.as_ref().iter().enumerate() {
+                count_prefix(self, topo, region, share, regions, clusters);
+            }
+        }
+        Occupancy {
+            n_threads: regions.iter().sum(),
+            max_threads_per_cluster: clusters.iter().copied().max().unwrap_or(0),
+            threads_per_region,
+        }
+    }
+}
+
+fn check_threads(topo: &Topology, n_threads: usize) {
+    assert!(
+        n_threads >= 1 && n_threads <= topo.n_cores(),
+        "n_threads {} out of range 1..={}",
+        n_threads,
+        topo.n_cores()
+    );
 }
 
 impl fmt::Display for PlacementPolicy {
@@ -67,51 +117,207 @@ impl fmt::Display for PlacementPolicy {
     }
 }
 
-/// Cyclic across regions; within a region cores are taken in ascending id
-/// order.
-fn numa_cyclic(topo: &Topology, n_threads: usize) -> Vec<usize> {
-    let region_cores: Vec<Vec<usize>> = topo.regions().iter().map(|r| r.cores()).collect();
-    round_robin(&region_cores, n_threads)
+/// Length of a region's own order under a cyclic policy.
+fn region_len(policy: PlacementPolicy, topo: &Topology, region: usize) -> usize {
+    match policy {
+        PlacementPolicy::ClusterCyclic => topo.cluster_size() * topo.region_cluster_count(region),
+        _ => topo.regions()[region].n_cores(),
+    }
 }
 
-/// Cyclic across regions; within a region, cyclic across clusters (in the
-/// interleaved order the SG2042 layout produces); within a cluster, ascending
-/// core id.
-fn cluster_cyclic(topo: &Topology, n_threads: usize) -> Vec<usize> {
-    let region_cores: Vec<Vec<usize>> = (0..topo.n_regions())
-        .map(|r| {
-            // Order the region's cores so that consecutive picks land on
-            // different clusters: interleave the clusters, then within the
-            // sequence take core 0 of each cluster, then core 1, …
-            let clusters = topo.region_clusters_interleaved(r);
-            let mut out = Vec::new();
-            for lane in 0..topo.cluster_size() {
-                for &cl in &clusters {
-                    let core = topo.cluster_cores(cl).start + lane;
-                    out.push(core);
-                }
+/// How many of the first `n` turns of a cyclic policy's round robin each
+/// region takes. Slot by slot, every region whose own order reaches that
+/// slot takes one turn, in region order; this counts a run of slots with
+/// the same live regions at a time.
+fn shares(policy: PlacementPolicy, topo: &Topology, mut n: usize) -> Inline<usize, INLINE_REGIONS> {
+    let mut lens: Inline<usize, INLINE_REGIONS> = Inline::new(topo.n_regions());
+    for (region, len) in lens.as_mut().iter_mut().enumerate() {
+        *len = region_len(policy, topo, region);
+    }
+    let lens = lens.as_ref();
+    let mut shares = Inline::new(lens.len());
+    let mut slot = 0;
+    while n > 0 {
+        // The regions whose order reaches this slot, and the slot the first
+        // of them runs out at.
+        let live = lens.iter().filter(|&&len| len > slot).count();
+        let Some(until) = lens.iter().copied().filter(|&len| len > slot).min() else { break };
+        let slots = (n / live).min(until - slot);
+        if slots == 0 {
+            // The last, partial slot: the first `n` live regions.
+            let live = shares.as_mut().iter_mut().zip(lens).filter(|(_, &len)| len > slot);
+            for (share, _) in live.take(n) {
+                *share += 1;
             }
-            out
-        })
-        .collect();
-    round_robin(&region_cores, n_threads)
+            break;
+        }
+        for (share, &len) in shares.as_mut().iter_mut().zip(lens) {
+            if len > slot {
+                *share += slots;
+            }
+        }
+        n -= slots * live;
+        slot += slots;
+    }
+    shares
 }
 
-/// Take items round-robin from each list until `n` are collected.
-fn round_robin(lists: &[Vec<usize>], n: usize) -> Vec<usize> {
-    let longest = lists.iter().map(Vec::len).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(n);
-    'outer: for slot in 0..longest {
-        for list in lists {
-            if let Some(&c) = list.get(slot) {
-                out.push(c);
-                if out.len() == n {
-                    break 'outer;
+/// The first `share` cores of `region`'s own order under a cyclic policy.
+fn region_order(
+    policy: PlacementPolicy,
+    topo: &Topology,
+    region: usize,
+    share: usize,
+) -> Vec<usize> {
+    let mut cores = Vec::with_capacity(share);
+    if policy == PlacementPolicy::ClusterCyclic {
+        for lane in 0..topo.cluster_size() {
+            let mut pos = InterleavePos::default();
+            while let Some(cluster) = topo.next_interleaved(region, &mut pos) {
+                if cores.len() == share {
+                    return cores;
+                }
+                cores.push(topo.cluster_cores(cluster).start + lane);
+            }
+        }
+        return cores;
+    }
+    let ranges = &topo.regions()[region].core_ranges;
+    cores.extend(ranges.iter().flat_map(|&(s, e)| s..e).take(share));
+    cores
+}
+
+/// Count the first `share` cores of `region`'s own order under a cyclic
+/// policy into the region and cluster counts: what [`region_order`] gives,
+/// counted a range or a cluster at a time.
+fn count_prefix(
+    policy: PlacementPolicy,
+    topo: &Topology,
+    region: usize,
+    share: usize,
+    regions: &mut [usize],
+    clusters: &mut [usize],
+) {
+    if policy == PlacementPolicy::ClusterCyclic {
+        // Lane-major over the interleaved clusters: every entry of that
+        // order (a cluster each range of the region touches) gets `lanes`
+        // cores, and the first `extra` entries one more.
+        let n = topo.region_cluster_count(region);
+        if n == 0 {
+            return;
+        }
+        let (lanes, extra) = (share / n, share % n);
+        regions[region] += share;
+        for &(s, e) in &topo.regions()[region].core_ranges {
+            if e > s {
+                for count in &mut clusters[topo.core_cluster(s)..=topo.core_cluster(e - 1)] {
+                    *count += lanes;
                 }
             }
         }
+        let mut pos = InterleavePos::default();
+        for _ in 0..extra {
+            if let Some(cluster) = topo.next_interleaved(region, &mut pos) {
+                clusters[cluster] += 1;
+            }
+        }
+        return;
     }
-    out
+    let mut left = share;
+    for &(s, e) in &topo.regions()[region].core_ranges {
+        let taken = left.min(e - s);
+        count_span(topo, s, s + taken, regions, clusters);
+        left -= taken;
+    }
+}
+
+/// Count one thread on each core of `[s, e)`, a cluster at a time (a
+/// cluster lies in one region on a valid topology).
+fn count_span(topo: &Topology, s: usize, e: usize, regions: &mut [usize], clusters: &mut [usize]) {
+    let (mut core, mut cluster) = (s, topo.core_cluster(s));
+    while core < e {
+        let end = e.min(topo.cluster_cores(cluster).end);
+        clusters[cluster] += end - core;
+        regions[topo.core_region(core)] += end - core;
+        (core, cluster) = (end, cluster + 1);
+    }
+}
+
+/// Clusters [`PlacementPolicy::occupancy`] counts threads in without
+/// allocating (every catalog machine has at most 16).
+const INLINE_CLUSTERS: usize = 64;
+
+/// NUMA regions an [`Occupancy`] holds counts for inline (every catalog
+/// machine has at most 4).
+const INLINE_REGIONS: usize = 8;
+
+/// A short array of `len` values, all starting at their default, held
+/// inline up to `N` of them and on the heap beyond.
+#[derive(Clone)]
+struct Inline<T, const N: usize> {
+    inline: [T; N],
+    spilled: Vec<T>,
+    len: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Inline<T, N> {
+    fn new(len: usize) -> Self {
+        let spilled = if len > N { vec![T::default(); len] } else { Vec::new() };
+        Inline { inline: [T::default(); N], spilled, len }
+    }
+}
+
+impl<T, const N: usize> AsRef<[T]> for Inline<T, N> {
+    fn as_ref(&self) -> &[T] {
+        if self.len > N {
+            &self.spilled
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
+
+impl<T, const N: usize> AsMut<[T]> for Inline<T, N> {
+    fn as_mut(&mut self) -> &mut [T] {
+        if self.len > N {
+            &mut self.spilled
+        } else {
+            &mut self.inline[..self.len]
+        }
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for Inline<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_ref()).finish()
+    }
+}
+
+/// How a policy's threads occupy a topology
+/// ([`PlacementPolicy::occupancy`]): what the contention model reads of a
+/// [`Placement`], without the thread → core map.
+#[derive(Debug, Clone)]
+pub struct Occupancy {
+    n_threads: usize,
+    max_threads_per_cluster: usize,
+    threads_per_region: Inline<usize, INLINE_REGIONS>,
+}
+
+impl Occupancy {
+    /// Number of threads placed.
+    pub fn n_threads(&self) -> usize {
+        self.n_threads
+    }
+
+    /// Threads bound to each NUMA region.
+    pub fn threads_per_region(&self) -> &[usize] {
+        self.threads_per_region.as_ref()
+    }
+
+    /// Largest number of threads sharing one cluster.
+    pub fn max_threads_per_cluster(&self) -> usize {
+        self.max_threads_per_cluster
+    }
 }
 
 /// The result of applying a policy: a thread → core map plus derived

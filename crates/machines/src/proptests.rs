@@ -2,6 +2,8 @@
 
 #![cfg(test)]
 
+use crate::catalog::catalog;
+use crate::ids::MachineId;
 use crate::placement::PlacementPolicy;
 use crate::topology::Topology;
 use rvhpc_quickprop::{run_cases, Gen};
@@ -41,7 +43,46 @@ fn placements_are_injective_and_consistent() {
         }
         assert_eq!(p.threads_per_region.iter().sum::<usize>(), n_threads);
         assert_eq!(p.threads_per_cluster.iter().sum::<usize>(), n_threads);
+        assert_occupancy_matches_map(&topo, policy, n_threads);
     });
+}
+
+/// The counts [`PlacementPolicy::occupancy`] takes in its walk are the
+/// ones [`PlacementPolicy::map`]'s placement holds.
+fn assert_occupancy_matches_map(topo: &Topology, policy: PlacementPolicy, n_threads: usize) {
+    let p = policy.map(topo, n_threads);
+    let occupancy = policy.occupancy(topo, n_threads);
+    assert_eq!(occupancy.n_threads(), p.n_threads(), "{policy} {n_threads}");
+    assert_eq!(occupancy.threads_per_region(), &p.threads_per_region[..], "{policy} {n_threads}");
+    assert_eq!(
+        occupancy.max_threads_per_cluster(),
+        p.max_threads_per_cluster(),
+        "{policy} {n_threads}"
+    );
+}
+
+/// The walk's counts equal the map's at every thread count of every
+/// catalog machine (the what-if part included) and of every contiguous
+/// shape the generator above draws from.
+#[test]
+fn occupancy_matches_the_map_everywhere() {
+    let catalog_topologies = MachineId::CATALOG.map(|id| catalog(id).topology.clone());
+    let mut shapes = Vec::new();
+    for regions in 1..=4 {
+        for clusters_per_region in 1..=4 {
+            for cluster_size in [1usize, 2, 4] {
+                let cores = regions * clusters_per_region * cluster_size;
+                shapes.push(Topology::contiguous(cores, regions, 1, cluster_size));
+            }
+        }
+    }
+    for topo in catalog_topologies.iter().chain(&shapes) {
+        for policy in PlacementPolicy::ALL {
+            for n_threads in 1..=topo.n_cores() {
+                assert_occupancy_matches_map(topo, policy, n_threads);
+            }
+        }
+    }
 }
 
 /// The cyclic policies never load one region with two more threads than

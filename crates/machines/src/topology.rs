@@ -44,6 +44,15 @@ impl NumaRegion {
     }
 }
 
+/// A position in a region's interleaved cluster order
+/// (`Topology::next_interleaved`): the `slot`-th cluster of range `range`
+/// comes next.
+#[derive(Default)]
+pub(crate) struct InterleavePos {
+    slot: usize,
+    range: usize,
+}
+
 /// Full core/cluster/NUMA layout of a package.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -134,7 +143,13 @@ impl Topology {
 
     /// Cluster id of a core (clusters are contiguous in core id).
     pub fn core_cluster(&self, core: usize) -> usize {
-        core / self.cluster_size
+        // A shift where the size allows: most packages cluster cores in
+        // twos or fours, and placement looks a core's cluster up often.
+        if self.cluster_size.is_power_of_two() {
+            core >> self.cluster_size.trailing_zeros()
+        } else {
+            core / self.cluster_size
+        }
     }
 
     /// Core ids of a cluster, ascending.
@@ -142,32 +157,47 @@ impl Topology {
         cluster * self.cluster_size..(cluster + 1) * self.cluster_size
     }
 
-    /// Cluster ids whose cores are in the given region, ordered by
-    /// interleaving the region's contiguous ranges (first cluster of range 0,
-    /// first cluster of range 1, second of range 0, …). This is the ordering
-    /// that reproduces the paper's cluster-cyclic placement example:
-    /// region 0's clusters come out as those starting at cores 0, 16, 4, 20.
-    pub fn region_clusters_interleaved(&self, region: usize) -> Vec<usize> {
-        let r = &self.regions[region];
-        let per_range: Vec<Vec<usize>> = r
-            .core_ranges
-            .iter()
-            .map(|&(s, e)| {
-                let mut cl: Vec<usize> = (s..e).map(|c| self.core_cluster(c)).collect();
-                cl.dedup();
-                cl
-            })
-            .collect();
-        let longest = per_range.iter().map(Vec::len).max().unwrap_or(0);
-        let mut out = Vec::new();
-        for slot in 0..longest {
-            for range in &per_range {
-                if let Some(&cl) = range.get(slot) {
-                    out.push(cl);
+    /// Number of clusters in `region`'s interleaved order
+    /// ([`next_interleaved`](Self::next_interleaved)): the clusters each of
+    /// the region's ranges touches, summed.
+    pub(crate) fn region_cluster_count(&self, region: usize) -> usize {
+        self.regions[region].core_ranges.iter().map(|&(s, e)| self.range_clusters(s, e)).sum()
+    }
+
+    /// The cluster at `pos` in `region`'s interleaved order, stepping `pos`
+    /// past it; `None` once the order is done. The order interleaves the
+    /// region's contiguous ranges (first cluster of range 0, first cluster
+    /// of range 1, second of range 0, …). It reproduces the paper's
+    /// cluster-cyclic placement example: region 0's clusters come out as
+    /// those starting at cores 0, 16, 4, 20.
+    pub(crate) fn next_interleaved(&self, region: usize, pos: &mut InterleavePos) -> Option<usize> {
+        let ranges = &self.regions[region].core_ranges;
+        loop {
+            if pos.range == ranges.len() {
+                // Every range has had its turn at this slot: on to the next,
+                // unless no range has a cluster there.
+                pos.range = 0;
+                pos.slot += 1;
+                if ranges.iter().all(|&(s, e)| pos.slot >= self.range_clusters(s, e)) {
+                    return None;
                 }
             }
+            let (s, e) = ranges[pos.range];
+            pos.range += 1;
+            if pos.slot < self.range_clusters(s, e) {
+                return Some(self.core_cluster(s) + pos.slot);
+            }
         }
-        out
+    }
+
+    /// Clusters the core range `[s, e)` touches (clusters are contiguous in
+    /// core id, so they run from `s`'s to `e - 1`'s).
+    fn range_clusters(&self, s: usize, e: usize) -> usize {
+        if e > s {
+            self.core_cluster(e - 1) - self.core_cluster(s) + 1
+        } else {
+            0
+        }
     }
 
     /// Structural sanity check: regions partition the core set, clusters
@@ -255,8 +285,10 @@ mod tests {
         let t = Topology::sg2042();
         // Region 0 ranges are 0-7 and 16-23 → clusters {0-3},{4-7} and
         // {16-19},{20-23}; interleaved order starts 0, 16, 4, 20.
-        let order: Vec<usize> =
-            t.region_clusters_interleaved(0).iter().map(|&cl| t.cluster_cores(cl).start).collect();
+        let mut pos = InterleavePos::default();
+        let order: Vec<usize> = std::iter::from_fn(|| t.next_interleaved(0, &mut pos))
+            .map(|cl| t.cluster_cores(cl).start)
+            .collect();
         assert_eq!(order, vec![0, 16, 4, 20]);
     }
 

@@ -318,7 +318,7 @@ pub fn explain(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -> Explan
             let home_level = machine
                 .caches
                 .iter()
-                .zip(&env.memory().capacity_shares)
+                .zip(env.memory().capacity_shares.iter())
                 .find(|(_, cap)| spec.footprint_bytes <= **cap * share)
                 .map(|(c, _)| c.level);
             StreamResidency { stream: name, footprint_bytes: spec.footprint_bytes, home_level }

@@ -12,7 +12,9 @@
 //!   four, and a queueing factor makes oversubscription degrade
 //!   super-linearly (Table 1's collapse).
 //!
-//! Every cold estimate runs [`memory_seconds`], so it allocates nothing:
+//! A [`MemoryEnv`] holds its per-level shares inline, so resolving one for
+//! a catalog machine allocates nothing. Every cold estimate runs
+//! [`memory_seconds`], so it allocates nothing either:
 //! each stream's per-level traffic comes from `cachesim`'s
 //! allocation-free [`stream_traffic`] core into stack buffers (a
 //! hierarchy deeper than `INLINE_LEVELS` takes one heap buffer), and the
@@ -22,15 +24,17 @@
 use crate::calibration::Calibration;
 use rvhpc_cachesim::analytic::{stream_traffic, AccessSpec, Locality};
 use rvhpc_kernels::{Access, StreamSpec, Workload};
-use rvhpc_machines::{CacheSharing, Machine, Placement};
+use rvhpc_machines::{CacheSharing, Machine, Occupancy, Placement};
+use std::fmt;
+use std::ops::Deref;
 
 /// Resolved memory environment for one run.
 #[derive(Debug, Clone)]
 pub struct MemoryEnv {
     /// Per-thread capacity share at each cache level.
-    pub capacity_shares: Vec<f64>,
+    pub capacity_shares: PerLevel,
     /// Per-thread bandwidth share at each cache level (bytes/cycle).
-    pub bw_shares: Vec<f64>,
+    pub bw_shares: PerLevel,
     /// Threads contending for the busiest memory controller.
     pub threads_per_controller: f64,
     /// Cache line size.
@@ -40,35 +44,58 @@ pub struct MemoryEnv {
 impl MemoryEnv {
     /// Derive the environment from a machine and a placement.
     pub fn new(machine: &Machine, placement: &Placement) -> Self {
+        MemoryEnv::from_counts(
+            machine,
+            placement.n_threads(),
+            placement.max_threads_per_cluster(),
+            &placement.threads_per_region,
+        )
+    }
+
+    /// Derive the environment from a machine and the occupancy of a
+    /// placement: the same environment as [`MemoryEnv::new`] of the
+    /// policy's map, with no allocation on any catalog machine.
+    pub fn of_occupancy(machine: &Machine, occupancy: &Occupancy) -> Self {
+        MemoryEnv::from_counts(
+            machine,
+            occupancy.n_threads(),
+            occupancy.max_threads_per_cluster(),
+            occupancy.threads_per_region(),
+        )
+    }
+
+    fn from_counts(
+        machine: &Machine,
+        n_threads: usize,
+        max_threads_per_cluster: usize,
+        threads_per_region: &[usize],
+    ) -> Self {
         let sharers = |sharing: CacheSharing| -> f64 {
             match sharing {
                 CacheSharing::PerCore => 1.0,
-                CacheSharing::PerCluster => placement.max_threads_per_cluster().max(1) as f64,
-                CacheSharing::Package => placement.n_threads().max(1) as f64,
+                CacheSharing::PerCluster => max_threads_per_cluster.max(1) as f64,
+                CacheSharing::Package => n_threads.max(1) as f64,
             }
         };
-        let capacity_shares =
-            machine.caches.iter().map(|c| c.size_bytes as f64 / sharers(c.sharing)).collect();
-        let bw_shares = machine
-            .caches
-            .iter()
-            .map(|c| {
-                // Private levels keep full bandwidth. Shared caches are
-                // banked: up to ~8 requesters stream from different banks
-                // at full speed and only beyond that does per-thread
-                // bandwidth divide — DRAM controllers, not the L2/L3
-                // fabrics, are where contention bites first on these parts.
-                let s = (sharers(c.sharing) / 8.0).max(1.0);
-                c.bandwidth_bytes_per_cycle / s
-            })
-            .collect();
+        let capacity_shares = PerLevel::from_levels(
+            machine.caches.iter().map(|c| c.size_bytes as f64 / sharers(c.sharing)),
+        );
+        let bw_shares = PerLevel::from_levels(machine.caches.iter().map(|c| {
+            // Private levels keep full bandwidth. Shared caches are
+            // banked: up to ~8 requesters stream from different banks
+            // at full speed and only beyond that does per-thread
+            // bandwidth divide — DRAM controllers, not the L2/L3
+            // fabrics, are where contention bites first on these parts.
+            let s = (sharers(c.sharing) / 8.0).max(1.0);
+            c.bandwidth_bytes_per_cycle / s
+        }));
         // Busiest controller: threads in the fullest region divided over
         // that region's controllers.
         let threads_per_controller = machine
             .topology
             .regions()
             .iter()
-            .map(|r| placement.threads_per_region[r.id] as f64 / r.controllers as f64)
+            .map(|r| threads_per_region[r.id] as f64 / r.controllers as f64)
             .fold(0.0f64, f64::max)
             .max(1.0);
         MemoryEnv {
@@ -77,6 +104,49 @@ impl MemoryEnv {
             threads_per_controller,
             line_bytes: machine.caches[0].line_bytes as f64,
         }
+    }
+}
+
+/// One value per cache level, held inline up to `INLINE_LEVELS` levels
+/// (every catalog machine) and on the heap beyond. It reads as a slice
+/// and debug-prints as one.
+#[derive(Clone)]
+pub struct PerLevel {
+    inline: [f64; INLINE_LEVELS],
+    spilled: Vec<f64>,
+    len: usize,
+}
+
+impl PerLevel {
+    fn from_levels(values: impl ExactSizeIterator<Item = f64>) -> Self {
+        let len = values.len();
+        let mut out = PerLevel { inline: [0.0; INLINE_LEVELS], spilled: Vec::new(), len };
+        if len > INLINE_LEVELS {
+            out.spilled.extend(values);
+        } else {
+            for (slot, v) in out.inline.iter_mut().zip(values) {
+                *slot = v;
+            }
+        }
+        out
+    }
+}
+
+impl Deref for PerLevel {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        if self.len > INLINE_LEVELS {
+            &self.spilled
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
+
+impl fmt::Debug for PerLevel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -130,8 +200,9 @@ pub(crate) fn to_access_spec(
 }
 
 /// Cache levels [`memory_seconds`] keeps its per-level buffers for on the
-/// stack: every catalog machine has at most three, and `Machine::validate`
-/// admits at most four. Deeper hand-built descriptors take the heap.
+/// stack, and a [`MemoryEnv`] its shares inline: every catalog machine has
+/// at most three, and `Machine::validate` admits at most four. Deeper
+/// hand-built descriptors take the heap.
 pub(crate) const INLINE_LEVELS: usize = 4;
 
 /// Seconds one thread spends waiting on the memory system per repetition.
@@ -180,7 +251,7 @@ pub fn memory_seconds(
     for s in &w.streams {
         let spec = to_access_spec(s, elem_bytes, effective_threads);
         let share = spec.footprint_bytes / total_footprint;
-        for (cap, c) in caps.iter_mut().zip(&env.capacity_shares) {
+        for (cap, c) in caps.iter_mut().zip(env.capacity_shares.iter()) {
             *cap = c * share;
         }
         // Steady-state accounting: the paper measures repetitions over

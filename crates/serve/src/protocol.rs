@@ -25,7 +25,9 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, TimeEstimate};
-use rvhpc_trace::json::Json;
+use rvhpc_trace::json::{read_members, Json, JsonRef};
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// Hard cap on one request line; longer lines are answered with
@@ -247,57 +249,160 @@ impl Request {
     }
 }
 
-/// Fields every op understands; used to reject unknown keys per op.
-const COMMON_FIELDS: [&str; 2] = ["id", "op"];
-
-fn allowed_fields(op: &str) -> &'static [&'static str] {
-    match op {
-        "estimate" => &[
-            "machine",
-            "kernel",
-            "precision",
-            "threads",
-            "vectorize",
-            "mode",
-            "placement",
-            "deadline_ms",
-        ],
-        "explain" => {
-            &["machine", "kernel", "precision", "threads", "vectorize", "mode", "placement"]
+/// Declares [`Field`] from one list of variants and their wire keys.
+macro_rules! fields {
+    ($( $variant:ident = $key:literal ),+ $(,)?) => {
+        /// Every field a request line may carry, across all ops.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Field {
+            $( $variant, )+
         }
-        "suite" => &["machine", "precision", "threads", "vectorize", "mode", "placement", "class"],
-        "lint_machine" => &["machine", "clock_ghz", "memory_controllers", "bw_per_controller_gbs"],
-        "cluster" => &["machine", "kernel", "network", "mode", "precision", "nodes"],
-        "submit_kernel" => &["asm", "env"],
-        "submit_machine" => &["descriptor"],
-        "metrics" => &["format"],
-        "slow_requests" => &["limit"],
+
+        impl Field {
+            const ALL: [Field; [$( $key ),+].len()] = [$( Field::$variant ),+];
+
+            /// The field's key on the wire.
+            fn name(self) -> &'static str {
+                match self {
+                    $( Field::$variant => $key, )+
+                }
+            }
+
+            fn from_name(key: &str) -> Option<Field> {
+                match key {
+                    $( $key => Some(Field::$variant), )+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fields! {
+    Id = "id",
+    Op = "op",
+    Machine = "machine",
+    Kernel = "kernel",
+    Precision = "precision",
+    Threads = "threads",
+    Vectorize = "vectorize",
+    Mode = "mode",
+    Placement = "placement",
+    DeadlineMs = "deadline_ms",
+    Class = "class",
+    ClockGhz = "clock_ghz",
+    MemoryControllers = "memory_controllers",
+    BwPerControllerGbs = "bw_per_controller_gbs",
+    Network = "network",
+    Nodes = "nodes",
+    Asm = "asm",
+    Env = "env",
+    Descriptor = "descriptor",
+    Format = "format",
+    Limit = "limit",
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Fields every op understands; used to reject unknown keys per op.
+const COMMON_FIELDS: [Field; 2] = [Field::Id, Field::Op];
+
+fn allowed_fields(op: &str) -> &'static [Field] {
+    use Field::*;
+    match op {
+        "estimate" => {
+            &[Machine, Kernel, Precision, Threads, Vectorize, Mode, Placement, DeadlineMs]
+        }
+        "explain" => &[Machine, Kernel, Precision, Threads, Vectorize, Mode, Placement],
+        "suite" => &[Machine, Precision, Threads, Vectorize, Mode, Placement, Class],
+        "lint_machine" => &[Machine, ClockGhz, MemoryControllers, BwPerControllerGbs],
+        "cluster" => &[Machine, Kernel, Network, Mode, Precision, Nodes],
+        "submit_kernel" => &[Asm, Env],
+        "submit_machine" => &[Descriptor],
+        "metrics" => &[Format],
+        "slow_requests" => &[Limit],
         _ => &[],
+    }
+}
+
+/// A request line's top-level members, read in place in one pass: the
+/// first value of each known field and the first key that names none, each
+/// with its place in the line. No tree is built, and a nested value stays
+/// a span of the line until a request needs it whole.
+struct Fields<'a> {
+    first: [Option<(usize, JsonRef<'a>)>; Field::ALL.len()],
+    stray: Option<(usize, Cow<'a, str>)>,
+}
+
+impl<'a> Fields<'a> {
+    fn new() -> Self {
+        Fields { first: [const { None }; Field::ALL.len()], stray: None }
+    }
+
+    /// Read `line`'s members. `Ok(false)`: valid JSON but not an object.
+    fn read(&mut self, line: &'a str) -> Result<bool, String> {
+        let mut at = 0;
+        read_members(line, |key, value| {
+            match Field::from_name(&key) {
+                Some(field) => {
+                    self.first[field as usize].get_or_insert((at, value));
+                }
+                None => {
+                    self.stray.get_or_insert((at, key));
+                }
+            }
+            at += 1;
+        })
+    }
+
+    /// The first value of `field`; a later duplicate never overrides it.
+    fn get(&self, field: Field) -> Option<&JsonRef<'a>> {
+        self.first[field as usize].as_ref().map(|(_, v)| v)
+    }
+
+    /// The key of the first member, in line order, that `op` does not
+    /// accept.
+    fn first_unknown(&self, op: &str) -> Option<&str> {
+        let allowed = allowed_fields(op);
+        let stray = self.stray.as_ref().map(|(at, key)| (*at, &**key));
+        Field::ALL
+            .into_iter()
+            .filter(|f| !COMMON_FIELDS.contains(f) && !allowed.contains(f))
+            .filter_map(|f| self.first[f as usize].as_ref().map(|(at, _)| (*at, f.name())))
+            .chain(stray)
+            .min_by_key(|&(at, _)| at)
+            .map(|(_, key)| key)
     }
 }
 
 /// Parse one request line. `Err` carries the `bad_request` message; the
 /// echoed `id` (if the line parsed far enough to have one) is returned in
 /// both arms so even a rejected request is answered with its own id.
+///
+/// The line is read in one pass into borrowed members, so an escape-free
+/// estimate line allocates nothing. A syntax error anywhere in the line
+/// still beats every field rule: no rule runs before the whole line has
+/// been read.
 pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
     if line.len() > MAX_LINE_BYTES {
         return (Json::Null, Err(format!("request line exceeds {MAX_LINE_BYTES} bytes")));
     }
-    let doc = match Json::parse(line) {
-        Ok(d) => d,
+    let mut doc = Fields::new();
+    match doc.read(line) {
+        Ok(true) => {}
+        Ok(false) => return (Json::Null, Err("request must be a JSON object".to_string())),
         Err(e) => return (Json::Null, Err(format!("not valid JSON: {e}"))),
-    };
-    let Json::Obj(pairs) = &doc else {
-        return (Json::Null, Err("request must be a JSON object".to_string()));
-    };
-    let id = doc.get("id").cloned().unwrap_or(Json::Null);
-    let Some(op) = doc.get("op").and_then(Json::as_str) else {
+    }
+    let id = doc.get(Field::Id).map_or(Json::Null, JsonRef::to_json);
+    let Some(op) = doc.get(Field::Op).and_then(JsonRef::as_str) else {
         return (id, Err("missing string field `op`".to_string()));
     };
-    for (key, _) in pairs {
-        if !COMMON_FIELDS.contains(&key.as_str()) && !allowed_fields(op).contains(&key.as_str()) {
-            return (id, Err(format!("unknown field `{key}` for op `{op}`")));
-        }
+    if let Some(key) = doc.first_unknown(op) {
+        return (id, Err(format!("unknown field `{key}` for op `{op}`")));
     }
     let parsed = match op {
         "estimate" => match artifact_route(&doc) {
@@ -307,9 +412,9 @@ pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
             Some(ArtifactRoute::Machine(machine_ref)) => submitted_kernel_cfg(&doc)
                 .map(|(kernel, cfg)| Request::EstimateSubmitted { machine_ref, kernel, cfg }),
             None => machine_kernel_cfg(&doc).and_then(|(machine, kernel, cfg)| {
-                let deadline_ms = match doc.get("deadline_ms") {
+                let deadline_ms = match doc.get(Field::DeadlineMs) {
                     None => None,
-                    Some(v) => Some(parse_count(v, "deadline_ms")?),
+                    Some(v) => Some(parse_count(v.as_f64(), v, "deadline_ms")?),
                 };
                 Ok(Request::Estimate { machine, kernel, cfg, deadline_ms })
             }),
@@ -327,7 +432,7 @@ pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
             }),
         },
         "suite" => machine_cfg(&doc).and_then(|(machine, cfg)| {
-            let class = match doc.get("class").map(|v| (v, v.as_str())) {
+            let class = match doc.get(Field::Class).map(|v| (v, v.as_str())) {
                 None => None,
                 Some((_, Some(label))) => Some(parse_class(label)?),
                 Some((v, None)) => return Err(format!("`class` must be a string, got {v:?}")),
@@ -335,26 +440,26 @@ pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
             Ok(Request::Suite { machine, cfg, class })
         }),
         "submit_kernel" => {
-            let Some(asm) = doc.get("asm").and_then(Json::as_str) else {
+            let Some(asm) = doc.get(Field::Asm).and_then(JsonRef::as_str) else {
                 return (id, Err("missing string field `asm`".to_string()));
             };
-            let env = match doc.get("env") {
-                None | Some(Json::Null) => None,
+            let env = match doc.get(Field::Env) {
+                None | Some(JsonRef::Null) => None,
                 // Re-render with sorted keys: the env parser owns
                 // validation, and the canonical text feeds the content
                 // hash so key order cannot split identical envs into
                 // distinct `k:` ids.
-                Some(v @ Json::Obj(_)) => Some(v.canonical().render()),
+                Some(v @ JsonRef::Obj(_)) => Some(v.to_json().canonical().render()),
                 Some(v) => return (id, Err(format!("`env` must be an object, got {v:?}"))),
             };
             Ok(Request::SubmitKernel { asm: asm.to_string(), env })
         }
-        "submit_machine" => match doc.get("descriptor") {
+        "submit_machine" => match doc.get(Field::Descriptor) {
             // Sorted-key re-render: the rendered text is the content hash
             // input, so two semantically identical descriptors get the
             // same `m:` id regardless of client key order.
-            Some(v @ Json::Obj(_)) => {
-                Ok(Request::SubmitMachine { descriptor: v.canonical().render() })
+            Some(v @ JsonRef::Obj(_)) => {
+                Ok(Request::SubmitMachine { descriptor: v.to_json().canonical().render() })
             }
             Some(v) => Err(format!("`descriptor` must be an object, got {v:?}")),
             None => Err("missing object field `descriptor`".to_string()),
@@ -362,24 +467,24 @@ pub fn parse_request(line: &str) -> (Json, Result<Request, String>) {
         "lint_machine" => parse_machine(&doc).and_then(|machine| {
             Ok(Request::LintMachine {
                 machine,
-                clock_ghz: parse_opt_pos_f64(&doc, "clock_ghz")?,
-                memory_controllers: match doc.get("memory_controllers") {
+                clock_ghz: parse_opt_pos_f64(&doc, Field::ClockGhz)?,
+                memory_controllers: match doc.get(Field::MemoryControllers) {
                     None => None,
-                    Some(v) => Some(parse_count(v, "memory_controllers")? as usize),
+                    Some(v) => Some(parse_count(v.as_f64(), v, "memory_controllers")? as usize),
                 },
-                bw_per_controller_gbs: parse_opt_pos_f64(&doc, "bw_per_controller_gbs")?,
+                bw_per_controller_gbs: parse_opt_pos_f64(&doc, Field::BwPerControllerGbs)?,
             })
         }),
         "cluster" => parse_cluster(&doc),
         "stats" => Ok(Request::Stats),
-        "metrics" => match doc.get("format").map(|v| (v, v.as_str())) {
+        "metrics" => match doc.get(Field::Format).map(|v| (v, v.as_str())) {
             None | Some((_, Some("json"))) => Ok(Request::Metrics { prometheus: false }),
             Some((_, Some("prometheus"))) => Ok(Request::Metrics { prometheus: true }),
             Some((v, _)) => Err(format!("`format` must be \"json\" or \"prometheus\", got {v:?}")),
         },
-        "slow_requests" => match doc.get("limit") {
+        "slow_requests" => match doc.get(Field::Limit) {
             None => Ok(Request::SlowRequests { limit: DEFAULT_SLOW_LIMIT }),
-            Some(v) => parse_count(v, "limit").and_then(|n| {
+            Some(v) => parse_count(v.as_f64(), v, "limit").and_then(|n| {
                 if n == 0 {
                     Err("`limit` must be >= 1".to_string())
                 } else {
@@ -409,13 +514,13 @@ enum ArtifactRoute {
 /// Detect artifact-id routing: a `k:`-prefixed `kernel` or an
 /// `m:`-prefixed `machine`. `k:` wins — a kernel artifact carries its own
 /// execution environment, so a machine reference would be meaningless.
-fn artifact_route(doc: &Json) -> Option<ArtifactRoute> {
-    if let Some(kid) = doc.get("kernel").and_then(Json::as_str) {
+fn artifact_route(doc: &Fields<'_>) -> Option<ArtifactRoute> {
+    if let Some(kid) = doc.get(Field::Kernel).and_then(JsonRef::as_str) {
         if kid.starts_with("k:") {
             return Some(ArtifactRoute::Kernel(kid.to_string()));
         }
     }
-    if let Some(mid) = doc.get("machine").and_then(Json::as_str) {
+    if let Some(mid) = doc.get(Field::Machine).and_then(JsonRef::as_str) {
         if mid.starts_with("m:") {
             return Some(ArtifactRoute::Machine(mid.to_string()));
         }
@@ -427,10 +532,16 @@ fn artifact_route(doc: &Json) -> Option<ArtifactRoute> {
 /// fuel), so model knobs would be silently meaningless — reject them.
 /// `deadline_ms` too: artifact runs are answered inline, never through the
 /// deadline-checked batch queue, so accepting it would silently drop it.
-fn kernel_artifact_fields_ok(doc: &Json) -> Result<(), String> {
-    for field in
-        ["machine", "precision", "threads", "vectorize", "mode", "placement", "deadline_ms"]
-    {
+fn kernel_artifact_fields_ok(doc: &Fields<'_>) -> Result<(), String> {
+    for field in [
+        Field::Machine,
+        Field::Precision,
+        Field::Threads,
+        Field::Vectorize,
+        Field::Mode,
+        Field::Placement,
+        Field::DeadlineMs,
+    ] {
         if doc.get(field).is_some() {
             return Err(format!(
                 "`{field}` does not apply to a kernel artifact: a `k:` id fixes the \
@@ -444,8 +555,8 @@ fn kernel_artifact_fields_ok(doc: &Json) -> Result<(), String> {
 /// Kernel + run configuration for a submitted (`m:`) machine. Submitted
 /// descriptors are RVV machines by construction, so the RISC-V paper-best
 /// defaults apply.
-fn submitted_kernel_cfg(doc: &Json) -> Result<(KernelName, RunConfig), String> {
-    let Some(label) = doc.get("kernel").and_then(Json::as_str) else {
+fn submitted_kernel_cfg(doc: &Fields<'_>) -> Result<(KernelName, RunConfig), String> {
+    let Some(label) = doc.get(Field::Kernel).and_then(JsonRef::as_str) else {
         return Err("missing string field `kernel`".to_string());
     };
     let kernel = KernelName::from_label(label)
@@ -457,14 +568,14 @@ fn submitted_kernel_cfg(doc: &Json) -> Result<(KernelName, RunConfig), String> {
 /// up front and the first problem is reported precisely, mirroring the
 /// descriptor lint — a silently-coerced node list would make the scaling
 /// curve lie.
-fn parse_cluster(doc: &Json) -> Result<Request, String> {
+fn parse_cluster(doc: &Fields<'_>) -> Result<Request, String> {
     let machine = parse_machine(doc)?;
-    let Some(label) = doc.get("kernel").and_then(Json::as_str) else {
+    let Some(label) = doc.get(Field::Kernel).and_then(JsonRef::as_str) else {
         return Err("missing string field `kernel`".to_string());
     };
     let kernel = KernelName::from_label(label)
         .ok_or_else(|| format!("unknown kernel `{label}`; labels are e.g. Basic_DAXPY"))?;
-    let network = match doc.get("network").map(|v| (v, v.as_str())) {
+    let network = match doc.get(Field::Network).map(|v| (v, v.as_str())) {
         Some((_, Some(name))) => NetworkKind::from_label(name).ok_or_else(|| {
             let known: Vec<&str> = NetworkKind::ALL.iter().map(|k| k.label()).collect();
             format!("unknown network `{name}`; known: {}", known.join(", "))
@@ -472,18 +583,18 @@ fn parse_cluster(doc: &Json) -> Result<Request, String> {
         Some((v, None)) => return Err(format!("`network` must be a string, got {v:?}")),
         None => return Err("missing string field `network`".to_string()),
     };
-    let mode = match doc.get("mode").map(|v| (v, v.as_str())) {
+    let mode = match doc.get(Field::Mode).map(|v| (v, v.as_str())) {
         Some((_, Some(token))) => ScalingMode::from_token(token)
             .ok_or_else(|| format!("`mode` must be \"weak\" or \"strong\", got `{token}`"))?,
         Some((v, None)) => return Err(format!("`mode` must be a string, got {v:?}")),
         None => return Err("missing string field `mode`".to_string()),
     };
-    let precision = match doc.get("precision").map(|v| (v, v.as_str())) {
+    let precision = match doc.get(Field::Precision).map(|v| (v, v.as_str())) {
         None | Some((_, Some("fp64"))) => Precision::Fp64,
         Some((_, Some("fp32"))) => Precision::Fp32,
         Some((v, _)) => return Err(format!("`precision` must be \"fp32\" or \"fp64\", got {v:?}")),
     };
-    let nodes = match doc.get("nodes") {
+    let nodes = match doc.get(Field::Nodes).map(JsonRef::to_json) {
         None => DEFAULT_CLUSTER_NODES.to_vec(),
         Some(Json::Arr(items)) => {
             if items.is_empty() {
@@ -493,8 +604,8 @@ fn parse_cluster(doc: &Json) -> Result<Request, String> {
                 return Err(format!("`nodes` capped at {MAX_CLUSTER_POINTS} points"));
             }
             let mut out = Vec::with_capacity(items.len());
-            for v in items {
-                let n = parse_count(v, "nodes")?;
+            for v in &items {
+                let n = parse_count(v.as_f64(), v, "nodes")?;
                 if n == 0 || n > u64::from(MAX_CLUSTER_NODES) {
                     return Err(format!("`nodes` entries must be in 1..={MAX_CLUSTER_NODES}"));
                 }
@@ -510,12 +621,19 @@ fn parse_cluster(doc: &Json) -> Result<Request, String> {
     Ok(Request::Cluster { machine, kernel, network, mode, precision, nodes })
 }
 
-fn parse_machine(doc: &Json) -> Result<MachineId, String> {
-    let Some(tok) = doc.get("machine").and_then(Json::as_str) else {
+fn parse_machine(doc: &Fields<'_>) -> Result<MachineId, String> {
+    let Some(tok) = doc.get(Field::Machine).and_then(JsonRef::as_str) else {
         return Err("missing string field `machine`".to_string());
     };
-    MachineId::from_token(&tok.to_lowercase())
-        .ok_or_else(|| format!("unknown machine `{tok}`; known: {}", machine_tokens()))
+    // Tokens fold with `to_lowercase`, which maps some non-ASCII letters
+    // (U+212A KELVIN SIGN to `k`) into ASCII; an ASCII token, the usual
+    // case, folds the same without building a string.
+    let machine = if tok.is_ascii() {
+        MachineId::CATALOG.into_iter().find(|m| m.token().eq_ignore_ascii_case(tok))
+    } else {
+        MachineId::from_token(&tok.to_lowercase())
+    };
+    machine.ok_or_else(|| format!("unknown machine `{tok}`; known: {}", machine_tokens()))
 }
 
 /// Every machine token the server accepts (catalog + what-if).
@@ -530,14 +648,16 @@ fn parse_class(label: &str) -> Result<KernelClass, String> {
     })
 }
 
-fn parse_count(v: &Json, field: &str) -> Result<u64, String> {
-    match v.as_f64() {
+/// `n`, the number value `v` holds if any, as a count: a non-negative
+/// integer below 1e15.
+fn parse_count(n: Option<f64>, v: &impl fmt::Debug, field: &str) -> Result<u64, String> {
+    match n {
         Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n < 1e15 => Ok(n as u64),
         _ => Err(format!("`{field}` must be a non-negative integer, got {v:?}")),
     }
 }
 
-fn parse_opt_pos_f64(doc: &Json, field: &str) -> Result<Option<f64>, String> {
+fn parse_opt_pos_f64(doc: &Fields<'_>, field: Field) -> Result<Option<f64>, String> {
     match doc.get(field) {
         None => Ok(None),
         Some(v) => match v.as_f64() {
@@ -547,9 +667,9 @@ fn parse_opt_pos_f64(doc: &Json, field: &str) -> Result<Option<f64>, String> {
     }
 }
 
-fn machine_kernel_cfg(doc: &Json) -> Result<(MachineId, KernelName, RunConfig), String> {
+fn machine_kernel_cfg(doc: &Fields<'_>) -> Result<(MachineId, KernelName, RunConfig), String> {
     let (machine, cfg) = machine_cfg(doc)?;
-    let Some(label) = doc.get("kernel").and_then(Json::as_str) else {
+    let Some(label) = doc.get(Field::Kernel).and_then(JsonRef::as_str) else {
         return Err("missing string field `kernel`".to_string());
     };
     let kernel = KernelName::from_label(label)
@@ -560,23 +680,23 @@ fn machine_kernel_cfg(doc: &Json) -> Result<(MachineId, KernelName, RunConfig), 
 /// Build the run configuration for a request: start from the machine's
 /// paper-best default (the same rule the `repro explain` CLI applies) and
 /// layer the optional `vectorize` / `mode` / `placement` overrides on top.
-fn machine_cfg(doc: &Json) -> Result<(MachineId, RunConfig), String> {
+fn machine_cfg(doc: &Fields<'_>) -> Result<(MachineId, RunConfig), String> {
     let machine = parse_machine(doc)?;
     let cfg = cfg_from(doc, machine.is_riscv())?;
     Ok((machine, cfg))
 }
 
 /// The shared precision/threads/vectorize/mode/placement override logic.
-fn cfg_from(doc: &Json, is_riscv: bool) -> Result<RunConfig, String> {
-    let precision = match doc.get("precision").map(|v| (v, v.as_str())) {
+fn cfg_from(doc: &Fields<'_>, is_riscv: bool) -> Result<RunConfig, String> {
+    let precision = match doc.get(Field::Precision).map(|v| (v, v.as_str())) {
         None => Precision::Fp64,
         Some((_, Some("fp64"))) => Precision::Fp64,
         Some((_, Some("fp32"))) => Precision::Fp32,
         Some((v, _)) => return Err(format!("`precision` must be \"fp32\" or \"fp64\", got {v:?}")),
     };
-    let threads = match doc.get("threads") {
+    let threads = match doc.get(Field::Threads) {
         None => 1,
-        Some(v) => match parse_count(v, "threads")? {
+        Some(v) => match parse_count(v.as_f64(), v, "threads")? {
             0 => return Err("`threads` must be >= 1".to_string()),
             n => n as usize,
         },
@@ -586,18 +706,18 @@ fn cfg_from(doc: &Json, is_riscv: bool) -> Result<RunConfig, String> {
     } else {
         RunConfig::x86(precision, threads)
     };
-    match doc.get("vectorize") {
+    match doc.get(Field::Vectorize) {
         None => {}
-        Some(Json::Bool(b)) => cfg.vectorize = *b,
+        Some(JsonRef::Bool(b)) => cfg.vectorize = *b,
         Some(v) => return Err(format!("`vectorize` must be a boolean, got {v:?}")),
     }
-    match doc.get("mode").map(|v| (v, v.as_str())) {
+    match doc.get(Field::Mode).map(|v| (v, v.as_str())) {
         None => {}
         Some((_, Some("vls"))) => cfg.mode = VectorMode::Vls,
         Some((_, Some("vla"))) => cfg.mode = VectorMode::Vla,
         Some((v, _)) => return Err(format!("`mode` must be \"vls\" or \"vla\", got {v:?}")),
     }
-    match doc.get("placement").map(|v| (v, v.as_str())) {
+    match doc.get(Field::Placement).map(|v| (v, v.as_str())) {
         None => {}
         Some((v, Some(label))) => {
             cfg.placement = PlacementPolicy::ALL

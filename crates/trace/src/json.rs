@@ -1,4 +1,5 @@
-//! JSON for the workspace: a value tree, a streaming writer and a parser.
+//! JSON for the workspace: a value tree, a streaming writer and a lexer
+//! that reads documents into trees or in place.
 //!
 //! The workspace builds offline and has no external dependencies, so
 //! there is no serde; this module is the single JSON substrate shared by
@@ -13,9 +14,17 @@
 //!   [`Json::render`] and [`Json::pretty`] stream it through the writer.
 //!   Object keys keep insertion order, so rendered output is
 //!   deterministic.
-//! * [`Json::parse`] reads a document back into a tree.
+//! * One lexer reads JSON text. It yields strings borrowed from the text
+//!   unless they hold an escape, and it alone decides what is valid and
+//!   which error, at which byte, a malformed document gets.
+//!   [`Json::parse`] builds a tree from its tokens. [`read_members`] hands
+//!   a top-level object's members over as [`JsonRef`]s instead: scalars
+//!   decoded, strings borrowed, nested values validated and kept as spans
+//!   of the text. A caller that reads a few fields of a line (the serve
+//!   protocol, the fleet router) thus allocates only for what it keeps.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,12 +144,10 @@ impl Json {
 
     /// Parse a JSON document. Returns a description of the first error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut pos = 0;
-        let value = parse_value(text, &mut pos)?;
-        skip_ws(text.as_bytes(), &mut pos);
-        if pos != text.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
+        let mut lx = Lexer::new(text);
+        let token = lx.value()?;
+        let value = lx.tree(token)?;
+        lx.end()?;
         Ok(value)
     }
 }
@@ -344,145 +351,382 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A value's first token: a scalar read whole, or a container's opening
+/// bracket (its items follow through [`Lexer::next_item`] or
+/// [`Lexer::next_key`]).
+enum Token<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
+    ArrOpen,
+    ObjOpen,
 }
 
-fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(text, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+/// The one JSON grammar: a cursor over a document that reads it token by
+/// token. [`Json::parse`] builds a tree from the tokens, [`read_members`]
+/// keeps an object's members as borrowed pieces of the text; both take
+/// their error texts and byte offsets from here.
+struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+// The token methods are inlined into every caller: a request line is a
+// few dozen tokens, and a call per token costs as much as reading one.
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str) -> Self {
+        Lexer { text, pos: 0 }
+    }
+
+    /// Step past the bytes `keep` accepts, from the cursor on.
+    #[inline(always)]
+    fn run(&mut self, keep: impl Fn(u8) -> bool) {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        while pos < bytes.len() && keep(bytes[pos]) {
+            pos += 1;
+        }
+        self.pos = pos;
+    }
+
+    #[inline(always)]
+    fn skip_ws(&mut self) {
+        self.run(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
+    }
+
+    /// The first token of the next value.
+    #[inline(always)]
+    fn value(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        let bytes = self.text.as_bytes();
+        match bytes.get(self.pos) {
+            None => Err(error(format_args!("unexpected end of input"))),
+            Some(b'n') => self.literal("null", Token::Null),
+            Some(b't') => self.literal("true", Token::Bool(true)),
+            Some(b'f') => self.literal("false", Token::Bool(false)),
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::ArrOpen)
             }
-            loop {
-                items.push(parse_value(text, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::ObjOpen)
+            }
+            Some(_) => self.number().map(Token::Num),
+        }
+    }
+
+    /// Inside an open array: whether another item follows, consuming the
+    /// separator before it or the closing bracket. `first` is true right
+    /// after the opening bracket.
+    #[inline(always)]
+    fn next_item(&mut self, first: bool) -> Result<bool, String> {
+        self.skip_ws();
+        match self.text.as_bytes().get(self.pos) {
+            Some(b']') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(error(format_args!("expected ',' or ']' at byte {}", self.pos))),
+        }
+    }
+
+    /// Inside an open object: the next member's key with its `:` consumed,
+    /// or `None` at the closing brace. `first` is true right after the
+    /// opening brace.
+    #[inline(always)]
+    fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        match self.text.as_bytes().get(self.pos) {
+            Some(b'}') => {
+                self.pos += 1;
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => self.pos += 1,
+            _ => return Err(error(format_args!("expected ',' or '}}' at byte {}", self.pos))),
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        if self.text.as_bytes().get(self.pos) != Some(&b':') {
+            return Err(error(format_args!("expected ':' at byte {}", self.pos)));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// The rest of the value `token` began: a container's items are read
+    /// through its closing bracket and dropped.
+    fn skip(&mut self, token: Token<'a>) -> Result<(), String> {
+        match token {
+            Token::ArrOpen => {
+                let mut first = true;
+                while self.next_item(first)? {
+                    first = false;
+                    let item = self.value()?;
+                    self.skip(item)?;
+                }
+            }
+            Token::ObjOpen => {
+                let mut first = true;
+                while self.next_key(first)?.is_some() {
+                    first = false;
+                    let value = self.value()?;
+                    self.skip(value)?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The value `token` began, as a tree.
+    fn tree(&mut self, token: Token<'a>) -> Result<Json, String> {
+        Ok(match token {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Num(n) => Json::Num(n),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::ArrOpen => {
+                let mut items = Vec::new();
+                while self.next_item(items.is_empty())? {
+                    let item = self.value()?;
+                    items.push(self.tree(item)?);
+                }
+                Json::Arr(items)
+            }
+            Token::ObjOpen => {
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key(pairs.is_empty())? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), self.tree(value)?));
+                }
+                Json::Obj(pairs)
+            }
+        })
+    }
+
+    /// Nothing but whitespace may follow the document.
+    #[inline(always)]
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(error(format_args!("trailing input at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn literal(&mut self, lit: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(token)
+        } else {
+            Err(error(format_args!("invalid literal at byte {}", self.pos)))
+        }
+    }
+
+    /// A quoted string, borrowed from the text unless it holds an escape.
+    /// Runs between escapes end at a `"` or `\\`, which are ASCII, so
+    /// every slice boundary is a char boundary.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        if bytes.get(self.pos) != Some(&b'"') {
+            return Err(error(format_args!("expected string at byte {}", self.pos)));
+        }
+        self.pos += 1;
+        // The common case first: no escape, so the string is a slice.
+        let start = self.pos;
+        let mut pos = start;
+        while let Some(&b) = bytes.get(pos) {
+            if b == b'"' {
+                self.pos = pos + 1;
+                return Ok(Cow::Borrowed(&text[start..pos]));
+            }
+            if b == b'\\' {
+                break;
+            }
+            pos += 1;
+        }
+        let mut owned: Option<String> = None;
+        loop {
+            let run = self.pos;
+            self.run(|b| b != b'"' && b != b'\\');
+            let run = &text[run..self.pos];
+            match bytes.get(self.pos) {
+                None => return Err(error(format_args!("unterminated string"))),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                _ => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            let hex = text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| error(format_args!("truncated \\u escape")))?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            // Surrogate pairs are not needed for our own
+                            // output; map lone surrogates to the
+                            // replacement character.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(error(format_args!("bad escape at byte {}", self.pos))),
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+                    self.pos += 1;
                 }
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(text, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}", pos = *pos));
-                }
-                *pos += 1;
-                let value = parse_value(text, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
+    }
+
+    #[inline(always)]
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        self.run(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'));
+        let num = &self.text[start..self.pos];
+        // Up to 15 digits is an integer below 2^53, which converts to f64
+        // exactly: the value `parse` would round to, at a fraction of its
+        // cost.
+        if num.len() <= 15 && !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(num.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64);
         }
-        Some(_) => parse_number(text, pos),
+        num.parse::<f64>()
+            .map_err(|_| error(format_args!("invalid number {num:?} at byte {start}")))
     }
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
+/// A lexer error's text, built off the hot path.
+#[cold]
+#[inline(never)]
+fn error(message: fmt::Arguments<'_>) -> String {
+    message.to_string()
+}
+
+/// One value of a document read in place by [`read_members`]: a scalar
+/// decoded, a string borrowed from the text unless it holds an escape, and
+/// an array or object validated and kept as its span of the text.
+#[derive(Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number.
+    Num(f64),
+    /// A string.
+    Str(Cow<'a, str>),
+    /// An array: its text, brackets included.
+    Arr(&'a str),
+    /// An object: its text, braces included.
+    Obj(&'a str),
+}
+
+impl JsonRef<'_> {
+    /// The string, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonRef::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a tree; an array or object is parsed from its span.
+    pub fn to_json(&self) -> Json {
+        match self {
+            JsonRef::Null => Json::Null,
+            JsonRef::Bool(b) => Json::Bool(*b),
+            JsonRef::Num(n) => Json::Num(*n),
+            JsonRef::Str(s) => Json::Str(s.to_string()),
+            JsonRef::Arr(span) | JsonRef::Obj(span) => {
+                Json::parse(span).expect("a container span was validated when it was read")
+            }
+        }
+    }
+}
+
+/// Debug-prints as the [`Json`] value it stands for, so a message quoting
+/// a value reads the same whichever way it was parsed.
+impl fmt::Debug for JsonRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.to_json().fmt(f)
+    }
+}
+
+/// Read `text` as one JSON document and hand each member of its top-level
+/// object to `member` in document order, keys and values as [`JsonRef`]s
+/// borrowed from `text`. Nested values are validated as they are read, so
+/// an error anywhere is the one [`Json::parse`] reports, at the same byte;
+/// members read before it have been handed over already. `Ok(false)`: the
+/// document is valid but not an object.
+pub fn read_members<'a>(
+    text: &'a str,
+    mut member: impl FnMut(Cow<'a, str>, JsonRef<'a>),
+) -> Result<bool, String> {
+    let mut lx = Lexer::new(text);
+    let token = lx.value()?;
+    let is_object = matches!(token, Token::ObjOpen);
+    if is_object {
+        let mut first = true;
+        while let Some(key) = lx.next_key(first)? {
+            first = false;
+            lx.skip_ws();
+            let start = lx.pos;
+            let value = match lx.value()? {
+                Token::Null => JsonRef::Null,
+                Token::Bool(b) => JsonRef::Bool(b),
+                Token::Num(n) => JsonRef::Num(n),
+                Token::Str(s) => JsonRef::Str(s),
+                Token::ArrOpen => {
+                    lx.skip(Token::ArrOpen)?;
+                    JsonRef::Arr(&text[start..lx.pos])
+                }
+                Token::ObjOpen => {
+                    lx.skip(Token::ObjOpen)?;
+                    JsonRef::Obj(&text[start..lx.pos])
+                }
+            };
+            member(key, value);
+        }
     } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
+        lx.skip(token)?;
     }
-}
-
-/// Parse a quoted string. Runs between escapes are copied as slices of
-/// `text`: they end at a `"` or `\\`, which are ASCII, so every slice
-/// boundary is a char boundary.
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = text.as_bytes();
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        let run = *pos;
-        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
-            *pos += 1;
-        }
-        out.push_str(&text[run..*pos]);
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            _ => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = text
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        // Surrogate pairs are not needed for our own output;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn parse_number(text: &str, pos: &mut usize) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let num = &text[start..*pos];
-    num.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number {num:?} at byte {start}"))
+    lx.end()?;
+    Ok(is_object)
 }
 
 #[cfg(test)]
@@ -705,6 +949,50 @@ mod tests {
             tree.render(),
             r#"{"empty_arr":[],"empty_obj":{},"nested":[[0],{}],"s":"q\"b\\c\u0001é"}"#
         );
+    }
+
+    #[test]
+    fn read_members_agrees_with_the_tree_and_its_errors() {
+        rvhpc_quickprop::run_cases(512, |g| {
+            let doc = gen_doc(g, 4);
+            let mut text = if g.bool_with(0.5) { doc.render() } else { doc.pretty() };
+            match g.usize_in(0..=3) {
+                0 if !text.is_empty() => {
+                    let mut at = g.usize_in(0..=text.len() - 1);
+                    while !text.is_char_boundary(at) {
+                        at -= 1;
+                    }
+                    text.truncate(at);
+                }
+                1 => text.push_str(g.choose::<&str>(&["x", " ]", "}", ",", " 1", "\"", "  "])),
+                _ => {}
+            }
+            let mut members = Vec::new();
+            let read = read_members(&text, |k, v| members.push((k.into_owned(), v.to_json())));
+            match (Json::parse(&text), read) {
+                (Ok(Json::Obj(pairs)), Ok(true)) => assert_eq!(members, pairs, "{text}"),
+                (Ok(tree), Ok(false)) => assert!(!matches!(tree, Json::Obj(_)), "{text}"),
+                (Err(tree), Err(read)) => assert_eq!(read, tree, "{text}"),
+                (tree, read) => panic!("{text}: tree {tree:?}, members {read:?}"),
+            }
+        });
+    }
+
+    #[test]
+    fn members_borrow_unescaped_strings_and_keep_containers_as_spans() {
+        let text = r#"{"a\u0041": "plain", "b": "esc\n", "c": [1, {"d": 2}] , "e": {}}"#;
+        let mut members = Vec::new();
+        assert_eq!(read_members(text, |k, v| members.push((k, v))), Ok(true));
+        assert!(matches!(&members[0].0, Cow::Owned(k) if k == "aA"));
+        assert!(matches!(&members[0].1, JsonRef::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&members[1].1, JsonRef::Str(Cow::Owned(s)) if s == "esc\n"));
+        assert_eq!(members[2].1, JsonRef::Arr(r#"[1, {"d": 2}]"#));
+        assert_eq!(members[3].1, JsonRef::Obj("{}"));
+        assert_eq!(
+            format!("{:?}", members[2].1),
+            format!("{:?}", Json::parse(r#"[1,{"d":2}]"#).unwrap())
+        );
+        assert_eq!(format!("{:?}", JsonRef::Num(1.5)), "Num(1.5)");
     }
 
     #[test]

@@ -65,7 +65,8 @@ fn string(g: &mut Gen, s: &str) -> String {
 }
 
 fn ws(g: &mut Gen) -> &'static str {
-    *g.choose(&["", "", "", " ", " ", "\t", "\n ", "\r\n"])
+    const WS: [&str; 8] = ["", "", "", " ", " ", "\t", "\n ", "\r\n"];
+    WS[g.usize_in(0..=WS.len() - 1)]
 }
 
 fn machine_value(g: &mut Gen) -> (Option<MachineId>, String) {
@@ -216,21 +217,19 @@ fn members(g: &mut Gen, op: &str) -> Vec<(String, String)> {
                 );
             }
         }
-        "submit_machine" => {
-            if opt(g, 0.9) {
-                push(
-                    "descriptor",
-                    pick(
-                        g,
-                        &[
-                            "{\"schema\":\"rvhpc-machine-v1\",\"base\":\"sg2042\",\"vector\":{\"width_bits\":256,\"family\":\"rvv10\"}}",
-                            "{\"base\":\"sg2042\",\"schema\":\"rvhpc-machine-v1\",\"vector\":{\"family\":\"rvv10\",\"width_bits\":256}}",
-                            "{\"schema\":\"x\",\"k\":1,\"k\":2}",
-                        ],
-                        &["\"text\"", "[1,2]", "null"],
-                    ),
-                );
-            }
+        "submit_machine" if opt(g, 0.9) => {
+            push(
+                "descriptor",
+                pick(
+                    g,
+                    &[
+                        "{\"schema\":\"rvhpc-machine-v1\",\"base\":\"sg2042\",\"vector\":{\"width_bits\":256,\"family\":\"rvv10\"}}",
+                        "{\"base\":\"sg2042\",\"schema\":\"rvhpc-machine-v1\",\"vector\":{\"family\":\"rvv10\",\"width_bits\":256}}",
+                        "{\"schema\":\"x\",\"k\":1,\"k\":2}",
+                    ],
+                    &["\"text\"", "[1,2]", "null"],
+                ),
+            );
         }
         "lint_machine" => {
             push("machine", mval);
@@ -270,15 +269,11 @@ fn members(g: &mut Gen, op: &str) -> Vec<(String, String)> {
                 );
             }
         }
-        "metrics" => {
-            if opt(g, 0.6) {
-                push("format", pick(g, &["\"json\"", "\"prometheus\""], &["\"xml\"", "1"]));
-            }
+        "metrics" if opt(g, 0.6) => {
+            push("format", pick(g, &["\"json\"", "\"prometheus\""], &["\"xml\"", "1"]));
         }
-        "slow_requests" => {
-            if opt(g, 0.6) {
-                push("limit", pick(g, &["3", "16"], &["0", "-2", "\"x\""]));
-            }
+        "slow_requests" if opt(g, 0.6) => {
+            push("limit", pick(g, &["3", "16"], &["0", "-2", "\"x\""]));
         }
         _ => {}
     }
@@ -370,11 +365,11 @@ fn line(g: &mut Gen, n: usize) -> String {
             }
             line.truncate(at);
         }
-        1 => line.push_str(*g.choose(&["x", " 1", "}", "]", ",", "  ", " {}", "\n"])),
+        1 => line.push_str(g.choose::<&str>(&["x", " 1", "}", "]", ",", "  ", " {}", "\n"])),
         2 => {
             // An unknown field, then a syntax error later in the line.
             line.pop();
-            line.push_str(*g.choose(&[
+            line.push_str(g.choose::<&str>(&[
                 ",\"bogus\":1,\"zz\":}",
                 ",\"bogus\":1,\"zz\" 1}",
                 ",\"bogus\":[1,]}",
