@@ -10,6 +10,11 @@
 //!   scalar calls in document order and renders compactly or with
 //!   two-space indentation into a buffer reserved once. Artefacts of a
 //!   fixed shape (the paper's figures and tables) stream straight into it.
+//!   Its numbers come from one in-repo writer (Schubfach's shortest
+//!   round-trip digits, laid out as std's `{}` lays them out) that is
+//!   byte for byte what `format!("{x}")` prints, `-0.0` as `0` aside: a
+//!   unit test compares the two over millions of seeded values and reads
+//!   every one back with its bits.
 //! * [`Json`] is a tree for documents built or inspected piecemeal;
 //!   [`Json::render`] and [`Json::pretty`] stream it through the writer.
 //!   Object keys keep insertion order, so rendered output is
@@ -25,6 +30,8 @@
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+
+mod number;
 
 /// A JSON value. Objects preserve insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +125,9 @@ impl Json {
         w.finish()
     }
 
-    fn write(&self, w: &mut JsonWriter) {
+    /// Write this value through `w` as the next value of the document it
+    /// is writing, so a fixed envelope can stream around a tree.
+    pub fn write(&self, w: &mut JsonWriter) {
         match self {
             Json::Null => w.null(),
             Json::Bool(b) => w.bool(*b),
@@ -245,15 +254,15 @@ impl JsonWriter {
     }
 
     /// Write a number; non-finite values render as `null`, integral ones
-    /// below 1e15 in magnitude without a fraction.
+    /// below 1e15 in magnitude without a fraction, and every other one as
+    /// std's `{}` prints it: the shortest digits that read back as the
+    /// same `f64`, without an exponent.
     pub fn number(&mut self, n: f64) -> &mut Self {
         self.item();
-        if !n.is_finite() {
-            self.out.push_str("null");
-        } else if n == n.trunc() && n.abs() < 1e15 {
-            let _ = write!(self.out, "{}", n as i64);
+        if n.is_finite() {
+            number::write(&mut self.out, n);
         } else {
-            let _ = write!(self.out, "{n}");
+            self.out.push_str("null");
         }
         self
     }
