@@ -25,7 +25,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_machines::{MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Precision, RunConfig, TimeEstimate};
-use rvhpc_trace::json::{read_members, Json, JsonRef};
+use rvhpc_trace::json::{read_members, Json, JsonRef, JsonWriter};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
@@ -730,15 +730,16 @@ fn cfg_from(doc: &Fields<'_>, is_riscv: bool) -> Result<RunConfig, String> {
     Ok(cfg)
 }
 
-/// Render an ok response line (no trailing newline).
+/// Render an ok response line (no trailing newline). The envelope streams
+/// through one writer; only `result` is a tree.
 pub fn ok_response(id: &Json, op: &'static str, result: Json) -> String {
-    Json::obj(vec![
-        ("id", id.clone()),
-        ("ok", Json::Bool(true)),
-        ("op", Json::str(op)),
-        ("result", result),
-    ])
-    .render()
+    let mut w = JsonWriter::compact(256);
+    w.open_object().key("id");
+    id.write(&mut w);
+    w.key("ok").bool(true).key("op").string(op).key("result");
+    result.write(&mut w);
+    w.close_object();
+    w.finish()
 }
 
 /// Render an error response line (no trailing newline). `retry_after_ms`
@@ -749,17 +750,25 @@ pub fn error_response(
     message: &str,
     retry_after_ms: Option<u64>,
 ) -> String {
-    let mut error = vec![("kind", Json::str(kind.token())), ("message", Json::str(message))];
+    let mut w = JsonWriter::compact(128 + message.len());
+    w.open_object().key("id");
+    id.write(&mut w);
+    w.key("ok").bool(false).key("error").open_object();
+    w.key("kind").string(kind.token()).key("message").string(message);
     if let Some(ms) = retry_after_ms {
-        error.push(("retry_after_ms", Json::Num(ms as f64)));
+        w.key("retry_after_ms").number(ms as f64);
     }
-    Json::obj(vec![("id", id.clone()), ("ok", Json::Bool(false)), ("error", Json::obj(error))])
-        .render()
+    w.close_object().close_object();
+    w.finish()
 }
 
-/// The JSON shape of a [`TimeEstimate`] (numbers round-trip bit-exactly:
-/// the renderer prints shortest-round-trip floats and the parser restores
-/// them, which the end-to-end bit-identity test relies on).
+/// The JSON shape of a [`TimeEstimate`]. Its numbers round-trip bit for
+/// bit, which the end-to-end bit-identity tests rely on:
+/// [`JsonWriter::number`] prints the shortest digits that read back as
+/// the same `f64` (byte for byte what std's `{}` prints, checked by the
+/// `json::number` std-identity test in `rvhpc-trace`), and the lexer
+/// reads every such text back with its bits (the same module's round-trip
+/// test; `-0.0`, which prints as `0`, is the one value that does not).
 pub fn estimate_json(est: &TimeEstimate) -> Json {
     Json::obj(vec![
         ("seconds", Json::Num(est.seconds)),
