@@ -597,10 +597,20 @@ impl<'a> Lexer<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| error(format_args!("truncated \\u escape")))?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            // Exactly four hex digits, all ASCII, so the
+                            // slice below is on char boundaries.
+                            let hex = self.pos + 1..self.pos + 5;
+                            if !bytes
+                                .get(hex.clone())
+                                .is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit))
+                            {
+                                return Err(error(format_args!(
+                                    "bad \\u escape at byte {}",
+                                    self.pos
+                                )));
+                            }
+                            let code =
+                                u32::from_str_radix(&text[hex], 16).expect("four hex digits parse");
                             // Surrogate pairs are not needed for our own
                             // output; map lone surrogates to the
                             // replacement character.
@@ -615,19 +625,48 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// A number, as RFC 8259 spells it:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. The error names
+    /// the run of number characters (`[0-9+.eE-]`) that starts here.
     #[inline(always)]
     fn number(&mut self) -> Result<f64, String> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
         let start = self.pos;
         self.run(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'));
-        let num = &self.text[start..self.pos];
+        let (num, end) = (&text[start..self.pos], self.pos);
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while *pos < end && bytes[*pos].is_ascii_digit() {
+                *pos += 1;
+            }
+            *pos - from
+        };
+        let mut pos = start + usize::from(bytes.get(start) == Some(&b'-'));
+        let int = pos;
+        let int_digits = digits(&mut pos);
+        let mut valid = int_digits == 1 || (int_digits > 1 && bytes[int] != b'0');
+        let integer = pos == end;
+        if valid && bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            valid = digits(&mut pos) > 0;
+        }
+        if valid && matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            valid = digits(&mut pos) > 0;
+        }
+        if !valid || pos != end {
+            return Err(error(format_args!("invalid number {num:?} at byte {start}")));
+        }
         // Up to 15 digits is an integer below 2^53, which converts to f64
         // exactly: the value `parse` would round to, at a fraction of its
         // cost.
-        if num.len() <= 15 && !num.is_empty() && num.bytes().all(|b| b.is_ascii_digit()) {
+        if integer && int == start && int_digits <= 15 {
             return Ok(num.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0')) as f64);
         }
-        num.parse::<f64>()
-            .map_err(|_| error(format_args!("invalid number {num:?} at byte {start}")))
+        Ok(num.parse::<f64>().expect("an RFC 8259 number parses"))
     }
 }
 
@@ -1002,6 +1041,40 @@ mod tests {
             format!("{:?}", Json::parse(r#"[1,{"d":2}]"#).unwrap())
         );
         assert_eq!(format!("{:?}", JsonRef::Num(1.5)), "Num(1.5)");
+    }
+
+    #[test]
+    fn numbers_and_u_escapes_follow_rfc_8259() {
+        for (text, want) in [
+            ("0", 0.0_f64),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("1.5", 1.5),
+            ("-0.25", -0.25),
+            ("1e2", 100.0),
+            ("1E+2", 100.0),
+            ("25e-1", 2.5),
+            ("0.5e1", 5.0),
+            ("999999999999999", 999_999_999_999_999.0),
+            ("12345678901234567890", 12_345_678_901_234_567_890.0),
+        ] {
+            let got = Json::parse(text).ok().and_then(|v| v.as_f64());
+            assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "{text}");
+        }
+        for text in ["+1", ".5", "01", "-01", "00", "1.", "-", "1e", "1e+", "1.e5", "1-2", "--1"] {
+            let doc = format!("[{text}]");
+            assert_eq!(
+                Json::parse(&doc),
+                Err(format!("invalid number {text:?} at byte 1")),
+                "{doc}"
+            );
+        }
+        for (text, at) in
+            [(r#""\u+041""#, 2), (r#""\u00""#, 2), (r#""ab\u00€""#, 4), (r#""\u12g4""#, 2)]
+        {
+            assert_eq!(Json::parse(text), Err(format!("bad \\u escape at byte {at}")), "{text}");
+        }
     }
 
     #[test]
