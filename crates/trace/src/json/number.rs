@@ -167,7 +167,8 @@ const TEN: [u64; 20] = {
 
 /// The shortest decimal `f × 10^e` that reads back as the positive,
 /// finite, nonzero `f64` with these `bits`, and of those the closest
-/// (the upper one on a tie). `f` may carry trailing zeros.
+/// (the upper one on a tie). `f` may carry trailing zeros, though
+/// rarely: a result one digit shorter comes back already divided by ten.
 fn shortest(bits: u64) -> (u64, i32) {
     let t = bits & (C_MIN - 1);
     let bq = (bits >> P) as i32;
@@ -206,12 +207,11 @@ fn to_decimal(q: i32, c: u64) -> (u64, i32) {
     // up by ten) so that it never prints fewer than two digits; std does.
     if s >= 10 {
         // One digit fewer: at most one multiple of 10^(k+1) is inside.
-        let sp10 = s / 10 * 10;
-        let tp10 = sp10 + 10;
-        let upin = vbl + out <= sp10 << 2;
-        let wpin = (tp10 << 2) + out <= vbr;
+        let sp = s / 10;
+        let upin = vbl + out <= (10 * sp) << 2;
+        let wpin = ((10 * (sp + 1)) << 2) + out <= vbr;
         if upin != wpin {
-            return (if upin { sp10 } else { tp10 }, k);
+            return (sp + u64::from(wpin), k + 1);
         }
     }
     let t = s + 1;
@@ -226,15 +226,11 @@ fn to_decimal(q: i32, c: u64) -> (u64, i32) {
 
 /// `cp × g × 2^-127` rounded to odd, `g = g1 × 2^63 + g0` (section 9.9).
 fn rop(g1: u64, g0: u64, cp: u64) -> u64 {
-    let x1 = mul_hi(g0, cp);
+    let x1 = ((u128::from(g0) * u128::from(cp)) >> 64) as u64;
     let y = u128::from(g1) * u128::from(cp);
     let (y1, y0) = ((y >> 64) as u64, y as u64);
     let z = (y0 >> 1) + x1;
     (y1 + (z >> 63)) | u64::from(z & MASK_63 != 0)
-}
-
-fn mul_hi(a: u64, b: u64) -> u64 {
-    ((u128::from(a) * u128::from(b)) >> 64) as u64
 }
 
 // The three logarithms below are exact over the exponents an `f64` needs;
