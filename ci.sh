@@ -133,6 +133,9 @@ wait "$SERVE_PID"
 rm -f "$SERVE_PORT_FILE"
 RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
     --test serve_differential
+# The JSON number writer against std's `{}` and the lexer's round trip,
+# on a second seeded sample of values, in a release build.
+RVHPC_SEED=2042 cargo test --release -q -p rvhpc-trace --lib json::
 
 # Observability smoke: a server with SLO tail-sampling and an on-disk
 # metrics-snapshot ring, driven by an SLO-gated loadgen that polls (and
