@@ -410,7 +410,7 @@ impl<'a> Lexer<'a> {
         self.skip_ws();
         let bytes = self.text.as_bytes();
         match bytes.get(self.pos) {
-            None => Err(error(format_args!("unexpected end of input"))),
+            None => Err(error(format_args!("unexpected end of input at byte {}", self.pos))),
             Some(b'n') => self.literal("null", Token::Null),
             Some(b't') => self.literal("true", Token::Bool(true)),
             Some(b'f') => self.literal("false", Token::Bool(false)),
@@ -552,6 +552,7 @@ impl<'a> Lexer<'a> {
         if bytes.get(self.pos) != Some(&b'"') {
             return Err(error(format_args!("expected string at byte {}", self.pos)));
         }
+        let open = self.pos;
         self.pos += 1;
         // The common case first: no escape, so the string is a slice.
         let start = self.pos;
@@ -572,7 +573,9 @@ impl<'a> Lexer<'a> {
             self.run(|b| b != b'"' && b != b'\\');
             let run = &text[run..self.pos];
             match bytes.get(self.pos) {
-                None => return Err(error(format_args!("unterminated string"))),
+                None => {
+                    return Err(error(format_args!("unterminated string at byte {open}")));
+                }
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(match owned {
@@ -821,6 +824,16 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn end_of_input_errors_name_their_byte() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err("  "), "unexpected end of input at byte 2");
+        assert_eq!(err(r#"{"a":"#), "unexpected end of input at byte 5");
+        // An unterminated string is named by its opening quote, escaped or not.
+        assert_eq!(err(r#"["x", "ab"#), "unterminated string at byte 6");
+        assert_eq!(err(r#"["a\n"#), "unterminated string at byte 1");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rvhpc_serve::protocol::{parse_request, MAX_LINE_BYTES};
 const LINES: usize = 12_000;
 
 /// The digest of the whole corpus, and how many of its lines parse.
-const GOLDEN_DIGEST: u64 = 0xbbe1_90cc_086b_9a4a;
+const GOLDEN_DIGEST: u64 = 0xacf8_e059_8026_29e6;
 const GOLDEN_OK: usize = 5300;
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
