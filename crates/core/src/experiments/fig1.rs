@@ -10,27 +10,26 @@ use std::collections::HashMap;
 
 /// The per-kernel baseline, in `KernelName::ALL` order: VisionFive V2 at
 /// FP64, one core, best config.
-fn baseline(model: &Model) -> Vec<f64> {
+fn baseline(model: &Model) -> [f64; KernelName::ALL.len()] {
     single_core(model, MachineId::VisionFiveV2, Precision::Fp64)
 }
 
-fn single_core(model: &Model, id: MachineId, precision: Precision) -> Vec<f64> {
+fn single_core(model: &Model, id: MachineId, precision: Precision) -> [f64; KernelName::ALL.len()] {
     suite_seconds(model, catalog(id), &RunConfig::sg2042_best(precision, 1))
 }
 
 /// Regenerate Figure 1 under `model`.
 pub fn run(model: &Model) -> FigureReport {
     let base = baseline(model);
-    let series = |label: &str, id, precision| {
+    let series = |label, id, precision| {
         let times = single_core(model, id, precision);
         SeriesStat::from_kernel_values(label, &times_faster_each(&base, &times))
     };
     FigureReport {
-        id: "Figure 1".into(),
+        id: "Figure 1",
         title: "Single core comparison baselined against StarFive VisionFive V2 \
-                running in double precision (FP64), against V1 and SG2042"
-            .into(),
-        value_label: "times faster than V2 FP64 (0 = parity, negative = slower)".into(),
+                running in double precision (FP64), against V1 and SG2042",
+        value_label: "times faster than V2 FP64 (0 = parity, negative = slower)",
         series: vec![
             series("V1 FP64", MachineId::VisionFiveV1, Precision::Fp64),
             series("V1 FP32", MachineId::VisionFiveV1, Precision::Fp32),

@@ -15,29 +15,27 @@ pub fn vectorisation_ratios(model: &Model, precision: Precision) -> HashMap<Kern
 }
 
 /// [`vectorisation_ratios`] in `KernelName::ALL` order.
-fn ratios(model: &Model, precision: Precision) -> Vec<f64> {
+fn ratios(model: &Model, precision: Precision) -> [f64; KernelName::ALL.len()] {
     let m = catalog(MachineId::Sg2042);
     let on = suite_seconds(model, m, &RunConfig::sg2042_best(precision, 1));
     let mut off_cfg = RunConfig::sg2042_best(precision, 1);
     off_cfg.vectorize = false;
     let off = suite_seconds(model, m, &off_cfg);
-    on.iter().zip(&off).map(|(on, off)| off / on).collect()
+    std::array::from_fn(|k| off[k] / on[k])
 }
 
 /// Regenerate Figure 2 under `model`.
 pub fn run(model: &Model) -> FigureReport {
     // times_faster with the scalar run as baseline.
-    let series = |label: &str, precision| {
-        let faster: Vec<f64> =
-            ratios(model, precision).into_iter().map(|r| times_faster(r, 1.0)).collect();
+    let series = |label, precision| {
+        let faster = ratios(model, precision).map(|r| times_faster(r, 1.0));
         SeriesStat::from_kernel_values(label, &faster)
     };
     FigureReport {
-        id: "Figure 2".into(),
+        id: "Figure 2",
         title: "Maximum single core speedup for each benchmark class when enabling \
-                vectorisation on C920 of SG2042"
-            .into(),
-        value_label: "times faster than scalar-only (0 = no benefit)".into(),
+                vectorisation on C920 of SG2042",
+        value_label: "times faster than scalar-only (0 = no benefit)",
         series: vec![series("FP32", Precision::Fp32), series("FP64", Precision::Fp64)],
     }
 }

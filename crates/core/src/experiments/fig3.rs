@@ -48,7 +48,7 @@ fn cfg(toolchain: Toolchain, mode: VectorMode) -> RunConfig {
 
 /// Regenerate Figure 3's data under `model`: three single-core rows of the
 /// twelve kernels, each answered through the estimate cache's batch path.
-pub fn run(model: &Model) -> Vec<Fig3Point> {
+pub fn run(model: &Model) -> [Fig3Point; FIG3_KERNELS.len()] {
     let m = catalog(MachineId::Sg2042);
     let row = |toolchain, mode| {
         let env = RowEnv::new(model, m, &cfg(toolchain, mode));
@@ -57,35 +57,29 @@ pub fn run(model: &Model) -> Vec<Fig3Point> {
     let gcc = row(Toolchain::XuanTieGcc, VectorMode::Vls);
     let vla = row(Toolchain::ClangRvv, VectorMode::Vla);
     let vls = row(Toolchain::ClangRvv, VectorMode::Vls);
-    FIG3_KERNELS
-        .into_iter()
-        .enumerate()
-        .map(|(i, kernel)| Fig3Point {
-            kernel,
-            clang_vla: times_faster(gcc[i].seconds, vla[i].seconds),
-            clang_vls: times_faster(gcc[i].seconds, vls[i].seconds),
-        })
-        .collect()
+    std::array::from_fn(|i| Fig3Point {
+        kernel: FIG3_KERNELS[i],
+        clang_vla: times_faster(gcc[i].seconds, vla[i].seconds),
+        clang_vls: times_faster(gcc[i].seconds, vls[i].seconds),
+    })
 }
 
 /// Render the Figure 3 data under `model` as a table report.
 pub fn report(model: &Model) -> TableReport {
+    const HEADERS: [&str; 3] = ["kernel", "Clang VLA vs GCC", "Clang VLS vs GCC"];
+    let mut cells = Vec::with_capacity(FIG3_KERNELS.len() * HEADERS.len());
+    for p in run(model) {
+        cells.push(p.kernel.label().into());
+        cells.push(Fixed::signed(p.clang_vla, 2).into());
+        cells.push(Fixed::signed(p.clang_vls, 2).into());
+    }
     TableReport {
-        id: "Figure 3".into(),
+        id: "Figure 3",
         title: "Clang VLA and VLS single core comparison against using GCC for \
                 selected Polybench kernels in FP32"
             .into(),
-        headers: vec!["kernel".into(), "Clang VLA vs GCC".into(), "Clang VLS vs GCC".into()],
-        rows: run(model)
-            .into_iter()
-            .map(|p| {
-                vec![
-                    p.kernel.label().to_string(),
-                    Fixed::signed(p.clang_vla, 2).to_string(),
-                    Fixed::signed(p.clang_vls, 2).to_string(),
-                ]
-            })
-            .collect(),
+        headers: &HEADERS,
+        cells,
     }
 }
 
@@ -129,6 +123,6 @@ mod tests {
 
     #[test]
     fn report_has_one_row_per_kernel() {
-        assert_eq!(report(Model::paper()).rows.len(), FIG3_KERNELS.len());
+        assert_eq!(report(Model::paper()).rows().len(), FIG3_KERNELS.len());
     }
 }

@@ -9,6 +9,7 @@ use super::x86::sg2042_times;
 use crate::report::{FigureReport, SeriesStat};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
 use rvhpc_compiler::VectorMode;
+use rvhpc_kernels::KernelName;
 use rvhpc_machines::{catalog, MachineId, PlacementPolicy};
 use rvhpc_perfmodel::{Model, Precision, RunConfig, Toolchain};
 
@@ -29,7 +30,7 @@ fn ng_config(precision: Precision, threads: usize) -> RunConfig {
 /// today's SG2042, multithreaded, at a given precision, under `model`.
 pub fn run(model: &Model, precision: Precision) -> FigureReport {
     let base = sg2042_times(model, precision, true);
-    let series_of = |label: &str, times: &[f64]| {
+    let series_of = |label, times: &[f64; KernelName::ALL.len()]| {
         SeriesStat::from_kernel_values(label, &times_faster_each(&base, times))
     };
 
@@ -44,17 +45,22 @@ pub fn run(model: &Model, precision: Precision) -> FigureReport {
     for id in [MachineId::AmdRome, MachineId::IntelIcelake] {
         let m = catalog(id);
         let times = suite_seconds(model, m, &RunConfig::x86(precision, m.n_cores()));
-        series.push(series_of(&m.name, &times));
+        series.push(series_of(m.name.as_str(), &times));
     }
 
     FigureReport {
-        id: "Extension".into(),
-        title: format!(
-            "What-if: the conclusion's next-gen SG2042 vs today's SG2042 and x86, \
-             multithreaded {}",
-            precision.label()
-        ),
-        value_label: "times faster than today's SG2042".into(),
+        id: "Extension",
+        title: match precision {
+            Precision::Fp32 => {
+                "What-if: the conclusion's next-gen SG2042 vs today's SG2042 and x86, \
+                 multithreaded fp32"
+            }
+            Precision::Fp64 => {
+                "What-if: the conclusion's next-gen SG2042 vs today's SG2042 and x86, \
+                 multithreaded fp64"
+            }
+        },
+        value_label: "times faster than today's SG2042",
         series,
     }
 }

@@ -1,7 +1,7 @@
 //! Tables 1–3: speed-up and parallel efficiency on the SG2042 as threads
 //! scale under the three placement policies (FP32, vectorised).
 
-use crate::report::{ClassStat, Fixed, TableReport};
+use crate::report::{Cell, ClassStat, Fixed, TableReport};
 use crate::suite::suite_seconds;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelClass;
@@ -10,6 +10,24 @@ use rvhpc_perfmodel::{Model, Precision, RunConfig, Toolchain};
 
 /// Thread counts the paper sweeps.
 pub const THREADS: [usize; 6] = [2, 4, 8, 16, 32, 64];
+
+/// A scaling table's columns: the thread count, then speedup and PE for
+/// each class in `KernelClass::ALL` order.
+const HEADERS: [&str; 1 + 2 * KernelClass::ALL.len()] = [
+    "Threads",
+    "algorithm speedup",
+    "algorithm PE",
+    "apps speedup",
+    "apps PE",
+    "basic speedup",
+    "basic PE",
+    "lcals speedup",
+    "lcals PE",
+    "polybench speedup",
+    "polybench PE",
+    "stream speedup",
+    "stream PE",
+];
 
 /// One (class, thread-count) cell.
 #[derive(Debug, Clone, Copy)]
@@ -47,11 +65,10 @@ pub fn run(model: &Model, policy: PlacementPolicy) -> ScalingTable {
     let t1 = suite_seconds(model, m, &cfg(policy, 1));
     let cells = THREADS.map(|threads| {
         let times = suite_seconds(model, m, &cfg(policy, threads));
-        let speedups: Vec<f64> = t1.iter().zip(&times).map(|(one, t)| one / t).collect();
-        let classes = ClassStat::per_class(&speedups);
-        std::array::from_fn(|c| {
-            let speedup = classes[c].mean;
-            ScalingCell { speedup, efficiency: speedup / threads as f64 }
+        let speedups = std::array::from_fn(|k| t1[k] / times[k]);
+        ClassStat::per_class(&speedups).map(|class| ScalingCell {
+            speedup: class.mean,
+            efficiency: class.mean / threads as f64,
         })
     });
     ScalingTable { policy, cells }
@@ -75,24 +92,15 @@ impl ScalingTable {
                 ("Table 3", "cluster-cyclic placement scaling (FP32)")
             }
         };
-        let mut headers = vec!["Threads".to_string()];
-        for class in KernelClass::ALL {
-            headers.push(format!("{class} speedup"));
-            headers.push(format!("{class} PE"));
+        let mut cells = Vec::with_capacity(THREADS.len() * HEADERS.len());
+        for (&threads, row) in THREADS.iter().zip(&self.cells) {
+            cells.push(Cell::Int(threads));
+            for c in row {
+                cells.push(Fixed::new(c.speedup, 2).into());
+                cells.push(Fixed::new(c.efficiency, 2).into());
+            }
         }
-        let rows = THREADS
-            .iter()
-            .zip(&self.cells)
-            .map(|(t, cells)| {
-                let mut row = vec![t.to_string()];
-                for c in cells {
-                    row.push(Fixed::new(c.speedup, 2).to_string());
-                    row.push(Fixed::new(c.efficiency, 2).to_string());
-                }
-                row
-            })
-            .collect();
-        TableReport { id: id.into(), title: title.into(), headers, rows }
+        TableReport { id, title: title.into(), headers: &HEADERS, cells }
     }
 }
 
@@ -182,6 +190,16 @@ mod tests {
     fn report_shape_matches_paper_tables() {
         let r = table1(Model::paper()).report();
         assert_eq!(r.headers.len(), 13, "threads + 6 × (speedup, PE)");
-        assert_eq!(r.rows.len(), THREADS.len());
+        assert_eq!(r.rows().len(), THREADS.len());
+    }
+
+    #[test]
+    fn headers_name_each_class_in_order() {
+        let mut expected = vec!["Threads".to_string()];
+        for class in KernelClass::ALL {
+            expected.push(format!("{class} speedup"));
+            expected.push(format!("{class} PE"));
+        }
+        assert_eq!(HEADERS.to_vec(), expected);
     }
 }

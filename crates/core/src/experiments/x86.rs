@@ -1,41 +1,48 @@
 //! Table 4 and Figures 4–7: the x86 comparison.
 
-use crate::report::{FigureReport, SeriesStat, TableReport};
+use crate::report::{Cell, FigureReport, SeriesStat, TableReport};
 use crate::suite::{fastest_of, suite_seconds, times_faster_each};
+use rvhpc_kernels::KernelName;
+use rvhpc_machines::vector::VectorFamily;
 use rvhpc_machines::{catalog, x86_machines, MachineId};
 use rvhpc_perfmodel::{Model, Precision, RunConfig};
 
 /// Table 4: the x86 CPU inventory, straight from the machine descriptors.
 pub fn table4() -> TableReport {
+    const HEADERS: [&str; 5] = ["CPU", "Part", "Clock", "Cores", "Vector"];
+    let machines = x86_machines();
+    let mut cells = Vec::with_capacity(machines.len() * HEADERS.len());
+    for m in machines {
+        let vector = match m.vector.as_ref().map(|v| v.family) {
+            Some(VectorFamily::Avx) => "AVX",
+            Some(VectorFamily::Avx2) => "AVX2",
+            Some(VectorFamily::Avx512) => "AVX512",
+            _ => "-",
+        };
+        cells.extend([
+            Cell::from(m.name.as_str()),
+            m.part.as_str().into(),
+            format!("{}GHz", m.clock_ghz).into(),
+            m.n_cores().into(),
+            vector.into(),
+        ]);
+    }
     TableReport {
-        id: "Table 4".into(),
+        id: "Table 4",
         title: "Summary of x86 CPUs used to compare against the SG2042".into(),
-        headers: vec!["CPU".into(), "Part".into(), "Clock".into(), "Cores".into(), "Vector".into()],
-        rows: x86_machines()
-            .iter()
-            .map(|m| {
-                let vec_label = match m.vector.as_ref().map(|v| v.family) {
-                    Some(rvhpc_machines::vector::VectorFamily::Avx) => "AVX",
-                    Some(rvhpc_machines::vector::VectorFamily::Avx2) => "AVX2",
-                    Some(rvhpc_machines::vector::VectorFamily::Avx512) => "AVX512",
-                    _ => "-",
-                };
-                vec![
-                    m.name.clone(),
-                    m.part.clone(),
-                    format!("{}GHz", m.clock_ghz),
-                    m.n_cores().to_string(),
-                    vec_label.to_string(),
-                ]
-            })
-            .collect(),
+        headers: &HEADERS,
+        cells,
     }
 }
 
 /// Per-kernel SG2042 baseline times (best config), in `KernelName::ALL`
 /// order, at a precision and thread count ("best" multithreaded = min
 /// over 32/64 threads, as the paper found 32 better for some classes).
-pub(crate) fn sg2042_times(model: &Model, precision: Precision, multithreaded: bool) -> Vec<f64> {
+pub(crate) fn sg2042_times(
+    model: &Model,
+    precision: Precision,
+    multithreaded: bool,
+) -> [f64; KernelName::ALL.len()] {
     let m = catalog(MachineId::Sg2042);
     let at = |threads| suite_seconds(model, m, &RunConfig::sg2042_best(precision, threads));
     if multithreaded {
@@ -45,9 +52,14 @@ pub(crate) fn sg2042_times(model: &Model, precision: Precision, multithreaded: b
     }
 }
 
-/// Figure `figure`: every x86 machine, single-core or at all of its cores,
+/// A figure of every x86 machine, single-core or at all of its cores,
 /// against the SG2042 baseline at one precision.
-fn comparison(model: &Model, figure: u8, precision: Precision, mt: bool) -> FigureReport {
+fn comparison(
+    model: &Model,
+    (id, title): (&'static str, &'static str),
+    precision: Precision,
+    mt: bool,
+) -> FigureReport {
     let base = sg2042_times(model, precision, mt);
     let series = x86_machines()
         .into_iter()
@@ -58,36 +70,36 @@ fn comparison(model: &Model, figure: u8, precision: Precision, mt: bool) -> Figu
         })
         .collect();
     FigureReport {
-        id: format!("Figure {figure}"),
-        title: format!(
-            "{} {} comparison against x86, baselined to SG2042",
-            precision.label().to_uppercase(),
-            if mt { "multithreaded" } else { "single core" }
-        ),
-        value_label: "times faster (+) or slower (−) than the SG2042 baseline".into(),
+        id,
+        title,
+        value_label: "times faster (+) or slower (−) than the SG2042 baseline",
         series,
     }
 }
 
 /// Figure 4: FP64 single-core comparison.
 pub fn fig4(model: &Model) -> FigureReport {
-    comparison(model, 4, Precision::Fp64, false)
+    let caption = ("Figure 4", "FP64 single core comparison against x86, baselined to SG2042");
+    comparison(model, caption, Precision::Fp64, false)
 }
 
 /// Figure 5: FP32 single-core comparison.
 pub fn fig5(model: &Model) -> FigureReport {
-    comparison(model, 5, Precision::Fp32, false)
+    let caption = ("Figure 5", "FP32 single core comparison against x86, baselined to SG2042");
+    comparison(model, caption, Precision::Fp32, false)
 }
 
 /// Figure 6: FP64 multithreaded comparison (each machine at its best
 /// thread count).
 pub fn fig6(model: &Model) -> FigureReport {
-    comparison(model, 6, Precision::Fp64, true)
+    let caption = ("Figure 6", "FP64 multithreaded comparison against x86, baselined to SG2042");
+    comparison(model, caption, Precision::Fp64, true)
 }
 
 /// Figure 7: FP32 multithreaded comparison.
 pub fn fig7(model: &Model) -> FigureReport {
-    comparison(model, 7, Precision::Fp32, true)
+    let caption = ("Figure 7", "FP32 multithreaded comparison against x86, baselined to SG2042");
+    comparison(model, caption, Precision::Fp32, true)
 }
 
 #[cfg(test)]
@@ -105,8 +117,8 @@ mod tests {
     #[test]
     fn table4_matches_paper() {
         let t = table4();
-        assert_eq!(t.rows.len(), 4);
-        let flat: Vec<String> = t.rows.concat();
+        assert_eq!(t.rows().len(), 4);
+        let flat: Vec<String> = t.cells.iter().map(Cell::to_string).collect();
         for needle in ["EPYC 7742", "Xeon E5-2695", "Xeon 6330", "Xeon E5-2609", "AVX512"] {
             assert!(flat.iter().any(|c| c.contains(needle)), "{needle}");
         }

@@ -1,10 +1,23 @@
 //! Report structures for figures and tables, with markdown/CSV/JSON
 //! rendering.
+//!
+//! An artefact keeps its numbers until a renderer writes them. A figure
+//! holds each class's mean and whiskers as `f64`s in a fixed array per
+//! series; a table holds each cell as a [`Cell`], a value with its format
+//! (text, an integer or a [`Fixed`] number). Ids, titles, headers and
+//! series labels are `&'static str`s (a table title may be owned). Every
+//! renderer (markdown, CSV, JSON and the ASCII chart) writes a cell, or a
+//! figure's number, through one routine that lays numbers out on the
+//! stack, into an output buffer reserved once. So building and rendering
+//! an artefact allocates its series or cell `Vec` and that buffer, and
+//! nothing per cell.
 
 use rvhpc_kernels::{KernelClass, KernelName};
 use rvhpc_trace::json::JsonWriter;
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
+use std::slice::ChunksExact;
 
 /// A number rendered with a fixed count of decimals, byte for byte as
 /// std's `{:.N}` (or `{:+.N}` when [`Fixed::signed`]) renders it.
@@ -63,30 +76,38 @@ impl Fixed {
             (q + u128::from(r > half || (r == half && q & 1 == 1))) as u64
         };
         let mut at = buf.len();
-        let mut put = |byte: u8| {
-            at -= 1;
-            buf[at] = byte;
-        };
         for _ in 0..self.decimals {
-            put(b'0' + (n % 10) as u8);
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
             n /= 10;
         }
         if self.decimals > 0 {
-            put(b'.');
+            at -= 1;
+            buf[at] = b'.';
         }
-        loop {
-            put(b'0' + (n % 10) as u8);
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
+        at = put_integer(buf, at, n);
         if self.x.is_sign_negative() {
-            put(b'-');
+            at -= 1;
+            buf[at] = b'-';
         } else if self.plus {
-            put(b'+');
+            at -= 1;
+            buf[at] = b'+';
         }
         std::str::from_utf8(&buf[at..]).ok()
+    }
+}
+
+/// Write `n` in decimal into `buf` so that it ends before `end`, and
+/// return where it starts.
+fn put_integer(buf: &mut [u8], end: usize, mut n: u64) -> usize {
+    let mut at = end;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return at;
+        }
     }
 }
 
@@ -100,9 +121,91 @@ impl fmt::Display for Fixed {
     }
 }
 
+/// One table cell: a value and the format it is written in. A cell keeps
+/// its number until a renderer writes it.
+#[derive(Debug, Clone)]
+pub enum Cell {
+    /// Text, written as it is.
+    Text(Cow<'static, str>),
+    /// An integer, in decimal.
+    Int(usize),
+    /// A number at a fixed count of decimals.
+    Fixed(Fixed),
+}
+
+impl Cell {
+    /// The most bytes a cell's number is written in, and what a renderer
+    /// reserves for it: a [`Fixed`] below `1e15` with its sign, point and
+    /// four decimals, or a 64-bit integer.
+    const NUMBER_LEN: usize = 24;
+
+    /// Hand `f` the cell's text: the one routine through which every
+    /// renderer writes a cell, and a figure its numbers. A number is laid
+    /// out in a buffer on the stack; only a [`Fixed`] that std renders
+    /// (NaN, ±∞, a magnitude of `1e15` or more, more than four decimals)
+    /// is written into a `String` first.
+    fn with_text<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        match self {
+            Cell::Text(text) => f(text),
+            Cell::Int(n) => {
+                let mut buf = [0; 20];
+                let at = put_integer(&mut buf, 20, *n as u64);
+                f(std::str::from_utf8(&buf[at..]).expect("decimal digits"))
+            }
+            Cell::Fixed(x) => match x.exact(&mut [0; 24]) {
+                Some(text) => f(text),
+                None => f(&x.to_string()),
+            },
+        }
+    }
+
+    /// Append the cell's text to `out`.
+    fn write_to(&self, out: &mut String) {
+        self.with_text(|text| out.push_str(text));
+    }
+
+    /// At least the length of the cell's text, bar std-rendered numbers.
+    fn len_bound(&self) -> usize {
+        match self {
+            Cell::Text(text) => text.len(),
+            Cell::Int(_) | Cell::Fixed(_) => Cell::NUMBER_LEN,
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.with_text(|text| f.write_str(text))
+    }
+}
+
+impl From<&'static str> for Cell {
+    fn from(text: &'static str) -> Cell {
+        Cell::Text(Cow::Borrowed(text))
+    }
+}
+
+impl From<String> for Cell {
+    fn from(text: String) -> Cell {
+        Cell::Text(Cow::Owned(text))
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(n: usize) -> Cell {
+        Cell::Int(n)
+    }
+}
+
+impl From<Fixed> for Cell {
+    fn from(x: Fixed) -> Cell {
+        Cell::Fixed(x)
+    }
+}
+
 /// Mean + whisker statistics for one benchmark class (one bar of a paper
 /// figure).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClassStat {
     /// The class.
     pub class: KernelClass,
@@ -124,27 +227,35 @@ impl ClassStat {
     }
 
     /// One bar per class, in `KernelClass::ALL` order, over per-kernel
-    /// values given in `KernelName::ALL` order.
+    /// values given in `KernelName::ALL` order; both are fixed arrays, so
+    /// the aggregation allocates nothing.
     ///
     /// `KernelName::ALL` lists the kernels grouped by class in
     /// `KernelClass::ALL` order, so each class is one contiguous run of
     /// `values`, and each mean sums its run in `KernelName::ALL` order,
     /// exactly as a per-class filter of the suite would.
-    pub fn per_class(values: &[f64]) -> Vec<ClassStat> {
-        assert_eq!(values.len(), KernelName::ALL.len(), "one value per kernel");
+    pub fn per_class(values: &[f64; KernelName::ALL.len()]) -> [ClassStat; KernelClass::ALL.len()] {
         let mut start = 0;
-        let stats = KernelClass::ALL
-            .into_iter()
-            .map(|class| {
-                let len =
-                    KernelName::ALL[start..].iter().take_while(|k| k.class() == class).count();
-                let stat = ClassStat::from_values(class, &values[start..start + len]);
-                start += len;
-                stat
-            })
-            .collect();
+        let stats = KernelClass::ALL.map(|class| {
+            let len = KernelName::ALL[start..].iter().take_while(|k| k.class() == class).count();
+            let stat = ClassStat::from_values(class, &values[start..start + len]);
+            start += len;
+            stat
+        });
         debug_assert_eq!(start, values.len(), "KernelName::ALL must be grouped by class");
         stats
+    }
+
+    /// Write the bar's `mean [min, max]`, each number signed at two
+    /// decimals: a figure's markdown cell and chart line.
+    fn write_whiskers(&self, out: &mut String) {
+        let put = |out: &mut String, v: f64| Cell::Fixed(Fixed::signed(v, 2)).write_to(out);
+        put(out, self.mean);
+        out.push_str(" [");
+        put(out, self.min);
+        out.push_str(", ");
+        put(out, self.max);
+        out.push(']');
     }
 }
 
@@ -152,15 +263,18 @@ impl ClassStat {
 #[derive(Debug, Clone)]
 pub struct SeriesStat {
     /// Legend label.
-    pub label: String,
-    /// One bar per class.
-    pub classes: Vec<ClassStat>,
+    pub label: &'static str,
+    /// One bar per class, in `KernelClass::ALL` order.
+    pub classes: [ClassStat; KernelClass::ALL.len()],
 }
 
 impl SeriesStat {
     /// A series over per-kernel values in `KernelName::ALL` order.
-    pub fn from_kernel_values(label: impl Into<String>, values: &[f64]) -> SeriesStat {
-        SeriesStat { label: label.into(), classes: ClassStat::per_class(values) }
+    pub fn from_kernel_values(
+        label: &'static str,
+        values: &[f64; KernelName::ALL.len()],
+    ) -> SeriesStat {
+        SeriesStat { label, classes: ClassStat::per_class(values) }
     }
 
     /// The bar for a class.
@@ -170,7 +284,7 @@ impl SeriesStat {
 
     /// Mean across all classes (the "on average" numbers the paper quotes).
     pub fn overall_mean(&self) -> f64 {
-        crate::suite::class_mean(&self.classes.iter().map(|c| c.mean).collect::<Vec<_>>())
+        crate::suite::class_mean(&self.classes.map(|c| c.mean))
     }
 }
 
@@ -178,44 +292,59 @@ impl SeriesStat {
 #[derive(Debug, Clone)]
 pub struct FigureReport {
     /// Figure identifier, e.g. "Figure 1".
-    pub id: String,
+    pub id: &'static str,
     /// Caption.
-    pub title: String,
+    pub title: &'static str,
     /// Value axis label.
-    pub value_label: String,
+    pub value_label: &'static str,
     /// The series.
     pub series: Vec<SeriesStat>,
 }
 
 impl FigureReport {
+    /// The id, title and value label, plus `per_series` bytes for each
+    /// series and its label: what a rendering reserves.
+    fn len_bound(&self, per_series: usize) -> usize {
+        let labels: usize = self.series.iter().map(|s| s.label.len()).sum();
+        128 + self.id.len()
+            + self.title.len()
+            + self.value_label.len()
+            + labels
+            + per_series * self.series.len()
+    }
+
     /// Render as a markdown table (classes × series, `mean [min, max]`).
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
+        // A header cell, and a `mean [min, max]` cell in each class row.
+        let per_series = 8 + KernelClass::ALL.len() * (3 * Cell::NUMBER_LEN + 8);
+        let mut out =
+            String::with_capacity(self.len_bound(per_series) + 16 * KernelClass::ALL.len());
         let _ = writeln!(out, "### {} — {}", self.id, self.title);
         let _ = writeln!(out, "*{}*", self.value_label);
-        let _ = write!(out, "\n| class |");
+        out.push_str("\n| class |");
         for s in &self.series {
-            let _ = write!(out, " {} |", s.label);
+            out.push(' ');
+            out.push_str(s.label);
+            out.push_str(" |");
         }
-        let _ = write!(out, "\n|---|");
+        out.push_str("\n|---|");
         for _ in &self.series {
-            let _ = write!(out, "---|");
+            out.push_str("---|");
         }
-        let _ = writeln!(out);
+        out.push('\n');
         for class in KernelClass::ALL {
             let _ = write!(out, "| {class} |");
             for s in &self.series {
                 match s.class(class) {
                     Some(c) => {
-                        let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::signed(v, 2));
-                        let _ = write!(out, " {mean} [{min}, {max}] |");
+                        out.push(' ');
+                        c.write_whiskers(&mut out);
+                        out.push_str(" |");
                     }
-                    None => {
-                        let _ = write!(out, " – |");
-                    }
+                    None => out.push_str(" – |"),
                 }
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         out
     }
@@ -231,35 +360,54 @@ impl FigureReport {
             .flat_map(|s| s.classes.iter())
             .map(|c| c.mean.abs())
             .fold(1e-9, f64::max);
-        let mut out = String::new();
+        // A line per class: its label, the bars (`█` is three bytes) and
+        // its whiskers.
+        let per_series = 8 + KernelClass::ALL.len() * (16 + 4 * HALF + 3 * Cell::NUMBER_LEN + 8);
+        let mut out = String::with_capacity(self.len_bound(per_series));
         let _ = writeln!(out, "{} — {}", self.id, self.title);
-        let _ = writeln!(out, "({}; axis spans ±{})\n", self.value_label, Fixed::new(scale, 2));
+        out.push('(');
+        out.push_str(self.value_label);
+        out.push_str("; axis spans ±");
+        Cell::Fixed(Fixed::new(scale, 2)).write_to(&mut out);
+        out.push_str(")\n\n");
+        let columns = |out: &mut String, c: char, n: usize| out.extend(std::iter::repeat_n(c, n));
         for s in &self.series {
-            let _ = writeln!(out, "{}", s.label);
+            out.push_str(s.label);
+            out.push('\n');
             for c in &s.classes {
                 let n = ((c.mean.abs() / scale) * HALF as f64).round() as usize;
                 let n = n.min(HALF);
-                let (neg, pos) = if c.mean >= 0.0 {
-                    (" ".repeat(HALF), format!("{}{}", "█".repeat(n), " ".repeat(HALF - n)))
-                } else {
-                    (format!("{}{}", " ".repeat(HALF - n), "█".repeat(n)), " ".repeat(HALF))
-                };
-                let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::signed(v, 2));
-                let _ =
-                    writeln!(out, "  {:<10} {neg}|{pos} {mean} [{min}, {max}]", c.class.label());
+                let (neg, pos) = if c.mean >= 0.0 { (0, n) } else { (n, 0) };
+                let _ = write!(out, "  {:<10} ", c.class.label());
+                columns(&mut out, ' ', HALF - neg);
+                columns(&mut out, '█', neg);
+                out.push('|');
+                columns(&mut out, '█', pos);
+                columns(&mut out, ' ', HALF - pos);
+                out.push(' ');
+                c.write_whiskers(&mut out);
+                out.push('\n');
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         out
     }
 
     /// Render as CSV (`series,class,mean,min,max`).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("series,class,mean,min,max\n");
+        let per_series = KernelClass::ALL.len() * (16 + 3 * (Cell::NUMBER_LEN + 1));
+        let mut out = String::with_capacity(self.len_bound(per_series));
+        out.push_str("series,class,mean,min,max\n");
         for s in &self.series {
             for c in &s.classes {
-                let [mean, min, max] = [c.mean, c.min, c.max].map(|v| Fixed::new(v, 4));
-                let _ = writeln!(out, "{},{},{mean},{min},{max}", s.label, c.class);
+                out.push_str(s.label);
+                out.push(',');
+                out.push_str(c.class.label());
+                for v in [c.mean, c.min, c.max] {
+                    out.push(',');
+                    Cell::Fixed(Fixed::new(v, 4)).write_to(&mut out);
+                }
+                out.push('\n');
             }
         }
         out
@@ -272,13 +420,13 @@ impl FigureReport {
         let classes: usize = self.series.iter().map(|s| s.classes.len()).sum();
         let mut w = JsonWriter::pretty(256 + 64 * self.series.len() + 192 * classes);
         w.open_object();
-        w.key("id").string(&self.id);
-        w.key("title").string(&self.title);
-        w.key("value_label").string(&self.value_label);
+        w.key("id").string(self.id);
+        w.key("title").string(self.title);
+        w.key("value_label").string(self.value_label);
         w.key("series").open_array();
         for s in &self.series {
             w.open_object();
-            w.key("label").string(&s.label);
+            w.key("label").string(s.label);
             w.key("classes").open_array();
             for c in &s.classes {
                 w.open_object();
@@ -295,49 +443,80 @@ impl FigureReport {
     }
 }
 
-/// A generic table: header row plus string rows (used for Tables 1–4).
+/// A table: a header row and rows of cells (Tables 1–4, Figure 3 and the
+/// inspection views).
 #[derive(Debug, Clone)]
 pub struct TableReport {
     /// Table identifier, e.g. "Table 1".
-    pub id: String,
+    pub id: &'static str,
     /// Caption.
-    pub title: String,
+    pub title: Cow<'static, str>,
     /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows.
-    pub rows: Vec<Vec<String>>,
+    pub headers: &'static [&'static str],
+    /// The cells, row by row: each row is `headers.len()` cells.
+    pub cells: Vec<Cell>,
 }
 
 impl TableReport {
+    /// The rows, each `headers.len()` cells.
+    pub fn rows(&self) -> ChunksExact<'_, Cell> {
+        debug_assert_eq!(self.cells.len() % self.headers.len(), 0, "whole rows only");
+        self.cells.chunks_exact(self.headers.len())
+    }
+
+    /// The id, title, headers and cells, plus `per_item` bytes for each
+    /// header and cell and `per_row` for each row: what a rendering
+    /// reserves.
+    fn len_bound(&self, per_item: usize, per_row: usize) -> usize {
+        let headers: usize = self.headers.iter().map(|h| h.len() + per_item).sum();
+        let cells: usize = self.cells.iter().map(|c| c.len_bound() + per_item).sum();
+        64 + self.id.len() + self.title.len() + headers + cells + per_row * self.rows().len()
+    }
+
     /// Render as markdown.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.len_bound(8, 2));
         let _ = writeln!(out, "### {} — {}", self.id, self.title);
-        let _ = write!(out, "\n|");
-        for h in &self.headers {
-            let _ = write!(out, " {h} |");
+        out.push_str("\n|");
+        for h in self.headers {
+            out.push(' ');
+            out.push_str(h);
+            out.push_str(" |");
         }
-        let _ = write!(out, "\n|");
-        for _ in &self.headers {
-            let _ = write!(out, "---|");
+        out.push_str("\n|");
+        for _ in self.headers {
+            out.push_str("---|");
         }
-        let _ = writeln!(out);
-        for row in &self.rows {
-            let _ = write!(out, "|");
+        out.push('\n');
+        for row in self.rows() {
+            out.push('|');
             for cell in row {
-                let _ = write!(out, " {cell} |");
+                out.push(' ');
+                cell.write_to(&mut out);
+                out.push_str(" |");
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         out
     }
 
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
+        let mut out = String::with_capacity(self.len_bound(1, 1));
+        for (i, h) in self.headers.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(h);
+        }
         out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        for row in self.rows() {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                cell.write_to(&mut out);
+            }
             out.push('\n');
         }
         out
@@ -348,23 +527,26 @@ impl TableReport {
         // Reserve the whole document: every row repeats the headers as keys,
         // and a header or cell line adds under 16 bytes of quotes,
         // separators and indentation to its text.
-        let text = |cells: &[String]| cells.iter().map(|c| c.len() + 8).sum::<usize>();
-        let header_text = text(&self.headers);
-        let cells: usize = self.rows.iter().map(|row| 16 + header_text + text(row)).sum();
-        let mut w = JsonWriter::pretty(256 + 2 * header_text + cells);
+        let header_text: usize = self.headers.iter().map(|h| h.len() + 8).sum();
+        let cells: usize = self
+            .rows()
+            .map(|row| 16 + header_text + row.iter().map(|c| c.len_bound() + 8).sum::<usize>())
+            .sum();
+        let mut w = JsonWriter::pretty(256 + self.title.len() + 2 * header_text + cells);
         w.open_object();
-        w.key("id").string(&self.id);
+        w.key("id").string(self.id);
         w.key("title").string(&self.title);
         w.key("headers").open_array();
-        for h in &self.headers {
+        for h in self.headers {
             w.string(h);
         }
         w.close_array();
         w.key("rows").open_array();
-        for row in &self.rows {
+        for row in self.rows() {
             w.open_object();
             for (h, cell) in self.headers.iter().zip(row) {
-                w.key(h).string(cell);
+                w.key(h);
+                cell.with_text(|text| w.string(text));
             }
             w.close_object();
         }
@@ -376,6 +558,7 @@ impl TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rvhpc_trace::json::Json;
 
     /// SplitMix64: a seeded stream for the renderer's comparison.
     fn splitmix(state: &mut u64) -> u64 {
@@ -457,6 +640,58 @@ mod tests {
         }
     }
 
+    /// Every table renderer writes a cell as [`Fixed`]'s `Display` writes
+    /// it: the markdown, CSV and JSON paths over seeded `fixed_probe`
+    /// values, at zero to four decimals, signed or not.
+    #[test]
+    fn cells_render_as_fixed_displays() {
+        const VALUES: u64 = 50_000;
+        let mut state = rvhpc_quickprop::base_seed() ^ 0xce11_5eed;
+        let values: Vec<f64> = (0..VALUES).map(|i| fixed_probe(i, &mut state)).collect();
+        for decimals in 0..=Fixed::MAX_DECIMALS {
+            for plus in [false, true] {
+                let fixed: Vec<Fixed> =
+                    values.iter().map(|&x| Fixed { x, decimals, plus }).collect();
+                let table = TableReport {
+                    id: "Table X",
+                    title: "t".into(),
+                    headers: &["x"],
+                    cells: fixed.iter().map(|&x| Cell::Fixed(x)).collect(),
+                };
+                let (markdown, csv) = (table.to_markdown(), table.to_csv());
+                let json = Json::parse(&table.to_json()).expect("valid JSON");
+                // Markdown: the caption, a blank line, the header and the
+                // rule, then one `| cell |` line per row.
+                let markdown = markdown.lines().skip(4).map(|line| {
+                    line.strip_prefix("| ").and_then(|l| l.strip_suffix(" |")).expect(line)
+                });
+                let csv = csv.lines().skip(1);
+                let json = json
+                    .get("rows")
+                    .and_then(Json::as_arr)
+                    .expect("rows")
+                    .iter()
+                    .map(|row| row.get("x").and_then(Json::as_str).expect("a string cell"));
+                let mut rows = 0;
+                for (((x, markdown), csv), json) in fixed.iter().zip(markdown).zip(csv).zip(json) {
+                    let display = x.to_string();
+                    assert_eq!(markdown, display, "markdown {x:?}");
+                    assert_eq!(csv, display, "CSV {x:?}");
+                    assert_eq!(json, display, "JSON {x:?}");
+                    rows += 1;
+                }
+                assert_eq!(rows, VALUES, "one line per cell in every rendering");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_cells_render_in_decimal() {
+        for n in [0, 7, 10, 64, 1_000_000_007, usize::MAX] {
+            assert_eq!(Cell::Int(n).to_string(), n.to_string());
+        }
+    }
+
     #[test]
     fn class_stat_aggregates() {
         let s = ClassStat::from_values(KernelClass::Stream, &[1.0, 3.0, -1.0]);
@@ -475,8 +710,7 @@ mod tests {
 
     #[test]
     fn per_class_matches_a_class_filter_bit_for_bit() {
-        let values: Vec<f64> =
-            (0..KernelName::ALL.len()).map(|i| ((i * 37 % 11) as f64 - 5.0) / 3.0).collect();
+        let values = std::array::from_fn(|i| ((i * 37 % 11) as f64 - 5.0) / 3.0);
         let stats = ClassStat::per_class(&values);
         for (class, stat) in KernelClass::ALL.into_iter().zip(&stats) {
             let filtered: Vec<f64> = KernelName::ALL
@@ -496,15 +730,17 @@ mod tests {
     #[test]
     fn markdown_has_all_classes() {
         let fig = FigureReport {
-            id: "Figure X".into(),
-            title: "test".into(),
-            value_label: "times faster".into(),
+            id: "Figure X",
+            title: "test",
+            value_label: "times faster",
             series: vec![SeriesStat {
-                label: "a".into(),
-                classes: KernelClass::ALL
-                    .into_iter()
-                    .map(|c| ClassStat { class: c, mean: 0.0, min: -1.0, max: 1.0 })
-                    .collect(),
+                label: "a",
+                classes: KernelClass::ALL.map(|c| ClassStat {
+                    class: c,
+                    mean: 0.0,
+                    min: -1.0,
+                    max: 1.0,
+                }),
             }],
         };
         let md = fig.to_markdown();
@@ -515,16 +751,22 @@ mod tests {
 
     #[test]
     fn ascii_chart_renders_all_series_and_classes() {
+        // Stream's bar is positive, basic's negative, the rest zero.
+        let mean = |class| match class {
+            KernelClass::Stream => 2.0,
+            KernelClass::Basic => -1.0,
+            _ => 0.0,
+        };
         let fig = FigureReport {
-            id: "Figure X".into(),
-            title: "test".into(),
-            value_label: "times faster".into(),
+            id: "Figure X",
+            title: "test",
+            value_label: "times faster",
             series: vec![SeriesStat {
-                label: "series-a".into(),
-                classes: vec![
-                    ClassStat { class: KernelClass::Stream, mean: 2.0, min: 1.0, max: 3.0 },
-                    ClassStat { class: KernelClass::Basic, mean: -1.0, min: -2.0, max: 0.0 },
-                ],
+                label: "series-a",
+                classes: KernelClass::ALL.map(|class| {
+                    let mean = mean(class);
+                    ClassStat { class, mean, min: mean - 1.0, max: mean + 1.0 }
+                }),
             }],
         };
         let chart = fig.to_ascii_chart();
@@ -540,11 +782,12 @@ mod tests {
     #[test]
     fn csv_row_counts() {
         let t = TableReport {
-            id: "Table X".into(),
+            id: "Table X",
             title: "t".into(),
-            headers: vec!["a".into(), "b".into()],
-            rows: vec![vec!["1".into(), "2".into()]],
+            headers: &["a", "b"],
+            cells: vec![Cell::Int(1), "2".into()],
         };
-        assert_eq!(t.to_csv().lines().count(), 2);
+        assert_eq!(t.rows().len(), 1);
+        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 }

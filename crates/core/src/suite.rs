@@ -38,9 +38,16 @@ pub fn suite_times(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<Ker
 }
 
 /// Each kernel's [`suite_times`] seconds, in `KernelName::ALL` order: the
-/// form the experiments aggregate by position.
-pub fn suite_seconds(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<f64> {
-    suite_row(model, machine, cfg).iter().map(|e| e.seconds).collect()
+/// form the experiments aggregate by position. It is a fixed array, so
+/// from here to the rendered artefact the numbers move through arrays and
+/// only [`estimate_batch`]'s answer is allocated.
+pub fn suite_seconds(
+    model: &Model,
+    machine: &Machine,
+    cfg: &RunConfig,
+) -> [f64; KernelName::ALL.len()] {
+    let row = suite_row(model, machine, cfg);
+    std::array::from_fn(|i| row[i].seconds)
 }
 
 fn suite_row(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstimate> {
@@ -51,8 +58,11 @@ fn suite_row(model: &Model, machine: &Machine, cfg: &RunConfig) -> Vec<TimeEstim
 
 /// The kernel-by-kernel minimum of two rows of seconds: a machine at the
 /// better of two configurations.
-pub(crate) fn fastest_of(a: &[f64], b: &[f64]) -> Vec<f64> {
-    a.iter().zip(b).map(|(x, y)| x.min(*y)).collect()
+pub(crate) fn fastest_of(
+    a: &[f64; KernelName::ALL.len()],
+    b: &[f64; KernelName::ALL.len()],
+) -> [f64; KernelName::ALL.len()] {
+    std::array::from_fn(|i| a[i].min(b[i]))
 }
 
 /// The paper's "number of times faster" convention for its figures:
@@ -78,8 +88,11 @@ pub fn times_faster(baseline_seconds: f64, this_seconds: f64) -> f64 {
 
 /// [`times_faster`] kernel by kernel, for rows of seconds in the same
 /// order.
-pub(crate) fn times_faster_each(baseline: &[f64], this: &[f64]) -> Vec<f64> {
-    baseline.iter().zip(this).map(|(&b, &t)| times_faster(b, t)).collect()
+pub(crate) fn times_faster_each(
+    baseline: &[f64; KernelName::ALL.len()],
+    this: &[f64; KernelName::ALL.len()],
+) -> [f64; KernelName::ALL.len()] {
+    std::array::from_fn(|i| times_faster(baseline[i], this[i]))
 }
 
 /// Mean of a slice.
