@@ -13,14 +13,19 @@ cargo test -q --workspace
 # result that depended on the host's CPU count would show here.
 # `warm_row_dispatch` and `experiments_under_a_model` both assert the cache
 # counter deltas of whole paper passes: the paper model's, and an edited
-# model's, which must leave the counters alone.
+# model's, which must leave the counters alone. `paper_pass_allocations`
+# holds a warm paper pass to its heap-allocation budget, here and once in
+# a release build, so neither the CPU count nor the build profile can
+# change the count.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines
     taskset -c 0 cargo test -q -p rvhpc \
         --test row_placement_resolves --test warm_row_dispatch \
         --test experiments_under_a_model --test golden_artefacts \
-        --test cache_dir_env_cli --test store_key_derivations
+        --test cache_dir_env_cli --test store_key_derivations \
+        --test paper_pass_allocations
+    taskset -c 0 cargo test --release -q -p rvhpc --test paper_pass_allocations
     taskset -c 0 cargo test -q -p rvhpc-perfmodel --lib cache::
     # The estimate cache stays invisible at any capacity: one entry evicts
     # inside a suite row, a hundred across rows, and the pinned artefact
