@@ -109,29 +109,35 @@ rc=0
 rm -f "$LINT_DOC" "$BAD_LINT"
 test "$rc" -eq 2
 
-# Serving smoke: one server on an ephemeral port with room for 1024
-# connections. A seeded closed-loop loadgen (which exits non-zero on any
+# Serving smoke: one server on an ephemeral port with the default room
+# for 4096 connections. The reactor gate runs first, against the fresh
+# server: the open-loop engine holds 2560 concurrent connections at a
+# paced 400 req/s (non-zero on any protocol error or bit-identity
+# failure), its p99 must stay within 25 ms, and its throughput must
+# reach 0.9 of the paced rate. A cold listener that drops part of the
+# connect burst stalls those clients on SYN retransmits and fails the
+# floor. A seeded closed-loop loadgen (which exits non-zero on any
 # protocol error, dropped reply, failed bit-identity check, or
-# malformed-request mishandling) runs first, then the open-loop engine
-# over 256 concurrent connections (non-zero on any protocol error or
-# bit-identity failure); then a drain that must end the server process
-# cleanly. The differential harness (lockstep op mix, replies
-# bit-identical to the in-process model) runs in `cargo test` above with
-# the workspace's pinned RVHPC_SEED honoured when set; rerun it here
-# under the CI-pinned seed so the exact schedule is reproducible.
+# malformed-request mishandling) follows; then a drain that must end the
+# server process cleanly. The differential harness (lockstep op mix,
+# replies bit-identical to the in-process model) runs in `cargo test`
+# above with the workspace's pinned RVHPC_SEED honoured when set; rerun
+# it here under the CI-pinned seed so the exact schedule is reproducible.
 SERVE_PORT_FILE="$(mktemp)"
-"$REPRO" serve --addr 127.0.0.1:0 \
-    --max-conns 1024 --port-file "$SERVE_PORT_FILE" &
+"$REPRO" serve --addr 127.0.0.1:0 --port-file "$SERVE_PORT_FILE" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     test -s "$SERVE_PORT_FILE" && break
     sleep 0.1
 done
 SERVE_ADDR="$(cat "$SERVE_PORT_FILE")"
+REACTOR_RUN="$(mktemp)"
+"$REPRO" loadgen --addr "$SERVE_ADDR" --open-loop --connections 2560 \
+    --rps 400 --requests 2 --seed 2042 --slo-ms 25 --json "$REACTOR_RUN"
+jq -e '.throughput_rps >= 0.9 * .config.rps' "$REACTOR_RUN" > /dev/null
+rm -f "$REACTOR_RUN"
 "$REPRO" loadgen --addr "$SERVE_ADDR" \
     --clients 4 --requests 200 --seed 42 --probe-bad --json SERVE_SMOKE.json
-"$REPRO" loadgen --addr "$SERVE_ADDR" \
-    --open-loop --connections 256 --rps 300 --requests 4 --seed 2042
 "$REPRO" loadgen --addr "$SERVE_ADDR" \
     --clients 1 --requests 0 --shutdown
 wait "$SERVE_PID"
@@ -271,8 +277,15 @@ wait "$FLEET_PID"
 grep -q "drained cleanly" "$FLEET_LOG"
 rm -f "$FLEET_PORT_FILE" "$FLEET_SHARDS_FILE" "$FLEET_LOG" "$FLEET_SNAP"
 
-# The checked-in fleet-bench artefact validates, and `fleet-bench --check`
-# honours the --check exit contract (2 for an unknown schema version).
+# The fleet-bench artefact is regenerated by this build (a fresh 3-shard
+# fleet, a seeded loadgen, one shard killed and recovered), then must
+# meet the acceptance bars of `fleet_bench_artefact`, pass the shared
+# `--check` contract in `cli_contract`, validate under
+# `fleet-bench --check`, and fail it with exit 2 under an unknown
+# schema version.
+"$REPRO" fleet-bench --json FLEET_BENCH.json
+cargo test -q -p rvhpc-integration-tests --test fleet_bench_artefact
+cargo test -q -p rvhpc --test cli_contract
 "$REPRO" fleet-bench --check FLEET_BENCH.json
 BAD_FLEET="$(mktemp)"
 sed 's/rvhpc-fleet-bench-v1/rvhpc-fleet-bench-v999/' FLEET_BENCH.json > "$BAD_FLEET"

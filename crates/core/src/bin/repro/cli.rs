@@ -128,7 +128,7 @@ const COMMANDS: [&Spec; 9] = [
     &Spec {
         name: "serve",
         operands: "",
-        about: "serve estimate, explain, suite, submit_kernel, submit_machine and lint_machine queries over line-delimited JSON on TCP from one epoll event loop (Linux), with bounded admission, batched execution on the shared thread pool, and graceful drain on `shutdown` or SIGTERM",
+        about: "serve estimate, explain, suite, submit_kernel, submit_machine and lint_machine queries over line-delimited JSON on TCP from one epoll event loop (Linux), with bounded admission, batched execution on the server's own batcher thread, and graceful drain on `shutdown` or SIGTERM",
         flags: &[
             opt("--addr", Text("<ip:port>"), "listen address (port 0 picks a free one)"),
             opt("--queue-cap", Pos("N"), "admission queue capacity"),

@@ -28,7 +28,7 @@ use rvhpc_cluster::{NetworkKind, ScalingMode};
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{catalog, MachineId};
 use rvhpc_perfmodel::Precision;
-use rvhpc_serve::bench::{req_bool, req_count, req_f64};
+use rvhpc_serve::bench::{req_bool, req_cache, req_count, req_f64};
 use rvhpc_serve::loadgen::{query_pool, reply_bits, LoadgenReport};
 use rvhpc_serve::{run_loadgen, LineConn, LoadgenConfig};
 use rvhpc_trace::json::Json;
@@ -264,16 +264,7 @@ fn validate_phase(block: &Json, label: &str, shards: usize) -> Result<(u64, u64)
     if !(p50.is_finite() && p99.is_finite() && 0.0 <= p50 && p50 <= p99) {
         return Err(format!("{label} latency percentiles out of order: p50={p50} p99={p99}"));
     }
-    let hits = req_count(block, &["cache", "hits"])?;
-    let misses = req_count(block, &["cache", "misses"])?;
-    let hit_rate = req_f64(block, &["cache", "hit_rate"])?;
-    let total = hits + misses;
-    let expected = if total > 0 { hits as f64 / total as f64 } else { 0.0 };
-    if (hit_rate - expected).abs() > 1e-9 {
-        return Err(format!(
-            "{label}.cache.hit_rate {hit_rate} inconsistent with hits={hits} misses={misses}"
-        ));
-    }
+    req_cache(block, &format!("{label}."))?;
     req_bool(block, &["verified_bit_identical"])?;
     let Some(Json::Arr(entries)) = block.get("per_shard") else {
         return Err(format!("missing array field `{label}.per_shard`"));
@@ -287,17 +278,7 @@ fn validate_phase(block: &Json, label: &str, shards: usize) -> Result<(u64, u64)
         }
         let reachable = req_bool(entry, &["reachable"])?;
         let requests = req_count(entry, &["requests"])?;
-        let hits = req_count(entry, &["cache", "hits"])?;
-        let misses = req_count(entry, &["cache", "misses"])?;
-        let hit_rate = req_f64(entry, &["cache", "hit_rate"])?;
-        let total = hits + misses;
-        let expected = if total > 0 { hits as f64 / total as f64 } else { 0.0 };
-        if (hit_rate - expected).abs() > 1e-9 {
-            return Err(format!(
-                "{label}.per_shard[{i}].cache.hit_rate {hit_rate} inconsistent with \
-                 hits={hits} misses={misses}"
-            ));
-        }
+        let total = req_cache(entry, &format!("{label}.per_shard[{i}]."))?;
         if !reachable && (requests > 0 || total > 0) {
             return Err(format!("{label}.per_shard[{i}] is unreachable but has non-zero counters"));
         }

@@ -60,7 +60,7 @@ use std::time::Instant;
 /// variable (`0`/`off`/`false` disable it); defaults to on. It gates
 /// stages, gauges and the SLO tracker, never counters. Exposition keeps
 /// working either way — disabled recording just leaves the gated parts at
-/// zero, which is what the checked-in overhead baseline uses.
+/// zero, which makes it the baseline side of an overhead comparison.
 pub fn enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| {

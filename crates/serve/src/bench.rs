@@ -171,9 +171,27 @@ pub fn req_count(doc: &Json, path: &[&str]) -> Result<u64, String> {
     }
 }
 
+/// The hit and miss counts of the `cache` block under `block`, with its
+/// `hit_rate` checked against them; returns `hits + misses`. `prefix` is
+/// the path to `block` (with a trailing `.`), for the error message.
+pub fn req_cache(block: &Json, prefix: &str) -> Result<u64, String> {
+    let hits = req_count(block, &["cache", "hits"])?;
+    let misses = req_count(block, &["cache", "misses"])?;
+    let hit_rate = req_f64(block, &["cache", "hit_rate"])?;
+    let total = hits + misses;
+    let expected = if total > 0 { hits as f64 / total as f64 } else { 0.0 };
+    if (hit_rate - expected).abs() > 1e-9 {
+        return Err(format!(
+            "{prefix}cache.hit_rate {hit_rate} inconsistent with hits={hits} misses={misses}"
+        ));
+    }
+    Ok(total)
+}
+
 /// Validate a serve-bench artefact: schema tag, finite ordered latency
-/// percentiles, sane rates, integer counters, and a cache hit rate
-/// consistent with its own hit/miss counts.
+/// percentiles, sane rates, integer counters, a cache hit rate
+/// consistent with its own hit/miss counts, and the run's loop mode and
+/// connection count.
 pub fn validate_serve_artefact(text: &str) -> Result<(), String> {
     let doc = Json::parse(text).map_err(|e| format!("artefact is not valid JSON: {e}"))?;
     let schema = doc
@@ -210,38 +228,16 @@ pub fn validate_serve_artefact(text: &str) -> Result<(), String> {
     if ok > sent {
         return Err(format!("requests.ok ({ok}) exceeds requests.sent ({sent})"));
     }
-    let hits = req_count(&doc, &["cache", "hits"])?;
-    let misses = req_count(&doc, &["cache", "misses"])?;
-    let hit_rate = req_f64(&doc, &["cache", "hit_rate"])?;
-    let total = hits + misses;
-    let expected = if total > 0 { hits as f64 / total as f64 } else { 0.0 };
-    if (hit_rate - expected).abs() > 1e-9 {
-        return Err(format!(
-            "cache.hit_rate {hit_rate} inconsistent with hits={hits} misses={misses}"
-        ));
+    req_cache(&doc, "")?;
+    req_bool(&doc, &["verified_bit_identical"])?;
+    let mode = req_field(&doc, &["config", "mode"])?
+        .as_str()
+        .ok_or_else(|| "config.mode must be a string".to_string())?;
+    if mode != "open_loop" && mode != "closed_loop" {
+        return Err(format!("config.mode is `{mode}`, expected `open_loop` or `closed_loop`"));
     }
-    match doc.get("verified_bit_identical") {
-        Some(Json::Bool(_)) => {}
-        _ => return Err("missing boolean field `verified_bit_identical`".to_string()),
-    }
-    // `config.mode`/`config.connections` arrived with the open-loop
-    // reactor benchmark; older artefacts without them stay valid, but
-    // when present they must be well-formed.
-    if let Some(config) = doc.get("config") {
-        if let Some(mode) = config.get("mode") {
-            let Some(mode) = mode.as_str() else {
-                return Err("config.mode must be a string".to_string());
-            };
-            if mode != "open_loop" && mode != "closed_loop" {
-                return Err(format!(
-                    "config.mode is `{mode}`, expected `open_loop` or `closed_loop`"
-                ));
-            }
-            let conns = req_count(config, &["connections"])?;
-            if conns == 0 {
-                return Err("config.connections must be positive".to_string());
-            }
-        }
+    if req_count(&doc, &["config", "connections"])? == 0 {
+        return Err("config.connections must be positive".to_string());
     }
     if let Some(slo) = doc.get("slo") {
         let target_ms = req_f64(slo, &["target_ms"])?;
@@ -265,12 +261,10 @@ pub fn validate_serve_artefact(text: &str) -> Result<(), String> {
                 "slo.burn_fraction {burn} inconsistent with breaches={breaches} ok={ok}"
             ));
         }
-        let Some(Json::Bool(passed)) = slo.get("passed") else {
-            return Err("missing boolean field `slo.passed`".to_string());
-        };
+        let passed = req_bool(slo, &["passed"])?;
         // The verdict must be derivable from the numbers next to it.
         let expected_passed = ok > 0 && achieved <= target_ms * 1000.0;
-        if *passed != expected_passed {
+        if passed != expected_passed {
             return Err(format!(
                 "slo.passed is {passed} but p99={achieved}us vs target={target_ms}ms implies \
                  {expected_passed}"
@@ -308,21 +302,9 @@ fn validate_fleet_attribution(fleet: &Json) -> Result<(), String> {
         if entry.get("addr").and_then(Json::as_str).is_none() {
             return Err(format!("fleet.per_shard[{i}].addr must be a string"));
         }
-        let Some(Json::Bool(reachable)) = entry.get("reachable") else {
-            return Err(format!("fleet.per_shard[{i}].reachable must be a boolean"));
-        };
+        let reachable = req_bool(entry, &["reachable"])?;
         let requests = req_count(entry, &["requests"])?;
-        let hits = req_count(entry, &["cache", "hits"])?;
-        let misses = req_count(entry, &["cache", "misses"])?;
-        let hit_rate = req_f64(entry, &["cache", "hit_rate"])?;
-        let total = hits + misses;
-        let expected = if total > 0 { hits as f64 / total as f64 } else { 0.0 };
-        if (hit_rate - expected).abs() > 1e-9 {
-            return Err(format!(
-                "fleet.per_shard[{i}].cache.hit_rate {hit_rate} inconsistent with \
-                 hits={hits} misses={misses}"
-            ));
-        }
+        let total = req_cache(entry, &format!("fleet.per_shard[{i}]."))?;
         if !reachable && (requests > 0 || total > 0) {
             return Err(format!("fleet.per_shard[{i}] is unreachable but has non-zero counters"));
         }
@@ -472,12 +454,14 @@ mod tests {
         let err = validate_serve_artefact(&text).expect_err("zero connections");
         assert!(err.contains("connections"), "{err}");
 
-        // Legacy artefacts without the mode key still validate.
-        let text = serve_artefact(&LoadgenConfig::default(), &sample_report())
-            .render()
-            .replace("\"mode\":\"closed_loop\",", "")
-            .replace("\"connections\":4,", "");
-        validate_serve_artefact(&text).expect("legacy artefact stays valid");
+        // Both keys are required: an artefact missing either is rejected.
+        let text = serve_artefact(&LoadgenConfig::default(), &sample_report()).render();
+        for key in ["\"mode\":\"closed_loop\",", "\"connections\":4,"] {
+            let stripped = text.replace(key, "");
+            assert_ne!(stripped, text, "fixture drift: {key} not found");
+            let err = validate_serve_artefact(&stripped).expect_err("missing config key");
+            assert!(err.contains("missing field `config."), "{err}");
+        }
     }
 
     #[test]

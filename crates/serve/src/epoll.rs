@@ -3,7 +3,7 @@
 //! The workspace builds offline with no `libc` crate, so — following the
 //! precedent of the SIGTERM `signal(2)` shim in [`crate::signal`] — this
 //! module is the second tiny unsafe island that talks to the platform
-//! directly. It binds exactly the six calls the reactor needs and nothing
+//! directly. It binds exactly the calls the reactor needs and nothing
 //! more:
 //!
 //! * `epoll_create1` / `epoll_ctl` / `epoll_wait` — readiness
@@ -13,6 +13,8 @@
 //!   `epoll_wait` immediately, not on the next tick),
 //! * `fcntl(2)` with `O_NONBLOCK` — switching accepted sockets to
 //!   nonblocking mode,
+//! * `listen(2)` — re-arming the bound listener with a deeper accept
+//!   backlog than the 128 `std::net::TcpListener::bind` asks for,
 //! * `close(2)` plus `read`/`write` on the eventfd.
 //!
 //! Audit notes (also summarised in the README's serving section):
@@ -32,8 +34,9 @@
 #![allow(unsafe_code)]
 
 use std::io;
+use std::net::TcpListener;
 use std::os::raw::{c_int, c_uint, c_void};
-use std::os::unix::io::RawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 
 /// Readable readiness (`EPOLLIN`).
 pub(crate) const EPOLLIN: u32 = 0x001;
@@ -90,6 +93,7 @@ extern "C" {
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -237,12 +241,24 @@ pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
+/// Re-`listen(2)` a bound listener with a 4096-deep accept backlog.
+/// `TcpListener::bind` asks for 128, and a cold server meeting a burst of
+/// thousands of connects drops SYNs past that, stalling those clients on
+/// retransmits. The kernel caps the value at `net.core.somaxconn`.
+pub(crate) fn deepen_backlog(listener: &TcpListener) -> io::Result<()> {
+    // SAFETY: a pointer-free syscall on the live fd `listener` owns; the
+    // return value is checked.
+    if unsafe { listen(listener.as_raw_fd(), 4096) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::io::AsRawFd;
+    use std::net::TcpStream;
 
     #[test]
     fn eventfd_signals_wake_epoll_and_clear_resets() {

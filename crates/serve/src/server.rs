@@ -569,6 +569,7 @@ fn stop_started(
 
 #[cfg(target_os = "linux")]
 fn spawn_reactor(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
+    crate::epoll::deepen_backlog(&listener)?;
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name("rvhpc-serve-reactor".to_string())

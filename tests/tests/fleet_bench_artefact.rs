@@ -1,12 +1,13 @@
-//! Enforcing test for the checked-in `rvhpc-fleet-bench-v1` artefact.
+//! Enforcing test for the `rvhpc-fleet-bench-v1` artefact.
 //!
-//! `FLEET_BENCH.json` is the landed record of the fleet scaling
-//! experiment (3 shards, seeded loadgen, one shard killed and
-//! recovered). This test re-validates it against the schema validator
-//! and then enforces the acceptance bars that make the artefact worth
-//! checking in: hot disjoint per-shard caches (hit rates no worse than
-//! the single-process warm rate, [`WARM_HIT_RATE`]), full bit-identity,
-//! and a zero-failed-request shard-kill run.
+//! `FLEET_BENCH.json` is the record of the fleet scaling experiment
+//! (3 shards, seeded loadgen, one shard killed and recovered); ci.sh
+//! regenerates it with `repro fleet-bench --json FLEET_BENCH.json` and
+//! runs this test again on the fresh file. This test re-validates it
+//! against the schema validator and then enforces the acceptance bars:
+//! hot disjoint per-shard caches (hit rates no worse than the
+//! single-process warm rate, [`WARM_HIT_RATE`]), full bit-identity, and
+//! a zero-failed-request shard-kill run.
 
 use rvhpc_fleet::validate_fleet_artefact;
 use rvhpc_trace::json::Json;
@@ -15,7 +16,7 @@ use std::path::PathBuf;
 fn load_text(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(name);
     std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be checked in at the repo root: {e}", name))
+        .unwrap_or_else(|e| panic!("{} must be at the repo root: {e}", name))
 }
 
 fn load_artefact(name: &str) -> Json {
@@ -24,9 +25,8 @@ fn load_artefact(name: &str) -> Json {
 }
 
 /// The single-process warm estimate-cache hit rate: every lookup of a
-/// repeated sweep is a hit. The value is the `total.estimate_cache.hit_rate`
-/// recorded in `BENCH_6.json`, the single-process sweep artefact that was
-/// checked in until the old sweep harness was deleted.
+/// repeated sweep is a hit, as the benchmark's `sweep_warm` workload
+/// reports in `perfmodel.cache.hit_rate`.
 const WARM_HIT_RATE: f64 = 1.0;
 
 fn f(doc: &Json, path: &[&str]) -> f64 {
@@ -118,7 +118,7 @@ fn checked_in_fleet_bench_artefact_meets_the_acceptance_bars() {
 
 #[test]
 fn artefact_validator_is_actually_load_bearing() {
-    // Corrupt the checked-in artefact in a few ways the validator must
+    // Corrupt the artefact in a few ways the validator must
     // catch, so a regressed validator cannot silently admit bad runs.
     let text = load_artefact("FLEET_BENCH.json").render();
 
