@@ -93,7 +93,7 @@ const ARTEFACT_COMMANDS: &[(&str, &str)] = &[
     ("machines", "modelled machine inventory"),
     ("kernel <label>", "one kernel's model view (e.g. Basic_DAXPY)"),
     ("explain <machine> <kernel> [fp32|fp64] [threads]", "component breakdown of one estimate"),
-    ("calibrate", "headline ratios vs the paper's quoted numbers"),
+    ("calibrate", "every paper cell vs the model, total and orderings"),
     ("native [scale]", "run the real kernels on this host (scale > 0, default 0.01)"),
     ("help", "this text"),
 ];

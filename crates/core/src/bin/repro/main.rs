@@ -6,8 +6,8 @@
 mod cli;
 
 use rvhpc::experiments::driver::{self, Artefact};
-use rvhpc::experiments::{fig1, next_gen, x86};
-use rvhpc::kernels::{KernelClass, KernelName};
+use rvhpc::experiments::next_gen;
+use rvhpc::kernels::KernelName;
 use rvhpc::machines::{catalog, MachineId};
 use rvhpc::perfmodel::{Model, Precision, RunConfig};
 use rvhpc_trace::json::Json;
@@ -1105,54 +1105,10 @@ fn render_top_frame(
     out
 }
 
-/// Print the headline averages the paper quotes, next to its numbers, so
-/// calibration drift is visible at a glance.
+/// Print every paper number next to the model's, with the total, and
+/// every ordering the paper states: [`rvhpc::fidelity::score`].
 fn calibrate() {
-    println!("## Headline ratios: paper vs model\n");
-
-    // Section 3.1 / conclusions: C920 vs U74 (V2) single-core.
-    for (p, lo, hi) in [(Precision::Fp64, 4.3, 6.5), (Precision::Fp32, 5.6, 11.8)] {
-        let ratios = fig1::speedup_ratios(Model::paper(), MachineId::Sg2042, p);
-        let mut per_class: Vec<(KernelClass, f64)> = KernelClass::ALL
-            .into_iter()
-            .map(|c| {
-                let ks: Vec<f64> =
-                    ratios.iter().filter(|(k, _)| k.class() == c).map(|(_, &r)| r).collect();
-                (c, ks.iter().sum::<f64>() / ks.len() as f64)
-            })
-            .collect();
-        per_class.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
-        let min = per_class.first().expect("classes").1;
-        let max = per_class.last().expect("classes").1;
-        println!(
-            "SG2042 vs V2 {p:?}: paper class means {lo:.1}–{hi:.1}x | model {min:.1}–{max:.1}x"
-        );
-        for (c, v) in &per_class {
-            println!("    {c:<10} {v:.1}x");
-        }
-    }
-
-    // Conclusions: x86 vs SG2042 single core.
-    println!("\nx86 vs SG2042 single core (paper: FP32 Rome 3x, Broadwell 4x, Icelake 4x, SNB 2x;");
-    println!("                            FP64 Rome 4x, Broadwell 4x, Icelake 5x, SNB 1.2x)");
-    for (fig, label) in [(x86::fig5(Model::paper()), "FP32"), (x86::fig4(Model::paper()), "FP64")] {
-        print!("  {label}: ");
-        for s in &fig.series {
-            print!("{} {:+.1} | ", s.label, s.overall_mean());
-        }
-        println!();
-    }
-
-    // Conclusions: multithreaded.
-    println!("\nx86 vs SG2042 multithreaded (paper: FP32 Rome 8x, Broadwell 6x, Icelake 6x;");
-    println!("                              FP64 Rome 5x, Broadwell 4x, Icelake 8x; SNB loses)");
-    for (fig, label) in [(x86::fig7(Model::paper()), "FP32"), (x86::fig6(Model::paper()), "FP64")] {
-        print!("  {label}: ");
-        for s in &fig.series {
-            print!("{} {:+.1} | ", s.label, s.overall_mean());
-        }
-        println!();
-    }
+    print!("{}", rvhpc::fidelity::score(Model::paper()).to_markdown());
 }
 
 fn native(positional: &[&str]) {

@@ -19,7 +19,8 @@
 //! * [`rvhpc_perfmodel`] — the analytic timing engine that stands in for
 //!   the hardware (see DESIGN.md for the substitution argument);
 //! * this crate — the suite runner, one experiment module per paper table
-//!   and figure, and report rendering.
+//!   and figure, report rendering, the paper's numbers in one table
+//!   ([`paper`]) and the model scored against them ([`fidelity`]).
 //!
 //! # Quick start
 //!
@@ -38,8 +39,10 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod fidelity;
 pub mod inspect;
 pub mod native;
+pub mod paper;
 pub mod report;
 pub mod suite;
 

@@ -159,6 +159,16 @@ impl Cell {
         }
     }
 
+    /// The cell's number, unrounded: an integer or a [`Fixed`]'s value.
+    /// Text has none.
+    pub fn number(&self) -> Option<f64> {
+        match self {
+            Cell::Text(_) => None,
+            Cell::Int(n) => Some(*n as f64),
+            Cell::Fixed(x) => Some(x.x),
+        }
+    }
+
     /// Append the cell's text to `out`.
     fn write_to(&self, out: &mut String) {
         self.with_text(|text| out.push_str(text));

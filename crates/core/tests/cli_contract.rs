@@ -4,6 +4,8 @@
 //! valued flags without a value exit 2; out-of-range values exit 2 (or 1
 //! when only the server is missing), never with a panic.
 
+mod support;
+
 use std::process::Command;
 
 fn repro(args: &[&str]) -> (Option<i32>, String) {
@@ -30,11 +32,10 @@ fn lint_document() -> String {
 
 #[test]
 fn check_follows_one_contract_for_every_schema() {
-    let fleet = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FLEET_BENCH.json");
     let cases = [
         ("lint", "rvhpc-lint-v1", lint_document()),
         ("top", "rvhpc-metrics-v1", rvhpc_obs::metrics_json().pretty()),
-        ("fleet-bench", "rvhpc-fleet-bench-v1", std::fs::read_to_string(fleet).expect("artefact")),
+        ("fleet-bench", "rvhpc-fleet-bench-v1", support::fleet_bench_run().to_string()),
     ];
     for (cmd, schema, valid) in cases {
         let unknown = valid.replacen(schema, "rvhpc-unknown-v999", 1);
@@ -113,4 +114,22 @@ fn removed_fleet_flags_are_rejected() {
         assert_eq!(code, Some(2), "fleet {flag}: {err}");
         assert!(err.contains(&format!("unknown fleet argument `{flag}`")), "{err}");
     }
+}
+
+#[test]
+fn calibrate_prints_every_paper_cell_and_the_total() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("calibrate")
+        .output()
+        .expect("repro calibrate runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    for cell in rvhpc::paper::cells() {
+        let row = format!("| {} | ", cell.id);
+        assert!(text.lines().any(|l| l.starts_with(&row)), "no line for {}:\n{text}", cell.id);
+    }
+    assert!(
+        text.lines().any(|l| l.starts_with("total |ln(model/paper)| ") && l.contains(" 72 cells")),
+        "no total line:\n{text}"
+    );
 }

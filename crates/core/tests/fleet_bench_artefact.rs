@@ -1,28 +1,17 @@
 //! Enforcing test for the `rvhpc-fleet-bench-v1` artefact.
 //!
-//! `FLEET_BENCH.json` is the record of the fleet scaling experiment
-//! (3 shards, seeded loadgen, one shard killed and recovered); ci.sh
-//! regenerates it with `repro fleet-bench --json FLEET_BENCH.json` and
-//! runs this test again on the fresh file. This test re-validates it
-//! against the schema validator and then enforces the acceptance bars:
-//! hot disjoint per-shard caches (hit rates no worse than the
-//! single-process warm rate, [`WARM_HIT_RATE`]), full bit-identity, and
-//! a zero-failed-request shard-kill run.
+//! The test runs the fleet scaling experiment on the current build
+//! (`repro fleet-bench --json` into a temporary directory: 3 shards,
+//! seeded loadgen, one shard killed and recovered), validates the
+//! document against the schema validator and then enforces the
+//! acceptance bars: hot disjoint per-shard caches (hit rates no worse
+//! than the single-process warm rate, [`WARM_HIT_RATE`]), full
+//! bit-identity, and a zero-failed-request shard-kill run.
+
+mod support;
 
 use rvhpc_fleet::validate_fleet_artefact;
 use rvhpc_trace::json::Json;
-use std::path::PathBuf;
-
-fn load_text(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be at the repo root: {e}", name))
-}
-
-fn load_artefact(name: &str) -> Json {
-    let text = load_text(name);
-    Json::parse(&text).unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}"))
-}
 
 /// The single-process warm estimate-cache hit rate: every lookup of a
 /// repeated sweep is a hit, as the benchmark's `sweep_warm` workload
@@ -49,11 +38,10 @@ fn b(doc: &Json, path: &[&str]) -> bool {
 }
 
 #[test]
-fn checked_in_fleet_bench_artefact_meets_the_acceptance_bars() {
-    let text = load_text("FLEET_BENCH.json");
-    validate_fleet_artefact(&text)
-        .expect("FLEET_BENCH.json validates against rvhpc-fleet-bench-v1");
-    let doc = Json::parse(&text).expect("FLEET_BENCH.json parses");
+fn fresh_fleet_bench_run_meets_the_acceptance_bars() {
+    let text = support::fleet_bench_run();
+    validate_fleet_artefact(text).expect("the run validates against rvhpc-fleet-bench-v1");
+    let doc = Json::parse(text).expect("the run parses");
 
     // The experiment must have run at a real fleet size.
     let shards = f(&doc, &["config", "shards"]);
@@ -120,7 +108,7 @@ fn checked_in_fleet_bench_artefact_meets_the_acceptance_bars() {
 fn artefact_validator_is_actually_load_bearing() {
     // Corrupt the artefact in a few ways the validator must
     // catch, so a regressed validator cannot silently admit bad runs.
-    let text = load_artefact("FLEET_BENCH.json").render();
+    let text = Json::parse(support::fleet_bench_run()).expect("the run parses").render();
 
     let tampered = text.replacen("rvhpc-fleet-bench-v1", "rvhpc-fleet-bench-v0", 1);
     let err = validate_fleet_artefact(&tampered).expect_err("wrong schema must be rejected");

@@ -5,48 +5,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rvhpc::kernels::KernelClass;
-
-/// Paper reference values for Tables 1–3 (speedup per class at a thread
-/// count), used by the shape-assertion tests.
-#[derive(Debug, Clone, Copy)]
-pub struct PaperScalingRow {
-    /// Thread count.
-    pub threads: usize,
-    /// Speedups in class order: algorithm, apps, basic, lcals, polybench,
-    /// stream.
-    pub speedups: [f64; 6],
-}
-
-/// The paper's Table 1 (block placement), the rows EXPERIMENTS.md quotes.
-/// Block placement is the paper's pathological policy: threads 0–31 sit in
-/// NUMA regions 0–1, so half the memory controllers idle at 32 threads.
-pub const PAPER_TABLE1: [PaperScalingRow; 3] = [
-    PaperScalingRow { threads: 16, speedups: [4.64, 4.31, 6.92, 6.86, 15.39, 4.31] },
-    PaperScalingRow { threads: 32, speedups: [1.11, 1.86, 0.22, 4.38, 14.09, 0.82] },
-    PaperScalingRow { threads: 64, speedups: [0.97, 4.10, 12.33, 14.89, 40.42, 1.77] },
-];
-
-/// The paper's Table 2 (NUMA-cyclic placement).
-pub const PAPER_TABLE2: [PaperScalingRow; 6] = [
-    PaperScalingRow { threads: 2, speedups: [1.52, 0.70, 1.06, 1.81, 2.11, 1.93] },
-    PaperScalingRow { threads: 4, speedups: [3.21, 1.37, 2.09, 3.61, 4.11, 4.19] },
-    PaperScalingRow { threads: 8, speedups: [4.72, 2.64, 3.96, 6.08, 8.15, 4.46] },
-    PaperScalingRow { threads: 16, speedups: [4.55, 4.32, 6.97, 7.12, 15.07, 4.19] },
-    PaperScalingRow { threads: 32, speedups: [6.10, 6.32, 13.11, 14.84, 30.05, 13.91] },
-    PaperScalingRow { threads: 64, speedups: [2.09, 4.31, 17.29, 26.53, 57.93, 1.62] },
-];
-
-/// Class order used by [`PaperScalingRow::speedups`].
-pub const CLASS_ORDER: [KernelClass; 6] = [
-    KernelClass::Algorithm,
-    KernelClass::Apps,
-    KernelClass::Basic,
-    KernelClass::Lcals,
-    KernelClass::Polybench,
-    KernelClass::Stream,
-];
-
 /// Geometric-mean ratio between paired values — the loose-tolerance metric
 /// the shape tests use (1.0 = perfect agreement).
 pub fn geomean_ratio(model: &[f64], paper: &[f64]) -> f64 {

@@ -1,18 +1,20 @@
 //! Shape assertions against the paper's published numbers: orderings are
 //! strict, magnitudes loose (we model a simulator, not the authors'
-//! testbed). EXPERIMENTS.md records the full paper-vs-model comparison.
+//! testbed). The paper's numbers come from `rvhpc::paper`; `repro
+//! calibrate` prints the full paper-vs-model comparison.
 
 use rvhpc::experiments::{fig1, fig2, scaling, x86};
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::MachineId;
-use rvhpc::perfmodel::{Model, Precision};
-use rvhpc_integration_tests::{geomean_ratio, CLASS_ORDER, PAPER_TABLE1, PAPER_TABLE2};
+use rvhpc::paper;
+use rvhpc::perfmodel::Model;
+use rvhpc_integration_tests::geomean_ratio;
 
 /// Figure 1 headline: the C920's per-core advantage over the U74 lies
 /// within 2× of the paper's quoted bands at both precisions.
 #[test]
 fn fig1_bands_within_2x_of_paper() {
-    for (precision, lo, hi) in [(Precision::Fp64, 4.3, 6.5), (Precision::Fp32, 5.6, 11.8)] {
+    for paper::Band { precision, low: lo, high: hi } in paper::FIG1_BANDS {
         let ratios = fig1::speedup_ratios(Model::paper(), MachineId::Sg2042, precision);
         let mut class_means = Vec::new();
         for class in KernelClass::ALL {
@@ -31,9 +33,9 @@ fn fig1_bands_within_2x_of_paper() {
 #[test]
 fn table2_speedups_track_paper_within_2x() {
     let table = scaling::table2(Model::paper());
-    for row in PAPER_TABLE2 {
+    for row in paper::TABLE2 {
         let model: Vec<f64> =
-            CLASS_ORDER.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
+            KernelClass::ALL.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
         let g = geomean_ratio(&model, &row.speedups);
         assert!(
             (0.5..=2.0).contains(&g),
@@ -53,12 +55,12 @@ fn table2_speedups_track_paper_within_2x() {
 #[test]
 fn table1_speedups_track_paper_within_2x() {
     let table = scaling::table1(Model::paper());
-    for row in PAPER_TABLE1 {
+    for row in paper::TABLE1 {
         let mut model: Vec<f64> =
-            CLASS_ORDER.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
+            KernelClass::ALL.iter().map(|&c| table.cell(row.threads, c).speedup).collect();
         let mut paper = row.speedups.to_vec();
         if row.threads == 32 {
-            let basic = CLASS_ORDER.iter().position(|&c| c == KernelClass::Basic).unwrap();
+            let basic = KernelClass::ALL.iter().position(|&c| c == KernelClass::Basic).unwrap();
             model.remove(basic);
             paper.remove(basic);
         }
