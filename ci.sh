@@ -35,8 +35,8 @@ if command -v taskset > /dev/null; then
     done
     # The serving tests hold the batcher with `Server::pause_batcher`; on
     # one CPU the reactor, the batcher and the test thread share a core,
-    # and in `fleet_router` the router's threads (its 100 ms drain tick,
-    # the framing parity test) share it too.
+    # and in `fleet_router` the router's reactor, its forwarding workers
+    # and its 200 ms health prober share it too.
     taskset -c 0 cargo test -q -p rvhpc-integration-tests --test serve_end_to_end \
         --test serve_differential --test serve_sigterm --test obs_end_to_end \
         --test serve_batch_dedup --test fleet_router
@@ -76,6 +76,9 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 "$REPRO" verify --seed 42 --cases 200
 COMMIT_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5eedcafe)"
 "$REPRO" verify --seed "$COMMIT_SEED" --cases 50
+
+# The paper model scores no worse than the pinned fidelity document.
+"$REPRO" calibrate --check FIDELITY.json
 
 # Static lint: every machine descriptor and every generated RVV program
 # (v1.0 output and its v0.7.1 rollback) must be finding-free.
@@ -237,13 +240,16 @@ RVHPC_SEED=2042 cargo test --release -q -p rvhpc-integration-tests \
     --test serve_submit_e2e --test admission_fuzz
 
 # Fleet smoke: a 3-shard consistent-hash fleet on ephemeral ports. The
-# seeded loadgen addresses the router with per-shard attribution
-# (--shards/--target-list, exit non-zero on any protocol error or
-# bit-divergence), then one shard is SIGKILLed: the supervisor must
-# respawn it (same ring identity) while a second seeded run loses zero
-# requests. The aggregated fleet metrics must validate under the
-# single-server `top --check` schema, and a client `shutdown` must drain
-# the whole fleet cleanly.
+# router serves its clients from the shard's reactor, so the serving
+# smoke's reactor gate runs first through it, against the fresh fleet:
+# 2560 open-loop connections at a paced 400 req/s, p99 within 25 ms and
+# throughput at least 0.9 of the paced rate. The seeded loadgen then
+# addresses the router with per-shard attribution (--shards/--target-list,
+# exit non-zero on any protocol error or bit-divergence), then one shard
+# is SIGKILLed: the supervisor must respawn it (same ring identity) while
+# a second seeded run loses zero requests. The aggregated fleet metrics
+# must validate under the single-server `top --check` schema, and a
+# client `shutdown` must drain the whole fleet cleanly.
 FLEET_PORT_FILE="$(mktemp)"
 FLEET_SHARDS_FILE="$(mktemp)"
 FLEET_LOG="$(mktemp)"
@@ -257,6 +263,11 @@ for _ in $(seq 1 100); do
 done
 FLEET_ADDR="$(cat "$FLEET_PORT_FILE")"
 FLEET_TARGETS="$(awk '{ print $3 }' "$FLEET_SHARDS_FILE" | paste -sd, -)"
+FLEET_REACTOR_RUN="$(mktemp)"
+"$REPRO" loadgen --addr "$FLEET_ADDR" --open-loop --connections 2560 \
+    --rps 400 --requests 2 --seed 2042 --slo-ms 25 --json "$FLEET_REACTOR_RUN"
+jq -e '.throughput_rps >= 0.9 * .config.rps' "$FLEET_REACTOR_RUN" > /dev/null
+rm -f "$FLEET_REACTOR_RUN"
 "$REPRO" loadgen --addr "$FLEET_ADDR" \
     --clients 4 --requests 100 --seed 42 --shards 3 --target-list "$FLEET_TARGETS"
 KILLED_PID="$(awk '$1 == 1 { print $2 }' "$FLEET_SHARDS_FILE")"

@@ -93,13 +93,21 @@ const ARTEFACT_COMMANDS: &[(&str, &str)] = &[
     ("machines", "modelled machine inventory"),
     ("kernel <label>", "one kernel's model view (e.g. Basic_DAXPY)"),
     ("explain <machine> <kernel> [fp32|fp64] [threads]", "component breakdown of one estimate"),
-    ("calibrate", "every paper cell vs the model, total and orderings"),
     ("native [scale]", "run the real kernels on this host (scale > 0, default 0.01)"),
     ("help", "this text"),
 ];
 
 /// Every subcommand with a flag table, in `repro help` order.
-const COMMANDS: [&Spec; 9] = [
+const COMMANDS: [&Spec; 10] = [
+    &Spec {
+        name: "calibrate",
+        operands: "",
+        about: "every paper cell vs the model, total and orderings",
+        flags: &[
+            opt("--json", Switch, "print the rvhpc-fidelity-v1 document instead of markdown"),
+            opt("--check", Text("<path>"), "exit 1 if this build scores worse than a saved rvhpc-fidelity-v1 document"),
+        ],
+    },
     &Spec {
         name: "verify",
         operands: "",

@@ -35,6 +35,7 @@ fn main() {
         "loadgen" => loadgen(&args),
         "fleet" => fleet(&args),
         "fleet-bench" => fleet_bench(&args),
+        "calibrate" => calibrate(&args),
         "cluster" => cluster(&args),
         "top" => top(&args),
         _ => artefacts(&args),
@@ -89,7 +90,6 @@ fn run_command(cmd: &str, positional: &[&str], format: Format) {
             emit_table(rvhpc::inspect::kernel_table(kernel), format);
         }
         "explain" => explain(positional, format),
-        "calibrate" => calibrate(),
         "native" => native(positional),
         // One batched pass through the shared sweep engine: later
         // experiments reuse earlier experiments' cached estimates.
@@ -1106,9 +1106,33 @@ fn render_top_frame(
 }
 
 /// Print every paper number next to the model's, with the total, and
-/// every ordering the paper states: [`rvhpc::fidelity::score`].
-fn calibrate() {
-    print!("{}", rvhpc::fidelity::score(Model::paper()).to_markdown());
+/// every ordering the paper states: [`rvhpc::fidelity::score`], as
+/// markdown or (`--json`) as the `rvhpc-fidelity-v1` document. `--check`
+/// scores this build against a saved document instead.
+fn calibrate(args: &cli::Args) {
+    use rvhpc::fidelity;
+    if let Some(path) = args.text("--check") {
+        cli::check_document(path, fidelity::SCHEMA, no_fidelity_regression);
+    }
+    let score = fidelity::score(Model::paper());
+    if args.has("--json") {
+        println!("{}", score.to_json().pretty());
+    } else {
+        print!("{}", score.to_markdown());
+    }
+    rvhpc::perfmodel::persist::flush();
+}
+
+/// `Ok` when this build's score has no [`rvhpc::fidelity::Regression`]
+/// against the pinned document `text`; the error lists them by id.
+fn no_fidelity_regression(text: &str) -> Result<(), String> {
+    let pinned = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let regressions = rvhpc::fidelity::score(Model::paper()).regressions(&pinned);
+    if regressions.is_empty() {
+        return Ok(());
+    }
+    let listed: Vec<String> = regressions.iter().map(ToString::to_string).collect();
+    Err(format!("{} regression(s): {}", listed.len(), listed.join("; ")))
 }
 
 fn native(positional: &[&str]) {

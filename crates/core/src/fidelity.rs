@@ -14,8 +14,8 @@
 //!   better (a mean `t` below parity stands for `1/(1 − t)`).
 //!
 //! Table 3 and Fig. 2 have no paper numbers in the repository, only
-//! statements, so the score records whether each ordering that
-//! `paper_shapes.rs` asserts holds, at the same tolerances.
+//! statements, so the score records whether each ordering the paper
+//! states holds; `paper_shapes.rs` asserts these checks by id.
 //!
 //! `FIDELITY.json` at the repository root is [`Score::to_json`] under
 //! [`Model::paper`]. The `fidelity_gate` test fails when
@@ -178,7 +178,8 @@ fn speedup(table: &TableReport, threads: usize, class: KernelClass) -> f64 {
     row[1 + 2 * c].number().expect("a speedup cell")
 }
 
-/// The orderings `paper_shapes.rs` asserts, at its tolerances.
+/// The orderings the paper states, each with its tolerance; the one
+/// statement of them (`paper_shapes.rs` asserts them by id).
 fn orderings(run: &Artefacts) -> Vec<Check> {
     use KernelClass::{Basic, Lcals, Polybench, Stream};
     use MachineId::{AmdRome, IntelBroadwell, IntelIcelake, IntelSandybridge};

@@ -20,6 +20,13 @@ fn tmp_file(name: &str, contents: &str) -> String {
     path.to_str().expect("utf8 path").to_string()
 }
 
+/// The stdout of a `repro` run that must exit 0.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf8")
+}
+
 /// A valid lint document, produced by the lint run itself.
 fn lint_document() -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -36,6 +43,8 @@ fn check_follows_one_contract_for_every_schema() {
         ("lint", "rvhpc-lint-v1", lint_document()),
         ("top", "rvhpc-metrics-v1", rvhpc_obs::metrics_json().pretty()),
         ("fleet-bench", "rvhpc-fleet-bench-v1", support::fleet_bench_run().to_string()),
+        // This build's own score: no regression against itself.
+        ("calibrate", "rvhpc-fidelity-v1", stdout_of(&["calibrate", "--json"])),
     ];
     for (cmd, schema, valid) in cases {
         let unknown = valid.replacen(schema, "rvhpc-unknown-v999", 1);
@@ -69,6 +78,7 @@ fn every_subcommand_rejects_unknown_flags_and_missing_values() {
         ("fleet-bench", "--json"),
         ("cluster", "--nodes"),
         ("top", "--frames"),
+        ("calibrate", "--check"),
     ] {
         let (code, err) = repro(&[cmd, "--no-such-flag"]);
         assert_eq!(code, Some(2), "{cmd} --no-such-flag: {err}");

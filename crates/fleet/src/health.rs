@@ -1,7 +1,7 @@
 //! Per-shard health state: mark-down on failure, mark-up after a
 //! cooldown plus a successful `ping` probe.
 //!
-//! The state is shared between the router's connection threads (which
+//! The state is shared between the router's forwarding workers (which
 //! mark a shard down the moment a forward fails) and the background
 //! prober (which is the only thing allowed to mark a shard back up, so a
 //! flapping shard cannot oscillate faster than the cooldown).
@@ -176,7 +176,7 @@ mod tests {
         let poisoned = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = state.shard(1);
-                panic!("connection thread died holding the lock");
+                panic!("a forwarding worker died holding the lock");
             })
             .join()
         });

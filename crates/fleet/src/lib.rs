@@ -8,8 +8,8 @@
 //! and `slow_requests` are aggregated across shards into a single
 //! document that still validates against the `rvhpc-metrics-v1` schema.
 //!
-//! Failure handling: connection threads mark a shard down the moment a
-//! forward fails and reroute to the ring successor (the reply bits are
+//! Failure handling: the router's forwarding workers mark a shard down
+//! the moment a forward fails and reroute to the ring successor (the reply bits are
 //! the shard's reply verbatim, so bit-identity is preserved across the
 //! reroute); a background prober revives shards after a cooldown.
 //! `overloaded` replies are retried with bounded, deterministic jitter

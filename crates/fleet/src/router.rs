@@ -1,18 +1,23 @@
 //! The consistent-hash L7 router fronting a fleet of `rvhpc-serve` shards.
 //!
-//! The router speaks the exact serve protocol on both faces. Each client
-//! connection gets its own thread, which frames request lines through the
-//! same [`LineConn`] framing a shard's reactor uses (trailing `\r`
-//! trimmed, blank lines skipped, the size limit applied to the trimmed
-//! body, an unterminated last line answered at EOF) and handles them one
-//! at a time; the lines are parsed with the *same*
-//! [`rvhpc_serve::protocol::parse_request`] the shards use, so a request
-//! the fleet rejects is exactly the request a shard would reject, with
-//! the same reply (`tests/tests/fleet_router.rs` sends edge-case lines to
-//! both and compares). Routed requests are forwarded **verbatim** — the
-//! framed line, byte for byte — and replies are passed back verbatim,
-//! which is what makes fleet-served estimates trivially bit-identical to
-//! shard-served ones.
+//! The router speaks the exact serve protocol on both faces. Its clients
+//! are served by the shard's own reactor ([`rvhpc_serve::spawn_reactor`]):
+//! the same framing (trailing `\r` trimmed, blank lines skipped, the size
+//! limit applied to the trimmed body, an unterminated last line answered
+//! at EOF) and the same [`ConnPolicy`] — connection cap, idle timeout,
+//! outbox bound — from one thread, whatever the number of clients. The
+//! reactor hands each line to the router's [`LineHandler`], which parses
+//! it with the *same* [`rvhpc_serve::protocol::parse_request`] the shards
+//! use, so a request the fleet rejects is exactly the request a shard
+//! would reject, with the same reply (`tests/tests/fleet_router.rs` sends
+//! edge-case lines to both and compares). The handler itself answers
+//! `ping`, malformed lines and, once draining, every line but `shutdown`;
+//! every other line goes to a fixed [`Workers`] set, each worker with its
+//! own pool of shard connections. A connection's lines are answered one at a time,
+//! in arrival order, so a slow forward holds up only its own connection.
+//! Routed requests are forwarded **verbatim** — the framed line, byte for
+//! byte — and replies are passed back verbatim, which is what makes
+//! fleet-served estimates trivially bit-identical to shard-served ones.
 //!
 //! Per-op behaviour:
 //!
@@ -28,22 +33,31 @@
 //!   router's own registry, which holds the `fleet.*` counters.
 //! * `ping` — answered by the router itself (it is the fleet's face).
 //! * `shutdown` — broadcast to all shards, acknowledged, then the router
-//!   drains.
+//!   drains: its reactor stops accepting, and closes every connection once
+//!   the lines in flight are answered.
 
 use crate::health::FleetState;
 use crate::merge::{merge_metrics, merge_slow, merge_stats};
 use crate::ring::ConsistentRing;
-use rvhpc_serve::protocol::{error_response, ok_response, oversized_line, parse_request};
-use rvhpc_serve::{ErrorKind, Frame, LineConn, Request};
+use rvhpc_serve::protocol::{error_response, ok_response, parse_request};
+use rvhpc_serve::{
+    spawn_reactor, ConnEvent, ConnPolicy, ConnWriter, ErrorKind, LineConn, LineHandler, Request,
+    Workers,
+};
 use rvhpc_trace::json::{read_members, Json, JsonRef};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::io::ErrorKind as IoErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Forwarding workers per CPU. A forward mostly waits for the shard's
+/// reply, most of it the shard's batch window, so one worker per CPU
+/// would cap the forwards in flight, and with them the fleet's
+/// throughput, at the CPU count.
+const FORWARDS_PER_CPU: usize = 8;
 
 /// How often the prober pings every shard. A constant, not a tunable: the
 /// prober sleeps a whole interval before `Router::join` can return, so a
@@ -65,6 +79,8 @@ pub struct RouterConfig {
     pub seed: u64,
     /// Per-forward I/O timeout; a shard silent for this long is failed.
     pub io_timeout: Duration,
+    /// The client-facing connection policies, the same a shard enforces.
+    pub conn: ConnPolicy,
 }
 
 impl Default for RouterConfig {
@@ -76,6 +92,7 @@ impl Default for RouterConfig {
             retry_cap_ms: 250,
             seed: 42,
             io_timeout: Duration::from_secs(30),
+            conn: ConnPolicy::default(),
         }
     }
 }
@@ -131,9 +148,20 @@ struct RouterShared {
     config: RouterConfig,
     draining: AtomicBool,
     jitter: AtomicU64,
+    /// The unanswered lines of each connection a worker is serving, by
+    /// connection id; a connection has an entry exactly while it does.
+    waiting: Mutex<HashMap<u64, VecDeque<String>>>,
 }
 
 impl RouterShared {
+    fn waiting(&self) -> MutexGuard<'_, HashMap<u64, VecDeque<String>>> {
+        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::Relaxed)
+    }
+
     /// Next jitter value in `0..=bound` from the deterministic LCG.
     fn jitter_ms(&self, bound: u64) -> u64 {
         let next = self
@@ -157,8 +185,8 @@ struct ShardConn {
     conn: LineConn,
 }
 
-/// Per-client-connection pool of shard connections.
-type ConnPool = HashMap<usize, ShardConn>;
+/// One worker's pool of shard connections.
+type ShardPool = HashMap<usize, ShardConn>;
 
 /// Send `line` to `shard` over the pooled connection (opening or
 /// reopening it as needed) and read one reply line. Any I/O failure
@@ -166,7 +194,7 @@ type ConnPool = HashMap<usize, ShardConn>;
 /// marks the shard down.
 fn exchange_with_shard(
     shared: &RouterShared,
-    pool: &mut ConnPool,
+    pool: &mut ShardPool,
     shard: usize,
     line: &str,
 ) -> std::io::Result<String> {
@@ -222,7 +250,7 @@ fn first_members<'a, const N: usize>(
 /// failure. Returns the reply line for the client.
 fn route_line(
     shared: &RouterShared,
-    pool: &mut ConnPool,
+    pool: &mut ShardPool,
     key: &str,
     line: &str,
     id: &Json,
@@ -290,7 +318,7 @@ fn no_shard(shared: &RouterShared, id: &Json, message: &str) -> String {
 /// Send `line` to every live shard; returns `(shard, reply)` pairs for
 /// the shards that answered. Failures mark the shard down and are
 /// skipped.
-fn fan_out(shared: &RouterShared, pool: &mut ConnPool, line: &str) -> Vec<(usize, String)> {
+fn fan_out(shared: &RouterShared, pool: &mut ShardPool, line: &str) -> Vec<(usize, String)> {
     let mut replies = Vec::new();
     for shard in 0..shared.state.len() {
         if !shared.state.is_up(shard) {
@@ -341,66 +369,67 @@ fn results_of(replies: &[(usize, String)]) -> Vec<Json> {
         .collect()
 }
 
-/// Handle one client connection until EOF, shutdown ack or drain.
-///
-/// The read polls with a short timeout rather than blocking indefinitely:
-/// [`Router::join`] waits for every connection thread, so a client that
-/// parks an idle connection must not be able to wedge the drain. On a
-/// timeout tick the thread re-checks `draining` and exits if the fleet is
-/// going down; a partially read line survives the tick in the
-/// connection's frame buffer.
-fn serve_client(shared: &RouterShared, stream: TcpStream) {
-    let Ok(mut conn) = LineConn::accepted(stream, Duration::from_millis(100)) else {
-        return;
-    };
-    let mut pool: ConnPool = HashMap::new();
-    loop {
-        let (reply, last) = match conn.recv() {
-            Ok(Some(Frame::Line(bytes))) => match std::str::from_utf8(bytes) {
-                Ok(line) => answer(shared, &mut pool, line),
-                // Not UTF-8: framing sync is lost, so close as a shard does.
-                Err(_) => return,
-            },
-            Ok(Some(Frame::Oversized)) => answer(shared, &mut pool, oversized_line()),
-            Ok(None) => return,
-            Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {
-                if shared.draining.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if conn.send(&reply).is_err() || last {
-            return;
+/// A framed line the router answers itself (`Err`): a `ping`, a line that
+/// does not parse, or anything but `shutdown` while draining. `Ok` is the
+/// parsed request to take to the shards.
+fn triage(shared: &RouterShared, line: &str) -> Result<(Json, Request), String> {
+    let (id, parsed) = parse_request(line);
+    let req = parsed.map_err(|msg| error_response(&id, ErrorKind::BadRequest, &msg, None))?;
+    match req {
+        Request::Ping => {
+            Err(ok_response(&id, req.op(), Json::obj(vec![("pong", Json::Bool(true))])))
         }
+        Request::Shutdown => Ok((id, req)),
+        _ if shared.draining() => {
+            Err(error_response(&id, ErrorKind::ShuttingDown, "fleet is draining", None))
+        }
+        _ => Ok((id, req)),
     }
 }
 
-/// The reply to one framed request line, and whether it is the last the
-/// connection sends (a `shutdown` ack).
-fn answer(shared: &RouterShared, pool: &mut ConnPool, line: &str) -> (String, bool) {
-    let (id, parsed) = parse_request(line);
-    let req = match parsed {
-        Err(msg) => return (error_response(&id, ErrorKind::BadRequest, &msg, None), false),
-        Ok(req) => req,
-    };
-    if shared.draining.load(Ordering::Relaxed) && !matches!(req, Request::Shutdown) {
-        return (error_response(&id, ErrorKind::ShuttingDown, "fleet is draining", None), false);
+/// A worker's turn on one connection: answer its waiting lines in arrival
+/// order until none is left, then give the connection back.
+fn serve_waiting(shared: &RouterShared, pool: &mut ShardPool, conn: &ConnWriter) {
+    loop {
+        let line = {
+            let mut waiting = shared.waiting();
+            let Some(lines) = waiting.get_mut(&conn.id()) else { return };
+            match lines.pop_front() {
+                Some(line) => line,
+                None => {
+                    waiting.remove(&conn.id());
+                    return;
+                }
+            }
+        };
+        let reply = match triage(shared, &line) {
+            Err(reply) => reply,
+            Ok((id, req)) => forward(shared, pool, &id, &req, &line),
+        };
+        conn.send_line(&reply);
     }
+}
+
+/// The reply to one request that needs the shards.
+fn forward(
+    shared: &RouterShared,
+    pool: &mut ShardPool,
+    id: &Json,
+    req: &Request,
+    line: &str,
+) -> String {
     let op = req.op();
-    let reply = match &req {
-        Request::Ping => ok_response(&id, op, Json::obj(vec![("pong", Json::Bool(true))])),
+    match req {
         Request::Stats => {
             let replies = fan_out(shared, pool, r#"{"op":"stats"}"#);
             if replies.is_empty() {
-                no_shard(shared, &id, "no shard reachable for stats")
+                no_shard(shared, id, "no shard reachable for stats")
             } else {
-                ok_response(&id, op, merge_stats(&results_of(&replies), fleet_block(shared)))
+                ok_response(id, op, merge_stats(&results_of(&replies), fleet_block(shared)))
             }
         }
         Request::Metrics { prometheus: true } => error_response(
-            &id,
+            id,
             ErrorKind::BadRequest,
             "the fleet router aggregates JSON metrics only; \
              scrape shards directly for prometheus text",
@@ -409,19 +438,19 @@ fn answer(shared: &RouterShared, pool: &mut ConnPool, line: &str) -> (String, bo
         Request::Metrics { prometheus: false } => {
             let mut results = results_of(&fan_out(shared, pool, r#"{"op":"metrics"}"#));
             if results.is_empty() {
-                no_shard(shared, &id, "no shard reachable for metrics")
+                no_shard(shared, id, "no shard reachable for metrics")
             } else {
                 // The router's own registry: `fleet.*` counters.
                 results.push(rvhpc_obs::metrics_json());
-                ok_response(&id, op, merge_metrics(&results))
+                ok_response(id, op, merge_metrics(&results))
             }
         }
         Request::SlowRequests { limit } => {
             let results = results_of(&fan_out(shared, pool, line));
             if results.is_empty() {
-                no_shard(shared, &id, "no shard reachable for slow_requests")
+                no_shard(shared, id, "no shard reachable for slow_requests")
             } else {
-                ok_response(&id, op, merge_slow(&results, *limit))
+                ok_response(id, op, merge_slow(&results, *limit))
             }
         }
         Request::SubmitKernel { .. } | Request::SubmitMachine { .. } => {
@@ -432,29 +461,78 @@ fn answer(shared: &RouterShared, pool: &mut ConnPool, line: &str) -> (String, bo
                     shared.state.count_routed(shard);
                     reply
                 }
-                None => no_shard(shared, &id, "no live shard to accept the submission"),
+                None => no_shard(shared, id, "no live shard to accept the submission"),
             }
         }
         Request::Shutdown => {
             let _ = fan_out(shared, pool, line);
             shared.draining.store(true, Ordering::Relaxed);
             rvhpc_obs::counter!("fleet.shutdowns", 1);
-            let ack = ok_response(&id, op, Json::obj(vec![("draining", Json::Bool(true))]));
-            return (ack, true);
+            ok_response(id, op, Json::obj(vec![("draining", Json::Bool(true))]))
         }
         // Every op left here has a routing key; one without is a router
         // bug, answered rather than panicking.
-        _ => match routing_key(&req) {
-            Some(key) => route_line(shared, pool, &key, line, &id),
+        _ => match routing_key(req) {
+            Some(key) => route_line(shared, pool, &key, line, id),
             None => error_response(
-                &id,
+                id,
                 ErrorKind::Internal,
                 &format!("op {op} has no routing key"),
                 None,
             ),
         },
-    };
-    (reply, false)
+    }
+}
+
+/// The router's face: its reactor hands every framed line here.
+struct RouterFace {
+    shared: Arc<RouterShared>,
+    workers: Workers<Arc<ConnWriter>>,
+}
+
+impl LineHandler for RouterFace {
+    fn handle_line(&self, reply: &Arc<ConnWriter>, line: &str) {
+        if let Some(lines) = self.shared.waiting().get_mut(&reply.id()) {
+            // A worker is serving this connection: answer after it.
+            lines.push_back(line.to_string());
+            return;
+        }
+        // Only this thread adds entries, so the connection stays idle
+        // until the insert below.
+        match triage(&self.shared, line) {
+            Err(answer) => reply.send_line(&answer),
+            Ok(_) => {
+                self.shared.waiting().insert(reply.id(), VecDeque::from([line.to_string()]));
+                self.workers.submit(Arc::clone(reply));
+            }
+        }
+    }
+
+    fn count(&self, event: ConnEvent) {
+        match event {
+            ConnEvent::Accepted => rvhpc_obs::counter!("fleet.connections", 1),
+            ConnEvent::RefusedAtCap => rvhpc_obs::counter!("fleet.rejected_conn_cap", 1),
+            ConnEvent::IdleClosed => rvhpc_obs::counter!("fleet.idle_disconnects", 1),
+            ConnEvent::DroppedSlow => rvhpc_obs::counter!("fleet.dropped_slow", 1),
+        }
+    }
+
+    /// The cooldown, as on the router's other `overloaded` replies.
+    fn retry_after_ms(&self) -> u64 {
+        self.shared.config.cooldown.as_millis() as u64
+    }
+
+    fn draining(&self) -> bool {
+        self.shared.draining()
+    }
+
+    fn begin_drain(&self) {
+        self.shared.draining.store(true, Ordering::Relaxed);
+    }
+
+    fn drained(&self) -> bool {
+        self.shared.waiting().is_empty()
+    }
 }
 
 /// Probe every shard once: down+cooled-off shards are pinged back up,
@@ -479,19 +557,18 @@ fn probe_once(shared: &RouterShared) {
 
 /// A running fleet router.
 pub struct Router {
-    shared: Arc<RouterShared>,
+    face: Arc<RouterFace>,
     local_addr: SocketAddr,
-    listener_handle: Option<JoinHandle<()>>,
-    prober_handle: Option<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    reactor: JoinHandle<()>,
+    prober: JoinHandle<()>,
 }
 
 impl Router {
-    /// Bind the router and start its listener and health prober.
+    /// Bind the router and start its reactor, forwarding workers and
+    /// health prober.
     pub fn start(config: RouterConfig, shard_addrs: Vec<String>) -> std::io::Result<Router> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let state = Arc::new(FleetState::new(shard_addrs, config.cooldown));
         let shared = Arc::new(RouterShared {
             ring: ConsistentRing::new(state.len()),
@@ -499,52 +576,35 @@ impl Router {
             jitter: AtomicU64::new(config.seed | 1),
             config,
             draining: AtomicBool::new(false),
+            waiting: Mutex::default(),
         });
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let listener_handle = {
+        let workers = {
             let shared = Arc::clone(&shared);
-            let conn_handles = Arc::clone(&conn_handles);
-            std::thread::spawn(move || loop {
-                if shared.draining.load(Ordering::Relaxed) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let mut handles = conn_handles.lock().unwrap_or_else(|p| p.into_inner());
-                        // A finished connection thread keeps its stack
-                        // mapped until it is joined.
-                        let (done, live): (Vec<_>, Vec<_>) =
-                            handles.drain(..).partition(|h| h.is_finished());
-                        *handles = live;
-                        for h in done {
-                            let _ = h.join();
-                        }
-                        let shared = Arc::clone(&shared);
-                        handles.push(std::thread::spawn(move || serve_client(&shared, stream)));
-                    }
-                    Err(e) if e.kind() == IoErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => return,
-                }
-            })
+            Workers::start(
+                "rvhpc-fleet-worker",
+                FORWARDS_PER_CPU,
+                move |pool, conn: Arc<ConnWriter>| {
+                    serve_waiting(&shared, pool, &conn);
+                },
+            )?
         };
-        let prober_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                while !shared.draining.load(Ordering::Relaxed) {
-                    probe_once(&shared);
-                    std::thread::sleep(PROBE_EVERY);
+        let face = Arc::new(RouterFace { shared: Arc::clone(&shared), workers });
+        let policy = shared.config.conn;
+        let reactor =
+            match spawn_reactor("rvhpc-fleet-reactor", Arc::clone(&face), listener, policy) {
+                Ok(reactor) => reactor,
+                Err(e) => {
+                    join_workers(face);
+                    return Err(e);
                 }
-            })
-        };
-        Ok(Router {
-            shared,
-            local_addr,
-            listener_handle: Some(listener_handle),
-            prober_handle: Some(prober_handle),
-            conn_handles,
-        })
+            };
+        let prober = std::thread::spawn(move || {
+            while !shared.draining() {
+                probe_once(&shared);
+                std::thread::sleep(PROBE_EVERY);
+            }
+        });
+        Ok(Router { face, local_addr, reactor, prober })
     }
 
     /// The router's bound address.
@@ -554,63 +614,107 @@ impl Router {
 
     /// Shared fleet state (health, routing counters) for supervisors.
     pub fn state(&self) -> Arc<FleetState> {
-        Arc::clone(&self.shared.state)
+        Arc::clone(&self.face.shared.state)
     }
 
     /// Is the router draining (a `shutdown` was processed)?
     pub fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Relaxed)
+        self.face.shared.draining()
     }
 
     /// Begin a drain without a client `shutdown` (the SIGTERM path).
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Relaxed);
+        self.face.begin_drain();
     }
 
-    /// Wait for the listener, prober and all connection threads to exit.
-    pub fn join(mut self) {
-        if let Some(h) = self.listener_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober_handle.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conn_handles.lock().unwrap_or_else(|p| p.into_inner()));
-        for h in handles {
-            let _ = h.join();
-        }
+    /// Wait for the drain to finish: the reactor answers the lines in
+    /// flight and closes every connection, then the prober and the
+    /// workers exit.
+    pub fn join(self) {
+        let _ = self.reactor.join();
+        let _ = self.prober.join();
+        join_workers(self.face);
+    }
+}
+
+/// Join the forwarding workers once the reactor thread, the face's only
+/// other holder, is gone.
+fn join_workers(face: Arc<RouterFace>) {
+    if let Ok(face) = Arc::try_unwrap(face) {
+        face.workers.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::Shutdown;
+    use rvhpc_serve::{ServeConfig, Server};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
-    /// Each accept joins the connection threads that have finished, so
-    /// sequential connections keep no pile of handles (a finished thread
-    /// keeps its stack mapped until joined).
+    /// Open `cap` connections to `addr`, each answered once so it is
+    /// accepted, then return the reply line the next connection gets.
+    fn refusal_past(cap: usize, addr: SocketAddr) -> Json {
+        let held: Vec<LineConn> = (0..cap)
+            .map(|_| {
+                let mut conn = LineConn::connect(addr, Duration::from_secs(30)).expect("connect");
+                let pong = conn.exchange(r#"{"op":"ping"}"#).expect("ping answered");
+                assert!(pong.contains("\"pong\""), "{pong}");
+                conn
+            })
+            .collect();
+        let stream = TcpStream::connect(addr).expect("the listener still accepts");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).expect("a refusal line");
+        // The refused connection is closed after its one line.
+        let (mut probe, mut rest) = (&stream, String::new());
+        let _ = probe.write_all(b"{\"op\":\"ping\"}\n");
+        assert_eq!(BufReader::new(&stream).read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+        drop(held);
+        Json::parse(reply.trim_end()).expect("the refusal is JSON")
+    }
+
+    /// A router at its connection cap refuses the next client with the
+    /// structured `overloaded` reply a shard sends at the same cap, and
+    /// counts the refusal.
     #[test]
-    fn finished_connection_threads_are_joined_on_accept() {
-        // A shard that never answers; the router answers `ping` itself.
-        let shard = TcpListener::bind("127.0.0.1:0").expect("shard binds");
-        let shard_addr = shard.local_addr().expect("shard addr").to_string();
-        let router =
-            Router::start(RouterConfig::default(), vec![shard_addr]).expect("router binds");
-        for _ in 0..40 {
-            let mut stream = TcpStream::connect(router.local_addr()).expect("connect");
-            stream.write_all(b"{\"op\":\"ping\"}\n").expect("send ping");
-            stream.shutdown(Shutdown::Write).expect("half-close");
-            // EOF arrives once the connection thread has dropped its socket.
-            let mut reply = String::new();
-            stream.read_to_string(&mut reply).expect("read to EOF");
-            assert!(reply.contains("\"pong\""), "{reply}");
+    fn a_router_at_its_cap_refuses_like_a_shard() {
+        const CAP: usize = 4;
+        let shard = Server::start(ServeConfig { max_conns: CAP, ..ServeConfig::default() })
+            .expect("shard binds");
+        // The router fronts a default shard, so its prober's pings never
+        // take a slot of the capped one.
+        let backend = Server::start(ServeConfig::default()).expect("backend binds");
+        let conn = ConnPolicy { max_conns: CAP, ..ConnPolicy::default() };
+        let router = Router::start(
+            RouterConfig { conn, ..RouterConfig::default() },
+            vec![backend.local_addr().to_string()],
+        )
+        .expect("router binds");
+        let refused_before = rvhpc_obs::counter("fleet.rejected_conn_cap").load(Ordering::Relaxed);
+
+        let from_shard = refusal_past(CAP, shard.local_addr());
+        let from_router = refusal_past(CAP, router.local_addr());
+        for reply in [&from_shard, &from_router] {
+            assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+            let error = reply.get("error").expect("an error object");
+            assert_eq!(error.get("kind").and_then(Json::as_str), Some("overloaded"));
+            assert!(error.get("retry_after_ms").and_then(Json::as_f64).is_some(), "{reply:?}");
         }
-        let kept = router.conn_handles.lock().unwrap_or_else(|p| p.into_inner()).len();
-        assert!(kept <= 2, "{kept} connection handles kept after 40 sequential connections");
+        let without_hint = |reply: &Json| {
+            let error = reply.get("error").expect("an error object");
+            (reply.get("id").cloned(), error.get("kind").cloned(), error.get("message").cloned())
+        };
+        assert_eq!(without_hint(&from_router), without_hint(&from_shard));
+        let refused = rvhpc_obs::counter("fleet.rejected_conn_cap").load(Ordering::Relaxed);
+        assert_eq!(refused - refused_before, 1, "the router counts its refusal");
+
         router.shutdown();
         router.join();
+        for server in [shard, backend] {
+            server.shutdown();
+            server.join();
+        }
     }
 }

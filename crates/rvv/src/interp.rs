@@ -438,6 +438,16 @@ impl Machine {
     #[allow(clippy::too_many_lines)]
     fn run_inner(&mut self, program: &Program, max_steps: u64) -> Result<u64, ExecError> {
         let labels: HashMap<String, usize> = program.label_map().map_err(ExecError::BadProgram)?;
+        // Each branch's and jump's target index, resolved once per run;
+        // `None` for an unknown label, raised only if the transfer is taken.
+        let targets: Vec<Option<usize>> = program
+            .insts
+            .iter()
+            .map(|inst| match inst {
+                Inst::Branch { target, .. } | Inst::Jump { target } => labels.get(target).copied(),
+                _ => None,
+            })
+            .collect();
         let mut pc = 0usize;
         let mut steps = 0u64;
         while pc < program.insts.len() {
@@ -484,16 +494,12 @@ impl Machine {
                         BranchCond::Ge => a >= b,
                     };
                     if taken {
-                        pc = *labels
-                            .get(target)
-                            .ok_or_else(|| ExecError::UnknownLabel(target.clone()))?;
+                        pc = targets[pc].ok_or_else(|| ExecError::UnknownLabel(target.clone()))?;
                         continue;
                     }
                 }
                 Inst::Jump { target } => {
-                    pc = *labels
-                        .get(target)
-                        .ok_or_else(|| ExecError::UnknownLabel(target.clone()))?;
+                    pc = targets[pc].ok_or_else(|| ExecError::UnknownLabel(target.clone()))?;
                     continue;
                 }
                 Inst::Flw { fd, rs1, imm } => {

@@ -2,11 +2,12 @@
 //! that frames through it.
 //!
 //! Every reader of the line protocol splits its byte stream here: the
-//! reactor and the open-loop engine feed [`FrameBuf`] the chunks their
-//! nonblocking reads return, and every blocking peer (the fleet router's
-//! client and shard faces, loadgen's closed-loop and control
-//! connections, fleet-bench and `repro`'s client commands) reads through
-//! a [`LineConn`]. Chunked reassembly must give the line stream a
+//! reactor (a shard's, and the fleet router's client face) and the
+//! open-loop engine feed [`FrameBuf`] the chunks their nonblocking reads
+//! return, and every blocking peer (the fleet router's shard connections
+//! and prober, loadgen's closed-loop and control connections,
+//! fleet-bench and `repro`'s client commands) reads through a
+//! [`LineConn`]. Chunked reassembly must give the line stream a
 //! one-shot split of the whole byte stream would give, so it is fuzzed
 //! against that split in isolation (see the quickprop test in this file).
 //!
@@ -30,7 +31,7 @@
 //! internal buffer; nothing is copied out per line. The buffer compacts
 //! only when fully consumed.
 
-use crate::protocol::{MAX_LINE_BYTES, MAX_REPLY_BYTES};
+use crate::protocol::MAX_REPLY_BYTES;
 use rvhpc_trace::json::Json;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -207,24 +208,13 @@ impl LineConn {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(read_timeout))?;
-                    return Ok(LineConn::new(stream, MAX_REPLY_BYTES));
+                    let frame = FrameBuf::new(MAX_REPLY_BYTES);
+                    return Ok(LineConn { stream, frame, eof: false });
                 }
                 Err(e) => last = e,
             }
         }
         Err(last)
-    }
-
-    /// Serve an accepted client `stream`: requests are framed under
-    /// [`MAX_LINE_BYTES`], and reads time out after `read_timeout`.
-    pub fn accepted(stream: TcpStream, read_timeout: Duration) -> io::Result<LineConn> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        Ok(LineConn::new(stream, MAX_LINE_BYTES))
-    }
-
-    fn new(stream: TcpStream, max_line: usize) -> LineConn {
-        LineConn { stream, frame: FrameBuf::new(max_line), eof: false }
     }
 
     /// Write `line` and its terminating `\n` in one write.
@@ -418,9 +408,9 @@ mod tests {
     fn line_conn_keeps_a_partial_line_across_read_timeouts_and_frames_it_at_eof() {
         use std::net::{Shutdown, TcpListener};
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (stream, _) = listener.accept().expect("accept");
-        let mut conn = LineConn::accepted(stream, Duration::from_millis(20)).expect("conn");
+        let addr = listener.local_addr().expect("addr");
+        let mut conn = LineConn::connect(addr, Duration::from_millis(20)).expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
         peer.write_all(b"{\"op\":").expect("write");
         let err = conn.recv().map(|_| ()).expect_err("no line is complete yet");
         assert!(matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{err}");

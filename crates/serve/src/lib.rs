@@ -8,8 +8,11 @@
 //! * **Transport** — a zero-dependency TCP server speaking line-delimited
 //!   JSON (the workspace's own [`rvhpc_trace::json::Json`]); one request
 //!   per line, one response per line, correlated by an echoed `id` field
-//!   ([`protocol`]). Every connection lives on one epoll event loop, so
-//!   serving is Linux-only (see [`server`] for the thread shape).
+//!   ([`protocol`]). Every connection lives on one epoll event loop that
+//!   hands each framed line to a [`LineHandler`], so serving
+//!   is Linux-only (see [`server`] for the thread shape). The fleet
+//!   router runs the same reactor, with its forwards on a fixed
+//!   [`Workers`] set.
 //! * **Admission control** — a bounded queue in front of the model. When it
 //!   is full the server answers immediately with an `overloaded` error and
 //!   a `retry_after_ms` hint instead of queueing unboundedly or dropping
@@ -42,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub(crate) mod conn;
 #[cfg(target_os = "linux")]
 pub(crate) mod epoll;
 pub(crate) mod frame;
@@ -54,9 +58,12 @@ pub(crate) mod reactor;
 pub mod server;
 pub mod signal;
 pub mod submit;
+pub(crate) mod workers;
 
+pub use conn::{spawn_reactor, ConnEvent, ConnPolicy, ConnWriter, LineHandler};
 pub use frame::{Frame, LineConn};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use protocol::{ErrorKind, Request, MAX_LINE_BYTES, MAX_REPLY_BYTES};
 pub use server::{BatcherPause, ServeConfig, Server, ServerStats};
 pub use submit::{admit_kernel, KernelArtifact, Rejection, DEFAULT_MAX_FUEL, MAX_SUBMIT_INSTS};
+pub use workers::Workers;

@@ -1,47 +1,49 @@
 //! The epoll reactor: every connection on one nonblocking event loop.
 //!
-//! This is the server's only transport (Linux only). A thread per
-//! connection caps out at a few hundred concurrent clients on this
-//! machine class; the reactor multiplexes thousands of sockets over a
-//! single thread using the audited [`crate::epoll`] shim:
+//! This is the only transport of both faces of the fleet (Linux only): a
+//! shard's and the router's. A thread per connection caps out at a few
+//! hundred concurrent clients on this machine class; the reactor
+//! multiplexes thousands of sockets over a single thread using the
+//! audited [`crate::epoll`] shim:
 //!
 //! ```text
 //!              ┌────────────── epoll_wait ──────────────┐
-//!  listener ───┤ accept (nonblocking, --max-conns cap)  │
-//!  sockets ────┤ read → FrameBuf → handle_line          │──▶ admission
-//!  eventfd ◀───┤ batcher replies via Hub::post          │    queue /
-//!              │ write → bounded per-conn outbox        │    batcher
+//!  listener ───┤ accept (nonblocking, ConnPolicy cap)   │
+//!  sockets ────┤ read → FrameBuf → LineHandler          │──▶ shard: admission
+//!  eventfd ◀───┤ replies from any thread via Hub::post  │    queue / batcher;
+//!              │ write → bounded per-conn outbox        │    router: workers
 //!              └────────────────────────────────────────┘
 //! ```
 //!
-//! The reactor only moves bytes: [`crate::server::handle_line`] does
-//! parsing, direct ops, admission and stats, and the batcher, deadline
-//! cancellation, SIGTERM drain and obs stage instrumentation live in
-//! [`crate::server`]. Replies reach a connection through a [`Hub`]
-//! mailbox plus an eventfd wakeup rather than a blocking socket write,
-//! which is what makes the batcher immune to slow clients. The
-//! differential harness (`tests/serve_differential.rs`) holds every reply
-//! bit-identical to the in-process model over the full op mix.
+//! The reactor only moves bytes and enforces the [`ConnPolicy`]: its
+//! [`LineHandler`] answers every framed line. A shard's
+//! ([`crate::server`]) parses, answers direct ops and admits estimates
+//! to the batcher; the fleet router's answers `ping` and malformed lines
+//! and forwards the rest on its worker set. Replies reach a connection
+//! through a [`Hub`] mailbox plus an eventfd wakeup rather than a
+//! blocking socket write, which is what makes the batcher and the
+//! router's workers immune to slow clients. The differential harness
+//! (`tests/serve_differential.rs`) holds every shard reply bit-identical
+//! to the in-process model over the full op mix.
 //!
 //! Slow clients: replies buffer in a per-connection outbox flushed as the
 //! socket accepts them (`EPOLLOUT`); a connection whose backlog exceeds
-//! [`crate::ServeConfig::max_outbox_bytes`] is dropped. Idle clients: a
-//! connection with no inbound traffic for
-//! [`crate::ServeConfig::idle_timeout`] (and nothing in flight) is closed.
+//! [`ConnPolicy::max_outbox_bytes`] is dropped. Idle clients: a
+//! connection with no inbound traffic for [`ConnPolicy::idle_timeout`]
+//! (and nothing in flight) is closed. Each refusal, close and drop is
+//! counted through [`LineHandler::count`].
 
+use crate::conn::{ConnEvent, ConnPolicy, ConnWriter, LineHandler};
 use crate::epoll::{
     self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::frame::{Frame, FrameBuf};
 use crate::protocol::{error_response, oversized_line, ErrorKind, MAX_LINE_BYTES};
-use crate::server::{handle_line, ConnWriter, Shared};
-use crate::signal;
 use rvhpc_trace::json::Json;
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -53,8 +55,8 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// to slow sockets before giving up and closing.
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_secs(2);
 
-/// The cross-thread reply mailbox: the batcher (or any thread holding a
-/// [`ConnWriter`]) posts `(connection token, line)` pairs
+/// The cross-thread reply mailbox: any thread holding a [`ConnWriter`]
+/// (the batcher, a router worker) posts `(connection token, line)` pairs
 /// and signals the eventfd; the reactor drains the mailbox into per-conn
 /// outboxes on its next wakeup. Posting never blocks on socket I/O.
 pub(crate) struct Hub {
@@ -114,26 +116,31 @@ impl Conn {
         self.out.len() - self.out_cursor
     }
 
-    /// True while the batcher may still produce replies for this
-    /// connection: outstanding [`crate::server::WorkItem`]s each hold a
-    /// clone of the writer, so a strong count above one means in-flight
-    /// work. Reading the count *before* checking the mailbox makes the
-    /// check sound: once the count is one, the final reply (posted
-    /// before the item dropped) is visible to `Hub::has_pending`.
+    /// True while the handler may still produce replies for this
+    /// connection: work it has not answered yet holds a clone of the
+    /// writer, so a strong count above one means in-flight work. Reading
+    /// the count *before* checking the mailbox makes the check sound: once
+    /// the count is one, the final reply (posted before the clone dropped)
+    /// is visible to `Hub::has_pending`.
     fn in_flight(&self) -> bool {
         Arc::strong_count(&self.writer) > 1
     }
 }
 
-/// Entry point for the reactor thread. On setup failure (epoll or
-/// eventfd creation) the server drains so `Server::join` cannot hang.
-pub(crate) fn reactor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    if run(shared, listener).is_err() {
-        shared.begin_drain();
+/// Entry point for the reactor thread. On failure (epoll or eventfd
+/// creation, a failed wait) the handler drains so its server's `join`
+/// cannot hang.
+pub(crate) fn reactor_loop(handler: &impl LineHandler, listener: TcpListener, policy: &ConnPolicy) {
+    if run(handler, listener, policy).is_err() {
+        handler.begin_drain();
     }
 }
 
-fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
+fn run(
+    handler: &impl LineHandler,
+    listener: TcpListener,
+    policy: &ConnPolicy,
+) -> std::io::Result<()> {
     let ep = Epoll::new()?;
     let hub = Arc::new(Hub::new()?);
     ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
@@ -145,17 +152,14 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
     let mut last_full_sweep = Instant::now();
 
     loop {
-        if signal::sigterm_received() {
-            shared.begin_drain();
-        }
-        if shared.draining() {
+        if handler.draining() {
             // Stop accepting: closing the listener refuses new connects,
             // so late clients learn of the drain at connect time.
             if let Some(l) = listener.take() {
                 let _ = ep.delete(l.as_raw_fd());
             }
-            if shared.batcher_done() {
-                let _ = deliver_outbox(shared, &hub, &mut conns);
+            if handler.drained() {
+                let _ = deliver_outbox(handler, policy, &hub, &mut conns);
                 drain_flush(&ep, &mut events, &mut conns);
                 for (_, conn) in conns.drain() {
                     let _ = ep.delete(conn.stream.as_raw_fd());
@@ -190,18 +194,19 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
                 flush_conn(&ep, token, conn);
             }
             if mask & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.read_closed {
-                read_conn(shared, &ep, token, conn);
+                read_conn(handler, &ep, token, conn);
             }
         }
 
         if accept_ready {
-            accept_new(shared, &ep, &hub, listener.as_ref(), &mut conns, &mut next_token);
+            let listener = listener.as_ref();
+            accept_new(handler, policy, &ep, &hub, listener, &mut conns, &mut next_token);
         }
 
-        dirty.extend(deliver_outbox(shared, &hub, &mut conns));
+        dirty.extend(deliver_outbox(handler, policy, &hub, &mut conns));
         dirty.sort_unstable();
         dirty.dedup();
-        sweep(shared, &ep, &hub, &mut conns, Some(&dirty));
+        sweep(handler, policy, &ep, &hub, &mut conns, Some(&dirty));
 
         // The periodic full pass is what expires *idle* connections (no
         // event will ever mark them dirty) and backstops any conn whose
@@ -209,7 +214,7 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
         // on a close is invisible to clients.
         if last_full_sweep.elapsed() >= Duration::from_millis(25) {
             last_full_sweep = Instant::now();
-            sweep(shared, &ep, &hub, &mut conns, None);
+            sweep(handler, policy, &ep, &hub, &mut conns, None);
         }
     }
 }
@@ -218,7 +223,8 @@ fn run(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
 /// with a one-line `overloaded` error (same kind + `retry_after_ms` hint
 /// as queue overload, so clients reuse their backoff path).
 fn accept_new(
-    shared: &Arc<Shared>,
+    handler: &impl LineHandler,
+    policy: &ConnPolicy,
     ep: &Epoll,
     hub: &Arc<Hub>,
     listener: Option<&TcpListener>,
@@ -233,15 +239,15 @@ fn accept_new(
             Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
             Err(_) => return,
         };
-        if conns.len() >= shared.config.max_conns {
-            shared.stats.rejected_conn_cap.fetch_add(1, Ordering::Relaxed);
+        if conns.len() >= policy.max_conns {
+            handler.count(ConnEvent::RefusedAtCap);
             // Best-effort: the socket is fresh (empty send buffer), so
             // this short line cannot block meaningfully.
             let reply = error_response(
                 &Json::Null,
                 ErrorKind::Overloaded,
                 "connection limit reached",
-                Some(shared.retry_after_ms()),
+                Some(handler.retry_after_ms()),
             );
             let _ = stream.write_all(reply.as_bytes()).and_then(|()| stream.write_all(b"\n"));
             continue;
@@ -256,7 +262,7 @@ fn accept_new(
         if ep.add(stream.as_raw_fd(), interest, token).is_err() {
             continue;
         }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        handler.count(ConnEvent::Accepted);
         conns.insert(
             token,
             Conn {
@@ -277,7 +283,7 @@ fn accept_new(
 /// Drain the socket's receive buffer through the framer and handle every
 /// completed line. EOF frames any pending partial line first: a client
 /// that half-closes after an unterminated request still gets its answer.
-fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
+fn read_conn(handler: &impl LineHandler, ep: &Epoll, token: u64, conn: &mut Conn) {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match conn.stream.read(&mut buf) {
@@ -306,9 +312,9 @@ fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
     let Conn { frame, writer, fatal, .. } = conn;
     while let Some(fr) = frame.next_line() {
         match fr {
-            Frame::Oversized => handle_line(shared, writer, oversized_line()),
+            Frame::Oversized => handler.handle_line(writer, oversized_line()),
             Frame::Line(bytes) => match std::str::from_utf8(bytes) {
-                Ok(line) => handle_line(shared, writer, line),
+                Ok(line) => handler.handle_line(writer, line),
                 Err(_) => {
                     // The protocol is UTF-8 JSON, and a client sending other
                     // bytes has lost framing sync: nothing after this point
@@ -326,7 +332,8 @@ fn read_conn(shared: &Arc<Shared>, ep: &Epoll, token: u64, conn: &mut Conn) {
 /// and nobody else may read them. Returns the tokens it touched so the caller can
 /// limit its sweep to them.
 fn deliver_outbox(
-    shared: &Arc<Shared>,
+    handler: &impl LineHandler,
+    policy: &ConnPolicy,
     hub: &Arc<Hub>,
     conns: &mut HashMap<u64, Conn>,
 ) -> Vec<u64> {
@@ -351,8 +358,8 @@ fn deliver_outbox(
             // Flush before the bound check so a responsive client's
             // backlog is measured after the socket took what it could.
             flush_inner(conn);
-            if conn.pending_out() > shared.config.max_outbox_bytes {
-                shared.stats.dropped_slow.fetch_add(1, Ordering::Relaxed);
+            if conn.pending_out() > policy.max_outbox_bytes {
+                handler.count(ConnEvent::DroppedSlow);
                 conn.fatal = true;
             }
         }
@@ -404,13 +411,14 @@ fn sync_interest(ep: &Epoll, token: u64, conn: &mut Conn) {
 /// the connections touched this iteration; `None` visits every connection
 /// (the periodic pass that expires idle sockets).
 fn sweep(
-    shared: &Arc<Shared>,
+    handler: &impl LineHandler,
+    policy: &ConnPolicy,
     ep: &Epoll,
     hub: &Arc<Hub>,
     conns: &mut HashMap<u64, Conn>,
     tokens: Option<&[u64]>,
 ) {
-    let idle_timeout = shared.config.idle_timeout;
+    let idle_timeout = policy.idle_timeout;
     let now = Instant::now();
     let candidates: Vec<u64> = match tokens {
         Some(ts) => ts.to_vec(),
@@ -438,7 +446,7 @@ fn sweep(
             continue;
         }
         if idle_candidate && quiescent {
-            shared.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
+            handler.count(ConnEvent::IdleClosed);
             closing.push(token);
             continue;
         }

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! reactor (one thread, every connection; see `reactor`)
-//!   │  accept, read, frame lines
+//!   │  accept, read, frame lines, hand each to `handle_line`:
 //!   │  direct ops (explain/suite/lint/stats/ping)
 //!   │  answered inline on the event loop
 //!   └─ estimate ──try_send──▶ bounded queue
@@ -24,6 +24,7 @@
 //! SIGTERM) stops the listener, finishes everything already admitted,
 //! answers late batched requests with `shutting_down`, and joins cleanly.
 
+use crate::conn::{spawn_reactor, ConnEvent, ConnPolicy, ConnWriter, LineHandler};
 use crate::protocol::{
     error_response, estimate_json, ok_response, parse_request, ErrorKind, Request,
 };
@@ -63,16 +64,11 @@ pub struct ServeConfig {
     pub metrics_file: Option<String>,
     /// Self-scrape period for [`ServeConfig::metrics_file`].
     pub scrape_every: Duration,
-    /// Connection cap: accepts beyond this many concurrently open
-    /// connections are answered with a one-line `overloaded` error and
-    /// closed.
+    /// [`ConnPolicy::max_conns`].
     pub max_conns: usize,
-    /// Connections with no inbound traffic for this long (and nothing in
-    /// flight) are closed. `Duration::ZERO` disables.
+    /// [`ConnPolicy::idle_timeout`].
     pub idle_timeout: Duration,
-    /// A connection whose buffered unsent replies exceed this many bytes
-    /// (a slow or stalled reader) is dropped so one client can never
-    /// balloon server memory or block the event loop.
+    /// [`ConnPolicy::max_outbox_bytes`].
     pub max_outbox_bytes: usize,
     /// Interpreter fuel ceiling for submitted kernels: a submission whose
     /// inferred step bound needs more fuel than this is rejected at
@@ -85,8 +81,17 @@ pub struct ServeConfig {
 /// not become an unbounded memory for hostile submitters.
 pub const REGISTRY_CAP: usize = 256;
 
+impl ServeConfig {
+    /// The connection policies the server's reactor enforces.
+    pub(crate) fn conn_policy(&self) -> ConnPolicy {
+        let ServeConfig { max_conns, idle_timeout, max_outbox_bytes, .. } = *self;
+        ConnPolicy { max_conns, idle_timeout, max_outbox_bytes }
+    }
+}
+
 impl Default for ServeConfig {
     fn default() -> Self {
+        let ConnPolicy { max_conns, idle_timeout, max_outbox_bytes } = ConnPolicy::default();
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             queue_capacity: 256,
@@ -95,9 +100,9 @@ impl Default for ServeConfig {
             slo_ms: 100.0,
             metrics_file: None,
             scrape_every: Duration::from_secs(1),
-            max_conns: 4096,
-            idle_timeout: Duration::ZERO,
-            max_outbox_bytes: 256 * 1024,
+            max_conns,
+            idle_timeout,
+            max_outbox_bytes,
             max_fuel: crate::submit::DEFAULT_MAX_FUEL,
         }
     }
@@ -216,40 +221,6 @@ fn num(v: u64) -> Json {
     Json::Num(v as f64)
 }
 
-/// One connection's write half: the reactor's token for the connection
-/// and the reactor's cross-thread reply mailbox. The reactor and the
-/// batcher share it via `Arc`; an outstanding [`WorkItem`] holds a clone,
-/// which the reactor uses to detect in-flight work on a connection.
-/// Sending is a mutex push plus an eventfd wakeup, so the batcher never
-/// blocks on a slow client's socket.
-#[cfg(target_os = "linux")]
-pub(crate) struct ConnWriter {
-    conn: u64,
-    hub: Arc<crate::reactor::Hub>,
-}
-
-#[cfg(target_os = "linux")]
-impl ConnWriter {
-    pub(crate) fn new(conn: u64, hub: Arc<crate::reactor::Hub>) -> ConnWriter {
-        ConnWriter { conn, hub }
-    }
-
-    pub(crate) fn send_line(&self, line: &str) {
-        self.hub.post(self.conn, line);
-    }
-}
-
-/// Without epoll there is no transport, so no connection can exist.
-#[cfg(not(target_os = "linux"))]
-pub(crate) enum ConnWriter {}
-
-#[cfg(not(target_os = "linux"))]
-impl ConnWriter {
-    pub(crate) fn send_line(&self, _line: &str) {
-        match *self {}
-    }
-}
-
 /// A queued estimate request. The three instants split the request's
 /// life into the observability stages: `received → admitted` is
 /// admission, `admitted → popped` is queue wait, `popped → batch
@@ -364,13 +335,13 @@ impl<T> Registry<T> {
     }
 }
 
-pub(crate) struct Shared {
-    pub(crate) config: ServeConfig,
-    pub(crate) stats: ServerStats,
+struct Shared {
+    config: ServeConfig,
+    stats: ServerStats,
     stages: Stages,
     cache_at_start: cache::CacheStats,
     draining: AtomicBool,
-    pub(crate) batcher_done: AtomicBool,
+    batcher_done: AtomicBool,
     kernels: Registry<crate::submit::KernelArtifact>,
     machines: Registry<rvhpc_machines::Machine>,
     queue_tx: SyncSender<WorkItem>,
@@ -388,18 +359,6 @@ struct PauseState {
 }
 
 impl Shared {
-    pub(crate) fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    pub(crate) fn batcher_done(&self) -> bool {
-        self.batcher_done.load(Ordering::SeqCst)
-    }
-
     fn pause_state(&self) -> MutexGuard<'_, PauseState> {
         self.pause.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -417,14 +376,6 @@ impl Shared {
             .wait_while(state, |s| s.holds > 0)
             .unwrap_or_else(PoisonError::into_inner);
         state.parked = false;
-    }
-
-    /// The `Retry-After` hint attached to `overloaded` replies: roughly
-    /// how long it takes the batcher to work through a full queue.
-    pub(crate) fn retry_after_ms(&self) -> u64 {
-        let window_ms = self.config.batch_window.as_millis() as u64;
-        let batches_queued = self.config.queue_capacity.div_ceil(self.config.batch_max) as u64;
-        (window_ms.max(1) * batches_queued).clamp(1, 1_000)
     }
 }
 
@@ -445,7 +396,6 @@ impl Server {
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
         assert!(config.batch_max >= 1, "batch_max must be >= 1");
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (queue_tx, queue_rx) = std::sync::mpsc::sync_channel(config.queue_capacity);
         // Arm the SLO tracker and pre-register every gauge so the very
@@ -471,7 +421,12 @@ impl Server {
             pause_changed: Condvar::new(),
         });
 
-        let reactor = spawn_reactor(&shared, listener)?;
+        let reactor = spawn_reactor(
+            "rvhpc-serve-reactor",
+            Arc::clone(&shared),
+            listener,
+            shared.config.conn_policy(),
+        )?;
         let scraper = shared.config.metrics_file.clone().map(|path| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -567,24 +522,10 @@ fn stop_started(
     error
 }
 
-#[cfg(target_os = "linux")]
-fn spawn_reactor(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
-    crate::epoll::deepen_backlog(&listener)?;
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name("rvhpc-serve-reactor".to_string())
-        .spawn(move || crate::reactor::reactor_loop(&shared, listener))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn spawn_reactor(_: &Arc<Shared>, _: TcpListener) -> std::io::Result<JoinHandle<()>> {
-    Err(std::io::Error::new(std::io::ErrorKind::Unsupported, "serving requires Linux (epoll)"))
-}
-
 /// Refresh the point-in-time gauges a metrics render should not see
 /// stale: queue depth (otherwise only touched on admit/pop) and cache
 /// occupancy (otherwise only touched on inserts).
-fn refresh_gauges(shared: &Arc<Shared>) {
+fn refresh_gauges(shared: &Shared) {
     rvhpc_obs::gauge!("serve.queue_depth", shared.stats.queue_depth.load(Ordering::SeqCst) as i64);
     rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", cache::len() as i64);
 }
@@ -609,7 +550,50 @@ fn scraper_loop(shared: &Arc<Shared>, path: &str) {
     }
 }
 
-pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
+/// The shard's face: its reactor hands every framed line to
+/// [`handle_line`] and counts connection events in [`ServerStats`].
+impl LineHandler for Shared {
+    fn handle_line(&self, reply: &Arc<ConnWriter>, line: &str) {
+        handle_line(self, reply, line);
+    }
+
+    fn count(&self, event: ConnEvent) {
+        let counter = match event {
+            ConnEvent::Accepted => &self.stats.connections,
+            ConnEvent::RefusedAtCap => &self.stats.rejected_conn_cap,
+            ConnEvent::IdleClosed => &self.stats.idle_disconnects,
+            ConnEvent::DroppedSlow => &self.stats.dropped_slow,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The `Retry-After` hint attached to `overloaded` replies: roughly
+    /// how long it takes the batcher to work through a full queue.
+    fn retry_after_ms(&self) -> u64 {
+        let window_ms = self.config.batch_window.as_millis() as u64;
+        let batches_queued = self.config.queue_capacity.div_ceil(self.config.batch_max) as u64;
+        (window_ms.max(1) * batches_queued).clamp(1, 1_000)
+    }
+
+    /// A drain begun, by a `shutdown` request, [`Server::shutdown`] or
+    /// SIGTERM (which the first check after it turns into a drain).
+    fn draining(&self) -> bool {
+        if crate::signal::sigterm_received() {
+            self.begin_drain();
+        }
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::SeqCst);
+    }
+
+    fn drained(&self) -> bool {
+        self.batcher_done.load(Ordering::SeqCst)
+    }
+}
+
+fn handle_line(shared: &Shared, writer: &Arc<ConnWriter>, line: &str) {
     let received = Instant::now();
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     let (id, parsed) = parse_request(line);
@@ -857,7 +841,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: 
 
 /// Try to enqueue a batched work item; answers `overloaded` or
 /// `shutting_down` immediately when it cannot.
-fn admit(shared: &Arc<Shared>, item: WorkItem) {
+fn admit(shared: &Shared, item: WorkItem) {
     if shared.draining() {
         shared.stats.shed_shutting_down.fetch_add(1, Ordering::Relaxed);
         let reply = error_response(&item.id, ErrorKind::ShuttingDown, "server is draining", None);

@@ -1,14 +1,28 @@
 //! Shape assertions against the paper's published numbers: orderings are
 //! strict, magnitudes loose (we model a simulator, not the authors'
-//! testbed). The paper's numbers come from `rvhpc::paper`; `repro
-//! calibrate` prints the full paper-vs-model comparison.
+//! testbed). The paper's numbers come from `rvhpc::paper`; the orderings
+//! are the checks `rvhpc::fidelity::score` records, asserted here by id;
+//! `repro calibrate` prints the full paper-vs-model comparison.
 
-use rvhpc::experiments::{fig1, fig2, scaling, x86};
+use rvhpc::experiments::{fig1, scaling};
+use rvhpc::fidelity::{self, Score};
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::MachineId;
 use rvhpc::paper;
 use rvhpc::perfmodel::Model;
 use rvhpc_integration_tests::geomean_ratio;
+use std::sync::OnceLock;
+
+/// Each named ordering of the paper model's score must be scored and hold.
+fn assert_orderings_hold(ids: &[&str]) {
+    static SCORE: OnceLock<Score> = OnceLock::new();
+    let score = SCORE.get_or_init(|| fidelity::score(Model::paper()));
+    for id in ids {
+        let check = score.orderings.iter().find(|o| o.id == *id);
+        let check = check.unwrap_or_else(|| panic!("the score has no ordering `{id}`"));
+        assert!(check.holds, "`{id}` does not hold (`repro calibrate` prints the cells)");
+    }
+}
 
 /// Figure 1 headline: the C920's per-core advantage over the U74 lies
 /// within 2× of the paper's quoted bands at both precisions.
@@ -80,23 +94,11 @@ fn table1_speedups_track_paper_within_2x() {
 /// scaling through both points.
 #[test]
 fn table1_block_placement_signature_shape() {
-    let table = scaling::table1(Model::paper());
-    let stream = |t| table.cell(t, KernelClass::Stream).speedup;
-    assert!(
-        stream(32) < 0.5 * stream(16),
-        "stream must collapse 16→32 threads: {} -> {}",
-        stream(16),
-        stream(32)
-    );
-    assert!(stream(32) < 1.0, "collapsed stream runs below serial: {}", stream(32));
-    assert!(
-        stream(64) > stream(32),
-        "stream must partially recover at 64 threads: {} -> {}",
-        stream(32),
-        stream(64)
-    );
-    let poly = |t| table.cell(t, KernelClass::Polybench).speedup;
-    assert!(poly(32) > poly(16) && poly(64) > poly(32), "polybench keeps scaling");
+    assert_orderings_hold(&[
+        "table1.stream_collapses_at_32",
+        "table1.stream_recovers_at_64",
+        "table1.polybench_keeps_scaling",
+    ]);
 }
 
 /// Table 3's prose finding: cluster-cyclic placement beats plain
@@ -105,40 +107,17 @@ fn table1_block_placement_signature_shape() {
 /// threads, where every cluster is full either way.
 #[test]
 fn table3_cluster_beats_cyclic_until_64_threads() {
-    let cyclic = scaling::table2(Model::paper());
-    let cluster = scaling::table3(Model::paper());
-    for threads in [2usize, 4, 8, 16, 32] {
-        for class in KernelClass::ALL {
-            let cy = cyclic.cell(threads, class).speedup;
-            let cl = cluster.cell(threads, class).speedup;
-            assert!(cl >= cy * 0.95, "{threads}t {class}: cluster {cl} vs cyclic {cy}");
-        }
-    }
-    for class in KernelClass::ALL {
-        let cy = cyclic.cell(64, class).speedup;
-        let cl = cluster.cell(64, class).speedup;
-        let ratio = cl / cy;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "64t {class}: policies must converge (cluster {cl} vs cyclic {cy})"
-        );
-    }
+    assert_orderings_hold(&[
+        "table3.cluster_keeps_up_with_cyclic_to_32",
+        "table3.converges_with_cyclic_at_64",
+    ]);
 }
 
 /// The placement ordering the paper establishes: at 32 threads,
 /// block ≤ cyclic and cyclic ≤ cluster on the classes that matter.
 #[test]
 fn placement_ordering_at_32_threads() {
-    let block = scaling::table1(Model::paper());
-    let cyclic = scaling::table2(Model::paper());
-    let cluster = scaling::table3(Model::paper());
-    for class in [KernelClass::Stream, KernelClass::Basic, KernelClass::Lcals] {
-        let b = block.cell(32, class).speedup;
-        let cy = cyclic.cell(32, class).speedup;
-        let cl = cluster.cell(32, class).speedup;
-        assert!(cy >= b * 0.95, "{class}: cyclic {cy} vs block {b}");
-        assert!(cl >= cy * 0.9, "{class}: cluster {cl} vs cyclic {cy}");
-    }
+    assert_orderings_hold(&["tables.block_cyclic_cluster_at_32"]);
 }
 
 /// The stream class collapses exactly where the paper sees it collapse:
@@ -147,56 +126,29 @@ fn placement_ordering_at_32_threads() {
 /// at 64 threads (Tables 2–3: ~14 → ~1.6).
 #[test]
 fn stream_collapse_points_match_the_paper() {
-    let block = scaling::table1(Model::paper());
-    assert!(
-        block.cell(32, KernelClass::Stream).speedup
-            < 0.5 * block.cell(16, KernelClass::Stream).speedup,
-        "block placement must collapse stream at 32 threads"
-    );
-    for table in [scaling::table2(Model::paper()), scaling::table3(Model::paper())] {
-        let s32 = table.cell(32, KernelClass::Stream).speedup;
-        let s64 = table.cell(64, KernelClass::Stream).speedup;
-        assert!(
-            s64 < s32 * 0.5,
-            "{:?}: stream 32t {s32} -> 64t {s64} should collapse",
-            table.policy
-        );
-        assert!(s64 < 4.0, "{:?}: stream 64t {s64}", table.policy);
-    }
+    assert_orderings_hold(&[
+        "table1.stream_collapses_at_32",
+        "table2.stream_collapses_at_64",
+        "table3.stream_collapses_at_64",
+    ]);
 }
 
 /// Figure 2: the FP32/FP64 vectorisation asymmetry, class by class.
 #[test]
 fn fig2_fp32_beats_fp64_in_every_class() {
-    let fig = fig2::run(Model::paper());
-    let fp32 = &fig.series[0];
-    let fp64 = &fig.series[1];
-    for class in KernelClass::ALL {
-        let a = fp32.class(class).unwrap().mean;
-        let b = fp64.class(class).unwrap().mean;
-        assert!(a >= b - 0.05, "{class}: FP32 {a} vs FP64 {b}");
-    }
+    assert_orderings_hold(&["fig2.fp32_at_least_fp64"]);
 }
 
 /// Figures 4–7 orderings: modern x86 ahead single-core and multithreaded;
 /// Sandybridge behind the SG2042 multithreaded (the paper's conclusions).
 #[test]
 fn x86_orderings_match_conclusions() {
-    for fig in [x86::fig4(Model::paper()), x86::fig5(Model::paper())] {
-        for name in ["Rome", "Broadwell", "Icelake"] {
-            let s = fig.series.iter().find(|s| s.label.contains(name)).unwrap();
-            assert!(s.overall_mean() > 0.5, "{}: {name} {}", fig.id, s.overall_mean());
-        }
-    }
-    for fig in [x86::fig6(Model::paper()), x86::fig7(Model::paper())] {
-        let snb = fig.series.iter().find(|s| s.label.contains("Sandybridge")).unwrap();
-        assert!(
-            snb.overall_mean() < 0.0,
-            "{}: SNB must lose multithreaded: {}",
-            fig.id,
-            snb.overall_mean()
-        );
-    }
+    assert_orderings_hold(&[
+        "fig4.modern_x86_ahead",
+        "fig5.modern_x86_ahead",
+        "fig6.sandybridge_loses",
+        "fig7.sandybridge_loses",
+    ]);
 }
 
 /// The conclusion's crossover: Sandybridge is roughly at parity with the
@@ -204,13 +156,8 @@ fn x86_orderings_match_conclusions() {
 /// in the study), far closer than any other x86 part.
 #[test]
 fn sandybridge_is_the_single_core_crossover() {
-    for fig in [x86::fig4(Model::paper()), x86::fig5(Model::paper())] {
-        let snb =
-            fig.series.iter().find(|s| s.label.contains("Sandybridge")).unwrap().overall_mean();
-        assert!(snb.abs() < 1.5, "{}: SNB should be near parity, got {snb}", fig.id);
-        for name in ["Rome", "Broadwell", "Icelake"] {
-            let other = fig.series.iter().find(|s| s.label.contains(name)).unwrap().overall_mean();
-            assert!(other > snb, "{}: {name} should beat SNB's margin", fig.id);
-        }
-    }
+    assert_orderings_hold(&[
+        "fig4.sandybridge_is_the_crossover",
+        "fig5.sandybridge_is_the_crossover",
+    ]);
 }
