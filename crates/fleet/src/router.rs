@@ -13,9 +13,17 @@
 //! edge-case lines to both and compares). The handler itself answers
 //! `ping`, malformed lines and, once draining, every line but `shutdown`;
 //! every other line goes to a fixed [`Workers`] set, each worker with its
-//! own pool of shard connections. A connection's lines are answered one at a time,
-//! in arrival order, so a slow forward holds up only its own connection.
-//! Routed requests are forwarded **verbatim** — the framed line, byte for
+//! own pool of shard connections. The reactor hands the router a
+//! connection's lines [one at a time](LineHandler::one_line_at_a_time),
+//! in arrival order, and reads nothing more from a connection whose line
+//! is in flight, so a client pipelining requests is held back by TCP flow
+//! control rather than buffered. A routed request takes one of its
+//! shard's forward slots, half the workers: a shard that is slow or hung
+//! (its batcher stalled, say) holds at most that half while the other
+//! half serves the rest of the fleet, and a request whose shard has no
+//! slot free moves on to the ring successor. Fan-outs take no slot; the
+//! prober marks a shard that stops answering pings down within a
+//! second, and fan-outs skip down shards. Routed requests are forwarded **verbatim** — the framed line, byte for
 //! byte — and replies are passed back verbatim, which is what makes
 //! fleet-served estimates trivially bit-identical to shard-served ones.
 //!
@@ -46,17 +54,18 @@ use rvhpc_serve::{
 };
 use rvhpc_trace::json::{read_members, Json, JsonRef};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Forwarding workers per CPU. A forward mostly waits for the shard's
-/// reply, most of it the shard's batch window, so one worker per CPU
-/// would cap the forwards in flight, and with them the fleet's
-/// throughput, at the CPU count.
+/// reply, most of it the shard's batch window, so the workers cap the
+/// forwards in flight: with `loadgen` running 4 closed-loop clients
+/// through `repro fleet --shards 3` on 2 CPUs, 1 per CPU served ~3.0k
+/// req/s and 8 per CPU ~5.2k, and 16 clients at 8 per CPU ~17k.
 const FORWARDS_PER_CPU: usize = 8;
 
 /// How often the prober pings every shard. A constant, not a tunable: the
@@ -148,18 +157,34 @@ struct RouterShared {
     config: RouterConfig,
     draining: AtomicBool,
     jitter: AtomicU64,
-    /// The unanswered lines of each connection a worker is serving, by
-    /// connection id; a connection has an entry exactly while it does.
-    waiting: Mutex<HashMap<u64, VecDeque<String>>>,
+    /// Lines handed to the workers and not yet answered.
+    in_flight: AtomicUsize,
+    /// Routed forwards outstanding on each shard, at most `shard_slots`.
+    forwarding: Vec<AtomicUsize>,
+    shard_slots: usize,
+}
+
+/// A routed forward's claim on one of its shard's slots, released on drop.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl RouterShared {
-    fn waiting(&self) -> MutexGuard<'_, HashMap<u64, VecDeque<String>>> {
-        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn draining(&self) -> bool {
         self.draining.load(Ordering::Relaxed)
+    }
+
+    /// Claim a forward slot on `shard`; `None` while all of them are taken.
+    fn claim(&self, shard: usize) -> Option<Slot<'_>> {
+        let forwarding = &self.forwarding[shard];
+        let claimed = forwarding.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < self.shard_slots).then_some(n + 1)
+        });
+        claimed.ok().map(|_| Slot(forwarding))
     }
 
     /// Next jitter value in `0..=bound` from the deterministic LCG.
@@ -246,8 +271,9 @@ fn first_members<'a, const N: usize>(
 }
 
 /// Route one request line: try the key's successor chain, with bounded
-/// jittered retries on `overloaded` and mark-down + reroute on I/O
-/// failure. Returns the reply line for the client.
+/// jittered retries on `overloaded`, mark-down + reroute on I/O failure,
+/// and reroute past a shard with no forward slot free. Returns the reply
+/// line for the client.
 fn route_line(
     shared: &RouterShared,
     pool: &mut ShardPool,
@@ -261,6 +287,10 @@ fn route_line(
         if !shared.state.is_up(shard) {
             continue;
         }
+        let Some(_slot) = shared.claim(shard) else {
+            rvhpc_obs::counter!("fleet.slots_full", 1);
+            continue;
+        };
         if hop > 0 {
             rvhpc_obs::counter!("fleet.reroutes", 1);
         }
@@ -304,7 +334,11 @@ fn route_line(
     }
     match last_overloaded {
         Some(reply) => reply,
-        None => no_shard(shared, id, "no live shard for this key (all shards down or unreachable)"),
+        None => no_shard(
+            shared,
+            id,
+            "no live shard for this key (all shards down, unreachable or without a free slot)",
+        ),
     }
 }
 
@@ -369,45 +403,40 @@ fn results_of(replies: &[(usize, String)]) -> Vec<Json> {
         .collect()
 }
 
-/// A framed line the router answers itself (`Err`): a `ping`, a line that
-/// does not parse, or anything but `shutdown` while draining. `Ok` is the
-/// parsed request to take to the shards.
-fn triage(shared: &RouterShared, line: &str) -> Result<(Json, Request), String> {
-    let (id, parsed) = parse_request(line);
-    let req = parsed.map_err(|msg| error_response(&id, ErrorKind::BadRequest, &msg, None))?;
+/// The reply to a request the router answers itself: a `ping`, or
+/// anything but `shutdown` while draining.
+fn local_reply(shared: &RouterShared, id: &Json, req: &Request) -> Option<String> {
     match req {
         Request::Ping => {
-            Err(ok_response(&id, req.op(), Json::obj(vec![("pong", Json::Bool(true))])))
+            Some(ok_response(id, req.op(), Json::obj(vec![("pong", Json::Bool(true))])))
         }
-        Request::Shutdown => Ok((id, req)),
+        Request::Shutdown => None,
         _ if shared.draining() => {
-            Err(error_response(&id, ErrorKind::ShuttingDown, "fleet is draining", None))
+            Some(error_response(id, ErrorKind::ShuttingDown, "fleet is draining", None))
         }
-        _ => Ok((id, req)),
+        _ => None,
     }
 }
 
-/// A worker's turn on one connection: answer its waiting lines in arrival
-/// order until none is left, then give the connection back.
-fn serve_waiting(shared: &RouterShared, pool: &mut ShardPool, conn: &ConnWriter) {
-    loop {
-        let line = {
-            let mut waiting = shared.waiting();
-            let Some(lines) = waiting.get_mut(&conn.id()) else { return };
-            match lines.pop_front() {
-                Some(line) => line,
-                None => {
-                    waiting.remove(&conn.id());
-                    return;
-                }
-            }
-        };
-        let reply = match triage(shared, &line) {
-            Err(reply) => reply,
-            Ok((id, req)) => forward(shared, pool, &id, &req, &line),
-        };
-        conn.send_line(&reply);
+/// A framed line the router answers itself (`Err`): a line that does not
+/// parse or has a [`local_reply`]. `Ok` is the parsed request to take to
+/// the shards.
+fn triage(shared: &RouterShared, line: &str) -> Result<(Json, Request), String> {
+    let (id, parsed) = parse_request(line);
+    let req = parsed.map_err(|msg| error_response(&id, ErrorKind::BadRequest, &msg, None))?;
+    match local_reply(shared, &id, &req) {
+        Some(reply) => Err(reply),
+        None => Ok((id, req)),
     }
+}
+
+/// One line for a worker to take to the shards: the connection to answer
+/// and the line, parsed and verbatim.
+struct Forward {
+    conn: Arc<ConnWriter>,
+    id: Json,
+    req: Request,
+    line: String,
 }
 
 /// The reply to one request that needs the shards.
@@ -487,23 +516,17 @@ fn forward(
 /// The router's face: its reactor hands every framed line here.
 struct RouterFace {
     shared: Arc<RouterShared>,
-    workers: Workers<Arc<ConnWriter>>,
+    workers: Workers<Forward>,
 }
 
 impl LineHandler for RouterFace {
     fn handle_line(&self, reply: &Arc<ConnWriter>, line: &str) {
-        if let Some(lines) = self.shared.waiting().get_mut(&reply.id()) {
-            // A worker is serving this connection: answer after it.
-            lines.push_back(line.to_string());
-            return;
-        }
-        // Only this thread adds entries, so the connection stays idle
-        // until the insert below.
         match triage(&self.shared, line) {
             Err(answer) => reply.send_line(&answer),
-            Ok(_) => {
-                self.shared.waiting().insert(reply.id(), VecDeque::from([line.to_string()]));
-                self.workers.submit(Arc::clone(reply));
+            Ok((id, req)) => {
+                self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+                let conn = Arc::clone(reply);
+                self.workers.submit(Forward { conn, id, req, line: line.to_string() });
             }
         }
     }
@@ -531,7 +554,13 @@ impl LineHandler for RouterFace {
     }
 
     fn drained(&self) -> bool {
-        self.shared.waiting().is_empty()
+        self.shared.in_flight.load(Ordering::SeqCst) == 0
+    }
+
+    /// A connection's lines are answered in arrival order, and the
+    /// router buffers none of them.
+    fn one_line_at_a_time(&self) -> bool {
+        true
     }
 }
 
@@ -570,23 +599,27 @@ impl Router {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(FleetState::new(shard_addrs, config.cooldown));
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let workers = (cpus * FORWARDS_PER_CPU).max(2);
         let shared = Arc::new(RouterShared {
             ring: ConsistentRing::new(state.len()),
+            forwarding: (0..state.len()).map(|_| AtomicUsize::new(0)).collect(),
+            shard_slots: workers / 2,
             state,
             jitter: AtomicU64::new(config.seed | 1),
             config,
             draining: AtomicBool::new(false),
-            waiting: Mutex::default(),
+            in_flight: AtomicUsize::new(0),
         });
         let workers = {
             let shared = Arc::clone(&shared);
-            Workers::start(
-                "rvhpc-fleet-worker",
-                FORWARDS_PER_CPU,
-                move |pool, conn: Arc<ConnWriter>| {
-                    serve_waiting(&shared, pool, &conn);
-                },
-            )?
+            Workers::start("rvhpc-fleet-worker", workers, move |pool, job: Forward| {
+                // A drain may have begun while the job was queued.
+                let reply = local_reply(&shared, &job.id, &job.req)
+                    .unwrap_or_else(|| forward(&shared, pool, &job.id, &job.req, &job.line));
+                job.conn.finish(&reply);
+                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            })?
         };
         let face = Arc::new(RouterFace { shared: Arc::clone(&shared), workers });
         let policy = shared.config.conn;
@@ -651,6 +684,20 @@ mod tests {
     use rvhpc_serve::{ServeConfig, Server};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::time::Instant;
+
+    /// An estimate line whose key the router sends to `shard` first.
+    fn estimate_routed_to(router: &Router, shard: usize) -> String {
+        rvhpc_serve::loadgen::query_pool()
+            .iter()
+            .map(|query| query.request_line(1))
+            .find(|line| {
+                let req = parse_request(line).1.expect("a valid estimate");
+                let key = routing_key(&req).expect("estimates are routed");
+                router.face.shared.ring.owner(&key) == shard
+            })
+            .expect("some query routes to every shard")
+    }
 
     /// Open `cap` connections to `addr`, each answered once so it is
     /// accepted, then return the reply line the next connection gets.
@@ -715,6 +762,103 @@ mod tests {
         for server in [shard, backend] {
             server.shutdown();
             server.join();
+        }
+    }
+
+    /// A client pipelining requests to a stalled shard is held back by
+    /// TCP flow control, not buffered by the router: the router reads
+    /// nothing more from a connection while its line is in flight, and
+    /// once the client is gone forwards none of the lines it left unread.
+    #[test]
+    fn a_pipelining_client_is_held_back_while_its_line_is_in_flight() {
+        // Far more than the two sockets' buffers take before the router
+        // reads again.
+        const OFFERED: usize = 16 << 20;
+        let shard = Server::start(ServeConfig::default()).expect("shard binds");
+        let router = Router::start(RouterConfig::default(), vec![shard.local_addr().to_string()])
+            .expect("router binds");
+        let pause = shard.pause_batcher();
+        let lines_before = shard.stats().requests.load(Ordering::Relaxed);
+
+        let mut client = TcpStream::connect(router.local_addr()).expect("connect");
+        client.set_nonblocking(true).expect("nonblocking");
+        let line = format!("{}\n", estimate_routed_to(&router, 0));
+        let chunk = line.repeat(64 * 1024 / line.len());
+        let (mut sent, mut last_progress) = (0, Instant::now());
+        while sent < OFFERED && last_progress.elapsed() < Duration::from_millis(500) {
+            match client.write(&chunk.as_bytes()[sent % chunk.len()..]) {
+                Ok(n) => (sent, last_progress) = (sent + n, Instant::now()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("write: {e}"),
+            }
+        }
+        assert!(sent < OFFERED / 2, "the router took {sent} bytes from one connection");
+
+        drop(client);
+        drop(pause);
+        router.shutdown();
+        router.join();
+        let forwarded = shard.stats().requests.load(Ordering::Relaxed) - lines_before;
+        // The line in flight, a line or two read before the reset arrived,
+        // and the prober's pings.
+        assert!(forwarded < 100, "{forwarded} lines reached the shard after the client left");
+        shard.shutdown();
+        shard.join();
+    }
+
+    /// A shard whose batcher stalls holds at most half the forwarding
+    /// workers: a request for another shard is still answered at once,
+    /// and so are those for the stalled shard past its slots, by its ring
+    /// successor.
+    #[test]
+    fn a_stalled_shard_leaves_the_other_shards_served() {
+        let shards: Vec<Server> =
+            (0..2).map(|_| Server::start(ServeConfig::default()).expect("shard binds")).collect();
+        let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
+        let config =
+            RouterConfig { io_timeout: Duration::from_secs(60), ..RouterConfig::default() };
+        let router = Router::start(config, addrs).expect("router binds");
+        let (to_stalled, to_live) =
+            (estimate_routed_to(&router, 0), estimate_routed_to(&router, 1));
+        let slots = router.face.shared.shard_slots;
+        let pause = shards[0].pause_batcher();
+
+        // More requests for the stalled shard than there are workers, each
+        // on a connection of its own.
+        let mut stalled: Vec<LineConn> = (0..2 * slots + 2)
+            .map(|_| {
+                let mut conn = LineConn::connect(router.local_addr(), Duration::from_secs(30))
+                    .expect("connect");
+                conn.send(&to_stalled).expect("send");
+                conn
+            })
+            .collect();
+        let started = Instant::now();
+        let mut live =
+            LineConn::connect(router.local_addr(), Duration::from_secs(10)).expect("connect");
+        let reply = live.exchange(&to_live).expect("the live shard's request is answered");
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "answered after {:?}",
+            started.elapsed()
+        );
+
+        drop(pause);
+        for conn in &mut stalled {
+            let frame = conn.recv().expect("a reply").expect("not EOF");
+            assert!(
+                matches!(frame, rvhpc_serve::Frame::Line(l) if l.starts_with(b"{")),
+                "{frame:?}"
+            );
+        }
+        router.shutdown();
+        router.join();
+        for s in shards {
+            s.shutdown();
+            s.join();
         }
     }
 }

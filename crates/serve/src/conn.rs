@@ -4,7 +4,7 @@
 //! line, at once or later, through the connection's [`ConnWriter`]. A
 //! shard's handler admits estimates to its batcher
 //! ([`crate::Server`]); the fleet router's forwards lines to shards on a
-//! [`crate::Workers`] set.
+//! [`crate::Workers`] set, one line of a connection at a time.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -66,6 +66,15 @@ pub trait LineHandler: Send + Sync + 'static {
     /// reactor then flushes what is buffered, closes every connection and
     /// exits.
     fn drained(&self) -> bool;
+    /// Whether a connection's lines come one at a time: the next only once
+    /// the last is answered (no clone of its writer is held), with nothing
+    /// read from the socket meanwhile, so a client pipelining requests
+    /// is held back by TCP flow control instead of being buffered. A
+    /// shard takes every line as it arrives, since its admission queue
+    /// bounds them.
+    fn one_line_at_a_time(&self) -> bool {
+        false
+    }
 }
 
 /// One connection's write half: the reactor's token for the connection
@@ -89,9 +98,14 @@ impl ConnWriter {
         self.hub.post(self.conn, line);
     }
 
-    /// The connection's token, unique for the reactor's lifetime.
-    pub fn id(&self) -> u64 {
-        self.conn
+    /// Queue `line` as the connection's next reply and release this
+    /// handle before the reactor can see the reply, so a connection
+    /// served [one line at a time](LineHandler::one_line_at_a_time) is
+    /// handed its next line as soon as this one is answered.
+    pub fn finish(self: Arc<Self>, line: &str) {
+        let (conn, hub) = (self.conn, Arc::clone(&self.hub));
+        drop(self);
+        hub.post(conn, line);
     }
 }
 
@@ -106,8 +120,9 @@ impl ConnWriter {
         match *self {}
     }
 
-    /// The connection's token, unique for the reactor's lifetime.
-    pub fn id(&self) -> u64 {
+    /// Queue `line` as the connection's next reply and release this
+    /// handle.
+    pub fn finish(self: Arc<Self>, _line: &str) {
         match *self {}
     }
 }

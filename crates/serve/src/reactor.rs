@@ -109,6 +109,8 @@ struct Conn {
     /// Connection hit a fatal condition (I/O error, invalid UTF-8,
     /// outbox overflow) and must be removed this iteration.
     fatal: bool,
+    /// The handler takes this connection's lines one at a time.
+    serial: bool,
 }
 
 impl Conn {
@@ -124,6 +126,12 @@ impl Conn {
     /// is visible to `Hub::has_pending`.
     fn in_flight(&self) -> bool {
         Arc::strong_count(&self.writer) > 1
+    }
+
+    /// True while a serial connection waits for its line's answer: the
+    /// reactor neither reads from it nor hands out its next line.
+    fn held(&self) -> bool {
+        self.serial && self.in_flight()
     }
 }
 
@@ -193,8 +201,9 @@ fn run(
             if mask & EPOLLOUT != 0 {
                 flush_conn(&ep, token, conn);
             }
-            if mask & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.read_closed {
-                read_conn(handler, &ep, token, conn);
+            if mask & (EPOLLIN | EPOLLRDHUP) != 0 && !conn.read_closed && !conn.held() {
+                read_conn(&ep, token, conn);
+                dispatch(handler, conn);
             }
         }
 
@@ -275,15 +284,17 @@ fn accept_new(
                 interest,
                 read_closed: false,
                 fatal: false,
+                serial: handler.one_line_at_a_time(),
             },
         );
     }
 }
 
-/// Drain the socket's receive buffer through the framer and handle every
-/// completed line. EOF frames any pending partial line first: a client
-/// that half-closes after an unterminated request still gets its answer.
-fn read_conn(handler: &impl LineHandler, ep: &Epoll, token: u64, conn: &mut Conn) {
+/// Drain the socket's receive buffer through the framer (a serial
+/// connection's: one chunk, so what it buffers stays bounded). EOF frames
+/// any pending partial line first: a client that half-closes after an
+/// unterminated request still gets its answer.
+fn read_conn(ep: &Epoll, token: u64, conn: &mut Conn) {
     let mut buf = [0u8; 16 * 1024];
     loop {
         match conn.stream.read(&mut buf) {
@@ -300,6 +311,9 @@ fn read_conn(handler: &impl LineHandler, ep: &Epoll, token: u64, conn: &mut Conn
             Ok(n) => {
                 conn.last_activity = Instant::now();
                 conn.frame.push(&buf[..n]);
+                if conn.serial {
+                    break;
+                }
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock => break,
             Err(e) if e.kind() == IoErrorKind::Interrupted => continue,
@@ -309,8 +323,15 @@ fn read_conn(handler: &impl LineHandler, ep: &Epoll, token: u64, conn: &mut Conn
             }
         }
     }
-    let Conn { frame, writer, fatal, .. } = conn;
-    while let Some(fr) = frame.next_line() {
+}
+
+/// Hand the connection's framed lines to the handler: every one, or on a
+/// serial connection those up to the first the handler keeps in flight.
+/// A fatal connection's lines are dropped with it.
+fn dispatch(handler: &impl LineHandler, conn: &mut Conn) {
+    while !conn.fatal && !conn.held() {
+        let Conn { frame, writer, fatal, .. } = &mut *conn;
+        let Some(fr) = frame.next_line() else { return };
         match fr {
             Frame::Oversized => handler.handle_line(writer, oversized_line()),
             Frame::Line(bytes) => match std::str::from_utf8(bytes) {
@@ -320,7 +341,7 @@ fn read_conn(handler: &impl LineHandler, ep: &Epoll, token: u64, conn: &mut Conn
                     // bytes has lost framing sync: nothing after this point
                     // can be trusted to be a request, so close.
                     *fatal = true;
-                    break;
+                    return;
                 }
             },
         }
@@ -397,7 +418,7 @@ fn flush_inner(conn: &mut Conn) {
 }
 
 fn sync_interest(ep: &Epoll, token: u64, conn: &mut Conn) {
-    let read_bits = if conn.read_closed { 0 } else { EPOLLIN | EPOLLRDHUP };
+    let read_bits = if conn.read_closed || conn.held() { 0 } else { EPOLLIN | EPOLLRDHUP };
     let want = read_bits | if conn.pending_out() > 0 { EPOLLOUT } else { 0 };
     if want != conn.interest {
         conn.interest = want;
@@ -405,9 +426,10 @@ fn sync_interest(ep: &Epoll, token: u64, conn: &mut Conn) {
     }
 }
 
-/// Close everything that is finished: fatal connections, cleanly
-/// half-closed connections with nothing left to deliver, and idle
-/// connections past the timeout. `tokens: Some(..)` restricts the pass to
+/// Hand a serial connection whose last line was answered its next
+/// buffered line, then close everything that is finished: fatal
+/// connections, cleanly half-closed connections with nothing left to
+/// deliver, and idle connections past the timeout. `tokens: Some(..)` restricts the pass to
 /// the connections touched this iteration; `None` visits every connection
 /// (the periodic pass that expires idle sockets).
 fn sweep(
@@ -427,6 +449,7 @@ fn sweep(
     let mut closing: Vec<u64> = Vec::new();
     for token in candidates {
         let Some(conn) = conns.get_mut(&token) else { continue };
+        dispatch(handler, conn);
         if conn.fatal {
             closing.push(token);
             continue;

@@ -1,8 +1,8 @@
 //! A fixed set of worker threads for jobs that must not run on a
 //! reactor's event loop, such as the fleet router's blocking forwards to
-//! its shards. The set is sized once, from the CPUs this process may run
-//! on, and each worker keeps its own state (the router's: one pool of
-//! shard connections) across the jobs it runs.
+//! its shards. The set is sized once, when it starts, and each worker
+//! keeps its own state (the router's: one pool of shard connections)
+//! across the jobs it runs.
 
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -17,18 +17,13 @@ pub struct Workers<J> {
 }
 
 impl<J: Send + 'static> Workers<J> {
-    /// Start `per_cpu` workers per CPU this process may run on, and at
-    /// least two so one slow job cannot hold up every other. A job that
-    /// mostly waits on I/O wants several per CPU, one that computes wants
-    /// one. Each worker starts from `S::default()` and runs each job it
-    /// takes as `run(&mut state, job)`.
+    /// Start `count` workers. Each starts from `S::default()` and runs
+    /// each job it takes as `run(&mut state, job)`.
     pub fn start<S: Default + 'static>(
         name: &str,
-        per_cpu: usize,
+        count: usize,
         run: impl Fn(&mut S, J) + Send + Sync + 'static,
     ) -> std::io::Result<Workers<J>> {
-        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        let count = (cpus * per_cpu).max(2);
         let (queue, jobs) = channel::<J>();
         let jobs = Arc::new(Mutex::new(jobs));
         let run = Arc::new(run);
