@@ -14,9 +14,10 @@ cargo test -q --workspace
 # `warm_row_dispatch` and `experiments_under_a_model` both assert the cache
 # counter deltas of whole paper passes: the paper model's, and an edited
 # model's, which must leave the counters alone. `paper_pass_allocations`
-# holds a warm paper pass to its heap-allocation budget, here and once in
-# a release build, so neither the CPU count nor the build profile can
-# change the count.
+# holds the cold paper pass (whole cold rows inserted into an empty
+# cache) and a warm one to their heap-allocation budgets, here and once
+# in a release build, so neither the CPU count nor the build profile can
+# change either count.
 if command -v taskset > /dev/null; then
     taskset -c 0 cargo test -q -p rvhpc --lib \
         suite_times_matches_serial_run_bit_for_bit_on_all_machines

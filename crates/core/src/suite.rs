@@ -21,7 +21,10 @@ pub struct KernelTime {
 /// path ([`rvhpc_perfmodel::cache`]), whose store is keyed by suite row:
 /// under [`Model::paper`] every kernel already cached is answered under
 /// one map lock and one map probe for the whole row, and only the misses
-/// are estimated, one after another on the calling thread. So repeated
+/// are estimated, one after another on the calling thread. A row with no
+/// kernel cached is told apart by that same probe: its 64 misses are
+/// estimated and the row goes into the cache whole, under one more lock
+/// and in one map insert. So repeated
 /// configurations are computed once per process, no row dispatches to a
 /// thread pool, and all 64 kernels share one [`RowEnv`], whose thread
 /// placement is resolved at most once, and not at all when every kernel

@@ -34,8 +34,18 @@
 //! answers land in the batch's answer vector and are inserted under one
 //! more map lock, one map lookup per row, which also publishes the
 //! eviction count and the `perfmodel.estimate_cache.entries` gauge once
-//! per batch ([`clear`] zeroes the gauge). So a warm row costs one lock
-//! and one probe, and a cold row two locks.
+//! per batch ([`clear`] zeroes the gauge).
+//!
+//! A cold suite row is the common miss, and the batch's first probe
+//! already tells it apart: when that probe finds the row absent and the
+//! batch is that one row with a kernel of its own in every query, every
+//! query is a first miss. No query is then checked for a repeat, and the
+//! row is inserted as one `Row` built at its final size, its FIFO
+//! entries pushed in query order and the bound applied exactly as entry
+//! by entry. Other batches (a repeated kernel, several rows, a row partly
+//! resident: the server's batches) take the general path above. So a warm
+//! row costs one lock and one probe, and a cold row two locks, one probe
+//! and one row insert.
 //!
 //! A row key hashes as one packed `u64` of its fields through std's keyed
 //! SipHash, which keeps the map collision-resistant against the network
@@ -73,6 +83,7 @@ use crate::row::RowEnv;
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{Machine, MachineId, PlacementPolicy};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::hash::{Hash, Hasher};
@@ -339,27 +350,79 @@ impl Bounded {
         }
         evicted as u64
     }
+
+    /// Insert a row that is not resident, each kernel at most once, as
+    /// one [`Row`] built at its final size; returns how many entries were
+    /// evicted. The result is that of [`Bounded::insert_row`]: the entries
+    /// join the FIFO queue in the order given, and when the row straddles
+    /// the bound its first entries are the ones it evicts. A row that
+    /// another batch made resident since the caller's probe takes
+    /// [`Bounded::insert_row`].
+    fn insert_absent_row<I>(&mut self, capacity: usize, key: RowKey, entries: I) -> u64
+    where
+        I: ExactSizeIterator<Item = (KernelName, TimeEstimate)> + Clone,
+    {
+        let slot = match self.rows.entry(key) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(_) => return self.insert_row(capacity, key, entries),
+        };
+        // Every entry is new, so entry by entry each one grows the store
+        // by one and the i-th eviction takes the i-th entry of the queue
+        // with this row appended: the older rows' entries first, then
+        // this row's own, of which at least the last one stays.
+        let (older, added) = (self.len, entries.len());
+        let evicted = (older + added).saturating_sub(capacity);
+        let kept = entries.skip(evicted.saturating_sub(older));
+        let filled = kept.clone().fold(0, |filled, (kernel, _)| filled | Row::bit(kernel));
+        debug_assert_eq!(filled.count_ones() as usize, kept.len(), "a kernel twice");
+        let mut row = Row { filled, est: vec![UNANSWERED; filled.count_ones() as usize] };
+        for (kernel, est) in kept.clone() {
+            let rank = row.rank(Row::bit(kernel));
+            row.est[rank] = est;
+        }
+        slot.insert(row);
+        self.order.extend(kept.map(|(kernel, _)| (key, kernel)));
+        for (oldest, kernel) in self.order.drain(..evicted.min(older)) {
+            if let Some(row) = self.rows.get_mut(&oldest) {
+                row.remove(kernel);
+                if row.filled == 0 {
+                    self.rows.remove(&oldest);
+                }
+            }
+        }
+        self.len = older + added - evicted;
+        evicted as u64
+    }
 }
 
-/// Insert a batch of fresh estimates under one map lock, one map lookup
-/// per run of entries from the same row, then publish the eviction count
-/// and the `perfmodel.estimate_cache.entries` gauge once.
-fn insert_all(entries: impl IntoIterator<Item = (RowKey, KernelName, TimeEstimate)>) {
+/// Run `insert` on the store under one map lock with the capacity bound,
+/// then publish the evictions it reports and the
+/// `perfmodel.estimate_cache.entries` gauge once.
+fn insert_with(insert: impl FnOnce(&mut Bounded, usize) -> u64) {
     let capacity = captured_capacity();
     let (evicted, resident) = {
         let mut c = locked();
-        let mut evicted = 0;
-        let mut entries = entries.into_iter().peekable();
-        while let Some(&(key, _, _)) = entries.peek() {
-            let run = std::iter::from_fn(|| entries.next_if(|e| e.0 == key));
-            evicted += c.insert_row(capacity, key, run.map(|(_, kernel, est)| (kernel, est)));
-        }
+        let evicted = insert(&mut c, capacity);
         (evicted, c.len)
     };
     if evicted > 0 {
         rvhpc_obs::counter!("perfmodel.estimate_cache.eviction", evicted);
     }
     rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", resident as i64);
+}
+
+/// Insert a batch of fresh estimates under one map lock, one map lookup
+/// per run of entries from the same row ([`insert_with`]).
+fn insert_all(entries: impl IntoIterator<Item = (RowKey, KernelName, TimeEstimate)>) {
+    insert_with(|c, capacity| {
+        let mut evicted = 0;
+        let mut entries = entries.into_iter().peekable();
+        while let Some(&(key, _, _)) = entries.peek() {
+            let run = std::iter::from_fn(|| entries.next_if(|e| e.0 == key));
+            evicted += c.insert_row(capacity, key, run.map(|(_, kernel, est)| (kernel, est)));
+        }
+        evicted
+    });
 }
 
 fn cache() -> &'static Mutex<Bounded> {
@@ -456,8 +519,10 @@ pub fn estimate_cached(machine: &Machine, kernel: KernelName, cfg: &RunConfig) -
 /// row key and kernel. Only the first misses go on, to the persistent store
 /// when it is on (one store lock for the batch) and then to the estimate,
 /// through the row's lazy placement, on the calling thread, and are
-/// inserted under one more map lock. A batch without misses touches
-/// neither the store nor any row's placement.
+/// inserted under one more map lock. A batch that is one absent row, a
+/// kernel of its own in each query (a cold suite row), is told apart by
+/// its first probe: all of it misses, and the row is inserted whole. A
+/// batch without misses touches neither the store nor any row's placement.
 pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let paper = Model::paper();
     let cached = |&(row, _): &(&RowEnv, KernelName)| std::ptr::eq(row.model(), paper);
@@ -473,24 +538,29 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
 
 /// The paper model's queries of an [`estimate_batch`].
 fn paper_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
-    if queries.is_empty() {
+    let Some(&(first_row, _)) = queries.first() else {
         return Vec::new();
-    }
+    };
     let mut misses = Misses::default();
     let mut answers: Vec<TimeEstimate> = {
         let c = locked();
-        // One map probe per run of queries from the same row.
-        let mut current: Option<(RowKey, Option<&Row>)> = None;
+        // One map probe per run of queries from the same row, the first
+        // of which also tells whether the batch is a whole absent row.
+        let first = RowKey::new(first_row);
+        let mut current = (first, c.rows.get(&first));
+        if current.1.is_none() && one_row_of_distinct_kernels(queries, first) {
+            drop(c);
+            return absent_row(queries, first);
+        }
         queries
             .iter()
             .enumerate()
             .map(|(i, &(row, kernel))| {
                 let key = RowKey::new(row);
-                let found = match current {
-                    Some((k, found)) if k == key => found,
-                    _ => current.insert((key, c.rows.get(&key))).1,
-                };
-                found.and_then(|r| r.get(kernel)).unwrap_or_else(|| {
+                if key != current.0 {
+                    current = (key, c.rows.get(&key));
+                }
+                current.1.and_then(|r| r.get(kernel)).unwrap_or_else(|| {
                     misses.add(key, kernel, i);
                     UNANSWERED
                 })
@@ -503,10 +573,38 @@ fn paper_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     }
     if !misses.first.is_empty() {
         answer_misses(queries, &misses.first, &mut answers);
+        insert_all(
+            misses.first.iter().map(|&i| (RowKey::new(queries[i].0), queries[i].1, answers[i])),
+        );
         if !misses.repeats.is_empty() {
             misses.answer_repeats(queries, &mut answers);
         }
     }
+    answers
+}
+
+/// Whether every query of a batch is on the row `key`, each with a
+/// kernel of its own. Suite rows share one [`RowEnv`], so the row test is
+/// a pointer comparison.
+fn one_row_of_distinct_kernels(queries: &[(&RowEnv, KernelName)], key: RowKey) -> bool {
+    let first = queries[0].0;
+    let mut kernels = 0;
+    queries.iter().all(|&(row, kernel)| {
+        let bit = Row::bit(kernel);
+        let fresh = kernels & bit == 0;
+        kernels |= bit;
+        fresh && (std::ptr::eq(row, first) || RowKey::new(row) == key)
+    })
+}
+
+/// A batch that is one absent row, each kernel once: every query is a
+/// first miss, so no query is told from a repeat, and the row is inserted
+/// whole ([`Bounded::insert_absent_row`]).
+fn absent_row(queries: &[(&RowEnv, KernelName)], key: RowKey) -> Vec<TimeEstimate> {
+    let mut answers = vec![UNANSWERED; queries.len()];
+    answer_misses(queries, &(0..queries.len()).collect::<Vec<_>>(), &mut answers);
+    let entries = queries.iter().zip(&answers).map(|(&(_, kernel), &est)| (kernel, est));
+    insert_with(|c, capacity| c.insert_absent_row(capacity, key, entries));
     answers
 }
 
@@ -559,8 +657,8 @@ impl Misses {
     }
 }
 
-/// Fill the answer slots of a batch's misses (indices into `queries`),
-/// then insert them under one map lock. With the store on, the misses'
+/// Fill the answer slots of a batch's misses (indices into `queries`);
+/// the caller inserts them under one map lock. With the store on, the misses'
 /// store keys are derived and every key is looked up under one store lock;
 /// what the store holds is answered at once and counts as a hit and a disk
 /// hit. The rest count as misses, are estimated one after another outside
@@ -586,7 +684,6 @@ fn answer_misses(
             persist::record_all(keys.iter().zip(fresh).map(|(&key, &i)| (key, answers[i])));
         }
     }
-    insert_all(misses.iter().map(|&i| (RowKey::new(queries[i].0), queries[i].1, answers[i])));
 }
 
 /// Answer the misses the persistent store holds, under one store lock;
@@ -667,6 +764,7 @@ mod tests {
     use super::*;
     use crate::estimate::estimate_averaged;
     use rvhpc_machines::machine;
+    use std::cell::Cell;
 
     /// The cache and its counters are process-global; tests that assert
     /// exact deltas serialise on this lock to avoid cross-talk.
@@ -751,14 +849,25 @@ mod tests {
         assert!(!warm.resolved(), "an all-hit batch must not resolve a placement");
 
         // A full cold suite row, the largest batch a caller builds, runs on
-        // the calling thread too, on any host.
-        let row = RowEnv::new(Model::paper(), &m, &RunConfig::sg2042_best(Precision::Fp64, 9));
-        let queries: Vec<_> = KernelName::ALL.iter().map(|&k| (&row, k)).collect();
-        let before = (stats(), regions());
-        let got = estimate_batch(&queries);
-        assert_eq!(stats().since(&before.0).misses, 64);
-        assert_eq!(regions() - before.1, 0, "64 misses: no pool region");
-        assert_uncached_bits(&queries, &got);
+        // the calling thread too, on any host. So does an absent row of a
+        // few kernels out of `KernelName::ALL` order, as Figure 3 asks;
+        // either goes into the cache whole, and is then all hits.
+        let scattered = [KernelName::GEMM, KernelName::DAXPY, KernelName::EOS, KernelName::MEMSET];
+        for (threads, kernels) in [(9, &KernelName::ALL[..]), (10, &scattered[..])] {
+            let cfg = RunConfig::sg2042_best(Precision::Fp64, threads);
+            let row = RowEnv::new(Model::paper(), &m, &cfg);
+            let queries: Vec<_> = kernels.iter().map(|&k| (&row, k)).collect();
+            let (before, entries) = ((stats(), regions()), len());
+            let got = estimate_batch(&queries);
+            assert_eq!(stats().since(&before.0).misses, kernels.len() as u64);
+            assert_eq!(regions() - before.1, 0, "{} misses: no pool region", kernels.len());
+            assert_eq!(len(), entries + kernels.len(), "one entry per kernel");
+            assert_uncached_bits(&queries, &got);
+            let before = stats();
+            let again = estimate_batch(&queries);
+            assert_eq!(stats().since(&before).hits, kernels.len() as u64);
+            assert_uncached_bits(&queries, &again);
+        }
     }
 
     /// Every answer of a batch, bit for bit, against the uncached model.
@@ -1054,9 +1163,14 @@ mod tests {
     #[test]
     fn the_row_store_evicts_exactly_like_the_per_entry_reference() {
         // Seeded sequences of grouped inserts (with re-inserts and repeats
-        // inside a group) and lookups over 3–4 rows of all 64 kernels, at
-        // capacities from one entry to two rows' worth, so evictions fall
-        // inside a row and across rows.
+        // inside a group), whole rows of distinct kernels and lookups over
+        // 3–4 rows of all 64 kernels, at capacities from one entry to two
+        // rows' worth, so evictions fall inside a row and across rows. A
+        // whole row goes to an absent row when one is left, its kernels
+        // in `KernelName::ALL` order or shuffled, all 64 or the first few,
+        // so the bound can cut it part-way; into a resident row it must
+        // take the per-entry path.
+        let (whole_rows, cut_rows) = (Cell::new(0), Cell::new(0));
         rvhpc_quickprop::run_cases(48, |g| {
             let capacity = g.usize_in(1..=130);
             let rows: Vec<RowKey> = (1..=g.usize_in(3..=4))
@@ -1064,8 +1178,34 @@ mod tests {
                 .collect();
             let (mut store, mut reference) = (Bounded::default(), Reference::default());
             for step in 0..60 {
-                let key = *g.choose(&rows);
-                if g.bool_with(0.75) {
+                let absent: Vec<RowKey> =
+                    rows.iter().copied().filter(|k| !store.rows.contains_key(k)).collect();
+                if g.bool_with(0.3) {
+                    let key = *g.choose(if absent.is_empty() { &rows } else { &absent });
+                    let mut kernels = KernelName::ALL.to_vec();
+                    if g.bool_with(0.5) {
+                        for i in (1..kernels.len()).rev() {
+                            kernels.swap(i, g.usize_in(0..=i));
+                        }
+                    }
+                    kernels.truncate(if g.bool_with(0.5) { 64 } else { g.usize_in(1..=64) });
+                    let group: Vec<(KernelName, TimeEstimate)> = kernels
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &k)| (k, est((step * 100 + i) as f64)))
+                        .collect();
+                    let expected: u64 =
+                        group.iter().map(|&(k, e)| reference.insert(capacity, (key, k), e)).sum();
+                    if !store.rows.contains_key(&key) {
+                        whole_rows.set(whole_rows.get() + 1);
+                        if group.len() > capacity {
+                            cut_rows.set(cut_rows.get() + 1);
+                        }
+                    }
+                    let evicted = store.insert_absent_row(capacity, key, group.iter().copied());
+                    assert_eq!(evicted, expected, "step {step}: whole-row evictions");
+                } else if g.bool_with(0.65) {
+                    let key = *g.choose(&rows);
                     let n = g.usize_in(1..=80);
                     let group: Vec<(KernelName, TimeEstimate)> = (0..n)
                         .map(|i| (*g.choose(&KernelName::ALL), est((step * 100 + i) as f64)))
@@ -1075,6 +1215,7 @@ mod tests {
                     let evicted = store.insert_row(capacity, key, group);
                     assert_eq!(evicted, expected, "step {step}: evictions");
                 } else {
+                    let key = *g.choose(&rows);
                     let k = *g.choose(&KernelName::ALL);
                     let got = store.get(&key, k).map(|e| e.seconds.to_bits());
                     let want = reference.map.get(&(key, k)).map(|e| e.seconds.to_bits());
@@ -1092,6 +1233,8 @@ mod tests {
                 }
             }
         });
+        assert!(whole_rows.get() > 100, "{} whole rows into an absent row", whole_rows.get());
+        assert!(cut_rows.get() > 10, "{} whole rows cut by the bound", cut_rows.get());
     }
 
     #[test]
