@@ -78,8 +78,11 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 COMMIT_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5eedcafe)"
 "$REPRO" verify --seed "$COMMIT_SEED" --cases 50
 
-# The paper model scores no worse than the pinned fidelity document.
+# The paper model scores no worse than the pinned fidelity document, and
+# the document is this build's score byte for byte: an improvement that
+# is never checked in would leave slack for a later regression to hide in.
 "$REPRO" calibrate --check FIDELITY.json
+"$REPRO" calibrate --json | cmp - FIDELITY.json
 
 # Static lint: every machine descriptor and every generated RVV program
 # (v1.0 output and its v0.7.1 rollback) must be finding-free.

@@ -37,7 +37,10 @@ use std::fmt::{self, Write as _};
 pub const SCHEMA: &str = "rvhpc-fidelity-v1";
 
 /// How far a cell's `|ln(model/paper)|` may rise above its pinned value:
-/// the ±2% band of the model's five-run jitter.
+/// a move of about 2% in the cell's value. The model is deterministic, so
+/// this is no noise band: it is the smallest rise the gate reports as a
+/// regression. `ci.sh` also requires the pinned document to equal the
+/// build's score byte for byte, so a smaller move is re-pinned too.
 pub const TOLERANCE: f64 = 0.02;
 
 /// The experiments the score reads, by command token.

@@ -5,7 +5,7 @@ use crate::report::{Cell, Fixed, TableReport};
 use rvhpc_compiler::{compile, vec_status, Compiler, VectorMode};
 use rvhpc_kernels::{workload, KernelName};
 use rvhpc_machines::{catalog, MachineId};
-use rvhpc_perfmodel::{estimate_averaged, sim_size, Precision, RunConfig};
+use rvhpc_perfmodel::{estimate, sim_size, Precision, RunConfig};
 use rvhpc_rvv::Sew;
 
 /// The full machine inventory (paper machines plus the what-if part).
@@ -98,7 +98,7 @@ pub fn kernel_table(kernel: KernelName) -> TableReport {
         } else {
             RunConfig::x86(Precision::Fp64, 1)
         };
-        let e = estimate_averaged(m, kernel, &cfg);
+        let e = estimate(m, kernel, &cfg);
         cells.push(format!("t(1 core, fp64) on {}", m.name).into());
         cells.push(
             format!("{:.3} ms{}", e.seconds * 1e3, if e.vector_path { " (vec)" } else { "" })

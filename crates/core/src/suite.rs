@@ -11,7 +11,7 @@ pub struct KernelTime {
     pub kernel: KernelName,
     /// Its class.
     pub class: KernelClass,
-    /// Estimate (per repetition, averaged over the paper's 5 runs).
+    /// Estimate (per repetition).
     pub estimate: TimeEstimate,
 }
 
@@ -111,7 +111,7 @@ pub fn class_mean(values: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use rvhpc_machines::{machine, MachineId};
-    use rvhpc_perfmodel::{estimate_averaged, Precision};
+    use rvhpc_perfmodel::{estimate, Precision};
 
     #[test]
     fn suite_covers_all_64_kernels() {
@@ -139,7 +139,7 @@ mod tests {
             let cfg = RunConfig::sg2042_best(Precision::Fp32, 16);
             // Reference: a plain loop, no cache.
             let serial: Vec<TimeEstimate> =
-                KernelName::ALL.into_iter().map(|k| estimate_averaged(&m, k, &cfg)).collect();
+                KernelName::ALL.into_iter().map(|k| estimate(&m, k, &cfg)).collect();
             // Cold pass (other tests may have warmed the cache — clear it),
             // then a warm pass served from the cache.
             rvhpc_perfmodel::cache::clear();

@@ -16,49 +16,49 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// `(experiment, rendering, digest)`, in `EXPERIMENTS` order.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("fig1", "json", 0x4ee62571c187bf61),
-    ("fig1", "markdown", 0x127e37665de93399),
-    ("fig1", "csv", 0x00b0e1b711c6be59),
-    ("fig1", "chart", 0x260e44cb0842264a),
-    ("table1", "json", 0xec3ea80f65473c10),
-    ("table1", "markdown", 0x9122ee4338de2bce),
-    ("table1", "csv", 0xafbe946715224758),
-    ("table2", "json", 0x2e5072e8b8b3ec49),
-    ("table2", "markdown", 0xeeb19b52f61b5c3f),
-    ("table2", "csv", 0xb1be89becacf21c6),
-    ("table3", "json", 0x86fa4130ce86ba27),
-    ("table3", "markdown", 0x7b03d4f5fcdeb95b),
-    ("table3", "csv", 0x1d8a293b23a8946e),
-    ("fig2", "json", 0xf7a9cb536b66e65c),
-    ("fig2", "markdown", 0x5495e8f4bc365d0a),
-    ("fig2", "csv", 0x1c6f51f3aa0a379e),
-    ("fig2", "chart", 0x53ddf01ab22a1dfd),
+    ("fig1", "json", 0xcabcc7b2cd5dcb9e),
+    ("fig1", "markdown", 0x599115d9b6639dc8),
+    ("fig1", "csv", 0xdddaadccd5d5626f),
+    ("fig1", "chart", 0x0be23dbb9a5dcf62),
+    ("table1", "json", 0x826e5793dddaec08),
+    ("table1", "markdown", 0x41b54e884c5b69c0),
+    ("table1", "csv", 0xc89f6863b8522e22),
+    ("table2", "json", 0xde9a657a9b483bbc),
+    ("table2", "markdown", 0x5a9492501646ca62),
+    ("table2", "csv", 0x3887b7bcec9a250b),
+    ("table3", "json", 0xfc26dfedf62655a0),
+    ("table3", "markdown", 0xebe0ca4e06651460),
+    ("table3", "csv", 0x352351a24e246d11),
+    ("fig2", "json", 0x6be8e9e9354a7129),
+    ("fig2", "markdown", 0x07d5dfeb521894b9),
+    ("fig2", "csv", 0xf58164710a4a44d5),
+    ("fig2", "chart", 0x282d1b283b1b3254),
     ("fig3", "json", 0xe155d97e0c94054d),
     ("fig3", "markdown", 0xc2c17051c9bfaf99),
     ("fig3", "csv", 0x4955f0059adb0eb2),
     ("table4", "json", 0xe9a7ec8c495be7da),
     ("table4", "markdown", 0x75be09d0dee0ef68),
     ("table4", "csv", 0x49f0bd9847960d67),
-    ("fig4", "json", 0xc2923762d1dbc90e),
-    ("fig4", "markdown", 0x314e4725b0bc843f),
-    ("fig4", "csv", 0x5fcb44aa274023db),
-    ("fig4", "chart", 0xc08f7a45220dfbdb),
-    ("fig5", "json", 0x3e48fe30b6b4ff63),
-    ("fig5", "markdown", 0x5e6e3fb6471b58c0),
-    ("fig5", "csv", 0xbb8c8db4bec9d6a3),
-    ("fig5", "chart", 0x6818aea4ee20789a),
-    ("fig6", "json", 0x7ded903935d4febe),
-    ("fig6", "markdown", 0x40deef2052e0d15c),
-    ("fig6", "csv", 0x3ba2c189c695c59e),
-    ("fig6", "chart", 0x504b49ec3f3f8775),
-    ("fig7", "json", 0x75eb57152e22242f),
-    ("fig7", "markdown", 0x2baaa28e7ddbb493),
-    ("fig7", "csv", 0xeb2be23a4bd2899f),
-    ("fig7", "chart", 0x8d90044a16e13e3a),
-    ("nextgen", "json", 0xb7b63d933057cc02),
-    ("nextgen", "markdown", 0x75fb684e5fd95261),
-    ("nextgen", "csv", 0x2a23fdd195e3aae7),
-    ("nextgen", "chart", 0xbfa36b5ab76b38b3),
+    ("fig4", "json", 0x9c182c46e4f5fee8),
+    ("fig4", "markdown", 0x23306749d7b44219),
+    ("fig4", "csv", 0xa98fa0de77792efb),
+    ("fig4", "chart", 0x6f0a92bf48813a19),
+    ("fig5", "json", 0x58c43ff6fe0f502a),
+    ("fig5", "markdown", 0xfbbca7a6fe121129),
+    ("fig5", "csv", 0xf5a900396cf7123c),
+    ("fig5", "chart", 0xf6de437fd122fb21),
+    ("fig6", "json", 0x2f5afae23ab5e29d),
+    ("fig6", "markdown", 0x99d0ad2aa0c3fe87),
+    ("fig6", "csv", 0x0a8e36c10ef4beec),
+    ("fig6", "chart", 0xd535916c6cdef9a0),
+    ("fig7", "json", 0x0766eb65e952c510),
+    ("fig7", "markdown", 0xd2ed156b1d5b01dc),
+    ("fig7", "csv", 0xf5edbc23f540970c),
+    ("fig7", "chart", 0x47635a9f7d7bac86),
+    ("nextgen", "json", 0xc56830609d7cae4c),
+    ("nextgen", "markdown", 0x22b58f0e61b00ef6),
+    ("nextgen", "csv", 0x1d3738f2e7b0cd28),
+    ("nextgen", "chart", 0xb0d221faf706d120),
 ];
 
 #[test]

@@ -1,10 +1,10 @@
-//! Bounded cross-sweep memoisation of averaged estimates.
+//! Bounded cross-sweep memoisation of estimates.
 //!
 //! The paper's artefacts are ~30 full-suite sweeps, and the sweeps overlap
 //! heavily: Figure 2's vector-on series is Figure 1's SG2042 series, the
 //! x86 figures re-derive the same SG2042 baselines, and the what-if
 //! experiment reuses the 32/64-thread bests of Figures 6–7. This module
-//! memoises [`crate::estimate_averaged`] process-wide so `repro all` makes
+//! memoises [`crate::estimate()`] process-wide so `repro all` makes
 //! exactly one pass over each unique `(machine, kernel, canonical
 //! RunConfig)` triple, however many experiments ask for it.
 //!
@@ -73,7 +73,7 @@
 //! `rvhpc_machines::catalog` (`rvhpc_machines::machine` clones an entry for
 //! a caller that needs to own one). Code that perturbs a descriptor — the
 //! metamorphic verify oracles, the server's submitted machines — must use
-//! the uncached [`crate::estimate_averaged`] family instead.
+//! the uncached [`crate::estimate()`] family instead.
 
 use crate::calibration::Model;
 use crate::config::{Precision, RunConfig, Toolchain};
@@ -155,6 +155,26 @@ fn captured_capacity() -> usize {
 /// Number of currently resident entries (same as [`stats`]`().entries`).
 pub fn len() -> usize {
     locked().len
+}
+
+/// The resident keys, oldest first, each with the canonical configuration
+/// it is stored under (a scalar configuration at [`VectorMode::Vls`], the
+/// threads clamped to the core count), which estimates exactly like every
+/// configuration it stands for. A test enumerates a pass's queries so.
+pub fn resident() -> Vec<(MachineId, RunConfig, KernelName)> {
+    let entry = |&(key, kernel): &(RowKey, KernelName)| {
+        let c = key.cfg;
+        let cfg = RunConfig {
+            precision: c.precision,
+            vectorize: c.vectorize,
+            toolchain: c.toolchain,
+            mode: c.mode,
+            placement: c.placement,
+            threads: c.threads,
+        };
+        (key.machine, cfg, kernel)
+    };
+    locked().order.iter().map(entry).collect()
 }
 
 /// The canonical form of a [`RunConfig`]: two configs that provably produce
@@ -501,7 +521,7 @@ pub fn clear() {
     rvhpc_obs::gauge!("perfmodel.estimate_cache.entries", 0);
 }
 
-/// [`crate::estimate_averaged`] through the process-wide cross-sweep cache,
+/// [`crate::estimate()`] through the process-wide cross-sweep cache,
 /// as a batch of one query ([`estimate_batch`]); bit-identical to the
 /// uncached call. See the module docs for the catalog-descriptor contract.
 /// Many kernels under one configuration go as one batch over one
@@ -532,7 +552,7 @@ pub fn estimate_batch(queries: &[(&RowEnv, KernelName)]) -> Vec<TimeEstimate> {
     let paper_queries: Vec<_> = queries.iter().copied().filter(cached).collect();
     let mut answers = paper_batch(&paper_queries).into_iter().peekable();
     // A paper query takes the next cached answer; any other is estimated.
-    let answer = |q| answers.next_if(|_| cached(q)).unwrap_or_else(|| q.0.estimate_averaged(q.1));
+    let answer = |q| answers.next_if(|_| cached(q)).unwrap_or_else(|| q.0.estimate(q.1));
     queries.iter().map(answer).collect()
 }
 
@@ -678,7 +698,7 @@ fn answer_misses(
         // one miss waste work at worst, never answer wrongly.
         for &i in fresh {
             let (row, kernel) = queries[i];
-            answers[i] = row.estimate_averaged(kernel);
+            answers[i] = row.estimate(kernel);
         }
         if let Some((fresh, keys)) = &stored {
             persist::record_all(keys.iter().zip(fresh).map(|(&key, &i)| (key, answers[i])));
@@ -762,7 +782,7 @@ const UNANSWERED: TimeEstimate = TimeEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimate::estimate_averaged;
+    use crate::estimate::estimate;
     use rvhpc_machines::machine;
     use std::cell::Cell;
 
@@ -786,7 +806,7 @@ mod tests {
         let _l = isolated();
         let m = sg();
         let cfg = RunConfig::sg2042_best(Precision::Fp32, 8);
-        let direct = estimate_averaged(&m, KernelName::STREAM_TRIAD, &cfg);
+        let direct = estimate(&m, KernelName::STREAM_TRIAD, &cfg);
         let miss = estimate_cached(&m, KernelName::STREAM_TRIAD, &cfg);
         let hit = estimate_cached(&m, KernelName::STREAM_TRIAD, &cfg);
         for (a, b) in [(direct, miss), (miss, hit)] {
@@ -827,7 +847,7 @@ mod tests {
         ];
         let direct: Vec<TimeEstimate> = queries
             .iter()
-            .map(|&(row, kernel)| estimate_averaged(row.machine(), kernel, row.config()))
+            .map(|&(row, kernel)| estimate(row.machine(), kernel, row.config()))
             .collect();
         let regions = || rvhpc_obs::counter("threads.regions").load(Ordering::Relaxed);
         for (expected_hits, expected_misses) in [(1, 3), (4, 0)] {
@@ -873,7 +893,7 @@ mod tests {
     /// Every answer of a batch, bit for bit, against the uncached model.
     fn assert_uncached_bits(queries: &[(&RowEnv, KernelName)], got: &[TimeEstimate]) {
         for (&(row, kernel), g) in queries.iter().zip(got) {
-            let d = estimate_averaged(row.machine(), kernel, row.config());
+            let d = estimate(row.machine(), kernel, row.config());
             assert_eq!(
                 [d.seconds, d.compute_seconds, d.memory_seconds, d.overhead_seconds]
                     .map(f64::to_bits),
@@ -963,7 +983,7 @@ mod tests {
         let delta = stats().since(&before);
         assert_eq!((delta.misses, delta.hits, len()), (1, 0, entries + 1), "{delta:?}");
         assert_uncached_bits(&[(&paper, k)], &got[1..2]);
-        let fresh = [other.estimate_averaged(k), other.estimate_averaged(KernelName::DAXPY)];
+        let fresh = [other.estimate(k), other.estimate(KernelName::DAXPY)];
         for (a, b) in [(got[0], fresh[0]), (got[2], fresh[1])] {
             assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
         }

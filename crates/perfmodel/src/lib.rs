@@ -25,7 +25,7 @@
 //!
 //! Repeated sweep traffic (the paper's ~30 full-suite sweeps overlap
 //! heavily) is amortised by [`cache`]: a bounded process-wide memoisation
-//! of the paper model's averaged estimates keyed by `(machine, kernel,
+//! of the paper model's estimates keyed by `(machine, kernel,
 //! canonical config)`, with hit/miss/eviction counters in the `rvhpc-obs`
 //! registry, surfaced through the `metrics` op and the `--trace` counters
 //! table. A sweep's rows share the kernel-independent part of the model —
@@ -52,6 +52,11 @@ mod proptests;
 pub use cache::{estimate_batch, estimate_cached, CacheStats};
 pub use calibration::{Calibration, Model};
 pub use config::{Precision, RunConfig, Toolchain};
-pub use estimate::{estimate, estimate_averaged, sim_size, TimeEstimate};
+/// The same function as [`estimate()`], under its old name. It is kept only
+/// because `benchmark/src/keys.rs` and `benchmark/src/probes.rs` name it;
+/// ROADMAP item 16, the benchmark change, switches them to [`estimate()`]
+/// and drops this alias.
+pub use estimate::estimate as estimate_averaged;
+pub use estimate::{estimate, sim_size, TimeEstimate};
 pub use explain::{explain, Explanation};
 pub use row::RowEnv;

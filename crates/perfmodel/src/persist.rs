@@ -94,7 +94,7 @@ pub const FILE_NAME: &str = "estimates.v1";
 
 /// Salt folded into every key hash; bump when estimator behaviour changes
 /// so stale entries from older binaries can never be served.
-const MODEL_SALT: &str = "rvhpc-perfmodel-2026-10";
+const MODEL_SALT: &str = "rvhpc-perfmodel-2026-10b";
 
 /// The least growth of the map, in new records, that triggers an
 /// auto-flush (see "Write schedule"); callers should still [`flush`] at
@@ -759,7 +759,7 @@ mod tests {
         assert!(parse_file("").is_none());
     }
 
-    /// FNV-1a over the bits of `estimate_averaged` on a fixed probe set:
+    /// FNV-1a over the bits of `estimate` on a fixed probe set:
     /// every machine, one kernel per class, both precisions, threads
     /// {1, 4, 64} and every placement policy.
     fn model_fingerprint() -> u64 {
@@ -781,7 +781,7 @@ mod tests {
                                 RunConfig::x86(precision, threads)
                             };
                             let cfg = RunConfig { placement, ..base };
-                            let e = crate::estimate_averaged(&m, kernel, &cfg);
+                            let e = crate::estimate(&m, kernel, &cfg);
                             for x in
                                 [e.seconds, e.compute_seconds, e.memory_seconds, e.overhead_seconds]
                             {
@@ -806,7 +806,7 @@ mod tests {
         let got = model_fingerprint();
         assert_eq!(
             (MODEL_SALT, got),
-            ("rvhpc-perfmodel-2026-10", 0xca84_f178_f264_a1a0),
+            ("rvhpc-perfmodel-2026-10b", 0xe5a7_ca1a_d0c4_40dd),
             "the estimator's output changed under an unchanged MODEL_SALT; if the change is \
              intended, bump MODEL_SALT and re-pin this test to (new salt, {got:#018x})"
         );

@@ -28,7 +28,7 @@
 
 use crate::calibration::{Calibration, Model};
 use crate::config::RunConfig;
-use crate::estimate::{average_runs, model_parts, sim_size, TimeEstimate};
+use crate::estimate::{model_parts, sim_size, TimeEstimate};
 use crate::memory::MemoryEnv;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::Machine;
@@ -42,14 +42,14 @@ use std::sync::OnceLock;
 /// ```
 /// use rvhpc_machines::{catalog, MachineId};
 /// use rvhpc_kernels::KernelName;
-/// use rvhpc_perfmodel::{estimate_averaged, Model, Precision, RowEnv, RunConfig};
+/// use rvhpc_perfmodel::{estimate, Model, Precision, RowEnv, RunConfig};
 ///
 /// let sg = catalog(MachineId::Sg2042);
 /// let cfg = RunConfig::sg2042_best(Precision::Fp32, 16);
 /// let row = RowEnv::new(Model::paper(), sg, &cfg);
 /// for kernel in KernelName::ALL {
-///     let shared = row.estimate_averaged(kernel);
-///     let alone = estimate_averaged(sg, kernel, &cfg);
+///     let shared = row.estimate(kernel);
+///     let alone = estimate(sg, kernel, &cfg);
 ///     assert_eq!(shared.seconds.to_bits(), alone.seconds.to_bits());
 /// }
 /// ```
@@ -136,18 +136,13 @@ impl<'m> RowEnv<'m> {
         );
         model_parts(self, kernel, size).estimate()
     }
-
-    /// The paper's five-run average ([`crate::estimate_averaged`]).
-    pub fn estimate_averaged(&self, kernel: KernelName) -> TimeEstimate {
-        average_runs(self, kernel, self.estimate(kernel))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Precision, Toolchain};
-    use crate::estimate::estimate_averaged;
+    use crate::estimate::estimate;
     use rvhpc_compiler::VectorMode;
     use rvhpc_machines::{machine, MachineId, PlacementPolicy, Topology};
 
@@ -164,8 +159,8 @@ mod tests {
     fn check_row(m: &Machine, cfg: &RunConfig) {
         let row = RowEnv::new(Model::paper(), m, cfg);
         for kernel in KernelName::ALL {
-            let shared = row.estimate_averaged(kernel);
-            let alone = estimate_averaged(m, kernel, cfg);
+            let shared = row.estimate(kernel);
+            let alone = estimate(m, kernel, cfg);
             assert_bit_identical(&shared, &alone, &|| format!("{} {kernel} {cfg:?}", m.id.token()));
         }
     }

@@ -723,11 +723,11 @@ fn handle_line(shared: &Shared, writer: &Arc<ConnWriter>, line: &str) {
         },
         Request::EstimateSubmitted { machine_ref, kernel, cfg } => {
             match shared.machines.get(&machine_ref) {
-                // The five-run average a catalog `estimate` answers, but
-                // uncached: the estimate cache keys on catalog identity,
-                // which submitted descriptors do not have.
+                // The model's estimate, as a catalog `estimate` answers it,
+                // but uncached: the estimate cache keys on catalog
+                // identity, which submitted descriptors do not have.
                 Some(m) => {
-                    let est = rvhpc_perfmodel::estimate_averaged(&m, kernel, &cfg);
+                    let est = rvhpc_perfmodel::estimate(&m, kernel, &cfg);
                     ok_response(&id, op, estimate_json(&est))
                 }
                 None => error_response(

@@ -28,9 +28,7 @@ use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, Machine, MachineId, PlacementPolicy, Topology};
 use rvhpc_perfmodel::memory::MemoryEnv;
-use rvhpc_perfmodel::{
-    estimate_averaged, Model, Precision, RowEnv, RunConfig, TimeEstimate, Toolchain,
-};
+use rvhpc_perfmodel::{estimate, Model, Precision, RowEnv, RunConfig, TimeEstimate, Toolchain};
 use rvhpc_quickprop::Gen;
 use rvhpc_trace::json::Json;
 use std::thread::ScopedJoinHandle;
@@ -198,7 +196,7 @@ fn shared_row(m: &Machine, cfg: &RunConfig, kernels: &[KernelName]) -> Vec<TimeE
     std::thread::scope(|s| {
         let threads: Vec<ScopedJoinHandle<Vec<TimeEstimate>>> = kernels
             .chunks(kernels.len().div_ceil(4).max(1))
-            .map(|part| s.spawn(move || part.iter().map(|&k| row.estimate_averaged(k)).collect()))
+            .map(|part| s.spawn(move || part.iter().map(|&k| row.estimate(k)).collect()))
             .collect();
         threads.into_iter().flat_map(|t| t.join().expect("row thread panicked")).collect()
     })
@@ -214,7 +212,7 @@ pub fn check(case: &RowCase, _fault: Fault) -> Result<(), String> {
     let m = case.descriptor();
     let shared = shared_row(&m, &cfg, &case.kernels);
     for (kernel, est) in case.kernels.iter().zip(&shared) {
-        let alone = estimate_averaged(&m, *kernel, &cfg);
+        let alone = estimate(&m, *kernel, &cfg);
         if !same_bits(est, &alone) {
             return Err(format!(
                 "shared row diverged on {kernel}: {est:?} vs per-kernel {alone:?} for {}",

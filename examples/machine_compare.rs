@@ -7,7 +7,7 @@
 
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::{machine, MachineId};
-use rvhpc::perfmodel::{estimate_averaged, Precision, RunConfig};
+use rvhpc::perfmodel::{estimate, Precision, RunConfig};
 use rvhpc::suite::times_faster;
 
 fn main() {
@@ -33,13 +33,13 @@ fn main() {
             let m = machine(*id);
             let mut vals = Vec::new();
             for k in KernelName::in_class(class) {
-                let base = estimate_averaged(&sg, k, &RunConfig::sg2042_best(precision, 1)).seconds;
+                let base = estimate(&sg, k, &RunConfig::sg2042_best(precision, 1)).seconds;
                 let cfg = if id.is_riscv() {
                     RunConfig::sg2042_best(precision, 1)
                 } else {
                     RunConfig::x86(precision, 1)
                 };
-                let t = estimate_averaged(&m, k, &cfg).seconds;
+                let t = estimate(&m, k, &cfg).seconds;
                 vals.push(times_faster(base, t));
             }
             let mean = vals.iter().sum::<f64>() / vals.len() as f64;

@@ -8,7 +8,7 @@
 use rvhpc::compiler::VectorMode;
 use rvhpc::kernels::{KernelClass, KernelName};
 use rvhpc::machines::{machine, MachineId, PlacementPolicy};
-use rvhpc::perfmodel::{estimate_averaged, Precision, RunConfig, Toolchain};
+use rvhpc::perfmodel::{estimate, Precision, RunConfig, Toolchain};
 
 fn main() {
     let kernel = std::env::args()
@@ -35,11 +35,11 @@ fn main() {
         placement: policy,
         threads,
     };
-    let t1 = estimate_averaged(&sg, kernel, &cfg(PlacementPolicy::Block, 1)).seconds;
+    let t1 = estimate(&sg, kernel, &cfg(PlacementPolicy::Block, 1)).seconds;
     for threads in [2usize, 4, 8, 16, 32, 64] {
         print!("{threads:>8}");
         for policy in PlacementPolicy::ALL {
-            let e = estimate_averaged(&sg, kernel, &cfg(policy, threads));
+            let e = estimate(&sg, kernel, &cfg(policy, threads));
             print!(" {:>10.2}", t1 / e.seconds);
         }
         println!();
@@ -54,8 +54,8 @@ fn main() {
         for policy in PlacementPolicy::ALL {
             let mut speedups = Vec::new();
             for k in KernelName::in_class(class) {
-                let t1 = estimate_averaged(&sg, k, &cfg(policy, 1)).seconds;
-                let tn = estimate_averaged(&sg, k, &cfg(policy, 32)).seconds;
+                let t1 = estimate(&sg, k, &cfg(policy, 1)).seconds;
+                let tn = estimate(&sg, k, &cfg(policy, 32)).seconds;
                 speedups.push(t1 / tn);
             }
             let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;

@@ -8,7 +8,7 @@
 use rvhpc::kernels::KernelName;
 use rvhpc::machines::{machine, MachineId};
 use rvhpc::native;
-use rvhpc::perfmodel::{estimate_averaged, Precision, RunConfig};
+use rvhpc::perfmodel::{estimate, Precision, RunConfig};
 
 fn main() {
     let kernel = KernelName::STREAM_TRIAD;
@@ -28,8 +28,8 @@ fn main() {
     println!("== simulated single-core time on the paper's machines (FP64 / FP32) ==");
     for id in MachineId::ALL {
         let m = machine(id);
-        let fp64 = estimate_averaged(&m, kernel, &RunConfig::sg2042_best(Precision::Fp64, 1));
-        let fp32 = estimate_averaged(&m, kernel, &RunConfig::sg2042_best(Precision::Fp32, 1));
+        let fp64 = estimate(&m, kernel, &RunConfig::sg2042_best(Precision::Fp64, 1));
+        let fp32 = estimate(&m, kernel, &RunConfig::sg2042_best(Precision::Fp32, 1));
         println!(
             "{:<24} {:>9.2} ms {:>9.2} ms   {}",
             m.name,
@@ -42,9 +42,9 @@ fn main() {
     // 3. Thread scaling on the SG2042 with the paper's best placement.
     println!("\n== SG2042 thread scaling (FP32, cluster-cyclic placement) ==");
     let sg = machine(MachineId::Sg2042);
-    let t1 = estimate_averaged(&sg, kernel, &RunConfig::sg2042_best(Precision::Fp32, 1)).seconds;
+    let t1 = estimate(&sg, kernel, &RunConfig::sg2042_best(Precision::Fp32, 1)).seconds;
     for threads in [1usize, 2, 4, 8, 16, 32, 64] {
-        let e = estimate_averaged(&sg, kernel, &RunConfig::sg2042_best(Precision::Fp32, threads));
+        let e = estimate(&sg, kernel, &RunConfig::sg2042_best(Precision::Fp32, threads));
         println!(
             "{threads:>3} threads: {:>9.3} ms  speedup {:>5.2}  {}",
             e.seconds * 1e3,

@@ -80,8 +80,8 @@ fn queueing_produces_the_stream_collapses() {
 /// benefit and MEMSET's standout benefit: vector loads and stores keep the
 /// C920's memory pipeline full where scalar ones cannot. With both set to
 /// neutral the memory-bound kernels gain nothing from vectorising: their
-/// vector-on and vector-off times differ by the ±2 % run-to-run jitter of
-/// the paper's five-run average at most.
+/// vector-on and vector-off times are the same number, so the benefit is
+/// exactly 1.
 ///
 /// MEMSET's lead over the U74 in Figure 1 does not hinge on this
 /// ingredient alone (the U74's own store penalty and the C920's wider core
@@ -93,7 +93,6 @@ fn scalar_memory_issue_produces_the_stream_vector_benefit() {
         c.scalar_stream_fraction = 1.0;
         c.scalar_store_penalty = 1.0;
     });
-    let jitter = 1.02 / 0.98;
     for (model, on) in [(Model::paper(), true), (&off, false)] {
         let state = if on { "on" } else { "off" };
         let benefit = fig2::vectorisation_ratios(model, Precision::Fp32);
@@ -101,7 +100,7 @@ fn scalar_memory_issue_produces_the_stream_vector_benefit() {
             let b = benefit[&k];
             assert_eq!(b > 1.3, on, "penalty {state}: {k} vector benefit {b:.3}");
             if !on {
-                assert!(b < jitter && b > 1.0 / jitter, "penalty off: {k} gains {b:.3}");
+                assert_eq!(b, 1.0, "penalty off: {k} gains {b:.17}");
             }
         }
         let memset = benefit[&KernelName::MEMSET];

@@ -9,7 +9,7 @@
 use rvhpc_compiler::VectorMode;
 use rvhpc_kernels::KernelName;
 use rvhpc_machines::{machine, MachineId};
-use rvhpc_perfmodel::{estimate_averaged, estimate_cached, Precision, RunConfig};
+use rvhpc_perfmodel::{estimate, estimate_cached, Precision, RunConfig};
 use rvhpc_serve::{ServeConfig, Server};
 use rvhpc_trace::json::Json;
 use std::io::{BufRead, BufReader, Write};
@@ -80,7 +80,7 @@ fn repeats_in_one_batch_are_estimated_once() {
         cfg.vectorize = false;
         cfg.mode = if mode == "vla" { VectorMode::Vla } else { VectorMode::Vls };
         let local = estimate_cached(&sg, KernelName::STREAM_TRIAD, &cfg);
-        let uncached = estimate_averaged(&sg, KernelName::STREAM_TRIAD, &cfg);
+        let uncached = estimate(&sg, KernelName::STREAM_TRIAD, &cfg);
         for (field, want, model) in [
             ("seconds", local.seconds, uncached.seconds),
             ("compute_seconds", local.compute_seconds, uncached.compute_seconds),

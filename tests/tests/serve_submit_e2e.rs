@@ -307,7 +307,7 @@ fn submitted_machine_descriptors_serve_estimates_and_dirty_ones_are_rejected() {
 #[test]
 fn a_restated_catalog_machine_answers_exactly_like_the_catalog_machine() {
     // A descriptor that only restates `sg2042` is the catalog machine, so
-    // its estimates are the catalog's five-run averages, byte for byte.
+    // its estimates are the catalog's, byte for byte.
     let server = start();
     let (mut stream, mut reader) = connect(&server);
     let req =
